@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import exp1
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -25,79 +26,35 @@ EULER_GAMMA = 0.5772156649015329
 # exponential integral and its entire companion
 # ---------------------------------------------------------------------------
 
-def _e1_series(s: float) -> float:
-    # E1(s) = -gamma - log s + sum_{k>=1} (-1)^(k+1) s^k / (k * k!)
-    total = 0.0
-    term = 1.0
-    for k in range(1, 60):
-        term *= s / k
-        add = term / k
-        total += add if k % 2 == 1 else -add
-        if abs(add) < 1e-18 * max(1.0, abs(total)):
-            break
-    return -EULER_GAMMA - math.log(s) + total
-
-
-def _e1_contfrac(s: float) -> float:
-    # Modified Lentz evaluation of E1(s) = e^-s / (s + 1/(1 + 1/(s + 2/(1 + ...))))
-    tiny = 1e-300
-    b = s + 1.0
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for k in range(1, 200):
-        a = -k * k  # numerators -1, -1, -4, -4, ... in the standard CF below
-        b += 2.0
-        d = 1.0 / (a * d + b) if a * d + b != 0 else 1.0 / tiny
-        c = b + a / c if b + a / c != 0 else tiny
-        delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-15:
-            break
-    return h * math.exp(-s)
+# Terms k = 1..24 of the series of Ein, (-1)^(k+1) s^k / (k * k!); for s < 1
+# the first omitted term is below 1e-25.
+_EIN_K = np.arange(1, 25)
+_EIN_COEF = (-1.0) ** (_EIN_K + 1) / (_EIN_K * np.cumprod(_EIN_K.astype(float)))
 
 
 def exp_integral(s) -> np.ndarray | float:
-    """E1(s) = integral_s^inf exp(-t)/t dt for s > 0.
-
-    Series below the switchover, continued fraction above; the two branches
-    agree to better than 1e-12 where they overlap.
-    """
+    """E1(s) = integral_s^inf exp(-t)/t dt for s > 0."""
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr <= 0):
         raise ValueError("exponential integral requires s > 0")
-    out = np.empty_like(s_arr)
-    for i, v in enumerate(s_arr):
-        out[i] = _e1_series(float(v)) if v < 1.0 else _e1_contfrac(float(v))
+    out = exp1(s_arr)
     return out if np.ndim(s) else float(out[0])
 
 
 def ein(s) -> np.ndarray | float:
     """Entire companion Ein(s) = integral_0^s (1 - exp(-t))/t dt, s >= 0.
 
-    Alternating series for s < 1; the identity Ein = gamma + log s + E1(s)
-    otherwise.
+    Alternating series sum_{k>=1} (-1)^(k+1) s^k / (k * k!) for s < 1; the
+    identity Ein = gamma + log s + E1(s) otherwise.
     """
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr < 0):
         raise ValueError("Ein requires s >= 0")
     out = np.empty_like(s_arr)
-    for i, v in enumerate(s_arr):
-        v = float(v)
-        if v == 0.0:
-            out[i] = 0.0
-        elif v < 1.0:
-            total = 0.0
-            term = 1.0
-            for k in range(1, 60):
-                term *= v / k
-                add = term / k
-                total += add if k % 2 == 1 else -add
-                if abs(add) < 1e-18:
-                    break
-            out[i] = total
-        else:
-            out[i] = EULER_GAMMA + math.log(v) + _e1_contfrac(v)
+    small = s_arr < 1.0
+    out[small] = np.power.outer(s_arr[small], _EIN_K) @ _EIN_COEF
+    big = s_arr[~small]
+    out[~small] = EULER_GAMMA + np.log(big) + exp1(big)
     return out if np.ndim(s) else float(out[0])
 
 
@@ -167,11 +124,13 @@ def _rho_tables(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, list[np
     """Sample rho_1..rho_k_max on the grid x = 0, h, 2h, ..., x_max.
 
     rho_{k+1}(x) = integral_k^{x-1} rho_k(y) / (x - y) dy is evaluated by
-    trapezoid-weighted discrete convolution.  The grid step must divide 1 so
-    that the support corners x = k (where rho_k has kinks) fall on grid nodes;
-    the endpoint jumps of the integrand then sit on nodes and the trapezoid
-    half-weights apply cleanly.
+    trapezoid-weighted discrete convolution, done by FFT.  The grid step must
+    divide 1 so that the support corners x = k (where rho_k has kinks) fall on
+    grid nodes; the endpoint jumps of the integrand then sit on nodes and the
+    trapezoid half-weights apply cleanly.
     """
+    from scipy.signal import fftconvolve  # deferred: slow to import
+
     n = int(round(x_max / h)) + 1
     xs = np.arange(n) * h
     i1 = int(round(1.0 / h))
@@ -183,7 +142,7 @@ def _rho_tables(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, list[np
     for k in range(1, k_max):
         f = tables[-1]
         ik = int(round(k / h))  # support start of f
-        full = np.convolve(f, kernel)[:n] * h
+        full = fftconvolve(f, kernel)[:n] * h
         # trapezoid endpoint corrections: half-weight at y = k and y = x - 1
         lower = np.zeros(n)
         lower[ik:] = f[ik] * kernel[:n - ik]

@@ -3,9 +3,13 @@
 The law p of a rescaled interval length Z >= 1 determines a nonnegative
 measure m on [1, inf) through
 
-    p = sum_{k>=1} (-1)^(k+1) m^{*k} / k!
+    p = sum_{k>=1} (-1)^(k+1) m^{*k} / k!,   that is   delta_0 - p = exp(-m)
 
-``deconvolve_m`` inverts this interval by interval.  The step function
+``deconvolve_m`` inverts this with the logarithm series
+
+    m = -log(delta_0 - p) = sum_{k>=1} p^{*k} / k
+
+whose terms are all nonnegative, so nothing cancels.  The step function
 U(x) = sum_{atoms y <= 1+x} y * m({y}) is the primitive of the measure in the
 complete-monotone representation of the Laplace transform of Z, and it is
 transported across epochs by an affine change of variable (``un_transport``).
@@ -16,20 +20,11 @@ constant the universal limit law remembers from the initial condition.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import (AtomicMeasure, MASS_ATOL, MeasureError, NegativeMassError,
-                       _coalesce, convolve)
-
-_njit = None
-if os.environ.get("HCPLAB_NO_NUMBA", "") == "":
-    try:  # optional compiled kernel for the large-lattice route
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover
-        pass
+from .measures import AtomicMeasure, MeasureError, _coalesce, convolve
 
 
 class TransportRangeError(ValueError):
@@ -37,60 +32,34 @@ class TransportRangeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# interval-recursive deconvolution
+# series deconvolution
 # ---------------------------------------------------------------------------
 
 def deconvolve_m(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
     """Recover m on [1, j_max) from the law p of Z >= 1.
 
-    On each integer interval [j, j+1) the identity
-
-        m = p + sum_{k=2}^{j} (-1)^k m^{*k} / k!
-
-    is exact (m^{*k} vanishes there for k > j) and the right-hand side only
-    involves m already recovered on [1, j-k+2), so the atoms of m are filled
-    in interval by interval.  A recovered atom more negative than the mass
-    clamp means p is not a valid Z-law for this decomposition under the given
-    truncation.
+    Sums the logarithm series m = sum_{k>=1} p^{*k} / k on [1, j_max) with
+    one running convolution power.  p^{*k} lies on [k, inf), so the sum is
+    finite: it stops at k >= j_max or at the first power with no atoms below
+    j_max, after at most ceil(j_max) - 2 convolutions.  Every term is
+    nonnegative, so the recovered masses carry no cancellation error.
     """
     if p.n_atoms and p.positions[0] < 1 - 1e-12:
         raise MeasureError("law of Z must be supported on [1, inf)")
-    j_top = int(math.ceil(j_max))
-    m_pos: list[np.ndarray] = []
-    m_mas: list[np.ndarray] = []
-
-    def current_m() -> AtomicMeasure:
-        if not m_pos:
-            return AtomicMeasure(np.empty(0), np.empty(0), j_max)
-        return AtomicMeasure(np.concatenate(m_pos), np.concatenate(m_mas), j_max)
-
-    for j in range(1, j_top):
-        hi = min(float(j + 1), j_max)
-        seg = p.restricted(j, hi)
-        pos_parts = [seg.positions]
-        mas_parts = [seg.masses]
-        if j >= 2:
-            m_so_far = current_m()
-            power = m_so_far
-            fact = 1.0
-            for k in range(2, j + 1):
-                power = convolve(power, m_so_far)
-                fact *= k
-                piece = power.restricted(j, hi)
-                sign = 1.0 if k % 2 == 0 else -1.0
-                pos_parts.append(piece.positions)
-                mas_parts.append(sign * piece.masses / fact)
-        pos, mas = _coalesce(np.concatenate(pos_parts), np.concatenate(mas_parts))
-        if np.any(mas < -MASS_ATOL):
-            where = pos[mas < -MASS_ATOL][0]
-            raise NegativeMassError(
-                f"deconvolution produced negative mass at {where}: input is not "
-                "a valid Z-law under this truncation")
-        keep = mas > 0.0
-        if np.any(keep):
-            m_pos.append(pos[keep])
-            m_mas.append(mas[keep])
-    return current_m()
+    seg = p.restricted(1.0, j_max)
+    base = AtomicMeasure(seg.positions, seg.masses, j_max)
+    pos_parts = [base.positions]
+    mas_parts = [base.masses]
+    power = base
+    k = 2
+    while k < j_max and power.n_atoms:
+        power = convolve(power, base).restricted(1.0, j_max)
+        pos_parts.append(power.positions)
+        mas_parts.append(power.masses / k)
+        k += 1
+    pos, mas = _coalesce(np.concatenate(pos_parts), np.concatenate(mas_parts))
+    keep = mas > 0.0
+    return AtomicMeasure(pos[keep], mas[keep], j_max)
 
 
 def reassemble_z_law(m: AtomicMeasure, j_max: float) -> AtomicMeasure:
@@ -191,21 +160,6 @@ def _u1_lattice_py(base: np.ndarray, atom_idx: np.ndarray,
     return c
 
 
-if _njit is not None:
-    @_njit(cache=True)
-    def _u1_lattice_nb(base, atom_idx, atom_mass):  # pragma: no cover
-        n = base.size
-        c = base.copy()
-        for i in range(n):
-            acc = c[i]
-            for j in range(atom_idx.size):
-                a = atom_idx[j]
-                if a <= i:
-                    acc += c[i - a] * atom_mass[j]
-            c[i] = acc
-        return c
-
-
 def u1_on_lattice(p: AtomicMeasure, spacing: float, j_max: float) -> StepFunction:
     """Large-scale route to U1 for a law snapped to a lattice.
 
@@ -231,11 +185,7 @@ def u1_on_lattice(p: AtomicMeasure, spacing: float, j_max: float) -> StepFunctio
     atom_idx, atom_mass = atom_idx[nonzero], atom_mass[nonzero]
     if atom_idx.size == 0:
         raise MeasureError("law has no mass below j_max")
-    base = xs * pvec
-    if _njit is not None:
-        c = _u1_lattice_nb(base, atom_idx, atom_mass)
-    else:
-        c = _u1_lattice_py(base, atom_idx, atom_mass)
+    c = _u1_lattice_py(xs * pvec, atom_idx, atom_mass)
     jump_at = xs - 1.0
     keep = c > 0
     return StepFunction(jump_at[keep], np.cumsum(c[keep]), float(j_max - 1.0))

@@ -10,6 +10,8 @@ from hcplab.limits import (EULER_GAMMA, _rho_tables, ein,
                            g_infinity, limit_moment, z_cdf, z_density)
 from hcplab.measures import discretize_cdf, epoch_pushforward
 
+from oracles import ein_series_scalar, rho_tables_direct
+
 
 class TestExpIntegral:
     def test_reference_values(self):
@@ -24,12 +26,6 @@ class TestExpIntegral:
     def test_against_scipy(self):
         s = np.geomspace(1e-6, 40.0, 120)
         assert np.max(np.abs(exp_integral(s) - exp1(s)) / exp1(s)) < 1e-13
-
-    def test_branch_overlap(self):
-        # series and continued fraction must agree through the switchover
-        from hcplab.limits import _e1_contfrac, _e1_series
-        for s in (0.7, 0.9, 1.0, 1.2, 1.5):
-            assert _e1_series(s) == pytest.approx(_e1_contfrac(s), rel=1e-12)
 
     def test_small_s_logarithmic_behavior(self):
         for s in (1e-4, 1e-6):
@@ -55,6 +51,16 @@ class TestEin:
         for s in (0.3, 2.5):
             oracle = quad(lambda t: -math.expm1(-t) / t, 0, s)[0]
             assert ein(s) == pytest.approx(oracle, rel=1e-10)
+
+    def test_vectorized_series_matches_scalar_loop(self):
+        s = np.concatenate(([0.0, 1e-8, 1e-4], np.linspace(0.01, 0.999, 60)))
+        ref = np.array([ein_series_scalar(float(v)) for v in s])
+        assert np.all(np.abs(ein(s) - ref) <= 1e-14 * ref)
+
+    def test_series_joins_e1_identity_at_one(self):
+        s = np.array([0.9, 0.99, 0.999999, 1.0, 1.000001, 1.01, 1.1])
+        identity = EULER_GAMMA + np.log(s) + exp1(s)
+        assert np.max(np.abs(ein(s) - identity) / identity) < 1e-12
 
 
 class TestGInfinity:
@@ -88,6 +94,14 @@ class TestZDensity:
         mask = (xs > 2.0) & (xs < 8.0)
         exact = (2.0 / xs[mask]) * np.log(xs[mask] - 1.0)
         assert np.max(np.abs(tables[1][mask] - exact)) < 2e-5
+
+    def test_fft_tables_match_direct_convolution(self):
+        for h in (1.0 / 64.0, 1.0 / 128.0, 1.0 / 256.0):
+            xs, tables = _rho_tables(8.0, h, 6)
+            xs_ref, ref = rho_tables_direct(8.0, h, 6)
+            assert np.array_equal(xs, xs_ref)
+            for k in range(6):
+                assert np.max(np.abs(tables[k] - ref[k])) < 1e-13
 
     def test_rho3_against_double_quadrature(self):
         xs, tables = _rho_tables(8.0, 1.0 / 512.0, 3)

@@ -2,15 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc
 
-from hcplab.laws import GeometricLaw, ParetoHalfLaw
-from hcplab.measures import (dirac, epoch_pushforward, exp_geometric_law,
-                             from_pmf, iterate_hcp_measures)
+import hcplab.transport
+from hcplab.laws import GeometricLaw, ParetoHalfLaw, two_point_law
+from hcplab.measures import (_coalesce, _detect_lattice, dirac,
+                             epoch_pushforward, exp_geometric_law, from_pmf,
+                             iterate_hcp_measures)
 from hcplab.transport import (C0Estimate, TransformPair, TransportRangeError,
                               c0_estimate, deconvolve_m, default_c0_grid,
                               reassemble_z_law, u1_from_m, u1_on_lattice,
                               un_transport)
+
+from oracles import deconvolve_m_intervals
 
 EAST = lambda n: 2.0 ** (n - 1)
 
@@ -46,6 +52,94 @@ class TestDeconvolve:
         from hcplab.measures import MeasureError
         with pytest.raises(MeasureError):
             deconvolve_m(from_pmf([0.5], [1.0], l_max=5.0), 5.0)
+
+
+def _assert_same_atoms(a, b, rtol, atol):
+    """Masses agree on the union of both atom sets, a missing atom counting
+    as mass 0: |a - b| <= rtol * b + atol at every position."""
+    both = np.concatenate((a.positions, b.positions))
+    pos, _ = _coalesce(both, np.zeros(both.size))
+    a_mass = np.zeros(pos.size)
+    b_mass = np.zeros(pos.size)
+    a_mass[np.searchsorted(pos, a.positions * (1 - 1e-12))] = a.masses
+    b_mass[np.searchsorted(pos, b.positions * (1 - 1e-12))] = b.masses
+    bad = np.abs(a_mass - b_mass) > rtol * b_mass + atol
+    assert not np.any(bad), (pos[bad], a_mass[bad], b_mass[bad])
+
+
+@st.composite
+def z_laws(draw):
+    """A law on [1, j_max) with j_max <= 16, with an optional deficit: on a
+    dyadic lattice, or on 2-3 free float positions that do not form a
+    lattice."""
+    j_max = draw(st.sampled_from([2.0, 3.5, 6.0, 9.0, 12.5, 16.0]))
+    if draw(st.booleans()):
+        spacing = draw(st.sampled_from([1.0, 0.5, 0.25, 0.125]))
+        top = int(math.ceil(j_max / spacing)) - 1
+        lo = int(math.ceil(1.0 / spacing - 1e-9))
+        idx = draw(st.lists(st.integers(lo, top), min_size=1, max_size=6, unique=True))
+        positions = np.array(sorted(idx)) * spacing
+    else:
+        raw = draw(st.lists(st.floats(1.0, min(j_max, 4.0), exclude_max=True),
+                            min_size=2, max_size=3, unique=True))
+        positions = np.array(sorted(raw))
+        assume(_detect_lattice(positions) is None)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=positions.size,
+                                     max_size=positions.size)))
+    total = draw(st.sampled_from([1.0, 0.7]))
+    masses = total * weights / weights.sum()
+    return from_pmf(positions, masses, l_max=j_max + 1.0), j_max
+
+
+class TestDeconvolveOracle:
+    # The interval recursion re-detects the lattice of its growing partial m
+    # at every power, and on a spacing that is not a power of two the
+    # detected spacing drifts until atoms cross unit-interval boundaries.
+    # The comparison therefore uses dyadic spacings, where it is exact; the
+    # closed-form test below covers other spacings.
+    @given(case=z_laws())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_interval_recursion(self, case):
+        p, j_max = case
+        # an absolute floor next to the relative tolerance: on fine lattices
+        # convolve takes its FFT route, whose round-off (~1e-17 here) can
+        # leave or remove atoms of that size
+        _assert_same_atoms(deconvolve_m(p, j_max), deconvolve_m_intervals(p, j_max),
+                           rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("r", [1.0 / 3.0, 2.0 / 3.0, 0.3, math.sqrt(2.0) - 1.0])
+    @pytest.mark.parametrize("j_max", [9.0, 12.5])
+    def test_two_point_law_closed_form(self, r, j_max):
+        # p = 0.6 delta_1 + 0.4 delta_{1+r}: p^{*k} puts C(k,b) 0.6^(k-b) 0.4^b
+        # at k + b*r, so m = sum_k p^{*k}/k is known atom by atom. Positions
+        # get 1e-9: convolve re-derives lattice spacings from float
+        # differences, which drift by up to ~1e-12 over these powers.
+        exact = {}
+        for k in range(1, int(j_max) + 1):
+            for b in range(k + 1):
+                x = round(k + b * r, 9)
+                if x < j_max:
+                    exact[x] = exact.get(x, 0.0) + math.comb(k, b) * 0.6 ** (k - b) * 0.4 ** b / k
+        m = deconvolve_m(from_pmf([1.0, 1.0 + r], [0.6, 0.4], l_max=j_max + 1.0), j_max)
+        xs = sorted(exact)
+        np.testing.assert_allclose(m.positions, xs, rtol=1e-9)
+        np.testing.assert_allclose(m.masses, [exact[x] for x in xs], rtol=1e-12)
+
+    def test_non_lattice_law_convolution_count(self, monkeypatch):
+        # the interval recursion made O(j_max^2) convolutions on a growing
+        # atom set; the log series makes one per power below j_max
+        calls = []
+        real = hcplab.transport.convolve
+
+        def counting(m1, m2):
+            calls.append(1)
+            return real(m1, m2)
+
+        monkeypatch.setattr(hcplab.transport, "convolve", counting)
+        p = two_point_law(1.0, math.sqrt(2.0)).atomic(64.0)
+        m = deconvolve_m(p, 64.0)
+        assert len(calls) <= 64
+        assert m.n_atoms > 1000 and m.positions[-1] < 64.0
 
 
 class TestStepFunctionAndTransport:
