@@ -1,34 +1,27 @@
-"""Discrete-event core: run one coalescence epoch to its absorbing state.
+"""One coalescence epoch, run to its absorbing state by an epoch resolver.
 
 Because a merged domain is never active again within an epoch (assumption
 (A2)), every clock that will ever ring is known at epoch start: one
-exponential clock per initially active domain, plus one direction coin.  The
-event queue is therefore materialized as a time-sorted array and consumed
-with lazy invalidation: a popped ring whose domain has lost an endpoint is
-discarded.  The dynamics reduce to point erasures, so validity of a ring is
-simply "both endpoints of the ringing domain are still alive".
-
-Ties in ring times are broken by lower domain index; with a fixed seed the
-whole epoch is reproducible bit for bit, and scaling both rate functions by
-a common constant changes only the time axis, not the event order.
+exponential clock per initially active domain, plus one direction coin.  A
+ring on domain i (points i, i+1) merges unless an earlier ring that merged
+erased one of its points, and only domain i-1 (erasing point i) and domain
+i+1 (erasing point i+1) can.  The resolver peels: rings without such a threat
+merge, and each round settles the rings whose threats are settled.  Earlier
+means lower (time, domain index), so ties go to the lower index; with a fixed
+seed an epoch is reproducible bit for bit, and scaling both rate functions by
+a common constant changes only the time axis, not the event order.  Point
+arrays may hold several configurations back to back (segments), each drawing
+from its own generator; no domain borders one of another segment.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import Boundary, IntervalConfiguration
 from .rates import RateFamily, validate_rates
-
-_USE_NUMBA = os.environ.get("HCPLAB_NO_NUMBA", "") == ""
-if _USE_NUMBA:
-    try:
-        from numba import njit as _njit
-    except ImportError:  # pragma: no cover
-        _USE_NUMBA = False
 
 
 class StateSpaceError(ValueError):
@@ -71,74 +64,86 @@ class EpochResult:
     surviving_points: np.ndarray      # exact coordinates kept from the input
 
 
-def _kernel_py(order, erase_left, alive, point_coords, periodic, n_points,
-               times, log_t, log_pos, log_dir):
-    n_log = 0
-    t_last = 0.0
-    for e in range(order.size):
-        i = order[e]
-        a = i
-        b = i + 1
-        if periodic and b == n_points:
-            b = 0
-        if alive[a] and alive[b]:
-            victim = a if erase_left[i] else b
-            alive[victim] = False
-            t_last = times[i]
-            log_t[n_log] = t_last
-            log_pos[n_log] = point_coords[victim]
-            log_dir[n_log] = -1 if erase_left[i] else 1
-            n_log += 1
-    return n_log, t_last
+def segment_gaps(points: np.ndarray, starts: np.ndarray, boundary: Boundary,
+                 circumference=None, buffer_length: float = 0.0):
+    """Gap and core mask per slot: slot k is the interval from point k to the
+    next point of its segment (``points[starts[r]:starts[r+1]]``), and a
+    segment's last slot wraps around (periodic) or is +inf (no interval).
+    Core intervals lie ``buffer_length`` from every truncated edge: periodic
+    segments have none, left-bounded ones a right edge, windows both."""
+    ends = np.concatenate((starts[1:], [points.size])) - 1
+    gaps = np.empty(points.size)
+    np.subtract(points[1:], points[:-1], out=gaps[:-1])
+    if boundary is Boundary.PERIODIC:
+        gaps[ends] = circumference - (points[ends] - points[starts])
+        return gaps, np.ones(points.size, dtype=bool)
+    gaps[ends] = np.inf
+    counts = ends - starts + 1
+    core = np.zeros(points.size, dtype=bool)
+    core[:-1] = points[1:] <= np.repeat(points[ends] - buffer_length, counts)[:-1]
+    if boundary is Boundary.WINDOW:
+        core[:-1] &= points[:-1] >= np.repeat(points[starts] + buffer_length, counts)[:-1]
+    core[ends] = False
+    return gaps, core
 
 
-if _USE_NUMBA:
-    _kernel_nb = _njit(cache=True)(_kernel_py)
-
-
-def _simulate_points(points: np.ndarray, periodic: bool, circumference: float | None,
-                     rates: RateFamily, rng) -> tuple[np.ndarray, MergeLog, float]:
-    """Erase points of one epoch; returns (alive mask, merge log, last time)."""
-    n_points = points.size
-    if periodic:
-        gaps = np.empty(n_points)
-        gaps[:-1] = np.diff(points)
-        gaps[-1] = circumference - (points[-1] - points[0])
-    else:
-        gaps = np.diff(points)
-    if gaps.size and gaps.min() < rates.d_min * (1 - 1e-9) - 1e-12:
+def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rngs):
+    """Run one epoch on every segment: segment r draws ``exponential(size=k)``
+    then ``random(k)`` from ``rngs[r]`` for its k active domains.  Returns the
+    alive mask and, in slot order, each merge's time, erased point and
+    erase-left flag."""
+    if gaps.min() < rates.d_min * (1 - 1e-9) - 1e-12:
         raise StateSpaceError(
             f"interval of length {gaps.min()} below d_min={rates.d_min}")
-
-    active = (gaps >= rates.d_min) & (gaps < rates.d_max)
-    idx = np.flatnonzero(active)
-    lam_l = np.asarray(rates.lambda_left(gaps[idx]), dtype=float)
-    lam_r = np.asarray(rates.lambda_right(gaps[idx]), dtype=float)
-    lam = lam_l + lam_r
+    slots = np.flatnonzero((gaps >= rates.d_min) & (gaps < rates.d_max))
+    lam_r = np.asarray(rates.lambda_right(gaps[slots]), dtype=float)
+    lam = np.asarray(rates.lambda_left(gaps[slots]), dtype=float) + lam_r
     if np.any(lam <= 0):
         raise RateValidityError("active domain with zero total rate; validate_rates first")
+    n = slots.size
+    bounds = np.concatenate((np.searchsorted(slots, starts), [n]))  # segment r's rings
+    times, coins = np.empty(n), np.empty(n)
+    for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()):
+        times[lo:hi] = rng.exponential(scale=1.0, size=hi - lo)
+        coins[lo:hi] = rng.random(hi - lo)
     # standard exponentials divided by the rates: scaling every rate by a
     # common constant rescales the time axis without reordering any event
-    times = rng.exponential(scale=1.0, size=idx.size) / lam
-    erase_left = rng.random(idx.size) < (lam_r / lam)
+    times /= lam
+    erase_left = coins < (lam_r / lam)
 
-    order_local = np.argsort(times, kind="stable")
-    order = idx[order_local].astype(np.int64)
-    times_by_domain = np.zeros(gaps.size)
-    times_by_domain[idx] = times
-    erase_left_by_domain = np.zeros(gaps.size, dtype=np.bool_)
-    erase_left_by_domain[idx] = erase_left
-
-    alive = np.ones(n_points, dtype=np.bool_)
-    log_t = np.empty(idx.size)
-    log_pos = np.empty(idx.size)
-    log_dir = np.empty(idx.size, dtype=np.int64)
-    kernel = _kernel_nb if _USE_NUMBA else _kernel_py
-    n_log, t_last = kernel(order, erase_left_by_domain, alive, points,
-                           periodic, n_points, times_by_domain,
-                           log_t, log_pos, log_dir)
-    log = MergeLog(log_t[:n_log].copy(), log_pos[:n_log].copy(), log_dir[:n_log].copy())
-    return alive, log, float(t_last)
+    # the resolver.  Only a periodic segment rings on its last slot, whose
+    # domain ends at the segment's first point.
+    seg = np.repeat(np.arange(starts.size), np.diff(bounds))
+    wraps = slots == np.concatenate((starts[1:], [gaps.size]))[seg] - 1
+    right_end = np.where(wraps, starts[seg], slots + 1)
+    victims = np.where(erase_left, slots, right_end)
+    # ring pairs (a, b) whose domains share a point, a's right end
+    b = np.where(wraps, bounds[seg], np.arange(1, n + 1))
+    a = np.flatnonzero((np.concatenate((slots, [-1]))[b] == right_end) & (b != np.arange(n)))
+    b = b[a]
+    a_first = (times[a] < times[b]) | ((times[a] == times[b]) & (a < b))
+    left = np.full(n, n)        # the earlier ring that erases my left end; n: none
+    right = np.full(n, n)       # the earlier ring that erases my right end
+    hit = ~erase_left[a] & a_first
+    left[b[hit]] = a[hit]
+    hit = erase_left[b] & ~a_first
+    right[a[hit]] = b[hit]
+    valid = np.zeros(n + 1, dtype=bool)       # entry n: no threat, never valid
+    settled = np.ones(n + 1, dtype=bool)
+    pending = np.flatnonzero((left < n) | (right < n))
+    settled[pending] = False
+    valid[:n] = settled[:n]
+    while pending.size:
+        lt, rt = left[pending], right[pending]
+        ready = settled[lt] & settled[rt]
+        done = pending[ready]
+        valid[done] = ~(valid[lt[ready]] | valid[rt[ready]])
+        settled[done] = True
+        pending = pending[~ready]
+    valid = valid[:n]
+    alive = np.ones(gaps.size, dtype=bool)
+    alive[victims[valid]] = False
+    return alive, times[valid], victims[valid], erase_left[valid]
 
 
 def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
@@ -155,29 +160,29 @@ def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
             raise RateValidityError("; ".join(report.violations))
     periodic = config.boundary is Boundary.PERIODIC
     points = config.points()
+    starts = np.zeros(1, dtype=np.intp)
     circ = config.circumference if periodic else None
-    alive, log, t_last = _simulate_points(points, periodic, circ, rates, rng)
+    alive, times, victims, erase_left = _simulate_points(
+        segment_gaps(points, starts, config.boundary, circ)[0], starts, rates, [rng])
+    order = np.argsort(times, kind="stable")  # rings are in domain order
+    log = MergeLog(times[order], points[victims[order]],
+                   np.where(erase_left[order], -1, 1))
     survivors = points[alive]
-    if periodic:
-        if survivors.size == 0:
-            final = IntervalConfiguration(config.first_point, np.empty(0), Boundary.PERIODIC)
-        else:
-            gaps = np.empty(survivors.size)
-            gaps[:-1] = np.diff(survivors)
-            gaps[-1] = circ - (survivors[-1] - survivors[0])
-            final = IntervalConfiguration(float(survivors[0]), gaps, Boundary.PERIODIC)
+    if survivors.size == 0:
+        # only a periodic configuration can lose every point; the outer
+        # sentinel domains of the others are inactive
+        final = IntervalConfiguration(config.first_point, np.empty(0), Boundary.PERIODIC)
     else:
-        # the outermost points cannot both vanish: the outer sentinel domains
-        # are inactive, so at least one point survives between them
-        final = IntervalConfiguration(float(survivors[0]), np.diff(survivors),
-                                      config.boundary)
+        gaps = segment_gaps(survivors, starts, config.boundary, circ)[0]
+        final = IntervalConfiguration(float(survivors[0]),
+                                      gaps if periodic else gaps[:-1], config.boundary)
     if final.n_intervals:
         lengths_ok = final.lengths >= rates.d_max * (1 - 1e-9) - 1e-9
         if not np.all(lengths_ok):
             bad = final.lengths[~lengths_ok].min()
             raise AssertionError(
                 f"absorbing state violated: final length {bad} < d_max={rates.d_max}")
-    return EpochResult(final, log, t_last, survivors)
+    return EpochResult(final, log, float(times.max(initial=0.0)), survivors)
 
 
 @dataclass(frozen=True)
@@ -188,18 +193,10 @@ class EpochObservables:
 
 
 def core_length_mask(config: IntervalConfiguration, buffer_length: float) -> np.ndarray:
-    """Mask of intervals far enough from the truncated edges.
-
-    Periodic configurations have no edges; left-bounded ones have a physical
-    left edge and exclude only a right buffer; windows exclude both sides.
-    """
-    if config.boundary is Boundary.PERIODIC or config.n_intervals == 0:
-        return np.ones(config.n_intervals, dtype=bool)
-    pts = config.points()
-    left_edge, right_edge = pts[0], pts[-1]
-    lo = left_edge if config.boundary is Boundary.LEFT_BOUNDED else left_edge + buffer_length
-    hi = right_edge - buffer_length
-    return (pts[:-1] >= lo) & (pts[1:] <= hi)
+    """Mask of intervals far enough from the truncated edges (``segment_gaps``)."""
+    circ = config.circumference if config.boundary is Boundary.PERIODIC else None
+    return segment_gaps(config.points(), np.zeros(1, dtype=np.intp), config.boundary,
+                        circ, buffer_length)[1][:config.n_intervals]
 
 
 def epoch_observables(initial: IntervalConfiguration, final: IntervalConfiguration,

@@ -4,20 +4,28 @@ Observables are recorded at each epoch START (the state produced by the
 previous epoch), matching the interval laws computed by the measure
 analytics.  Point identity is preserved exactly: coordinates are carried
 through untouched, so "the first point never moved" is a float equality.
+
+One engine runs 1 or R replicas as one segmented point array: one gap pass
+and one resolver call per batch and epoch.  Replica r draws from its own
+stream only, in the same order whatever batch it runs in.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import Boundary
-from .epoch import _simulate_points
+from .epoch import _simulate_points, segment_gaps
 from .sampling import RenewalSpec, replica_rng, sample_spec
 from .schedule import EpochSchedule
+
+# Replicas are batched while their initial point count stays under this.  A
+# batch holds ~150 bytes per active domain, and larger batches were no faster
+# for 64- or 8192-interval replicas.
+_BATCH_POINTS = 1 << 16
 
 
 class WindowExhaustedError(RuntimeError):
@@ -75,29 +83,12 @@ class EpochSummary:
 
 
 def pool_summaries(runs: list[list[EpochSummary]]) -> list[EpochSummary]:
-    """Concatenate per-replica summaries epoch by epoch (replica order, so the
-    result is independent of execution order and parallelism degree)."""
-    if not runs:
-        return []
-    n_epochs = len(runs[0])
-    pooled = []
-    for e in range(n_epochs):
-        parts = [r[e] for r in runs]
-        first = parts[0]
-        pooled.append(EpochSummary(
-            epoch=first.epoch,
-            d_n=first.d_n,
-            z_samples=np.concatenate([p.z_samples for p in parts]),
-            first_point=np.concatenate([p.first_point for p in parts]),
-            y=np.concatenate([p.y for p in parts]),
-            first_point_survived=np.concatenate([p.first_point_survived for p in parts]),
-            origin_alive=np.concatenate([p.origin_alive for p in parts]),
-            merges_prior=np.concatenate([p.merges_prior for p in parts]),
-            n_intervals=np.concatenate([p.n_intervals for p in parts]),
-            core_sizes=np.concatenate([p.core_sizes for p in parts]),
-            replica=np.concatenate([p.replica for p in parts]),
-        ))
-    return pooled
+    """Concatenate the summaries of consecutive replica batches epoch by epoch,
+    so the result does not depend on how replicas are batched."""
+    return [EpochSummary(parts[0].epoch, parts[0].d_n,
+                         *(np.concatenate([getattr(p, f.name) for p in parts])
+                           for f in fields(EpochSummary)[2:]))
+            for parts in zip(*runs)]
 
 
 def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
@@ -109,7 +100,7 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
             summaries = run_hcp(spec, schedule, n_epochs,
                                 WindowPolicy(n_intervals=pilot_n,
                                              buffer_factor=policy.buffer_factor),
-                                rng.spawn(1)[0], _validate=False)
+                                rng.spawn(1)[0])
         except WindowExhaustedError:
             pilot_n *= 4
             continue
@@ -126,98 +117,109 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
     raise WindowExhaustedError(n_epochs)
 
 
-def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
-            window: WindowPolicy, rng, replica: int = 0,
-            _validate: bool = True) -> list[EpochSummary]:
-    """Run the hierarchical process for ``n_epochs`` and return the summary
-    recorded at the start of each epoch (epoch n runs only for n < n_epochs)."""
-    if isinstance(rng, (int, np.integer)):
-        rng = replica_rng(int(rng))
-    if n_epochs < 1:
-        raise ValueError("need at least one epoch")
-    if _validate:
-        schedule.validate(n_epochs)
-
-    if window.n_intervals is not None:
-        n0 = window.n_intervals
-    else:
-        n0 = _pilot_initial_count(spec, schedule, n_epochs, window, rng)
-    config, marked_idx = sample_spec(spec, n0, rng)
-    periodic = config.boundary is Boundary.PERIODIC
-    circumference = config.circumference if periodic else None
-    # work in coordinates anchored at the initial first point: lattice gaps
-    # stay exact and point identity is plain float equality
-    shift = config.first_point
-    points = config.relative_points()
-    first_rel = points[0]
-    marked_rel = points[marked_idx]  # the origin for origin-containing specs
+def _run_batch(batch, schedule: EpochSchedule, n_epochs: int,
+               window: WindowPolicy) -> list[EpochSummary]:
+    """Run the replicas of ``batch``, a list of (replica, rng, configuration,
+    marked index) sharing one boundary mode, as one segmented point array."""
+    replicas, rngs, configs, marked_idx = zip(*batch)
+    boundary = configs[0].boundary
+    periodic = boundary is Boundary.PERIODIC
+    # coordinates anchored at each initial first point, which is then exactly
+    # 0.0: lattice gaps stay exact and point identity is plain float equality
+    points = np.concatenate([c.relative_points() for c in configs])
+    counts = np.array([c.n_points for c in configs])
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    shift = np.array([c.first_point for c in configs])
+    circumference = np.array([c.circumference for c in configs]) if periodic else None
+    marked = np.zeros(points.size, dtype=bool)  # the origin for origin-containing specs
+    marked[starts + marked_idx] = True
 
     summaries = []
-    merges_prior = 0
+    merges_prior = np.zeros(len(batch), dtype=np.int64)
     buffer_len = 0.0
     for n in range(1, n_epochs + 1):
         d_n = schedule.d(n)
         buffer_len += window.buffer_factor * d_n
-        if points.size < (1 if periodic else 2):
+        if counts.min() < (1 if periodic else 2):
             raise WindowExhaustedError(n)
-        if periodic:
-            gaps = np.empty(points.size)
-            gaps[:-1] = np.diff(points)
-            gaps[-1] = circumference - (points[-1] - points[0])
-            core = np.ones(gaps.size, dtype=bool)
-        else:
-            gaps = np.diff(points)
-            lo = points[0] if config.boundary is Boundary.LEFT_BOUNDED \
-                else points[0] + buffer_len
-            hi = points[-1] - buffer_len
-            core = (points[:-1] >= lo) & (points[1:] <= hi)
-        if gaps.size and gaps.min() < d_n * (1 - 1e-9) - 1e-9:
+        gaps, core = segment_gaps(points, starts, boundary, circumference, buffer_len)
+        if gaps.min() < d_n * (1 - 1e-9) - 1e-9:
             raise AssertionError(
                 f"epoch {n} start has interval {gaps.min()} below d({n})={d_n}")
-        z = gaps[core] / d_n
-        k = int(np.searchsorted(points, marked_rel))
-        marked_alive = bool(k < points.size and points[k] == marked_rel)
-        x0 = points[0] + shift
+        x0 = points[starts] + shift
         summaries.append(EpochSummary(
             epoch=n,
             d_n=d_n,
-            z_samples=z,
-            first_point=np.array([x0]),
-            y=np.array([x0 / d_n]),
-            first_point_survived=np.array([points[0] == first_rel]),
-            origin_alive=np.array([marked_alive]),
-            merges_prior=np.array([merges_prior]),
-            n_intervals=np.array([gaps.size]),
-            core_sizes=np.array([int(core.sum())]),
-            replica=np.array([replica]),
+            z_samples=gaps[core] / d_n,
+            first_point=x0,
+            y=x0 / d_n,
+            first_point_survived=points[starts] == 0.0,
+            origin_alive=np.logical_or.reduceat(marked, starts),
+            merges_prior=merges_prior,
+            n_intervals=counts if periodic else counts - 1,
+            core_sizes=np.add.reduceat(core, starts, dtype=np.int64),
+            replica=np.array(replicas),
         ))
         if n < n_epochs:
-            rates = schedule.rates_for(n)
-            alive, log, _ = _simulate_points(points, periodic, circumference, rates, rng)
-            points = points[alive]
-            merges_prior = log.n_merges
+            alive = _simulate_points(gaps, starts, schedule.rates_for(n), rngs)[0]
+            points, marked = points[alive], marked[alive]
+            survivors = np.add.reduceat(alive, starts, dtype=np.int64)
+            merges_prior, counts = counts - survivors, survivors
+            starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     return summaries
 
 
-def _replicate_worker(args):
-    spec, schedule, n_epochs, window, base_seed, r = args
-    return run_hcp(spec, schedule, n_epochs, window,
-                   replica_rng(base_seed, r), replica=r, _validate=False)
+def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
+            window: WindowPolicy, rng, replica: int = 0) -> list[EpochSummary]:
+    """Run the hierarchical process for ``n_epochs`` and return the summary
+    recorded at the start of each epoch (epoch n runs only for n < n_epochs)."""
+    if isinstance(rng, (int, np.integer)):
+        rng = replica_rng(int(rng))
+    return _run(spec, schedule, n_epochs, window, [(replica, rng)])
 
 
 def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
-              n_replicas: int, base_seed: int, window: WindowPolicy,
-              processes: int = 1) -> list[EpochSummary]:
+              n_replicas: int, base_seed: int, window: WindowPolicy) -> list[EpochSummary]:
     """Pool independent replicas; replica r uses the stream derived from
     (base_seed, r), so the pooled output is reproducible and does not depend
-    on the execution order or the degree of parallelism."""
+    on how replicas are batched."""
     if n_replicas < 1:
         raise ValueError("need at least one replica")
+    return _run(spec, schedule, n_epochs, window,
+                ((r, replica_rng(base_seed, r)) for r in range(n_replicas)))
+
+
+def _run(spec, schedule, n_epochs, window, streams) -> list[EpochSummary]:
+    """Run the replicas (replica, rng) of ``streams`` in batches; a window that
+    runs out raises for the earliest epoch at which any replica runs out."""
+    if n_epochs < 1:
+        raise ValueError("need at least one epoch")
     schedule.validate(n_epochs)
-    jobs = [(spec, schedule, n_epochs, window, base_seed, r) for r in range(n_replicas)]
-    if processes > 1:
-        with ProcessPoolExecutor(max_workers=processes) as ex:
-            runs = list(ex.map(_replicate_worker, jobs, chunksize=max(1, n_replicas // (8 * processes))))
-    else:
-        runs = [_replicate_worker(j) for j in jobs]
+    runs, exhausted = [], None
+    for batch in _batches(spec, schedule, n_epochs, window, streams):
+        try:
+            # after an exhaustion, later batches only look for an earlier one
+            runs.append(_run_batch(batch, schedule,
+                                   n_epochs if exhausted is None else exhausted - 1, window))
+        except WindowExhaustedError as err:
+            exhausted = err.epoch
+    if exhausted is not None:
+        raise WindowExhaustedError(exhausted)
     return pool_summaries(runs)
+
+
+def _batches(spec, schedule, n_epochs, window, streams):
+    """Sample the replicas in order and group them into batches of fewer than
+    ``_BATCH_POINTS`` initial points (a larger replica runs alone)."""
+    batch, size = [], 0
+    for replica, rng in streams:
+        n0 = window.n_intervals
+        if n0 is None:
+            n0 = _pilot_initial_count(spec, schedule, n_epochs, window, rng)
+        config, marked_idx = sample_spec(spec, n0, rng)
+        if batch and size + config.n_points > _BATCH_POINTS:
+            yield batch
+            batch, size = [], 0
+        batch.append((replica, rng, config, marked_idx))
+        size += config.n_points
+    yield batch

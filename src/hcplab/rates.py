@@ -92,11 +92,7 @@ def validate_rates(rates: RateFamily, probe_grid=None) -> RateReport:
 
 @dataclass(frozen=True)
 class MaskedRate:
-    """Rate vanishing outside [d_min, d_max); constant or linear in d inside.
-
-    A plain dataclass rather than a closure so rate families can cross
-    process boundaries when replicas run in parallel.
-    """
+    """Rate vanishing outside [d_min, d_max); constant or linear in d inside."""
 
     coef: float
     d_min: float

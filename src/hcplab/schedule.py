@@ -51,7 +51,7 @@ _RATE_PRESETS = {
 
 @dataclass(frozen=True)
 class PresetRateFactory:
-    """Named rate construction per epoch; picklable for parallel replicas."""
+    """Named rate construction per epoch."""
 
     kind: str = "east"
     left: float = 0.0

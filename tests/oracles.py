@@ -5,6 +5,10 @@ p = sum_{k>=1} (-1)^(k+1) m^{*k} / k! interval by interval, recomputing the
 powers of the partial m on each unit interval.  ``rho_tables_direct`` builds
 the rho_k tables with direct (non-FFT) discrete convolution.
 ``ein_series_scalar`` sums the small-s series of Ein one argument at a time.
+``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
+invalidation, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
+replica: the simulator as it was before the epoch resolver and the segmented
+engine replaced it.
 """
 
 from __future__ import annotations
@@ -13,7 +17,11 @@ import math
 
 import numpy as np
 
+from hcplab.config import Boundary
+from hcplab.epoch import MergeLog, RateValidityError, StateSpaceError
+from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy, pool_summaries
 from hcplab.measures import AtomicMeasure, MeasureError, _coalesce, convolve
+from hcplab.sampling import replica_rng, sample_spec
 
 
 def deconvolve_m_intervals(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
@@ -99,3 +107,164 @@ def ein_series_scalar(v: float) -> float:
         if abs(add) < 1e-18:
             break
     return total
+
+
+def _kernel_py(order, erase_left, alive, point_coords, periodic, n_points,
+               times, log_t, log_pos, log_dir):
+    n_log = 0
+    t_last = 0.0
+    for e in range(order.size):
+        i = order[e]
+        a = i
+        b = i + 1
+        if periodic and b == n_points:
+            b = 0
+        if alive[a] and alive[b]:
+            victim = a if erase_left[i] else b
+            alive[victim] = False
+            t_last = times[i]
+            log_t[n_log] = t_last
+            log_pos[n_log] = point_coords[victim]
+            log_dir[n_log] = -1 if erase_left[i] else 1
+            n_log += 1
+    return n_log, t_last
+
+
+def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: float | None,
+                         rates, rng) -> tuple[np.ndarray, MergeLog, float]:
+    """Erase points of one epoch; returns (alive mask, merge log, last time).
+
+    Rings are consumed in stable-argsort order of their times, so ties go to
+    the lower domain index.
+    """
+    n_points = points.size
+    if periodic:
+        gaps = np.empty(n_points)
+        gaps[:-1] = np.diff(points)
+        gaps[-1] = circumference - (points[-1] - points[0])
+    else:
+        gaps = np.diff(points)
+    if gaps.size and gaps.min() < rates.d_min * (1 - 1e-9) - 1e-12:
+        raise StateSpaceError(
+            f"interval of length {gaps.min()} below d_min={rates.d_min}")
+
+    active = (gaps >= rates.d_min) & (gaps < rates.d_max)
+    idx = np.flatnonzero(active)
+    lam_l = np.asarray(rates.lambda_left(gaps[idx]), dtype=float)
+    lam_r = np.asarray(rates.lambda_right(gaps[idx]), dtype=float)
+    lam = lam_l + lam_r
+    if np.any(lam <= 0):
+        raise RateValidityError("active domain with zero total rate; validate_rates first")
+    times = rng.exponential(scale=1.0, size=idx.size) / lam
+    erase_left = rng.random(idx.size) < (lam_r / lam)
+
+    order_local = np.argsort(times, kind="stable")
+    order = idx[order_local].astype(np.int64)
+    times_by_domain = np.zeros(gaps.size)
+    times_by_domain[idx] = times
+    erase_left_by_domain = np.zeros(gaps.size, dtype=np.bool_)
+    erase_left_by_domain[idx] = erase_left
+
+    alive = np.ones(n_points, dtype=np.bool_)
+    log_t = np.empty(idx.size)
+    log_pos = np.empty(idx.size)
+    log_dir = np.empty(idx.size, dtype=np.int64)
+    n_log, t_last = _kernel_py(order, erase_left_by_domain, alive, points,
+                               periodic, n_points, times_by_domain,
+                               log_t, log_pos, log_dir)
+    log = MergeLog(log_t[:n_log].copy(), log_pos[:n_log].copy(), log_dir[:n_log].copy())
+    return alive, log, float(t_last)
+
+
+def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
+    pilot_n = policy.pilot_intervals
+    for _ in range(4):
+        try:
+            summaries = run_hcp_loop(spec, schedule, n_epochs,
+                                     WindowPolicy(n_intervals=pilot_n,
+                                                  buffer_factor=policy.buffer_factor),
+                                     rng.spawn(1)[0])
+        except WindowExhaustedError:
+            pilot_n *= 4
+            continue
+        final = summaries[-1]
+        survivors = int(final.n_intervals.sum())
+        if survivors < 8:
+            pilot_n *= 4
+            continue
+        shrink = pilot_n / survivors
+        buffered = int(final.n_intervals.sum() - final.core_sizes.sum())
+        per_run_overhead = buffered + 4
+        need_final = policy.target_core + per_run_overhead
+        return int(math.ceil(need_final * shrink * policy.safety))
+    raise WindowExhaustedError(n_epochs)
+
+
+def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
+                 replica: int = 0) -> list[EpochSummary]:
+    """One replica, epoch by epoch, through ``simulate_points_loop``."""
+    if window.n_intervals is not None:
+        n0 = window.n_intervals
+    else:
+        n0 = _pilot_initial_count_loop(spec, schedule, n_epochs, window, rng)
+    config, marked_idx = sample_spec(spec, n0, rng)
+    periodic = config.boundary is Boundary.PERIODIC
+    circumference = config.circumference if periodic else None
+    shift = config.first_point
+    points = config.relative_points()
+    first_rel = points[0]
+    marked_rel = points[marked_idx]
+
+    summaries = []
+    merges_prior = 0
+    buffer_len = 0.0
+    for n in range(1, n_epochs + 1):
+        d_n = schedule.d(n)
+        buffer_len += window.buffer_factor * d_n
+        if points.size < (1 if periodic else 2):
+            raise WindowExhaustedError(n)
+        if periodic:
+            gaps = np.empty(points.size)
+            gaps[:-1] = np.diff(points)
+            gaps[-1] = circumference - (points[-1] - points[0])
+            core = np.ones(gaps.size, dtype=bool)
+        else:
+            gaps = np.diff(points)
+            lo = points[0] if config.boundary is Boundary.LEFT_BOUNDED \
+                else points[0] + buffer_len
+            hi = points[-1] - buffer_len
+            core = (points[:-1] >= lo) & (points[1:] <= hi)
+        if gaps.size and gaps.min() < d_n * (1 - 1e-9) - 1e-9:
+            raise AssertionError(
+                f"epoch {n} start has interval {gaps.min()} below d({n})={d_n}")
+        z = gaps[core] / d_n
+        k = int(np.searchsorted(points, marked_rel))
+        marked_alive = bool(k < points.size and points[k] == marked_rel)
+        x0 = points[0] + shift
+        summaries.append(EpochSummary(
+            epoch=n,
+            d_n=d_n,
+            z_samples=z,
+            first_point=np.array([x0]),
+            y=np.array([x0 / d_n]),
+            first_point_survived=np.array([points[0] == first_rel]),
+            origin_alive=np.array([marked_alive]),
+            merges_prior=np.array([merges_prior]),
+            n_intervals=np.array([gaps.size]),
+            core_sizes=np.array([int(core.sum())]),
+            replica=np.array([replica]),
+        ))
+        if n < n_epochs:
+            rates = schedule.rates_for(n)
+            alive, log, _ = simulate_points_loop(points, periodic, circumference, rates, rng)
+            points = points[alive]
+            merges_prior = log.n_merges
+    return summaries
+
+
+def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: int,
+                   window: WindowPolicy) -> list[EpochSummary]:
+    """Replica r runs alone on ``replica_rng(base_seed, r)``; pooled in order."""
+    return pool_summaries([run_hcp_loop(spec, schedule, n_epochs, window,
+                                        replica_rng(base_seed, r), replica=r)
+                           for r in range(n_replicas)])

@@ -2,15 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcplab.config import Boundary, IntervalConfiguration
-from hcplab.epoch import (CoreRegionEmptyError, StateSpaceError, _kernel_py,
-                          epoch_observables, run_epoch)
+from hcplab.epoch import (CoreRegionEmptyError, StateSpaceError, _simulate_points,
+                          epoch_observables, run_epoch, segment_gaps)
 from hcplab.measures import dirac, epoch_pushforward
 from hcplab.rates import (constant_rates, east_rates, linear_rates,
                           paste_all_rates, validate_rates, west_rates)
 from hcplab.sampling import replica_rng
 from hcplab.stats import ks_test_discrete, ks_two_sample
+from oracles import simulate_points_loop
 
 
 class TestValidateRates:
@@ -117,26 +120,6 @@ class TestRunEpoch:
         res_c = run_epoch(cfg, constant_rates(1.0, 2.0, 2.0, 3.0), replica_rng(38))
         assert ks_two_sample(res_a.final.lengths, res_c.final.lengths).p_value > 0.01
 
-    def test_kernel_implementations_agree(self):
-        from hcplab import epoch as epoch_mod
-        if not epoch_mod._USE_NUMBA:
-            pytest.skip("numba not active")
-        rng = replica_rng(91)
-        n = 400
-        order = rng.permutation(n - 1).astype(np.int64)
-        erase_left = rng.random(n - 1) < 0.5
-        times = np.sort(rng.random(n - 1))
-        pts = np.cumsum(rng.random(n))
-        args = lambda: (order, erase_left.copy(), np.ones(n, dtype=np.bool_), pts,
-                        False, n, times, np.empty(n - 1), np.empty(n - 1),
-                        np.empty(n - 1, dtype=np.int64))
-        a_alive = args()
-        n_log_a, t_a = _kernel_py(*a_alive)
-        b_alive = args()
-        n_log_b, t_b = epoch_mod._kernel_nb(*b_alive)
-        assert n_log_a == n_log_b and t_a == t_b
-        assert np.array_equal(a_alive[2], b_alive[2])
-
     def test_merge_log_csv(self, tmp_path, rng):
         cfg = IntervalConfiguration(0.0, np.ones(50), Boundary.PERIODIC)
         res = run_epoch(cfg, east_rates(1.0, 2.0), rng)
@@ -145,6 +128,76 @@ class TestRunEpoch:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "time,position,direction"
         assert len(rows) == res.log.n_merges + 1
+
+
+class ScriptedRng:
+    """Hands out fixed clock and coin draws, checking the sizes asked for."""
+
+    def __init__(self, clocks, coins):
+        self.clocks, self.coins = clocks, coins
+
+    def exponential(self, scale, size):
+        assert scale == 1.0 and size == self.clocks.size
+        return self.clocks.copy()
+
+    def random(self, size):
+        assert size == self.coins.size
+        return self.coins.copy()
+
+
+@st.composite
+def scripted_epochs(draw):
+    """Segments of 1-200 domains, each active (length 1) or not (length 3),
+    with integer clocks from a small range so that ring times tie often."""
+    periodic = draw(st.booleans())
+    n_segments = draw(st.integers(1, 4))
+    sizes = draw(st.lists(st.integers(1, 200), min_size=n_segments, max_size=n_segments))
+    p_active = draw(st.sampled_from([0.3, 0.7, 1.0]))
+    top = draw(st.sampled_from([1, 3, 50]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    segments = []
+    for n in sizes:
+        lengths = np.where(gen.random(n) < p_active, 1.0, 3.0)
+        k = int(np.count_nonzero(lengths == 1.0))
+        clocks = gen.integers(0, top + 1, size=k).astype(float)
+        coins = np.where(gen.random(k) < 0.5, 0.25, 0.75)
+        segments.append((IntervalConfiguration(0.0, lengths, Boundary.PERIODIC if periodic
+                                               else Boundary.LEFT_BOUNDED), clocks, coins))
+    return periodic, segments
+
+
+class TestResolverOracle:
+    """The resolver against the time-sorted event loop it replaced."""
+
+    rates = constant_rates(1.0, 2.0, 1.0, 1.0)
+
+    @given(case=scripted_epochs())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_event_loop(self, case):
+        periodic, segments = case
+        points = np.concatenate([cfg.relative_points() for cfg, _, _ in segments])
+        counts = [cfg.n_points for cfg, _, _ in segments]
+        starts = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.intp)
+        circ = np.array([cfg.circumference for cfg, _, _ in segments]) if periodic else None
+        gaps = segment_gaps(points, starts, segments[0][0].boundary, circ)[0]
+        alive, times, victims, _ = _simulate_points(
+            gaps, starts, self.rates, [ScriptedRng(c, u) for _, c, u in segments])
+        ref_alive = []
+        ends = np.append(starts[1:], points.size)
+        for (cfg, clocks, coins), a, b in zip(segments, starts, ends):
+            ref = simulate_points_loop(cfg.relative_points(), periodic,
+                                       cfg.circumference if periodic else None,
+                                       self.rates, ScriptedRng(clocks, coins))
+            ref_alive.append(ref[0])
+            own = (victims >= a) & (victims < b)
+            assert int(own.sum()) == ref[1].n_merges
+            assert float(times[own].max(initial=0.0)) == ref[2]
+            res = run_epoch(cfg, self.rates, ScriptedRng(clocks, coins), validate=False)
+            assert np.array_equal(res.log.times, ref[1].times)
+            assert np.array_equal(res.log.positions, ref[1].positions)
+            assert np.array_equal(res.log.directions, ref[1].directions)
+            assert res.clock == ref[2]
+        assert np.array_equal(alive, np.concatenate(ref_alive))
 
 
 class TestEpochObservables:

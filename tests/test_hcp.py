@@ -1,19 +1,22 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hcplab import hcp
 from hcplab.laws import DiracLaw, GeometricLaw, two_point_law
 from hcplab.measures import dirac, iterate_hcp_measures
 from hcplab.hcp import (WindowExhaustedError, WindowPolicy, pool_summaries,
                         replicate, run_hcp)
-from hcplab.sampling import (ContainsOrigin, LeftBounded, PeriodicRenewal,
-                             replica_rng)
+from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
+                             LeftBounded, PeriodicRenewal, Stationary, replica_rng)
 from hcplab.schedule import (EpochSchedule,
                              ExplicitThresholds, GeometricThresholds,
                              PresetRateFactory, ScheduleError, east_schedule,
                              paste_all_schedule)
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
+from oracles import replicate_loop, run_hcp_loop
 
 
 class TestSchedule:
@@ -169,16 +172,6 @@ class TestReplicate:
             assert np.array_equal(sa.z_samples, sb.z_samples)
             assert np.array_equal(sa.y, sb.y)
 
-    def test_parallel_matches_serial(self):
-        window = WindowPolicy(n_intervals=1500)
-        serial = replicate(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 2,
-                           6, 47, window, processes=1)
-        parallel = replicate(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 2,
-                             6, 47, window, processes=2)
-        for sa, sb in zip(serial, parallel):
-            assert np.array_equal(sa.z_samples, sb.z_samples)
-            assert np.array_equal(sa.replica, sb.replica)
-
     def test_pooled_mean_consistent(self):
         window = WindowPolicy(n_intervals=20_000)
         one = replicate(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 2, 1, 53, window)
@@ -194,6 +187,71 @@ class TestReplicate:
                         window, replica_rng(59, r), replica=r) for r in range(3)]
         pooled = pool_summaries(runs)
         assert np.array_equal(pooled[0].replica, [0, 1, 2])
+
+
+SPECS = {
+    "left_bounded": LeftBounded(DiracLaw(1.0)),
+    "left_bounded_nu": LeftBounded(GeometricLaw(0.5), nu=GeometricLaw(0.5)),
+    "contains_origin": ContainsOrigin(two_point_law(1.0, 2.0)),
+    "stationary": Stationary(GeometricLaw(0.4)),
+    "lattice_stationary": LatticeStationary(GeometricLaw(0.4)),
+    "exchangeable": ExchangeableMixture(((0.5, DiracLaw(1.0)), (0.5, GeometricLaw(0.3)))),
+    "periodic": PeriodicRenewal(GeometricLaw(0.3)),
+}
+
+
+class TestEngineOracle:
+    """The batched engine against the per-replica loop it replaced."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            for field in dataclasses.fields(a):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                assert np.asarray(x).dtype == np.asarray(y).dtype, field.name
+                assert np.array_equal(x, y), field.name
+
+    @pytest.mark.parametrize("batch_points", [700, hcp._BATCH_POINTS])
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_replicate_matches_loop(self, name, batch_points, monkeypatch):
+        # 700 points hold two 301-point replicas, so seven replicas run in
+        # four batches; buffer_factor 2 leaves WINDOW cores nonempty
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
+        window = WindowPolicy(n_intervals=300, buffer_factor=2.0)
+        for sched in (east_schedule(2.0), paste_all_schedule()):
+            self.assert_same(replicate(SPECS[name], sched, 4, 7, 5, window),
+                             replicate_loop(SPECS[name], sched, 4, 7, 5, window))
+
+    @pytest.mark.parametrize("name", ["contains_origin", "periodic"])
+    def test_pilot_matches_loop(self, name, monkeypatch):
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", 2000)
+        window = WindowPolicy(target_core=100, buffer_factor=1.0, pilot_intervals=512)
+        self.assert_same(replicate(SPECS[name], east_schedule(2.0), 4, 5, 9, window),
+                         replicate_loop(SPECS[name], east_schedule(2.0), 4, 5, 9, window))
+
+    def test_run_hcp_matches_loop(self):
+        window = WindowPolicy(n_intervals=500, buffer_factor=2.0)
+        self.assert_same(
+            run_hcp(SPECS["contains_origin"], east_schedule(2.0), 5, window, replica_rng(3, 2), 2),
+            run_hcp_loop(SPECS["contains_origin"], east_schedule(2.0), 5, window,
+                         replica_rng(3, 2), 2))
+
+    @pytest.mark.parametrize("batch_points", [1, hcp._BATCH_POINTS])
+    def test_exhaustion_reports_earliest_epoch(self, batch_points, monkeypatch):
+        # alone, the four replicas run out at epochs 6, 6, 5, 5: the batch
+        # reports 5, where replica order would have reported replica 0's 6
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
+        spec, window = PeriodicRenewal(GeometricLaw(0.5)), WindowPolicy(n_intervals=6)
+        alone = []
+        for r in range(4):
+            with pytest.raises(WindowExhaustedError) as err:
+                run_hcp_loop(spec, east_schedule(2.0), 12, window, replica_rng(4, r), r)
+            alone.append(err.value.epoch)
+        assert alone == [6, 6, 5, 5]
+        with pytest.raises(WindowExhaustedError) as err:
+            replicate(spec, east_schedule(2.0), 12, 4, 4, window)
+        assert err.value.epoch == 5
 
 
 class TestWindowSizing:
