@@ -20,7 +20,8 @@ from .laws import (DiracLaw, ExpGeometricLaw, ExponentialLaw, GeometricLaw,
                    two_point_law)
 from .limits import (LimitLawParams, first_point_limit_transform, g_infinity,
                      z_cdf)
-from .measures import exp_geometric_law, iterate_hcp_measures, survival_probability_exact
+from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hcp_measures,
+                       survival_probability_exact)
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, Stationary)
 from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
@@ -172,22 +173,17 @@ def cmd_simulate(cfg: dict, out: str) -> int:
         fh.write(_provenance_header(cfg))
         fh.write("replica,epoch,z,y,first_point_survived,origin_alive\n")
         for summary in pooled:
-            kept = 0
-            # z-samples are grouped by replica in pooled order
-            bounds = np.cumsum(summary.core_sizes)
-            starts = np.concatenate(([0], bounds[:-1]))
-            for r_idx in range(summary.replica.size):
-                if kept >= cap:
-                    break
-                y = summary.y[r_idx]
-                fps = int(summary.first_point_survived[r_idx])
-                oa = int(summary.origin_alive[r_idx])
-                rep = int(summary.replica[r_idx])
-                for z in summary.z_samples[starts[r_idx]:bounds[r_idx]]:
-                    if kept >= cap:
-                        break
-                    fh.write(f"{rep},{summary.epoch},{float(z)!r},{float(y)!r},{fps},{oa}\n")
-                    kept += 1
+            # the first `cap` z values in pooled order, which groups them by
+            # replica; row i is head + z + tail of the replica z[i] came from
+            z = summary.z_samples[:max(cap, 0)].tolist()
+            heads = [f"{int(r)},{summary.epoch}," for r in summary.replica]
+            tails = [f",{float(y)!r},{int(f)},{int(o)}\n" for y, f, o in
+                     zip(summary.y, summary.first_point_survived, summary.origin_alive)]
+            rows = [""] * (3 * len(z))
+            rows[0::3] = np.repeat(np.array(heads, dtype=object), summary.core_sizes)[:len(z)]
+            rows[1::3] = map(repr, z)
+            rows[2::3] = np.repeat(np.array(tails, dtype=object), summary.core_sizes)[:len(z)]
+            fh.write("".join(rows))
     with open(os.path.join(out, "replicas.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("replica,epoch,d_n,y,first_point_survived,origin_alive,"
@@ -374,6 +370,11 @@ def main(argv=None) -> int:
             return cmd_validate(cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except DeficitError:
+        raise  # --strict asks for the exception itself
+    except MeasureError as exc:
+        print(f"measure error: {exc}", file=sys.stderr)
         return 2
     return 2
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from .measures import AtomicMeasure, exp_geometric_law
 
@@ -154,10 +153,14 @@ class ParetoHalfLaw:
         return rng.random(size) ** -2.0
 
     def transform(self, s) -> np.ndarray:
+        from scipy.special import erfc  # imported here: only this law needs scipy
+
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return np.exp(-s) - np.sqrt(np.pi * s) * erfc(np.sqrt(s))
 
     def transform_derivative(self, s) -> np.ndarray:
+        from scipy.special import erfc
+
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return -0.5 * np.sqrt(np.pi / s) * erfc(np.sqrt(s))
 

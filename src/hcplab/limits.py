@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import exp1
+
+from .measures import _fft_convolve
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -34,6 +35,8 @@ _EIN_COEF = (-1.0) ** (_EIN_K + 1) / (_EIN_K * np.cumprod(_EIN_K.astype(float)))
 
 def exp_integral(s) -> np.ndarray | float:
     """E1(s) = integral_s^inf exp(-t)/t dt for s > 0."""
+    from scipy.special import exp1  # imported here: only limit transforms need it
+
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr <= 0):
         raise ValueError("exponential integral requires s > 0")
@@ -47,6 +50,8 @@ def ein(s) -> np.ndarray | float:
     Alternating series sum_{k>=1} (-1)^(k+1) s^k / (k * k!) for s < 1; the
     identity Ein = gamma + log s + E1(s) otherwise.
     """
+    from scipy.special import exp1
+
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr < 0):
         raise ValueError("Ein requires s >= 0")
@@ -124,13 +129,12 @@ def _rho_tables(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, list[np
     """Sample rho_1..rho_k_max on the grid x = 0, h, 2h, ..., x_max.
 
     rho_{k+1}(x) = integral_k^{x-1} rho_k(y) / (x - y) dy is evaluated by
-    trapezoid-weighted discrete convolution, done by FFT.  The grid step must
-    divide 1 so that the support corners x = k (where rho_k has kinks) fall on
-    grid nodes; the endpoint jumps of the integrand then sit on nodes and the
-    trapezoid half-weights apply cleanly.
+    trapezoid-weighted discrete convolution, done by numpy's FFT
+    (``measures._fft_convolve``: ``scipy.signal`` is slow to import).  The
+    grid step must divide 1 so that the support corners x = k (where rho_k
+    has kinks) fall on grid nodes; the endpoint jumps of the integrand then
+    sit on nodes and the trapezoid half-weights apply cleanly.
     """
-    from scipy.signal import fftconvolve  # deferred: slow to import
-
     n = int(round(x_max / h)) + 1
     xs = np.arange(n) * h
     i1 = int(round(1.0 / h))
@@ -142,7 +146,7 @@ def _rho_tables(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, list[np
     for k in range(1, k_max):
         f = tables[-1]
         ik = int(round(k / h))  # support start of f
-        full = fftconvolve(f, kernel)[:n] * h
+        full = _fft_convolve(f, kernel)[:n] * h
         # trapezoid endpoint corrections: half-weight at y = k and y = x - 1
         lower = np.zeros(n)
         lower[ik:] = f[ik] * kernel[:n - ik]

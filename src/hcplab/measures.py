@@ -24,7 +24,11 @@ MASS_ATOL = 1e-12
 # Dense-vector convolution is used when both operands sit on a common lattice
 # and the implied vector is not absurdly long.
 _MAX_DENSE = 16_000_000
-_FFT_THRESHOLD = 4_000_000  # switch np.convolve -> fftconvolve above this cost
+_FFT_THRESHOLD = 4_000_000  # switch np.convolve -> _fft_convolve above this cost
+# Atom pairs the generic (off-lattice) convolution may form.  A call peaks
+# near 75 bytes per pair, so this caps it near 300 MiB; the tests, demos and
+# benchmark workloads form at most 532,928 pairs.
+_MAX_OUTER_PAIRS = 1 << 22
 
 
 class MeasureError(ValueError):
@@ -223,6 +227,18 @@ def from_pmf(positions, masses, l_max: float) -> AtomicMeasure:
 # convolution
 # ---------------------------------------------------------------------------
 
+def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two real vectors by FFT.
+
+    numpy runs the same pocketfft as ``scipy.signal.fftconvolve``, but
+    importing ``scipy.signal`` costs about 1.2 s and loads ``scipy.stats``,
+    more than most commands spend on their numerics.
+    """
+    size = a.size + b.size - 1
+    n_fft = 1 << (size - 1).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[:size]
+
+
 def _convolve_dense(m1: AtomicMeasure, m2: AtomicMeasure, delta: float,
                     l_max: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Lattice convolution on spacing delta; returns (positions, masses, overflow)."""
@@ -233,8 +249,7 @@ def _convolve_dense(m1: AtomicMeasure, m2: AtomicMeasure, delta: float,
     np.add.at(v1, i1, m1.masses)  # distinct atoms may share a lattice cell
     np.add.at(v2, i2, m2.masses)
     if v1.size * v2.size > _FFT_THRESHOLD:
-        from scipy.signal import fftconvolve
-        out = fftconvolve(v1, v2)
+        out = _fft_convolve(v1, v2)
         out[np.abs(out) < 1e-16 * max(1.0, out.max(initial=0.0))] = 0.0
     else:
         out = np.convolve(v1, v2)
@@ -248,6 +263,11 @@ def _convolve_dense(m1: AtomicMeasure, m2: AtomicMeasure, delta: float,
 
 def _convolve_outer(m1: AtomicMeasure, m2: AtomicMeasure,
                     l_max: float) -> tuple[np.ndarray, np.ndarray, float]:
+    if m1.n_atoms * m2.n_atoms > _MAX_OUTER_PAIRS:
+        raise MeasureError(
+            f"off-lattice convolution of {m1.n_atoms} x {m2.n_atoms} atoms exceeds "
+            f"the budget of {_MAX_OUTER_PAIRS} atom pairs; lower l_max "
+            f"(analytic.l_max in a config), now {l_max!r}")
     pos = np.add.outer(m1.positions, m2.positions).ravel()
     mas = np.multiply.outer(m1.masses, m2.masses).ravel()
     keep = pos <= l_max * (1 + POSITION_RTOL)

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2 as _chi2_dist
 
 from .measures import AtomicMeasure
 
@@ -189,6 +188,8 @@ def independence_test(d1, d2, bins: int = 4) -> Chi2Result:
     Bins are equal-probability cells from each margin's quantiles; the bin
     count is lowered until every expected cell count reaches 5.
     """
+    from scipy.stats import chi2  # imported here: scipy.stats takes ~1 s to load
+
     x = _as_values(d1)
     y = _as_values(d2)
     if x.size != y.size:
@@ -209,7 +210,7 @@ def independence_test(d1, d2, bins: int = 4) -> Chi2Result:
             continue
         stat = float(((table - expected) ** 2 / expected).sum())
         dof = (r - 1) * (c - 1)
-        return Chi2Result(stat, float(_chi2_dist.sf(stat, dof)), dof)
+        return Chi2Result(stat, float(chi2.sf(stat, dof)), dof)
     raise ValueError("degenerate margins: no binning reaches expected count 5")
 
 

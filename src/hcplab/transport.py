@@ -140,23 +140,30 @@ def un_transport(u1: StepFunction, d_n: float, x: float) -> float:
 # large-scale lattice route
 # ---------------------------------------------------------------------------
 
-def _u1_lattice_py(base: np.ndarray, atom_idx: np.ndarray,
-                   atom_mass: np.ndarray) -> np.ndarray:
-    # c[i] = base[i] + sum_j c[i - a_j] * w_j, resolved in blocks of the
-    # smallest atom index: every dependency then falls in an earlier block.
+def _u1_lattice(base: np.ndarray, atom_idx: np.ndarray,
+                atom_mass: np.ndarray) -> np.ndarray:
+    """Solve c[i] = base[i] + sum_j c[i - a_j] * w_j for taps a_1 < a_2 < ...
+
+    Tap j is added once per chunk of length L_j, where L_1 = a_1 and L_j is
+    the largest multiple of L_{j-1} not above a_j.  The chunk [t, t + L_j)
+    reads c[t - a_j, t + L_j - a_j), which lies below t, and the chunks are
+    nested, so the chunks starting at t (tap 1 always among them) are added
+    once every site below t is final.
+    """
     c = base.copy()
     n = c.size
-    step = int(atom_idx.min())
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        for a, w in zip(atom_idx, atom_mass):
-            src_lo = start - int(a)
-            src_hi = stop - int(a)
-            if src_hi <= 0:
-                continue
-            if src_lo < 0:
-                src_lo = 0
-            c[src_lo + int(a):stop] += c[src_lo:src_hi] * w
+    taps = []
+    length = int(atom_idx[0])
+    for a, w in zip(atom_idx.tolist(), atom_mass.tolist()):
+        length = a // length * length
+        taps.append((a, w, length))
+    for t in range(0, n, taps[0][2]):
+        for a, w, length in taps:
+            if t % length:
+                break
+            lo, hi = max(t, a), min(t + length, n)
+            if lo < hi:
+                c[lo:hi] += c[lo - a:hi - a] * w
     return c
 
 
@@ -185,7 +192,7 @@ def u1_on_lattice(p: AtomicMeasure, spacing: float, j_max: float) -> StepFunctio
     atom_idx, atom_mass = atom_idx[nonzero], atom_mass[nonzero]
     if atom_idx.size == 0:
         raise MeasureError("law has no mass below j_max")
-    c = _u1_lattice_py(xs * pvec, atom_idx, atom_mass)
+    c = _u1_lattice(xs * pvec, atom_idx, atom_mass)
     jump_at = xs - 1.0
     keep = c > 0
     return StepFunction(jump_at[keep], np.cumsum(c[keep]), float(j_max - 1.0))

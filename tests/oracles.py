@@ -4,6 +4,8 @@
 p = sum_{k>=1} (-1)^(k+1) m^{*k} / k! interval by interval, recomputing the
 powers of the partial m on each unit interval.  ``rho_tables_direct`` builds
 the rho_k tables with direct (non-FFT) discrete convolution.
+``u1_lattice_blocks`` solves the lattice recurrence of ``u1_on_lattice`` in
+blocks of the smallest tap, one slice-add per tap and block.
 ``ein_series_scalar`` sums the small-s series of Ein one argument at a time.
 ``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
 invalidation, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
@@ -93,6 +95,26 @@ def rho_tables_direct(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, l
         nxt[nxt < 0] = 0.0
         tables.append(nxt)
     return xs, tables
+
+
+def u1_lattice_blocks(base: np.ndarray, atom_idx: np.ndarray,
+                   atom_mass: np.ndarray) -> np.ndarray:
+    # c[i] = base[i] + sum_j c[i - a_j] * w_j, resolved in blocks of the
+    # smallest atom index: every dependency then falls in an earlier block.
+    c = base.copy()
+    n = c.size
+    step = int(atom_idx.min())
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        for a, w in zip(atom_idx, atom_mass):
+            src_lo = start - int(a)
+            src_hi = stop - int(a)
+            if src_hi <= 0:
+                continue
+            if src_lo < 0:
+                src_lo = 0
+            c[src_lo + int(a):stop] += c[src_lo:src_hi] * w
+    return c
 
 
 def ein_series_scalar(v: float) -> float:

@@ -1,9 +1,12 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hcplab
 from hcplab.cli import main
 
 
@@ -129,6 +132,16 @@ class TestAnalytic:
             main(["analytic", "--config", cfg, "--out", str(tmp_path / "ans"),
                   "--strict"])
 
+    def test_atom_budget_names_l_max(self, tmp_path, capsys):
+        # off-lattice atoms multiply epoch by epoch; at the default l_max the
+        # generic convolution would need gigabytes
+        cfg = write_config(tmp_path, {
+            "initial_law": {"kind": "two_point", "a": 1.0, "b": math.sqrt(2.0)},
+            "epochs": 4,
+            "analytic": {"j_max": 48.0}})
+        assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "tp")]) == 2
+        assert "analytic.l_max" in capsys.readouterr().err
+
     def test_measure_csvs_written(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "and")
@@ -188,6 +201,45 @@ class TestFigB:
         for d, v in geo.items():
             if d in ari:
                 assert ari[d] == pytest.approx(v, rel=1e-12)
+
+
+_SCIPY_PROBE = """
+import json, sys
+import hcplab, hcplab.cli
+argv = json.loads(sys.argv[1])
+if argv:
+    assert hcplab.cli.main(argv) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+class TestColdStart:
+    """Each command imports only the scipy modules its numerics use."""
+
+    @pytest.mark.parametrize("command, overrides", [
+        (None, {}),
+        ("simulate", {"window": {"n_intervals": 200}}),
+        ("analytic", {}),
+        ("reproduce-figb", {"figb": {"horizon": 4, "q": [0.5]}}),
+        ("limits", {}),
+    ])
+    def test_scipy_modules_loaded(self, tmp_path, command, overrides):
+        argv = []
+        if command is not None:
+            argv = [command, "--config", write_config(tmp_path, overrides),
+                    "--out", str(tmp_path / "out")]
+        src = os.path.dirname(os.path.dirname(hcplab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        if command == "limits":  # E1 and Ein come from scipy.special
+            assert "scipy.stats" not in loaded and "scipy.signal" not in loaded
+        else:
+            assert loaded == []
 
 
 class TestValidateCommand:

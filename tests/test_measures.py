@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hcplab.measures import (AtomicMeasure, DeficitError, MeasureError,
                              NegativeMassError, oscillating_tail_law,
-                             convolve, dirac, epoch_pushforward,
+                             _fft_convolve, convolve, dirac, epoch_pushforward,
                              exp_geometric_law, from_pmf, iterate_hcp_measures,
                              survival_probability_exact)
 
@@ -76,6 +76,18 @@ class TestConvolve:
         b = from_pmf([1.0, 3.0], [w2 / 2, w2 / 2], l_max=6.0)
         out = convolve(a, b)
         assert out.total_mass == pytest.approx(w1 * w2, rel=1e-12)
+
+    @given(n1=st.integers(1, 5000), n2=st.integers(1, 5000),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_fft_helper_matches_direct(self, n1, n2, seed):
+        # nonnegative operands, as masses and densities are
+        rng = np.random.default_rng(seed)
+        a, b = rng.random(n1), rng.random(n2)
+        direct = np.convolve(a, b)
+        out = _fft_convolve(a, b)
+        assert out.shape == direct.shape
+        assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_convolution_power(self):
         from hcplab.measures import convolution_power

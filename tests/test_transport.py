@@ -12,11 +12,11 @@ from hcplab.measures import (_coalesce, _detect_lattice, dirac,
                              epoch_pushforward, exp_geometric_law, from_pmf,
                              iterate_hcp_measures)
 from hcplab.transport import (C0Estimate, TransformPair, TransportRangeError,
-                              c0_estimate, deconvolve_m, default_c0_grid,
+                              _u1_lattice, c0_estimate, deconvolve_m, default_c0_grid,
                               reassemble_z_law, u1_from_m, u1_on_lattice,
                               un_transport)
 
-from oracles import deconvolve_m_intervals
+from oracles import deconvolve_m_intervals, u1_lattice_blocks
 
 EAST = lambda n: 2.0 ** (n - 1)
 
@@ -192,7 +192,30 @@ class TestStepFunctionAndTransport:
                 assert abs(direct(x) - un_transport(u1, d, x)) < 1e-8
 
 
+@st.composite
+def lattice_recurrences(draw):
+    # sparse taps anywhere in [1, 2n], so some lie beyond the lattice and
+    # most are not multiples of the smallest; weights form a subprobability
+    # as the masses of a law do
+    n = draw(st.integers(1, 3000))
+    taps = np.array(sorted(draw(st.lists(st.integers(1, 2 * n), min_size=1,
+                                         max_size=12, unique=True))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.random(taps.size) + 0.01
+    weights /= weights.sum() * draw(st.floats(1.0, 4.0))
+    base = rng.random(n) * (rng.random(n) < draw(st.floats(0.01, 1.0)))
+    return base, taps, weights
+
+
 class TestLatticeRoute:
+    @given(case=lattice_recurrences())
+    @settings(max_examples=60, deadline=None)
+    def test_chunked_kernel_matches_blocks(self, case):
+        base, taps, weights = case
+        np.testing.assert_allclose(_u1_lattice(base, taps, weights),
+                                   u1_lattice_blocks(base, taps, weights),
+                                   rtol=1e-12, atol=0.0)
+
     def test_agrees_with_interval_recursion(self):
         p = epoch_pushforward(dirac(1.0, 32.0), 1.0, 2.0).rescaled(0.5)
         u_atomic = u1_from_m(deconvolve_m(p, 16.0))
