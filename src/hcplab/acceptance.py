@@ -175,24 +175,23 @@ def criterion_moment_convergence(scale: float, seed: int):
                 f"m2 {m2:.4f} vs frozen {SECOND_MOMENT_LIMIT} (+-10%)")
 
 
-def _figb_ratios(q: float, horizon: int, x: float = 10.0,
-                 spacing: float = 1.0 / 16.0) -> list[float]:
+def _figb_ratios(qs, horizon: int, x: float = 10.0,
+                 spacing: float = 1.0 / 16.0) -> list[list[float]]:
     from .measures import exp_geometric_law
     j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-    law = exp_geometric_law(1.0 - q, max(1, int(math.log(j_max)) + 1),
-                            l_max=float("inf"))
-    u1 = u1_on_lattice(law, spacing, j_max)
-    return [un_transport(u1, 2.0 ** (n - 1), x) / x for n in range(1, horizon + 1)]
+    laws = [exp_geometric_law(1.0 - q, max(1, int(math.log(j_max)) + 1), l_max=float("inf"))
+            for q in qs]
+    return [[un_transport(u1, 2.0 ** (n - 1), x) / x for n in range(1, horizon + 1)]
+            for u1 in u1_on_lattice(laws, spacing, j_max)]
 
 
 def criterion_figb(scale: float, seed: int):
     horizon = 14
-    ratios_01 = _figb_ratios(0.1, horizon)
+    ratios_01, *oscillating = _figb_ratios((0.1, 0.5, 0.8), horizon)
     tail = ratios_01[-5:]
     ok = all(0.98 <= v <= 1.02 for v in tail)
     parts = [f"q=0.1 tail in [{min(tail):.4f},{max(tail):.4f}] within [0.98,1.02]"]
-    for q in (0.5, 0.8):
-        ratios = _figb_ratios(q, horizon)
+    for q, ratios in zip((0.5, 0.8), oscillating):
         window = ratios[-8:]
         amp = max(window) - min(window)
         ok &= amp > FIGB_OSCILLATION_FLOOR

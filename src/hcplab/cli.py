@@ -189,11 +189,12 @@ def cmd_simulate(cfg: dict, out: str) -> int:
         fh.write("replica,epoch,d_n,y,first_point_survived,origin_alive,"
                  "merges_prior,n_intervals,core_size\n")
         for summary in pooled:
-            for i in range(summary.replica.size):
-                fh.write(f"{int(summary.replica[i])},{summary.epoch},{float(summary.d_n)!r},"
-                         f"{float(summary.y[i])!r},{int(summary.first_point_survived[i])},"
-                         f"{int(summary.origin_alive[i])},{int(summary.merges_prior[i])},"
-                         f"{int(summary.n_intervals[i])},{int(summary.core_sizes[i])}\n")
+            epoch = f"{summary.epoch},{float(summary.d_n)!r}"
+            ints = [c.astype(np.int64).tolist() for c in
+                    (summary.replica, summary.first_point_survived, summary.origin_alive,
+                     summary.merges_prior, summary.n_intervals, summary.core_sizes)]
+            fh.write("".join(f"{r},{epoch},{y!r},{f},{o},{m},{n},{c}\n" for y, r, f, o, m, n, c
+                             in zip(summary.y.tolist(), *ints)))
     _write_manifest(out, "simulate", cfg)
     return 0
 
@@ -238,8 +239,8 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     with open(os.path.join(out, "active_mass.csv"), "w") as fh:
         fh.write(header)
         fh.write("epoch,d_n,active_mass\n")
-        for n, mass in enumerate(h, start=1):
-            fh.write(f"{n},{schedule.d(n)!r},{mass!r}\n")
+        fh.write("".join(f"{n},{schedule.d(n)!r},{mass!r}\n"
+                         for n, mass in enumerate(h, start=1)))
     with open(os.path.join(out, "survival.csv"), "w") as fh:
         fh.write(header)
         fh.write("epochs_elapsed,d_next,survival_probability\n")
@@ -247,9 +248,9 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
             fh.write("# rates do not fix lambda_left = gamma * lambda_right: "
                      "no survival formula applies\n")
         else:
-            for n in range(1, n_epochs + 1):
-                p = survival_probability_exact(h, n, schedule.gamma)
-                fh.write(f"{n},{schedule.d(n + 1)!r},{p!r}\n")
+            fh.write("".join(
+                f"{n},{schedule.d(n + 1)!r},{survival_probability_exact(h, n, schedule.gamma)!r}\n"
+                for n in range(1, n_epochs + 1)))
     # transported primitive probes from the epoch-1 law
     from .transport import deconvolve_m, u1_from_m
     probe_x = _require(cfg, "analytic.probe_x", list, default=[0.5, 1.0, 2.0, 5.0, 10.0])
@@ -259,11 +260,9 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     with open(os.path.join(out, "transported_primitive.csv"), "w") as fh:
         fh.write(header)
         fh.write("epoch,x,u_n\n")
-        for n in range(1, n_epochs + 1):
-            for x in probe_x:
-                arg = schedule.d(n) * (1 + float(x)) - 1
-                if arg <= j_max - 1:
-                    fh.write(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n")
+        fh.write("".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
+                         for n in range(1, n_epochs + 1) for x in probe_x
+                         if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1))
     s_min = float(_require(cfg, "analytic.c0_s_min", (int, float), default=1e-9))
     grid = default_c0_grid(
         float(_require(cfg, "analytic.c0_s_max", (int, float), default=1e-2)), s_min)
@@ -285,17 +284,23 @@ def cmd_limits(cfg: dict, out: str) -> int:
     with open(os.path.join(out, "limit_cdf.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("x,z_cdf\n")
-        for x, v in zip(xs, z_cdf(params, xs)):
-            fh.write(f"{float(x)!r},{float(v)!r}\n")
+        fh.write("".join(f"{x!r},{v!r}\n" for x, v in
+                         zip(xs.tolist(), z_cdf(params, xs).tolist())))
     ss = np.concatenate(([0.0], np.geomspace(1e-3, 10.0, 100)))
     with open(os.path.join(out, "limit_transforms.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("s,interval_transform,first_point_transform\n")
-        for s in ss:
-            fh.write(f"{float(s)!r},{g_infinity(params, float(s))!r},"
-                     f"{first_point_limit_transform(params, float(s))!r}\n")
+        fh.write("".join(f"{s!r},{g!r},{f!r}\n" for s, g, f in
+                         zip(ss.tolist(), g_infinity(params, ss).tolist(),
+                             first_point_limit_transform(params, ss).tolist())))
     _write_manifest(out, "limits", cfg)
     return 0
+
+
+# Lattice sites times laws in one u1_on_lattice call, whose result holds 8
+# bytes per site and law: figb's default three laws on 1.44 M sites (33 MiB)
+# share one sweep, and a long q list runs in groups instead of growing memory.
+_FIGB_SWEEP_SITES = 1 << 23
 
 
 def cmd_reproduce_figb(cfg: dict, out: str) -> int:
@@ -306,18 +311,18 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
     arithmetic = bool(_require(cfg, "figb.arithmetic", bool, default=False))
     d_of = (lambda n: float(n)) if arithmetic else (lambda n: 2.0 ** (n - 1))
     j_max = d_of(horizon) * (1 + x) + 2
+    n_atoms = max(1, int(math.log(j_max)) + 1)
+    laws = [exp_geometric_law(1.0 - float(q), n_atoms, l_max=float("inf")) for q in qs]
+    per_sweep = max(1, _FIGB_SWEEP_SITES // (int(j_max / spacing) + 1))
     with open(os.path.join(out, "transport_ratio.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("q,n,d_n,ratio\n")
-        for q in qs:
-            p = 1.0 - float(q)
-            n_atoms = max(1, int(math.log(j_max)) + 1)
-            law = exp_geometric_law(p, n_atoms, l_max=float("inf"))
-            u1 = u1_on_lattice(law, spacing, j_max)
-            for n in range(1, horizon + 1):
-                d = d_of(n)
-                ratio = un_transport(u1, d, x) / x
-                fh.write(f"{q!r},{n},{d!r},{ratio!r}\n")
+        for g in range(0, len(qs), per_sweep):
+            group = slice(g, g + per_sweep)  # its step functions die with the join
+            fh.write("".join(
+                f"{q!r},{n},{d_of(n)!r},{un_transport(u1, d_of(n), x) / x!r}\n"
+                for q, u1 in zip(qs[group], u1_on_lattice(laws[group], spacing, j_max))
+                for n in range(1, horizon + 1)))
     _write_manifest(out, "reproduce-figb", cfg)
     return 0
 

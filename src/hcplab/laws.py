@@ -72,7 +72,10 @@ class GeometricLaw:
         n = int(l_max)
         k = np.arange(1, n + 1, dtype=np.float64)
         masses = self.q * (1 - self.q) ** (k - 1)
-        return AtomicMeasure(k, masses, l_max, deficit=(1 - self.q) ** n)
+        # far atoms underflow to exactly 0.0 (past k ~ 7,000 for q = 0.1);
+        # they carry no mass and would only widen every later array
+        keep = masses > 0.0
+        return AtomicMeasure(k[keep], masses[keep], l_max, deficit=(1 - self.q) ** n)
 
 
 @dataclass(frozen=True)

@@ -32,15 +32,39 @@ EULER_GAMMA = 0.5772156649015329
 _EIN_K = np.arange(1, 25)
 _EIN_COEF = (-1.0) ** (_EIN_K + 1) / (_EIN_K * np.cumprod(_EIN_K.astype(float)))
 
+# Depth of the continued fraction of E1 for s >= 1.  It converges slowest at
+# s = 1, where depth 120 is within 1.1e-15 of scipy.special.exp1 (60 gives
+# 6.6e-13); numpy alone avoids the 0.3 s import of scipy.special.
+_E1_DEPTH = 120
+
+
+def _ein_series(s: np.ndarray) -> np.ndarray:
+    """Ein on s < 1 by its series, all arguments at once."""
+    return np.power.outer(s, _EIN_K) @ _EIN_COEF
+
+
+def _e1_contfrac(s: np.ndarray) -> np.ndarray:
+    """E1 on s >= 1: the even continued fraction
+    E1(s) = e^{-s} / (s + 1 - 1^2/(s + 3 - 2^2/(s + 5 - ...))),
+    evaluated from depth _E1_DEPTH up."""
+    tail = np.zeros_like(s)
+    for n in range(_E1_DEPTH, 0, -1):
+        tail = n * n / (s + (2 * n + 1) - tail)
+    return np.exp(-s) / (s + 1.0 - tail)
+
 
 def exp_integral(s) -> np.ndarray | float:
-    """E1(s) = integral_s^inf exp(-t)/t dt for s > 0."""
-    from scipy.special import exp1  # imported here: only limit transforms need it
+    """E1(s) = integral_s^inf exp(-t)/t dt for s > 0.
 
+    -gamma - log s + Ein(s) below 1, the continued fraction from 1 up.
+    """
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr <= 0):
         raise ValueError("exponential integral requires s > 0")
-    out = exp1(s_arr)
+    out = np.empty_like(s_arr)
+    small = s_arr < 1.0
+    out[small] = -EULER_GAMMA - np.log(s_arr[small]) + _ein_series(s_arr[small])
+    out[~small] = _e1_contfrac(s_arr[~small])
     return out if np.ndim(s) else float(out[0])
 
 
@@ -50,16 +74,14 @@ def ein(s) -> np.ndarray | float:
     Alternating series sum_{k>=1} (-1)^(k+1) s^k / (k * k!) for s < 1; the
     identity Ein = gamma + log s + E1(s) otherwise.
     """
-    from scipy.special import exp1
-
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr < 0):
         raise ValueError("Ein requires s >= 0")
     out = np.empty_like(s_arr)
     small = s_arr < 1.0
-    out[small] = np.power.outer(s_arr[small], _EIN_K) @ _EIN_COEF
+    out[small] = _ein_series(s_arr[small])
     big = s_arr[~small]
-    out[~small] = EULER_GAMMA + np.log(big) + exp1(big)
+    out[~small] = EULER_GAMMA + np.log(big) + _e1_contfrac(big)
     return out if np.ndim(s) else float(out[0])
 
 

@@ -197,8 +197,8 @@ class AtomicMeasure:
         with open(path, "w") as fh:
             fh.write(f"# l_max={self.l_max!r} deficit={self.deficit!r}\n")
             fh.write("position,mass\n")
-            for p, w in zip(self.positions, self.masses):
-                fh.write(f"{float(p)!r},{float(w)!r}\n")
+            fh.write("".join(f"{p!r},{w!r}\n" for p, w in
+                             zip(self.positions.tolist(), self.masses.tolist())))
 
     @classmethod
     def from_csv(cls, path) -> "AtomicMeasure":

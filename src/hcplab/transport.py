@@ -94,20 +94,27 @@ def reassemble_z_law(m: AtomicMeasure, j_max: float) -> AtomicMeasure:
 class StepFunction:
     """Right-continuous nondecreasing step function, zero left of the support."""
 
-    jump_at: np.ndarray     # strictly increasing jump locations
+    jump_at: np.ndarray     # strictly increasing jump locations (a jump may be 0)
     cumulative: np.ndarray  # value at and right of each jump
     domain_max: float       # arguments above this are outside the computed range
+
+    def _value(self, idx: np.ndarray) -> np.ndarray:
+        # the value after idx jumps: cumulative[idx - 1], and 0 before the first
+        vals = np.zeros(idx.shape)
+        hit = idx > 0
+        vals[hit] = self.cumulative[idx[hit] - 1]
+        return vals
 
     def __call__(self, x) -> np.ndarray | float:
         x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
         idx = np.searchsorted(self.jump_at, x_arr * (1 + 1e-15) + 1e-300, side="right")
-        vals = np.concatenate(([0.0], self.cumulative))[idx]
+        vals = self._value(idx)
         return vals if np.ndim(x) else float(vals[0])
 
     def left_limit(self, x) -> np.ndarray | float:
         x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
         idx = np.searchsorted(self.jump_at, x_arr * (1 - 1e-15), side="left")
-        vals = np.concatenate(([0.0], self.cumulative))[idx]
+        vals = self._value(idx)
         return vals if np.ndim(x) else float(vals[0])
 
 
@@ -140,35 +147,48 @@ def un_transport(u1: StepFunction, d_n: float, x: float) -> float:
 # large-scale lattice route
 # ---------------------------------------------------------------------------
 
-def _u1_lattice(base: np.ndarray, atom_idx: np.ndarray,
-                atom_mass: np.ndarray) -> np.ndarray:
+# Sites times laws per slice-add of the lattice sweep.  Short chunks are one
+# slice-add each; a longer chunk is split, which bounds each tap's tiled
+# weight vector at 512 KiB.
+_SWEEP_PIECE = 1 << 16
+
+
+def _u1_lattice(c: np.ndarray, atom_idx: np.ndarray, atom_mass: np.ndarray) -> None:
     """Solve c[i] = base[i] + sum_j c[i - a_j] * w_j for taps a_1 < a_2 < ...
+    in place: the C-contiguous (n, k) array ``c`` holds k bases on entry and
+    the k solutions on return.  Row j of the (taps, k) ``atom_mass`` holds
+    every law's weight at tap a_j.
 
     Tap j is added once per chunk of length L_j, where L_1 = a_1 and L_j is
     the largest multiple of L_{j-1} not above a_j.  The chunk [t, t + L_j)
     reads c[t - a_j, t + L_j - a_j), which lies below t, and the chunks are
     nested, so the chunks starting at t (tap 1 always among them) are added
-    once every site below t is final.
+    once every site below t is final.  Rows of a chunk are contiguous, so
+    each slice-add runs on flat memory against the tap's weights tiled to
+    the slice.
     """
-    c = base.copy()
-    n = c.size
+    if not c.flags.c_contiguous:
+        raise ValueError("the lattice sweep runs on a C-contiguous array")
+    n, k = c.shape
+    flat = c.reshape(-1)
+    piece = max(1, _SWEEP_PIECE // k)
     taps = []
     length = int(atom_idx[0])
-    for a, w in zip(atom_idx.tolist(), atom_mass.tolist()):
+    for a, w in zip(atom_idx.tolist(), atom_mass):
         length = a // length * length
-        taps.append((a, w, length))
-    for t in range(0, n, taps[0][2]):
-        for a, w, length in taps:
+        taps.append((a, length, np.tile(w, min(length, piece))))
+    for t in range(0, n, taps[0][1]):
+        for a, length, w in taps:
             if t % length:
                 break
-            lo, hi = max(t, a), min(t + length, n)
-            if lo < hi:
-                c[lo:hi] += c[lo - a:hi - a] * w
-    return c
+            end = min(t + length, n)
+            for lo in range(max(t, a), end, piece):
+                hi = min(lo + piece, end)
+                flat[lo * k:hi * k] += flat[(lo - a) * k:(hi - a) * k] * w[:(hi - lo) * k]
 
 
-def u1_on_lattice(p: AtomicMeasure, spacing: float, j_max: float) -> StepFunction:
-    """Large-scale route to U1 for a law snapped to a lattice.
+def u1_on_lattice(laws, spacing: float, j_max: float) -> list[StepFunction]:
+    """Large-scale route to U1 for laws snapped to a lattice, one per law.
 
     Uses the derivative form of the series inversion: with c(x) = x*m({x}),
 
@@ -177,25 +197,33 @@ def u1_on_lattice(p: AtomicMeasure, spacing: float, j_max: float) -> StepFunctio
     which recovers the same m as :func:`deconvolve_m` in one sweep and scales
     to lattices with millions of sites.  Positions of p are rounded to the
     lattice; the rounding is the declared discretization of the input law.
+
+    All laws share one sweep over the union of their taps (a law without a
+    tap weighs it 0.0, which adds exactly +0.0), so the per-slice overhead
+    is paid once for all of them.  The result holds 8 bytes per site and
+    law, plus one shared array of jump locations: every site is a jump,
+    most of size 0 where the law puts no mass.
     """
-    if p.n_atoms == 0:
-        raise MeasureError("empty law")
+    if not laws:
+        return []
     n = int(math.floor(j_max / spacing)) + 1
-    idx = np.rint(p.positions / spacing).astype(np.int64)
-    keep = idx < n
-    pvec = np.zeros(n)
-    np.add.at(pvec, idx[keep], p.masses[keep])
-    xs = np.arange(n) * spacing
-    atom_idx = np.unique(idx[keep & (idx > 0)])
-    atom_mass = np.array([pvec[a] for a in atom_idx])
-    nonzero = atom_mass > 0
-    atom_idx, atom_mass = atom_idx[nonzero], atom_mass[nonzero]
-    if atom_idx.size == 0:
+    c = np.zeros((n, len(laws)))
+    for j, p in enumerate(laws):
+        if p.n_atoms == 0:
+            raise MeasureError("empty law")
+        idx = np.rint(p.positions / spacing).astype(np.int64)
+        keep = idx < n
+        np.add.at(c[:, j], idx[keep], p.masses[keep])
+    atom_idx = np.flatnonzero(c[1:].any(axis=1)) + 1
+    if not np.all(c[atom_idx].any(axis=0)):
         raise MeasureError("law has no mass below j_max")
-    c = _u1_lattice(xs * pvec, atom_idx, atom_mass)
-    jump_at = xs - 1.0
-    keep = c > 0
-    return StepFunction(jump_at[keep], np.cumsum(c[keep]), float(j_max - 1.0))
+    atom_mass = c[atom_idx]
+    xs = np.arange(n) * spacing
+    c *= xs[:, None]  # the base x * p of the recurrence
+    _u1_lattice(c, atom_idx, atom_mass)
+    np.cumsum(c, axis=0, out=c)
+    xs -= 1.0  # the jump locations
+    return [StepFunction(xs, c[:, j], float(j_max - 1.0)) for j in range(len(laws))]
 
 
 # ---------------------------------------------------------------------------

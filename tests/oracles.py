@@ -7,6 +7,8 @@ the rho_k tables with direct (non-FFT) discrete convolution.
 ``u1_lattice_blocks`` solves the lattice recurrence of ``u1_on_lattice`` in
 blocks of the smallest tap, one slice-add per tap and block.
 ``ein_series_scalar`` sums the small-s series of Ein one argument at a time.
+``geometric_atomic_full`` is ``GeometricLaw.atomic`` with every atom up to
+l_max, the far ones of mass 0.0 included.
 ``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
 invalidation, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
 replica: the simulator as it was before the epoch resolver and the segmented
@@ -129,6 +131,14 @@ def ein_series_scalar(v: float) -> float:
         if abs(add) < 1e-18:
             break
     return total
+
+
+def geometric_atomic_full(q: float, l_max: float) -> AtomicMeasure:
+    """Atoms k = 1..floor(l_max) with masses q (1-q)^(k-1), underflowed
+    zeros kept; deficit (1-q)^floor(l_max)."""
+    n = int(l_max)
+    k = np.arange(1, n + 1, dtype=np.float64)
+    return AtomicMeasure(k, q * (1 - q) ** (k - 1), l_max, deficit=(1 - q) ** n)
 
 
 def _kernel_py(order, erase_left, alive, point_coords, periodic, n_points,

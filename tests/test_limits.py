@@ -24,8 +24,10 @@ class TestExpIntegral:
             assert exp_integral(s) == pytest.approx(oracle, rel=1e-10)
 
     def test_against_scipy(self):
-        s = np.geomspace(1e-6, 40.0, 120)
-        assert np.max(np.abs(exp_integral(s) - exp1(s)) / exp1(s)) < 1e-13
+        # the series below 1, the continued fraction from 1 up
+        s = np.concatenate((np.geomspace(1e-8, 700.0, 400),
+                            1.0 + np.array([-1e-3, -1e-9, -1e-15, 0.0, 1e-15, 1e-9, 1e-3])))
+        assert np.max(np.abs(exp_integral(s) - exp1(s)) / exp1(s)) <= 1e-14
 
     def test_small_s_logarithmic_behavior(self):
         for s in (1e-4, 1e-6):

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcplab.laws import GeometricLaw
 from hcplab.measures import (AtomicMeasure, DeficitError, MeasureError,
                              NegativeMassError, oscillating_tail_law,
                              _fft_convolve, convolve, dirac, epoch_pushforward,
                              exp_geometric_law, from_pmf, iterate_hcp_measures,
                              survival_probability_exact)
+from hcplab.transport import c0_estimate, default_c0_grid
+
+from oracles import geometric_atomic_full
 
 EAST = lambda n: 2.0 ** (n - 1)
 
@@ -214,3 +218,31 @@ class TestExpGeometricLaw:
     def test_finite_mean_regime_rejected(self):
         with pytest.raises(MeasureError):
             oscillating_tail_law(0.9, 10)  # lambda = 2.3: finite mean
+
+
+class TestGeometricAtomic:
+    # q = 0.1 underflows past k ~ 7,052 and q = 0.5 past k ~ 1,075
+    @pytest.mark.parametrize("q, l_max", [(0.1, 12800.0), (0.5, 2048.0), (1.0, 8.0)])
+    def test_drops_only_zero_mass_atoms(self, q, l_max):
+        law = GeometricLaw(q).atomic(l_max)
+        full = geometric_atomic_full(q, l_max)
+        assert np.all(law.masses > 0.0)
+        keep = full.masses > 0.0
+        np.testing.assert_array_equal(law.positions, full.positions[keep])
+        np.testing.assert_array_equal(law.masses, full.masses[keep])
+        assert (law.l_max, law.deficit) == (full.l_max, full.deficit)
+
+    @pytest.mark.parametrize("q, l_max", [(0.1, 12800.0), (0.5, 2048.0)])
+    def test_pushforward_and_c0_match_full_grid(self, q, l_max):
+        law = GeometricLaw(q).atomic(l_max)
+        full = geometric_atomic_full(q, l_max)
+        assert law.n_atoms < full.n_atoms
+        a = epoch_pushforward(law, 1.0, 2.0)
+        b = epoch_pushforward(full, 1.0, 2.0)
+        np.testing.assert_array_equal(a.positions, b.positions)
+        np.testing.assert_array_equal(a.masses, b.masses)
+        assert a.deficit == b.deficit
+        grid = default_c0_grid()
+        est, ref = c0_estimate(law, grid), c0_estimate(full, grid)
+        assert (est.estimate, est.converged) == (ref.estimate, ref.converged)
+        np.testing.assert_allclose(est.ratio, ref.ratio, rtol=1e-13, atol=0.0)

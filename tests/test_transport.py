@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +149,7 @@ class TestStepFunctionAndTransport:
         assert u(-0.5) == 0.0
         assert u(0.0) == 1.0
         assert u(3.7) == 1.0
+        assert u1_from_m(from_pmf([], [], l_max=10.0))(3.7) == 0.0
 
     def test_jump_weighting(self):
         u = u1_from_m(from_pmf([2.0], [0.5], l_max=10.0))
@@ -194,46 +196,60 @@ class TestStepFunctionAndTransport:
 
 @st.composite
 def lattice_recurrences(draw):
-    # sparse taps anywhere in [1, 2n], so some lie beyond the lattice and
-    # most are not multiples of the smallest; weights form a subprobability
-    # as the masses of a law do
+    # 1-4 laws, each with its own sparse taps anywhere in [1, 2n], so some
+    # lie beyond the lattice, most are not multiples of the smallest and
+    # the laws share only some of them; weights form a subprobability as
+    # the masses of a law do
     n = draw(st.integers(1, 3000))
-    taps = np.array(sorted(draw(st.lists(st.integers(1, 2 * n), min_size=1,
-                                         max_size=12, unique=True))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    weights = rng.random(taps.size) + 0.01
-    weights /= weights.sum() * draw(st.floats(1.0, 4.0))
-    base = rng.random(n) * (rng.random(n) < draw(st.floats(0.01, 1.0)))
-    return base, taps, weights
+    laws = []
+    for _ in range(draw(st.integers(1, 4))):
+        taps = np.array(sorted(draw(st.lists(st.integers(1, 2 * n), min_size=1,
+                                             max_size=12, unique=True))))
+        weights = rng.random(taps.size) + 0.01
+        weights /= weights.sum() * draw(st.floats(1.0, 4.0))
+        base = rng.random(n) * (rng.random(n) < draw(st.floats(0.01, 1.0)))
+        laws.append((base, taps, weights))
+    return laws
 
 
 class TestLatticeRoute:
-    @given(case=lattice_recurrences())
+    @given(case=lattice_recurrences(), piece=st.sampled_from([None, 1, 7, 64]))
     @settings(max_examples=60, deadline=None)
-    def test_chunked_kernel_matches_blocks(self, case):
-        base, taps, weights = case
-        np.testing.assert_allclose(_u1_lattice(base, taps, weights),
-                                   u1_lattice_blocks(base, taps, weights),
-                                   rtol=1e-12, atol=0.0)
+    def test_chunked_kernel_matches_blocks(self, case, piece):
+        # one sweep over the union of the taps, a law weighing 0.0 at the
+        # taps it lacks; a small _SWEEP_PIECE splits the chunks
+        taps = np.unique(np.concatenate([t for _, t, _ in case]))
+        weights = np.zeros((taps.size, len(case)))
+        for j, (_, t, w) in enumerate(case):
+            weights[np.searchsorted(taps, t), j] = w
+        c = np.stack([base for base, _, _ in case], axis=1)
+        with mock.patch.object(hcplab.transport, "_SWEEP_PIECE",
+                               piece or hcplab.transport._SWEEP_PIECE):
+            _u1_lattice(c, taps, weights)
+        for j, (base, t, w) in enumerate(case):
+            np.testing.assert_allclose(c[:, j], u1_lattice_blocks(base, t, w),
+                                       rtol=1e-12, atol=0.0)
 
     def test_agrees_with_interval_recursion(self):
-        p = epoch_pushforward(dirac(1.0, 32.0), 1.0, 2.0).rescaled(0.5)
-        u_atomic = u1_from_m(deconvolve_m(p, 16.0))
-        u_lattice = u1_on_lattice(p, 0.5, 16.0)
-        for x in np.linspace(0.0, 14.0, 57):
-            assert u_lattice(x) == pytest.approx(u_atomic(x), abs=1e-12)
+        # two laws with different taps share one sweep
+        laws = [epoch_pushforward(dirac(1.0, 32.0), 1.0, 2.0).rescaled(0.5),
+                from_pmf([1.0, 1.5, 3.5], [0.5, 0.3, 0.2], l_max=32.0)]
+        for p, u_lattice in zip(laws, u1_on_lattice(laws, 0.5, 16.0)):
+            u_atomic = u1_from_m(deconvolve_m(p, 16.0))
+            for x in np.linspace(0.0, 14.0, 57):
+                assert u_lattice(x) == pytest.approx(u_atomic(x), abs=1e-12)
+                assert u_lattice.left_limit(x) == pytest.approx(u_atomic.left_limit(x),
+                                                                abs=1e-12)
 
     def test_oscillating_law_ratio_sequence(self):
         # geometric-exponent law: finite-mean parameter converges to 1, the
         # infinite-mean parameters keep oscillating
         horizon, x = 12, 10.0
         j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-        ratios = {}
-        for q in (0.1, 0.8):
-            law = exp_geometric_law(1 - q, 12, l_max=float("inf"))
-            u1 = u1_on_lattice(law, 1 / 16, j_max)
-            ratios[q] = [un_transport(u1, 2.0 ** (n - 1), x) / x
-                         for n in range(1, horizon + 1)]
+        laws = [exp_geometric_law(1 - q, 12, l_max=float("inf")) for q in (0.1, 0.8)]
+        ratios = {q: [un_transport(u1, 2.0 ** (n - 1), x) / x for n in range(1, horizon + 1)]
+                  for q, u1 in zip((0.1, 0.8), u1_on_lattice(laws, 1 / 16, j_max))}
         assert all(abs(v - 1) < 0.02 for v in ratios[0.1][-4:])
         window = ratios[0.8][-8:]
         assert max(window) - min(window) > 0.02
