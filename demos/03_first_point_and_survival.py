@@ -15,7 +15,7 @@ from hcplab import (DiracLaw, LeftBounded, WindowPolicy, dirac, east_schedule,
 N_REPLICAS = 20_000
 pooled = replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 6,
                    n_replicas=N_REPLICAS, base_seed=3,
-                   window=WindowPolicy(n_intervals=512))
+                   window=WindowPolicy(n_intervals=512), z_per_epoch=0)
 
 _, active_mass = iterate_hcp_measures(dirac(1.0, 4096.0),
                                       lambda n: 2.0 ** (n - 1), 6)

@@ -121,7 +121,7 @@ def criterion_survival(scale: float, seed: int):
     r = _scaled(100_000, scale, 10_000)
     pooled = replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 4,
                        n_replicas=r, base_seed=seed + 40,
-                       window=WindowPolicy(n_intervals=64))
+                       window=WindowPolicy(n_intervals=64), z_per_epoch=0)
     _, h = iterate_hcp_measures(dirac(1.0, 65536.0), lambda n: 2.0 ** (n - 1), 12)
     parts, ok = [], True
     for n in (2, 3, 4):
@@ -145,7 +145,7 @@ def criterion_first_point(scale: float, seed: int):
     r = _scaled(8_000, scale, 1_000)
     pooled = replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 10,
                        n_replicas=r, base_seed=seed + 50,
-                       window=WindowPolicy(n_intervals=8192))
+                       window=WindowPolicy(n_intervals=8192), z_per_epoch=0)
     y = pooled[9].y
     parts, ok = [], True
     for s in (0.5, 1.0, 2.0):

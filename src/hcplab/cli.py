@@ -168,21 +168,27 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     n_replicas = int(_require(cfg, "replicas", int, default=1))
     seed = int(_require(cfg, "seed", int, default=0))
     cap = int(_require(cfg, "samples_per_epoch", int, default=50_000))
-    pooled = replicate(spec, schedule, n_epochs, n_replicas, seed, window)
+    pooled = replicate(spec, schedule, n_epochs, n_replicas, seed, window,
+                       z_per_epoch=max(cap, 0))
     with open(os.path.join(out, "samples.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
+        fh.write("# per epoch, every S-th core z of each replica (in-replica index i with "
+                 "i % S == 0), S the smallest power of two keeping at most samples_per_epoch "
+                 "values; S = 0 keeps none\n")
         fh.write("replica,epoch,z,y,first_point_survived,origin_alive\n")
         for summary in pooled:
-            # the first `cap` z values in pooled order, which groups them by
-            # replica; row i is head + z + tail of the replica z[i] came from
-            z = summary.z_samples[:max(cap, 0)].tolist()
+            fh.write(f"# epoch {summary.epoch} stride {summary.z_stride}\n")
+            if not summary.z_stride:
+                continue
+            # row i is head + z + tail of the replica z[i] came from
+            held = -(-summary.core_sizes // summary.z_stride)
             heads = [f"{int(r)},{summary.epoch}," for r in summary.replica]
             tails = [f",{float(y)!r},{int(f)},{int(o)}\n" for y, f, o in
                      zip(summary.y, summary.first_point_survived, summary.origin_alive)]
-            rows = [""] * (3 * len(z))
-            rows[0::3] = np.repeat(np.array(heads, dtype=object), summary.core_sizes)[:len(z)]
-            rows[1::3] = map(repr, z)
-            rows[2::3] = np.repeat(np.array(tails, dtype=object), summary.core_sizes)[:len(z)]
+            rows = [""] * (3 * summary.z_samples.size)
+            rows[0::3] = np.repeat(np.array(heads, dtype=object), held)
+            rows[1::3] = map(repr, summary.z_samples.tolist())
+            rows[2::3] = np.repeat(np.array(tails, dtype=object), held)
             fh.write("".join(rows))
     with open(os.path.join(out, "replicas.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))

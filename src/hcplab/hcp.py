@@ -13,7 +13,7 @@ stream only, in the same order whatever batch it runs in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -63,10 +63,14 @@ class EpochSummary:
     """Observables at the start of one epoch, possibly pooled over replicas.
 
     Arrays indexed by sample (z_samples) or by replica (everything else).
+    z_stride says which core z-samples are held: 1 all of them, S > 1 those
+    at in-replica core index i with i % S == 0 (replica by replica, in
+    replica order), 0 none.
     """
 
     epoch: int
     d_n: float
+    z_stride: int
     z_samples: np.ndarray
     first_point: np.ndarray
     y: np.ndarray
@@ -79,16 +83,84 @@ class EpochSummary:
 
     @property
     def core_size(self) -> int:
-        return int(self.z_samples.size)
+        return int(self.core_sizes.sum())
+
+
+_ARRAY_FIELDS = [f.name for f in fields(EpochSummary)[3:]]
+
+
+def _concat(parts) -> EpochSummary:
+    strides = {p.z_stride for p in parts}
+    if len(strides) > 1:
+        raise ValueError(f"cannot pool z samples held at strides {sorted(strides)}")
+    return EpochSummary(parts[0].epoch, parts[0].d_n, strides.pop(),
+                        *(np.concatenate([getattr(p, name) for p in parts])
+                          for name in _ARRAY_FIELDS))
 
 
 def pool_summaries(runs: list[list[EpochSummary]]) -> list[EpochSummary]:
     """Concatenate the summaries of consecutive replica batches epoch by epoch,
     so the result does not depend on how replicas are batched."""
-    return [EpochSummary(parts[0].epoch, parts[0].d_n,
-                         *(np.concatenate([getattr(p, f.name) for p in parts])
-                           for f in fields(EpochSummary)[2:]))
-            for parts in zip(*runs)]
+    return [_concat(parts) for parts in zip(*runs)]
+
+
+def _held(core_sizes: np.ndarray, stride: int) -> int:
+    """How many core z the replicas keep at ``stride`` > 0."""
+    return int((-(-core_sizes // stride)).sum())
+
+
+def _restride(part: EpochSummary, stride: int) -> EpochSummary:
+    """``part`` with its z held at ``stride``, a multiple of its own stride
+    (or 0).  The kept values are copied, so the batch array is not pinned."""
+    if stride == part.z_stride:
+        return part
+    if stride == 0:
+        return replace(part, z_stride=0, z_samples=np.empty(0))
+    held = -(-part.core_sizes // part.z_stride)  # per replica
+    index = np.arange(part.z_samples.size) - np.repeat(np.cumsum(held) - held, held)
+    return replace(part, z_stride=stride,
+                   z_samples=part.z_samples[index % (stride // part.z_stride) == 0])
+
+
+class _EpochFold:
+    """One epoch's summary, folded in batch by batch.
+
+    Per-replica fields are kept whole.  With ``keep`` = k, the core z of each
+    replica is held at stride S, the smallest power of two with
+    sum_r ceil(core_r / S) <= k, or at 0 when k is 0 or below the number of
+    replicas with a nonempty core.  S only grows as batches arrive, and the
+    powers of two nest, so the held values depend on the totals alone.
+    """
+
+    def __init__(self, keep: int | None):
+        self.keep = keep
+        self.parts: list[EpochSummary] = []
+        self.stride = 1
+        self.held = 0
+        self.nonempty = 0
+
+    def add(self, part: EpochSummary) -> None:
+        if self.keep is None:
+            self.parts.append(part)
+            return
+        self.nonempty += int(np.count_nonzero(part.core_sizes))
+        stride = self.stride
+        if self.keep < max(self.nonempty, 1):
+            stride, self.held = 0, 0
+        else:
+            self.held += _held(part.core_sizes, stride)
+            while self.held > self.keep:
+                stride *= 2
+                self.held = sum(_held(p.core_sizes, stride) for p in (*self.parts, part))
+        if stride != self.stride:
+            self.parts = [_restride(p, stride) for p in self.parts]
+            self.stride = stride
+        self.parts.append(_restride(part, stride))
+
+    def pop(self) -> EpochSummary:
+        """The pooled summary; the fold lets go of its parts."""
+        parts, self.parts = self.parts, []
+        return _concat(parts)
 
 
 def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
@@ -150,6 +222,7 @@ def _run_batch(batch, schedule: EpochSchedule, n_epochs: int,
         summaries.append(EpochSummary(
             epoch=n,
             d_n=d_n,
+            z_stride=1,
             z_samples=gaps[core] / d_n,
             first_point=x0,
             y=x0 / d_n,
@@ -179,33 +252,47 @@ def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
 
 
 def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
-              n_replicas: int, base_seed: int, window: WindowPolicy) -> list[EpochSummary]:
+              n_replicas: int, base_seed: int, window: WindowPolicy,
+              z_per_epoch: int | None = None) -> list[EpochSummary]:
     """Pool independent replicas; replica r uses the stream derived from
     (base_seed, r), so the pooled output is reproducible and does not depend
-    on how replicas are batched."""
+    on how replicas are batched.
+
+    ``z_per_epoch`` None keeps every core z-sample.  An integer k keeps, per
+    epoch, every S-th core z of each replica, with S the smallest power of
+    two that keeps at most k (see ``EpochSummary.z_stride``); 0 keeps none.
+    Per-replica fields are always kept whole.
+    """
     if n_replicas < 1:
         raise ValueError("need at least one replica")
+    if z_per_epoch is not None and z_per_epoch < 0:
+        raise ValueError("z_per_epoch must be None or at least 0")
     return _run(spec, schedule, n_epochs, window,
-                ((r, replica_rng(base_seed, r)) for r in range(n_replicas)))
+                ((r, replica_rng(base_seed, r)) for r in range(n_replicas)), z_per_epoch)
 
 
-def _run(spec, schedule, n_epochs, window, streams) -> list[EpochSummary]:
-    """Run the replicas (replica, rng) of ``streams`` in batches; a window that
-    runs out raises for the earliest epoch at which any replica runs out."""
+def _run(spec, schedule, n_epochs, window, streams,
+         z_per_epoch: int | None = None) -> list[EpochSummary]:
+    """Run the replicas (replica, rng) of ``streams`` in batches, folding each
+    batch into the per-epoch summaries as it finishes; a window that runs out
+    raises for the earliest epoch at which any replica runs out."""
     if n_epochs < 1:
         raise ValueError("need at least one epoch")
     schedule.validate(n_epochs)
-    runs, exhausted = [], None
+    folds, exhausted = [_EpochFold(z_per_epoch) for _ in range(n_epochs)], None
     for batch in _batches(spec, schedule, n_epochs, window, streams):
         try:
             # after an exhaustion, later batches only look for an earlier one
-            runs.append(_run_batch(batch, schedule,
-                                   n_epochs if exhausted is None else exhausted - 1, window))
+            summaries = _run_batch(batch, schedule,
+                                   n_epochs if exhausted is None else exhausted - 1, window)
         except WindowExhaustedError as err:
-            exhausted = err.epoch
+            exhausted, folds = err.epoch, []
+            continue
+        for fold, summary in zip(folds, summaries):
+            fold.add(summary)
     if exhausted is not None:
         raise WindowExhaustedError(exhausted)
-    return pool_summaries(runs)
+    return [fold.pop() for fold in folds]
 
 
 def _batches(spec, schedule, n_epochs, window, streams):

@@ -17,6 +17,10 @@ import numpy as np
 from .measures import AtomicMeasure, exp_geometric_law
 
 
+# log(smallest positive float / 2); a positive value below that rounds to 0.0
+_LOG_HALF_SUBNORMAL = math.log(np.finfo(np.float64).smallest_subnormal) - math.log(2.0)
+
+
 class SamplingContractError(ValueError):
     """A sampler produced values violating its contract (e.g. nonpositive)."""
 
@@ -70,10 +74,17 @@ class GeometricLaw:
 
     def atomic(self, l_max: float) -> AtomicMeasure:
         n = int(l_max)
-        k = np.arange(1, n + 1, dtype=np.float64)
-        masses = self.q * (1 - self.q) ** (k - 1)
         # far atoms underflow to exactly 0.0 (past k ~ 7,000 for q = 0.1);
-        # they carry no mass and would only widen every later array
+        # they carry no mass and would only widen every later array.  Past
+        # the k where (1-q)^(k-1) drops below half the smallest positive
+        # float, it and the mass round to 0.0, so only that prefix (plus 2
+        # for the rounding of pow and of the bound) is computed.
+        if self.q == 1.0:
+            last = 1
+        else:
+            last = _LOG_HALF_SUBNORMAL / math.log1p(-self.q) + 2.0
+        k = np.arange(1, (n if last >= n else int(last)) + 1, dtype=np.float64)
+        masses = self.q * (1 - self.q) ** (k - 1)
         keep = masses > 0.0
         return AtomicMeasure(k[keep], masses[keep], l_max, deficit=(1 - self.q) ** n)
 

@@ -12,7 +12,8 @@ l_max, the far ones of mass 0.0 included.
 ``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
 invalidation, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
 replica: the simulator as it was before the epoch resolver and the segmented
-engine replaced it.
+engine replaced it.  ``thinned_z`` applies the ``z_per_epoch`` rule of
+``replicate`` to a summary that holds every core z, one replica at a time.
 """
 
 from __future__ import annotations
@@ -276,6 +277,7 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
         summaries.append(EpochSummary(
             epoch=n,
             d_n=d_n,
+            z_stride=1,
             z_samples=z,
             first_point=np.array([x0]),
             y=np.array([x0 / d_n]),
@@ -300,3 +302,20 @@ def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: in
     return pool_summaries([run_hcp_loop(spec, schedule, n_epochs, window,
                                         replica_rng(base_seed, r), replica=r)
                            for r in range(n_replicas)])
+
+
+def thinned_z(summary: EpochSummary, k: int) -> tuple[int, np.ndarray]:
+    """(stride, kept z) of ``replicate(..., z_per_epoch=k)`` for one epoch,
+    from the summary of the same run with every core z kept: replica r keeps
+    z_r[::S] for the smallest power of two S with sum_r ceil(core_r/S) <= k;
+    S is 0, and nothing is kept, when k is 0 or no S keeps at most k."""
+    assert summary.z_stride == 1
+    cores = [int(c) for c in summary.core_sizes]
+    if k == 0 or sum(c > 0 for c in cores) > k:
+        return 0, np.empty(0)
+    stride = 1
+    while sum(math.ceil(c / stride) for c in cores) > k:
+        stride *= 2
+    ends = np.cumsum(cores)
+    return stride, np.concatenate([summary.z_samples[end - c:end][::stride]
+                                   for c, end in zip(cores, ends)])

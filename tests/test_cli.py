@@ -4,11 +4,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hcplab
 import hcplab.cli
-from hcplab.cli import main
+from hcplab.cli import build_schedule, build_spec, build_window, main
+from hcplab.hcp import replicate
+from oracles import thinned_z
 
 
 BASE_CONFIG = {
@@ -88,6 +91,64 @@ class TestSimulate:
         assert main(["simulate", "--config", str(path), "--out",
                      str(tmp_path / "h")]) == 2
         assert "line 1" in capsys.readouterr().err
+
+
+README_CONFIG = {
+    "seed": 1,
+    "epochs": 10,
+    "replicas": 4,
+    "initial_law": {"kind": "geometric", "q": 0.1},
+    "process": {"variant": "periodic"},
+    "schedule": {"thresholds": "geometric", "a": 2.0, "rates": "east"},
+    "window": {"n_intervals": 200000, "buffer_factor": 16.0},
+}
+
+
+def read_samples(path):
+    """(stride per epoch, data rows, epoch of the last stride line before each row)."""
+    strides, marks, lines = {}, [], []
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("# epoch "):
+                _, _, epoch, _, stride = line.split()
+                strides[int(epoch)] = int(stride)
+            elif not line.startswith("#"):
+                lines.append(line)
+                marks.append(max(strides, default=0))
+    assert lines[0] == "replica,epoch,z,y,first_point_survived,origin_alive\n"
+    rows = np.loadtxt(lines[1:], delimiter=",", ndmin=2) if len(lines) > 1 \
+        else np.empty((0, 6))
+    return strides, rows, np.array(marks[1:])
+
+
+class TestSamplesCsv:
+    def test_readme_config_keeps_every_stride_th_z(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(README_CONFIG))
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", str(path), "--out", out]) == 0
+        strides, rows, marks = read_samples(os.path.join(out, "samples.csv"))
+        np.testing.assert_array_equal(rows[:, 1], marks)
+        full = replicate(build_spec(README_CONFIG), build_schedule(README_CONFIG), 10, 4, 1,
+                         build_window(README_CONFIG))
+        for summary in full:
+            stride, z = thinned_z(summary, 50_000)
+            assert strides[summary.epoch] == stride > 0
+            at = rows[rows[:, 1] == summary.epoch]
+            np.testing.assert_array_equal(at[:, 2], z)
+            held = -(-summary.core_sizes // stride)
+            np.testing.assert_array_equal(at[:, 0], np.repeat(summary.replica, held))
+            np.testing.assert_array_equal(at[:, 3], np.repeat(summary.y, held))
+        # epoch 1 draws from every replica; epoch 10 keeps every core z
+        assert strides[1] == 16 and set(rows[rows[:, 1] == 1, 0]) == {0, 1, 2, 3}
+        assert strides[10] == 1 and np.sum(rows[:, 1] == 10) == full[9].core_size == 8747
+
+    def test_zero_keeps_no_rows(self, tmp_path):
+        cfg = write_config(tmp_path, {"samples_per_epoch": 0})
+        out = str(tmp_path / "sim")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 0
+        strides, rows, _ = read_samples(os.path.join(out, "samples.csv"))
+        assert strides == {1: 0, 2: 0} and rows.size == 0
 
 
 class TestAnalytic:

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hcplab.schedule import (EpochSchedule,
                              PresetRateFactory, ScheduleError, east_schedule,
                              paste_all_schedule)
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
-from oracles import replicate_loop, run_hcp_loop
+from oracles import replicate_loop, run_hcp_loop, thinned_z
 
 
 class TestSchedule:
@@ -252,6 +253,55 @@ class TestEngineOracle:
         with pytest.raises(WindowExhaustedError) as err:
             replicate(spec, east_schedule(2.0), 12, 4, 4, window)
         assert err.value.epoch == 5
+
+
+class TestZThinning:
+    """``z_per_epoch`` against the one-replica-at-a-time oracle rule."""
+
+    SPEC = LeftBounded(GeometricLaw(0.5))
+    WINDOW = WindowPolicy(n_intervals=300, buffer_factor=2.0)
+
+    @pytest.mark.parametrize("batch_points", [700, hcp._BATCH_POINTS])
+    @pytest.mark.parametrize("keep", [0, 1, 6, 40, 300, 10**6])
+    def test_matches_oracle_rule(self, keep, batch_points, monkeypatch):
+        # seven replicas with cores of ~300 down to ~7 over six epochs; 700
+        # points run them two at a time, so the stride grows batch by batch
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
+        full = replicate(self.SPEC, east_schedule(2.0), 6, 7, 5, self.WINDOW)
+        thin = replicate(self.SPEC, east_schedule(2.0), 6, 7, 5, self.WINDOW,
+                         z_per_epoch=keep)
+        strides = []
+        for a, b in zip(full, thin, strict=True):
+            stride, z = thinned_z(a, keep)
+            assert b.z_stride == stride
+            np.testing.assert_array_equal(b.z_samples, z)
+            assert b.core_size == a.core_size == a.z_samples.size
+            for field in dataclasses.fields(a):
+                if field.name not in ("z_stride", "z_samples"):
+                    np.testing.assert_array_equal(getattr(b, field.name),
+                                                  getattr(a, field.name))
+            strides.append(stride)
+        if keep == 40:
+            assert len(set(strides)) > 2
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="z_per_epoch"):
+            replicate(self.SPEC, east_schedule(2.0), 2, 2, 5, self.WINDOW, z_per_epoch=-1)
+
+    def test_memory_does_not_grow_with_replicas(self):
+        # criterion 5's shape: only the O(replicas * epochs) per-replica
+        # fields may grow, so the peak stays at about one batch's working set
+        def peak(n_replicas):
+            tracemalloc.start()
+            try:
+                replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 8, n_replicas,
+                          50, WindowPolicy(n_intervals=2048), z_per_epoch=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(100), peak(400)
+        assert large < 1.1 * small, (small, large)
 
 
 class TestWindowSizing:

@@ -221,8 +221,11 @@ class TestExpGeometricLaw:
 
 
 class TestGeometricAtomic:
-    # q = 0.1 underflows past k ~ 7,052 and q = 0.5 past k ~ 1,075
-    @pytest.mark.parametrize("q, l_max", [(0.1, 12800.0), (0.5, 2048.0), (1.0, 8.0)])
+    # q = 0.1 underflows past k ~ 7,052 and q = 0.5 past k ~ 1,075; the
+    # l_max grid puts the cut on both sides of the last positive atom
+    @pytest.mark.parametrize("q, l_max", [(0.1, 12800.0), (0.5, 2048.0), (1.0, 8.0)]
+                             + [(q, l_max) for q in (0.1, 0.5, 0.9)
+                                for l_max in (1e3, 1e4, 1e5)])
     def test_drops_only_zero_mass_atoms(self, q, l_max):
         law = GeometricLaw(q).atomic(l_max)
         full = geometric_atomic_full(q, l_max)
