@@ -88,8 +88,8 @@ class IntervalConfiguration:
         with open(path, "w") as fh:
             fh.write(f"# boundary={self.boundary.value} first_point={self.first_point!r}\n")
             fh.write("index,left,length\n")
-            for i, d in enumerate(self.lengths):
-                fh.write(f"{i},{float(pts[i])!r},{float(d)!r}\n")
+            fh.write("".join(f"{i},{x!r},{d!r}\n" for i, (x, d) in
+                             enumerate(zip(pts.tolist(), self.lengths.tolist()))))
 
     @classmethod
     def from_csv(cls, path) -> "IntervalConfiguration":

@@ -5,13 +5,14 @@ Because a merged domain is never active again within an epoch (assumption
 exponential clock per initially active domain, plus one direction coin.  A
 ring on domain i (points i, i+1) merges unless an earlier ring that merged
 erased one of its points, and only domain i-1 (erasing point i) and domain
-i+1 (erasing point i+1) can.  The resolver peels: rings without such a threat
-merge, and each round settles the rings whose threats are settled.  Earlier
-means lower (time, domain index), so ties go to the lower index; with a fixed
-seed an epoch is reproducible bit for bit, and scaling both rate functions by
-a common constant changes only the time axis, not the event order.  Point
-arrays may hold several configurations back to back (segments), each drawing
-from its own generator; no domain borders one of another segment.
+i+1 (erasing point i+1) can.  The resolver marks these threats between
+neighbouring rings and iterates "a ring merges unless a ring that threatens it
+merges" to its fixed point.  Earlier means lower (time, domain index), so
+ties go to the lower index; with a fixed seed an epoch is reproducible bit
+for bit, and scaling both rate functions by a common constant changes only
+the time axis, not the event order.  Point arrays may hold several
+configurations back to back (segments), each drawing from its own generator;
+no domain borders one of another segment.
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ class MergeLog:
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("time,position,direction\n")
-            for t, p, d in zip(self.times, self.positions, self.directions):
-                fh.write(f"{float(t)!r},{float(p)!r},{int(d)}\n")
+            fh.write("".join(f"{t!r},{p!r},{d}\n" for t, p, d in
+                             zip(self.times.tolist(), self.positions.tolist(),
+                                 self.directions.tolist())))
 
 
 @dataclass(frozen=True)
@@ -95,55 +97,64 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     if gaps.min() < rates.d_min * (1 - 1e-9) - 1e-12:
         raise StateSpaceError(
             f"interval of length {gaps.min()} below d_min={rates.d_min}")
-    slots = np.flatnonzero((gaps >= rates.d_min) & (gaps < rates.d_max))
+    index = np.int32 if gaps.size < 2**31 else np.intp
+    active = (gaps >= rates.d_min) & (gaps < rates.d_max)
+    slots = active.nonzero()[0].astype(index)          # the rings, in slot order
+    n = slots.size
     lam_r = np.asarray(rates.lambda_right(gaps[slots]), dtype=float)
     lam = np.asarray(rates.lambda_left(gaps[slots]), dtype=float) + lam_r
-    if np.any(lam <= 0):
+    if (lam <= 0).any():
         raise RateValidityError("active domain with zero total rate; validate_rates first")
-    n = slots.size
-    bounds = np.concatenate((np.searchsorted(slots, starts), [n]))  # segment r's rings
+    bounds = slots.searchsorted(starts.astype(index)).tolist() + [n]  # segment r's rings
     times, coins = np.empty(n), np.empty(n)
-    for rng, lo, hi in zip(rngs, bounds[:-1].tolist(), bounds[1:].tolist()):
+    for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
         times[lo:hi] = rng.exponential(scale=1.0, size=hi - lo)
         coins[lo:hi] = rng.random(hi - lo)
     # standard exponentials divided by the rates: scaling every rate by a
     # common constant rescales the time axis without reordering any event
     times /= lam
-    erase_left = coins < (lam_r / lam)
+    erase_left = coins < np.divide(lam_r, lam, out=lam)  # lam_r / lam, in lam's place
+    del lam, lam_r, coins
 
-    # the resolver.  Only a periodic segment rings on its last slot, whose
-    # domain ends at the segment's first point.
-    seg = np.repeat(np.arange(starts.size), np.diff(bounds))
-    wraps = slots == np.concatenate((starts[1:], [gaps.size]))[seg] - 1
-    right_end = np.where(wraps, starts[seg], slots + 1)
-    victims = np.where(erase_left, slots, right_end)
-    # ring pairs (a, b) whose domains share a point, a's right end
-    b = np.where(wraps, bounds[seg], np.arange(1, n + 1))
-    a = np.flatnonzero((np.concatenate((slots, [-1]))[b] == right_end) & (b != np.arange(n)))
-    b = b[a]
-    a_first = (times[a] < times[b]) | ((times[a] == times[b]) & (a < b))
-    left = np.full(n, n)        # the earlier ring that erases my left end; n: none
-    right = np.full(n, n)       # the earlier ring that erases my right end
-    hit = ~erase_left[a] & a_first
-    left[b[hit]] = a[hit]
-    hit = erase_left[b] & ~a_first
-    right[a[hit]] = b[hit]
-    valid = np.zeros(n + 1, dtype=bool)       # entry n: no threat, never valid
-    settled = np.ones(n + 1, dtype=bool)
-    pending = np.flatnonzero((left < n) | (right < n))
-    settled[pending] = False
-    valid[:n] = settled[:n]
-    while pending.size:
-        lt, rt = left[pending], right[pending]
-        ready = settled[lt] & settled[rt]
-        done = pending[ready]
-        valid[done] = ~(valid[lt[ready]] | valid[rt[ready]])
-        settled[done] = True
-        pending = pending[~ready]
-    valid = valid[:n]
+    # Rings i and i + 1 share a point when their slots are adjacent, except
+    # across a periodic segment's end: only such a segment rings on its last
+    # slot, whose domain ends at the segment's first point.  That wrap ring
+    # pairs with the segment's first ring, unless it is that ring.
+    victims = slots + ~erase_left
+    pair = slots[1:] == slots[:-1] + 1
+    wrap = active[np.append(starts[1:], gaps.size) - 1].nonzero()[0]
+    src = dst = wrap        # wrap pairs in which ring src erases a point of ring dst first
+    if wrap.size:
+        bounds = np.array(bounds, dtype=index)
+        last, first = bounds[wrap + 1] - 1, bounds[wrap]
+        victims[last] = np.where(erase_left[last], slots[last], starts[wrap])
+        pair[last[last < n - 1]] = False
+        closed = (slots[first] == starts[wrap]) & (first != last)
+        last, first = last[closed], first[closed]
+        ahead = times[last] < times[first]             # first < last wins a tie
+        hit = np.where(ahead, ~erase_left[last], erase_left[first])
+        src = np.where(ahead, last, first)[hit]
+        dst = np.where(ahead, first, last)[hit]
+    ahead = times[:-1] <= times[1:]     # ring i rings before ring i + 1 (ties: lower index)
+    from_left = pair & ahead & ~erase_left[:-1]        # i erases i + 1's left end first
+    from_right = pair & erase_left[1:] & ~ahead        # i + 1 erases i's right end first
+    # A ring merges unless a ring that erases one of its points first merges.
+    # Those threats run from earlier to later rings, so they form no cycle,
+    # and iterating from "every ring merges" fixes one more link of the
+    # longest chain of threats each round.
+    merged = np.ones(n, dtype=bool)
+    while True:
+        lost = np.zeros(n, dtype=bool)
+        lost[1:] = from_left & merged[:-1]
+        lost[:-1] |= from_right & merged[1:]
+        lost[dst] |= merged[src]
+        if not (lost == merged).any():                 # merged == ~lost: the fixed point
+            break
+        merged = ~lost
+    times, victims, erase_left = times[merged], victims[merged], erase_left[merged]
     alive = np.ones(gaps.size, dtype=bool)
-    alive[victims[valid]] = False
-    return alive, times[valid], victims[valid], erase_left[valid]
+    alive[victims] = False
+    return alive, times, victims, erase_left
 
 
 def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
@@ -164,7 +175,7 @@ def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
     circ = config.circumference if periodic else None
     alive, times, victims, erase_left = _simulate_points(
         segment_gaps(points, starts, config.boundary, circ)[0], starts, rates, [rng])
-    order = np.argsort(times, kind="stable")  # rings are in domain order
+    order = times.argsort(kind="stable")  # rings are in domain order
     log = MergeLog(times[order], points[victims[order]],
                    np.where(erase_left[order], -1, 1))
     survivors = points[alive]
@@ -178,7 +189,7 @@ def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
                                       gaps if periodic else gaps[:-1], config.boundary)
     if final.n_intervals:
         lengths_ok = final.lengths >= rates.d_max * (1 - 1e-9) - 1e-9
-        if not np.all(lengths_ok):
+        if not lengths_ok.all():
             bad = final.lengths[~lengths_ok].min()
             raise AssertionError(
                 f"absorbing state violated: final length {bad} < d_max={rates.d_max}")

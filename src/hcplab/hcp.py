@@ -23,8 +23,8 @@ from .sampling import RenewalSpec, replica_rng, sample_spec
 from .schedule import EpochSchedule
 
 # Replicas are batched while their initial point count stays under this.  A
-# batch holds ~150 bytes per active domain, and larger batches were no faster
-# for 64- or 8192-interval replicas.
+# batch peaks at about 65 traced bytes per point when every domain is active,
+# and larger batches were no faster for 64- or 8192-interval replicas.
 _BATCH_POINTS = 1 << 16
 
 

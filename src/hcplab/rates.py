@@ -69,14 +69,14 @@ def validate_rates(rates: RateFamily, probe_grid=None) -> RateReport:
         left = np.asarray(rates.lambda_left(grid), dtype=float)
         right = np.asarray(rates.lambda_right(grid), dtype=float)
         total = left + right
-        active = (grid >= rates.d_min) & (grid < rates.d_max)
-        for d, t in zip(grid[active], total[active]):
-            if t <= 0:
-                violations.append(f"(A1) violated: total rate {t} at active length {d}")
-        for d, t in zip(grid[~active], total[~active]):
-            if t != 0:
-                violations.append(f"(A1) violated: nonzero rate {t} at inactive length {d}")
-        if np.any(left < 0) or np.any(right < 0):
+        active = grid < rates.d_max
+        dead = active & (total <= 0)
+        for d, t in zip(grid[dead], total[dead]):
+            violations.append(f"(A1) violated: total rate {t} at active length {d}")
+        leaky = ~active & (total != 0)
+        for d, t in zip(grid[leaky], total[leaky]):
+            violations.append(f"(A1) violated: nonzero rate {t} at inactive length {d}")
+        if (left < 0).any() or (right < 0).any():
             violations.append("negative rate on the probe grid")
         too_big = np.maximum(left, right) > rates.rate_bound * (1 + 1e-12)
         if np.any(too_big):

@@ -24,7 +24,7 @@ def replica_rng(base_seed: int, replica: int = 0) -> np.random.Generator:
 
 
 def _check_lengths(lengths: np.ndarray) -> np.ndarray:
-    if np.any(~np.isfinite(lengths)) or np.any(lengths <= 0):
+    if not ((lengths > 0) & (lengths < np.inf)).all():  # a NaN fails both
         raise SamplingContractError("law produced a nonpositive or non-finite length")
     return lengths
 

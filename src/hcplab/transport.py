@@ -149,8 +149,10 @@ def un_transport(u1: StepFunction, d_n: float, x: float) -> float:
 
 # Sites times laws per slice-add of the lattice sweep.  Short chunks are one
 # slice-add each; a longer chunk is split, which bounds each tap's tiled
-# weight vector at 512 KiB.
-_SWEEP_PIECE = 1 << 16
+# weight vector, and each slice-add's product, at 128 KiB.  Those buffers are
+# the heap the sweep adds at reproduce-figb's peak; 512 KiB ones were no
+# faster and held about 2 MiB more.
+_SWEEP_PIECE = 1 << 14
 
 
 def _u1_lattice(c: np.ndarray, atom_idx: np.ndarray, atom_mass: np.ndarray) -> None:

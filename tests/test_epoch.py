@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -148,7 +149,11 @@ class ScriptedRng:
 @st.composite
 def scripted_epochs(draw):
     """Segments of 1-200 domains, each active (length 1) or not (length 3),
-    with integer clocks from a small range so that ring times tie often."""
+    with integer clocks from a small range so that ring times tie often.  One
+    segment in ten each is cut to 1 or 2 domains (a periodic segment of one
+    domain is its own neighbour, one of two closes a wrap pair), has no active
+    domain, or has only even ones before the last, so that no two of its rings
+    share a point."""
     periodic = draw(st.booleans())
     n_segments = draw(st.integers(1, 4))
     sizes = draw(st.lists(st.integers(1, 200), min_size=n_segments, max_size=n_segments))
@@ -157,7 +162,14 @@ def scripted_epochs(draw):
     gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     segments = []
     for n in sizes:
+        kind = gen.choice(["mixed", "tiny", "none", "spaced"], p=[0.7, 0.1, 0.1, 0.1])
+        if kind == "tiny":
+            n = 1 + n % 2
         lengths = np.where(gen.random(n) < p_active, 1.0, 3.0)
+        if kind == "none":
+            lengths[:] = 3.0
+        elif kind == "spaced":
+            lengths[(np.arange(n) % 2 == 1) | (np.arange(n) == n - 1)] = 3.0
         k = int(np.count_nonzero(lengths == 1.0))
         clocks = gen.integers(0, top + 1, size=k).astype(float)
         coins = np.where(gen.random(k) < 0.5, 0.25, 0.75)
@@ -172,7 +184,7 @@ class TestResolverOracle:
     rates = constant_rates(1.0, 2.0, 1.0, 1.0)
 
     @given(case=scripted_epochs())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     def test_matches_event_loop(self, case):
         periodic, segments = case
         points = np.concatenate([cfg.relative_points() for cfg, _, _ in segments])
@@ -198,6 +210,25 @@ class TestResolverOracle:
             assert np.array_equal(res.log.directions, ref[1].directions)
             assert res.clock == ref[2]
         assert np.array_equal(alive, np.concatenate(ref_alive))
+
+
+class TestResolverMemory:
+    def test_peak_bytes_per_point(self):
+        # one call on 64 left-bounded segments of 1,024 unit domains, all
+        # active: the traced peak, result included, per point of the input
+        n_segments, n_domains = 64, 1024
+        points = np.tile(np.arange(n_domains + 1, dtype=float), n_segments)
+        starts = np.arange(n_segments) * (n_domains + 1)
+        gaps = segment_gaps(points, starts, Boundary.LEFT_BOUNDED)[0]
+        rngs = [replica_rng(53, r) for r in range(n_segments)]
+        tracemalloc.start()
+        try:
+            alive = _simulate_points(gaps, starts, paste_all_rates(1.0, 2.0), rngs)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < np.count_nonzero(~alive) < n_segments * n_domains
+        assert peak / points.size <= 64, peak / points.size
 
 
 class TestEpochObservables:
