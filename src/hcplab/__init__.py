@@ -20,10 +20,10 @@ from .measures import (AtomicMeasure, DeficitError, MeasureError,
                        convolution_power, dirac, discretize_cdf,
                        epoch_pushforward, exp_geometric_law, from_pmf,
                        iterate_hcp_measures, survival_probability_exact)
-from .transport import (C0Estimate, StepFunction, TransformPair,
-                        TransportRangeError, c0_estimate, deconvolve_m,
-                        default_c0_grid, reassemble_z_law, u1_from_m,
-                        u1_on_lattice, un_transport)
+from .transport import (C0Estimate, LatticeStepFunction, StepFunction,
+                        TransformPair, TransportRangeError, c0_estimate,
+                        deconvolve_m, default_c0_grid, reassemble_z_law,
+                        u1_from_m, u1_on_lattice, un_transport)
 from .limits import (EULER_GAMMA, LimitLawParams, ein, exp_integral,
                      first_point_limit_transform, g_infinity, limit_moment,
                      z_cdf, z_density)

@@ -180,16 +180,17 @@ def cmd_simulate(cfg: dict, out: str) -> int:
             fh.write(f"# epoch {summary.epoch} stride {summary.z_stride}\n")
             if not summary.z_stride:
                 continue
-            # row i is head + z + tail of the replica z[i] came from
+            # a replica's rows are head + z + tail for each z it holds
             held = -(-summary.core_sizes // summary.z_stride)
-            heads = [f"{int(r)},{summary.epoch}," for r in summary.replica]
-            tails = [f",{float(y)!r},{int(f)},{int(o)}\n" for y, f, o in
-                     zip(summary.y, summary.first_point_survived, summary.origin_alive)]
-            rows = [""] * (3 * summary.z_samples.size)
-            rows[0::3] = np.repeat(np.array(heads, dtype=object), held)
-            rows[1::3] = map(repr, summary.z_samples.tolist())
-            rows[2::3] = np.repeat(np.array(tails, dtype=object), held)
-            fh.write("".join(rows))
+            z = summary.z_samples.tolist()
+            stops = np.cumsum(held).tolist()
+            for r, y, f, o, lo, hi in zip(
+                    summary.replica.tolist(), summary.y.tolist(),
+                    summary.first_point_survived.tolist(), summary.origin_alive.tolist(),
+                    [0] + stops[:-1], stops):
+                if lo < hi:
+                    head, tail = f"{r},{summary.epoch},", f",{y!r},{int(f)},{int(o)}\n"
+                    fh.write(head + (tail + head).join(map(repr, z[lo:hi])) + tail)
     with open(os.path.join(out, "replicas.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("replica,epoch,d_n,y,first_point_survived,origin_alive,"
@@ -304,9 +305,14 @@ def cmd_limits(cfg: dict, out: str) -> int:
 
 
 # Lattice sites times laws in one u1_on_lattice call, whose result holds 8
-# bytes per site and law: figb's default three laws on 1.44 M sites (33 MiB)
-# share one sweep, and a long q list runs in groups instead of growing memory.
+# bytes per site and law, its whole cost: figb's default three laws on 1.44 M
+# sites (33 MiB) share one sweep, and a long q list runs in groups instead of
+# growing memory.
 _FIGB_SWEEP_SITES = 1 << 23
+# Lattice sites of one law (1 GiB at 8 bytes a site).  The README config
+# uses 1.44 M; each step of figb.horizon doubles the count, so an oversized
+# request fails here with the knobs named instead of in the allocator.
+_FIGB_MAX_SITES = 1 << 27
 
 
 def cmd_reproduce_figb(cfg: dict, out: str) -> int:
@@ -315,8 +321,21 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
     x = float(_require(cfg, "figb.x", (int, float), default=10.0))
     spacing = float(_require(cfg, "figb.lattice", (int, float), default=1.0 / 16.0))
     arithmetic = bool(_require(cfg, "figb.arithmetic", bool, default=False))
+    if horizon < 1:
+        raise ConfigError(f"config field 'figb.horizon': need at least 1, got {horizon}")
+    for name, value in (("figb.x", x), ("figb.lattice", spacing)):
+        if not value > 0:
+            raise ConfigError(f"config field '{name}': need a positive value, got {value!r}")
     d_of = (lambda n: float(n)) if arithmetic else (lambda n: 2.0 ** (n - 1))
-    j_max = d_of(horizon) * (1 + x) + 2
+    try:
+        j_max = d_of(horizon) * (1 + x) + 2
+    except OverflowError:  # 2^(horizon - 1) beyond the float range
+        j_max = math.inf
+    if j_max / spacing >= _FIGB_MAX_SITES:
+        raise MeasureError(
+            f"the transport lattice needs {j_max / spacing + 1:.3g} sites per law, above "
+            f"the budget of {_FIGB_MAX_SITES}; lower figb.horizon or figb.x, or coarsen "
+            f"figb.lattice")
     n_atoms = max(1, int(math.log(j_max)) + 1)
     laws = [exp_geometric_law(1.0 - float(q), n_atoms, l_max=float("inf")) for q in qs]
     per_sweep = max(1, _FIGB_SWEEP_SITES // (int(j_max / spacing) + 1))

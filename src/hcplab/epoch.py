@@ -103,7 +103,7 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     n = slots.size
     lam_r = np.asarray(rates.lambda_right(gaps[slots]), dtype=float)
     lam = np.asarray(rates.lambda_left(gaps[slots]), dtype=float) + lam_r
-    if (lam <= 0).any():
+    if not (lam > 0).all():  # NaN too
         raise RateValidityError("active domain with zero total rate; validate_rates first")
     bounds = slots.searchsorted(starts.astype(index)).tolist() + [n]  # segment r's rings
     times, coins = np.empty(n), np.empty(n)
@@ -170,11 +170,14 @@ def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
         if not report.ok:
             raise RateValidityError("; ".join(report.violations))
     periodic = config.boundary is Boundary.PERIODIC
-    points = config.points()
+    # gaps come from the points relative to the first one: adding a
+    # fractional first point first could round a length below d_min
+    rel = config.relative_points()
+    points = config.first_point + rel
     starts = np.zeros(1, dtype=np.intp)
     circ = config.circumference if periodic else None
     alive, times, victims, erase_left = _simulate_points(
-        segment_gaps(points, starts, config.boundary, circ)[0], starts, rates, [rng])
+        segment_gaps(rel, starts, config.boundary, circ)[0], starts, rates, [rng])
     order = times.argsort(kind="stable")  # rings are in domain order
     log = MergeLog(times[order], points[victims[order]],
                    np.where(erase_left[order], -1, 1))
@@ -184,7 +187,7 @@ def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
         # sentinel domains of the others are inactive
         final = IntervalConfiguration(config.first_point, np.empty(0), Boundary.PERIODIC)
     else:
-        gaps = segment_gaps(survivors, starts, config.boundary, circ)[0]
+        gaps = segment_gaps(rel[alive], starts, config.boundary, circ)[0]
         final = IntervalConfiguration(float(survivors[0]),
                                       gaps if periodic else gaps[:-1], config.boundary)
     if final.n_intervals:

@@ -70,7 +70,7 @@ def validate_rates(rates: RateFamily, probe_grid=None) -> RateReport:
         right = np.asarray(rates.lambda_right(grid), dtype=float)
         total = left + right
         active = grid < rates.d_max
-        dead = active & (total <= 0)
+        dead = active & ~(total > 0)  # a NaN rate is no positive rate
         for d, t in zip(grid[dead], total[dead]):
             violations.append(f"(A1) violated: total rate {t} at active length {d}")
         leaky = ~active & (total != 0)

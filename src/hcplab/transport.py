@@ -90,32 +90,71 @@ def reassemble_z_law(m: AtomicMeasure, j_max: float) -> AtomicMeasure:
 # step functions and transport
 # ---------------------------------------------------------------------------
 
+class _Steps:
+    """Value lookup of a right-continuous nondecreasing step function, zero
+    left of the support: ``cumulative[k - 1]`` after k jumps.  Subclasses say
+    how many jumps lie at or below (``_count(v, "right")``) or strictly below
+    (``_count(v, "left")``) each argument."""
+
+    def _lookup(self, x, side: str) -> np.ndarray | float:
+        x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if side == "right":
+            idx = self._count(x_arr * (1 + 1e-15) + 1e-300, side)
+        else:
+            idx = self._count(x_arr * (1 - 1e-15), side)
+        vals = np.zeros(idx.shape)
+        hit = idx > 0
+        vals[hit] = self.cumulative[idx[hit] - 1]
+        return vals if np.ndim(x) else float(vals[0])
+
+    def __call__(self, x) -> np.ndarray | float:
+        return self._lookup(x, "right")
+
+    def left_limit(self, x) -> np.ndarray | float:
+        return self._lookup(x, "left")
+
+
 @dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous nondecreasing step function, zero left of the support."""
+class StepFunction(_Steps):
+    """Step function with its jump locations listed."""
 
     jump_at: np.ndarray     # strictly increasing jump locations (a jump may be 0)
     cumulative: np.ndarray  # value at and right of each jump
     domain_max: float       # arguments above this are outside the computed range
 
-    def _value(self, idx: np.ndarray) -> np.ndarray:
-        # the value after idx jumps: cumulative[idx - 1], and 0 before the first
-        vals = np.zeros(idx.shape)
-        hit = idx > 0
-        vals[hit] = self.cumulative[idx[hit] - 1]
-        return vals
+    def _count(self, v: np.ndarray, side: str) -> np.ndarray:
+        return np.searchsorted(self.jump_at, v, side=side)
 
-    def __call__(self, x) -> np.ndarray | float:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        idx = np.searchsorted(self.jump_at, x_arr * (1 + 1e-15) + 1e-300, side="right")
-        vals = self._value(idx)
-        return vals if np.ndim(x) else float(vals[0])
 
-    def left_limit(self, x) -> np.ndarray | float:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        idx = np.searchsorted(self.jump_at, x_arr * (1 - 1e-15), side="left")
-        vals = self._value(idx)
-        return vals if np.ndim(x) else float(vals[0])
+@dataclass(frozen=True)
+class LatticeStepFunction(_Steps):
+    """Step function jumping at every lattice site i * spacing - 1.0,
+    i = 0 .. len(cumulative) - 1, as the float grid
+    ``np.arange(n) * spacing - 1.0`` rounds them; it equals
+    ``StepFunction(that grid, cumulative, domain_max)`` without storing the
+    grid."""
+
+    spacing: float
+    cumulative: np.ndarray
+    domain_max: float
+
+    def _site(self, i: np.ndarray) -> np.ndarray:
+        return i.astype(np.float64) * self.spacing - 1.0
+
+    def _count(self, v: np.ndarray, side: str) -> np.ndarray:
+        # Sites are nondecreasing in i, so the counted ones are a prefix.  Its
+        # last index k starts from the floor estimate, then steps down while
+        # site k lies beyond v and up while site k + 1 does not; like
+        # searchsorted, a NaN counts every site.
+        n = self.cumulative.size
+        counted, beyond = ((np.less_equal, np.greater) if side == "right"
+                           else (np.less, np.greater_equal))
+        k = np.fmax(np.fmin(np.floor((v + 1.0) / self.spacing), n - 1), -1).astype(np.int64)
+        while (down := (k >= 0) & beyond(self._site(k), v)).any():
+            k[down] -= 1
+        while (up := (k + 1 < n) & counted(self._site(k + 1), v)).any():
+            k[up] += 1
+        return k + 1
 
 
 def u1_from_m(m: AtomicMeasure) -> StepFunction:
@@ -126,7 +165,7 @@ def u1_from_m(m: AtomicMeasure) -> StepFunction:
     return StepFunction(jumps, np.cumsum(sizes), float(m.l_max - 1.0))
 
 
-def un_transport(u1: StepFunction, d_n: float, x: float) -> float:
+def un_transport(u1: StepFunction | LatticeStepFunction, d_n: float, x: float) -> float:
     """Epoch-n primitive by affine transport of the first-epoch one:
 
         U_n(x) = (1/d_n) * [ U1(d_n*(1+x) - 1) - U1((d_n - 1)-) ]
@@ -149,9 +188,9 @@ def un_transport(u1: StepFunction, d_n: float, x: float) -> float:
 
 # Sites times laws per slice-add of the lattice sweep.  Short chunks are one
 # slice-add each; a longer chunk is split, which bounds each tap's tiled
-# weight vector, and each slice-add's product, at 128 KiB.  Those buffers are
-# the heap the sweep adds at reproduce-figb's peak; 512 KiB ones were no
-# faster and held about 2 MiB more.
+# weight vector, and the one product buffer every slice-add reuses, at
+# 128 KiB.  A fresh product per slice-add cost a heap allocation and its page
+# faults each time.
 _SWEEP_PIECE = 1 << 14
 
 
@@ -179,6 +218,7 @@ def _u1_lattice(c: np.ndarray, atom_idx: np.ndarray, atom_mass: np.ndarray) -> N
     for a, w in zip(atom_idx.tolist(), atom_mass):
         length = a // length * length
         taps.append((a, length, np.tile(w, min(length, piece))))
+    buf = np.empty(min(taps[-1][1], piece) * k)
     for t in range(0, n, taps[0][1]):
         for a, length, w in taps:
             if t % length:
@@ -186,10 +226,12 @@ def _u1_lattice(c: np.ndarray, atom_idx: np.ndarray, atom_mass: np.ndarray) -> N
             end = min(t + length, n)
             for lo in range(max(t, a), end, piece):
                 hi = min(lo + piece, end)
-                flat[lo * k:hi * k] += flat[(lo - a) * k:(hi - a) * k] * w[:(hi - lo) * k]
+                prod = np.multiply(flat[(lo - a) * k:(hi - a) * k], w[:(hi - lo) * k],
+                                   out=buf[:(hi - lo) * k])
+                flat[lo * k:hi * k] += prod
 
 
-def u1_on_lattice(laws, spacing: float, j_max: float) -> list[StepFunction]:
+def u1_on_lattice(laws, spacing: float, j_max: float) -> list[LatticeStepFunction]:
     """Large-scale route to U1 for laws snapped to a lattice, one per law.
 
     Uses the derivative form of the series inversion: with c(x) = x*m({x}),
@@ -200,32 +242,36 @@ def u1_on_lattice(laws, spacing: float, j_max: float) -> list[StepFunction]:
     to lattices with millions of sites.  Positions of p are rounded to the
     lattice; the rounding is the declared discretization of the input law.
 
-    All laws share one sweep over the union of their taps (a law without a
-    tap weighs it 0.0, which adds exactly +0.0), so the per-slice overhead
-    is paid once for all of them.  The result holds 8 bytes per site and
-    law, plus one shared array of jump locations: every site is a jump,
-    most of size 0 where the law puts no mass.
+    All laws share one sweep over the union of their taps, the sites above 0
+    where some law has mass (a law without a tap weighs it 0.0, which adds
+    exactly +0.0), so the per-slice overhead is paid once for all of them.
+    The result holds 8 bytes per site and law and nothing else: every site
+    is a jump of a :class:`LatticeStepFunction`, most of size 0.
     """
     if not laws:
         return []
     n = int(math.floor(j_max / spacing)) + 1
-    c = np.zeros((n, len(laws)))
-    for j, p in enumerate(laws):
+    sites = []
+    for p in laws:
         if p.n_atoms == 0:
             raise MeasureError("empty law")
         idx = np.rint(p.positions / spacing).astype(np.int64)
         keep = idx < n
-        np.add.at(c[:, j], idx[keep], p.masses[keep])
-    atom_idx = np.flatnonzero(c[1:].any(axis=1)) + 1
-    if not np.all(c[atom_idx].any(axis=0)):
+        sites.append((idx[keep], p.masses[keep]))
+    atom_idx = np.sort(np.concatenate([i[(i > 0) & (m != 0)] for i, m in sites]))
+    atom_idx = atom_idx[np.diff(atom_idx, prepend=0) > 0]  # np.unique loads numpy.ma
+    atom_mass = np.zeros((atom_idx.size, len(laws)))
+    for j, (i, m) in enumerate(sites):
+        tap = np.isin(i, atom_idx)
+        np.add.at(atom_mass[:, j], atom_idx.searchsorted(i[tap]), m[tap])
+    if not atom_mass.any(axis=0).all():
         raise MeasureError("law has no mass below j_max")
-    atom_mass = c[atom_idx]
-    xs = np.arange(n) * spacing
-    c *= xs[:, None]  # the base x * p of the recurrence
+    c = np.zeros((n, len(laws)))
+    c[atom_idx] = atom_mass * (atom_idx * spacing)[:, None]  # the base x * p
     _u1_lattice(c, atom_idx, atom_mass)
     np.cumsum(c, axis=0, out=c)
-    xs -= 1.0  # the jump locations
-    return [StepFunction(xs, c[:, j], float(j_max - 1.0)) for j in range(len(laws))]
+    return [LatticeStepFunction(spacing, c[:, j], float(j_max - 1.0))
+            for j in range(len(laws))]
 
 
 # ---------------------------------------------------------------------------

@@ -276,6 +276,55 @@ class TestFigB:
                 assert ari[d] == pytest.approx(v, rel=1e-12)
 
 
+_FIGB_RUN = """
+import json, sys
+import hcplab.cli
+budget, argv = json.loads(sys.argv[1])
+if budget is not None:
+    hcplab.cli._FIGB_MAX_SITES = budget
+sys.exit(hcplab.cli.main(argv))
+"""
+
+
+class TestFigBInputs:
+    """Bad figb configs exit 2 with the field named, never a traceback."""
+
+    def run(self, tmp_path, figb, budget=None):
+        argv = ["reproduce-figb", "--config", write_config(tmp_path, {"figb": figb}),
+                "--out", str(tmp_path / "out")]
+        src = os.path.dirname(os.path.dirname(hcplab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", _FIGB_RUN, json.dumps([budget, argv])],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        return proc.stderr
+
+    @pytest.mark.parametrize("figb, field", [
+        ({"lattice": 0}, "figb.lattice"),
+        ({"lattice": -0.5}, "figb.lattice"),
+        ({"x": 0}, "figb.x"),
+        ({"x": -3}, "figb.x"),
+        ({"horizon": 0}, "figb.horizon"),
+    ])
+    def test_nonpositive_field_named(self, tmp_path, figb, field):
+        assert f"config error: config field '{field}'" in self.run(tmp_path, figb)
+
+    def test_site_budget_names_knobs(self, tmp_path):
+        # horizon 4 needs 1,441 sites per law at the default x and lattice;
+        # a budget of 1,000 stands in for an oversized request
+        err = self.run(tmp_path, {"horizon": 4, "q": [0.5]}, budget=1000)
+        assert err.startswith("measure error:")
+        for field in ("figb.horizon", "figb.x", "figb.lattice"):
+            assert field in err
+
+    def test_horizon_beyond_float_range(self, tmp_path):
+        err = self.run(tmp_path, {"horizon": 2000, "q": [0.5]})
+        assert "figb.horizon" in err
+
+
 _SCIPY_PROBE = """
 import json, sys
 import hcplab, hcplab.cli

@@ -42,6 +42,22 @@ class TestValidateRates:
         report = validate_rates(leaky)
         assert not report.ok
 
+    def test_a1_violation_nan_rate_inside(self):
+        # NaN fails both "<= 0" and "> bound": only "not > 0" rejects it
+        from hcplab.epoch import RateValidityError
+        from hcplab.rates import MaskedRate, RateFamily
+        nan_left = RateFamily(1.0, 2.0, MaskedRate(math.nan, 1.0, 2.0),
+                              MaskedRate(1.0, 1.0, 2.0), 1.0)
+        report = validate_rates(nan_left)
+        assert not report.ok
+        assert all(v.startswith("(A1) violated: total rate nan at active length")
+                   for v in report.violations)
+        cfg = IntervalConfiguration(0.0, np.array([1.0, 1.5, 3.0]), Boundary.PERIODIC)
+        with pytest.raises(RateValidityError, match="total rate nan"):
+            run_epoch(cfg, nan_left, replica_rng(5))
+        with pytest.raises(RateValidityError, match="zero total rate"):
+            run_epoch(cfg, nan_left, replica_rng(5), validate=False)
+
 
 class TestRunEpoch:
     def test_blocked_configuration_is_frozen(self, rng):
@@ -83,6 +99,23 @@ class TestRunEpoch:
         cfg = IntervalConfiguration(0.0, np.array([0.5, 1.5]), Boundary.LEFT_BOUNDED)
         with pytest.raises(StateSpaceError):
             run_epoch(cfg, east_rates(1.0, 2.0), rng)
+
+    def test_fractional_first_point_only_shifts(self):
+        # dyadic lengths add up exactly from 0, not from a fractional first
+        # point, whose rounding once put unit lengths below d_min
+        for r in range(300):
+            rng = np.random.default_rng([72, r])
+            lengths = 1.0 + rng.integers(0, 16, size=int(rng.integers(2, 40))) / 8.0
+            first = float(rng.normal())
+            res = run_epoch(IntervalConfiguration(first, lengths), east_rates(1.0, 2.0),
+                            replica_rng(72, r))
+            ref = run_epoch(IntervalConfiguration(0.0, lengths), east_rates(1.0, 2.0),
+                            replica_rng(72, r))
+            assert res.final.first_point == first + ref.final.first_point
+            assert np.array_equal(res.final.lengths, ref.final.lengths)
+            assert np.array_equal(res.log.times, ref.log.times)
+            assert np.array_equal(res.log.positions, first + ref.log.positions)
+            assert np.array_equal(res.surviving_points, first + ref.surviving_points)
 
     def test_point_set_shrinks_and_log_is_ordered(self, rng):
         cfg = IntervalConfiguration(0.0, np.ones(500), Boundary.LEFT_BOUNDED)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -12,8 +13,9 @@ from hcplab.laws import GeometricLaw, ParetoHalfLaw, two_point_law
 from hcplab.measures import (_coalesce, _detect_lattice, dirac,
                              epoch_pushforward, exp_geometric_law, from_pmf,
                              iterate_hcp_measures)
-from hcplab.transport import (C0Estimate, TransformPair, TransportRangeError,
-                              _u1_lattice, c0_estimate, deconvolve_m, default_c0_grid,
+from hcplab.transport import (C0Estimate, LatticeStepFunction, StepFunction,
+                              TransformPair, TransportRangeError, _u1_lattice,
+                              c0_estimate, deconvolve_m, default_c0_grid,
                               reassemble_z_law, u1_from_m, u1_on_lattice,
                               un_transport)
 
@@ -241,6 +243,46 @@ class TestLatticeRoute:
                 assert u_lattice(x) == pytest.approx(u_atomic(x), abs=1e-12)
                 assert u_lattice.left_limit(x) == pytest.approx(u_atomic.left_limit(x),
                                                                 abs=1e-12)
+
+    @given(spacing=st.one_of(st.sampled_from([1 / 16, 0.1, 1 / 3]),
+                             st.floats(1e-3, 10.0)),
+           n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_lattice_steps_match_listed_jumps(self, spacing, n, seed):
+        # the jump count by index arithmetic against searchsorted over the
+        # grid u1_on_lattice once stored, compared with ==; x / (1 +- 1e-15)
+        # puts the nudged argument on or next to a site
+        rng = np.random.default_rng(seed)
+        grid = np.arange(n) * spacing - 1.0
+        cumulative = np.cumsum(rng.random(n) * (rng.random(n) < 0.3))
+        oracle = StepFunction(grid, cumulative, float(grid[-1]))
+        lattice = LatticeStepFunction(spacing, cumulative, float(grid[-1]))
+        sites = grid[rng.integers(0, n, 200)]
+        xs = np.concatenate((sites, np.nextafter(sites, -np.inf), np.nextafter(sites, np.inf),
+                             sites / (1 + 1e-15), sites / (1 - 1e-15),
+                             -1.0 - rng.random(20) * 5, [-np.inf, np.inf],
+                             grid[-1] + spacing * rng.random(20) * 3))
+        assert np.array_equal(lattice(xs), oracle(xs))
+        assert np.array_equal(lattice.left_limit(xs), oracle.left_limit(xs))
+        for x in xs[::37].tolist():
+            assert lattice(x) == oracle(x)
+            assert lattice.left_limit(x) == oracle.left_limit(x)
+
+    def test_peak_bytes_per_site_and_law(self):
+        # reproduce-figb's default laws at horizon 14: the result holds 8
+        # bytes per site and law, and the sweep adds little beyond it
+        horizon, x = 14, 10.0
+        j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
+        laws = [exp_geometric_law(1.0 - q, int(math.log(j_max)) + 1, l_max=float("inf"))
+                for q in (0.1, 0.5, 0.8)]
+        tracemalloc.start()
+        try:
+            u1s = u1_on_lattice(laws, 1 / 16, j_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_site = peak / (u1s[0].cumulative.size * len(laws))
+        assert per_site <= 9, per_site
 
     def test_oscillating_law_ratio_sequence(self):
         # geometric-exponent law: finite-mean parameter converges to 1, the
