@@ -321,6 +321,10 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
     x = float(_require(cfg, "figb.x", (int, float), default=10.0))
     spacing = float(_require(cfg, "figb.lattice", (int, float), default=1.0 / 16.0))
     arithmetic = bool(_require(cfg, "figb.arithmetic", bool, default=False))
+    for i, q in enumerate(qs):
+        if not isinstance(q, (int, float)) or not 0 < q < 1:  # NaN, True and False fail
+            raise ConfigError(f"config field 'figb.q[{i}]': need a number in (0, 1), the "
+                              f"law being exp_geometric with p = 1 - q, got {q!r}")
     if horizon < 1:
         raise ConfigError(f"config field 'figb.horizon': need at least 1, got {horizon}")
     for name, value in (("figb.x", x), ("figb.lattice", spacing)):

@@ -90,26 +90,33 @@ def segment_gaps(points: np.ndarray, starts: np.ndarray, boundary: Boundary,
 
 
 def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rngs):
-    """Run one epoch on every segment: segment r draws ``exponential(size=k)``
-    then ``random(k)`` from ``rngs[r]`` for its k active domains.  Returns the
-    alive mask and, in slot order, each merge's time, erased point and
-    erase-left flag."""
-    if gaps.min() < rates.d_min * (1 - 1e-9) - 1e-12:
+    """Run one epoch on every segment: segment r draws k standard
+    exponentials, then k uniforms, from ``rngs[r]`` for its k active domains
+    (the values and generator state of ``exponential(scale=1.0, size=k)``
+    then ``random(k)``).  Returns the alive mask and, in slot order, each
+    merge's time, erased point and erase-left flag."""
+    # a gap taken from point differences can sit a few ulps off its true
+    # value, so one within a relative 1e-9 of a threshold counts as at it
+    d_min = rates.d_min * (1 - 1e-9) - 1e-12
+    if gaps.min() < d_min:
         raise StateSpaceError(
             f"interval of length {gaps.min()} below d_min={rates.d_min}")
     index = np.int32 if gaps.size < 2**31 else np.intp
-    active = (gaps >= rates.d_min) & (gaps < rates.d_max)
+    active = (gaps >= d_min) & (gaps < rates.d_max * (1 - 1e-9))
     slots = active.nonzero()[0].astype(index)          # the rings, in slot order
     n = slots.size
-    lam_r = np.asarray(rates.lambda_right(gaps[slots]), dtype=float)
-    lam = np.asarray(rates.lambda_left(gaps[slots]), dtype=float) + lam_r
+    active_gaps = gaps[slots]
+    np.maximum(active_gaps, rates.d_min, out=active_gaps)  # rates vanish below d_min
+    lam_r = np.asarray(rates.lambda_right(active_gaps), dtype=float)
+    lam = np.asarray(rates.lambda_left(active_gaps), dtype=float) + lam_r
+    del active_gaps
     if not (lam > 0).all():  # NaN too
         raise RateValidityError("active domain with zero total rate; validate_rates first")
     bounds = slots.searchsorted(starts.astype(index)).tolist() + [n]  # segment r's rings
     times, coins = np.empty(n), np.empty(n)
     for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
-        times[lo:hi] = rng.exponential(scale=1.0, size=hi - lo)
-        coins[lo:hi] = rng.random(hi - lo)
+        rng.standard_exponential(out=times[lo:hi])
+        rng.random(out=coins[lo:hi])
     # standard exponentials divided by the rates: scaling every rate by a
     # common constant rescales the time axis without reordering any event
     times /= lam

@@ -6,8 +6,10 @@ analytics.  Point identity is preserved exactly: coordinates are carried
 through untouched, so "the first point never moved" is a float equality.
 
 One engine runs 1 or R replicas as one segmented point array: one gap pass
-and one resolver call per batch and epoch.  Replica r draws from its own
-stream only, in the same order whatever batch it runs in.
+and one resolver call per batch and epoch.  A batch is drawn straight into
+one (replicas x intervals) array of lengths, checked once, whose row-wise
+cumsum gives every replica's points.  Replica r draws from its own stream
+only, in the same order whatever batch it runs in.
 """
 
 from __future__ import annotations
@@ -19,12 +21,15 @@ import numpy as np
 
 from .config import Boundary
 from .epoch import _simulate_points, segment_gaps
-from .sampling import RenewalSpec, replica_rng, sample_spec
+from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rng
 from .schedule import EpochSchedule
 
 # Replicas are batched while their initial point count stays under this.  A
-# batch peaks at about 65 traced bytes per point when every domain is active,
-# and larger batches were no faster for 64- or 8192-interval replicas.
+# batch peaks at about 65 traced bytes per point when every domain is active.
+# With batch draws, 2^17 was no faster than 2^16 for 64-interval replicas
+# (5,000 of them: 0.27 s either way) or 8192-interval ones (acceptance
+# criterion 5: 14.6 against 14.8 s), and 2^15 was slower on both (0.28 and
+# 17.2 s).
 _BATCH_POINTS = 1 << 16
 
 
@@ -189,25 +194,21 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
     raise WindowExhaustedError(n_epochs)
 
 
-def _run_batch(batch, schedule: EpochSchedule, n_epochs: int,
+def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int,
                window: WindowPolicy) -> list[EpochSummary]:
-    """Run the replicas of ``batch``, a list of (replica, rng, configuration,
-    marked index) sharing one boundary mode, as one segmented point array."""
-    replicas, rngs, configs, marked_idx = zip(*batch)
-    boundary = configs[0].boundary
+    """Run the replicas of ``batch`` (see ``_stack``) as one segmented point
+    array."""
+    replicas, rngs, shift, rows, circumference, marked_idx = batch
     periodic = boundary is Boundary.PERIODIC
-    # coordinates anchored at each initial first point, which is then exactly
-    # 0.0: lattice gaps stay exact and point identity is plain float equality
-    points = np.concatenate([c.relative_points() for c in configs])
-    counts = np.array([c.n_points for c in configs])
-    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    shift = np.array([c.first_point for c in configs])
-    circumference = np.array([c.circumference for c in configs]) if periodic else None
+    n_replicas, width = rows.shape
+    points = rows.reshape(-1)
+    counts = np.full(n_replicas, width)
+    starts = np.arange(0, points.size, width)
     marked = np.zeros(points.size, dtype=bool)  # the origin for origin-containing specs
     marked[starts + marked_idx] = True
 
     summaries = []
-    merges_prior = np.zeros(len(batch), dtype=np.int64)
+    merges_prior = np.zeros(n_replicas, dtype=np.int64)
     buffer_len = 0.0
     for n in range(1, n_epochs + 1):
         d_n = schedule.d(n)
@@ -283,7 +284,7 @@ def _run(spec, schedule, n_epochs, window, streams,
     for batch in _batches(spec, schedule, n_epochs, window, streams):
         try:
             # after an exhaustion, later batches only look for an earlier one
-            summaries = _run_batch(batch, schedule,
+            summaries = _run_batch(batch, spec.boundary, schedule,
                                    n_epochs if exhausted is None else exhausted - 1, window)
         except WindowExhaustedError as err:
             exhausted, folds = err.epoch, []
@@ -296,17 +297,37 @@ def _run(spec, schedule, n_epochs, window, streams,
 
 
 def _batches(spec, schedule, n_epochs, window, streams):
-    """Sample the replicas in order and group them into batches of fewer than
-    ``_BATCH_POINTS`` initial points (a larger replica runs alone)."""
-    batch, size = [], 0
+    """Draw the replicas in order into batches of one interval count and
+    fewer than ``_BATCH_POINTS`` initial points (a larger replica runs alone)."""
+    draws, batch_n0 = [], None
     for replica, rng in streams:
         n0 = window.n_intervals
         if n0 is None:
             n0 = _pilot_initial_count(spec, schedule, n_epochs, window, rng)
-        config, marked_idx = sample_spec(spec, n0, rng)
-        if batch and size + config.n_points > _BATCH_POINTS:
-            yield batch
-            batch, size = [], 0
-        batch.append((replica, rng, config, marked_idx))
-        size += config.n_points
-    yield batch
+        first, lengths, marked_idx = draw_spec(spec, n0, rng)
+        width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
+        if draws and (n0 != batch_n0 or (len(draws) + 1) * width > _BATCH_POINTS):
+            yield _stack(spec, draws)
+        draws.append((replica, rng, first, lengths, marked_idx))
+        batch_n0 = n0
+    yield _stack(spec, draws)
+
+
+def _stack(spec, draws: list):
+    """Empty ``draws``, a list of (replica, rng, first point, lengths, marked
+    index), into one batch: (replicas, rngs, first points, relative points,
+    circumferences or None, marked indices).  The lengths are checked at
+    once, and replica r's points relative to its first one are row r of a
+    (replicas x points) array."""
+    replicas, rngs, firsts, lengths, marked_idx = zip(*draws)
+    draws.clear()  # the batch runs while the generator holds this list
+    lengths = check_lengths(spec, np.array(lengths, dtype=float))
+    periodic = spec.boundary is Boundary.PERIODIC
+    n_replicas, n_intervals = lengths.shape
+    # coordinates anchored at each initial first point, which is then exactly
+    # 0.0: lattice gaps stay exact and point identity is plain float equality.
+    # The row-wise cumsum adds in the order of each row's own cumsum.
+    rows = np.zeros((n_replicas, n_intervals if periodic else n_intervals + 1))
+    np.cumsum(lengths[:, :rows.shape[1] - 1], axis=1, out=rows[:, 1:])
+    return (replicas, rngs, np.array(firsts), rows,
+            lengths.sum(axis=1) if periodic else None, np.array(marked_idx))

@@ -5,6 +5,10 @@ Replica streams are derived with ``replica_rng(base_seed, r)``, which seeds a
 fresh generator from SeedSequence(base_seed, spawn_key=(r,)); replicas are
 therefore reproducible and statistically independent, and pooled results do
 not depend on execution order.
+
+``draw_spec`` is the one draw implementation: the ``sample_*`` functions
+check its lengths and wrap them in an ``IntervalConfiguration``, and the
+simulator stacks a batch of draws into one array and checks it at once.
 """
 
 from __future__ import annotations
@@ -23,12 +27,6 @@ def replica_rng(base_seed: int, replica: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(replica,)))
 
 
-def _check_lengths(lengths: np.ndarray) -> np.ndarray:
-    if not ((lengths > 0) & (lengths < np.inf)).all():  # a NaN fails both
-        raise SamplingContractError("law produced a nonpositive or non-finite length")
-    return lengths
-
-
 # ---------------------------------------------------------------------------
 # renewal specification variants
 # ---------------------------------------------------------------------------
@@ -39,6 +37,7 @@ class LeftBounded:
 
     mu: object
     nu: object | None = None  # None means the first point sits at 0
+    boundary = Boundary.LEFT_BOUNDED  # unannotated: a class attribute, not a field
 
 
 @dataclass(frozen=True)
@@ -46,6 +45,7 @@ class ContainsOrigin:
     """Two-sided renewal conditioned to contain the origin."""
 
     mu: object
+    boundary = Boundary.WINDOW
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class Stationary:
     """Translation-invariant renewal process; requires a finite-mean ``mu``."""
 
     mu: object
+    boundary = Boundary.WINDOW
 
     def __post_init__(self):
         if not math.isfinite(self.mu.mean):
@@ -66,6 +67,7 @@ class LatticeStationary:
     """Integer-translation-invariant renewal process on the lattice."""
 
     mu: object
+    boundary = Boundary.WINDOW
 
     def __post_init__(self):
         if not math.isfinite(self.mu.mean):
@@ -78,6 +80,7 @@ class ExchangeableMixture:
     """De Finetti mixture: pick a component law, then i.i.d. gaps from it."""
 
     components: tuple  # of (weight, law)
+    boundary = Boundary.LEFT_BOUNDED
 
     def __post_init__(self):
         if len(self.components) == 0:
@@ -93,6 +96,7 @@ class PeriodicRenewal:
     stand-in for a stationary process, with bias O(1/circumference)."""
 
     mu: object
+    boundary = Boundary.PERIODIC
 
 
 RenewalSpec = (LeftBounded | ContainsOrigin | Stationary | LatticeStationary
@@ -103,18 +107,72 @@ RenewalSpec = (LeftBounded | ContainsOrigin | Stationary | LatticeStationary
 # samplers
 # ---------------------------------------------------------------------------
 
-def sample_left_bounded(nu, mu, n_intervals: int, rng) -> IntervalConfiguration:
-    """Left-bounded renewal realization: first point ~ nu, gaps i.i.d. ~ mu."""
+def draw_spec(spec: RenewalSpec, n_intervals: int, rng) -> tuple[float, np.ndarray, int]:
+    """Draw one realization of ``spec`` from ``rng``.
+
+    Returns (first_point, lengths, marked_index): the marked index is that of
+    the tracked point among the realization's points (the first point, or the
+    origin for origin-containing variants).  The lengths are returned as the
+    law produced them; ``check_lengths`` checks them, so a batch of draws is
+    checked at once.  The boundary mode is ``spec.boundary``.
+    """
     if n_intervals < 1:
         raise ValueError("need at least one interval")
-    if nu is None:
-        first = 0.0
-    elif hasattr(nu, "sample"):
-        first = float(nu.sample(rng, 1)[0])
-    else:
-        first = float(nu)
-    lengths = _check_lengths(mu.sample(rng, n_intervals))
-    return IntervalConfiguration(first, lengths, Boundary.LEFT_BOUNDED)
+    if isinstance(spec, LeftBounded):
+        if spec.nu is None:
+            first = 0.0
+        elif hasattr(spec.nu, "sample"):
+            first = float(spec.nu.sample(rng, 1)[0])
+        else:
+            first = float(spec.nu)
+        return first, spec.mu.sample(rng, n_intervals), 0
+    if isinstance(spec, ContainsOrigin):
+        n_left = n_intervals // 2
+        left = spec.mu.sample(rng, n_left) if n_left else np.empty(0)
+        right = spec.mu.sample(rng, n_intervals - n_left)
+        return -float(left.sum()), np.concatenate((left[::-1], right)), n_left
+    if isinstance(spec, Stationary):
+        # exact straddle construction: the interval covering the origin is
+        # size-biased and the origin falls uniformly inside it
+        straddle = float(spec.mu.sample_size_biased(rng, 1)[0])
+        offset = rng.random() * straddle
+        rest = spec.mu.sample(rng, n_intervals - 1) if n_intervals > 1 else np.empty(0)
+        return -offset, np.concatenate(([straddle], rest)), 0
+    if isinstance(spec, LatticeStationary):
+        straddle = int(spec.mu.sample_size_biased(rng, 1)[0])
+        offset = int(rng.integers(0, straddle))  # 0 means the origin is occupied
+        rest = spec.mu.sample(rng, n_intervals - 1) if n_intervals > 1 else np.empty(0)
+        return float(-offset), np.concatenate(([float(straddle)], rest)), 0
+    if isinstance(spec, ExchangeableMixture):
+        weights = np.array([w for w, _ in spec.components], dtype=float)
+        idx = int(rng.choice(len(weights), p=weights / weights.sum()))
+        return 0.0, spec.components[idx][1].sample(rng, n_intervals), 0
+    if isinstance(spec, PeriodicRenewal):
+        # uniform marker on the circle, snapped to the following point
+        return 0.0, spec.mu.sample(rng, n_intervals), 0
+    raise TypeError(f"unknown renewal specification {spec!r}")
+
+
+def check_lengths(spec: RenewalSpec, lengths: np.ndarray) -> np.ndarray:
+    """``lengths`` (one draw or a replicas x intervals batch of them) if each
+    is positive and finite, and an integer for a lattice-stationary spec."""
+    if not ((lengths > 0) & (lengths < np.inf)).all():  # a NaN fails both
+        raise SamplingContractError("law produced a nonpositive or non-finite length")
+    if isinstance(spec, LatticeStationary) and np.any(np.rint(lengths) != lengths):
+        raise SamplingContractError("lattice law produced a non-integer gap")
+    return lengths
+
+
+def sample_spec(spec: RenewalSpec, n_intervals: int, rng) -> tuple[IntervalConfiguration, int]:
+    """Realize a renewal specification: (configuration, marked_index), the
+    draws of ``draw_spec`` checked and wrapped."""
+    first, lengths, marked = draw_spec(spec, n_intervals, rng)
+    return IntervalConfiguration(first, check_lengths(spec, lengths), spec.boundary), marked
+
+
+def sample_left_bounded(nu, mu, n_intervals: int, rng) -> IntervalConfiguration:
+    """Left-bounded renewal realization: first point ~ nu, gaps i.i.d. ~ mu."""
+    return sample_spec(LeftBounded(mu, nu), n_intervals, rng)[0]
 
 
 def sample_stationary(mu, n_intervals: int, rng,
@@ -133,18 +191,8 @@ def sample_stationary(mu, n_intervals: int, rng,
     if not math.isfinite(mu.mean):
         raise SamplingContractError(
             "a stationary renewal process with infinite mean interval law cannot exist")
-    if n_intervals < 1:
-        raise ValueError("need at least one interval")
-    if periodic:
-        lengths = _check_lengths(mu.sample(rng, n_intervals))
-        # uniform marker on the circle, snapped to the following point
-        return IntervalConfiguration(0.0, lengths, Boundary.PERIODIC)
-    straddle = float(mu.sample_size_biased(rng, 1)[0])
-    offset = rng.random() * straddle  # origin uniform inside the straddler
-    first = -offset
-    rest = _check_lengths(mu.sample(rng, n_intervals - 1)) if n_intervals > 1 else np.empty(0)
-    lengths = np.concatenate(([straddle], rest))
-    return IntervalConfiguration(first, lengths, Boundary.WINDOW)
+    spec = PeriodicRenewal(mu) if periodic else Stationary(mu)
+    return sample_spec(spec, n_intervals, rng)[0]
 
 
 def sample_lattice_stationary(mu, n_intervals: int, rng) -> IntervalConfiguration:
@@ -154,18 +202,7 @@ def sample_lattice_stationary(mu, n_intervals: int, rng) -> IntervalConfiguratio
     uniform on {0, ..., D-1} (so the origin is occupied with probability
     1/mean), and further gaps are i.i.d.
     """
-    if not math.isfinite(mu.mean):
-        raise SamplingContractError(
-            "a lattice-stationary renewal process requires a finite-mean law")
-    if n_intervals < 1:
-        raise ValueError("need at least one interval")
-    straddle = int(mu.sample_size_biased(rng, 1)[0])
-    offset = int(rng.integers(0, straddle))  # 0 means the origin is occupied
-    rest = _check_lengths(mu.sample(rng, n_intervals - 1)) if n_intervals > 1 else np.empty(0)
-    if np.any(np.rint(rest) != rest):
-        raise SamplingContractError("lattice law produced a non-integer gap")
-    lengths = np.concatenate(([float(straddle)], rest))
-    return IntervalConfiguration(float(-offset), lengths, Boundary.WINDOW)
+    return sample_spec(LatticeStationary(mu), n_intervals, rng)[0]
 
 
 def sample_exchangeable(components, n_intervals: int, rng) -> IntervalConfiguration:
@@ -173,37 +210,4 @@ def sample_exchangeable(components, n_intervals: int, rng) -> IntervalConfigurat
     weight, then i.i.d. gaps from it; the first point sits at 0."""
     mixture = components if isinstance(components, ExchangeableMixture) \
         else ExchangeableMixture(tuple(components))
-    weights = np.array([w for w, _ in mixture.components], dtype=float)
-    idx = int(rng.choice(len(weights), p=weights / weights.sum()))
-    law = mixture.components[idx][1]
-    lengths = _check_lengths(law.sample(rng, n_intervals))
-    return IntervalConfiguration(0.0, lengths, Boundary.LEFT_BOUNDED)
-
-
-def sample_spec(spec: RenewalSpec, n_intervals: int, rng) -> tuple[IntervalConfiguration, int]:
-    """Realize a renewal specification.
-
-    Returns (configuration, marked_index): the index of the tracked point
-    among the configuration's points (the first point, or the origin for
-    origin-containing variants).
-    """
-    if isinstance(spec, LeftBounded):
-        return sample_left_bounded(spec.nu, spec.mu, n_intervals, rng), 0
-    if isinstance(spec, ContainsOrigin):
-        n_left = n_intervals // 2
-        n_right = n_intervals - n_left
-        left = _check_lengths(spec.mu.sample(rng, n_left)) if n_left else np.empty(0)
-        right = _check_lengths(spec.mu.sample(rng, n_right))
-        lengths = np.concatenate((left[::-1], right))
-        first = -float(left.sum())
-        return IntervalConfiguration(first, lengths, Boundary.WINDOW), n_left
-    if isinstance(spec, Stationary):
-        return sample_stationary(spec.mu, n_intervals, rng), 0
-    if isinstance(spec, LatticeStationary):
-        return sample_lattice_stationary(spec.mu, n_intervals, rng), 0
-    if isinstance(spec, ExchangeableMixture):
-        return sample_exchangeable(spec, n_intervals, rng), 0
-    if isinstance(spec, PeriodicRenewal):
-        lengths = _check_lengths(spec.mu.sample(rng, n_intervals))
-        return IntervalConfiguration(0.0, lengths, Boundary.PERIODIC), 0
-    raise TypeError(f"unknown renewal specification {spec!r}")
+    return sample_spec(mixture, n_intervals, rng)[0]

@@ -11,9 +11,11 @@ blocks of the smallest tap, one slice-add per tap and block.
 l_max, the far ones of mass 0.0 included.
 ``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
 invalidation, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
-replica: the simulator as it was before the epoch resolver and the segmented
-engine replaced it.  ``thinned_z`` applies the ``z_per_epoch`` rule of
-``replicate`` to a summary that holds every core z, one replica at a time.
+replica, each replica drawn by ``sample_spec_config`` into its own checked
+configuration: the simulator as it was before the epoch resolver, the
+segmented engine and the batch draws replaced it.  ``thinned_z`` applies the
+``z_per_epoch`` rule of ``replicate`` to a summary that holds every core z,
+one replica at a time.
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ import math
 
 import numpy as np
 
-from hcplab.config import Boundary
+from hcplab.config import Boundary, IntervalConfiguration
 from hcplab.epoch import MergeLog, RateValidityError, StateSpaceError
 from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy, pool_summaries
 from hcplab.measures import AtomicMeasure, MeasureError, _coalesce, convolve
-from hcplab.sampling import replica_rng, sample_spec
+from hcplab.laws import SamplingContractError
+from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
+                             LeftBounded, PeriodicRenewal, Stationary, replica_rng)
 
 
 def deconvolve_m_intervals(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
@@ -142,6 +146,59 @@ def geometric_atomic_full(q: float, l_max: float) -> AtomicMeasure:
     return AtomicMeasure(k, q * (1 - q) ** (k - 1), l_max, deficit=(1 - q) ** n)
 
 
+def _checked(lengths: np.ndarray) -> np.ndarray:
+    if not ((lengths > 0) & (lengths < np.inf)).all():
+        raise SamplingContractError("law produced a nonpositive or non-finite length")
+    return lengths
+
+
+def sample_spec_config(spec, n_intervals: int, rng) -> tuple[IntervalConfiguration, int]:
+    """(configuration, marked index) of one replica, its draws checked as
+    they are made: the per-replica samplers the batch draws replaced."""
+    if n_intervals < 1:
+        raise ValueError("need at least one interval")
+    if isinstance(spec, LeftBounded):
+        if spec.nu is None:
+            first = 0.0
+        elif hasattr(spec.nu, "sample"):
+            first = float(spec.nu.sample(rng, 1)[0])
+        else:
+            first = float(spec.nu)
+        lengths = _checked(spec.mu.sample(rng, n_intervals))
+        return IntervalConfiguration(first, lengths, Boundary.LEFT_BOUNDED), 0
+    if isinstance(spec, ContainsOrigin):
+        n_left = n_intervals // 2
+        left = _checked(spec.mu.sample(rng, n_left)) if n_left else np.empty(0)
+        right = _checked(spec.mu.sample(rng, n_intervals - n_left))
+        return IntervalConfiguration(-float(left.sum()), np.concatenate((left[::-1], right)),
+                                     Boundary.WINDOW), n_left
+    if isinstance(spec, Stationary):
+        straddle = float(spec.mu.sample_size_biased(rng, 1)[0])
+        offset = rng.random() * straddle
+        rest = _checked(spec.mu.sample(rng, n_intervals - 1)) if n_intervals > 1 \
+            else np.empty(0)
+        return IntervalConfiguration(-offset, np.concatenate(([straddle], rest)),
+                                     Boundary.WINDOW), 0
+    if isinstance(spec, LatticeStationary):
+        straddle = int(spec.mu.sample_size_biased(rng, 1)[0])
+        offset = int(rng.integers(0, straddle))
+        rest = _checked(spec.mu.sample(rng, n_intervals - 1)) if n_intervals > 1 \
+            else np.empty(0)
+        if np.any(np.rint(rest) != rest):
+            raise SamplingContractError("lattice law produced a non-integer gap")
+        return IntervalConfiguration(float(-offset), np.concatenate(([float(straddle)], rest)),
+                                     Boundary.WINDOW), 0
+    if isinstance(spec, ExchangeableMixture):
+        weights = np.array([w for w, _ in spec.components], dtype=float)
+        idx = int(rng.choice(len(weights), p=weights / weights.sum()))
+        lengths = _checked(spec.components[idx][1].sample(rng, n_intervals))
+        return IntervalConfiguration(0.0, lengths, Boundary.LEFT_BOUNDED), 0
+    if isinstance(spec, PeriodicRenewal):
+        lengths = _checked(spec.mu.sample(rng, n_intervals))
+        return IntervalConfiguration(0.0, lengths, Boundary.PERIODIC), 0
+    raise TypeError(f"unknown renewal specification {spec!r}")
+
+
 def _kernel_py(order, erase_left, alive, point_coords, periodic, n_points,
                times, log_t, log_pos, log_dir):
     n_log = 0
@@ -177,14 +234,17 @@ def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: floa
         gaps[-1] = circumference - (points[-1] - points[0])
     else:
         gaps = np.diff(points)
-    if gaps.size and gaps.min() < rates.d_min * (1 - 1e-9) - 1e-12:
+    # a gap within a relative 1e-9 of d_min or d_max counts as at it
+    d_min = rates.d_min * (1 - 1e-9) - 1e-12
+    if gaps.size and gaps.min() < d_min:
         raise StateSpaceError(
             f"interval of length {gaps.min()} below d_min={rates.d_min}")
 
-    active = (gaps >= rates.d_min) & (gaps < rates.d_max)
+    active = (gaps >= d_min) & (gaps < rates.d_max * (1 - 1e-9))
     idx = np.flatnonzero(active)
-    lam_l = np.asarray(rates.lambda_left(gaps[idx]), dtype=float)
-    lam_r = np.asarray(rates.lambda_right(gaps[idx]), dtype=float)
+    at = np.maximum(gaps[idx], rates.d_min)
+    lam_l = np.asarray(rates.lambda_left(at), dtype=float)
+    lam_r = np.asarray(rates.lambda_right(at), dtype=float)
     lam = lam_l + lam_r
     if np.any(lam <= 0):
         raise RateValidityError("active domain with zero total rate; validate_rates first")
@@ -240,7 +300,7 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
         n0 = window.n_intervals
     else:
         n0 = _pilot_initial_count_loop(spec, schedule, n_epochs, window, rng)
-    config, marked_idx = sample_spec(spec, n0, rng)
+    config, marked_idx = sample_spec_config(spec, n0, rng)
     periodic = config.boundary is Boundary.PERIODIC
     circumference = config.circumference if periodic else None
     shift = config.first_point

@@ -324,6 +324,41 @@ class TestFigBInputs:
         err = self.run(tmp_path, {"horizon": 2000, "q": [0.5]})
         assert "figb.horizon" in err
 
+    @pytest.mark.parametrize("q, index", [
+        (["a"], 0),
+        ([0.5, 0], 1),
+        ([1], 0),
+        ([0.1, 0.5, 1.5], 2),
+        ([True], 0),
+        ([math.nan], 0),
+    ])
+    def test_bad_q_entry_named(self, tmp_path, q, index):
+        err = self.run(tmp_path, {"horizon": 4, "q": q})
+        assert f"config error: config field 'figb.q[{index}]'" in err
+        assert "p = 1 - q" in err
+
+
+class TestOffLatticeSimulate:
+    def test_irrational_lengths_run_to_the_end(self, tmp_path):
+        # gaps of sums of 1 and sqrt(2) come out a few ulps off; a true unit
+        # gap read below d(1) = 1 once never rang and stopped epoch 2
+        cfg = write_config(tmp_path, {
+            "epochs": 3, "replicas": 1, "seed": 0,
+            "initial_law": {"kind": "two_point", "a": 1.0, "b": math.sqrt(2.0)},
+            "process": {"variant": "left_bounded"},
+            "window": {"n_intervals": 20_000}})
+        src = os.path.dirname(os.path.dirname(hcplab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "hcplab.cli", "simulate", "--config", cfg,
+                               "--out", str(tmp_path / "out")],
+                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        with open(tmp_path / "out" / "replicas.csv") as fh:
+            epochs = [line.split(",")[1] for line in fh if line[0].isdigit()]
+        assert epochs == ["1", "2", "3"]
+
 
 _SCIPY_PROBE = """
 import json, sys

@@ -164,6 +164,54 @@ class TestRunEpoch:
         assert len(rows) == res.log.n_merges + 1
 
 
+class TestThresholdTolerance:
+    """A gap taken from point differences can sit a few ulps off its true
+    value: one within a relative 1e-9 of d_min rings, one that close below
+    d_max does not."""
+
+    BELOW_MIN = 1.0 - 4 * 2.0**-53  # four ulps below d_min = 1
+    BELOW_MAX = 2.0 - 4 * 2.0**-52  # four ulps below d_max = 2
+    RATES = [east_rates(1.0, 2.0), paste_all_rates(1.0, 2.0),
+             linear_rates(1.0, 2.0, 0.5, 1.0)]
+
+    @pytest.mark.parametrize("rates", RATES)
+    def test_just_below_d_min_rings(self, rates):
+        for r in range(20):
+            cfg = IntervalConfiguration(0.0, np.array([3.0, self.BELOW_MIN, 3.0]))
+            res = run_epoch(cfg, rates, replica_rng(81, r))
+            assert res.log.n_merges == 1
+            assert res.final.n_intervals == 2
+
+    @pytest.mark.parametrize("rates", RATES)
+    def test_just_below_d_max_is_absorbed(self, rates):
+        cfg = IntervalConfiguration(0.0, np.array([3.0, self.BELOW_MAX, 3.0]))
+        res = run_epoch(cfg, rates, replica_rng(82))
+        assert res.log.n_merges == 0
+        assert np.array_equal(res.final.lengths, cfg.lengths)
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_segments_match_event_loop(self, periodic):
+        # segments mixing gaps a few ulps around both thresholds with plain
+        # ones, against the event-loop oracle segment by segment
+        boundary = Boundary.PERIODIC if periodic else Boundary.LEFT_BOUNDED
+        gen = np.random.default_rng(83)
+        near = np.array([1.0, 2.0, 3.0]) + np.arange(-6, 7)[:, None] * 2.0**-52
+        configs = [IntervalConfiguration(0.0, gen.choice(near.ravel(), size=40), boundary)
+                   for _ in range(6)]
+        points = np.concatenate([c.relative_points() for c in configs])
+        starts = np.cumsum([0] + [c.n_points for c in configs[:-1]])
+        circ = np.array([c.circumference for c in configs]) if periodic else None
+        gaps = segment_gaps(points, starts, boundary, circ)[0]
+        rates = paste_all_rates(1.0, 2.0)
+        alive = _simulate_points(gaps, starts, rates,
+                                 [replica_rng(84, r) for r in range(6)])[0]
+        ref = [simulate_points_loop(c.relative_points(), periodic,
+                                    c.circumference if periodic else None, rates,
+                                    replica_rng(84, r))[0] for r, c in enumerate(configs)]
+        assert np.array_equal(alive, np.concatenate(ref))
+        assert not alive.all()
+
+
 class ScriptedRng:
     """Hands out fixed clock and coin draws, checking the sizes asked for."""
 
@@ -174,9 +222,18 @@ class ScriptedRng:
         assert scale == 1.0 and size == self.clocks.size
         return self.clocks.copy()
 
-    def random(self, size):
-        assert size == self.coins.size
-        return self.coins.copy()
+    def standard_exponential(self, out):
+        assert out.size == self.clocks.size
+        out[:] = self.clocks
+        return out
+
+    def random(self, size=None, out=None):
+        if out is None:
+            assert size == self.coins.size
+            return self.coins.copy()
+        assert out.size == self.coins.size
+        out[:] = self.coins
+        return out
 
 
 @st.composite

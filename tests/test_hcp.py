@@ -6,18 +6,21 @@ import numpy as np
 import pytest
 
 from hcplab import hcp
-from hcplab.laws import DiracLaw, GeometricLaw, two_point_law
+from hcplab.config import Boundary
+from hcplab.laws import DiracLaw, GeometricLaw, SamplingContractError, two_point_law
 from hcplab.measures import dirac, iterate_hcp_measures
 from hcplab.hcp import (WindowExhaustedError, WindowPolicy, pool_summaries,
                         replicate, run_hcp)
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
-                             LeftBounded, PeriodicRenewal, Stationary, replica_rng)
+                             LeftBounded, PeriodicRenewal, Stationary, replica_rng,
+                             sample_spec)
 from hcplab.schedule import (EpochSchedule,
                              ExplicitThresholds, GeometricThresholds,
                              PresetRateFactory, ScheduleError, east_schedule,
                              paste_all_schedule)
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
-from oracles import replicate_loop, run_hcp_loop, thinned_z
+from oracles import (_pilot_initial_count_loop, replicate_loop, run_hcp_loop,
+                     sample_spec_config, thinned_z)
 
 
 class TestSchedule:
@@ -253,6 +256,115 @@ class TestEngineOracle:
         with pytest.raises(WindowExhaustedError) as err:
             replicate(spec, east_schedule(2.0), 12, 4, 4, window)
         assert err.value.epoch == 5
+
+
+class TestBatchDraws:
+    """The batch draws of ``_batches`` against the per-replica samplers they
+    replaced: the same configurations, marked indices and generator states."""
+
+    @staticmethod
+    def oracle(spec, window, r):
+        rng = replica_rng(6, r)
+        n0 = window.n_intervals
+        if n0 is None:
+            n0 = _pilot_initial_count_loop(spec, east_schedule(2.0), 4, window, rng)
+        return sample_spec_config(spec, n0, rng) + (rng,)
+
+    def check(self, spec, window, n_replicas):
+        streams = [(r, replica_rng(6, r)) for r in range(n_replicas)]
+        batches = list(hcp._batches(spec, east_schedule(2.0), 4, window, streams))
+        seen = []
+        periodic = spec.boundary is Boundary.PERIODIC
+        for replicas, rngs, firsts, rows, circumference, marked in batches:
+            assert rows.shape[0] == len(replicas)
+            assert len(replicas) == 1 or rows.size <= hcp._BATCH_POINTS
+            assert (circumference is not None) == periodic
+            for i, (r, rng) in enumerate(zip(replicas, rngs)):
+                want, want_idx, want_rng = self.oracle(spec, window, r)
+                assert firsts[i] == want.first_point
+                assert np.array_equal(rows[i], want.relative_points())
+                if periodic:
+                    assert circumference[i] == want.circumference
+                assert marked[i] == want_idx
+                assert rng.bit_generator.state == want_rng.bit_generator.state
+                seen.append(r)
+        assert seen == list(range(n_replicas))
+        return batches
+
+    # sums of irrational lengths depend on the order of the additions
+    IRRATIONAL = {"left_bounded_sqrt2": LeftBounded(two_point_law(1.0, math.sqrt(2.0))),
+                  "periodic_sqrt2": PeriodicRenewal(two_point_law(1.0, math.sqrt(2.0)))}
+
+    @pytest.mark.parametrize("batch_points", [1, 700, hcp._BATCH_POINTS])
+    @pytest.mark.parametrize("name", sorted(SPECS) + sorted(IRRATIONAL))
+    def test_fixed_window(self, name, batch_points, monkeypatch):
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
+        spec = SPECS[name] if name in SPECS else self.IRRATIONAL[name]
+        batches = self.check(spec, WindowPolicy(n_intervals=300), 7)
+        assert len(batches) == {1: 7, 700: 4}.get(batch_points, 1)
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_pilot_window(self, name, monkeypatch):
+        # pilot-sized windows differ from replica to replica, and a batch
+        # holds one interval count, so these close batches under the cap
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", 20_000)
+        window = WindowPolicy(target_core=60, buffer_factor=1.0, pilot_intervals=256)
+        batches = self.check(SPECS[name], window, 4)
+        assert len({b[3].shape[1] for b in batches}) > 1
+
+    def test_public_sampler_is_the_oracle(self):
+        for name, spec in sorted(SPECS.items()):
+            for r in range(5):
+                rng, ref_rng = replica_rng(7, r), replica_rng(7, r)
+                got, idx = sample_spec(spec, 50, rng)
+                want, want_idx = sample_spec_config(spec, 50, ref_rng)
+                assert (got.boundary, got.first_point, idx) == \
+                    (want.boundary, want.first_point, want_idx), name
+                assert np.array_equal(got.lengths, want.lengths), name
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+
+    class BadLaw:
+        """Mean 2 and valid size-biased draws; ``sample`` puts ``bad`` in
+        its third draw."""
+
+        mean = 2.0
+
+        def __init__(self, bad):
+            self.bad = bad
+
+        def sample(self, rng, size):
+            out = np.full(size, 2.0)
+            if size > 2:
+                out[2] = self.bad
+            return out
+
+        def sample_size_biased(self, rng, size):
+            return np.full(size, 2.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("kind", [LeftBounded, ContainsOrigin, Stationary,
+                                      LatticeStationary, PeriodicRenewal, "exchangeable"])
+    def test_bad_length_raises(self, kind, bad, monkeypatch):
+        law = self.BadLaw(bad)
+        spec = ExchangeableMixture(((1.0, law),)) if kind == "exchangeable" else kind(law)
+        message = "^law produced a nonpositive or non-finite length$"
+        for batch_points in (1, hcp._BATCH_POINTS):
+            monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
+            with pytest.raises(SamplingContractError, match=message):
+                replicate(spec, east_schedule(2.0), 2, 3, 8, WindowPolicy(n_intervals=10))
+        with pytest.raises(SamplingContractError, match=message):
+            sample_spec(spec, 10, replica_rng(8))
+        with pytest.raises(SamplingContractError, match=message):
+            sample_spec_config(spec, 10, replica_rng(8))
+
+    def test_non_integer_lattice_gap_raises(self):
+        spec = LatticeStationary(self.BadLaw(1.5))
+        for run in (lambda: replicate(spec, east_schedule(2.0), 2, 3, 8,
+                                      WindowPolicy(n_intervals=10)),
+                    lambda: sample_spec(spec, 10, replica_rng(8)),
+                    lambda: sample_spec_config(spec, 10, replica_rng(8))):
+            with pytest.raises(SamplingContractError, match="non-integer gap"):
+                run()
 
 
 class TestZThinning:
