@@ -1,4 +1,5 @@
-"""Batch entry point: configuration, orchestration, persistence, reproduction.
+"""Batch entry point: orchestration, persistence, reproduction (the config
+schema is in ``schema``).
 
 Subcommands: simulate, analytic, limits, validate, reproduce-figb.
 Configs are JSON; every run emits a manifest.json that reproduces the run
@@ -16,107 +17,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .laws import (DiracLaw, ExpGeometricLaw, ExponentialLaw, GeometricLaw,
-                   two_point_law)
+from .laws import ExpGeometricLaw
 from .limits import (LimitLawParams, first_point_limit_transform, g_infinity,
                      z_cdf)
 from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hcp_measures,
                        survival_probability_exact)
-from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
-                       LeftBounded, PeriodicRenewal, Stationary)
-from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
-                       GeometricThresholds, PresetRateFactory)
-from .hcp import WindowPolicy, replicate
+from .schema import (ConfigError, build_law, build_schedule, build_spec, build_window,
+                     epoch_count, require)
+from .hcp import WindowExhaustedError, replicate
 from .transport import c0_estimate, default_c0_grid, u1_on_lattice, un_transport
-
-
-class ConfigError(ValueError):
-    """Configuration failed schema validation; the message names the field."""
-
-
-def _require(cfg: dict, path: str, types, default=None, required=False):
-    node = cfg
-    parts = path.split(".")
-    for p in parts[:-1]:
-        node = node.get(p, {}) if isinstance(node, dict) else {}
-    if not isinstance(node, dict) or parts[-1] not in node:
-        if required:
-            raise ConfigError(f"config field '{path}' is required")
-        return default
-    val = node[parts[-1]]
-    if types is not None and not isinstance(val, types):
-        raise ConfigError(f"config field '{path}': expected {types}, got {type(val).__name__}")
-    return val
-
-
-def build_law(node: dict, path: str):
-    kind = node.get("kind")
-    if kind == "dirac":
-        return DiracLaw(float(node.get("value", 1.0)))
-    if kind == "geometric":
-        return GeometricLaw(float(node["q"]))
-    if kind == "exponential":
-        return ExponentialLaw(float(node.get("rate", 1.0)))
-    if kind == "exp_geometric":
-        return ExpGeometricLaw(float(node["p"]))
-    if kind == "two_point":
-        return two_point_law(float(node["a"]), float(node["b"]),
-                             float(node.get("p_a", 0.5)))
-    raise ConfigError(f"{path}.kind: unknown law {kind!r}")
-
-
-def build_spec(cfg: dict):
-    law = build_law(_require(cfg, "initial_law", dict, required=True), "initial_law")
-    variant = _require(cfg, "process.variant", str, default="periodic")
-    if variant == "periodic":
-        return PeriodicRenewal(law)
-    if variant == "left_bounded":
-        first = _require(cfg, "process.first_point", (int, float), default=None)
-        return LeftBounded(law, None if first is None else float(first))
-    if variant == "contains_origin":
-        return ContainsOrigin(law)
-    if variant == "stationary":
-        return Stationary(law)
-    if variant == "lattice_stationary":
-        return LatticeStationary(law)
-    if variant == "exchangeable":
-        comps = _require(cfg, "process.components", list, required=True)
-        return ExchangeableMixture(tuple(
-            (float(w), build_law(ln, f"process.components[{i}]"))
-            for i, (w, ln) in enumerate(comps)))
-    raise ConfigError(f"process.variant: unknown variant {variant!r}")
-
-
-def build_schedule(cfg: dict) -> EpochSchedule:
-    kind = _require(cfg, "schedule.thresholds", str, default="geometric")
-    if kind == "geometric":
-        a = float(_require(cfg, "schedule.a", (int, float), default=2.0))
-        if not 1.0 < a <= 2.0:
-            raise ConfigError("schedule.a: geometric ratio must lie in (1, 2]")
-        thresholds = GeometricThresholds(a)
-    elif kind == "arithmetic":
-        thresholds = ArithmeticThresholds()
-    elif kind == "explicit":
-        values = _require(cfg, "schedule.values", list, required=True)
-        thresholds = ExplicitThresholds(tuple(float(v) for v in values))
-    else:
-        raise ConfigError(f"schedule.thresholds: unknown preset {kind!r}")
-    rates = _require(cfg, "schedule.rates", str, default="east")
-    left = float(_require(cfg, "schedule.left", (int, float), default=0.0))
-    right = float(_require(cfg, "schedule.right", (int, float), default=1.0))
-    factory = PresetRateFactory(rates, left, right)
-    gamma_cfg = _require(cfg, "schedule.gamma", (int, float), default=None)
-    gamma = float(gamma_cfg) if gamma_cfg is not None else factory.gamma
-    return EpochSchedule(thresholds, factory, gamma)
-
-
-def build_window(cfg: dict) -> WindowPolicy:
-    n = _require(cfg, "window.n_intervals", int, default=None)
-    target = _require(cfg, "window.target_core", int, default=None)
-    buffer_factor = float(_require(cfg, "window.buffer_factor", (int, float), default=16.0))
-    if n is None and target is None:
-        n = 100_000
-    return WindowPolicy(n_intervals=n, target_core=target, buffer_factor=buffer_factor)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +73,18 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     spec = build_spec(cfg)
     schedule = build_schedule(cfg)
     window = build_window(cfg)
-    n_epochs = int(_require(cfg, "epochs", int, default=2))
-    n_replicas = int(_require(cfg, "replicas", int, default=1))
-    seed = int(_require(cfg, "seed", int, default=0))
-    cap = int(_require(cfg, "samples_per_epoch", int, default=50_000))
-    pooled = replicate(spec, schedule, n_epochs, n_replicas, seed, window,
-                       z_per_epoch=max(cap, 0))
+    n_epochs = epoch_count(cfg, schedule, default=2)
+    n_replicas = require(cfg, "replicas", int, default=1)
+    if n_replicas < 1:
+        raise ConfigError(f"config field 'replicas' (or --replicas): need at least 1, "
+                          f"got {n_replicas}")
+    seed = int(require(cfg, "seed", int, default=0))
+    cap = int(require(cfg, "samples_per_epoch", int, default=50_000))
+    try:
+        pooled = replicate(spec, schedule, n_epochs, n_replicas, seed, window,
+                           z_per_epoch=max(cap, 0))
+    except WindowExhaustedError as exc:
+        raise ConfigError(f"{exc} (window.n_intervals or window.target_core)") from None
     with open(os.path.join(out, "samples.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("# per epoch, every S-th core z of each replica (in-replica index i with "
@@ -207,7 +122,7 @@ def cmd_simulate(cfg: dict, out: str) -> int:
 
 
 def _analytic_initial_measure(cfg: dict, l_max: float):
-    law = build_law(_require(cfg, "initial_law", dict, required=True), "initial_law")
+    law = build_law(require(cfg, "initial_law", dict, required=True), "initial_law")
     if isinstance(law, ExpGeometricLaw):
         n_atoms = max(1, int(math.floor(math.log(l_max))))
         return law.atomic(n_atoms=n_atoms, l_max=l_max)
@@ -224,7 +139,7 @@ def _c0_view(cfg: dict, fallback, s_min: float):
     deficit is far below 1 - g(s_min), so the estimator gets a much deeper
     truncation than the epoch iteration needs.
     """
-    law = build_law(_require(cfg, "initial_law", dict, required=True), "initial_law")
+    law = build_law(require(cfg, "initial_law", dict, required=True), "initial_law")
     if isinstance(law, ExpGeometricLaw):
         n_atoms = max(60, int(3 * math.log(1.0 / s_min)))
         return law.atomic(n_atoms=n_atoms, l_max=float("inf"))
@@ -233,10 +148,10 @@ def _c0_view(cfg: dict, fallback, s_min: float):
 
 def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     schedule = build_schedule(cfg)
-    n_epochs = int(_require(cfg, "epochs", int, default=4))
-    l_max = float(_require(cfg, "analytic.l_max", (int, float),
-                           default=50.0 * schedule.d(n_epochs + 1)))
-    deficit_bound = float(_require(cfg, "analytic.deficit_bound", (int, float), default=1e-6))
+    n_epochs = epoch_count(cfg, schedule, default=4)
+    l_max = float(require(cfg, "analytic.l_max", (int, float),
+                          default=50.0 * schedule.d(n_epochs + 1)))
+    deficit_bound = float(require(cfg, "analytic.deficit_bound", (int, float), default=1e-6))
     mu1 = _analytic_initial_measure(cfg, l_max)
     laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs,
                                    deficit_bound=deficit_bound, strict=strict)
@@ -260,8 +175,8 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
                 for n in range(1, n_epochs + 1)))
     # transported primitive probes from the epoch-1 law
     from .transport import deconvolve_m, u1_from_m
-    probe_x = _require(cfg, "analytic.probe_x", list, default=[0.5, 1.0, 2.0, 5.0, 10.0])
-    j_max = float(_require(cfg, "analytic.j_max", (int, float), default=min(l_max, 256.0)))
+    probe_x = require(cfg, "analytic.probe_x", list, default=[0.5, 1.0, 2.0, 5.0, 10.0])
+    j_max = float(require(cfg, "analytic.j_max", (int, float), default=min(l_max, 256.0)))
     z1 = laws[0].rescaled(1.0 / schedule.d(1))
     u1 = u1_from_m(deconvolve_m(z1, j_max))
     with open(os.path.join(out, "transported_primitive.csv"), "w") as fh:
@@ -270,9 +185,9 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
         fh.write("".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
                          for n in range(1, n_epochs + 1) for x in probe_x
                          if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1))
-    s_min = float(_require(cfg, "analytic.c0_s_min", (int, float), default=1e-9))
+    s_min = float(require(cfg, "analytic.c0_s_min", (int, float), default=1e-9))
     grid = default_c0_grid(
-        float(_require(cfg, "analytic.c0_s_max", (int, float), default=1e-2)), s_min)
+        float(require(cfg, "analytic.c0_s_max", (int, float), default=1e-2)), s_min)
     est = c0_estimate(_c0_view(cfg, mu1, s_min), grid)
     with open(os.path.join(out, "c0_report.json"), "w") as fh:
         json.dump({"estimate": est.estimate, "converged": est.converged,
@@ -284,8 +199,12 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
 
 
 def cmd_limits(cfg: dict, out: str) -> int:
-    c0 = float(_require(cfg, "limits.c0", (int, float), default=1.0))
-    gamma = float(_require(cfg, "limits.gamma", (int, float), default=0.0))
+    c0 = float(require(cfg, "limits.c0", (int, float), default=1.0))
+    if not 0.0 <= c0 <= 1.0:  # NaN fails
+        raise ConfigError(f"config field 'limits.c0': need a number in [0, 1], got {c0!r}")
+    gamma = float(require(cfg, "limits.gamma", (int, float), default=0.0))
+    if not gamma >= 0.0:
+        raise ConfigError(f"config field 'limits.gamma': need a number >= 0, got {gamma!r}")
     params = LimitLawParams(c0=c0, gamma=gamma)
     xs = np.arange(1.0, 16.0 + 1e-9, 1.0 / 32.0)
     with open(os.path.join(out, "limit_cdf.csv"), "w") as fh:
@@ -316,11 +235,11 @@ _FIGB_MAX_SITES = 1 << 27
 
 
 def cmd_reproduce_figb(cfg: dict, out: str) -> int:
-    qs = _require(cfg, "figb.q", list, default=[0.1, 0.5, 0.8])
-    horizon = int(_require(cfg, "figb.horizon", int, default=14))
-    x = float(_require(cfg, "figb.x", (int, float), default=10.0))
-    spacing = float(_require(cfg, "figb.lattice", (int, float), default=1.0 / 16.0))
-    arithmetic = bool(_require(cfg, "figb.arithmetic", bool, default=False))
+    qs = require(cfg, "figb.q", list, default=[0.1, 0.5, 0.8])
+    horizon = int(require(cfg, "figb.horizon", int, default=14))
+    x = float(require(cfg, "figb.x", (int, float), default=10.0))
+    spacing = float(require(cfg, "figb.lattice", (int, float), default=1.0 / 16.0))
+    arithmetic = bool(require(cfg, "figb.arithmetic", bool, default=False))
     for i, q in enumerate(qs):
         if not isinstance(q, (int, float)) or not 0 < q < 1:  # NaN, True and False fail
             raise ConfigError(f"config field 'figb.q[{i}]': need a number in (0, 1), the "
@@ -358,8 +277,8 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
 
 def cmd_validate(cfg: dict, out: str) -> int:
     from .acceptance import run_all
-    scale = float(_require(cfg, "validate.scale", (int, float), default=1.0))
-    seed = int(_require(cfg, "seed", int, default=0))
+    scale = float(require(cfg, "validate.scale", (int, float), default=1.0))
+    seed = int(require(cfg, "seed", int, default=0))
     results = run_all(scale=scale, seed=seed, report=print)
     with open(os.path.join(out, "validation.json"), "w") as fh:
         json.dump([r.as_dict() for r in results], fh, indent=2, sort_keys=True)

@@ -2,12 +2,18 @@
 
 Everything here depends on the initial condition only through the constant
 c0 in [0, 1] (and on the rate ratio gamma for first-point laws): the limit
-Laplace transform 1 - exp(-c0*E1(s)), the limit density
-
-    z_c0(x) = sum_{k>=1} (-1)^(k+1) c0^k rho_k(x) 1_{x>=k} / k!
-
-where rho_k is the k-fold convolution of the density 1/x on [1, inf), the
+Laplace transform G(s) = 1 - exp(-c0*E1(s)), its density z_c0 and CDF F, the
 first-point limit transform exp(-c0*Ein(s)/(1+gamma)), and the limit moments.
+
+Since E1'(s) = -e^{-s}/s, the transform obeys s*(1 - G)'(s) = c0*e^{-s}*(1 - G),
+which in x-space is the delay equation
+
+    x * z(x) = c0 * (1 - F(x - 1))   for x >= 1,   z = 0 below 1,
+
+so z = c0/x on [1, 2), and z on [k, k+1] needs F on [k-1, k] only: the law is
+solved one unit interval at a time.  (It equals the alternating series
+sum_{k>=1} (-1)^(k+1) c0^k rho_k / k!, rho_k the k-fold convolution of 1/x on
+[1, inf); ``tests/oracles.py`` keeps that series as the reference.)
 """
 
 from __future__ import annotations
@@ -17,8 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from .measures import _fft_convolve
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -93,21 +97,17 @@ def ein(s) -> np.ndarray | float:
 class LimitLawParams:
     c0: float = 1.0
     gamma: float = 0.0
-    series_order: int = 24     # rho_k tables up to this k
-    x_max: float = 24.0        # dense-grid coverage of the density
-    grid_step: float = 1.0 / 512.0
 
     def __post_init__(self):
         if not 0.0 <= self.c0 <= 1.0:
             raise ValueError("c0 must lie in [0, 1]")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ValueError("gamma must be nonnegative")
-        if self.series_order < 1:
-            raise ValueError("series order must be >= 1")
 
 
 def _c0_of(params) -> float:
-    return params.c0 if isinstance(params, LimitLawParams) else float(params)
+    """c0 of a LimitLawParams or of a bare number, checked to lie in [0, 1]."""
+    return (params if isinstance(params, LimitLawParams) else LimitLawParams(c0=float(params))).c0
 
 
 def g_infinity(params, s) -> np.ndarray | float:
@@ -144,127 +144,85 @@ def first_point_limit_transform(params, s) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# rho_k tables and the limit density
+# the limit density and CDF from the delay equation
 # ---------------------------------------------------------------------------
 
-def _rho_tables(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Sample rho_1..rho_k_max on the grid x = 0, h, 2h, ..., x_max.
+# The law is tabulated on x = 0, GRID_STEP, ..., X_MAX.  The step divides 1,
+# so the jump at x = 1 and the kinks at the integers fall on nodes.
+X_MAX = 24.0
+GRID_STEP = 1.0 / 512.0
 
-    rho_{k+1}(x) = integral_k^{x-1} rho_k(y) / (x - y) dy is evaluated by
-    trapezoid-weighted discrete convolution, done by numpy's FFT
-    (``measures._fft_convolve``: ``scipy.signal`` is slow to import).  The
-    grid step must divide 1 so that the support corners x = k (where rho_k
-    has kinks) fall on grid nodes; the endpoint jumps of the integrand then
-    sit on nodes and the trapezoid half-weights apply cleanly.
-    """
-    n = int(round(x_max / h)) + 1
-    xs = np.arange(n) * h
-    i1 = int(round(1.0 / h))
-    kernel = np.zeros(n)
-    kernel[i1:] = 1.0 / xs[i1:]
-    rho1 = np.zeros(n)
-    rho1[i1:] = 1.0 / xs[i1:]
-    tables = [rho1]
-    for k in range(1, k_max):
-        f = tables[-1]
-        ik = int(round(k / h))  # support start of f
-        full = _fft_convolve(f, kernel)[:n] * h
-        # trapezoid endpoint corrections: half-weight at y = k and y = x - 1
-        lower = np.zeros(n)
-        lower[ik:] = f[ik] * kernel[:n - ik]
-        upper = np.zeros(n)
-        upper[i1:] = f[: n - i1] * kernel[i1]
-        nxt = full - 0.5 * h * (lower + upper)
-        nxt[: ik + i1] = 0.0
-        nxt[nxt < 0] = 0.0
-        tables.append(nxt)
-    return xs, tables
+
+def _solve_delay(c0: float, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, z and F on the step-h grid: z from F one unit back, F by the
+    cumulative trapezoid of z from the jump at x = 1 (node 1 holds the right
+    limit z(1) = c0), one unit interval at a time."""
+    m = int(round(1.0 / h))
+    xs = np.arange(int(round(X_MAX)) * m + 1) * h
+    z = np.zeros_like(xs)
+    cdf = np.zeros_like(xs)
+    for lo in range(m, xs.size - 1, m):  # nodes lo..hi-1 span [lo/m, lo/m + 1]
+        hi = lo + m + 1
+        z[lo:hi] = c0 * (1.0 - cdf[lo - m:hi - m]) / xs[lo:hi]
+        cdf[lo + 1:hi] = cdf[lo] + np.cumsum(z[lo:hi - 1] + z[lo + 1:hi]) * (0.5 * h)
+    return xs, z, cdf
 
 
 @lru_cache(maxsize=8)
-def _z_grid(c0: float, x_max: float, h: float, k_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """Richardson-extrapolated samples of z_c0 on the step-h grid."""
-    k_eff = min(k_max, int(math.floor(x_max)) + 1)
-
-    def combine(step: float) -> tuple[np.ndarray, np.ndarray]:
-        xs, tables = _rho_tables(x_max, step, k_eff)
-        z = np.zeros_like(xs)
-        fact = 1.0
-        for k, rho in enumerate(tables, start=1):
-            fact *= k
-            term = (c0 ** k / fact) * rho
-            z += term if k % 2 == 1 else -term
-        return xs, z
-
-    xs_f, z_f = combine(h / 2.0)
-    xs_c, z_c = combine(h)
-    z = (4.0 * z_f[::2] - z_c) / 3.0  # eliminate the O(h^2) trapezoid error
-    z[z < 0] = 0.0
-    return xs_c, z
+def _z_grid(c0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x, z and F on the GRID_STEP grid, each Richardson-extrapolated against
+    the step GRID_STEP/2 to remove the O(h^2) trapezoid error."""
+    xs, z_c, cdf_c = _solve_delay(c0, GRID_STEP)
+    _, z_f, cdf_f = _solve_delay(c0, GRID_STEP / 2.0)
+    return xs, (4.0 * z_f[::2] - z_c) / 3.0, (4.0 * cdf_f[::2] - cdf_c) / 3.0
 
 
 def z_density(params, x) -> np.ndarray | float:
-    """Universal limit density z_c0(x) on [1, inf); 0 below 1.
+    """Universal limit density z_c0(x) on [1, X_MAX]; 0 below 1.
 
-    The series truncation at k = floor(x) is exact because rho_k vanishes
-    below k; values come from the cached convolution tables.
+    Node values come from the cached delay-equation table, others by linear
+    interpolation.
     """
-    p = params if isinstance(params, LimitLawParams) else LimitLawParams(c0=float(params))
-    xs, z = _z_grid(p.c0, p.x_max, p.grid_step, p.series_order)
+    c0 = _c0_of(params)
+    xs, z, _ = _z_grid(c0)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if np.any(x_arr > p.x_max):
-        raise ValueError(f"density computed up to x_max={p.x_max}; extend LimitLawParams")
+    if np.any(x_arr > X_MAX):
+        raise ValueError(f"the limit density is tabulated up to x = X_MAX = {X_MAX}")
     out = np.interp(x_arr, xs, z)
     out[x_arr < 1.0] = 0.0
     return out if np.ndim(x) else float(out[0])
 
 
-@lru_cache(maxsize=8)
-def _zcdf_grid(c0: float, x_max: float, h: float, k_max: int) -> tuple[np.ndarray, np.ndarray, float, float]:
-    xs, z = _z_grid(c0, x_max, h, k_max)
-    # integrate from the support edge x = 1 only: the density jumps there and
-    # a trapezoid panel straddling the jump would add a spurious h/2 * z(1)
-    i1 = int(round(1.0 / h))
-    dcf = (z[1:] + z[:-1]) * 0.5 * np.diff(xs)
-    dcf[:i1] = 0.0
-    cdf = np.concatenate(([0.0], np.cumsum(dcf)))
-    # power-law tail beyond the grid: P(Z > x) ~ C x^{-c0} for c0 < 1
-    # (for c0 = 1 the true tail is superexponential and already negligible)
-    if c0 < 1.0:
-        tail_c = (1.0 - cdf[-1]) * xs[-1] ** c0
-    else:
-        tail_c = 0.0
-    return xs, cdf, tail_c, float(1.0 - cdf[-1])
-
-
 def z_cdf(params, x) -> np.ndarray | float:
-    """CDF of the universal limit law: 0 at x = 1, -> 1 as x -> inf."""
-    p = params if isinstance(params, LimitLawParams) else LimitLawParams(c0=float(params))
-    xs, cdf, tail_c, tail_mass = _zcdf_grid(p.c0, p.x_max, p.grid_step, p.series_order)
+    """CDF of the universal limit law: 0 at x = 1, -> 1 as x -> inf.
+
+    Beyond X_MAX: the power-law tail P(Z > x) = C x^{-c0} for c0 < 1, with C
+    from the solved F at X_MAX; for c0 = 1 the true tail is superexponential
+    and F(X_MAX) is kept.
+    """
+    c0 = _c0_of(params)
+    xs, _, cdf = _z_grid(c0)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.interp(x_arr, xs, cdf)
-    beyond = x_arr > xs[-1]
-    if np.any(beyond):
-        if p.c0 < 1.0:
-            out[beyond] = 1.0 - tail_c * x_arr[beyond] ** (-p.c0)
-        else:
-            out[beyond] = 1.0 - tail_mass
+    beyond = x_arr > X_MAX
+    if c0 < 1.0 and np.any(beyond):
+        tail_c = (1.0 - cdf[-1]) * X_MAX ** c0
+        out[beyond] = 1.0 - tail_c * x_arr[beyond] ** (-c0)
     out[x_arr < 1.0] = 0.0
     return out if np.ndim(x) else float(out[0])
 
 
 def limit_moment(params, k: int) -> float:
-    """k-th moment of the limit law by density quadrature with a tail bound.
+    """k-th moment of the limit law by trapezoid quadrature of the density
+    on [1, X_MAX].
 
     Finite only for c0 = 1 (for c0 < 1 the transform derivative diverges like
     s^(c0-1) at 0, so even the mean is infinite); returns math.inf then.
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    p = params if isinstance(params, LimitLawParams) else LimitLawParams(c0=float(params))
-    if p.c0 < 1.0:
+    if _c0_of(params) < 1.0:
         return math.inf
-    xs, z = _z_grid(p.c0, p.x_max, p.grid_step, p.series_order)
-    i1 = int(round(1.0 / p.grid_step))  # support edge; see _zcdf_grid
-    integrand = xs[i1:] ** k * z[i1:]
-    return float(np.trapezoid(integrand, xs[i1:]))
+    xs, z, _ = _z_grid(1.0)
+    i1 = int(round(1.0 / GRID_STEP))  # from the jump at x = 1 only
+    return float(np.trapezoid(xs[i1:] ** k * z[i1:], xs[i1:]))

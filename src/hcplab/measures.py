@@ -109,7 +109,7 @@ class AtomicMeasure:
             pos, mas = _coalesce(pos, mas)
         if mas.size and np.any(mas < -MASS_ATOL):
             worst = pos[int(np.argmin(mas))]
-            raise NegativeMassError(f"negative atom mass at position {worst!r}")
+            raise NegativeMassError(f"negative atom mass at position {float(worst)!r}")
         mas = np.maximum(mas, 0.0)
         if self.deficit < -MASS_ATOL:
             raise MeasureError("deficit must be nonnegative")

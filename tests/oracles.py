@@ -3,7 +3,10 @@
 ``deconvolve_m_intervals`` solves the alternating series
 p = sum_{k>=1} (-1)^(k+1) m^{*k} / k! interval by interval, recomputing the
 powers of the partial m on each unit interval.  ``rho_tables_direct`` builds
-the rho_k tables with direct (non-FFT) discrete convolution.
+the rho_k tables (rho_k the k-fold convolution of 1/x on [1, inf)) by
+trapezoid-weighted direct convolution, and ``z_rho_series`` sums them into
+the limit density z_c0 = sum_k (-1)^(k+1) c0^k rho_k / k! with one
+Richardson step: the series the delay equation of ``limits`` replaced.
 ``u1_lattice_blocks`` solves the lattice recurrence of ``u1_on_lattice`` in
 blocks of the smallest tap, one slice-add per tap and block.
 ``ein_series_scalar`` sums the small-s series of Ein one argument at a time.
@@ -21,6 +24,7 @@ one replica at a time.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,7 +84,8 @@ def deconvolve_m_intervals(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
 
 def rho_tables_direct(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, list[np.ndarray]]:
     """rho_1..rho_k_max on x = 0, h, ..., x_max by trapezoid-weighted
-    ``np.convolve``; same grid and endpoint corrections as the FFT tables."""
+    ``np.convolve``: rho_{k+1}(x) = integral_k^{x-1} rho_k(y) / (x - y) dy, with
+    half weights at both ends (h must divide 1, so the ends fall on nodes)."""
     n = int(round(x_max / h)) + 1
     xs = np.arange(n) * h
     i1 = int(round(1.0 / h))
@@ -102,6 +107,29 @@ def rho_tables_direct(x_max: float, h: float, k_max: int) -> tuple[np.ndarray, l
         nxt[nxt < 0] = 0.0
         tables.append(nxt)
     return xs, tables
+
+
+@lru_cache(maxsize=4)
+def _rho_tables_cached(x_max: float, h: float, k_max: int):
+    return rho_tables_direct(x_max, h, k_max)
+
+
+def z_rho_series(c0: float, x_max: float, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """z_c0 on x = 0, h, ..., x_max by the alternating rho_k series (exact
+    below x_max with k up to floor(x_max) + 1, since rho_k vanishes below k),
+    Richardson-extrapolated against step h/2."""
+    k_max = int(math.floor(x_max)) + 1
+
+    def series(step: float) -> tuple[np.ndarray, np.ndarray]:
+        xs, tables = _rho_tables_cached(x_max, step, k_max)
+        z = np.zeros_like(xs)
+        for k, rho in enumerate(tables, start=1):
+            z += (-1.0) ** (k + 1) * c0 ** k / math.factorial(k) * rho
+        return xs, z
+
+    xs, z_c = series(h)
+    _, z_f = series(h / 2.0)
+    return xs, (4.0 * z_f[::2] - z_c) / 3.0
 
 
 def u1_lattice_blocks(base: np.ndarray, atom_idx: np.ndarray,

@@ -338,6 +338,73 @@ class TestFigBInputs:
         assert "p = 1 - q" in err
 
 
+def run_rejected(tmp_path, command, overrides, *flags):
+    """Run the CLI in a subprocess on BASE_CONFIG with overrides; it must exit
+    2 without a traceback.  Returns stderr."""
+    argv = [command, "--config", write_config(tmp_path, overrides),
+            "--out", str(tmp_path / "out"), *flags]
+    src = os.path.dirname(os.path.dirname(hcplab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-m", "hcplab.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert "Traceback" not in proc.stderr, proc.stderr
+    assert proc.returncode == 2, proc.stderr
+    return proc.stderr
+
+
+class TestConfigInputs:
+    """Bad law, count, schedule and limits fields exit 2 with the field named."""
+
+    @pytest.mark.parametrize("c0, gamma, field", [
+        (1.5, 0.0, "limits.c0"),
+        (math.nan, 0.0, "limits.c0"),
+        (1.0, -1.0, "limits.gamma"),
+        (1.0, math.nan, "limits.gamma"),
+    ])
+    def test_limits_fields(self, tmp_path, c0, gamma, field):
+        err = run_rejected(tmp_path, "limits", {"limits": {"c0": c0, "gamma": gamma}})
+        assert f"config error: config field '{field}'" in err
+
+    @pytest.mark.parametrize("command, law, field", [
+        ("simulate", {"kind": "geometric"}, "initial_law.q"),
+        ("simulate", {"kind": "geometric", "q": 0}, "initial_law.q"),
+        ("simulate", {"kind": "two_point", "a": 1.0, "b": 2.0, "p_a": 1.5}, "initial_law.p_a"),
+        ("analytic", {"kind": "two_point", "a": 1.0, "b": 2.0, "p_a": 1.5}, "initial_law.p_a"),
+        ("simulate", {"kind": "exp_geometric", "p": "x"}, "initial_law.p"),
+        ("simulate", {"kind": "dirac", "value": math.nan}, "initial_law.value"),
+    ])
+    def test_initial_law_fields(self, tmp_path, command, law, field):
+        err = run_rejected(tmp_path, command, {"initial_law": law})
+        assert f"config error: config field '{field}'" in err
+
+    def test_mixture_component_field(self, tmp_path):
+        process = {"variant": "exchangeable", "components": [
+            [0.5, {"kind": "dirac"}], [0.5, {"kind": "geometric", "q": 2}]]}
+        err = run_rejected(tmp_path, "simulate", {"process": process})
+        assert "config error: config field 'process.components[1].q'" in err
+
+    @pytest.mark.parametrize("overrides, flags, field", [
+        ({"epochs": 0}, (), "epochs"),
+        ({"replicas": 0}, (), "replicas"),
+        ({}, ("--replicas", "0"), "replicas"),
+        ({"window.n_intervals": 0}, (), "window.n_intervals"),
+        ({"window.n_intervals": True}, (), "window.n_intervals"),
+        ({"schedule.thresholds": "explicit", "schedule.values": [1.0, 1.0, 2.0]}, (),
+         "schedule.values"),
+        ({"schedule.thresholds": "explicit", "schedule.values": [1.0, 2.0]}, (),
+         "schedule.values"),
+        ({"schedule.rates": "north"}, (), "schedule.rates"),
+    ])
+    def test_simulate_fields(self, tmp_path, overrides, flags, field):
+        err = run_rejected(tmp_path, "simulate", overrides, *flags)
+        assert f"config error: config field '{field}'" in err
+
+    def test_exhausted_window_names_it(self, tmp_path):
+        err = run_rejected(tmp_path, "simulate", {"window.n_intervals": 1})
+        assert "window exhausted at epoch" in err and "window.n_intervals" in err
+
+
 class TestOffLatticeSimulate:
     def test_irrational_lengths_run_to_the_end(self, tmp_path):
         # gaps of sums of 1 and sqrt(2) come out a few ulps off; a true unit

@@ -1,16 +1,21 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import exp1
 
-from hcplab.limits import (EULER_GAMMA, _rho_tables, ein,
+import hcplab.limits
+from hcplab.limits import (EULER_GAMMA, GRID_STEP, X_MAX, LimitLawParams, _z_grid, ein,
                            exp_integral, first_point_limit_transform,
                            g_infinity, limit_moment, z_cdf, z_density)
 from hcplab.measures import discretize_cdf, epoch_pushforward
 
-from oracles import ein_series_scalar, rho_tables_direct
+from oracles import ein_series_scalar, rho_tables_direct, z_rho_series
 
 
 class TestExpIntegral:
@@ -92,21 +97,13 @@ class TestGInfinity:
 
 class TestZDensity:
     def test_rho2_closed_form(self):
-        xs, tables = _rho_tables(8.0, 1.0 / 256.0, 3)
+        xs, tables = rho_tables_direct(8.0, 1.0 / 256.0, 3)
         mask = (xs > 2.0) & (xs < 8.0)
         exact = (2.0 / xs[mask]) * np.log(xs[mask] - 1.0)
         assert np.max(np.abs(tables[1][mask] - exact)) < 2e-5
 
-    def test_fft_tables_match_direct_convolution(self):
-        for h in (1.0 / 64.0, 1.0 / 128.0, 1.0 / 256.0):
-            xs, tables = _rho_tables(8.0, h, 6)
-            xs_ref, ref = rho_tables_direct(8.0, h, 6)
-            assert np.array_equal(xs, xs_ref)
-            for k in range(6):
-                assert np.max(np.abs(tables[k] - ref[k])) < 1e-13
-
     def test_rho3_against_double_quadrature(self):
-        xs, tables = _rho_tables(8.0, 1.0 / 512.0, 3)
+        xs, tables = rho_tables_direct(8.0, 1.0 / 512.0, 3)
 
         def rho3(x):
             # integrate rho_2(y)/(x-y) with the kink at y=2 split out
@@ -136,6 +133,63 @@ class TestZDensity:
         assert total == pytest.approx(1.0, abs=1e-4)
 
 
+class TestDelayEquation:
+    """x z(x) = c0 (1 - F(x - 1)) solved one unit interval at a time."""
+
+    @pytest.mark.parametrize("c0", [0.3, 0.5, 1.0])
+    def test_matches_rho_series_oracle(self, c0):
+        # the recurrence is causal, so its table up to 8 is the solution on
+        # [0, 8] whatever the tabulated bound; x_max 8 keeps np.convolve cheap
+        xs_ref, z_ref = z_rho_series(c0, 8.0, GRID_STEP)
+        xs, z, _ = _z_grid(c0)
+        assert np.array_equal(xs[:xs_ref.size], xs_ref)
+        on = xs_ref >= 1.0
+        assert np.max(np.abs(z[:xs_ref.size][on] - z_ref[on])) < 1e-12
+
+    @pytest.mark.parametrize("c0", [0.3, 0.5, 1.0])
+    def test_first_interval_cdf_is_logarithmic(self, c0):
+        xs, _, cdf = _z_grid(c0)
+        on = (xs >= 1.0) & (xs <= 2.0)
+        assert np.max(np.abs(cdf[on] - c0 * np.log(xs[on]))) < 1e-12
+
+    @pytest.mark.parametrize("c0", [0.3, 0.5, 1.0])
+    def test_second_interval_density(self, c0):
+        xs, z, _ = _z_grid(c0)
+        on = (xs >= 2.0) & (xs <= 3.0)
+        exact = c0 * (1.0 - c0 * np.log(xs[on] - 1.0)) / xs[on]
+        assert np.max(np.abs(z[on] - exact)) < 1e-12
+
+    def test_zero_c0_keeps_no_mass(self):
+        x = np.array([0.5, 1.0, 2.5, 24.0, 30.0, 1e6])
+        assert np.array_equal(z_cdf(0.0, x), np.zeros_like(x))
+
+    def test_loads_numpy_alone(self):
+        # ``import hcplab.limits`` runs the package __init__, which imports
+        # every module, so the file is loaded on its own
+        probe = (
+            "import importlib.util, json, sys\n"
+            "spec = importlib.util.spec_from_file_location('limits_alone', sys.argv[1])\n"
+            "mod = importlib.util.module_from_spec(spec)\n"
+            "sys.modules['limits_alone'] = mod\n"
+            "spec.loader.exec_module(mod)\n"
+            "assert mod.z_cdf(1.0, 2.0) > 0\n"
+            "print(json.dumps(sorted(m for m in sys.modules\n"
+            "                        if m.split('.')[0] in ('hcplab', 'scipy'))))\n")
+        proc = subprocess.run([sys.executable, "-c", probe, hcplab.limits.__file__],
+                              capture_output=True, text=True, timeout=120,
+                              env=dict(os.environ, PYTHONPATH=""))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
+
+class TestLimitLawParams:
+    def test_fields_and_ranges(self):
+        assert [f.name for f in dataclasses.fields(LimitLawParams)] == ["c0", "gamma"]
+        for c0, gamma in ((1.5, 0.0), (math.nan, 0.0), (1.0, -1.0), (1.0, math.nan)):
+            with pytest.raises(ValueError):
+                LimitLawParams(c0=c0, gamma=gamma)
+
+
 class TestZCdf:
     def test_anchors(self):
         assert z_cdf(1.0, 1.0) == 0.0
@@ -147,6 +201,13 @@ class TestZCdf:
         for x in (1.5, 2.7, 4.1):
             deriv = (z_cdf(1.0, x + h) - z_cdf(1.0, x - h)) / (2 * h)
             assert deriv == pytest.approx(z_density(1.0, x), abs=1e-4)
+
+    @pytest.mark.parametrize("c0", [0.3, 0.5])
+    def test_tail_continues_solved_cdf(self, c0):
+        # beyond X_MAX, 1 - F = C x^{-c0} with C fixed by F(X_MAX)
+        at = 1.0 - z_cdf(c0, X_MAX)
+        assert 1.0 - z_cdf(c0, X_MAX * (1 + 1e-12)) == pytest.approx(at, rel=1e-9)
+        assert 1.0 - z_cdf(c0, 8 * X_MAX) == pytest.approx(at * 8.0 ** -c0, rel=1e-12)
 
     def test_heavy_tail_for_small_c0(self):
         # P(Z > x) ~ x^{-c0}: the cdf approaches 1 slowly

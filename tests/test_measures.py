@@ -29,6 +29,11 @@ class TestAtomicMeasure:
         with pytest.raises(MeasureError):
             from_pmf([20.0], [0.5], l_max=10.0)
 
+    def test_negative_mass_names_plain_position(self):
+        with pytest.raises(NegativeMassError) as err:
+            from_pmf([1.0, 2.0], [1.5, -0.5], l_max=10.0)
+        assert str(err.value) == "negative atom mass at position 2.0"
+
     def test_duplicate_positions_coalesce(self):
         m = from_pmf([1.0, 1.0, 2.0], [0.2, 0.3, 0.5], l_max=10.0)
         assert m.n_atoms == 2
