@@ -2,7 +2,7 @@
 
 ``deconvolve_m_intervals`` solves the alternating series
 p = sum_{k>=1} (-1)^(k+1) m^{*k} / k! interval by interval, recomputing the
-powers of the partial m on each unit interval.  ``rho_tables_direct`` builds
+powers of the partial m on each unit interval by pairwise atom sums.  ``rho_tables_direct`` builds
 the rho_k tables (rho_k the k-fold convolution of 1/x on [1, inf)) by
 trapezoid-weighted direct convolution, and ``z_rho_series`` sums them into
 the limit density z_c0 = sum_k (-1)^(k+1) c0^k rho_k / k! with one
@@ -31,10 +31,21 @@ import numpy as np
 from hcplab.config import Boundary, IntervalConfiguration
 from hcplab.epoch import MergeLog, RateValidityError, StateSpaceError
 from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy, pool_summaries
-from hcplab.measures import AtomicMeasure, MeasureError, _coalesce, convolve
+from hcplab.measures import AtomicMeasure, MeasureError, _coalesce
 from hcplab.laws import SamplingContractError
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary, replica_rng)
+
+
+def _convolve_pairs(m1: AtomicMeasure, m2: AtomicMeasure, hi: float) -> AtomicMeasure:
+    """m1 * m2 below hi from every atom pair, with no lattice detection: a
+    lattice spacing re-detected from float positions drifts (1.02 and 1.9375
+    give 0.0024999999998694), which moves atoms off their pairwise sums."""
+    pos = np.add.outer(m1.positions, m2.positions).ravel()
+    mas = np.multiply.outer(m1.masses, m2.masses).ravel()
+    keep = pos < hi
+    pos, mas = _coalesce(pos[keep], mas[keep])
+    return AtomicMeasure(pos, mas, m1.l_max)
 
 
 def deconvolve_m_intervals(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
@@ -68,7 +79,7 @@ def deconvolve_m_intervals(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
             power = m_so_far
             fact = 1.0
             for k in range(2, j + 1):
-                power = convolve(power, m_so_far)
+                power = _convolve_pairs(power, m_so_far, hi)
                 fact *= k
                 piece = power.restricted(j, hi)
                 sign = 1.0 if k % 2 == 0 else -1.0

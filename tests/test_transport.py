@@ -95,11 +95,9 @@ def z_laws(draw):
 
 
 class TestDeconvolveOracle:
-    # The interval recursion re-detects the lattice of its growing partial m
-    # at every power, and on a spacing that is not a power of two the
-    # detected spacing drifts until atoms cross unit-interval boundaries.
-    # The comparison therefore uses dyadic spacings, where it is exact; the
-    # closed-form test below covers other spacings.
+    # The interval recursion forms its powers from pairwise atom sums, so it
+    # follows the free float positions exactly.  The lattice draws use
+    # dyadic spacings; the closed-form test below covers other spacings.
     @given(case=z_laws())
     @settings(max_examples=60, deadline=None)
     def test_matches_interval_recursion(self, case):
