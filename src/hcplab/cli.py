@@ -25,6 +25,7 @@ from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hc
 from .schema import (ConfigError, build_law, build_schedule, build_spec, build_window,
                      epoch_count, require)
 from .hcp import WindowExhaustedError, replicate
+from .schedule import ScheduleError
 from .transport import c0_estimate, default_c0_grid, u1_on_lattice, un_transport
 
 
@@ -321,7 +322,7 @@ def main(argv=None) -> int:
             return cmd_reproduce_figb(cfg, out)
         if args.command == "validate":
             return cmd_validate(cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DeficitError:

@@ -21,13 +21,16 @@ import numpy as np
 POSITION_RTOL = 1e-12
 MASS_ATOL = 1e-12
 
-# Dense-vector convolution is used when both operands sit on a common lattice
-# and the implied vector is not absurdly long.
+# Dense-vector convolution is used when the common dyadic lattice of both
+# operands (see _dyadic_spacing) implies a vector shorter than this; a finer
+# lattice, such as that of a non-dyadic spacing like 1/3, goes to the outer
+# product.
 _MAX_DENSE = 16_000_000
 _FFT_THRESHOLD = 4_000_000  # switch np.convolve -> _fft_convolve above this cost
 # Atom pairs the generic (off-lattice) convolution may form.  A call peaks
 # near 75 bytes per pair, so this caps it near 300 MiB; the tests, demos and
-# benchmark workloads form at most 532,928 pairs.
+# benchmark workloads form at most 566,016 pairs (`analytic` on two_point(1,
+# 1.1) at its default l_max).
 _MAX_OUTER_PAIRS = 1 << 22
 
 
@@ -57,30 +60,6 @@ def _coalesce(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     out_pos = pos[starts]
     out_mas = np.add.reduceat(mas, starts)
     return out_pos, out_mas
-
-
-def _detect_lattice(positions: np.ndarray) -> float | None:
-    """Return a spacing delta such that positions ~= integer multiples of delta."""
-    if positions.size == 0:
-        return None
-    if positions.size == 1:
-        return float(positions[0])
-    candidates = np.concatenate((np.diff(positions), positions[:1]))
-    delta = float(np.min(candidates[candidates > 0]))
-    for _ in range(8):
-        idx = positions / delta
-        frac = np.abs(idx - np.rint(idx))
-        if np.all(frac < 1e-9 * np.maximum(1.0, idx)):
-            return delta
-        # shrink toward a common divisor using the worst offender
-        bad = float(positions[np.argmax(frac)])
-        r = bad - delta * math.floor(bad / delta)
-        if r <= 1e-9 * delta:
-            return None
-        delta = min(r, delta - r) if min(r, delta - r) > 0 else r
-        if delta <= 0:
-            return None
-    return None
 
 
 @dataclass(frozen=True)
@@ -239,15 +218,28 @@ def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[:size]
 
 
+def _dyadic_spacing(positions: np.ndarray) -> float:
+    """Largest power of two of which every position is an integer multiple.
+
+    Exact for any finite floats: a float is its 53-bit integer mantissa times
+    2^(exp - 53), and the lowest set bit of that mantissa is its largest
+    power-of-two factor.
+    """
+    mant, exp = np.frexp(positions)
+    bits = (mant * 2.0 ** 53).astype(np.int64)
+    return float(np.min(np.ldexp((bits & -bits).astype(np.float64), exp - 53)))
+
+
 def _convolve_dense(m1: AtomicMeasure, m2: AtomicMeasure, delta: float,
                     l_max: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lattice convolution on spacing delta; returns (positions, masses, overflow)."""
-    i1 = np.rint(m1.positions / delta).astype(np.int64)
-    i2 = np.rint(m2.positions / delta).astype(np.int64)
-    v1 = np.zeros(int(i1[-1]) + 1)
-    v2 = np.zeros(int(i2[-1]) + 1)
-    np.add.at(v1, i1, m1.masses)  # distinct atoms may share a lattice cell
-    np.add.at(v2, i2, m2.masses)
+    """Lattice convolution on spacing delta, a power of two dividing every
+    position: positions / delta are exact integers, so distinct atoms fill
+    distinct cells, and idx * delta is the exact pairwise sum.  Returns
+    (positions, masses, overflow)."""
+    v1 = np.zeros(int(m1.positions[-1] / delta) + 1)
+    v2 = np.zeros(int(m2.positions[-1] / delta) + 1)
+    v1[(m1.positions / delta).astype(np.int64)] = m1.masses
+    v2[(m2.positions / delta).astype(np.int64)] = m2.masses
     if v1.size * v2.size > _FFT_THRESHOLD:
         out = _fft_convolve(v1, v2)
         out[np.abs(out) < 1e-16 * max(1.0, out.max(initial=0.0))] = 0.0
@@ -280,8 +272,9 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
     """Convolution m1 * m2: atom at p1+p2 with mass w1*w2 for every atom pair.
 
     Mass landing beyond l_max (including anything involving an input deficit)
-    is added to the output deficit.  Atoms at equal positions are coalesced
-    within the position tolerance.
+    is added to the output deficit.  On the common dyadic lattice of both
+    operands the sums are formed on dense vectors; past ``_MAX_DENSE`` cells
+    they are formed pair by pair and coalesced within the position tolerance.
     """
     l_max = min(m1.l_max, m2.l_max)
     if m1.n_atoms == 0 or m2.n_atoms == 0:
@@ -289,15 +282,9 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
         pos = np.empty(0)
         mas = np.empty(0)
     else:
-        d1 = _detect_lattice(m1.positions)
-        d2 = _detect_lattice(m2.positions)
-        use_dense = (
-            d1 is not None and d2 is not None
-            and abs(d1 - d2) <= 1e-9 * max(d1, d2)
-            and (m1.positions[-1] + m2.positions[-1]) / d1 < _MAX_DENSE
-        )
-        if use_dense:
-            pos, mas, overflow = _convolve_dense(m1, m2, d1, l_max)
+        delta = min(_dyadic_spacing(m1.positions), _dyadic_spacing(m2.positions))
+        if (m1.positions[-1] + m2.positions[-1]) / delta < _MAX_DENSE:
+            pos, mas, overflow = _convolve_dense(m1, m2, delta, l_max)
         else:
             pos, mas, overflow = _convolve_outer(m1, m2, l_max)
     deficit = (overflow

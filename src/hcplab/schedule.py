@@ -102,11 +102,15 @@ class EpochSchedule:
                 raise ScheduleError(f"thresholds must increase: d({n})={lo}, d({n + 1})={hi}")
             if 2 * lo < hi * (1 - 1e-12):
                 raise ScheduleError(
-                    f"(A2) violated at epoch {n}: d({n + 1})={hi} > 2 d({n})={2 * lo}")
+                    f"(A2) violated at epoch {n}: d({n + 1})={hi} > 2 d({n})={2 * lo} "
+                    f"(schedule.values in a config)")
             rates = self.rates_for(n)
             report = validate_rates(rates)
             if not report.ok:
-                raise ScheduleError(f"epoch {n}: " + "; ".join(report.violations))
+                raise ScheduleError(
+                    f"epoch {n}: {report.violations[0]}; {len(report.violations)} rate "
+                    f"violations in all (schedule.rates, schedule.left and schedule.right "
+                    f"in a config)")
             if self.gamma is not None:
                 grid = np.linspace(lo, hi * (1 - 1e-9), 17)
                 left = np.asarray(rates.lambda_left(grid), dtype=float)
@@ -114,7 +118,7 @@ class EpochSchedule:
                 if not np.allclose(left, self.gamma * right, rtol=1e-9, atol=1e-12):
                     raise ScheduleError(
                         f"epoch {n}: rates break lambda_left = gamma*lambda_right "
-                        f"with gamma={self.gamma}")
+                        f"with gamma={self.gamma} (schedule.gamma in a config)")
         if self.d(n_epochs + 1) <= self.d(1):
             raise ScheduleError("thresholds must diverge")
 

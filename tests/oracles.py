@@ -38,9 +38,9 @@ from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStation
 
 
 def _convolve_pairs(m1: AtomicMeasure, m2: AtomicMeasure, hi: float) -> AtomicMeasure:
-    """m1 * m2 below hi from every atom pair, with no lattice detection: a
-    lattice spacing re-detected from float positions drifts (1.02 and 1.9375
-    give 0.0024999999998694), which moves atoms off their pairwise sums."""
+    """m1 * m2 below hi from every atom pair, coalesced within the position
+    tolerance, so that the interval recursion shares no convolution code with
+    ``measures.convolve`` and its dense route."""
     pos = np.add.outer(m1.positions, m2.positions).ravel()
     mas = np.multiply.outer(m1.masses, m2.masses).ravel()
     keep = pos < hi

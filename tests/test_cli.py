@@ -77,8 +77,19 @@ class TestSimulate:
                                       "schedule.values": [1.0, 2.0, 8.0],
                                       "epochs": 2})
         out = str(tmp_path / "f")
-        with pytest.raises(Exception, match="epoch 2"):
-            main(["simulate", "--config", cfg, "--out", out])
+        assert main(["simulate", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: (A2) violated at epoch 2")
+        assert "schedule.values" in err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"schedule.rates": "constant", "schedule.left": -1.0}, "schedule.left"),
+        ({"schedule.gamma": 0.5}, "schedule.gamma"),
+    ])
+    def test_invalid_rates_name_field(self, tmp_path, overrides, field):
+        err = run_rejected(tmp_path, "simulate", overrides)
+        assert err.startswith("config error: epoch 1:") and field in err
+        assert err.count("violated") <= 1  # the first violation only
 
     def test_invalid_geometric_ratio(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"schedule.a": 2.5})
@@ -203,6 +214,19 @@ class TestAnalytic:
             "analytic": {"j_max": 48.0}})
         assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "tp")]) == 2
         assert "analytic.l_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("b", [5.0 / 3.0, 1.1])
+    def test_non_dyadic_two_point_law(self, tmp_path, b):
+        # atoms on the lattice of 1/3 or 0.1, which no power of two divides,
+        # at the default l_max and j_max
+        cfg = tmp_path / "tp.json"
+        cfg.write_text(json.dumps({"initial_law": {"kind": "two_point", "a": 1.0, "b": b}}))
+        out = tmp_path / "tp"
+        assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
+        from hcplab.measures import AtomicMeasure
+        law4 = AtomicMeasure.from_csv(out / "interval_law_epoch04.csv")
+        assert law4.n_atoms > 100
+        assert law4.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_measure_csvs_written(self, tmp_path):
         cfg = write_config(tmp_path)

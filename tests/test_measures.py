@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from hcplab.laws import GeometricLaw
 from hcplab.measures import (AtomicMeasure, DeficitError, MeasureError,
                              NegativeMassError, oscillating_tail_law,
-                             _fft_convolve, convolve, dirac, epoch_pushforward,
+                             _convolve_outer, _dyadic_spacing, _fft_convolve,
+                             convolve, dirac, epoch_pushforward,
                              exp_geometric_law, from_pmf, iterate_hcp_measures,
                              survival_probability_exact)
 from hcplab.transport import c0_estimate, default_c0_grid
@@ -85,6 +87,33 @@ class TestConvolve:
         b = from_pmf([1.0, 3.0], [w2 / 2, w2 / 2], l_max=6.0)
         out = convolve(a, b)
         assert out.total_mass == pytest.approx(w1 * w2, rel=1e-12)
+
+    def test_dyadic_spacing(self):
+        assert _dyadic_spacing(np.array([1.0 / 3.0])) == 2.0 ** -54
+        assert _dyadic_spacing(np.array([6.0])) == 2.0
+        assert _dyadic_spacing(np.array([0.25, 7.0])) == 0.25
+        assert _dyadic_spacing(np.array([3 * 2.0 ** -1074])) == 2.0 ** -1074  # subnormal
+
+    @given(exponent=st.integers(-6, 1),
+           idx1=st.lists(st.integers(1, 256), min_size=1, max_size=12, unique=True),
+           idx2=st.lists(st.integers(1, 256), min_size=1, max_size=12, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_route_matches_pairwise_sums(self, exponent, idx1, idx2, seed):
+        # oracle for the dense route: every atom pair summed and coalesced;
+        # on a dyadic lattice both form the exact sums, so positions agree
+        # bit for bit and masses up to summation order
+        spacing = 2.0 ** exponent
+        rng = np.random.default_rng(seed)
+        a = from_pmf(np.sort(idx1) * spacing, rng.uniform(0.01, 1.0, len(idx1)), 256 * spacing)
+        b = from_pmf(np.sort(idx2) * spacing, rng.uniform(0.01, 1.0, len(idx2)), 256 * spacing)
+        with mock.patch("hcplab.measures._convolve_outer",
+                        side_effect=AssertionError("took the outer route")):
+            out = convolve(a, b)
+        pos, mas, overflow = _convolve_outer(a, b, a.l_max)
+        assert np.array_equal(out.positions, pos)
+        np.testing.assert_allclose(out.masses, mas, rtol=1e-13)
+        assert out.deficit == pytest.approx(overflow, rel=1e-13, abs=1e-300)
 
     @given(n1=st.integers(1, 5000), n2=st.integers(1, 5000),
            seed=st.integers(0, 2**32 - 1))

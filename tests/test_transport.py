@@ -4,15 +4,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
 import hcplab.transport
 from hcplab.laws import GeometricLaw, ParetoHalfLaw, two_point_law
-from hcplab.measures import (_coalesce, _detect_lattice, dirac,
-                             epoch_pushforward, exp_geometric_law, from_pmf,
-                             iterate_hcp_measures)
+from hcplab.measures import (_coalesce, dirac, epoch_pushforward,
+                             exp_geometric_law, from_pmf, iterate_hcp_measures)
 from hcplab.transport import (C0Estimate, LatticeStepFunction, StepFunction,
                               TransformPair, TransportRangeError, _u1_lattice,
                               c0_estimate, deconvolve_m, default_c0_grid,
@@ -51,6 +50,14 @@ class TestDeconvolve:
         grid = np.arange(1.0, 23.5, 0.25)
         assert np.max(np.abs(back.cdf(grid) - z1.cdf(grid))) < 1e-10
 
+    def test_round_trip_on_a_non_dyadic_lattice(self):
+        # 1 and 5/3 lie on the lattice of 1/3, which no power of two divides
+        p = from_pmf([1.0, 5.0 / 3.0], [0.5, 0.5], l_max=10.0)
+        back = reassemble_z_law(deconvolve_m(p, 9.0), 9.0)
+        assert back.total_mass == pytest.approx(1.0, abs=1e-12)
+        grid = np.arange(1.0, 9.0, 1.0 / 24.0)
+        assert np.max(np.abs(back.cdf(grid) - p.cdf(grid))) < 1e-10
+
     def test_rejects_support_below_one(self):
         from hcplab.measures import MeasureError
         with pytest.raises(MeasureError):
@@ -73,12 +80,14 @@ def _assert_same_atoms(a, b, rtol, atol):
 @st.composite
 def z_laws(draw):
     """A law on [1, j_max) with j_max <= 16, with an optional deficit: on a
-    dyadic lattice, or on 2-3 free float positions that do not form a
-    lattice."""
+    dyadic lattice, on the lattice of a spacing no power of two divides, or
+    on 2-3 free float positions."""
     j_max = draw(st.sampled_from([2.0, 3.5, 6.0, 9.0, 12.5, 16.0]))
-    if draw(st.booleans()):
-        spacing = draw(st.sampled_from([1.0, 0.5, 0.25, 0.125]))
-        top = int(math.ceil(j_max / spacing)) - 1
+    kind = draw(st.sampled_from(["dyadic", "non-dyadic", "free"]))
+    if kind != "free":
+        spacing = draw(st.sampled_from([1.0, 0.5, 0.25, 0.125] if kind == "dyadic"
+                                       else [1.0 / 3.0, 0.1, 0.3]))
+        top = int(math.ceil(j_max / spacing - 1e-9)) - 1
         lo = int(math.ceil(1.0 / spacing - 1e-9))
         idx = draw(st.lists(st.integers(lo, top), min_size=1, max_size=6, unique=True))
         positions = np.array(sorted(idx)) * spacing
@@ -86,7 +95,6 @@ def z_laws(draw):
         raw = draw(st.lists(st.floats(1.0, min(j_max, 4.0), exclude_max=True),
                             min_size=2, max_size=3, unique=True))
         positions = np.array(sorted(raw))
-        assume(_detect_lattice(positions) is None)
     weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=positions.size,
                                      max_size=positions.size)))
     total = draw(st.sampled_from([1.0, 0.7]))
@@ -96,8 +104,7 @@ def z_laws(draw):
 
 class TestDeconvolveOracle:
     # The interval recursion forms its powers from pairwise atom sums, so it
-    # follows the free float positions exactly.  The lattice draws use
-    # dyadic spacings; the closed-form test below covers other spacings.
+    # follows the float positions exactly.
     @given(case=z_laws())
     @settings(max_examples=60, deadline=None)
     def test_matches_interval_recursion(self, case):
@@ -112,19 +119,20 @@ class TestDeconvolveOracle:
     @pytest.mark.parametrize("j_max", [9.0, 12.5])
     def test_two_point_law_closed_form(self, r, j_max):
         # p = 0.6 delta_1 + 0.4 delta_{1+r}: p^{*k} puts C(k,b) 0.6^(k-b) 0.4^b
-        # at k + b*r, so m = sum_k p^{*k}/k is known atom by atom. Positions
-        # get 1e-9: convolve re-derives lattice spacings from float
-        # differences, which drift by up to ~1e-12 over these powers.
+        # at k + b*r, so m = sum_k p^{*k}/k is known atom by atom; the
+        # rounded position only keys the atoms that coincide.
         exact = {}
         for k in range(1, int(j_max) + 1):
             for b in range(k + 1):
-                x = round(k + b * r, 9)
+                x = k + b * r
                 if x < j_max:
-                    exact[x] = exact.get(x, 0.0) + math.comb(k, b) * 0.6 ** (k - b) * 0.4 ** b / k
+                    key = round(x, 9)
+                    mass = exact.get(key, (x, 0.0))[1]
+                    exact[key] = (x, mass + math.comb(k, b) * 0.6 ** (k - b) * 0.4 ** b / k)
         m = deconvolve_m(from_pmf([1.0, 1.0 + r], [0.6, 0.4], l_max=j_max + 1.0), j_max)
-        xs = sorted(exact)
-        np.testing.assert_allclose(m.positions, xs, rtol=1e-9)
-        np.testing.assert_allclose(m.masses, [exact[x] for x in xs], rtol=1e-12)
+        xs, masses = zip(*(exact[key] for key in sorted(exact)))
+        np.testing.assert_allclose(m.positions, xs, rtol=1e-14)
+        np.testing.assert_allclose(m.masses, masses, rtol=1e-12)
 
     def test_non_lattice_law_convolution_count(self, monkeypatch):
         # the interval recursion made O(j_max^2) convolutions on a growing
