@@ -17,32 +17,29 @@ from .laws import (AtomicLaw, DiracLaw, ExpGeometricLaw, ExponentialLaw,
                    two_point_law)
 from .measures import (AtomicMeasure, DeficitError, MeasureError,
                        NegativeMassError, oscillating_tail_law, convolve,
-                       convolution_power, dirac, discretize_cdf,
-                       epoch_pushforward, exp_geometric_law, from_pmf,
-                       iterate_hcp_measures, survival_probability_exact)
+                       dirac, discretize_cdf, epoch_pushforward,
+                       exp_geometric_law, iterate_hcp_measures,
+                       survival_probability_exact)
 from .transport import (C0Estimate, LatticeStepFunction, StepFunction,
-                        TransformPair, TransportRangeError, c0_estimate,
-                        deconvolve_m, default_c0_grid, reassemble_z_law,
-                        u1_from_m, u1_on_lattice, un_transport)
+                        TransportRangeError, c0_estimate, deconvolve_m,
+                        default_c0_grid, reassemble_z_law, u1_from_m,
+                        u1_on_lattice, un_transport)
 from .limits import (EULER_GAMMA, LimitLawParams, ein, exp_integral,
                      first_point_limit_transform, g_infinity, limit_moment,
                      z_cdf, z_density)
 from .rates import (MaskedRate, RateFamily, RateReport, constant_rates,
                     east_rates, linear_rates, paste_all_rates, validate_rates,
                     west_rates)
-from .epoch import (CoreRegionEmptyError, EpochObservables, EpochResult,
-                    MergeLog, RateValidityError, StateSpaceError,
-                    core_length_mask, epoch_observables, run_epoch)
+from .epoch import (EpochResult, MergeLog, RateValidityError, StateSpaceError,
+                    run_epoch)
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, RenewalSpec, Stationary,
-                       replica_rng, sample_exchangeable, sample_left_bounded,
-                       sample_lattice_stationary, sample_spec,
-                       sample_stationary)
+                       replica_rng, sample_spec)
 from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
                        GeometricThresholds, PresetRateFactory, ScheduleError,
                        east_schedule, paste_all_schedule)
 from .hcp import (EpochSummary, WindowExhaustedError, WindowPolicy,
                   pool_summaries, replicate, run_hcp)
-from .stats import (Chi2Result, KsResult, SampleSet, empirical_laplace,
-                    exchangeable_identity_check, independence_test,
-                    kolmogorov_sf, ks_test, ks_test_discrete, ks_two_sample)
+from .stats import (Chi2Result, KsResult, exchangeable_identity_check,
+                    independence_test, kolmogorov_sf, ks_test, ks_test_discrete,
+                    ks_two_sample)

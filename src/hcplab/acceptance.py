@@ -31,9 +31,9 @@ from .measures import (oscillating_tail_law, dirac, epoch_pushforward,
 from .rates import constant_rates, linear_rates, west_rates
 from .sampling import LeftBounded, PeriodicRenewal, replica_rng
 from .schedule import east_schedule
-from .stats import (exchangeable_identity_check, ks_test_discrete, ks_two_sample)
-from .transport import (deconvolve_m, reassemble_z_law, u1_from_m,
-                        u1_on_lattice, un_transport, c0_estimate, default_c0_grid)
+from .stats import exchangeable_identity_check, ks_test, ks_test_discrete, ks_two_sample
+from .transport import (deconvolve_m, reassemble_z_law, u1_from_m, un_transport,
+                        c0_estimate, default_c0_grid)
 
 # Frozen regression constants (first oracle run of this implementation).
 SECOND_MOMENT_LIMIT = 3.5621452        # limit_moment(c0=1, k=2); oracle: quadrature
@@ -108,11 +108,9 @@ def criterion_universality_limit(scale: float, seed: int):
     pooled = replicate(PeriodicRenewal(GeometricLaw(0.1)), east_schedule(2.0), 10,
                        n_replicas=8, base_seed=seed + 30,
                        window=WindowPolicy(n_intervals=n_per))
-    z = np.sort(pooled[9].z_samples)
+    z = pooled[9].z_samples
     n = z.size
-    cdf = z_cdf(1.0, z)
-    d = max(float(np.max(np.arange(1, n + 1) / n - cdf)),
-            float(np.max(cdf - np.arange(0, n) / n)))
+    d = ks_test(z, lambda v: z_cdf(1.0, v)).statistic
     budget = KS_CRIT_001 / math.sqrt(n) + 0.02
     return d <= budget, f"n={n} samples, KS distance {d:.4f} <= {budget:.4f}"
 
@@ -175,19 +173,10 @@ def criterion_moment_convergence(scale: float, seed: int):
                 f"m2 {m2:.4f} vs frozen {SECOND_MOMENT_LIMIT} (+-10%)")
 
 
-def _figb_ratios(qs, horizon: int, x: float = 10.0,
-                 spacing: float = 1.0 / 16.0) -> list[list[float]]:
-    from .measures import exp_geometric_law
-    j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-    laws = [exp_geometric_law(1.0 - q, max(1, int(math.log(j_max)) + 1), l_max=float("inf"))
-            for q in qs]
-    return [[un_transport(u1, 2.0 ** (n - 1), x) / x for n in range(1, horizon + 1)]
-            for u1 in u1_on_lattice(laws, spacing, j_max)]
-
-
 def criterion_figb(scale: float, seed: int):
-    horizon = 14
-    ratios_01, *oscillating = _figb_ratios((0.1, 0.5, 0.8), horizon)
+    from .cli import figb_ratios
+    ratios_01, *oscillating = figb_ratios((0.1, 0.5, 0.8), 14, 10.0, 1.0 / 16.0,
+                                          lambda n: 2.0 ** (n - 1))
     tail = ratios_01[-5:]
     ok = all(0.98 <= v <= 1.02 for v in tail)
     parts = [f"q=0.1 tail in [{min(tail):.4f},{max(tail):.4f}] within [0.98,1.02]"]

@@ -22,8 +22,8 @@ from .limits import (LimitLawParams, first_point_limit_transform, g_infinity,
                      z_cdf)
 from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hcp_measures,
                        survival_probability_exact)
-from .schema import (ConfigError, build_law, build_schedule, build_spec, build_window,
-                     epoch_count, require)
+from .schema import (ConfigError, build_analytic, build_law, build_schedule, build_spec,
+                     build_window, epoch_count, require)
 from .hcp import WindowExhaustedError, replicate
 from .schedule import ScheduleError
 from .transport import c0_estimate, default_c0_grid, u1_on_lattice, un_transport
@@ -150,9 +150,7 @@ def _c0_view(cfg: dict, fallback, s_min: float):
 def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     schedule = build_schedule(cfg)
     n_epochs = epoch_count(cfg, schedule, default=4)
-    l_max = float(require(cfg, "analytic.l_max", (int, float),
-                          default=50.0 * schedule.d(n_epochs + 1)))
-    deficit_bound = float(require(cfg, "analytic.deficit_bound", (int, float), default=1e-6))
+    l_max, deficit_bound, probe_x, j_max, s_min, s_max = build_analytic(cfg, schedule, n_epochs)
     mu1 = _analytic_initial_measure(cfg, l_max)
     laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs,
                                    deficit_bound=deficit_bound, strict=strict)
@@ -176,8 +174,6 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
                 for n in range(1, n_epochs + 1)))
     # transported primitive probes from the epoch-1 law
     from .transport import deconvolve_m, u1_from_m
-    probe_x = require(cfg, "analytic.probe_x", list, default=[0.5, 1.0, 2.0, 5.0, 10.0])
-    j_max = float(require(cfg, "analytic.j_max", (int, float), default=min(l_max, 256.0)))
     z1 = laws[0].rescaled(1.0 / schedule.d(1))
     u1 = u1_from_m(deconvolve_m(z1, j_max))
     with open(os.path.join(out, "transported_primitive.csv"), "w") as fh:
@@ -186,9 +182,7 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
         fh.write("".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
                          for n in range(1, n_epochs + 1) for x in probe_x
                          if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1))
-    s_min = float(require(cfg, "analytic.c0_s_min", (int, float), default=1e-9))
-    grid = default_c0_grid(
-        float(require(cfg, "analytic.c0_s_max", (int, float), default=1e-2)), s_min)
+    grid = default_c0_grid(s_max, s_min)
     est = c0_estimate(_c0_view(cfg, mu1, s_min), grid)
     with open(os.path.join(out, "c0_report.json"), "w") as fh:
         json.dump({"estimate": est.estimate, "converged": est.converged,
@@ -235,6 +229,30 @@ _FIGB_SWEEP_SITES = 1 << 23
 _FIGB_MAX_SITES = 1 << 27
 
 
+def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[float]]:
+    """u_n(x) / x for n = 1..horizon, one list per q: the law exp_geometric
+    with p = 1 - q, transported along the thresholds d_of(n) on the lattice of
+    ``spacing``.  Shared by ``reproduce-figb`` and acceptance criterion 7."""
+    try:
+        j_max = d_of(horizon) * (1 + x) + 2
+    except OverflowError:  # 2^(horizon - 1) beyond the float range
+        j_max = math.inf
+    if j_max / spacing >= _FIGB_MAX_SITES:
+        raise MeasureError(
+            f"the transport lattice needs {j_max / spacing + 1:.3g} sites per law, above "
+            f"the budget of {_FIGB_MAX_SITES}; lower figb.horizon or figb.x, or coarsen "
+            f"figb.lattice")
+    n_atoms = max(1, int(math.log(j_max)) + 1)
+    per_sweep = max(1, _FIGB_SWEEP_SITES // (int(j_max / spacing) + 1))
+    ratios = []
+    for g in range(0, len(qs), per_sweep):  # a group's step functions die with it
+        laws = [exp_geometric_law(1.0 - float(q), n_atoms, l_max=float("inf"))
+                for q in qs[g:g + per_sweep]]
+        ratios += [[un_transport(u1, d_of(n), x) / x for n in range(1, horizon + 1)]
+                   for u1 in u1_on_lattice(laws, spacing, j_max)]
+    return ratios
+
+
 def cmd_reproduce_figb(cfg: dict, out: str) -> int:
     qs = require(cfg, "figb.q", list, default=[0.1, 0.5, 0.8])
     horizon = int(require(cfg, "figb.horizon", int, default=14))
@@ -251,27 +269,12 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
         if not value > 0:
             raise ConfigError(f"config field '{name}': need a positive value, got {value!r}")
     d_of = (lambda n: float(n)) if arithmetic else (lambda n: 2.0 ** (n - 1))
-    try:
-        j_max = d_of(horizon) * (1 + x) + 2
-    except OverflowError:  # 2^(horizon - 1) beyond the float range
-        j_max = math.inf
-    if j_max / spacing >= _FIGB_MAX_SITES:
-        raise MeasureError(
-            f"the transport lattice needs {j_max / spacing + 1:.3g} sites per law, above "
-            f"the budget of {_FIGB_MAX_SITES}; lower figb.horizon or figb.x, or coarsen "
-            f"figb.lattice")
-    n_atoms = max(1, int(math.log(j_max)) + 1)
-    laws = [exp_geometric_law(1.0 - float(q), n_atoms, l_max=float("inf")) for q in qs]
-    per_sweep = max(1, _FIGB_SWEEP_SITES // (int(j_max / spacing) + 1))
+    ratios = figb_ratios(qs, horizon, x, spacing, d_of)
     with open(os.path.join(out, "transport_ratio.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("q,n,d_n,ratio\n")
-        for g in range(0, len(qs), per_sweep):
-            group = slice(g, g + per_sweep)  # its step functions die with the join
-            fh.write("".join(
-                f"{q!r},{n},{d_of(n)!r},{un_transport(u1, d_of(n), x) / x!r}\n"
-                for q, u1 in zip(qs[group], u1_on_lattice(laws[group], spacing, j_max))
-                for n in range(1, horizon + 1)))
+        fh.write("".join(f"{q!r},{n},{d_of(n)!r},{r!r}\n" for q, row in zip(qs, ratios)
+                         for n, r in enumerate(row, start=1)))
     _write_manifest(out, "reproduce-figb", cfg)
     return 0
 

@@ -33,10 +33,6 @@ class RateValidityError(ValueError):
     """Rate family failed validation."""
 
 
-class CoreRegionEmptyError(ValueError):
-    """Buffering removed every interval; a larger window is needed."""
-
-
 @dataclass(frozen=True)
 class MergeLog:
     """One row per merge: ring time, erased point, and direction (+1 when the
@@ -204,32 +200,3 @@ def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
             raise AssertionError(
                 f"absorbing state violated: final length {bad} < d_max={rates.d_max}")
     return EpochResult(final, log, float(times.max(initial=0.0)), survivors)
-
-
-@dataclass(frozen=True)
-class EpochObservables:
-    origin_survived: bool | None
-    first_point_displacement: float
-    core_lengths: np.ndarray
-
-
-def core_length_mask(config: IntervalConfiguration, buffer_length: float) -> np.ndarray:
-    """Mask of intervals far enough from the truncated edges (``segment_gaps``)."""
-    circ = config.circumference if config.boundary is Boundary.PERIODIC else None
-    return segment_gaps(config.points(), np.zeros(1, dtype=np.intp), config.boundary,
-                        circ, buffer_length)[1][:config.n_intervals]
-
-
-def epoch_observables(initial: IntervalConfiguration, final: IntervalConfiguration,
-                      buffer_length: float = 0.0) -> EpochObservables:
-    """First-point displacement, origin survival, and buffered length samples."""
-    initial_points = initial.points()
-    has_origin = bool(np.any(initial_points == 0.0))
-    origin_survived = bool(np.any(final.points() == 0.0)) if has_origin else None
-    displacement = final.first_point - initial.first_point
-    mask = core_length_mask(final, buffer_length)
-    core = final.lengths[mask]
-    if core.size == 0 and final.n_intervals > 0:
-        raise CoreRegionEmptyError(
-            "buffering removed every interval; enlarge the window or shrink the buffer")
-    return EpochObservables(origin_survived, float(displacement), core)

@@ -48,6 +48,7 @@ class WindowPolicy:
     n_intervals : explicit initial interval count, or None to size from
         target_core: a pilot run estimates the per-run shrink factor and the
         initial count is target*shrink*safety plus the buffered edge cost.
+        One pilot, on the first replica's stream, sizes every replica.
     buffer_factor : length excluded near each truncated edge when reading
         interval statistics at epoch n is buffer_factor * sum_{j<=n} d(j).
     """
@@ -297,19 +298,19 @@ def _run(spec, schedule, n_epochs, window, streams,
 
 
 def _batches(spec, schedule, n_epochs, window, streams):
-    """Draw the replicas in order into batches of one interval count and
-    fewer than ``_BATCH_POINTS`` initial points (a larger replica runs alone)."""
-    draws, batch_n0 = [], None
+    """Draw the replicas in order into batches of fewer than ``_BATCH_POINTS``
+    initial points (a larger replica runs alone).  Every replica has the same
+    interval count: ``window.n_intervals``, or else one pilot run's, sized
+    from the first replica's stream."""
+    draws, n0 = [], window.n_intervals
     for replica, rng in streams:
-        n0 = window.n_intervals
         if n0 is None:
             n0 = _pilot_initial_count(spec, schedule, n_epochs, window, rng)
         first, lengths, marked_idx = draw_spec(spec, n0, rng)
         width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
-        if draws and (n0 != batch_n0 or (len(draws) + 1) * width > _BATCH_POINTS):
+        if draws and (len(draws) + 1) * width > _BATCH_POINTS:
             yield _stack(spec, draws)
         draws.append((replica, rng, first, lengths, marked_idx))
-        batch_n0 = n0
     yield _stack(spec, draws)
 
 

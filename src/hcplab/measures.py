@@ -198,10 +198,6 @@ def dirac(position: float, l_max: float, mass: float = 1.0) -> AtomicMeasure:
     return AtomicMeasure(np.array([position]), np.array([mass]), l_max)
 
 
-def from_pmf(positions, masses, l_max: float) -> AtomicMeasure:
-    return AtomicMeasure(np.asarray(positions, float), np.asarray(masses, float), l_max)
-
-
 # ---------------------------------------------------------------------------
 # convolution
 # ---------------------------------------------------------------------------
@@ -291,17 +287,6 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
                + m1.deficit * m2.total_mass
                + m2.deficit * m1.finite_mass)
     return AtomicMeasure(pos, mas, l_max, deficit)
-
-
-def convolution_power(m: AtomicMeasure, k: int) -> AtomicMeasure:
-    """k-fold convolution power; k=0 is the unit (point mass at 0 is not
-    representable here, so k must be >= 1)."""
-    if k < 1:
-        raise MeasureError("convolution power requires k >= 1")
-    out = m
-    for _ in range(k - 1):
-        out = convolve(out, m)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -33,10 +33,6 @@ class RateFamily:
     lambda_right: object
     rate_bound: float = 1.0
 
-    def total(self, d: np.ndarray) -> np.ndarray:
-        return np.asarray(self.lambda_left(d), dtype=float) + \
-            np.asarray(self.lambda_right(d), dtype=float)
-
 
 @dataclass(frozen=True)
 class RateReport:
@@ -47,8 +43,14 @@ class RateReport:
         return self.ok
 
 
-def validate_rates(rates: RateFamily, probe_grid=None) -> RateReport:
-    """Report-style check of (A1), (A2) and the rate bound on a probe grid."""
+# Probe lengths inside the activity range [d_min, d_max) of validate_rates.
+_PROBES_INSIDE = 33
+
+
+def validate_rates(rates: RateFamily) -> RateReport:
+    """Report-style check of (A1), (A2) and the rate bound on a probe grid:
+    ``_PROBES_INSIDE`` lengths across the activity range, d_max and lengths
+    above it."""
     violations = []
     if rates.d_min <= 0:
         violations.append(f"d_min must be positive, got {rates.d_min}")
@@ -57,13 +59,11 @@ def validate_rates(rates: RateFamily, probe_grid=None) -> RateReport:
     if 2 * rates.d_min < rates.d_max * (1 - 1e-12):
         violations.append(
             f"(A2) violated: 2*d_min = {2 * rates.d_min} < d_max = {rates.d_max}")
-    if probe_grid is None:
-        eps = 1e-9 * (rates.d_max - rates.d_min)
-        inside = np.linspace(rates.d_min, rates.d_max - eps, 33)
-        outside = np.array([rates.d_max, rates.d_max + eps,
-                            1.5 * rates.d_max, 10 * rates.d_max])
-        probe_grid = np.concatenate((inside, outside))
-    grid = np.asarray(probe_grid, dtype=float)
+    eps = 1e-9 * (rates.d_max - rates.d_min)
+    inside = np.linspace(rates.d_min, rates.d_max - eps, _PROBES_INSIDE)
+    outside = np.array([rates.d_max, rates.d_max + eps,
+                        1.5 * rates.d_max, 10 * rates.d_max])
+    grid = np.concatenate((inside, outside))
     grid = grid[grid >= rates.d_min]
     if grid.size:
         left = np.asarray(rates.lambda_left(grid), dtype=float)

@@ -6,9 +6,9 @@ fresh generator from SeedSequence(base_seed, spawn_key=(r,)); replicas are
 therefore reproducible and statistically independent, and pooled results do
 not depend on execution order.
 
-``draw_spec`` is the one draw implementation: the ``sample_*`` functions
-check its lengths and wrap them in an ``IntervalConfiguration``, and the
-simulator stacks a batch of draws into one array and checks it at once.
+``draw_spec`` is the one draw implementation: ``sample_spec`` checks its
+lengths and wraps them in an ``IntervalConfiguration``, and the simulator
+stacks a batch of draws into one array and checks it at once.
 """
 
 from __future__ import annotations
@@ -168,46 +168,3 @@ def sample_spec(spec: RenewalSpec, n_intervals: int, rng) -> tuple[IntervalConfi
     draws of ``draw_spec`` checked and wrapped."""
     first, lengths, marked = draw_spec(spec, n_intervals, rng)
     return IntervalConfiguration(first, check_lengths(spec, lengths), spec.boundary), marked
-
-
-def sample_left_bounded(nu, mu, n_intervals: int, rng) -> IntervalConfiguration:
-    """Left-bounded renewal realization: first point ~ nu, gaps i.i.d. ~ mu."""
-    return sample_spec(LeftBounded(mu, nu), n_intervals, rng)[0]
-
-
-def sample_stationary(mu, n_intervals: int, rng,
-                      periodic: bool = False) -> IntervalConfiguration:
-    """Stationary renewal realization around the origin.
-
-    Default (exact straddle construction): the interval covering the origin
-    is drawn size-biased (density proportional to t mu(dt)), the origin falls
-    uniformly inside it, and further gaps are i.i.d.; returned as a WINDOW
-    whose first point is the straddler's left end.
-
-    periodic=True instead lays i.i.d. gaps on a circle with a uniformly
-    placed marker; this is an approximation whose bias is O(1/circumference),
-    in exchange for having no edges at all.
-    """
-    if not math.isfinite(mu.mean):
-        raise SamplingContractError(
-            "a stationary renewal process with infinite mean interval law cannot exist")
-    spec = PeriodicRenewal(mu) if periodic else Stationary(mu)
-    return sample_spec(spec, n_intervals, rng)[0]
-
-
-def sample_lattice_stationary(mu, n_intervals: int, rng) -> IntervalConfiguration:
-    """Lattice-stationary renewal realization (integer gaps).
-
-    The gap straddling the origin is size-biased, the origin offset is
-    uniform on {0, ..., D-1} (so the origin is occupied with probability
-    1/mean), and further gaps are i.i.d.
-    """
-    return sample_spec(LatticeStationary(mu), n_intervals, rng)[0]
-
-
-def sample_exchangeable(components, n_intervals: int, rng) -> IntervalConfiguration:
-    """Exchangeable realization containing the origin: draw one component by
-    weight, then i.i.d. gaps from it; the first point sits at 0."""
-    mixture = components if isinstance(components, ExchangeableMixture) \
-        else ExchangeableMixture(tuple(components))
-    return sample_spec(mixture, n_intervals, rng)[0]

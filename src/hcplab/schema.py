@@ -147,9 +147,40 @@ def build_window(cfg: dict) -> WindowPolicy:
     n = require(cfg, "window.n_intervals", int, default=None)
     target = require(cfg, "window.target_core", int, default=None)
     buffer_factor = float(require(cfg, "window.buffer_factor", (int, float), default=16.0))
+    if not 0 <= buffer_factor < math.inf:  # NaN fails
+        raise ConfigError(f"config field 'window.buffer_factor': need a number >= 0, "
+                          f"got {buffer_factor!r}")
     if n is None and target is None:
         n = 100_000
     for name, value in (("window.n_intervals", n), ("window.target_core", target)):
         if value is not None and value < 1:
             raise ConfigError(f"config field '{name}': need at least 1, got {value}")
     return WindowPolicy(n_intervals=n, target_core=target, buffer_factor=buffer_factor)
+
+
+def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
+    """The 'analytic' section: (l_max, deficit_bound, probe_x, j_max, c0_s_min,
+    c0_s_max).  l_max must reach d(epochs), the last threshold the epoch
+    iteration pushes a law across."""
+    l_max = float(require(cfg, "analytic.l_max", (int, float),
+                          default=50.0 * schedule.d(n_epochs + 1)))
+    d_last = schedule.d(n_epochs)
+    if not d_last <= l_max < math.inf:
+        raise ConfigError(f"config field 'analytic.l_max': need a number from "
+                          f"d({n_epochs}) = {d_last!r} up, got {l_max!r}")
+    deficit_bound = float(require(cfg, "analytic.deficit_bound", (int, float), default=1e-6))
+    probe_x = require(cfg, "analytic.probe_x", list, default=[0.5, 1.0, 2.0, 5.0, 10.0])
+    for i, x in enumerate(probe_x):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ConfigError(f"config field 'analytic.probe_x[{i}]': need a number, "
+                              f"got {x!r}")
+    j_max = float(require(cfg, "analytic.j_max", (int, float), default=min(l_max, 256.0)))
+    s_min = float(require(cfg, "analytic.c0_s_min", (int, float), default=1e-9))
+    if not _positive(s_min):
+        raise ConfigError(f"config field 'analytic.c0_s_min': need a positive number, "
+                          f"got {s_min!r}")
+    s_max = float(require(cfg, "analytic.c0_s_max", (int, float), default=1e-2))
+    if not s_min < s_max < math.inf:
+        raise ConfigError(f"config field 'analytic.c0_s_max': need a number above "
+                          f"analytic.c0_s_min = {s_min!r}, got {s_max!r}")
+    return l_max, deficit_bound, probe_x, j_max, s_min, s_max

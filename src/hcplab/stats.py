@@ -15,34 +15,7 @@ import numpy as np
 from .measures import AtomicMeasure
 
 
-@dataclass(frozen=True)
-class SampleSet:
-    """Observed values with optional weights and provenance tags."""
-
-    values: np.ndarray
-    weights: np.ndarray | None = None
-    replica: np.ndarray | None = None
-    epoch: int | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.size == 0:
-            raise ValueError("sample set must be nonempty")
-        object.__setattr__(self, "values", values)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=np.float64)
-            if w.shape != values.shape or np.any(w < 0):
-                raise ValueError("weights must align with values and be nonnegative")
-            object.__setattr__(self, "weights", w)
-
-    @property
-    def n(self) -> int:
-        return int(self.values.size)
-
-
 def _as_values(samples) -> np.ndarray:
-    if isinstance(samples, SampleSet):
-        return samples.values
     values = np.asarray(samples, dtype=np.float64)
     if values.size == 0:
         raise ValueError("sample set must be nonempty")
@@ -67,14 +40,6 @@ class KsResult:
     statistic: float
     p_value: float
     n: int
-
-    def __iter__(self):
-        return iter((self.statistic, self.p_value))
-
-    def as_record(self, name: str, **params) -> dict:
-        """JSON-style report record."""
-        return {"test": name, "statistic": self.statistic,
-                "p_value": self.p_value, "n": self.n, "parameters": params}
 
 
 def ks_test(samples, cdf) -> KsResult:
@@ -131,43 +96,10 @@ def ks_test_discrete(samples, law: AtomicMeasure, n_bootstrap: int = 200,
 
 
 @dataclass(frozen=True)
-class LaplaceEstimate:
-    s: np.ndarray
-    value: np.ndarray
-    std_err: np.ndarray
-
-
-def empirical_laplace(samples, s_grid) -> LaplaceEstimate:
-    """Empirical Laplace transform with delete-one jackknife standard errors."""
-    values = _as_values(samples)
-    s = np.atleast_1d(np.asarray(s_grid, dtype=float))
-    if np.any(s < 0):
-        raise ValueError("transform argument must be >= 0")
-    n = values.size
-    e = np.exp(-np.outer(s, values))
-    mean = e.mean(axis=1)
-    if n < 2:
-        return LaplaceEstimate(s, mean, np.full_like(mean, np.nan))
-    # delete-one means: m_i = (S - e_i)/(n-1); SE^2 = (n-1)/n sum (m_i - mbar)^2
-    total = e.sum(axis=1, keepdims=True)
-    loo = (total - e) / (n - 1)
-    se = np.sqrt((n - 1) / n * ((loo - loo.mean(axis=1, keepdims=True)) ** 2).sum(axis=1))
-    return LaplaceEstimate(s, mean, se)
-
-
-@dataclass(frozen=True)
 class Chi2Result:
     statistic: float
     p_value: float
     dof: int
-
-    def __iter__(self):
-        return iter((self.statistic, self.p_value))
-
-    def as_record(self, name: str, **params) -> dict:
-        """JSON-style report record."""
-        return {"test": name, "statistic": self.statistic,
-                "p_value": self.p_value, "dof": self.dof, "parameters": params}
 
 
 def _margin_bins(v: np.ndarray, k: int) -> np.ndarray | None:

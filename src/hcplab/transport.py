@@ -285,17 +285,20 @@ class C0Estimate:
     s_grid: np.ndarray
     ratio: np.ndarray
 
-    def __iter__(self):
-        return iter((self.estimate, self.converged))
+
+# Grid points per decade of s in the default c0 grid, and the largest
+# oscillation of the tail ratio over the grid's last decade that counts as
+# converged.
+C0_PER_DECADE = 20
+C0_OSC_TOL = 1e-4
 
 
-def default_c0_grid(s_max: float = 1e-2, s_min: float = 1e-9,
-                    per_decade: int = 20) -> np.ndarray:
-    n = int(round(per_decade * math.log10(s_max / s_min))) + 1
+def default_c0_grid(s_max: float = 1e-2, s_min: float = 1e-9) -> np.ndarray:
+    n = int(round(C0_PER_DECADE * math.log10(s_max / s_min))) + 1
     return np.geomspace(s_max, s_min, n)
 
 
-def c0_estimate(g, s_grid, osc_tol: float = 1e-4) -> C0Estimate:
+def c0_estimate(g, s_grid) -> C0Estimate:
     """Tail limit of r(s) = -s g'(s) / (1 - g(s)) along a grid decreasing to 0.
 
     ``g`` may be an AtomicMeasure (transform and its derivative evaluated by
@@ -303,7 +306,7 @@ def c0_estimate(g, s_grid, osc_tol: float = 1e-4) -> C0Estimate:
     ``transform`` / ``transform_derivative``.
 
     The converged flag is false when the oscillation (max - min) of r over the
-    last decade of the grid exceeds ``osc_tol``: a periodic-in-log tail ratio
+    last decade of the grid exceeds ``C0_OSC_TOL``: a periodic-in-log tail ratio
     never settles and sweeps its amplitude within any decade.  When converged,
     the estimate extrapolates the last two ratios linearly to s = 0; otherwise
     it reports the center of the oscillation window.
@@ -321,7 +324,7 @@ def c0_estimate(g, s_grid, osc_tol: float = 1e-4) -> C0Estimate:
     window = ratio[s <= s[-1] * 10.0 * (1 + 1e-12)]
     if window.size < 2:
         window = ratio[-2:]
-    converged = bool(window.max() - window.min() <= osc_tol)
+    converged = bool(window.max() - window.min() <= C0_OSC_TOL)
     if converged and s.size >= 2:
         s1, s2 = s[-2], s[-1]
         r1, r2 = ratio[-2], ratio[-1]
@@ -330,17 +333,3 @@ def c0_estimate(g, s_grid, osc_tol: float = 1e-4) -> C0Estimate:
         estimate = float((window.max() + window.min()) / 2.0)
     estimate = float(min(1.0, max(0.0, estimate)))
     return C0Estimate(estimate, converged, s, ratio)
-
-
-@dataclass(frozen=True)
-class TransformPair:
-    """Adapter exposing analytic transform callables to c0_estimate."""
-
-    g: callable
-    g_prime: callable
-
-    def transform(self, s):
-        return np.asarray([self.g(v) for v in np.atleast_1d(s)], dtype=float)
-
-    def transform_derivative(self, s):
-        return np.asarray([self.g_prime(v) for v in np.atleast_1d(s)], dtype=float)

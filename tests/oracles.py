@@ -23,6 +23,7 @@ one replica at a time.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from functools import lru_cache
 
@@ -397,7 +398,12 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
 
 def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: int,
                    window: WindowPolicy) -> list[EpochSummary]:
-    """Replica r runs alone on ``replica_rng(base_seed, r)``; pooled in order."""
+    """Replica r runs alone on ``replica_rng(base_seed, r)``; pooled in order.
+    A ``target_core`` window is sized once, by the pilot on replica 0's
+    stream, and that interval count serves every replica."""
+    if window.n_intervals is None:
+        window = dataclasses.replace(window, n_intervals=_pilot_initial_count_loop(
+            spec, schedule, n_epochs, window, replica_rng(base_seed, 0)))
     return pool_summaries([run_hcp_loop(spec, schedule, n_epochs, window,
                                         replica_rng(base_seed, r), replica=r)
                            for r in range(n_replicas)])

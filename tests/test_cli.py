@@ -378,7 +378,8 @@ def run_rejected(tmp_path, command, overrides, *flags):
 
 
 class TestConfigInputs:
-    """Bad law, count, schedule and limits fields exit 2 with the field named."""
+    """Bad law, count, schedule, window, analytic and limits fields exit 2
+    with the field named."""
 
     @pytest.mark.parametrize("c0, gamma, field", [
         (1.5, 0.0, "limits.c0"),
@@ -419,9 +420,27 @@ class TestConfigInputs:
         ({"schedule.thresholds": "explicit", "schedule.values": [1.0, 2.0]}, (),
          "schedule.values"),
         ({"schedule.rates": "north"}, (), "schedule.rates"),
+        ({"window.buffer_factor": math.nan}, (), "window.buffer_factor"),
+        ({"window.buffer_factor": -1.0}, (), "window.buffer_factor"),
+        ({"window.buffer_factor": math.nan, "process.variant": "left_bounded"}, (),
+         "window.buffer_factor"),
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "simulate", overrides, *flags)
+        assert f"config error: config field '{field}'" in err
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"analytic.probe_x": ["a"]}, "analytic.probe_x[0]"),
+        ({"analytic.probe_x": [1.0, True]}, "analytic.probe_x[1]"),
+        ({"analytic.c0_s_min": 0}, "analytic.c0_s_min"),
+        ({"analytic.c0_s_min": math.nan}, "analytic.c0_s_min"),
+        ({"analytic.c0_s_max": 1e-12}, "analytic.c0_s_max"),
+        ({"analytic.c0_s_max": math.inf}, "analytic.c0_s_max"),
+        ({"epochs": 4, "analytic.l_max": 3.0}, "analytic.l_max"),
+        ({"analytic.l_max": math.inf}, "analytic.l_max"),
+    ])
+    def test_analytic_fields(self, tmp_path, overrides, field):
+        err = run_rejected(tmp_path, "analytic", overrides)
         assert f"config error: config field '{field}'" in err
 
     def test_exhausted_window_names_it(self, tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcplab.config import Boundary, IntervalConfiguration
-from hcplab.epoch import (CoreRegionEmptyError, StateSpaceError, _simulate_points,
-                          epoch_observables, run_epoch, segment_gaps)
+from hcplab.epoch import StateSpaceError, _simulate_points, run_epoch, segment_gaps
 from hcplab.measures import dirac, epoch_pushforward
 from hcplab.rates import (constant_rates, east_rates, linear_rates,
                           paste_all_rates, validate_rates, west_rates)
@@ -322,12 +321,14 @@ class TestResolverMemory:
 
 
 class TestEpochObservables:
+    """The observables read from one epoch's result: the first point's
+    displacement and the survival of the point at the origin."""
+
     def test_identity_epoch(self, rng):
         cfg = IntervalConfiguration(0.0, np.array([5.0, 6.0]), Boundary.LEFT_BOUNDED)
         res = run_epoch(cfg, east_rates(1.0, 2.0), rng)
-        obs = epoch_observables(cfg, res.final)
-        assert obs.first_point_displacement == 0.0
-        assert obs.origin_survived is True
+        assert res.final.first_point - cfg.first_point == 0.0
+        assert 0.0 in res.surviving_points
 
     def test_race_survival_frequency(self):
         survived = 0
@@ -335,11 +336,5 @@ class TestEpochObservables:
         for r in range(trials):
             cfg = IntervalConfiguration(0.0, np.array([1.0, 1.0]), Boundary.LEFT_BOUNDED)
             res = run_epoch(cfg, east_rates(1.0, 2.0), replica_rng(43, r), validate=False)
-            survived += epoch_observables(cfg, res.final).origin_survived
+            survived += 0.0 in res.surviving_points
         assert abs(survived / trials - 0.5) < 3 * math.sqrt(0.25 / trials)
-
-    def test_buffer_swallowing_window_errors(self, rng):
-        cfg = IntervalConfiguration(0.0, np.array([5.0, 6.0]), Boundary.WINDOW)
-        res = run_epoch(cfg, east_rates(1.0, 2.0), rng)
-        with pytest.raises(CoreRegionEmptyError):
-            epoch_observables(cfg, res.final, buffer_length=100.0)

@@ -204,6 +204,18 @@ SPECS = {
 }
 
 
+def count_pilots(monkeypatch) -> list:
+    """Record each top-level pilot run of ``hcp`` in the returned list."""
+    pilots, pilot = [], hcp._pilot_initial_count
+
+    def counted(*args):
+        pilots.append(args)
+        return pilot(*args)
+
+    monkeypatch.setattr(hcp, "_pilot_initial_count", counted)
+    return pilots
+
+
 class TestEngineOracle:
     """The batched engine against the per-replica loop it replaced."""
 
@@ -230,9 +242,11 @@ class TestEngineOracle:
     @pytest.mark.parametrize("name", ["contains_origin", "periodic"])
     def test_pilot_matches_loop(self, name, monkeypatch):
         monkeypatch.setattr(hcp, "_BATCH_POINTS", 2000)
+        pilots = count_pilots(monkeypatch)
         window = WindowPolicy(target_core=100, buffer_factor=1.0, pilot_intervals=512)
         self.assert_same(replicate(SPECS[name], east_schedule(2.0), 4, 5, 9, window),
                          replicate_loop(SPECS[name], east_schedule(2.0), 4, 5, 9, window))
+        assert len(pilots) == 1
 
     def test_run_hcp_matches_loop(self):
         window = WindowPolicy(n_intervals=500, buffer_factor=2.0)
@@ -266,8 +280,9 @@ class TestBatchDraws:
     def oracle(spec, window, r):
         rng = replica_rng(6, r)
         n0 = window.n_intervals
-        if n0 is None:
-            n0 = _pilot_initial_count_loop(spec, east_schedule(2.0), 4, window, rng)
+        if n0 is None:  # one pilot, on replica 0's stream, sizes every replica
+            n0 = _pilot_initial_count_loop(spec, east_schedule(2.0), 4, window,
+                                           replica_rng(6, 0))
         return sample_spec_config(spec, n0, rng) + (rng,)
 
     def check(self, spec, window, n_replicas):
@@ -305,12 +320,11 @@ class TestBatchDraws:
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_pilot_window(self, name, monkeypatch):
-        # pilot-sized windows differ from replica to replica, and a batch
-        # holds one interval count, so these close batches under the cap
-        monkeypatch.setattr(hcp, "_BATCH_POINTS", 20_000)
+        # one pilot sizes every replica, so replicas under the cap share a batch
+        pilots = count_pilots(monkeypatch)
         window = WindowPolicy(target_core=60, buffer_factor=1.0, pilot_intervals=256)
         batches = self.check(SPECS[name], window, 4)
-        assert len({b[3].shape[1] for b in batches}) > 1
+        assert len(pilots) == 1 and len(batches) == 1
 
     def test_public_sampler_is_the_oracle(self):
         for name, spec in sorted(SPECS.items()):

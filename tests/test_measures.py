@@ -11,7 +11,7 @@ from hcplab.measures import (AtomicMeasure, DeficitError, MeasureError,
                              NegativeMassError, oscillating_tail_law,
                              _convolve_outer, _dyadic_spacing, _fft_convolve,
                              convolve, dirac, epoch_pushforward,
-                             exp_geometric_law, from_pmf, iterate_hcp_measures,
+                             exp_geometric_law, iterate_hcp_measures,
                              survival_probability_exact)
 from hcplab.transport import c0_estimate, default_c0_grid
 
@@ -22,27 +22,27 @@ EAST = lambda n: 2.0 ** (n - 1)
 
 class TestAtomicMeasure:
     def test_invariants(self):
-        m = from_pmf([1.0, 2.0], [0.25, 0.5], l_max=10.0)
+        m = AtomicMeasure([1.0, 2.0], [0.25, 0.5], l_max=10.0)
         assert m.finite_mass == 0.75
         with pytest.raises(MeasureError):
-            from_pmf([-1.0], [0.5], l_max=10.0)
+            AtomicMeasure([-1.0], [0.5], l_max=10.0)
         with pytest.raises(NegativeMassError):
-            from_pmf([1.0], [-0.5], l_max=10.0)
+            AtomicMeasure([1.0], [-0.5], l_max=10.0)
         with pytest.raises(MeasureError):
-            from_pmf([20.0], [0.5], l_max=10.0)
+            AtomicMeasure([20.0], [0.5], l_max=10.0)
 
     def test_negative_mass_names_plain_position(self):
         with pytest.raises(NegativeMassError) as err:
-            from_pmf([1.0, 2.0], [1.5, -0.5], l_max=10.0)
+            AtomicMeasure([1.0, 2.0], [1.5, -0.5], l_max=10.0)
         assert str(err.value) == "negative atom mass at position 2.0"
 
     def test_duplicate_positions_coalesce(self):
-        m = from_pmf([1.0, 1.0, 2.0], [0.2, 0.3, 0.5], l_max=10.0)
+        m = AtomicMeasure([1.0, 1.0, 2.0], [0.2, 0.3, 0.5], l_max=10.0)
         assert m.n_atoms == 2
         assert m.mass_on(0.5, 1.5) == pytest.approx(0.5)
 
     def test_transform_derivative_is_weighted_transform(self):
-        m = from_pmf([1.0, 3.0], [0.5, 0.5], l_max=10.0)
+        m = AtomicMeasure([1.0, 3.0], [0.5, 0.5], l_max=10.0)
         s = 0.7
         expected = -(1.0 * 0.5 * math.exp(-s) + 3.0 * 0.5 * math.exp(-3 * s))
         assert m.transform_derivative(s) == pytest.approx(expected, rel=1e-14)
@@ -64,7 +64,7 @@ class TestConvolve:
         assert np.array_equal(out.masses, [1.0])
 
     def test_binomial_expansion(self):
-        half = from_pmf([1.0, 2.0], [0.5, 0.5], l_max=10.0)
+        half = AtomicMeasure([1.0, 2.0], [0.5, 0.5], l_max=10.0)
         out = convolve(half, half)
         assert np.allclose(out.positions, [2.0, 3.0, 4.0])
         assert np.allclose(out.masses, [0.25, 0.5, 0.25])
@@ -75,7 +75,7 @@ class TestConvolve:
         assert out.deficit == pytest.approx(1.0)
 
     def test_irrational_positions_use_generic_path(self):
-        a = from_pmf([math.e, math.e ** 2], [0.7, 0.3], l_max=100.0)
+        a = AtomicMeasure([math.e, math.e ** 2], [0.7, 0.3], l_max=100.0)
         out = convolve(a, a)
         assert out.n_atoms == 3  # e+e, e+e^2 (twice, coalesced), e^2+e^2
         assert out.finite_mass == pytest.approx(1.0)
@@ -83,8 +83,8 @@ class TestConvolve:
     @given(w1=st.floats(0.1, 1.0), w2=st.floats(0.1, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_total_mass_multiplicative(self, w1, w2):
-        a = from_pmf([1.0, 4.0], [w1 / 2, w1 / 2], l_max=6.0)
-        b = from_pmf([1.0, 3.0], [w2 / 2, w2 / 2], l_max=6.0)
+        a = AtomicMeasure([1.0, 4.0], [w1 / 2, w1 / 2], l_max=6.0)
+        b = AtomicMeasure([1.0, 3.0], [w2 / 2, w2 / 2], l_max=6.0)
         out = convolve(a, b)
         assert out.total_mass == pytest.approx(w1 * w2, rel=1e-12)
 
@@ -105,8 +105,8 @@ class TestConvolve:
         # bit for bit and masses up to summation order
         spacing = 2.0 ** exponent
         rng = np.random.default_rng(seed)
-        a = from_pmf(np.sort(idx1) * spacing, rng.uniform(0.01, 1.0, len(idx1)), 256 * spacing)
-        b = from_pmf(np.sort(idx2) * spacing, rng.uniform(0.01, 1.0, len(idx2)), 256 * spacing)
+        a = AtomicMeasure(np.sort(idx1) * spacing, rng.uniform(0.01, 1.0, len(idx1)), 256 * spacing)
+        b = AtomicMeasure(np.sort(idx2) * spacing, rng.uniform(0.01, 1.0, len(idx2)), 256 * spacing)
         with mock.patch("hcplab.measures._convolve_outer",
                         side_effect=AssertionError("took the outer route")):
             out = convolve(a, b)
@@ -128,14 +128,11 @@ class TestConvolve:
         assert np.max(np.abs(out - direct)) <= 1e-13 * np.max(np.abs(direct))
 
     def test_convolution_power(self):
-        from hcplab.measures import convolution_power
-        half = from_pmf([1.0, 2.0], [0.5, 0.5], l_max=20.0)
-        cubed = convolution_power(half, 3)
+        half = AtomicMeasure([1.0, 2.0], [0.5, 0.5], l_max=20.0)
+        cubed = convolve(convolve(half, half), half)
         # binomial masses over {3, 4, 5, 6}
         assert np.allclose(cubed.positions, [3.0, 4.0, 5.0, 6.0])
         assert np.allclose(cubed.masses, [1 / 8, 3 / 8, 3 / 8, 1 / 8])
-        with pytest.raises(Exception):
-            convolution_power(half, 0)
 
 
 class TestEpochPushforward:
@@ -147,13 +144,13 @@ class TestEpochPushforward:
         assert out.total_mass == pytest.approx(1.0, abs=1e-12)
 
     def test_no_active_mass_is_identity(self):
-        mu = from_pmf([2.0, 3.0], [0.5, 0.5], l_max=20.0)
+        mu = AtomicMeasure([2.0, 3.0], [0.5, 0.5], l_max=20.0)
         out = epoch_pushforward(mu, 1.0, 2.0)
         assert np.array_equal(out.positions, mu.positions)
         assert np.array_equal(out.masses, mu.masses)
 
     def test_transform_identity(self, rng):
-        mu = from_pmf([1.0, 1.5, 2.5, 4.0], [0.3, 0.3, 0.2, 0.2], l_max=60.0)
+        mu = AtomicMeasure([1.0, 1.5, 2.5, 4.0], [0.3, 0.3, 0.2, 0.2], l_max=60.0)
         out = epoch_pushforward(mu, 1.0, 2.0)
         s = rng.uniform(0.05, 3.0, size=20)
         lhs = 1.0 - out.transform(s)
@@ -162,14 +159,14 @@ class TestEpochPushforward:
         assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 1e-10
 
     def test_support_shifts_to_d_max(self):
-        mu = from_pmf([1.0, 1.25, 1.5, 2.0], [0.25] * 4, l_max=50.0)
+        mu = AtomicMeasure([1.0, 1.25, 1.5, 2.0], [0.25] * 4, l_max=50.0)
         out = epoch_pushforward(mu, 1.0, 2.0)
         assert out.positions[0] >= 2.0 * (1 - 1e-12)
 
     def test_mean_growth_factor(self):
         # differentiating the one-epoch transform identity at 0 gives
         # mean_out = mean_in * exp(active mass)
-        mu = from_pmf([1.0, 2.0, 3.0], [0.5, 0.3, 0.2], l_max=200.0)
+        mu = AtomicMeasure([1.0, 2.0, 3.0], [0.5, 0.3, 0.2], l_max=200.0)
         out = epoch_pushforward(mu, 1.0, 2.0)
         assert out.mean() == pytest.approx(mu.mean() * math.exp(0.5), rel=1e-9)
 
@@ -202,7 +199,7 @@ class TestIteration:
         assert h[1] == pytest.approx(5.0 / 6.0, rel=1e-12)
 
     def test_inactive_first_epoch(self):
-        mu = from_pmf([2.0, 4.0], [0.5, 0.5], l_max=50.0)
+        mu = AtomicMeasure([2.0, 4.0], [0.5, 0.5], l_max=50.0)
         laws, h = iterate_hcp_measures(mu, EAST, 2)
         assert h[0] == 0.0
         assert np.array_equal(laws[1].positions, mu.positions)

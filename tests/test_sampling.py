@@ -6,11 +6,14 @@ import pytest
 from hcplab.config import Boundary
 from hcplab.laws import (DiracLaw, ExponentialLaw, GeometricLaw, ParetoHalfLaw,
                          SamplingContractError, two_point_law)
-from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LeftBounded,
-                             PeriodicRenewal, replica_rng, sample_exchangeable,
-                             sample_left_bounded, sample_lattice_stationary,
-                             sample_spec, sample_stationary)
+from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
+                             LeftBounded, PeriodicRenewal, Stationary, replica_rng,
+                             sample_spec)
 from hcplab.stats import independence_test, ks_two_sample
+
+
+def draw(spec, n_intervals, rng):
+    return sample_spec(spec, n_intervals, rng)[0]
 
 
 class TestReplicaStreams:
@@ -24,26 +27,26 @@ class TestReplicaStreams:
 
 class TestLeftBounded:
     def test_deterministic_laws(self, rng):
-        cfg = sample_left_bounded(0.0, DiracLaw(1.0), 3, rng)
+        cfg = draw(LeftBounded(DiracLaw(1.0), 0.0), 3, rng)
         assert cfg.boundary is Boundary.LEFT_BOUNDED
         assert cfg.first_point == 0.0
         assert np.allclose(cfg.lengths, [1.0, 1.0, 1.0])
 
     def test_geometric_mean(self, rng):
         n = 100_000
-        cfg = sample_left_bounded(None, GeometricLaw(0.5), n, rng)
+        cfg = draw(LeftBounded(GeometricLaw(0.5)), n, rng)
         mean = cfg.lengths.mean()
         se = cfg.lengths.std() / math.sqrt(n)
         assert abs(mean - 2.0) < 3 * se
 
     def test_single_interval(self, rng):
-        cfg = sample_left_bounded(None, ExponentialLaw(), 1, rng)
+        cfg = draw(LeftBounded(ExponentialLaw()), 1, rng)
         assert cfg.n_intervals == 1
 
     def test_consecutive_intervals_independent(self):
         d1, d2 = [], []
         for r in range(4000):
-            cfg = sample_left_bounded(None, GeometricLaw(0.4), 2, replica_rng(13, r))
+            cfg = draw(LeftBounded(GeometricLaw(0.4)), 2, replica_rng(13, r))
             d1.append(cfg.lengths[0])
             d2.append(cfg.lengths[1])
         res = independence_test(np.array(d1), np.array(d2), bins=3)
@@ -55,14 +58,14 @@ class TestLeftBounded:
                 return np.zeros(size)
 
         with pytest.raises(SamplingContractError):
-            sample_left_bounded(None, ZeroLaw(), 4, rng)
+            draw(LeftBounded(ZeroLaw()), 4, rng)
 
 
 class TestStationary:
     def test_point_mass_straddle(self):
         offs = []
         for r in range(3000):
-            cfg = sample_stationary(DiracLaw(2.0), 1, replica_rng(5, r))
+            cfg = draw(Stationary(DiracLaw(2.0)), 1, replica_rng(5, r))
             assert cfg.lengths[0] == 2.0
             assert -2.0 < cfg.first_point <= 0.0
             offs.append(-cfg.first_point)
@@ -72,8 +75,8 @@ class TestStationary:
         assert u.p_value > 0.01
 
     def test_exponential_straddle_is_gamma2(self):
-        vals = np.array([sample_stationary(ExponentialLaw(1.0), 1,
-                                           replica_rng(8, r)).lengths[0]
+        vals = np.array([draw(Stationary(ExponentialLaw(1.0)), 1,
+                              replica_rng(8, r)).lengths[0]
                          for r in range(20_000)])
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - 2.0) < 3 * se
@@ -87,19 +90,19 @@ class TestStationary:
         se = math.sqrt((2 / 3) * (1 / 3) / n)
         assert abs(hits - 2.0 / 3.0) < 3 * se
 
-    def test_infinite_mean_rejected(self, rng):
+    def test_infinite_mean_rejected(self):
         with pytest.raises(SamplingContractError, match="infinite mean"):
-            sample_stationary(ParetoHalfLaw(), 10, rng)
+            Stationary(ParetoHalfLaw())
 
     def test_periodic_mode(self, rng):
-        cfg = sample_stationary(ExponentialLaw(), 50, rng, periodic=True)
+        cfg = draw(PeriodicRenewal(ExponentialLaw()), 50, rng)
         assert cfg.boundary is Boundary.PERIODIC
         assert cfg.n_intervals == 50
 
 
 class TestLatticeStationary:
     def test_unit_law_occupies_everything(self, rng):
-        cfg = sample_lattice_stationary(DiracLaw(1.0), 10, rng)
+        cfg = draw(LatticeStationary(DiracLaw(1.0)), 10, rng)
         assert np.allclose(cfg.lengths, 1.0)
         assert cfg.first_point == 0.0  # straddle 1 forces offset 0
 
@@ -107,7 +110,7 @@ class TestLatticeStationary:
         p = 0.3
         occupied = total = 0
         for r in range(300):
-            cfg = sample_lattice_stationary(GeometricLaw(p), 200, replica_rng(21, r))
+            cfg = draw(LatticeStationary(GeometricLaw(p)), 200, replica_rng(21, r))
             pts = cfg.points()
             window = pts[-1] - pts[0]
             occupied += cfg.n_points
@@ -120,7 +123,7 @@ class TestLatticeStationary:
         at_zero = 0
         n = 4000
         for r in range(n):
-            cfg = sample_lattice_stationary(DiracLaw(2.0), 3, replica_rng(31, r))
+            cfg = draw(LatticeStationary(DiracLaw(2.0)), 3, replica_rng(31, r))
             assert cfg.first_point in (0.0, -1.0)  # random parity
             at_zero += cfg.first_point == 0.0
         se = math.sqrt(0.25 / n)
@@ -129,7 +132,7 @@ class TestLatticeStationary:
 
 class TestExchangeable:
     def test_single_component_matches_left_bounded(self, rng):
-        cfg = sample_exchangeable([(1.0, DiracLaw(3.0))], 5, rng)
+        cfg = draw(ExchangeableMixture(((1.0, DiracLaw(3.0)),)), 5, rng)
         assert cfg.first_point == 0.0
         assert np.allclose(cfg.lengths, 3.0)
 
@@ -138,8 +141,8 @@ class TestExchangeable:
         ones = 0
         n = 2000
         for r in range(n):
-            cfg = sample_exchangeable([(0.5, DiracLaw(1.0)), (0.5, DiracLaw(2.0))],
-                                      4, replica_rng(41, r))
+            cfg = draw(ExchangeableMixture(((0.5, DiracLaw(1.0)), (0.5, DiracLaw(2.0)))),
+                       4, replica_rng(41, r))
             vals = set(cfg.lengths)
             all_equal &= len(vals) == 1
             ones += cfg.lengths[0] == 1.0
@@ -147,18 +150,18 @@ class TestExchangeable:
         assert abs(ones / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
     def test_degenerate_weights(self, rng):
-        cfg = sample_exchangeable([(1.0, DiracLaw(1.0)), (0.0, DiracLaw(9.0))], 6, rng)
+        cfg = draw(ExchangeableMixture(((1.0, DiracLaw(1.0)), (0.0, DiracLaw(9.0)))), 6, rng)
         assert np.allclose(cfg.lengths, 1.0)
 
-    def test_empty_mixture_rejected(self, rng):
+    def test_empty_mixture_rejected(self):
         with pytest.raises(SamplingContractError):
-            sample_exchangeable([], 3, rng)
+            ExchangeableMixture(())
 
     def test_output_is_exchangeable(self):
         # coordinates of (d1, d2, d3) keep their joint law under permutation
         trips = np.array([
-            sample_exchangeable([(0.5, GeometricLaw(0.8)), (0.5, GeometricLaw(0.25))],
-                                3, replica_rng(51, r)).lengths
+            draw(ExchangeableMixture(((0.5, GeometricLaw(0.8)), (0.5, GeometricLaw(0.25)))),
+                 3, replica_rng(51, r)).lengths
             for r in range(5000)])
         stat = ks_two_sample(trips[:, 0], trips[:, 2])
         assert stat.p_value > 0.01
@@ -190,7 +193,7 @@ class TestSampleSpec:
 
 class TestConfigCsv:
     def test_round_trip(self, tmp_path, rng):
-        cfg = sample_left_bounded(DiracLaw(0.5), ExponentialLaw(), 7, rng)
+        cfg = draw(LeftBounded(ExponentialLaw(), DiracLaw(0.5)), 7, rng)
         path = tmp_path / "cfg.csv"
         cfg.to_csv(path)
         from hcplab.config import IntervalConfiguration

@@ -1,27 +1,27 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import kolmogorov as scipy_kolmogorov
 
-from hcplab.measures import from_pmf
+from hcplab.measures import AtomicMeasure
 from hcplab.sampling import replica_rng
-from hcplab.stats import (SampleSet, empirical_laplace,
-                          exchangeable_identity_check, independence_test,
+from hcplab.stats import (exchangeable_identity_check, independence_test,
                           kolmogorov_sf, ks_test, ks_test_discrete,
                           ks_two_sample)
 
 
 class TestSampleSet:
     def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            SampleSet(np.array([]))
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            SampleSet(np.array([1.0]), weights=np.array([-1.0]))
+        empty, one = np.array([]), np.array([1.0])
+        law = AtomicMeasure([1.0], [1.0], l_max=2.0)
+        for call in (lambda: ks_test(empty, lambda x: x),
+                     lambda: ks_two_sample(empty, one),
+                     lambda: ks_two_sample(one, empty),
+                     lambda: ks_test_discrete(empty, law),
+                     lambda: independence_test(empty, empty)):
+            with pytest.raises(ValueError, match="nonempty"):
+                call()
 
 
 class TestKolmogorovSf:
@@ -67,41 +67,18 @@ class TestKsTest:
 
 class TestDiscreteKs:
     def test_null_accepts(self):
-        law = from_pmf([1.0, 2.0, 3.0], [0.5, 0.3, 0.2], l_max=5.0)
+        law = AtomicMeasure([1.0, 2.0, 3.0], [0.5, 0.3, 0.2], l_max=5.0)
         rng = replica_rng(107)
         draws = rng.choice([1.0, 2.0, 3.0], p=[0.5, 0.3, 0.2], size=5000)
         res = ks_test_discrete(draws, law, n_bootstrap=200, seed=5)
         assert res.p_value > 0.01
 
     def test_alternative_rejects(self):
-        law = from_pmf([1.0, 2.0, 3.0], [0.5, 0.3, 0.2], l_max=5.0)
+        law = AtomicMeasure([1.0, 2.0, 3.0], [0.5, 0.3, 0.2], l_max=5.0)
         rng = replica_rng(109)
         draws = rng.choice([1.0, 2.0, 3.0], p=[0.3, 0.5, 0.2], size=5000)
         res = ks_test_discrete(draws, law, n_bootstrap=200, seed=6)
         assert res.p_value < 0.01
-
-
-class TestEmpiricalLaplace:
-    def test_degenerate_sample(self):
-        est = empirical_laplace(np.ones(50), [1.0])
-        assert est.value[0] == pytest.approx(math.exp(-1.0))
-        assert est.std_err[0] == pytest.approx(0.0, abs=1e-15)
-
-    def test_s_zero_is_one(self):
-        est = empirical_laplace(replica_rng(113).random(100), [0.0])
-        assert est.value[0] == 1.0
-
-    def test_exponential_closed_form(self):
-        x = replica_rng(127).exponential(size=20_000)
-        est = empirical_laplace(x, [1.0])
-        assert abs(est.value[0] - 0.5) < 3 * est.std_err[0]
-
-    def test_jackknife_matches_classic_se(self):
-        x = replica_rng(131).random(400)
-        est = empirical_laplace(x, [1.0])
-        e = np.exp(-x)
-        classic = e.std(ddof=1) / math.sqrt(x.size)
-        assert est.std_err[0] == pytest.approx(classic, rel=1e-10)
 
 
 class TestIndependence:
@@ -165,18 +142,6 @@ class TestExchangeableIdentity:
     def test_rejects_large_k(self):
         with pytest.raises(ValueError):
             exchangeable_identity_check(np.ones(9), "chain")
-
-
-class TestReports:
-    def test_records_serialize(self):
-        import json
-        res = ks_test(replica_rng(171).random(100), lambda x: np.clip(x, 0.0, 1.0))
-        rec = res.as_record("uniform-null", n_grid=100)
-        assert rec["test"] == "uniform-null" and 0 <= rec["p_value"] <= 1
-        json.dumps(rec)
-        chi = independence_test(replica_rng(173).random(500),
-                                replica_rng(179).random(500))
-        json.dumps(chi.as_record("pair-independence", bins=4))
 
 
 class TestTwoSample:
