@@ -22,8 +22,8 @@ from .limits import (LimitLawParams, first_point_limit_transform, g_infinity,
                      z_cdf)
 from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hcp_measures,
                        survival_probability_exact)
-from .schema import (ConfigError, build_analytic, build_law, build_schedule, build_spec,
-                     build_window, epoch_count, require)
+from .schema import (NUMBER, ConfigError, build_analytic, build_law, build_schedule,
+                     build_spec, build_window, choice, epoch_count, field, numbers, positive)
 from .hcp import WindowExhaustedError, replicate
 from .schedule import ScheduleError
 from .transport import c0_estimate, default_c0_grid, u1_on_lattice, un_transport
@@ -66,6 +66,10 @@ def _provenance_header(cfg: dict) -> str:
     return f"# hcplab {__version__} config={blob}\n"
 
 
+def _seed(cfg: dict) -> int:
+    return field(cfg, "seed", int, lambda n: n >= 0, "an integer >= 0 (or --seed)", 0)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -75,15 +79,11 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     schedule = build_schedule(cfg)
     window = build_window(cfg)
     n_epochs = epoch_count(cfg, schedule, default=2)
-    n_replicas = require(cfg, "replicas", int, default=1)
-    if n_replicas < 1:
-        raise ConfigError(f"config field 'replicas' (or --replicas): need at least 1, "
-                          f"got {n_replicas}")
-    seed = int(require(cfg, "seed", int, default=0))
-    cap = int(require(cfg, "samples_per_epoch", int, default=50_000))
+    n_replicas = field(cfg, "replicas", int, lambda n: n >= 1, "at least 1 (or --replicas)", 1)
+    cap = field(cfg, "samples_per_epoch", int, lambda n: n >= 0, "an integer >= 0", 50_000)
     try:
-        pooled = replicate(spec, schedule, n_epochs, n_replicas, seed, window,
-                           z_per_epoch=max(cap, 0))
+        pooled = replicate(spec, schedule, n_epochs, n_replicas, _seed(cfg), window,
+                           z_per_epoch=cap)
     except WindowExhaustedError as exc:
         raise ConfigError(f"{exc} (window.n_intervals or window.target_core)") from None
     with open(os.path.join(out, "samples.csv"), "w") as fh:
@@ -122,36 +122,21 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     return 0
 
 
-def _analytic_initial_measure(cfg: dict, l_max: float):
-    law = build_law(require(cfg, "initial_law", dict, required=True), "initial_law")
-    if isinstance(law, ExpGeometricLaw):
-        n_atoms = max(1, int(math.floor(math.log(l_max))))
-        return law.atomic(n_atoms=n_atoms, l_max=l_max)
-    if hasattr(law, "atomic"):
-        return law.atomic(l_max)
-    raise ConfigError("initial_law: analytic commands need a law with atoms "
-                      "(dirac, geometric, two_point, exp_geometric)")
-
-
-def _c0_view(cfg: dict, fallback, s_min: float):
-    """Transform evaluator for the c0 report.
-
-    The tail ratio at small s only reflects the true law if the truncation
-    deficit is far below 1 - g(s_min), so the estimator gets a much deeper
-    truncation than the epoch iteration needs.
-    """
-    law = build_law(require(cfg, "initial_law", dict, required=True), "initial_law")
-    if isinstance(law, ExpGeometricLaw):
-        n_atoms = max(60, int(3 * math.log(1.0 / s_min)))
-        return law.atomic(n_atoms=n_atoms, l_max=float("inf"))
-    return fallback.normalized()
-
-
 def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     schedule = build_schedule(cfg)
     n_epochs = epoch_count(cfg, schedule, default=4)
     l_max, deficit_bound, probe_x, j_max, s_min, s_max = build_analytic(cfg, schedule, n_epochs)
-    mu1 = _analytic_initial_measure(cfg, l_max)
+    choice(cfg, "initial_law.kind", ("dirac", "geometric", "two_point", "exp_geometric"))
+    law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
+    if isinstance(law, ExpGeometricLaw):
+        mu1 = law.atomic(n_atoms=max(1, int(math.floor(math.log(l_max)))), l_max=l_max)
+        # the c0 estimator's tail ratio at small s reflects the true law only
+        # if the truncation deficit is far below 1 - g(s_min), so it gets a
+        # much deeper truncation than the epoch iteration needs
+        c0_view = law.atomic(n_atoms=max(60, int(3 * math.log(1.0 / s_min))), l_max=math.inf)
+    else:
+        mu1 = law.atomic(l_max)
+        c0_view = mu1.normalized()
     laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs,
                                    deficit_bound=deficit_bound, strict=strict)
     header = _provenance_header(cfg)
@@ -183,7 +168,7 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
                          for n in range(1, n_epochs + 1) for x in probe_x
                          if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1))
     grid = default_c0_grid(s_max, s_min)
-    est = c0_estimate(_c0_view(cfg, mu1, s_min), grid)
+    est = c0_estimate(c0_view, grid)
     with open(os.path.join(out, "c0_report.json"), "w") as fh:
         json.dump({"estimate": est.estimate, "converged": est.converged,
                    "s_min": float(grid.min()), "s_max": float(grid.max())},
@@ -194,12 +179,8 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
 
 
 def cmd_limits(cfg: dict, out: str) -> int:
-    c0 = float(require(cfg, "limits.c0", (int, float), default=1.0))
-    if not 0.0 <= c0 <= 1.0:  # NaN fails
-        raise ConfigError(f"config field 'limits.c0': need a number in [0, 1], got {c0!r}")
-    gamma = float(require(cfg, "limits.gamma", (int, float), default=0.0))
-    if not gamma >= 0.0:
-        raise ConfigError(f"config field 'limits.gamma': need a number >= 0, got {gamma!r}")
+    c0 = float(field(cfg, "limits.c0", NUMBER, lambda v: 0 <= v <= 1, "a number in [0, 1]", 1.0))
+    gamma = float(field(cfg, "limits.gamma", NUMBER, lambda v: v >= 0, "a number >= 0", 0.0))
     params = LimitLawParams(c0=c0, gamma=gamma)
     xs = np.arange(1.0, 16.0 + 1e-9, 1.0 / 32.0)
     with open(os.path.join(out, "limit_cdf.csv"), "w") as fh:
@@ -254,20 +235,12 @@ def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[f
 
 
 def cmd_reproduce_figb(cfg: dict, out: str) -> int:
-    qs = require(cfg, "figb.q", list, default=[0.1, 0.5, 0.8])
-    horizon = int(require(cfg, "figb.horizon", int, default=14))
-    x = float(require(cfg, "figb.x", (int, float), default=10.0))
-    spacing = float(require(cfg, "figb.lattice", (int, float), default=1.0 / 16.0))
-    arithmetic = bool(require(cfg, "figb.arithmetic", bool, default=False))
-    for i, q in enumerate(qs):
-        if not isinstance(q, (int, float)) or not 0 < q < 1:  # NaN, True and False fail
-            raise ConfigError(f"config field 'figb.q[{i}]': need a number in (0, 1), the "
-                              f"law being exp_geometric with p = 1 - q, got {q!r}")
-    if horizon < 1:
-        raise ConfigError(f"config field 'figb.horizon': need at least 1, got {horizon}")
-    for name, value in (("figb.x", x), ("figb.lattice", spacing)):
-        if not value > 0:
-            raise ConfigError(f"config field '{name}': need a positive value, got {value!r}")
+    qs = numbers(cfg, "figb.q", lambda q: 0 < q < 1, "a number in (0, 1), the law being "
+                 "exp_geometric with p = 1 - q", [0.1, 0.5, 0.8])
+    horizon = field(cfg, "figb.horizon", int, lambda n: n >= 1, "at least 1", 14)
+    x = float(field(cfg, "figb.x", NUMBER, positive, "a positive number", 10.0))
+    spacing = float(field(cfg, "figb.lattice", NUMBER, positive, "a positive number", 1.0 / 16.0))
+    arithmetic = field(cfg, "figb.arithmetic", bool, need="true or false", default=False)
     d_of = (lambda n: float(n)) if arithmetic else (lambda n: 2.0 ** (n - 1))
     ratios = figb_ratios(qs, horizon, x, spacing, d_of)
     with open(os.path.join(out, "transport_ratio.csv"), "w") as fh:
@@ -281,9 +254,8 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
 
 def cmd_validate(cfg: dict, out: str) -> int:
     from .acceptance import run_all
-    scale = float(require(cfg, "validate.scale", (int, float), default=1.0))
-    seed = int(require(cfg, "seed", int, default=0))
-    results = run_all(scale=scale, seed=seed, report=print)
+    scale = float(field(cfg, "validate.scale", NUMBER, positive, "a positive number", 1.0))
+    results = run_all(scale=scale, seed=_seed(cfg), report=print)
     with open(os.path.join(out, "validation.json"), "w") as fh:
         json.dump([r.as_dict() for r in results], fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -1,6 +1,8 @@
-"""JSON config schema: each build_* turns one config section into program
-objects, and a missing or out-of-range field is a ConfigError whose message
-names it (the CLI prints it and exits with code 2)."""
+"""JSON config schema: every field is read through ``field`` (or its list and
+preset forms ``numbers`` and ``choice``), so a missing, mistyped or
+out-of-range value is a ConfigError whose message names it (the CLI prints
+it and exits with code 2); each build_* turns one config section into
+program objects."""
 
 from __future__ import annotations
 
@@ -19,168 +21,165 @@ class ConfigError(ValueError):
     """Configuration failed schema validation; the message names the field."""
 
 
-def require(cfg: dict, path: str, types, default=None, required=False):
-    node = cfg
-    parts = path.split(".")
-    for p in parts[:-1]:
-        node = node.get(p, {}) if isinstance(node, dict) else {}
-    if not isinstance(node, dict) or parts[-1] not in node:
-        if required:
-            raise ConfigError(f"config field '{path}' is required")
-        return default
-    val = node[parts[-1]]
+class _Missing:
+    def __repr__(self):
+        return "nothing"
+
+
+REQUIRED = _Missing()  # the default of a field that must be present
+NUMBER = (int, float)
+
+
+def _check(name: str, value, kind, ok, need: str):
     # bool is an int subclass: true/false pass only where bool is asked for
-    if types is not None and (not isinstance(val, types)
-                              or isinstance(val, bool) and types is not bool):
-        raise ConfigError(f"config field '{path}': expected {types}, got {type(val).__name__}")
-    return val
+    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool \
+            or ok is not None and not ok(value):
+        raise ConfigError(f"config field '{name}': need {need}, got {value!r}")
+    return value
 
 
-def _number(node: dict, path: str, name: str, ok, need: str, default=None) -> float:
-    """node[name] (or the default) as a float; a missing, non-numeric or
-    out-of-range value is a ConfigError naming path.name."""
-    val = node.get(name, default)
-    if val is None:
-        raise ConfigError(f"config field '{path}.{name}' is required")
-    if isinstance(val, bool) or not isinstance(val, (int, float)) or not ok(val):
-        raise ConfigError(f"config field '{path}.{name}': need {need}, got {val!r}")
-    return float(val)
+def field(cfg: dict, path: str, kind=NUMBER, ok=None, need: str = "a number",
+          default=REQUIRED, at: str | None = None):
+    """The value at the dotted ``path`` of ``cfg`` as written, or ``default``
+    when the field is absent.  A missing required field, a value that is not
+    a ``kind`` or one that fails ``ok`` is a ConfigError naming the field (as
+    ``at.path`` when ``cfg`` is the node at ``at`` of the whole config)."""
+    value = cfg
+    for step in path.split("."):
+        value = value.get(step, REQUIRED) if isinstance(value, dict) else REQUIRED
+    if value is REQUIRED and default is not REQUIRED:
+        return default
+    return _check(f"{at}.{path}" if at else path, value, kind, ok, need)
 
 
-def _positive(v) -> bool:
+def numbers(cfg: dict, path: str, ok=None, need: str = "a number", default=REQUIRED):
+    """The list of numbers at ``path`` as written; a bad entry is named
+    ``path[i]``."""
+    values = field(cfg, path, list, None, "a list", default)
+    for i, value in enumerate(values):
+        _check(f"{path}[{i}]", value, NUMBER, ok, need)
+    return values
+
+
+def choice(cfg: dict, path: str, names, default=REQUIRED, at: str | None = None) -> str:
+    """One of the preset ``names`` at ``path``."""
+    return field(cfg, path, str, names.__contains__, f"one of {', '.join(names)}",
+                 default, at)
+
+
+def positive(v) -> bool:
     return 0 < v < math.inf  # NaN fails
 
 
+# kind: (constructor, its arguments as (name, ok, need, default))
+_LAWS = {
+    "dirac": (DiracLaw, [("value", positive, "a positive number", 1.0)]),
+    "geometric": (GeometricLaw, [("q", lambda v: 0 < v <= 1, "a number in (0, 1]", REQUIRED)]),
+    "exponential": (ExponentialLaw, [("rate", positive, "a positive number", 1.0)]),
+    "exp_geometric": (ExpGeometricLaw, [("p", lambda v: 0 < v < 1, "a number in (0, 1)",
+                                         REQUIRED)]),
+    "two_point": (two_point_law, [("a", positive, "a positive number", REQUIRED),
+                                  ("b", positive, "a positive number", REQUIRED),
+                                  ("p_a", lambda v: 0 <= v <= 1, "a number in [0, 1]", 0.5)]),
+}
+
+
 def build_law(node: dict, path: str):
-    if not isinstance(node, dict):
-        raise ConfigError(f"config field '{path}': expected a law object, got {node!r}")
-    kind = node.get("kind")
-    if kind == "dirac":
-        return DiracLaw(_number(node, path, "value", _positive, "a positive number", 1.0))
-    if kind == "geometric":
-        return GeometricLaw(_number(node, path, "q", lambda v: 0 < v <= 1, "a number in (0, 1]"))
-    if kind == "exponential":
-        return ExponentialLaw(_number(node, path, "rate", _positive, "a positive number", 1.0))
-    if kind == "exp_geometric":
-        return ExpGeometricLaw(_number(node, path, "p", lambda v: 0 < v < 1,
-                                       "a number in (0, 1)"))
-    if kind == "two_point":
-        return two_point_law(_number(node, path, "a", _positive, "a positive number"),
-                             _number(node, path, "b", _positive, "a positive number"),
-                             _number(node, path, "p_a", lambda v: 0 <= v <= 1,
-                                     "a number in [0, 1]", 0.5))
-    raise ConfigError(f"{path}.kind: unknown law {kind!r}")
+    """The law described by ``node``, the law object at ``path``."""
+    make, params = _LAWS[choice(node, "kind", _LAWS, at=path)]
+    return make(*(float(field(node, name, NUMBER, ok, need, default, at=path))
+                  for name, ok, need, default in params))
+
+
+def _mixture_pair(comp) -> bool:
+    return isinstance(comp, list) and len(comp) == 2 and isinstance(comp[1], dict) \
+        and not isinstance(comp[0], bool) and isinstance(comp[0], NUMBER) \
+        and 0 <= comp[0] <= 1
+
+
+_VARIANTS = {"periodic": PeriodicRenewal, "left_bounded": LeftBounded,
+             "contains_origin": ContainsOrigin, "stationary": Stationary,
+             "lattice_stationary": LatticeStationary, "exchangeable": ExchangeableMixture}
 
 
 def build_spec(cfg: dict):
-    law = build_law(require(cfg, "initial_law", dict, required=True), "initial_law")
-    variant = require(cfg, "process.variant", str, default="periodic")
-    if variant == "periodic":
-        return PeriodicRenewal(law)
+    law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
+    variant = choice(cfg, "process.variant", _VARIANTS, "periodic")
     if variant == "left_bounded":
-        first = require(cfg, "process.first_point", (int, float), default=None)
+        first = field(cfg, "process.first_point", default=None)
         return LeftBounded(law, None if first is None else float(first))
-    if variant == "contains_origin":
-        return ContainsOrigin(law)
-    if variant == "stationary":
-        return Stationary(law)
-    if variant == "lattice_stationary":
-        return LatticeStationary(law)
-    if variant == "exchangeable":
-        comps = require(cfg, "process.components", list, required=True)
-        for i, comp in enumerate(comps):
-            if not (isinstance(comp, list) and len(comp) == 2 and not isinstance(comp[0], bool)
-                    and isinstance(comp[0], (int, float)) and 0 <= comp[0] <= 1):
-                raise ConfigError(f"config field 'process.components[{i}]': need a "
-                                  f"[weight, law] pair, weight in [0, 1], got {comp!r}")
-        if not comps or abs(sum(w for w, _ in comps) - 1.0) > 1e-9:
-            raise ConfigError("config field 'process.components': need weights that sum to 1")
-        return ExchangeableMixture(tuple(
-            (float(w), build_law(ln, f"process.components[{i}]"))
-            for i, (w, ln) in enumerate(comps)))
-    raise ConfigError(f"process.variant: unknown variant {variant!r}")
+    if variant != "exchangeable":
+        return _VARIANTS[variant](law)
+    comps = field(cfg, "process.components", list, need="a list of [weight, law] pairs")
+    for i, comp in enumerate(comps):
+        _check(f"process.components[{i}]", comp, list, _mixture_pair,
+               "a [weight, law] pair, weight in [0, 1]")
+    field(cfg, "process.components", list,
+          lambda c: c and abs(sum(w for w, _ in c) - 1) <= 1e-9, "weights that sum to 1")
+    return ExchangeableMixture(tuple(
+        (float(w), build_law(ln, f"process.components[{i}]"))
+        for i, (w, ln) in enumerate(comps)))
 
 
 def build_schedule(cfg: dict) -> EpochSchedule:
-    kind = require(cfg, "schedule.thresholds", str, default="geometric")
+    kind = choice(cfg, "schedule.thresholds", ("geometric", "arithmetic", "explicit"),
+                  "geometric")
     if kind == "geometric":
-        a = float(require(cfg, "schedule.a", (int, float), default=2.0))
-        if not 1.0 < a <= 2.0:
-            raise ConfigError("schedule.a: geometric ratio must lie in (1, 2]")
-        thresholds = GeometricThresholds(a)
+        thresholds = GeometricThresholds(float(field(
+            cfg, "schedule.a", NUMBER, lambda a: 1 < a <= 2, "a ratio in (1, 2]", 2.0)))
     elif kind == "arithmetic":
         thresholds = ArithmeticThresholds()
-    elif kind == "explicit":
-        values = require(cfg, "schedule.values", list, required=True)
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) and _positive(v)
-                   for v in values) or any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigError(f"config field 'schedule.values': need positive thresholds "
-                              f"that increase, got {values!r}")
-        thresholds = ExplicitThresholds(tuple(float(v) for v in values))
     else:
-        raise ConfigError(f"schedule.thresholds: unknown preset {kind!r}")
-    rates = require(cfg, "schedule.rates", str, default="east")
-    if rates not in _RATE_PRESETS:
-        raise ConfigError(f"config field 'schedule.rates': unknown preset {rates!r}; "
-                          f"known: {', '.join(_RATE_PRESETS)}")
-    left = float(require(cfg, "schedule.left", (int, float), default=0.0))
-    right = float(require(cfg, "schedule.right", (int, float), default=1.0))
+        values = numbers(cfg, "schedule.values", positive, "a positive number")
+        field(cfg, "schedule.values", list, lambda v: all(a < b for a, b in zip(v, v[1:])),
+              "thresholds that increase")
+        thresholds = ExplicitThresholds(tuple(float(v) for v in values))
+    rates = choice(cfg, "schedule.rates", _RATE_PRESETS, "east")
+    left = float(field(cfg, "schedule.left", default=0.0))
+    right = float(field(cfg, "schedule.right", default=1.0))
     factory = PresetRateFactory(rates, left, right)
-    gamma_cfg = require(cfg, "schedule.gamma", (int, float), default=None)
+    gamma_cfg = field(cfg, "schedule.gamma", default=None)
     gamma = float(gamma_cfg) if gamma_cfg is not None else factory.gamma
     return EpochSchedule(thresholds, factory, gamma)
 
 
 def epoch_count(cfg: dict, schedule: EpochSchedule, default: int) -> int:
     """The 'epochs' field: at least 1, and epochs + 1 explicit thresholds."""
-    n = require(cfg, "epochs", int, default=default)
-    if n < 1:
-        raise ConfigError(f"config field 'epochs': need at least 1, got {n}")
-    if isinstance(schedule.thresholds, ExplicitThresholds) \
-            and len(schedule.thresholds.values) <= n:
-        raise ConfigError(f"config field 'schedule.values': {n} epochs need {n + 1} "
-                          f"thresholds, got {len(schedule.thresholds.values)}")
+    n = field(cfg, "epochs", int, lambda n: n >= 1, "at least 1", default)
+    if isinstance(schedule.thresholds, ExplicitThresholds):
+        field(cfg, "schedule.values", list, lambda v: len(v) > n,
+              f"{n + 1} thresholds for {n} epochs")
     return n
 
 
 def build_window(cfg: dict) -> WindowPolicy:
-    n = require(cfg, "window.n_intervals", int, default=None)
-    target = require(cfg, "window.target_core", int, default=None)
-    buffer_factor = float(require(cfg, "window.buffer_factor", (int, float), default=16.0))
-    if not 0 <= buffer_factor < math.inf:  # NaN fails
-        raise ConfigError(f"config field 'window.buffer_factor': need a number >= 0, "
-                          f"got {buffer_factor!r}")
+    n = field(cfg, "window.n_intervals", int, lambda v: v >= 1, "at least 1", None)
+    target = field(cfg, "window.target_core", int, lambda v: v >= 1, "at least 1", None)
+    buffer_factor = float(field(cfg, "window.buffer_factor", NUMBER,
+                                lambda v: 0 <= v < math.inf, "a number >= 0", 16.0))
     if n is None and target is None:
         n = 100_000
-    for name, value in (("window.n_intervals", n), ("window.target_core", target)):
-        if value is not None and value < 1:
-            raise ConfigError(f"config field '{name}': need at least 1, got {value}")
     return WindowPolicy(n_intervals=n, target_core=target, buffer_factor=buffer_factor)
 
 
 def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     """The 'analytic' section: (l_max, deficit_bound, probe_x, j_max, c0_s_min,
     c0_s_max).  l_max must reach d(epochs), the last threshold the epoch
-    iteration pushes a law across."""
-    l_max = float(require(cfg, "analytic.l_max", (int, float),
-                          default=50.0 * schedule.d(n_epochs + 1)))
+    iteration pushes a law across, and j_max stay within l_max / d(1), the
+    truncation of the rescaled epoch-1 law that the transport deconvolves."""
     d_last = schedule.d(n_epochs)
-    if not d_last <= l_max < math.inf:
-        raise ConfigError(f"config field 'analytic.l_max': need a number from "
-                          f"d({n_epochs}) = {d_last!r} up, got {l_max!r}")
-    deficit_bound = float(require(cfg, "analytic.deficit_bound", (int, float), default=1e-6))
-    probe_x = require(cfg, "analytic.probe_x", list, default=[0.5, 1.0, 2.0, 5.0, 10.0])
-    for i, x in enumerate(probe_x):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise ConfigError(f"config field 'analytic.probe_x[{i}]': need a number, "
-                              f"got {x!r}")
-    j_max = float(require(cfg, "analytic.j_max", (int, float), default=min(l_max, 256.0)))
-    s_min = float(require(cfg, "analytic.c0_s_min", (int, float), default=1e-9))
-    if not _positive(s_min):
-        raise ConfigError(f"config field 'analytic.c0_s_min': need a positive number, "
-                          f"got {s_min!r}")
-    s_max = float(require(cfg, "analytic.c0_s_max", (int, float), default=1e-2))
-    if not s_min < s_max < math.inf:
-        raise ConfigError(f"config field 'analytic.c0_s_max': need a number above "
-                          f"analytic.c0_s_min = {s_min!r}, got {s_max!r}")
+    l_max = float(field(cfg, "analytic.l_max", NUMBER, lambda v: d_last <= v < math.inf,
+                        f"a number from d({n_epochs}) = {d_last!r} up",
+                        50.0 * schedule.d(n_epochs + 1)))
+    deficit_bound = float(field(cfg, "analytic.deficit_bound", NUMBER,
+                                lambda v: 0 <= v < math.inf, "a number >= 0", 1e-6))
+    probe_x = numbers(cfg, "analytic.probe_x", default=[0.5, 1.0, 2.0, 5.0, 10.0])
+    j_cap = l_max / schedule.d(1)
+    j_max = float(field(cfg, "analytic.j_max", NUMBER, lambda v: 1 < v <= j_cap,
+                        f"a number above 1 and at most analytic.l_max / d(1) = {j_cap!r}",
+                        min(l_max, 256.0, j_cap)))
+    s_min = float(field(cfg, "analytic.c0_s_min", NUMBER, positive, "a positive number",
+                        1e-9))
+    s_max = float(field(cfg, "analytic.c0_s_max", NUMBER, lambda v: s_min < v < math.inf,
+                        f"a number above analytic.c0_s_min = {s_min!r}", 1e-2))
     return l_max, deficit_bound, probe_x, j_max, s_min, s_max

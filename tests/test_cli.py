@@ -228,6 +228,14 @@ class TestAnalytic:
         assert law4.n_atoms > 100
         assert law4.total_mass == pytest.approx(1.0, abs=1e-12)
 
+    def test_integer_probe_x_echoed(self, tmp_path):
+        cfg = write_config(tmp_path, {"analytic.probe_x": [1, 2.5]})
+        out = tmp_path / "ane"
+        assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
+        rows = (out / "transported_primitive.csv").read_text().splitlines()[2:]
+        assert [r.split(",")[:2] for r in rows] == [["1", "1"], ["1", "2.5"],
+                                                     ["2", "1"], ["2", "2.5"]]
+
     def test_measure_csvs_written(self, tmp_path):
         cfg = write_config(tmp_path)
         out = str(tmp_path / "and")
@@ -424,6 +432,12 @@ class TestConfigInputs:
         ({"window.buffer_factor": -1.0}, (), "window.buffer_factor"),
         ({"window.buffer_factor": math.nan, "process.variant": "left_bounded"}, (),
          "window.buffer_factor"),
+        ({"seed": -1}, (), "seed"),
+        ({}, ("--seed", "-1"), "seed"),
+        ({"samples_per_epoch": -1}, (), "samples_per_epoch"),
+        ({"process.variant": "circle"}, (), "process.variant"),
+        ({"schedule.thresholds": "quadratic"}, (), "schedule.thresholds"),
+        ({"initial_law.kind": "poisson"}, (), "initial_law.kind"),
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "simulate", overrides, *flags)
@@ -438,9 +452,26 @@ class TestConfigInputs:
         ({"analytic.c0_s_max": math.inf}, "analytic.c0_s_max"),
         ({"epochs": 4, "analytic.l_max": 3.0}, "analytic.l_max"),
         ({"analytic.l_max": math.inf}, "analytic.l_max"),
+        ({"analytic.j_max": 1}, "analytic.j_max"),
+        ({"analytic.j_max": math.nan}, "analytic.j_max"),
+        # above l_max / d(1), the truncation of the rescaled epoch-1 law
+        ({"analytic.l_max": 20.0, "analytic.j_max": 64.0}, "analytic.j_max"),
+        ({"analytic.deficit_bound": -1.0}, "analytic.deficit_bound"),
+        ({"analytic.deficit_bound": math.nan}, "analytic.deficit_bound"),
+        ({"initial_law": {"kind": "exponential"}}, "initial_law.kind"),
     ])
     def test_analytic_fields(self, tmp_path, overrides, field):
         err = run_rejected(tmp_path, "analytic", overrides)
+        assert f"config error: config field '{field}'" in err
+
+    @pytest.mark.parametrize("overrides, flags, field", [
+        ({"seed": -1}, (), "seed"),
+        ({}, ("--seed", "-2"), "seed"),
+        ({"validate.scale": math.nan}, (), "validate.scale"),
+        ({"validate.scale": 0}, (), "validate.scale"),
+    ])
+    def test_validate_fields(self, tmp_path, overrides, flags, field):
+        err = run_rejected(tmp_path, "validate", overrides, *flags)
         assert f"config error: config field '{field}'" in err
 
     def test_exhausted_window_names_it(self, tmp_path):
