@@ -79,7 +79,8 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     schedule = build_schedule(cfg)
     window = build_window(cfg)
     n_epochs = epoch_count(cfg, schedule, default=2)
-    n_replicas = field(cfg, "replicas", int, lambda n: n >= 1, "at least 1 (or --replicas)", 1)
+    n_replicas = field(cfg, "replicas", int, lambda n: 1 <= n <= 1 << 32,
+                       "from 1 to 2^32 (or --replicas)", 1)
     cap = field(cfg, "samples_per_epoch", int, lambda n: n >= 0, "an integer >= 0", 50_000)
     try:
         pooled = replicate(spec, schedule, n_epochs, n_replicas, _seed(cfg), window,

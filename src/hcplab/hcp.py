@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import Boundary
 from .epoch import _simulate_points, segment_gaps
-from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rng
+from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rng, replica_rngs
 from .schedule import EpochSchedule
 
 # Replicas are batched while their initial point count stays under this.  A
@@ -256,9 +256,11 @@ def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
 def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
               n_replicas: int, base_seed: int, window: WindowPolicy,
               z_per_epoch: int | None = None) -> list[EpochSummary]:
-    """Pool independent replicas; replica r uses the stream derived from
-    (base_seed, r), so the pooled output is reproducible and does not depend
-    on how replicas are batched.
+    """Pool independent replicas; replica r uses ``replica_rng(base_seed, r)``,
+    so the pooled output is reproducible and does not depend on how replicas
+    are batched.  The streams are derived a block at a time as the batches
+    consume them (``sampling.replica_rngs``), so memory stays bounded by a
+    batch; ``n_replicas`` is at most 2^32.
 
     ``z_per_epoch`` None keeps every core z-sample.  An integer k keeps, per
     epoch, every S-th core z of each replica, with S the smallest power of
@@ -269,8 +271,8 @@ def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
         raise ValueError("need at least one replica")
     if z_per_epoch is not None and z_per_epoch < 0:
         raise ValueError("z_per_epoch must be None or at least 0")
-    return _run(spec, schedule, n_epochs, window,
-                ((r, replica_rng(base_seed, r)) for r in range(n_replicas)), z_per_epoch)
+    return _run(spec, schedule, n_epochs, window, replica_rngs(base_seed, n_replicas),
+                z_per_epoch)
 
 
 def _run(spec, schedule, n_epochs, window, streams,

@@ -1,10 +1,14 @@
 """Samplers for the initial-condition classes of the coalescence dynamics.
 
 Reproducibility contract: every sampler takes a numpy Generator (PCG64).
-Replica streams are derived with ``replica_rng(base_seed, r)``, which seeds a
-fresh generator from SeedSequence(base_seed, spawn_key=(r,)); replicas are
-therefore reproducible and statistically independent, and pooled results do
-not depend on execution order.
+Replica r of seed s draws from the generator that numpy's
+SeedSequence(s, spawn_key=(r,)) seeds, bit for bit, so replicas are
+reproducible and independent, and pooled results do not depend on execution
+order.  ``replica_rng`` (one replica) and ``replica_rngs`` (a run of them)
+both derive it with ``_pcg_words``: SeedSequence's uint32 hashing on a
+Python int or on a block of replica indices at once, the words of s hashed
+once per seed.  Spawning goes through a real SeedSequence, built at the
+first spawn.
 
 ``draw_spec`` is the one draw implementation: ``sample_spec`` checks its
 lengths and wraps them in an ``IntervalConfiguration``, and the simulator
@@ -14,17 +18,137 @@ stacks a batch of draws into one array and checks it at once.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import cache, lru_cache
 
 import numpy as np
 
 from .config import Boundary, IntervalConfiguration
 from .laws import SamplingContractError
 
+# SeedSequence's constants (numpy.random.bit_generator): every step is uint32
+# arithmetic, kept below 2^32 by masking, so it runs on a Python int or on a
+# uint64 array (whose products of two words fit in 64 bits) alike.
+_M32, _POOL = 0xFFFFFFFF, 4
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+# replica streams derived at once by ``replica_rngs``: 32 KiB of words, and
+# numpy's per-call overhead is under 0.1 us per replica
+_BLOCK = 1024
+
+
+def _hashmix(value, const: int, mult: int = _MULT_A):
+    """(hashed word, next hash constant)."""
+    value = value ^ const
+    const = const * mult & _M32
+    value = value * const & _M32
+    return value ^ value >> 16, const
+
+
+def _mix_in(pool: list, word, const: int, skip: int = -1) -> int:
+    """Mix the hashed ``word`` into every pool entry but ``skip``, in place;
+    returns the next hash constant."""
+    for dst in range(_POOL):
+        if dst != skip:
+            value, const = _hashmix(word, const)
+            value = (_MIX_L * pool[dst] - _MIX_R * value) & _M32
+            pool[dst] = value ^ value >> 16
+    return const
+
+
+@lru_cache(maxsize=8)
+def _seed_pool(base_seed: int) -> tuple[tuple, int]:
+    """SeedSequence's pool and hash constant once every word of ``base_seed``
+    (zero-padded to the pool size) is mixed in, before the spawn key."""
+    base_seed = operator.index(base_seed)
+    if base_seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {base_seed}")
+    words = [base_seed >> s & _M32 for s in range(0, max(base_seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL]:
+        value, const = _hashmix(word, const)
+        pool.append(value)
+    for src in range(_POOL):
+        const = _mix_in(pool, pool[src], const, skip=src)
+    for word in words[_POOL:]:
+        const = _mix_in(pool, word, const)
+    return tuple(pool), const
+
+
+def _pcg_words(base_seed: int, replica):
+    """The four uint64 words SeedSequence(base_seed, spawn_key=(replica,))
+    seeds PCG64 with, as a list: four ints for an int ``replica``, four
+    arrays for a uint64 array of them.  Replica indices stay below 2^32, one
+    spawn-key word."""
+    pool, const = _seed_pool(base_seed)
+    pool = list(pool)
+    _mix_in(pool, replica, const)
+    const, words = _INIT_B, []
+    for i in range(2 * _POOL):  # generate_state's uint32 words, paired little-endian
+        value, const = _hashmix(pool[i % _POOL], const, _MULT_B)
+        words.append(value)
+    return [words[i] | words[i + 1] << 32 for i in range(0, 2 * _POOL, 2)]
+
+
+@cache
+def _stream_maker():
+    """``make(base_seed, replica, words)``, the Generator of one replica
+    stream; defined at first use, so that importing hcplab does not load
+    numpy.random."""
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISpawnableSeedSequence
+
+    class ReplicaSeed(ISpawnableSeedSequence):
+        """SeedSequence(base_seed, spawn_key=(replica,)) with its PCG64 words
+        derived already.  Anything else goes through that SeedSequence,
+        built at first need and kept, so successive spawns advance as
+        numpy's do."""
+
+        def __init__(self, base_seed: int, replica: int, words: np.ndarray):
+            self.base_seed, self.replica, self.words = base_seed, replica, words
+            self.sequence = None
+
+        def seed_sequence(self) -> SeedSequence:
+            if self.sequence is None:
+                self.sequence = SeedSequence(self.base_seed, spawn_key=(self.replica,))
+            return self.sequence
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words == _POOL and np.dtype(dtype) == np.uint64:
+                return self.words
+            return self.seed_sequence().generate_state(n_words, dtype)
+
+        def spawn(self, n_children):
+            return self.seed_sequence().spawn(n_children)
+
+        def __reduce__(self):  # pickles as the SeedSequence it stands for
+            return self.seed_sequence().__reduce__()
+
+    return lambda base_seed, replica, words: Generator(PCG64(
+        ReplicaSeed(base_seed, replica, words)))
+
 
 def replica_rng(base_seed: int, replica: int = 0) -> np.random.Generator:
     """Independent, reproducible stream for one replica."""
-    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(replica,)))
+    replica = operator.index(replica)
+    if not 0 <= replica < 1 << 32:
+        raise ValueError(f"replica index must be in [0, 2^32), got {replica}")
+    return _stream_maker()(base_seed, replica,
+                           np.array(_pcg_words(base_seed, replica), np.uint64))
+
+
+def replica_rngs(base_seed: int, n_replicas: int):
+    """(replica, stream) for replicas 0..n_replicas-1 in order: the streams
+    of ``replica_rng``, derived ``_BLOCK`` at a time as they are consumed."""
+    if n_replicas > 1 << 32:
+        raise ValueError(f"replica indices must be below 2^32, got {n_replicas} replicas")
+    make = _stream_maker()
+    for lo in range(0, n_replicas, _BLOCK):
+        replicas = np.arange(lo, min(lo + _BLOCK, n_replicas), dtype=np.uint64)
+        for r, words in enumerate(np.stack(_pcg_words(base_seed, replicas), axis=1), lo):
+            yield r, make(base_seed, r, words)
 
 
 # ---------------------------------------------------------------------------

@@ -166,14 +166,18 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     """The 'analytic' section: (l_max, deficit_bound, probe_x, j_max, c0_s_min,
     c0_s_max).  l_max must reach d(epochs), the last threshold the epoch
     iteration pushes a law across, and j_max stay within l_max / d(1), the
-    truncation of the rescaled epoch-1 law that the transport deconvolves."""
+    truncation of the rescaled epoch-1 law that the transport deconvolves;
+    that transport needs d(1) >= 1."""
+    if isinstance(schedule.thresholds, ExplicitThresholds):
+        field(cfg, "schedule.values", list, lambda v: v[0] >= 1, "a first threshold d(1) >= 1")
     d_last = schedule.d(n_epochs)
     l_max = float(field(cfg, "analytic.l_max", NUMBER, lambda v: d_last <= v < math.inf,
                         f"a number from d({n_epochs}) = {d_last!r} up",
                         50.0 * schedule.d(n_epochs + 1)))
     deficit_bound = float(field(cfg, "analytic.deficit_bound", NUMBER,
                                 lambda v: 0 <= v < math.inf, "a number >= 0", 1e-6))
-    probe_x = numbers(cfg, "analytic.probe_x", default=[0.5, 1.0, 2.0, 5.0, 10.0])
+    probe_x = numbers(cfg, "analytic.probe_x", math.isfinite, "a finite number",
+                      [0.5, 1.0, 2.0, 5.0, 10.0])
     j_cap = l_max / schedule.d(1)
     j_max = float(field(cfg, "analytic.j_max", NUMBER, lambda v: 1 < v <= j_cap,
                         f"a number above 1 and at most analytic.l_max / d(1) = {j_cap!r}",

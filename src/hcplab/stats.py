@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .measures import AtomicMeasure
+from .sampling import replica_rng
 
 
 def _as_values(samples) -> np.ndarray:
@@ -86,7 +87,7 @@ def ks_test_discrete(samples, law: AtomicMeasure, n_bootstrap: int = 200,
         return float(np.max(np.abs(emp - cdf)))
 
     d_obs = stat(values)
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0xB007,)))
+    rng = replica_rng(seed, 0xB007)
     exceed = 0
     for _ in range(n_bootstrap):
         draw = atoms[np.searchsorted(cdf, rng.random(n), side="right").clip(max=atoms.size - 1)]

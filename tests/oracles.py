@@ -19,6 +19,10 @@ configuration: the simulator as it was before the epoch resolver, the
 segmented engine and the batch draws replaced it.  ``thinned_z`` applies the
 ``z_per_epoch`` rule of ``replicate`` to a summary that holds every core z,
 one replica at a time.
+``seed_sequence_rng`` derives a replica stream by numpy's own route, one
+SeedSequence object per replica, which ``sampling.replica_rng`` and
+``replica_rngs`` replaced by hashing the spawn-key word of a block of
+replicas at once; ``replicate_loop`` draws its replicas from it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy, pool_su
 from hcplab.measures import AtomicMeasure, MeasureError, _coalesce
 from hcplab.laws import SamplingContractError
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
-                             LeftBounded, PeriodicRenewal, Stationary, replica_rng)
+                             LeftBounded, PeriodicRenewal, Stationary)
 
 
 def _convolve_pairs(m1: AtomicMeasure, m2: AtomicMeasure, hi: float) -> AtomicMeasure:
@@ -396,16 +400,22 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
     return summaries
 
 
+def seed_sequence_rng(base_seed: int, replica: int = 0) -> np.random.Generator:
+    """Replica ``replica``'s stream: the generator numpy seeds from
+    SeedSequence(base_seed, spawn_key=(replica,))."""
+    return np.random.default_rng(np.random.SeedSequence(base_seed, spawn_key=(replica,)))
+
+
 def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: int,
                    window: WindowPolicy) -> list[EpochSummary]:
-    """Replica r runs alone on ``replica_rng(base_seed, r)``; pooled in order.
+    """Replica r runs alone on ``seed_sequence_rng(base_seed, r)``; pooled in order.
     A ``target_core`` window is sized once, by the pilot on replica 0's
     stream, and that interval count serves every replica."""
     if window.n_intervals is None:
         window = dataclasses.replace(window, n_intervals=_pilot_initial_count_loop(
-            spec, schedule, n_epochs, window, replica_rng(base_seed, 0)))
+            spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, 0)))
     return pool_summaries([run_hcp_loop(spec, schedule, n_epochs, window,
-                                        replica_rng(base_seed, r), replica=r)
+                                        seed_sequence_rng(base_seed, r), replica=r)
                            for r in range(n_replicas)])
 
 

@@ -172,6 +172,16 @@ class TestAnalytic:
         assert float(rows[0][2]) == pytest.approx(math.exp(-1.0), rel=1e-12)
         assert float(rows[1][2]) == pytest.approx(math.exp(-11.0 / 6.0), rel=1e-12)
 
+    def test_explicit_schedule_from_one(self, tmp_path):
+        # d(1) = 1, the smallest first threshold the transported primitive takes
+        cfg = write_config(tmp_path, {"schedule.thresholds": "explicit",
+                                      "schedule.values": [1, 2, 4]})
+        out = str(tmp_path / "and")
+        assert main(["analytic", "--config", cfg, "--out", out]) == 0
+        with open(os.path.join(out, "transported_primitive.csv")) as fh:
+            rows = [line for line in fh if line[0].isdigit()]
+        assert len(rows) == 10  # 2 epochs x 5 default probes
+
     def test_c0_report_converged_for_finite_mean(self, tmp_path):
         cfg = write_config(tmp_path, {"initial_law": {"kind": "geometric", "q": 0.5}})
         out = str(tmp_path / "anb")
@@ -438,6 +448,8 @@ class TestConfigInputs:
         ({"process.variant": "circle"}, (), "process.variant"),
         ({"schedule.thresholds": "quadratic"}, (), "schedule.thresholds"),
         ({"initial_law.kind": "poisson"}, (), "initial_law.kind"),
+        ({"replicas": 2**32 + 1}, (), "replicas"),  # replica indices stay below 2^32
+        ({}, ("--replicas", str(2**32 + 1)), "replicas"),
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "simulate", overrides, *flags)
@@ -459,6 +471,11 @@ class TestConfigInputs:
         ({"analytic.deficit_bound": -1.0}, "analytic.deficit_bound"),
         ({"analytic.deficit_bound": math.nan}, "analytic.deficit_bound"),
         ({"initial_law": {"kind": "exponential"}}, "initial_law.kind"),
+        ({"analytic.probe_x": [math.nan, -1, 1]}, "analytic.probe_x[0]"),
+        ({"analytic.probe_x": [1, math.inf]}, "analytic.probe_x[1]"),
+        # the transported primitive needs d(1) >= 1
+        ({"schedule.thresholds": "explicit", "schedule.values": [0.5, 1, 2]},
+         "schedule.values"),
     ])
     def test_analytic_fields(self, tmp_path, overrides, field):
         err = run_rejected(tmp_path, "analytic", overrides)
@@ -512,7 +529,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 class TestColdStart:
-    """No command but validate imports scipy."""
+    """No command but validate imports scipy, and importing the CLI leaves
+    numpy.random unloaded."""
 
     @pytest.mark.parametrize("command, overrides", [
         (None, {}),
@@ -534,6 +552,18 @@ class TestColdStart:
                               timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+    def test_import_leaves_numpy_random_unloaded(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(hcplab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", "import sys, hcplab.cli; "
+                               "print('numpy.random' in sys.modules)"],
+                              cwd=tmp_path, env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestValidateCommand:

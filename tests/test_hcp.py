@@ -20,7 +20,7 @@ from hcplab.schedule import (EpochSchedule,
                              paste_all_schedule)
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
 from oracles import (_pilot_initial_count_loop, replicate_loop, run_hcp_loop,
-                     sample_spec_config, thinned_z)
+                     sample_spec_config, seed_sequence_rng, thinned_z)
 
 
 class TestSchedule:
@@ -254,6 +254,21 @@ class TestEngineOracle:
             run_hcp(SPECS["contains_origin"], east_schedule(2.0), 5, window, replica_rng(3, 2), 2),
             run_hcp_loop(SPECS["contains_origin"], east_schedule(2.0), 5, window,
                          replica_rng(3, 2), 2))
+
+    @pytest.mark.parametrize("name", ["left_bounded", "periodic"])
+    def test_pilot_matches_seed_sequence_streams(self, name):
+        # the pilot spawns from replica 0's stream; the reference runs the
+        # same engine on numpy's own SeedSequence streams
+        window = WindowPolicy(target_core=100, buffer_factor=1.0, pilot_intervals=512)
+        streams = ((r, seed_sequence_rng(9, r)) for r in range(5))
+        self.assert_same(replicate(SPECS[name], east_schedule(2.0), 4, 5, 9, window),
+                         hcp._run(SPECS[name], east_schedule(2.0), 4, window, streams))
+
+    def test_run_hcp_integer_seed(self):
+        window = WindowPolicy(n_intervals=500, buffer_factor=2.0)
+        got = run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, 17)
+        for rng in (replica_rng(17), seed_sequence_rng(17)):
+            self.assert_same(got, run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, rng))
 
     @pytest.mark.parametrize("batch_points", [1, hcp._BATCH_POINTS])
     def test_exhaustion_reports_earliest_epoch(self, batch_points, monkeypatch):

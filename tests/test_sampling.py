@@ -1,28 +1,101 @@
 import math
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hcplab import sampling
 from hcplab.config import Boundary
 from hcplab.laws import (DiracLaw, ExponentialLaw, GeometricLaw, ParetoHalfLaw,
                          SamplingContractError, two_point_law)
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary, replica_rng,
-                             sample_spec)
+                             replica_rngs, sample_spec)
 from hcplab.stats import independence_test, ks_two_sample
+from oracles import seed_sequence_rng
 
 
 def draw(spec, n_intervals, rng):
     return sample_spec(spec, n_intervals, rng)[0]
 
 
+SEEDS = st.integers(0, 2**140 - 1)  # one to five entropy words
+REPLICAS = st.sampled_from([0, 1, sampling._BLOCK - 1, sampling._BLOCK, sampling._BLOCK + 1,
+                            2**32 - 1]) | st.integers(0, 2**32 - 1)
+
+
+def state(rng):
+    return rng.bit_generator.state
+
+
 class TestReplicaStreams:
+    """The streams against numpy's own SeedSequence route, one call at a time
+    (``replica_rng``) and a block at a time (``replica_rngs``)."""
+
     def test_reproducible_and_distinct(self):
         a1 = replica_rng(7, 0).random(5)
         a2 = replica_rng(7, 0).random(5)
         b = replica_rng(7, 1).random(5)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+    @given(seed=SEEDS, replica=REPLICAS)
+    def test_single_matches_seed_sequence(self, seed, replica):
+        assert state(replica_rng(seed, replica)) == state(seed_sequence_rng(seed, replica))
+
+    @given(seed=SEEDS, replicas=st.lists(REPLICAS, min_size=1, max_size=6))
+    def test_block_matches_seed_sequence(self, seed, replicas):
+        words = np.stack(sampling._pcg_words(seed, np.array(replicas, np.uint64)), axis=1)
+        make = sampling._stream_maker()
+        for r, row in zip(replicas, words):
+            assert state(make(seed, r, row)) == state(seed_sequence_rng(seed, r))
+
+    @given(seed=SEEDS, block=st.integers(1, 4), n_replicas=st.integers(1, 10))
+    def test_replica_rngs_match_seed_sequence(self, seed, block, n_replicas):
+        with mock.patch.object(sampling, "_BLOCK", block):  # every block edge
+            got = list(replica_rngs(seed, n_replicas))
+        assert [r for r, _ in got] == list(range(n_replicas))
+        for r, rng in got:
+            assert state(rng) == state(seed_sequence_rng(seed, r))
+
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**140 + 3])
+    def test_replica_rngs_across_a_block(self, seed):
+        n = sampling._BLOCK + 2
+        got = list(replica_rngs(seed, n))
+        assert [r for r, _ in got] == list(range(n))
+        for r, rng in got:
+            assert state(rng) == state(seed_sequence_rng(seed, r))
+
+    @settings(max_examples=25)
+    @given(seed=SEEDS, replica=REPLICAS)
+    def test_spawn_matches_seed_sequence(self, seed, replica):
+        for rng, ref in ((replica_rng(seed, replica), seed_sequence_rng(seed, replica)),
+                         (next(replica_rngs(seed, 1))[1], seed_sequence_rng(seed, 0))):
+            for n_children in (1, 2):  # the second spawn continues where numpy's does
+                assert [state(c) for c in rng.spawn(n_children)] == \
+                    [state(c) for c in ref.spawn(n_children)]
+            assert state(rng) == state(ref)
+            assert rng.random() == ref.random()
+
+    def test_pickles_as_its_seed_sequence(self):
+        rng = replica_rng(11, 4)
+        rng.random(3)
+        copy = pickle.loads(pickle.dumps(rng))
+        assert state(copy) == state(rng)
+        assert state(copy.spawn(1)[0]) == state(seed_sequence_rng(11, 4).spawn(1)[0])
+
+    def test_indices_below_2_32(self):
+        with pytest.raises(ValueError, match="2\\^32"):
+            replica_rng(0, 2**32)
+        with pytest.raises(ValueError, match="2\\^32"):
+            replica_rng(0, -1)
+        with pytest.raises(ValueError, match="2\\^32"):
+            next(replica_rngs(0, 2**32 + 1))
+        with pytest.raises(ValueError, match="seed"):
+            replica_rng(-1)
 
 
 class TestLeftBounded:
