@@ -11,12 +11,12 @@ import math
 
 import numpy as np
 
-from hcplab import (Boundary, IntervalConfiguration, constant_rates, dirac,
+from hcplab import (Boundary, IntervalConfiguration, RateFamily, dirac,
                     epoch_pushforward, replica_rng, run_epoch)
 
 M = 100_000
 config = IntervalConfiguration(0.0, np.ones(M), Boundary.PERIODIC)
-rates = constant_rates(d_min=1.0, d_max=2.0, left=0.4, right=0.6)
+rates = RateFamily(d_min=1.0, d_max=2.0, left=0.4, right=0.6)
 
 result = run_epoch(config, rates, replica_rng(1))
 lengths = result.final.lengths

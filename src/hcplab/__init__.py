@@ -27,19 +27,15 @@ from .transport import (C0Estimate, LatticeStepFunction, StepFunction,
 from .limits import (EULER_GAMMA, LimitLawParams, ein, exp_integral,
                      first_point_limit_transform, g_infinity, limit_moment,
                      z_cdf, z_density)
-from .rates import (MaskedRate, RateFamily, RateReport, constant_rates,
-                    east_rates, linear_rates, paste_all_rates, validate_rates,
-                    west_rates)
-from .epoch import (EpochResult, MergeLog, RateValidityError, StateSpaceError,
-                    run_epoch)
+from .rates import RateFamily, RateValidityError
+from .epoch import EpochResult, MergeLog, StateSpaceError, run_epoch
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, RenewalSpec, Stationary,
                        replica_rng, sample_spec)
 from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
-                       GeometricThresholds, PresetRateFactory, ScheduleError,
-                       east_schedule, paste_all_schedule)
+                       GeometricThresholds, ScheduleError, east_schedule)
 from .hcp import (EpochSummary, WindowExhaustedError, WindowPolicy,
-                  pool_summaries, replicate, run_hcp)
+                  WindowTooLargeError, pool_summaries, replicate, run_hcp)
 from .stats import (Chi2Result, KsResult, exchangeable_identity_check,
                     independence_test, kolmogorov_sf, ks_test, ks_test_discrete,
                     ks_two_sample)

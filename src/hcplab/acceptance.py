@@ -28,7 +28,7 @@ from .laws import DiracLaw, GeometricLaw, ParetoHalfLaw
 from .limits import EULER_GAMMA, first_point_limit_transform, limit_moment, z_cdf
 from .measures import (oscillating_tail_law, dirac, epoch_pushforward,
                        iterate_hcp_measures, survival_probability_exact)
-from .rates import constant_rates, linear_rates, west_rates
+from .rates import RateFamily
 from .sampling import LeftBounded, PeriodicRenewal, replica_rng
 from .schedule import east_schedule
 from .stats import exchangeable_identity_check, ks_test, ks_test_discrete, ks_two_sample
@@ -69,7 +69,7 @@ def _scaled(base: int, scale: float, minimum: int) -> int:
 def criterion_one_epoch_exactness(scale: float, seed: int):
     m = _scaled(100_000, scale, 20_000)
     cfg = IntervalConfiguration(0.0, np.ones(m), Boundary.PERIODIC)
-    rates = constant_rates(1.0, 2.0, left=0.3, right=0.7)
+    rates = RateFamily(1.0, 2.0, left=0.3, right=0.7)
     res = run_epoch(cfg, rates, replica_rng(seed, 1))
     lengths = res.final.lengths
     oracle = epoch_pushforward(dirac(1.0, 64.0), 1.0, 2.0)
@@ -89,8 +89,8 @@ def criterion_one_epoch_exactness(scale: float, seed: int):
 def criterion_rate_universality(scale: float, seed: int):
     m = _scaled(100_000, scale, 20_000)
     cfg = IntervalConfiguration(0.0, np.ones(m), Boundary.PERIODIC)
-    fam_const = constant_rates(1.0, 2.0, left=1.0, right=1.0)
-    fam_linear = linear_rates(1.0, 2.0, left=0.0, right=1.0)
+    fam_const = RateFamily(1.0, 2.0, left=1.0, right=1.0)
+    fam_linear = RateFamily(1.0, 2.0, left=0.0, right=1.0, linear=True)
     lengths_a = run_epoch(cfg, fam_const, replica_rng(seed, 2)).final.lengths
     lengths_b = run_epoch(cfg, fam_linear, replica_rng(seed, 3)).final.lengths
     ks = ks_two_sample(lengths_a, lengths_b)
@@ -265,11 +265,11 @@ def criterion_property_suites(scale: float, seed: int):
     parts.append(f"exchangeable identities {worst_ex:.1e}<=1e-10 (k<=7)")
     # first-point immobility when lambda_right vanishes
     immobile = True
-    fam = west_rates(1.0, 2.0)
+    fam = RateFamily(1.0, 2.0, left=1.0, right=0.0)
     for i in range(1000):
         cfg = IntervalConfiguration(0.0, rng.integers(1, 3, size=12).astype(float),
                                     Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, fam, replica_rng(seed, 1000 + i), validate=False)
+        res = run_epoch(cfg, fam, replica_rng(seed, 1000 + i))
         immobile &= res.final.first_point == 0.0
     ok &= immobile
     parts.append(f"lambda_right==0 immobility on 1000 runs: {immobile}")

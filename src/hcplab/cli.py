@@ -24,7 +24,7 @@ from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hc
                        survival_probability_exact)
 from .schema import (NUMBER, ConfigError, build_analytic, build_law, build_schedule,
                      build_spec, build_window, choice, epoch_count, field, numbers, positive)
-from .hcp import WindowExhaustedError, replicate
+from .hcp import WindowExhaustedError, WindowTooLargeError, replicate
 from .schedule import ScheduleError
 from .transport import c0_estimate, default_c0_grid, u1_on_lattice, un_transport
 
@@ -87,6 +87,10 @@ def cmd_simulate(cfg: dict, out: str) -> int:
                            z_per_epoch=cap)
     except WindowExhaustedError as exc:
         raise ConfigError(f"{exc} (window.n_intervals or window.target_core)") from None
+    except WindowTooLargeError as exc:
+        knob = "n_intervals" if window.n_intervals is not None else "target_core"
+        raise ConfigError(f"config field 'window.{knob}': need a window within the budget, "
+                          f"got {getattr(window, knob)}: {exc}") from None
     with open(os.path.join(out, "samples.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("# per epoch, every S-th core z of each replica (in-replica index i with "

@@ -80,26 +80,3 @@ class IntervalConfiguration:
         if self.boundary is Boundary.PERIODIC:
             return np.concatenate(([0.0], np.cumsum(self.lengths[:-1])))
         return np.concatenate(([0.0], np.cumsum(self.lengths)))
-
-    def to_csv(self, path) -> None:
-        """One row per interval (index, left endpoint, length); the first
-        line records boundary mode and first point."""
-        pts = self.points()
-        with open(path, "w") as fh:
-            fh.write(f"# boundary={self.boundary.value} first_point={self.first_point!r}\n")
-            fh.write("index,left,length\n")
-            fh.write("".join(f"{i},{x!r},{d!r}\n" for i, (x, d) in
-                             enumerate(zip(pts.tolist(), self.lengths.tolist()))))
-
-    @classmethod
-    def from_csv(cls, path) -> "IntervalConfiguration":
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise ValueError("configuration CSV must start with a '# boundary=...' line")
-            meta = dict(tok.split("=", 1) for tok in header[1:].split())
-            fh.readline()
-            lengths = [float(line.strip().split(",")[2]) for line in fh if line.strip()]
-        return cls(first_point=float(meta["first_point"]),
-                   lengths=np.asarray(lengths),
-                   boundary=Boundary(meta["boundary"]))

@@ -22,15 +22,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import Boundary, IntervalConfiguration
-from .rates import RateFamily, validate_rates
+from .rates import RateFamily
 
 
 class StateSpaceError(ValueError):
     """Configuration outside the state space of the epoch (length < d_min)."""
-
-
-class RateValidityError(ValueError):
-    """Rate family failed validation."""
 
 
 @dataclass(frozen=True)
@@ -45,13 +41,6 @@ class MergeLog:
     @property
     def n_merges(self) -> int:
         return int(self.times.size)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("time,position,direction\n")
-            fh.write("".join(f"{t!r},{p!r},{d}\n" for t, p, d in
-                             zip(self.times.tolist(), self.positions.tolist(),
-                                 self.directions.tolist())))
 
 
 @dataclass(frozen=True)
@@ -101,13 +90,14 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     active = (gaps >= d_min) & (gaps < rates.d_max * (1 - 1e-9))
     slots = active.nonzero()[0].astype(index)          # the rings, in slot order
     n = slots.size
-    active_gaps = gaps[slots]
-    np.maximum(active_gaps, rates.d_min, out=active_gaps)  # rates vanish below d_min
-    lam_r = np.asarray(rates.lambda_right(active_gaps), dtype=float)
-    lam = np.asarray(rates.lambda_left(active_gaps), dtype=float) + lam_r
-    del active_gaps
-    if not (lam > 0).all():  # NaN too
-        raise RateValidityError("active domain with zero total rate; validate_rates first")
+    # the rates' scale: a scalar for constant families, so that no per-ring
+    # rate array exists, and d / d_min for linear ones (a gap just below d_min
+    # rings at the rate of d_min).  Dividing by a scalar gives the same bits
+    # as dividing by an array holding it.
+    s = np.maximum(gaps[slots], rates.d_min) / rates.d_min if rates.linear else 1.0
+    lam_r = rates.right * s
+    lam = rates.left * s + lam_r
+    del s
     bounds = slots.searchsorted(starts.astype(index)).tolist() + [n]  # segment r's rings
     times, coins = np.empty(n), np.empty(n)
     for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
@@ -116,7 +106,8 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     # standard exponentials divided by the rates: scaling every rate by a
     # common constant rescales the time axis without reordering any event
     times /= lam
-    erase_left = coins < np.divide(lam_r, lam, out=lam)  # lam_r / lam, in lam's place
+    lam_r /= lam  # the chance that a ring erases its left point
+    erase_left = coins < lam_r
     del lam, lam_r, coins
 
     # Rings i and i + 1 share a point when their slots are adjacent, except
@@ -160,18 +151,13 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     return alive, times, victims, erase_left
 
 
-def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng,
-              validate: bool = True) -> EpochResult:
+def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng) -> EpochResult:
     """Run one epoch to its absorbing state.
 
     The returned configuration's point set is a subset of the input's (the
     coordinates are carried through exactly), and every final interval length
     is at least d_max.
     """
-    if validate:
-        report = validate_rates(rates)
-        if not report.ok:
-            raise RateValidityError("; ".join(report.violations))
     periodic = config.boundary is Boundary.PERIODIC
     # gaps come from the points relative to the first one: adding a
     # fractional first point first could round a length below d_min

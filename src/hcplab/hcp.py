@@ -31,6 +31,9 @@ from .schedule import EpochSchedule
 # criterion 5: 14.6 against 14.8 s), and 2^15 was slower on both (0.28 and
 # 17.2 s).
 _BATCH_POINTS = 1 << 16
+# Initial intervals per replica: 2 GiB at the 64 bytes per point that the
+# resolver's memory test guards.  A larger window fails before it is drawn.
+_MAX_INTERVALS = (2 << 30) // 64
 
 
 class WindowExhaustedError(RuntimeError):
@@ -39,6 +42,15 @@ class WindowExhaustedError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"window exhausted at epoch {epoch}; enlarge the initial window")
         self.epoch = epoch
+
+
+class WindowTooLargeError(ValueError):
+    """A replica's initial window is above ``_MAX_INTERVALS`` intervals."""
+
+    def __init__(self, n_intervals: int):
+        super().__init__(f"{n_intervals} initial intervals per replica, above the budget of "
+                         f"{_MAX_INTERVALS} (2 GiB at 64 bytes per point)")
+        self.n_intervals = n_intervals
 
 
 @dataclass(frozen=True)
@@ -247,9 +259,11 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
 def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
             window: WindowPolicy, rng, replica: int = 0) -> list[EpochSummary]:
     """Run the hierarchical process for ``n_epochs`` and return the summary
-    recorded at the start of each epoch (epoch n runs only for n < n_epochs)."""
+    recorded at the start of each epoch (epoch n runs only for n < n_epochs).
+    An integer ``rng`` is a base seed: the run draws from replica
+    ``replica``'s stream of it, as ``replicate`` does."""
     if isinstance(rng, (int, np.integer)):
-        rng = replica_rng(int(rng))
+        rng = replica_rng(int(rng), replica)
     return _run(spec, schedule, n_epochs, window, [(replica, rng)])
 
 
@@ -303,11 +317,14 @@ def _batches(spec, schedule, n_epochs, window, streams):
     """Draw the replicas in order into batches of fewer than ``_BATCH_POINTS``
     initial points (a larger replica runs alone).  Every replica has the same
     interval count: ``window.n_intervals``, or else one pilot run's, sized
-    from the first replica's stream."""
+    from the first replica's stream.  A count above ``_MAX_INTERVALS`` raises
+    before anything is drawn."""
     draws, n0 = [], window.n_intervals
     for replica, rng in streams:
         if n0 is None:
             n0 = _pilot_initial_count(spec, schedule, n_epochs, window, rng)
+        if n0 > _MAX_INTERVALS:
+            raise WindowTooLargeError(n0)
         first, lengths, marked_idx = draw_spec(spec, n0, rng)
         width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
         if draws and (len(draws) + 1) * width > _BATCH_POINTS:

@@ -11,10 +11,11 @@ import math
 from .hcp import WindowPolicy
 from .laws import (DiracLaw, ExpGeometricLaw, ExponentialLaw, GeometricLaw,
                    two_point_law)
+from .rates import RATE_PRESETS
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, Stationary)
-from .schedule import (_RATE_PRESETS, ArithmeticThresholds, EpochSchedule,
-                       ExplicitThresholds, GeometricThresholds, PresetRateFactory)
+from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
+                       GeometricThresholds)
 
 
 class ConfigError(ValueError):
@@ -134,13 +135,20 @@ def build_schedule(cfg: dict) -> EpochSchedule:
         field(cfg, "schedule.values", list, lambda v: all(a < b for a, b in zip(v, v[1:])),
               "thresholds that increase")
         thresholds = ExplicitThresholds(tuple(float(v) for v in values))
-    rates = choice(cfg, "schedule.rates", _RATE_PRESETS, "east")
-    left = float(field(cfg, "schedule.left", default=0.0))
-    right = float(field(cfg, "schedule.right", default=1.0))
-    factory = PresetRateFactory(rates, left, right)
-    gamma_cfg = field(cfg, "schedule.gamma", default=None)
-    gamma = float(gamma_cfg) if gamma_cfg is not None else factory.gamma
-    return EpochSchedule(thresholds, factory, gamma)
+    preset = choice(cfg, "schedule.rates", RATE_PRESETS, "east")
+    left = float(field(cfg, "schedule.left", NUMBER, lambda v: 0 <= v < math.inf,
+                       "a finite number >= 0", 0.0))
+    right = float(field(cfg, "schedule.right", NUMBER,
+                        lambda v: 0 <= v < math.inf and left + v > 0,
+                        "a finite number >= 0, above 0 when schedule.left is 0", 1.0))
+    left, right = RATE_PRESETS[preset] or (left, right)
+    schedule = EpochSchedule(thresholds, left, right, linear=preset == "linear")
+    gamma = schedule.gamma  # derived; a gamma written in the config must agree with it
+    field(cfg, "schedule.gamma", NUMBER,
+          lambda g: gamma is not None and math.isclose(g, gamma, rel_tol=1e-9, abs_tol=1e-12),
+          f"left / right = {gamma!r}" if gamma is not None else "no value, as right is 0",
+          None)
+    return schedule
 
 
 def epoch_count(cfg: dict, schedule: EpochSchedule, default: int) -> int:

@@ -34,10 +34,11 @@ from functools import lru_cache
 import numpy as np
 
 from hcplab.config import Boundary, IntervalConfiguration
-from hcplab.epoch import MergeLog, RateValidityError, StateSpaceError
+from hcplab.epoch import MergeLog, StateSpaceError
 from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy, pool_summaries
 from hcplab.measures import AtomicMeasure, MeasureError, _coalesce
 from hcplab.laws import SamplingContractError
+from hcplab.rates import RateValidityError
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary)
 
@@ -291,7 +292,7 @@ def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: floa
     lam_r = np.asarray(rates.lambda_right(at), dtype=float)
     lam = lam_l + lam_r
     if np.any(lam <= 0):
-        raise RateValidityError("active domain with zero total rate; validate_rates first")
+        raise RateValidityError("active domain with zero total rate")
     times = rng.exponential(scale=1.0, size=idx.size) / lam
     erase_left = rng.random(idx.size) < (lam_r / lam)
 

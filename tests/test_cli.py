@@ -88,7 +88,7 @@ class TestSimulate:
     ])
     def test_invalid_rates_name_field(self, tmp_path, overrides, field):
         err = run_rejected(tmp_path, "simulate", overrides)
-        assert err.startswith("config error: epoch 1:") and field in err
+        assert err.startswith(f"config error: config field '{field}'")
         assert err.count("violated") <= 1  # the first violation only
 
     def test_invalid_geometric_ratio(self, tmp_path, capsys):
@@ -450,6 +450,10 @@ class TestConfigInputs:
         ({"initial_law.kind": "poisson"}, (), "initial_law.kind"),
         ({"replicas": 2**32 + 1}, (), "replicas"),  # replica indices stay below 2^32
         ({}, ("--replicas", str(2**32 + 1)), "replicas"),
+        # above 2 GiB of points per replica, caught before drawing
+        ({"window.n_intervals": 10**11}, (), "window.n_intervals"),
+        ({"window": {"target_core": 10**12}}, (), "window.target_core"),
+        ({"schedule.rates": "linear", "schedule.right": math.inf}, (), "schedule.right"),
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "simulate", overrides, *flags)
@@ -476,6 +480,12 @@ class TestConfigInputs:
         # the transported primitive needs d(1) >= 1
         ({"schedule.thresholds": "explicit", "schedule.values": [0.5, 1, 2]},
          "schedule.values"),
+        # the rates are checked for every command, not only simulate
+        ({"schedule.rates": "constant", "schedule.left": -1}, "schedule.left"),
+        ({"schedule.rates": "constant", "schedule.left": 1, "schedule.right": 0,
+          "schedule.gamma": 0.5}, "schedule.gamma"),
+        ({"schedule.rates": "constant", "schedule.left": 0, "schedule.right": 0},
+         "schedule.right"),
     ])
     def test_analytic_fields(self, tmp_path, overrides, field):
         err = run_rejected(tmp_path, "analytic", overrides)

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,65 +10,76 @@ from hypothesis import strategies as st
 from hcplab.config import Boundary, IntervalConfiguration
 from hcplab.epoch import StateSpaceError, _simulate_points, run_epoch, segment_gaps
 from hcplab.measures import dirac, epoch_pushforward
-from hcplab.rates import (constant_rates, east_rates, linear_rates,
-                          paste_all_rates, validate_rates, west_rates)
+from hcplab.rates import RateFamily, RateValidityError
 from hcplab.sampling import replica_rng
 from hcplab.stats import ks_test_discrete, ks_two_sample
 from oracles import simulate_points_loop
 
+EAST = RateFamily(1.0, 2.0, 0.0, 1.0)
+WEST = RateFamily(1.0, 2.0, 1.0, 0.0)
+PASTE_ALL = RateFamily(1.0, 2.0, 1.0, 1.0)
+
 
 class TestValidateRates:
+    """A family is checked when it is built."""
+
     def test_valid_family(self):
-        assert validate_rates(constant_rates(1.0, 2.0, 1.0, 1.0)).ok
+        rates = RateFamily(1.0, 2.0, 0.3, 0.7, linear=True)
+        assert rates.gamma == 0.3 / 0.7 and WEST.gamma is None and EAST.gamma == 0.0
+        assert np.array_equal(rates.lambda_right([1.0, 1.5]), [0.7, 0.7 * 1.5])
 
     def test_a2_violation(self):
-        report = validate_rates(constant_rates(1.0, 3.0, 1.0, 1.0))
-        assert not report.ok
-        assert any("(A2)" in v for v in report.violations)
+        with pytest.raises(RateValidityError, match=r"\(A2\) violated"):
+            RateFamily(1.0, 3.0, 1.0, 1.0)
 
     def test_a1_violation_zero_rate_inside(self):
-        from hcplab.rates import RateFamily
-        dead = RateFamily(1.0, 2.0, lambda d: np.zeros_like(np.asarray(d, float)),
-                          lambda d: np.zeros_like(np.asarray(d, float)), 1.0)
-        report = validate_rates(dead)
-        assert not report.ok
-        assert any("(A1)" in v for v in report.violations)
+        with pytest.raises(RateValidityError, match="left \\+ right must be positive"):
+            RateFamily(1.0, 2.0, 0.0, 0.0)
 
     def test_a1_violation_active_beyond_range(self):
-        from hcplab.rates import RateFamily
-        leaky = RateFamily(1.0, 2.0,
-                           lambda d: np.ones_like(np.asarray(d, float)),
-                           lambda d: np.ones_like(np.asarray(d, float)), 1.0)
-        report = validate_rates(leaky)
-        assert not report.ok
+        # the rates vanish outside [d_min, d_max) by construction
+        d = np.array([0.5, 1.0, 2.0 - 1e-9, 2.0, 3.0])
+        for rates in (EAST, WEST, PASTE_ALL, RateFamily(1.0, 2.0, 0.5, 1.0, linear=True)):
+            total = rates.lambda_left(d) + rates.lambda_right(d)
+            assert np.array_equal(total > 0, [False, True, True, False, False])
 
     def test_a1_violation_nan_rate_inside(self):
-        # NaN fails both "<= 0" and "> bound": only "not > 0" rejects it
-        from hcplab.epoch import RateValidityError
-        from hcplab.rates import MaskedRate, RateFamily
-        nan_left = RateFamily(1.0, 2.0, MaskedRate(math.nan, 1.0, 2.0),
-                              MaskedRate(1.0, 1.0, 2.0), 1.0)
-        report = validate_rates(nan_left)
-        assert not report.ok
-        assert all(v.startswith("(A1) violated: total rate nan at active length")
-                   for v in report.violations)
-        cfg = IntervalConfiguration(0.0, np.array([1.0, 1.5, 3.0]), Boundary.PERIODIC)
-        with pytest.raises(RateValidityError, match="total rate nan"):
-            run_epoch(cfg, nan_left, replica_rng(5))
-        with pytest.raises(RateValidityError, match="zero total rate"):
-            run_epoch(cfg, nan_left, replica_rng(5), validate=False)
+        for left, right, name in ((math.nan, 1.0, "left"), (1.0, math.nan, "right")):
+            with pytest.raises(RateValidityError,
+                               match=f"{name} coefficient must be a finite number >= 0, got nan"):
+                RateFamily(1.0, 2.0, left, right)
+
+    @pytest.mark.parametrize("value", [-1.0, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["left", "right"])
+    def test_bad_coefficient(self, name, value):
+        coefficients = {"left": 1.0, "right": 1.0, name: value}
+        with pytest.raises(RateValidityError,
+                           match=f"{name} coefficient must be a finite number >= 0"):
+            RateFamily(1.0, 2.0, **coefficients)
+
+    @pytest.mark.parametrize("d_min, d_max, message", [
+        (0.0, 1.0, "d_min must be positive"),
+        (-1.0, 1.0, "d_min must be positive"),
+        (math.nan, 1.0, "d_min must be positive"),
+        (1.0, 1.0, "need d_min < d_max"),
+        (1.0, 0.5, "need d_min < d_max"),
+        (1.0, math.inf, "(A2) violated"),
+    ])
+    def test_bad_range(self, d_min, d_max, message):
+        with pytest.raises(RateValidityError, match=re.escape(message)):
+            RateFamily(d_min, d_max, 0.0, 1.0)
 
 
 class TestRunEpoch:
     def test_blocked_configuration_is_frozen(self, rng):
         cfg = IntervalConfiguration(0.0, np.array([5.0, 5.0, 5.0]), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, east_rates(1.0, 2.0), rng)
+        res = run_epoch(cfg, EAST, rng)
         assert res.log.n_merges == 0
         assert np.array_equal(res.final.lengths, cfg.lengths)
 
     def test_single_active_merges_once(self, rng):
         cfg = IntervalConfiguration(0.0, np.array([5.0, 1.5, 5.0]), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, paste_all_rates(1.0, 2.0), rng)
+        res = run_epoch(cfg, PASTE_ALL, rng)
         assert res.log.n_merges == 1
         assert res.final.n_intervals == 2
 
@@ -78,7 +90,7 @@ class TestRunEpoch:
         trials = 30_000
         for r in range(trials):
             cfg = IntervalConfiguration(0.0, np.array([1.0, 1.0]), Boundary.LEFT_BOUNDED)
-            res = run_epoch(cfg, east_rates(1.0, 2.0), replica_rng(17, r), validate=False)
+            res = run_epoch(cfg, EAST, replica_rng(17, r))
             pts = res.surviving_points
             if pts.size == 2:
                 assert np.array_equal(pts, [0.0, 2.0])
@@ -89,7 +101,7 @@ class TestRunEpoch:
 
     def test_periodic_final_pmf(self):
         cfg = IntervalConfiguration(0.0, np.ones(30_000), Boundary.PERIODIC)
-        res = run_epoch(cfg, constant_rates(1.0, 2.0, 0.5, 0.5), replica_rng(23))
+        res = run_epoch(cfg, RateFamily(1.0, 2.0, 0.5, 0.5), replica_rng(23))
         oracle = epoch_pushforward(dirac(1.0, 64.0), 1.0, 2.0)
         ks = ks_test_discrete(res.final.lengths, oracle, n_bootstrap=100, seed=3)
         assert ks.p_value > 0.01
@@ -97,7 +109,7 @@ class TestRunEpoch:
     def test_state_space_rejection(self, rng):
         cfg = IntervalConfiguration(0.0, np.array([0.5, 1.5]), Boundary.LEFT_BOUNDED)
         with pytest.raises(StateSpaceError):
-            run_epoch(cfg, east_rates(1.0, 2.0), rng)
+            run_epoch(cfg, EAST, rng)
 
     def test_fractional_first_point_only_shifts(self):
         # dyadic lengths add up exactly from 0, not from a fractional first
@@ -106,9 +118,9 @@ class TestRunEpoch:
             rng = np.random.default_rng([72, r])
             lengths = 1.0 + rng.integers(0, 16, size=int(rng.integers(2, 40))) / 8.0
             first = float(rng.normal())
-            res = run_epoch(IntervalConfiguration(first, lengths), east_rates(1.0, 2.0),
+            res = run_epoch(IntervalConfiguration(first, lengths), EAST,
                             replica_rng(72, r))
-            ref = run_epoch(IntervalConfiguration(0.0, lengths), east_rates(1.0, 2.0),
+            ref = run_epoch(IntervalConfiguration(0.0, lengths), EAST,
                             replica_rng(72, r))
             assert res.final.first_point == first + ref.final.first_point
             assert np.array_equal(res.final.lengths, ref.final.lengths)
@@ -118,7 +130,7 @@ class TestRunEpoch:
 
     def test_point_set_shrinks_and_log_is_ordered(self, rng):
         cfg = IntervalConfiguration(0.0, np.ones(500), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, paste_all_rates(1.0, 2.0), rng)
+        res = run_epoch(cfg, PASTE_ALL, rng)
         initial_points = set(cfg.points())
         assert set(res.surviving_points) <= initial_points
         assert set(res.log.positions) <= initial_points
@@ -128,39 +140,30 @@ class TestRunEpoch:
     def test_final_lengths_reach_d_max(self, rng):
         cfg = IntervalConfiguration(0.0, 1.0 + rng.random(2000) * 0.9,
                                     Boundary.WINDOW)
-        res = run_epoch(cfg, linear_rates(1.0, 2.0, 0.5, 1.0), rng)
+        res = run_epoch(cfg, RateFamily(1.0, 2.0, 0.5, 1.0, linear=True), rng)
         assert res.final.lengths.min() >= 2.0 * (1 - 1e-9)
 
     def test_length_conservation(self, rng):
         lengths = 1.0 + rng.random(1000)
         cfg = IntervalConfiguration(0.0, lengths.copy(), Boundary.PERIODIC)
-        res = run_epoch(cfg, constant_rates(1.0, 2.0, 1.0, 1.0), rng)
+        res = run_epoch(cfg, PASTE_ALL, rng)
         assert res.final.lengths.sum() == pytest.approx(lengths.sum(), rel=1e-12)
 
     def test_first_point_immobile_without_right_rate(self):
         for r in range(300):
             cfg = IntervalConfiguration(0.0, np.ones(40), Boundary.LEFT_BOUNDED)
-            res = run_epoch(cfg, west_rates(1.0, 2.0), replica_rng(29, r), validate=False)
+            res = run_epoch(cfg, WEST, replica_rng(29, r))
             assert res.final.first_point == 0.0
 
     def test_rate_scaling_only_changes_clock(self):
         cfg = IntervalConfiguration(0.0, np.ones(5000), Boundary.PERIODIC)
-        res_a = run_epoch(cfg, constant_rates(1.0, 2.0, 0.4, 0.6), replica_rng(37))
-        res_b = run_epoch(cfg, constant_rates(1.0, 2.0, 2.0, 3.0), replica_rng(37))
+        res_a = run_epoch(cfg, RateFamily(1.0, 2.0, 0.4, 0.6), replica_rng(37))
+        res_b = run_epoch(cfg, RateFamily(1.0, 2.0, 2.0, 3.0), replica_rng(37))
         assert np.array_equal(res_a.final.lengths, res_b.final.lengths)
         assert res_a.clock == pytest.approx(5.0 * res_b.clock, rel=1e-12)
         # and across seeds the law itself is unchanged
-        res_c = run_epoch(cfg, constant_rates(1.0, 2.0, 2.0, 3.0), replica_rng(38))
+        res_c = run_epoch(cfg, RateFamily(1.0, 2.0, 2.0, 3.0), replica_rng(38))
         assert ks_two_sample(res_a.final.lengths, res_c.final.lengths).p_value > 0.01
-
-    def test_merge_log_csv(self, tmp_path, rng):
-        cfg = IntervalConfiguration(0.0, np.ones(50), Boundary.PERIODIC)
-        res = run_epoch(cfg, east_rates(1.0, 2.0), rng)
-        path = tmp_path / "log.csv"
-        res.log.to_csv(path)
-        rows = path.read_text().strip().splitlines()
-        assert rows[0] == "time,position,direction"
-        assert len(rows) == res.log.n_merges + 1
 
 
 class TestThresholdTolerance:
@@ -170,8 +173,7 @@ class TestThresholdTolerance:
 
     BELOW_MIN = 1.0 - 4 * 2.0**-53  # four ulps below d_min = 1
     BELOW_MAX = 2.0 - 4 * 2.0**-52  # four ulps below d_max = 2
-    RATES = [east_rates(1.0, 2.0), paste_all_rates(1.0, 2.0),
-             linear_rates(1.0, 2.0, 0.5, 1.0)]
+    RATES = [EAST, PASTE_ALL, RateFamily(1.0, 2.0, 0.5, 1.0, linear=True)]
 
     @pytest.mark.parametrize("rates", RATES)
     def test_just_below_d_min_rings(self, rates):
@@ -201,7 +203,7 @@ class TestThresholdTolerance:
         starts = np.cumsum([0] + [c.n_points for c in configs[:-1]])
         circ = np.array([c.circumference for c in configs]) if periodic else None
         gaps = segment_gaps(points, starts, boundary, circ)[0]
-        rates = paste_all_rates(1.0, 2.0)
+        rates = PASTE_ALL
         alive = _simulate_points(gaps, starts, rates,
                                  [replica_rng(84, r) for r in range(6)])[0]
         ref = [simulate_points_loop(c.relative_points(), periodic,
@@ -237,8 +239,9 @@ class ScriptedRng:
 
 @st.composite
 def scripted_epochs(draw):
-    """Segments of 1-200 domains, each active (length 1) or not (length 3),
-    with integer clocks from a small range so that ring times tie often.  One
+    """Segments of 1-200 domains, each active (a length in {1, 1.25, 1.5,
+    1.75}, so that a linear family's scale varies) or not (length 3), with
+    integer clocks from a small range so that ring times tie often.  One
     segment in ten each is cut to 1 or 2 domains (a periodic segment of one
     domain is its own neighbour, one of two closes a wrap pair), has no active
     domain, or has only even ones before the last, so that no two of its rings
@@ -254,12 +257,13 @@ def scripted_epochs(draw):
         kind = gen.choice(["mixed", "tiny", "none", "spaced"], p=[0.7, 0.1, 0.1, 0.1])
         if kind == "tiny":
             n = 1 + n % 2
-        lengths = np.where(gen.random(n) < p_active, 1.0, 3.0)
+        lengths = np.where(gen.random(n) < p_active,
+                           gen.choice([1.0, 1.25, 1.5, 1.75], size=n), 3.0)
         if kind == "none":
             lengths[:] = 3.0
         elif kind == "spaced":
             lengths[(np.arange(n) % 2 == 1) | (np.arange(n) == n - 1)] = 3.0
-        k = int(np.count_nonzero(lengths == 1.0))
+        k = int(np.count_nonzero(lengths < 2.0))
         clocks = gen.integers(0, top + 1, size=k).astype(float)
         coins = np.where(gen.random(k) < 0.5, 0.25, 0.75)
         segments.append((IntervalConfiguration(0.0, lengths, Boundary.PERIODIC if periodic
@@ -270,11 +274,12 @@ def scripted_epochs(draw):
 class TestResolverOracle:
     """The resolver against the time-sorted event loop it replaced."""
 
-    rates = constant_rates(1.0, 2.0, 1.0, 1.0)
-
+    @pytest.mark.parametrize("rates", [
+        EAST, WEST, RateFamily(1.0, 2.0, 0.3, 0.7), RateFamily(1.0, 2.0, 0.5, 1.0, linear=True),
+    ], ids=["east", "west", "constant", "linear"])
     @given(case=scripted_epochs())
     @settings(max_examples=200, deadline=None)
-    def test_matches_event_loop(self, case):
+    def test_matches_event_loop(self, rates, case):
         periodic, segments = case
         points = np.concatenate([cfg.relative_points() for cfg, _, _ in segments])
         counts = [cfg.n_points for cfg, _, _ in segments]
@@ -282,18 +287,18 @@ class TestResolverOracle:
         circ = np.array([cfg.circumference for cfg, _, _ in segments]) if periodic else None
         gaps = segment_gaps(points, starts, segments[0][0].boundary, circ)[0]
         alive, times, victims, _ = _simulate_points(
-            gaps, starts, self.rates, [ScriptedRng(c, u) for _, c, u in segments])
+            gaps, starts, rates, [ScriptedRng(c, u) for _, c, u in segments])
         ref_alive = []
         ends = np.append(starts[1:], points.size)
         for (cfg, clocks, coins), a, b in zip(segments, starts, ends):
             ref = simulate_points_loop(cfg.relative_points(), periodic,
                                        cfg.circumference if periodic else None,
-                                       self.rates, ScriptedRng(clocks, coins))
+                                       rates, ScriptedRng(clocks, coins))
             ref_alive.append(ref[0])
             own = (victims >= a) & (victims < b)
             assert int(own.sum()) == ref[1].n_merges
             assert float(times[own].max(initial=0.0)) == ref[2]
-            res = run_epoch(cfg, self.rates, ScriptedRng(clocks, coins), validate=False)
+            res = run_epoch(cfg, rates, ScriptedRng(clocks, coins))
             assert np.array_equal(res.log.times, ref[1].times)
             assert np.array_equal(res.log.positions, ref[1].positions)
             assert np.array_equal(res.log.directions, ref[1].directions)
@@ -312,7 +317,7 @@ class TestResolverMemory:
         rngs = [replica_rng(53, r) for r in range(n_segments)]
         tracemalloc.start()
         try:
-            alive = _simulate_points(gaps, starts, paste_all_rates(1.0, 2.0), rngs)[0]
+            alive = _simulate_points(gaps, starts, PASTE_ALL, rngs)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -326,7 +331,7 @@ class TestEpochObservables:
 
     def test_identity_epoch(self, rng):
         cfg = IntervalConfiguration(0.0, np.array([5.0, 6.0]), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, east_rates(1.0, 2.0), rng)
+        res = run_epoch(cfg, EAST, rng)
         assert res.final.first_point - cfg.first_point == 0.0
         assert 0.0 in res.surviving_points
 
@@ -335,6 +340,6 @@ class TestEpochObservables:
         trials = 20_000
         for r in range(trials):
             cfg = IntervalConfiguration(0.0, np.array([1.0, 1.0]), Boundary.LEFT_BOUNDED)
-            res = run_epoch(cfg, east_rates(1.0, 2.0), replica_rng(43, r), validate=False)
+            res = run_epoch(cfg, EAST, replica_rng(43, r))
             survived += 0.0 in res.surviving_points
         assert abs(survived / trials - 0.5) < 3 * math.sqrt(0.25 / trials)

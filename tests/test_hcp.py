@@ -9,25 +9,28 @@ from hcplab import hcp
 from hcplab.config import Boundary
 from hcplab.laws import DiracLaw, GeometricLaw, SamplingContractError, two_point_law
 from hcplab.measures import dirac, iterate_hcp_measures
-from hcplab.hcp import (WindowExhaustedError, WindowPolicy, pool_summaries,
-                        replicate, run_hcp)
+from hcplab.hcp import (WindowExhaustedError, WindowPolicy, WindowTooLargeError,
+                        pool_summaries, replicate, run_hcp)
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary, replica_rng,
                              sample_spec)
-from hcplab.schedule import (EpochSchedule,
-                             ExplicitThresholds, GeometricThresholds,
-                             PresetRateFactory, ScheduleError, east_schedule,
-                             paste_all_schedule)
+from hcplab.schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
+                             GeometricThresholds, ScheduleError, east_schedule)
+from hcplab.schema import ConfigError, build_schedule
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
 from oracles import (_pilot_initial_count_loop, replicate_loop, run_hcp_loop,
                      sample_spec_config, seed_sequence_rng, thinned_z)
+
+
+# arithmetic thresholds with symmetric incorporation at rate one (gamma = 1)
+PASTE_ALL = EpochSchedule(ArithmeticThresholds(), 1.0, 1.0)
 
 
 class TestSchedule:
     def test_presets_validate(self):
         east_schedule(2.0).validate(8)
         east_schedule(1.5).validate(8)
-        paste_all_schedule().validate(8)
+        PASTE_ALL.validate(8)
 
     def test_geometric_ratio_bounds(self):
         from hcplab.schedule import east_schedule as es
@@ -37,16 +40,27 @@ class TestSchedule:
             es(1.0)
 
     def test_explicit_thresholds_a2_check(self):
-        bad = EpochSchedule(ExplicitThresholds((1.0, 2.0, 5.0)),
-                            PresetRateFactory("east"), gamma=0.0)
+        bad = EpochSchedule(ExplicitThresholds((1.0, 2.0, 5.0)))
         with pytest.raises(ScheduleError, match="epoch 2"):
             bad.validate(2)
 
     def test_gamma_consistency_enforced(self):
-        lying = EpochSchedule(GeometricThresholds(2.0),
-                              PresetRateFactory("paste_all"), gamma=0.0)
-        with pytest.raises(ScheduleError, match="gamma"):
-            lying.validate(2)
+        # gamma is derived from the coefficients; one written in a config
+        # must agree with it
+        assert PASTE_ALL.gamma == 1.0 and east_schedule().gamma == 0.0
+        assert EpochSchedule(right=0.0, left=1.0).gamma is None
+        assert build_schedule({"schedule": {"rates": "paste_all", "gamma": 1.0}}) == \
+            EpochSchedule(GeometricThresholds(2.0), 1.0, 1.0)
+        for schedule in ({"rates": "paste_all", "gamma": 0.0},
+                         {"rates": "west", "gamma": 0.0}):
+            with pytest.raises(ConfigError, match="'schedule.gamma'"):
+                build_schedule({"schedule": schedule})
+
+    def test_bad_coefficients(self):
+        with pytest.raises(ScheduleError, match="epoch 1: left coefficient"):
+            EpochSchedule(left=-1.0).validate(2)
+        with pytest.raises(ScheduleError, match=r"epoch 1: \(A1\) violated"):
+            EpochSchedule(right=0.0).validate(2)
 
 
 class TestRunHcp:
@@ -59,8 +73,7 @@ class TestRunHcp:
         assert ks.p_value > 0.01
 
     def test_mean_z2_for_unit_law(self):
-        sched = EpochSchedule(GeometricThresholds(2.0),
-                              PresetRateFactory("constant", 1.0, 1.0), gamma=1.0)
+        sched = EpochSchedule(GeometricThresholds(2.0), 1.0, 1.0)
         pooled = replicate(ContainsOrigin(DiracLaw(1.0)), sched, 2, 4, 11,
                            WindowPolicy(n_intervals=100_000))
         z = pooled[1].z_samples
@@ -68,8 +81,7 @@ class TestRunHcp:
         assert abs(z.mean() - math.e / 2.0) < 3 * se
 
     def test_first_point_frozen_without_right_rate(self):
-        sched = EpochSchedule(GeometricThresholds(2.0), PresetRateFactory("west"),
-                              gamma=None)
+        sched = EpochSchedule(GeometricThresholds(2.0), 1.0, 0.0)
         for r in range(60):
             out = run_hcp(LeftBounded(DiracLaw(1.0)), sched, 5,
                           WindowPolicy(n_intervals=256), replica_rng(7, r))
@@ -136,10 +148,8 @@ class TestRunHcp:
 
     def test_rate_universality_across_factories(self):
         base = WindowPolicy(n_intervals=60_000)
-        sched_a = EpochSchedule(GeometricThresholds(2.0),
-                                PresetRateFactory("constant", 0.7, 0.7), gamma=1.0)
-        sched_b = EpochSchedule(GeometricThresholds(2.0),
-                                PresetRateFactory("linear", 0.0, 1.0), gamma=None)
+        sched_a = EpochSchedule(GeometricThresholds(2.0), 0.7, 0.7)
+        sched_b = EpochSchedule(GeometricThresholds(2.0), 0.0, 1.0, linear=True)
         out_a = run_hcp(PeriodicRenewal(DiracLaw(1.0)), sched_a, 3, base, replica_rng(31))
         out_b = run_hcp(PeriodicRenewal(DiracLaw(1.0)), sched_b, 3, base, replica_rng(32))
         ks = ks_two_sample(out_a[2].z_samples, out_b[2].z_samples)
@@ -235,7 +245,7 @@ class TestEngineOracle:
         # four batches; buffer_factor 2 leaves WINDOW cores nonempty
         monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
         window = WindowPolicy(n_intervals=300, buffer_factor=2.0)
-        for sched in (east_schedule(2.0), paste_all_schedule()):
+        for sched in (east_schedule(2.0), PASTE_ALL):
             self.assert_same(replicate(SPECS[name], sched, 4, 7, 5, window),
                              replicate_loop(SPECS[name], sched, 4, 7, 5, window))
 
@@ -270,6 +280,18 @@ class TestEngineOracle:
         for rng in (replica_rng(17), seed_sequence_rng(17)):
             self.assert_same(got, run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, rng))
 
+    def test_run_hcp_integer_seed_replica(self):
+        # an integer rng is a base seed, and the run draws replica 3's stream
+        spec, window = SPECS["periodic"], WindowPolicy(n_intervals=200)
+        got = run_hcp(spec, east_schedule(2.0), 3, window, 5, replica=3)
+        pooled = replicate(spec, east_schedule(2.0), 3, 4, 5, window)
+        for a, b in zip(got, pooled):
+            assert np.array_equal(a.replica, [3])
+            assert np.array_equal(a.z_samples, b.z_samples[b.core_sizes[:3].sum():])
+            for name in ("y", "n_intervals", "core_sizes", "merges_prior",
+                         "first_point_survived", "origin_alive"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)[3:]), name
+
     @pytest.mark.parametrize("batch_points", [1, hcp._BATCH_POINTS])
     def test_exhaustion_reports_earliest_epoch(self, batch_points, monkeypatch):
         # alone, the four replicas run out at epochs 6, 6, 5, 5: the batch
@@ -285,6 +307,32 @@ class TestEngineOracle:
         with pytest.raises(WindowExhaustedError) as err:
             replicate(spec, east_schedule(2.0), 12, 4, 4, window)
         assert err.value.epoch == 5
+
+
+class TestWindowBudget:
+    """A window above ``_MAX_INTERVALS`` initial intervals per replica fails
+    before anything is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def draw_spec(*args):
+            raise AssertionError("drawn")
+        monkeypatch.setattr(hcp, "draw_spec", draw_spec)
+
+    def test_explicit_count(self):
+        spec = SPECS["periodic"]
+        with pytest.raises(WindowTooLargeError) as err:
+            replicate(spec, east_schedule(2.0), 2, 2, 0, WindowPolicy(n_intervals=10**11))
+        assert err.value.n_intervals == 10**11
+        with pytest.raises(AssertionError, match="drawn"):  # the budget itself is allowed
+            replicate(spec, east_schedule(2.0), 2, 2, 0,
+                      WindowPolicy(n_intervals=hcp._MAX_INTERVALS))
+
+    def test_pilot_sized_count(self, monkeypatch):
+        monkeypatch.setattr(hcp, "_pilot_initial_count", lambda *args: hcp._MAX_INTERVALS + 1)
+        with pytest.raises(WindowTooLargeError):
+            run_hcp(SPECS["left_bounded"], east_schedule(2.0), 2,
+                    WindowPolicy(target_core=10**12), 0)
 
 
 class TestBatchDraws:

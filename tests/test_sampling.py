@@ -262,15 +262,3 @@ class TestSampleSpec:
     def test_mixture_spec_validation(self):
         with pytest.raises(SamplingContractError):
             ExchangeableMixture(((0.7, DiracLaw(1.0)), (0.7, DiracLaw(2.0))))
-
-
-class TestConfigCsv:
-    def test_round_trip(self, tmp_path, rng):
-        cfg = draw(LeftBounded(ExponentialLaw(), DiracLaw(0.5)), 7, rng)
-        path = tmp_path / "cfg.csv"
-        cfg.to_csv(path)
-        from hcplab.config import IntervalConfiguration
-        back = IntervalConfiguration.from_csv(path)
-        assert back.boundary == cfg.boundary
-        assert back.first_point == cfg.first_point
-        assert np.array_equal(back.lengths, cfg.lengths)
