@@ -31,4 +31,4 @@ print("\nrescaled first point at epoch 6, Laplace transform:")
 print("  s     simulated   limit")
 for s in (0.5, 1.0, 2.0):
     print(f"  {s:<4}  {np.exp(-s * y).mean():.4f}      "
-          f"{first_point_limit_transform((1.0, 0.0), s):.4f}")
+          f"{first_point_limit_transform(1.0, 0.0, s):.4f}")

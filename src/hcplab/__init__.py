@@ -17,25 +17,25 @@ from .laws import (AtomicLaw, DiracLaw, ExpGeometricLaw, ExponentialLaw,
                    two_point_law)
 from .measures import (AtomicMeasure, DeficitError, MeasureError,
                        NegativeMassError, oscillating_tail_law, convolve,
-                       dirac, discretize_cdf, epoch_pushforward,
+                       dirac, epoch_pushforward,
                        exp_geometric_law, iterate_hcp_measures,
                        survival_probability_exact)
 from .transport import (C0Estimate, LatticeStepFunction, StepFunction,
                         TransportRangeError, c0_estimate, deconvolve_m,
                         default_c0_grid, reassemble_z_law, u1_from_m,
                         u1_on_lattice, un_transport)
-from .limits import (EULER_GAMMA, LimitLawParams, ein, exp_integral,
+from .limits import (EULER_GAMMA, ein, exp_integral,
                      first_point_limit_transform, g_infinity, limit_moment,
                      z_cdf, z_density)
 from .rates import RateFamily, RateValidityError
 from .epoch import EpochResult, MergeLog, StateSpaceError, run_epoch
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, RenewalSpec, Stationary,
-                       replica_rng, sample_spec)
+                       replica_rng)
 from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
                        GeometricThresholds, ScheduleError, east_schedule)
 from .hcp import (EpochSummary, WindowExhaustedError, WindowPolicy,
-                  WindowTooLargeError, pool_summaries, replicate, run_hcp)
+                  WindowTooLargeError, replicate, run_hcp)
 from .stats import (Chi2Result, KsResult, exchangeable_identity_check,
-                    independence_test, kolmogorov_sf, ks_test, ks_test_discrete,
+                    independence_test, ks_test, ks_test_discrete,
                     ks_two_sample)

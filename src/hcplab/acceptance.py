@@ -150,7 +150,7 @@ def criterion_first_point(scale: float, seed: int):
         e = np.exp(-s * y)
         emp = float(e.mean())
         se = float(e.std(ddof=1)) / math.sqrt(y.size)
-        ref = first_point_limit_transform((1.0, 0.0), s)
+        ref = first_point_limit_transform(1.0, 0.0, s)
         tol = 3 * se + 0.01
         ok &= abs(emp - ref) < tol
         parts.append(f"s={s}:|{emp:.4f}-{ref:.4f}|<{tol:.4f}")

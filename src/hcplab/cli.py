@@ -17,15 +17,16 @@ import sys
 import numpy as np
 
 from . import __version__
+from .epoch import StateSpaceError
 from .laws import ExpGeometricLaw
-from .limits import (LimitLawParams, first_point_limit_transform, g_infinity,
-                     z_cdf)
+from .limits import first_point_limit_transform, g_infinity, z_cdf
 from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hcp_measures,
                        survival_probability_exact)
 from .schema import (NUMBER, ConfigError, build_analytic, build_law, build_schedule,
                      build_spec, build_window, choice, epoch_count, field, numbers, positive)
 from .hcp import WindowExhaustedError, WindowTooLargeError, replicate
-from .schedule import ScheduleError
+from .sampling import ExchangeableMixture
+from .schedule import ExplicitThresholds, ScheduleError
 from .transport import c0_estimate, default_c0_grid, u1_on_lattice, un_transport
 
 
@@ -70,6 +71,13 @@ def _seed(cfg: dict) -> int:
     return field(cfg, "seed", int, lambda n: n >= 0, "an integer >= 0 (or --seed)", 0)
 
 
+def _below_d1(knob: str, detail: str, schedule) -> ConfigError:
+    """An initial length below d(1): the law at ``knob`` or d(1) must change."""
+    explicit = isinstance(schedule.thresholds, ExplicitThresholds)
+    return ConfigError(f"config field '{knob}': {detail}"
+                       + (" (d(1) is schedule.values[0])" if explicit else ""))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -87,6 +95,9 @@ def cmd_simulate(cfg: dict, out: str) -> int:
                            z_per_epoch=cap)
     except WindowExhaustedError as exc:
         raise ConfigError(f"{exc} (window.n_intervals or window.target_core)") from None
+    except StateSpaceError as exc:
+        knob = "process.components" if isinstance(spec, ExchangeableMixture) else "initial_law"
+        raise _below_d1(knob, str(exc), schedule) from None
     except WindowTooLargeError as exc:
         knob = "n_intervals" if window.n_intervals is not None else "target_core"
         raise ConfigError(f"config field 'window.{knob}': need a window within the budget, "
@@ -142,6 +153,9 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     else:
         mu1 = law.atomic(l_max)
         c0_view = mu1.normalized()
+    if np.any(mu1.positions[:1] < schedule.d(1) * (1 - 1e-12)):
+        raise _below_d1("initial_law", f"initial law has an atom at {float(mu1.positions[0])!r} "
+                        f"below d(1) = {schedule.d(1)!r}", schedule)
     laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs,
                                    deficit_bound=deficit_bound, strict=strict)
     header = _provenance_header(cfg)
@@ -186,20 +200,19 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
 def cmd_limits(cfg: dict, out: str) -> int:
     c0 = float(field(cfg, "limits.c0", NUMBER, lambda v: 0 <= v <= 1, "a number in [0, 1]", 1.0))
     gamma = float(field(cfg, "limits.gamma", NUMBER, lambda v: v >= 0, "a number >= 0", 0.0))
-    params = LimitLawParams(c0=c0, gamma=gamma)
     xs = np.arange(1.0, 16.0 + 1e-9, 1.0 / 32.0)
     with open(os.path.join(out, "limit_cdf.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("x,z_cdf\n")
         fh.write("".join(f"{x!r},{v!r}\n" for x, v in
-                         zip(xs.tolist(), z_cdf(params, xs).tolist())))
+                         zip(xs.tolist(), z_cdf(c0, xs).tolist())))
     ss = np.concatenate(([0.0], np.geomspace(1e-3, 10.0, 100)))
     with open(os.path.join(out, "limit_transforms.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("s,interval_transform,first_point_transform\n")
         fh.write("".join(f"{s!r},{g!r},{f!r}\n" for s, g, f in
-                         zip(ss.tolist(), g_infinity(params, ss).tolist(),
-                             first_point_limit_transform(params, ss).tolist())))
+                         zip(ss.tolist(), g_infinity(c0, ss).tolist(),
+                             first_point_limit_transform(c0, gamma, ss).tolist())))
     _write_manifest(out, "limits", cfg)
     return 0
 

@@ -51,24 +51,10 @@ class IntervalConfiguration:
         return int(self.lengths.size)
 
     @property
-    def n_points(self) -> int:
-        if self.boundary is Boundary.PERIODIC:
-            return self.n_intervals
-        return self.n_intervals + 1
-
-    @property
     def circumference(self) -> float:
         if self.boundary is not Boundary.PERIODIC:
             raise ValueError("circumference is defined for periodic configurations")
         return float(self.lengths.sum())
-
-    def points(self) -> np.ndarray:
-        """Coordinates of the represented points.
-
-        Periodic: n_intervals points (the last gap wraps back to the marker).
-        Otherwise: n_intervals + 1 points.
-        """
-        return self.first_point + self.relative_points()
 
     def relative_points(self) -> np.ndarray:
         """Points with the first one pinned at exactly 0.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import Boundary
-from .epoch import _simulate_points, segment_gaps
+from .epoch import StateSpaceError, _simulate_points, segment_gaps
 from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rng, replica_rngs
 from .schedule import EpochSchedule
 
@@ -34,6 +34,9 @@ _BATCH_POINTS = 1 << 16
 # Initial intervals per replica: 2 GiB at the 64 bytes per point that the
 # resolver's memory test guards.  A larger window fails before it is drawn.
 _MAX_INTERVALS = (2 << 30) // 64
+# A target_core window's pilot: its initial intervals, and the factor on its estimate.
+_PILOT_INTERVALS = 4096
+_PILOT_SAFETY = 1.6
 
 
 class WindowExhaustedError(RuntimeError):
@@ -59,7 +62,7 @@ class WindowPolicy:
 
     n_intervals : explicit initial interval count, or None to size from
         target_core: a pilot run estimates the per-run shrink factor and the
-        initial count is target*shrink*safety plus the buffered edge cost.
+        initial count is (target + buffered edge cost) * shrink * safety.
         One pilot, on the first replica's stream, sizes every replica.
     buffer_factor : length excluded near each truncated edge when reading
         interval statistics at epoch n is buffer_factor * sum_{j<=n} d(j).
@@ -68,8 +71,6 @@ class WindowPolicy:
     n_intervals: int | None = None
     target_core: int | None = None
     buffer_factor: float = 16.0
-    pilot_intervals: int = 4096
-    safety: float = 1.6
 
     def __post_init__(self):
         if self.n_intervals is None and self.target_core is None:
@@ -114,12 +115,6 @@ def _concat(parts) -> EpochSummary:
     return EpochSummary(parts[0].epoch, parts[0].d_n, strides.pop(),
                         *(np.concatenate([getattr(p, name) for p in parts])
                           for name in _ARRAY_FIELDS))
-
-
-def pool_summaries(runs: list[list[EpochSummary]]) -> list[EpochSummary]:
-    """Concatenate the summaries of consecutive replica batches epoch by epoch,
-    so the result does not depend on how replicas are batched."""
-    return [_concat(parts) for parts in zip(*runs)]
 
 
 def _held(core_sizes: np.ndarray, stride: int) -> int:
@@ -184,7 +179,7 @@ class _EpochFold:
 def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
     """Size the window from a pilot run: survivors-per-initial ratio plus the
     interval cost of the edge buffers."""
-    pilot_n = policy.pilot_intervals
+    pilot_n = _PILOT_INTERVALS
     for _ in range(4):
         try:
             summaries = run_hcp(spec, schedule, n_epochs,
@@ -203,7 +198,7 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
         buffered = int(final.n_intervals.sum() - final.core_sizes.sum())
         per_run_overhead = buffered + 4
         need_final = policy.target_core + per_run_overhead
-        return int(math.ceil(need_final * shrink * policy.safety))
+        return int(math.ceil(need_final * shrink * _PILOT_SAFETY))
     raise WindowExhaustedError(n_epochs)
 
 
@@ -229,9 +224,12 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
         if counts.min() < (1 if periodic else 2):
             raise WindowExhaustedError(n)
         gaps, core = segment_gaps(points, starts, boundary, circumference, buffer_len)
-        if gaps.min() < d_n * (1 - 1e-9) - 1e-9:
-            raise AssertionError(
-                f"epoch {n} start has interval {gaps.min()} below d({n})={d_n}")
+        shortest = float(gaps.min())
+        if shortest < d_n * (1 - 1e-9) - 1e-9:
+            if n == 1:  # the initial law has mass below d(1)
+                raise StateSpaceError(f"initial interval {shortest!r} below d(1) = {d_n!r}")
+            raise AssertionError(  # a later epoch starts from an absorbing state
+                f"epoch {n} start has interval {shortest} below d({n})={d_n}")
         x0 = points[starts] + shift
         summaries.append(EpochSummary(
             epoch=n,

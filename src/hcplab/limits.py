@@ -19,7 +19,6 @@ sum_{k>=1} (-1)^(k+1) c0^k rho_k / k!, rho_k the k-fold convolution of 1/x on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -90,31 +89,23 @@ def ein(s) -> np.ndarray | float:
 
 
 # ---------------------------------------------------------------------------
-# limit law parameters and transforms
+# limit transforms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LimitLawParams:
-    c0: float = 1.0
-    gamma: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.c0 <= 1.0:
-            raise ValueError("c0 must lie in [0, 1]")
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be nonnegative")
+def _check_params(c0: float, gamma: float = 0.0) -> float:
+    """``c0`` as a float, once c0 is in [0, 1] and gamma >= 0 (NaN fails)."""
+    if not 0.0 <= c0 <= 1.0:
+        raise ValueError(f"c0 must lie in [0, 1], got {c0!r}")
+    if not gamma >= 0:
+        raise ValueError(f"gamma must be nonnegative, got {gamma!r}")
+    return float(c0)
 
 
-def _c0_of(params) -> float:
-    """c0 of a LimitLawParams or of a bare number, checked to lie in [0, 1]."""
-    return (params if isinstance(params, LimitLawParams) else LimitLawParams(c0=float(params))).c0
-
-
-def g_infinity(params, s) -> np.ndarray | float:
+def g_infinity(c0: float, s) -> np.ndarray | float:
     """Limit Laplace transform of the rescaled interval length:
     1 - exp(-c0 * E1(s)); s = 0 returns 1 (E1 diverges), c0 = 0 degenerates
     to 0 for s > 0 (all mass escapes to infinity)."""
-    c0 = _c0_of(params)
+    c0 = _check_params(c0)
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr < 0):
         raise ValueError("transform argument must be >= 0")
@@ -128,14 +119,11 @@ def g_infinity(params, s) -> np.ndarray | float:
     return out if np.ndim(s) else float(out[0])
 
 
-def first_point_limit_transform(params, s) -> np.ndarray | float:
+def first_point_limit_transform(c0: float, gamma: float, s) -> np.ndarray | float:
     """Limit Laplace transform of the rescaled first-point position:
     exp{ -(c0/(1+gamma)) * integral_0^1 (1 - e^{-s y})/y dy }, and the inner
     integral is Ein(s)."""
-    if isinstance(params, LimitLawParams):
-        c0, gamma = params.c0, params.gamma
-    else:
-        c0, gamma = params
+    c0 = _check_params(c0, gamma)
     s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
     if np.any(s_arr < 0):
         raise ValueError("transform argument must be >= 0")
@@ -177,13 +165,13 @@ def _z_grid(c0: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xs, (4.0 * z_f[::2] - z_c) / 3.0, (4.0 * cdf_f[::2] - cdf_c) / 3.0
 
 
-def z_density(params, x) -> np.ndarray | float:
+def z_density(c0: float, x) -> np.ndarray | float:
     """Universal limit density z_c0(x) on [1, X_MAX]; 0 below 1.
 
     Node values come from the cached delay-equation table, others by linear
     interpolation.
     """
-    c0 = _c0_of(params)
+    c0 = _check_params(c0)
     xs, z, _ = _z_grid(c0)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     if np.any(x_arr > X_MAX):
@@ -193,14 +181,14 @@ def z_density(params, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
-def z_cdf(params, x) -> np.ndarray | float:
+def z_cdf(c0: float, x) -> np.ndarray | float:
     """CDF of the universal limit law: 0 at x = 1, -> 1 as x -> inf.
 
     Beyond X_MAX: the power-law tail P(Z > x) = C x^{-c0} for c0 < 1, with C
     from the solved F at X_MAX; for c0 = 1 the true tail is superexponential
     and F(X_MAX) is kept.
     """
-    c0 = _c0_of(params)
+    c0 = _check_params(c0)
     xs, _, cdf = _z_grid(c0)
     x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
     out = np.interp(x_arr, xs, cdf)
@@ -212,7 +200,7 @@ def z_cdf(params, x) -> np.ndarray | float:
     return out if np.ndim(x) else float(out[0])
 
 
-def limit_moment(params, k: int) -> float:
+def limit_moment(c0: float, k: int) -> float:
     """k-th moment of the limit law by trapezoid quadrature of the density
     on [1, X_MAX].
 
@@ -221,7 +209,7 @@ def limit_moment(params, k: int) -> float:
     """
     if k < 1:
         raise ValueError("moment order must be >= 1")
-    if _c0_of(params) < 1.0:
+    if _check_params(c0) < 1.0:
         return math.inf
     xs, z, _ = _z_grid(1.0)
     i1 = int(round(1.0 / GRID_STEP))  # from the jump at x = 1 only

@@ -179,19 +179,6 @@ class AtomicMeasure:
             fh.write("".join(f"{p!r},{w!r}\n" for p, w in
                              zip(self.positions.tolist(), self.masses.tolist())))
 
-    @classmethod
-    def from_csv(cls, path) -> "AtomicMeasure":
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#"):
-                raise MeasureError("measure CSV must start with an '# l_max=... deficit=...' line")
-            meta = dict(tok.split("=", 1) for tok in header[1:].split())
-            fh.readline()  # column header
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-        pos = np.array([float(r[0]) for r in rows])
-        mas = np.array([float(r[1]) for r in rows])
-        return cls(pos, mas, float(meta["l_max"]), float(meta["deficit"]))
-
 
 def dirac(position: float, l_max: float, mass: float = 1.0) -> AtomicMeasure:
     """Point mass at ``position``."""
@@ -355,17 +342,16 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
     return AtomicMeasure(pos, mas, mu.l_max, deficit)
 
 
-def iterate_hcp_measures(mu1: AtomicMeasure, thresholds, n_epochs: int,
+def iterate_hcp_measures(mu1: AtomicMeasure, d, n_epochs: int,
                          deficit_bound: float = 1e-6, strict: bool = False
                          ) -> tuple[list[AtomicMeasure], list[float]]:
     """Iterate the epoch pushforward along a threshold sequence.
 
-    thresholds : sequence with d(1) < d(2) < ... covering n_epochs + 1 entries,
-                 or a callable n -> d(n) (1-based).
+    d : the thresholds, a callable n -> d(n) (1-based), increasing for n up
+        to n_epochs + 1.
     Returns (laws, active_masses): laws[n-1] is the interval law at the start
     of epoch n; active_masses[n-1] is its mass on [d(n), d(n+1)).
     """
-    d = _threshold_fn(thresholds)
     laws = [mu1]
     active = []
     for n in range(1, n_epochs + 1):
@@ -379,13 +365,6 @@ def iterate_hcp_measures(mu1: AtomicMeasure, thresholds, n_epochs: int,
         if n < n_epochs:
             laws.append(epoch_pushforward(mu, d(n), d(n + 1)))
     return laws, active
-
-
-def _threshold_fn(thresholds):
-    if callable(thresholds):
-        return thresholds
-    seq = list(thresholds)
-    return lambda n: seq[n - 1]
 
 
 def survival_probability_exact(h_masses, n: int, gamma: float) -> float:
@@ -403,22 +382,8 @@ def survival_probability_exact(h_masses, n: int, gamma: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# discretization helper and the geometric-exponent test law
+# the geometric-exponent test law
 # ---------------------------------------------------------------------------
-
-def discretize_cdf(cdf, lo: float, l_max: float, spacing: float) -> AtomicMeasure:
-    """Bin a CDF onto a lattice: atom at lo + k*spacing carries the mass of
-    ((k-1/2)*spacing, (k+1/2)*spacing] shifted by lo.  The discretization
-    error is the caller's declared modeling choice."""
-    grid = np.arange(lo, l_max + spacing / 2, spacing)
-    edges = np.concatenate((grid - spacing / 2, [grid[-1] + spacing / 2]))
-    edges[0] = min(edges[0], lo * (1 - 1e-12))
-    cvals = np.asarray([cdf(e) for e in edges], dtype=float)
-    masses = np.diff(cvals)
-    deficit = max(0.0, 1.0 - float(cvals[-1]))
-    keep = masses > 0
-    return AtomicMeasure(grid[keep], masses[keep], l_max, deficit)
-
 
 def exp_geometric_law(p: float, n_atoms: int, l_max: float | None = None) -> AtomicMeasure:
     """Law of exp(G) for G geometric on {1,2,...} with success probability p:

@@ -65,11 +65,6 @@ class RateFamily:
             raise RateValidityError(
                 f"(A2) violated: 2*d_min = {2 * self.d_min} < d_max = {self.d_max}")
 
-    @property
-    def gamma(self) -> float | None:
-        """lambda_left / lambda_right, or None when lambda_right is 0."""
-        return self.left / self.right if self.right > 0 else None
-
     def _rate(self, coef: float, d):
         # the resolver computes these values inline from the coefficients;
         # this masked form is the reference the event-loop oracle evaluates

@@ -10,9 +10,8 @@ Python int or on a block of replica indices at once, the words of s hashed
 once per seed.  Spawning goes through a real SeedSequence, built at the
 first spawn.
 
-``draw_spec`` is the one draw implementation: ``sample_spec`` checks its
-lengths and wraps them in an ``IntervalConfiguration``, and the simulator
-stacks a batch of draws into one array and checks it at once.
+``draw_spec`` is the one draw implementation: the simulator stacks a batch
+of draws into one array and ``check_lengths`` checks it at once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .config import Boundary, IntervalConfiguration
+from .config import Boundary
 from .laws import SamplingContractError
 
 # SeedSequence's constants (numpy.random.bit_generator): every step is uint32
@@ -285,10 +284,3 @@ def check_lengths(spec: RenewalSpec, lengths: np.ndarray) -> np.ndarray:
     if isinstance(spec, LatticeStationary) and np.any(np.rint(lengths) != lengths):
         raise SamplingContractError("lattice law produced a non-integer gap")
     return lengths
-
-
-def sample_spec(spec: RenewalSpec, n_intervals: int, rng) -> tuple[IntervalConfiguration, int]:
-    """Realize a renewal specification: (configuration, marked_index), the
-    draws of ``draw_spec`` checked and wrapped."""
-    first, lengths, marked = draw_spec(spec, n_intervals, rng)
-    return IntervalConfiguration(first, check_lengths(spec, lengths), spec.boundary), marked

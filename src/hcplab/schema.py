@@ -15,7 +15,7 @@ from .rates import RATE_PRESETS
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, Stationary)
 from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
-                       GeometricThresholds)
+                       GeometricThresholds, ScheduleError)
 
 
 class ConfigError(ValueError):
@@ -152,11 +152,15 @@ def build_schedule(cfg: dict) -> EpochSchedule:
 
 
 def epoch_count(cfg: dict, schedule: EpochSchedule, default: int) -> int:
-    """The 'epochs' field: at least 1, and epochs + 1 explicit thresholds."""
+    """The 'epochs' field: at least 1, and epochs + 1 explicit thresholds that keep (A2)."""
     n = field(cfg, "epochs", int, lambda n: n >= 1, "at least 1", default)
     if isinstance(schedule.thresholds, ExplicitThresholds):
         field(cfg, "schedule.values", list, lambda v: len(v) > n,
               f"{n + 1} thresholds for {n} epochs")
+        try:
+            schedule.validate(n)
+        except ScheduleError as exc:
+            raise ConfigError(f"config field 'schedule.values': {exc}") from None
     return n
 
 

@@ -23,19 +23,6 @@ def _as_values(samples) -> np.ndarray:
     return values
 
 
-def kolmogorov_sf(t: float, terms: int = 100) -> float:
-    """Asymptotic Kolmogorov survival function 2 sum_j (-1)^(j-1) exp(-2 j^2 t^2)."""
-    if t <= 0.05:
-        return 1.0
-    total = 0.0
-    for j in range(1, terms + 1):
-        term = 2.0 * (-1.0) ** (j - 1) * math.exp(-2.0 * j * j * t * t)
-        total += term
-        if abs(term) < 1e-16:
-            break
-    return min(1.0, max(0.0, total))
-
-
 @dataclass(frozen=True)
 class KsResult:
     statistic: float
@@ -47,8 +34,9 @@ def ks_test(samples, cdf) -> KsResult:
     """One-sample Kolmogorov-Smirnov test against a continuous CDF.
 
     D = sup |F_emp - F| over the sample, p-value from the asymptotic
-    Kolmogorov series at sqrt(n) * D.
+    Kolmogorov distribution at sqrt(n) * D.
     """
+    from scipy.special import kolmogorov
     values = np.sort(_as_values(samples))
     n = values.size
     f = np.asarray(cdf(values), dtype=float)
@@ -57,11 +45,12 @@ def ks_test(samples, cdf) -> KsResult:
     d_plus = np.max(np.arange(1, n + 1) / n - f)
     d_minus = np.max(f - np.arange(0, n) / n)
     d = float(max(d_plus, d_minus))
-    return KsResult(d, kolmogorov_sf(math.sqrt(n) * d), n)
+    return KsResult(d, float(kolmogorov(math.sqrt(n) * d)), n)
 
 
 def ks_two_sample(a, b) -> KsResult:
     """Two-sample KS with the asymptotic p-value at the effective sample size."""
+    from scipy.special import kolmogorov
     x = np.sort(_as_values(a))
     y = np.sort(_as_values(b))
     allv = np.concatenate((x, y))
@@ -69,7 +58,7 @@ def ks_two_sample(a, b) -> KsResult:
     cdf_y = np.searchsorted(y, allv, side="right") / y.size
     d = float(np.max(np.abs(cdf_x - cdf_y)))
     n_eff = x.size * y.size / (x.size + y.size)
-    return KsResult(d, kolmogorov_sf(math.sqrt(n_eff) * d), int(n_eff))
+    return KsResult(d, float(kolmogorov(math.sqrt(n_eff) * d)), int(n_eff))
 
 
 def ks_test_discrete(samples, law: AtomicMeasure, n_bootstrap: int = 200,

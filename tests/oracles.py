@@ -35,7 +35,8 @@ import numpy as np
 
 from hcplab.config import Boundary, IntervalConfiguration
 from hcplab.epoch import MergeLog, StateSpaceError
-from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy, pool_summaries
+from hcplab import hcp
+from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy
 from hcplab.measures import AtomicMeasure, MeasureError, _coalesce
 from hcplab.laws import SamplingContractError
 from hcplab.rates import RateValidityError
@@ -315,7 +316,7 @@ def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: floa
 
 
 def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
-    pilot_n = policy.pilot_intervals
+    pilot_n = hcp._PILOT_INTERVALS
     for _ in range(4):
         try:
             summaries = run_hcp_loop(spec, schedule, n_epochs,
@@ -334,7 +335,7 @@ def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
         buffered = int(final.n_intervals.sum() - final.core_sizes.sum())
         per_run_overhead = buffered + 4
         need_final = policy.target_core + per_run_overhead
-        return int(math.ceil(need_final * shrink * policy.safety))
+        return int(math.ceil(need_final * shrink * hcp._PILOT_SAFETY))
     raise WindowExhaustedError(n_epochs)
 
 
@@ -415,9 +416,9 @@ def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: in
     if window.n_intervals is None:
         window = dataclasses.replace(window, n_intervals=_pilot_initial_count_loop(
             spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, 0)))
-    return pool_summaries([run_hcp_loop(spec, schedule, n_epochs, window,
-                                        seed_sequence_rng(base_seed, r), replica=r)
-                           for r in range(n_replicas)])
+    runs = [run_hcp_loop(spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, r),
+                         replica=r) for r in range(n_replicas)]
+    return [hcp._concat(parts) for parts in zip(*runs)]
 
 
 def thinned_z(summary: EpochSummary, k: int) -> tuple[int, np.ndarray]:

@@ -11,6 +11,7 @@ import hcplab
 import hcplab.cli
 from hcplab.cli import build_schedule, build_spec, build_window, main
 from hcplab.hcp import replicate
+from hcplab.measures import AtomicMeasure
 from oracles import thinned_z
 
 
@@ -37,6 +38,15 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def read_law(path) -> AtomicMeasure:
+    """The measure an ``interval_law_epochNN.csv`` of ``analytic`` holds."""
+    with open(path) as fh:
+        meta = dict(tok.split("=") for tok in fh.readline()[1:].split())
+        next(fh)  # column names
+        pos, mas = np.array([[float(v) for v in line.split(",")] for line in fh]).T
+    return AtomicMeasure(pos, mas, float(meta["l_max"]), float(meta["deficit"]))
 
 
 class TestSimulate:
@@ -79,8 +89,8 @@ class TestSimulate:
         out = str(tmp_path / "f")
         assert main(["simulate", "--config", cfg, "--out", out]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: (A2) violated at epoch 2")
-        assert "schedule.values" in err
+        assert err.startswith("config error: config field 'schedule.values'")
+        assert "epoch 2: (A2) violated" in err
 
     @pytest.mark.parametrize("overrides, field", [
         ({"schedule.rates": "constant", "schedule.left": -1.0}, "schedule.left"),
@@ -233,8 +243,7 @@ class TestAnalytic:
         cfg.write_text(json.dumps({"initial_law": {"kind": "two_point", "a": 1.0, "b": b}}))
         out = tmp_path / "tp"
         assert main(["analytic", "--config", str(cfg), "--out", str(out)]) == 0
-        from hcplab.measures import AtomicMeasure
-        law4 = AtomicMeasure.from_csv(out / "interval_law_epoch04.csv")
+        law4 = read_law(out / "interval_law_epoch04.csv")
         assert law4.n_atoms > 100
         assert law4.total_mass == pytest.approx(1.0, abs=1e-12)
 
@@ -250,8 +259,7 @@ class TestAnalytic:
         cfg = write_config(tmp_path)
         out = str(tmp_path / "and")
         assert main(["analytic", "--config", cfg, "--out", out]) == 0
-        from hcplab.measures import AtomicMeasure
-        law2 = AtomicMeasure.from_csv(os.path.join(out, "interval_law_epoch02.csv"))
+        law2 = read_law(os.path.join(out, "interval_law_epoch02.csv"))
         assert law2.mass_on(1.5, 2.5) == pytest.approx(0.5, rel=1e-12)
 
 
@@ -454,6 +462,11 @@ class TestConfigInputs:
         ({"window.n_intervals": 10**11}, (), "window.n_intervals"),
         ({"window": {"target_core": 10**12}}, (), "window.target_core"),
         ({"schedule.rates": "linear", "schedule.right": math.inf}, (), "schedule.right"),
+        # initial lengths below d(1) = 1, even when no epoch runs
+        ({"initial_law": {"kind": "exponential"}, "epochs": 1}, (), "initial_law"),
+        ({"initial_law": {"kind": "dirac", "value": 0.5}}, (), "initial_law"),
+        ({"process": {"variant": "exchangeable", "components": [[1.0, {"kind": "exponential"}]]}},
+         (), "process.components"),
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "simulate", overrides, *flags)
@@ -486,6 +499,10 @@ class TestConfigInputs:
           "schedule.gamma": 0.5}, "schedule.gamma"),
         ({"schedule.rates": "constant", "schedule.left": 0, "schedule.right": 0},
          "schedule.right"),
+        # (A2) at epoch 2, as for simulate
+        ({"schedule.thresholds": "explicit", "schedule.values": [1, 2, 5, 8, 16], "epochs": 3},
+         "schedule.values"),
+        ({"initial_law": {"kind": "dirac", "value": 0.5}}, "initial_law"),
     ])
     def test_analytic_fields(self, tmp_path, overrides, field):
         err = run_rejected(tmp_path, "analytic", overrides)
@@ -500,6 +517,14 @@ class TestConfigInputs:
     def test_validate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "validate", overrides, *flags)
         assert f"config error: config field '{field}'" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "analytic"])
+    def test_below_explicit_d1_names_both_fields(self, tmp_path, command):
+        err = run_rejected(tmp_path, command, {
+            "initial_law": {"kind": "geometric", "q": 0.5},
+            "schedule": {"thresholds": "explicit", "values": [2, 3, 4], "rates": "east"},
+            "analytic": {"l_max": 300.0, "j_max": 48.0}})
+        assert "config error: config field 'initial_law'" in err and "schedule.values" in err
 
     def test_exhausted_window_names_it(self, tmp_path):
         err = run_rejected(tmp_path, "simulate", {"window.n_intervals": 1})

@@ -9,11 +9,11 @@ from hcplab import hcp
 from hcplab.config import Boundary
 from hcplab.laws import DiracLaw, GeometricLaw, SamplingContractError, two_point_law
 from hcplab.measures import dirac, iterate_hcp_measures
-from hcplab.hcp import (WindowExhaustedError, WindowPolicy, WindowTooLargeError,
-                        pool_summaries, replicate, run_hcp)
+from hcplab.hcp import (WindowExhaustedError, WindowPolicy, WindowTooLargeError, replicate,
+                        run_hcp)
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
-                             LeftBounded, PeriodicRenewal, Stationary, replica_rng,
-                             sample_spec)
+                             LeftBounded, PeriodicRenewal, Stationary, check_lengths,
+                             draw_spec, replica_rng)
 from hcplab.schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
                              GeometricThresholds, ScheduleError, east_schedule)
 from hcplab.schema import ConfigError, build_schedule
@@ -195,13 +195,6 @@ class TestReplicate:
         se = z4.std() / math.sqrt(min(z1.size, z4.size))
         assert abs(z1.mean() - z4.mean()) < 3 * se
 
-    def test_pool_summaries_concatenates_in_replica_order(self):
-        window = WindowPolicy(n_intervals=1000)
-        runs = [run_hcp(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 2,
-                        window, replica_rng(59, r), replica=r) for r in range(3)]
-        pooled = pool_summaries(runs)
-        assert np.array_equal(pooled[0].replica, [0, 1, 2])
-
 
 SPECS = {
     "left_bounded": LeftBounded(DiracLaw(1.0)),
@@ -252,8 +245,9 @@ class TestEngineOracle:
     @pytest.mark.parametrize("name", ["contains_origin", "periodic"])
     def test_pilot_matches_loop(self, name, monkeypatch):
         monkeypatch.setattr(hcp, "_BATCH_POINTS", 2000)
+        monkeypatch.setattr(hcp, "_PILOT_INTERVALS", 512)
         pilots = count_pilots(monkeypatch)
-        window = WindowPolicy(target_core=100, buffer_factor=1.0, pilot_intervals=512)
+        window = WindowPolicy(target_core=100, buffer_factor=1.0)
         self.assert_same(replicate(SPECS[name], east_schedule(2.0), 4, 5, 9, window),
                          replicate_loop(SPECS[name], east_schedule(2.0), 4, 5, 9, window))
         assert len(pilots) == 1
@@ -266,10 +260,11 @@ class TestEngineOracle:
                          replica_rng(3, 2), 2))
 
     @pytest.mark.parametrize("name", ["left_bounded", "periodic"])
-    def test_pilot_matches_seed_sequence_streams(self, name):
+    def test_pilot_matches_seed_sequence_streams(self, name, monkeypatch):
         # the pilot spawns from replica 0's stream; the reference runs the
         # same engine on numpy's own SeedSequence streams
-        window = WindowPolicy(target_core=100, buffer_factor=1.0, pilot_intervals=512)
+        monkeypatch.setattr(hcp, "_PILOT_INTERVALS", 512)
+        window = WindowPolicy(target_core=100, buffer_factor=1.0)
         streams = ((r, seed_sequence_rng(9, r)) for r in range(5))
         self.assert_same(replicate(SPECS[name], east_schedule(2.0), 4, 5, 9, window),
                          hcp._run(SPECS[name], east_schedule(2.0), 4, window, streams))
@@ -384,8 +379,9 @@ class TestBatchDraws:
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_pilot_window(self, name, monkeypatch):
         # one pilot sizes every replica, so replicas under the cap share a batch
+        monkeypatch.setattr(hcp, "_PILOT_INTERVALS", 256)
         pilots = count_pilots(monkeypatch)
-        window = WindowPolicy(target_core=60, buffer_factor=1.0, pilot_intervals=256)
+        window = WindowPolicy(target_core=60, buffer_factor=1.0)
         batches = self.check(SPECS[name], window, 4)
         assert len(pilots) == 1 and len(batches) == 1
 
@@ -393,11 +389,11 @@ class TestBatchDraws:
         for name, spec in sorted(SPECS.items()):
             for r in range(5):
                 rng, ref_rng = replica_rng(7, r), replica_rng(7, r)
-                got, idx = sample_spec(spec, 50, rng)
+                first, lengths, idx = draw_spec(spec, 50, rng)
                 want, want_idx = sample_spec_config(spec, 50, ref_rng)
-                assert (got.boundary, got.first_point, idx) == \
+                assert (spec.boundary, first, idx) == \
                     (want.boundary, want.first_point, want_idx), name
-                assert np.array_equal(got.lengths, want.lengths), name
+                assert np.array_equal(check_lengths(spec, lengths), want.lengths), name
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, name
 
     class BadLaw:
@@ -430,7 +426,7 @@ class TestBatchDraws:
             with pytest.raises(SamplingContractError, match=message):
                 replicate(spec, east_schedule(2.0), 2, 3, 8, WindowPolicy(n_intervals=10))
         with pytest.raises(SamplingContractError, match=message):
-            sample_spec(spec, 10, replica_rng(8))
+            check_lengths(spec, draw_spec(spec, 10, replica_rng(8))[1])
         with pytest.raises(SamplingContractError, match=message):
             sample_spec_config(spec, 10, replica_rng(8))
 
@@ -438,7 +434,7 @@ class TestBatchDraws:
         spec = LatticeStationary(self.BadLaw(1.5))
         for run in (lambda: replicate(spec, east_schedule(2.0), 2, 3, 8,
                                       WindowPolicy(n_intervals=10)),
-                    lambda: sample_spec(spec, 10, replica_rng(8)),
+                    lambda: check_lengths(spec, draw_spec(spec, 10, replica_rng(8))[1]),
                     lambda: sample_spec_config(spec, 10, replica_rng(8))):
             with pytest.raises(SamplingContractError, match="non-integer gap"):
                 run()

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import subprocess
@@ -10,10 +9,10 @@ from scipy.integrate import quad
 from scipy.special import exp1
 
 import hcplab.limits
-from hcplab.limits import (EULER_GAMMA, GRID_STEP, X_MAX, LimitLawParams, _z_grid, ein,
+from hcplab.limits import (EULER_GAMMA, GRID_STEP, X_MAX, _z_grid, ein,
                            exp_integral, first_point_limit_transform,
                            g_infinity, limit_moment, z_cdf, z_density)
-from hcplab.measures import discretize_cdf, epoch_pushforward
+from hcplab.measures import AtomicMeasure, epoch_pushforward
 
 from oracles import ein_series_scalar, rho_tables_direct, z_rho_series
 
@@ -182,12 +181,17 @@ class TestDelayEquation:
         assert proc.stdout.split() == ["[]"]
 
 
-class TestLimitLawParams:
-    def test_fields_and_ranges(self):
-        assert [f.name for f in dataclasses.fields(LimitLawParams)] == ["c0", "gamma"]
-        for c0, gamma in ((1.5, 0.0), (math.nan, 0.0), (1.0, -1.0), (1.0, math.nan)):
-            with pytest.raises(ValueError):
-                LimitLawParams(c0=c0, gamma=gamma)
+class TestParameterRanges:
+    def test_rejects_out_of_range(self):
+        for c0 in (1.5, -0.5, math.nan):
+            for call in (lambda: g_infinity(c0, 1.0), lambda: z_density(c0, 2.0),
+                         lambda: z_cdf(c0, 2.0), lambda: limit_moment(c0, 1),
+                         lambda: first_point_limit_transform(c0, 0.0, 1.0)):
+                with pytest.raises(ValueError, match="c0 must lie in"):
+                    call()
+        for gamma in (-1.0, math.nan):
+            with pytest.raises(ValueError, match="gamma must be nonnegative"):
+                first_point_limit_transform(1.0, gamma, 1.0)
 
 
 class TestZCdf:
@@ -226,13 +230,13 @@ class TestTransformDensityConsistency:
 
 class TestFirstPointTransform:
     def test_anchors(self):
-        assert first_point_limit_transform((1.0, 0.0), 0.0) == 1.0
+        assert first_point_limit_transform(1.0, 0.0, 0.0) == 1.0
         expected = math.exp(-(EULER_GAMMA + 0.2193839343955203))
-        assert first_point_limit_transform((1.0, 0.0), 1.0) == pytest.approx(expected, abs=1e-6)
+        assert first_point_limit_transform(1.0, 0.0, 1.0) == pytest.approx(expected, abs=1e-6)
 
     def test_large_gamma_freezes_first_point(self):
         for s in (0.5, 2.0, 7.0):
-            assert first_point_limit_transform((1.0, 1e12), s) == pytest.approx(1.0)
+            assert first_point_limit_transform(1.0, 1e12, s) == pytest.approx(1.0)
 
 
 class TestLimitMoment:
@@ -255,10 +259,13 @@ class TestLimitMoment:
 
 class TestFixedPoint:
     def test_pushforward_leaves_limit_law_invariant(self):
-        # discretize the limit density, push one epoch with [1, 2), rescale
-        # back: the law must reproduce itself up to discretization error
+        # bin the limit law onto the midpoints of a lattice on [1, 24], push
+        # one epoch with [1, 2), rescale back: the law must reproduce itself
+        # up to discretization error
         spacing = 1.0 / 64.0
-        law = discretize_cdf(lambda x: z_cdf(1.0, x), 1.0 + spacing / 2, 24.0, spacing)
+        mids = np.arange(1.0 + spacing / 2, 24.0, spacing)
+        cdf = z_cdf(1.0, np.append(mids - spacing / 2, 24.0))
+        law = AtomicMeasure(mids, np.diff(cdf), 24.0, 1.0 - cdf[-1])
         out = epoch_pushforward(law.normalized(), 1.0, 2.0).rescaled(0.5)
         grid = np.arange(1.0, 11.0, 0.125)
         ks = np.max(np.abs(out.cdf(grid) - z_cdf(1.0, grid)))

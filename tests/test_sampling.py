@@ -8,18 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcplab import sampling
-from hcplab.config import Boundary
+from hcplab.config import Boundary, IntervalConfiguration
 from hcplab.laws import (DiracLaw, ExponentialLaw, GeometricLaw, ParetoHalfLaw,
                          SamplingContractError, two_point_law)
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
-                             LeftBounded, PeriodicRenewal, Stationary, replica_rng,
-                             replica_rngs, sample_spec)
+                             LeftBounded, PeriodicRenewal, Stationary, check_lengths,
+                             draw_spec, replica_rng, replica_rngs)
 from hcplab.stats import independence_test, ks_two_sample
 from oracles import seed_sequence_rng
 
 
+def realize(spec, n_intervals, rng):
+    """(configuration, marked index) of one checked draw of ``spec``."""
+    first, lengths, marked = draw_spec(spec, n_intervals, rng)
+    return IntervalConfiguration(first, check_lengths(spec, lengths), spec.boundary), marked
+
+
 def draw(spec, n_intervals, rng):
-    return sample_spec(spec, n_intervals, rng)[0]
+    return realize(spec, n_intervals, rng)[0]
 
 
 SEEDS = st.integers(0, 2**140 - 1)  # one to five entropy words
@@ -184,9 +190,9 @@ class TestLatticeStationary:
         occupied = total = 0
         for r in range(300):
             cfg = draw(LatticeStationary(GeometricLaw(p)), 200, replica_rng(21, r))
-            pts = cfg.points()
+            pts = cfg.relative_points()
             window = pts[-1] - pts[0]
-            occupied += cfg.n_points
+            occupied += pts.size
             total += window + 1
         density = occupied / total
         se = math.sqrt(p * (1 - p) / total)
@@ -246,17 +252,17 @@ class TestExchangeable:
 
 class TestSampleSpec:
     def test_contains_origin_marks_origin(self, rng):
-        cfg, marked = sample_spec(ContainsOrigin(GeometricLaw(0.5)), 9, rng)
+        cfg, marked = realize(ContainsOrigin(GeometricLaw(0.5)), 9, rng)
         assert cfg.boundary is Boundary.WINDOW
-        assert cfg.points()[marked] == 0.0
+        assert (cfg.first_point + cfg.relative_points())[marked] == 0.0
 
     def test_periodic_variant(self, rng):
-        cfg, marked = sample_spec(PeriodicRenewal(DiracLaw(1.0)), 11, rng)
+        cfg, marked = realize(PeriodicRenewal(DiracLaw(1.0)), 11, rng)
         assert cfg.boundary is Boundary.PERIODIC
         assert marked == 0
 
     def test_left_bounded_variant(self, rng):
-        cfg, marked = sample_spec(LeftBounded(DiracLaw(2.0)), 4, rng)
+        cfg, marked = realize(LeftBounded(DiracLaw(2.0)), 4, rng)
         assert cfg.first_point == 0.0 and marked == 0
 
     def test_mixture_spec_validation(self):

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import kolmogorov as scipy_kolmogorov
 
 from hcplab.measures import AtomicMeasure
 from hcplab.sampling import replica_rng
 from hcplab.stats import (exchangeable_identity_check, independence_test,
-                          kolmogorov_sf, ks_test, ks_test_discrete,
+                          ks_test, ks_test_discrete,
                           ks_two_sample)
 
 
@@ -22,12 +21,6 @@ class TestSampleSet:
                      lambda: independence_test(empty, empty)):
             with pytest.raises(ValueError, match="nonempty"):
                 call()
-
-
-class TestKolmogorovSf:
-    def test_matches_scipy(self):
-        for t in (0.3, 0.6, 1.0, 1.63, 2.5):
-            assert kolmogorov_sf(t) == pytest.approx(float(scipy_kolmogorov(t)), abs=1e-12)
 
 
 class TestKsTest:
