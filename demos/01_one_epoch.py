@@ -11,17 +11,17 @@ import math
 
 import numpy as np
 
-from hcplab import (Boundary, IntervalConfiguration, RateFamily, dirac,
-                    epoch_pushforward, replica_rng, run_epoch)
+from hcplab import (DiracLaw, EpochSchedule, GeometricThresholds, PeriodicRenewal,
+                    WindowPolicy, dirac, epoch_pushforward, replica_rng, run_hcp)
 
 M = 100_000
-config = IntervalConfiguration(0.0, np.ones(M), Boundary.PERIODIC)
-rates = RateFamily(d_min=1.0, d_max=2.0, left=0.4, right=0.6)
+# epoch 1 has activity range [d(1), d(2)) = [1, 2); epoch 2 starts from its final state
+schedule = EpochSchedule(GeometricThresholds(2.0), left=0.4, right=0.6)
 
-result = run_epoch(config, rates, replica_rng(1))
-lengths = result.final.lengths
-print(f"{M} domains -> {lengths.size} after one epoch "
-      f"({result.log.n_merges} merges, last at t={result.clock:.2f})")
+final = run_hcp(PeriodicRenewal(DiracLaw(1.0)), schedule, 2,
+                WindowPolicy(n_intervals=M), replica_rng(1))[1]
+lengths = final.z_samples * final.d_n
+print(f"{M} domains -> {lengths.size} after one epoch ({M - lengths.size} merges)")
 
 oracle = epoch_pushforward(dirac(1.0, l_max=64.0), d_min=1.0, d_max=2.0)
 print("\n  k   empirical     exact (k-1)/k!")

@@ -11,10 +11,9 @@ other at every step.
 
 __version__ = "0.1.0"
 
-from .config import Boundary, IntervalConfiguration
-from .laws import (AtomicLaw, DiracLaw, ExpGeometricLaw, ExponentialLaw,
-                   GeometricLaw, ParetoHalfLaw, SamplingContractError,
-                   two_point_law)
+from .config import Boundary
+from .laws import (AtomicLaw, DiracLaw, ExpGeometricLaw, GeometricLaw,
+                   ParetoHalfLaw, SamplingContractError, two_point_law)
 from .measures import (AtomicMeasure, DeficitError, MeasureError,
                        NegativeMassError, oscillating_tail_law, convolve,
                        dirac, epoch_pushforward,
@@ -28,7 +27,7 @@ from .limits import (EULER_GAMMA, ein, exp_integral,
                      first_point_limit_transform, g_infinity, limit_moment,
                      z_cdf, z_density)
 from .rates import RateFamily, RateValidityError
-from .epoch import EpochResult, MergeLog, StateSpaceError, run_epoch
+from .epoch import StateSpaceError
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, RenewalSpec, Stationary,
                        replica_rng)

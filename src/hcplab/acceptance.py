@@ -21,16 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import Boundary, IntervalConfiguration
-from .epoch import run_epoch
-from .hcp import WindowPolicy, replicate
-from .laws import DiracLaw, GeometricLaw, ParetoHalfLaw
+from .hcp import WindowPolicy, replicate, run_hcp
+from .laws import DiracLaw, GeometricLaw, ParetoHalfLaw, two_point_law
 from .limits import EULER_GAMMA, first_point_limit_transform, limit_moment, z_cdf
 from .measures import (oscillating_tail_law, dirac, epoch_pushforward,
                        iterate_hcp_measures, survival_probability_exact)
-from .rates import RateFamily
 from .sampling import LeftBounded, PeriodicRenewal, replica_rng
-from .schedule import east_schedule
+from .schedule import EpochSchedule, GeometricThresholds, east_schedule
 from .stats import exchangeable_identity_check, ks_test, ks_test_discrete, ks_two_sample
 from .transport import (deconvolve_m, reassemble_z_law, u1_from_m, un_transport,
                         c0_estimate, default_c0_grid)
@@ -66,12 +63,18 @@ def _scaled(base: int, scale: float, minimum: int) -> int:
 # criteria
 # ---------------------------------------------------------------------------
 
+def _one_epoch(m: int, left: float, right: float, linear: bool, rng) -> np.ndarray:
+    """Final lengths of one epoch with activity range [1, 2) on a circle of
+    ``m`` unit domains: a two-epoch run read at the start of epoch 2."""
+    schedule = EpochSchedule(GeometricThresholds(2.0), left, right, linear)
+    final = run_hcp(PeriodicRenewal(DiracLaw(1.0)), schedule, 2,
+                    WindowPolicy(n_intervals=m), rng)[1]
+    return final.z_samples * final.d_n
+
+
 def criterion_one_epoch_exactness(scale: float, seed: int):
     m = _scaled(100_000, scale, 20_000)
-    cfg = IntervalConfiguration(0.0, np.ones(m), Boundary.PERIODIC)
-    rates = RateFamily(1.0, 2.0, left=0.3, right=0.7)
-    res = run_epoch(cfg, rates, replica_rng(seed, 1))
-    lengths = res.final.lengths
+    lengths = _one_epoch(m, 0.3, 0.7, False, replica_rng(seed, 1))
     oracle = epoch_pushforward(dirac(1.0, 64.0), 1.0, 2.0)
     ks = ks_test_discrete(lengths, oracle, n_bootstrap=200, seed=seed)
     n = lengths.size
@@ -88,11 +91,8 @@ def criterion_one_epoch_exactness(scale: float, seed: int):
 
 def criterion_rate_universality(scale: float, seed: int):
     m = _scaled(100_000, scale, 20_000)
-    cfg = IntervalConfiguration(0.0, np.ones(m), Boundary.PERIODIC)
-    fam_const = RateFamily(1.0, 2.0, left=1.0, right=1.0)
-    fam_linear = RateFamily(1.0, 2.0, left=0.0, right=1.0, linear=True)
-    lengths_a = run_epoch(cfg, fam_const, replica_rng(seed, 2)).final.lengths
-    lengths_b = run_epoch(cfg, fam_linear, replica_rng(seed, 3)).final.lengths
+    lengths_a = _one_epoch(m, 1.0, 1.0, False, replica_rng(seed, 2))
+    lengths_b = _one_epoch(m, 0.0, 1.0, True, replica_rng(seed, 3))
     ks = ks_two_sample(lengths_a, lengths_b)
     # the analytic route never sees the rates: one pushforward serves both
     oracle = epoch_pushforward(dirac(1.0, 64.0), 1.0, 2.0)
@@ -265,12 +265,12 @@ def criterion_property_suites(scale: float, seed: int):
     parts.append(f"exchangeable identities {worst_ex:.1e}<=1e-10 (k<=7)")
     # first-point immobility when lambda_right vanishes
     immobile = True
-    fam = RateFamily(1.0, 2.0, left=1.0, right=0.0)
+    spec = LeftBounded(two_point_law(1.0, 2.0))
+    west = EpochSchedule(GeometricThresholds(2.0), left=1.0, right=0.0)
     for i in range(1000):
-        cfg = IntervalConfiguration(0.0, rng.integers(1, 3, size=12).astype(float),
-                                    Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, fam, replica_rng(seed, 1000 + i))
-        immobile &= res.final.first_point == 0.0
+        summaries = run_hcp(spec, west, 2, WindowPolicy(n_intervals=12),
+                            replica_rng(seed, 1000 + i))
+        immobile &= bool(summaries[1].first_point_survived[0])
     ok &= immobile
     parts.append(f"lambda_right==0 immobility on 1000 runs: {immobile}")
     return ok, ", ".join(parts)

@@ -23,7 +23,7 @@ from .limits import first_point_limit_transform, g_infinity, z_cdf
 from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hcp_measures,
                        survival_probability_exact)
 from .schema import (NUMBER, ConfigError, build_analytic, build_law, build_schedule,
-                     build_spec, build_window, choice, epoch_count, field, numbers, positive)
+                     build_spec, build_window, epoch_count, field, numbers, positive)
 from .hcp import WindowExhaustedError, WindowTooLargeError, replicate
 from .sampling import ExchangeableMixture
 from .schedule import ExplicitThresholds, ScheduleError
@@ -142,7 +142,6 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     schedule = build_schedule(cfg)
     n_epochs = epoch_count(cfg, schedule, default=4)
     l_max, deficit_bound, probe_x, j_max, s_min, s_max = build_analytic(cfg, schedule, n_epochs)
-    choice(cfg, "initial_law.kind", ("dirac", "geometric", "two_point", "exp_geometric"))
     law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
     if isinstance(law, ExpGeometricLaw):
         mu1 = law.atomic(n_atoms=max(1, int(math.floor(math.log(l_max)))), l_max=l_max)

@@ -17,38 +17,14 @@ no domain borders one of another segment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .config import Boundary, IntervalConfiguration
+from .config import Boundary
 from .rates import RateFamily
 
 
 class StateSpaceError(ValueError):
     """Configuration outside the state space of the epoch (length < d_min)."""
-
-
-@dataclass(frozen=True)
-class MergeLog:
-    """One row per merge: ring time, erased point, and direction (+1 when the
-    ringing domain incorporated its right neighbor, -1 for its left)."""
-
-    times: np.ndarray
-    positions: np.ndarray
-    directions: np.ndarray
-
-    @property
-    def n_merges(self) -> int:
-        return int(self.times.size)
-
-
-@dataclass(frozen=True)
-class EpochResult:
-    final: IntervalConfiguration
-    log: MergeLog
-    clock: float                      # time of the last merge (0 if none)
-    surviving_points: np.ndarray      # exact coordinates kept from the input
 
 
 def segment_gaps(points: np.ndarray, starts: np.ndarray, boundary: Boundary,
@@ -78,8 +54,7 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     """Run one epoch on every segment: segment r draws k standard
     exponentials, then k uniforms, from ``rngs[r]`` for its k active domains
     (the values and generator state of ``exponential(scale=1.0, size=k)``
-    then ``random(k)``).  Returns the alive mask and, in slot order, each
-    merge's time, erased point and erase-left flag."""
+    then ``random(k)``).  Returns the alive mask of the points."""
     # a gap taken from point differences can sit a few ulps off its true
     # value, so one within a relative 1e-9 of a threshold counts as at it
     d_min = rates.d_min * (1 - 1e-9) - 1e-12
@@ -145,44 +120,6 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
         if not (lost == merged).any():                 # merged == ~lost: the fixed point
             break
         merged = ~lost
-    times, victims, erase_left = times[merged], victims[merged], erase_left[merged]
     alive = np.ones(gaps.size, dtype=bool)
-    alive[victims] = False
-    return alive, times, victims, erase_left
-
-
-def run_epoch(config: IntervalConfiguration, rates: RateFamily, rng) -> EpochResult:
-    """Run one epoch to its absorbing state.
-
-    The returned configuration's point set is a subset of the input's (the
-    coordinates are carried through exactly), and every final interval length
-    is at least d_max.
-    """
-    periodic = config.boundary is Boundary.PERIODIC
-    # gaps come from the points relative to the first one: adding a
-    # fractional first point first could round a length below d_min
-    rel = config.relative_points()
-    points = config.first_point + rel
-    starts = np.zeros(1, dtype=np.intp)
-    circ = config.circumference if periodic else None
-    alive, times, victims, erase_left = _simulate_points(
-        segment_gaps(rel, starts, config.boundary, circ)[0], starts, rates, [rng])
-    order = times.argsort(kind="stable")  # rings are in domain order
-    log = MergeLog(times[order], points[victims[order]],
-                   np.where(erase_left[order], -1, 1))
-    survivors = points[alive]
-    if survivors.size == 0:
-        # only a periodic configuration can lose every point; the outer
-        # sentinel domains of the others are inactive
-        final = IntervalConfiguration(config.first_point, np.empty(0), Boundary.PERIODIC)
-    else:
-        gaps = segment_gaps(rel[alive], starts, config.boundary, circ)[0]
-        final = IntervalConfiguration(float(survivors[0]),
-                                      gaps if periodic else gaps[:-1], config.boundary)
-    if final.n_intervals:
-        lengths_ok = final.lengths >= rates.d_max * (1 - 1e-9) - 1e-9
-        if not lengths_ok.all():
-            bad = final.lengths[~lengths_ok].min()
-            raise AssertionError(
-                f"absorbing state violated: final length {bad} < d_max={rates.d_max}")
-    return EpochResult(final, log, float(times.max(initial=0.0)), survivors)
+    alive[victims[merged]] = False
+    return alive

@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import Boundary
 from .epoch import StateSpaceError, _simulate_points, segment_gaps
-from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rng, replica_rngs
+from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rngs
 from .schedule import EpochSchedule
 
 # Replicas are batched while their initial point count stays under this.  A
@@ -246,7 +246,7 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
             replica=np.array(replicas),
         ))
         if n < n_epochs:
-            alive = _simulate_points(gaps, starts, schedule.rates_for(n), rngs)[0]
+            alive = _simulate_points(gaps, starts, schedule.rates_for(n), rngs)
             points, marked = points[alive], marked[alive]
             survivors = np.add.reduceat(alive, starts, dtype=np.int64)
             merges_prior, counts = counts - survivors, survivors
@@ -255,13 +255,12 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
 
 
 def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
-            window: WindowPolicy, rng, replica: int = 0) -> list[EpochSummary]:
-    """Run the hierarchical process for ``n_epochs`` and return the summary
-    recorded at the start of each epoch (epoch n runs only for n < n_epochs).
-    An integer ``rng`` is a base seed: the run draws from replica
-    ``replica``'s stream of it, as ``replicate`` does."""
-    if isinstance(rng, (int, np.integer)):
-        rng = replica_rng(int(rng), replica)
+            window: WindowPolicy, rng: np.random.Generator,
+            replica: int = 0) -> list[EpochSummary]:
+    """Run the hierarchical process for ``n_epochs`` on the stream ``rng`` and
+    return the summary recorded at the start of each epoch (epoch n runs only
+    for n < n_epochs); ``replica`` labels the summaries.  One epoch run to
+    its absorbing state is ``n_epochs`` = 2, read at the second summary."""
     return _run(spec, schedule, n_epochs, window, [(replica, rng)])
 
 

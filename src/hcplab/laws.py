@@ -90,24 +90,6 @@ class GeometricLaw:
 
 
 @dataclass(frozen=True)
-class ExponentialLaw:
-    """Exponential law with the given rate (mean 1/rate)."""
-
-    rate: float = 1.0
-
-    @property
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-    def sample(self, rng, size: int) -> np.ndarray:
-        return rng.exponential(scale=1.0 / self.rate, size=size)
-
-    def sample_size_biased(self, rng, size: int) -> np.ndarray:
-        # length-biased exponential is Gamma(2, 1/rate)
-        return rng.gamma(2.0, scale=1.0 / self.rate, size=size)
-
-
-@dataclass(frozen=True)
 class AtomicLaw:
     """Law given directly by a normalized AtomicMeasure."""
 

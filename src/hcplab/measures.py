@@ -32,6 +32,13 @@ _FFT_THRESHOLD = 4_000_000  # switch np.convolve -> _fft_convolve above this cos
 # benchmark workloads form at most 566,016 pairs (`analytic` on two_point(1,
 # 1.1) at its default l_max).
 _MAX_OUTER_PAIRS = 1 << 22
+# Atoms one epoch pushforward may accumulate over its series terms before
+# they are coalesced: about 80 bytes per atom at the peak, 340 MiB at the
+# budget.  The tests, demos and benchmark workloads accumulate at most
+# 453,778 (the survival criterion's dirac(1) at l_max 65,536, epoch
+# [1024, 2048)); `analytic` at 40 epochs on the README law would accumulate
+# tens of millions.
+_MAX_SERIES_ATOMS = 1 << 22
 
 
 class MeasureError(ValueError):
@@ -306,6 +313,7 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
 
     acc_pos = [mu.positions]
     acc_mas = [mu.masses]
+    n_acc = mu.n_atoms
     hk = h
     fact = 1.0
     k = 1
@@ -317,6 +325,12 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
         acc_mas.append(conv.masses / fact)
         acc_pos.append(hk.positions)
         acc_mas.append(-hk.masses / fact)
+        n_acc += conv.n_atoms + hk.n_atoms
+        if n_acc > _MAX_SERIES_ATOMS:
+            raise MeasureError(
+                f"the pushforward series of the epoch on [{d_min!r}, {d_max!r}) holds "
+                f"{n_acc} atoms after {k} terms, above the budget of {_MAX_SERIES_ATOMS}; "
+                f"lower l_max (analytic.l_max in a config), now {mu.l_max!r}, or epochs")
         k += 1
         if (k * d_min > mu.l_max) or (hk.finite_mass / fact < 1e-18 * max(1.0, total_in)):
             break

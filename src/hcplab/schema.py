@@ -9,8 +9,7 @@ from __future__ import annotations
 import math
 
 from .hcp import WindowPolicy
-from .laws import (DiracLaw, ExpGeometricLaw, ExponentialLaw, GeometricLaw,
-                   two_point_law)
+from .laws import DiracLaw, ExpGeometricLaw, GeometricLaw, two_point_law
 from .rates import RATE_PRESETS
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, Stationary)
@@ -76,7 +75,6 @@ def positive(v) -> bool:
 _LAWS = {
     "dirac": (DiracLaw, [("value", positive, "a positive number", 1.0)]),
     "geometric": (GeometricLaw, [("q", lambda v: 0 < v <= 1, "a number in (0, 1]", REQUIRED)]),
-    "exponential": (ExponentialLaw, [("rate", positive, "a positive number", 1.0)]),
     "exp_geometric": (ExpGeometricLaw, [("p", lambda v: 0 < v < 1, "a number in (0, 1)",
                                          REQUIRED)]),
     "two_point": (two_point_law, [("a", positive, "a positive number", REQUIRED),

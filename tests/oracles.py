@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from hcplab.config import Boundary, IntervalConfiguration
-from hcplab.epoch import MergeLog, StateSpaceError
+from hcplab.config import Boundary
+from hcplab.epoch import StateSpaceError
 from hcplab import hcp
 from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy
 from hcplab.measures import AtomicMeasure, MeasureError, _coalesce
@@ -198,9 +198,18 @@ def _checked(lengths: np.ndarray) -> np.ndarray:
     return lengths
 
 
-def sample_spec_config(spec, n_intervals: int, rng) -> tuple[IntervalConfiguration, int]:
-    """(configuration, marked index) of one replica, its draws checked as
-    they are made: the per-replica samplers the batch draws replaced."""
+def relative_points(lengths: np.ndarray, boundary: Boundary) -> np.ndarray:
+    """The points of one configuration with its first one at exactly 0: one
+    per interval on a circle, one more otherwise."""
+    if boundary is Boundary.PERIODIC:
+        lengths = lengths[:-1]
+    return np.concatenate(([0.0], np.cumsum(lengths)))
+
+
+def sample_spec_config(spec, n_intervals: int, rng) -> tuple[float, np.ndarray, Boundary, int]:
+    """(first point, lengths, boundary, marked index) of one replica, its
+    draws checked as they are made: the per-replica samplers the batch draws
+    replaced."""
     if n_intervals < 1:
         raise ValueError("need at least one interval")
     if isinstance(spec, LeftBounded):
@@ -211,20 +220,19 @@ def sample_spec_config(spec, n_intervals: int, rng) -> tuple[IntervalConfigurati
         else:
             first = float(spec.nu)
         lengths = _checked(spec.mu.sample(rng, n_intervals))
-        return IntervalConfiguration(first, lengths, Boundary.LEFT_BOUNDED), 0
+        return first, lengths, Boundary.LEFT_BOUNDED, 0
     if isinstance(spec, ContainsOrigin):
         n_left = n_intervals // 2
         left = _checked(spec.mu.sample(rng, n_left)) if n_left else np.empty(0)
         right = _checked(spec.mu.sample(rng, n_intervals - n_left))
-        return IntervalConfiguration(-float(left.sum()), np.concatenate((left[::-1], right)),
-                                     Boundary.WINDOW), n_left
+        return (-float(left.sum()), np.concatenate((left[::-1], right)), Boundary.WINDOW,
+                n_left)
     if isinstance(spec, Stationary):
         straddle = float(spec.mu.sample_size_biased(rng, 1)[0])
         offset = rng.random() * straddle
         rest = _checked(spec.mu.sample(rng, n_intervals - 1)) if n_intervals > 1 \
             else np.empty(0)
-        return IntervalConfiguration(-offset, np.concatenate(([straddle], rest)),
-                                     Boundary.WINDOW), 0
+        return -offset, np.concatenate(([straddle], rest)), Boundary.WINDOW, 0
     if isinstance(spec, LatticeStationary):
         straddle = int(spec.mu.sample_size_biased(rng, 1)[0])
         offset = int(rng.integers(0, straddle))
@@ -232,43 +240,21 @@ def sample_spec_config(spec, n_intervals: int, rng) -> tuple[IntervalConfigurati
             else np.empty(0)
         if np.any(np.rint(rest) != rest):
             raise SamplingContractError("lattice law produced a non-integer gap")
-        return IntervalConfiguration(float(-offset), np.concatenate(([float(straddle)], rest)),
-                                     Boundary.WINDOW), 0
+        return float(-offset), np.concatenate(([float(straddle)], rest)), Boundary.WINDOW, 0
     if isinstance(spec, ExchangeableMixture):
         weights = np.array([w for w, _ in spec.components], dtype=float)
         idx = int(rng.choice(len(weights), p=weights / weights.sum()))
         lengths = _checked(spec.components[idx][1].sample(rng, n_intervals))
-        return IntervalConfiguration(0.0, lengths, Boundary.LEFT_BOUNDED), 0
+        return 0.0, lengths, Boundary.LEFT_BOUNDED, 0
     if isinstance(spec, PeriodicRenewal):
         lengths = _checked(spec.mu.sample(rng, n_intervals))
-        return IntervalConfiguration(0.0, lengths, Boundary.PERIODIC), 0
+        return 0.0, lengths, Boundary.PERIODIC, 0
     raise TypeError(f"unknown renewal specification {spec!r}")
 
 
-def _kernel_py(order, erase_left, alive, point_coords, periodic, n_points,
-               times, log_t, log_pos, log_dir):
-    n_log = 0
-    t_last = 0.0
-    for e in range(order.size):
-        i = order[e]
-        a = i
-        b = i + 1
-        if periodic and b == n_points:
-            b = 0
-        if alive[a] and alive[b]:
-            victim = a if erase_left[i] else b
-            alive[victim] = False
-            t_last = times[i]
-            log_t[n_log] = t_last
-            log_pos[n_log] = point_coords[victim]
-            log_dir[n_log] = -1 if erase_left[i] else 1
-            n_log += 1
-    return n_log, t_last
-
-
 def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: float | None,
-                         rates, rng) -> tuple[np.ndarray, MergeLog, float]:
-    """Erase points of one epoch; returns (alive mask, merge log, last time).
+                         rates, rng) -> np.ndarray:
+    """Erase points of one epoch; returns the alive mask.
 
     Rings are consumed in stable-argsort order of their times, so ties go to
     the lower domain index.
@@ -297,22 +283,12 @@ def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: floa
     times = rng.exponential(scale=1.0, size=idx.size) / lam
     erase_left = rng.random(idx.size) < (lam_r / lam)
 
-    order_local = np.argsort(times, kind="stable")
-    order = idx[order_local].astype(np.int64)
-    times_by_domain = np.zeros(gaps.size)
-    times_by_domain[idx] = times
-    erase_left_by_domain = np.zeros(gaps.size, dtype=np.bool_)
-    erase_left_by_domain[idx] = erase_left
-
     alive = np.ones(n_points, dtype=np.bool_)
-    log_t = np.empty(idx.size)
-    log_pos = np.empty(idx.size)
-    log_dir = np.empty(idx.size, dtype=np.int64)
-    n_log, t_last = _kernel_py(order, erase_left_by_domain, alive, points,
-                               periodic, n_points, times_by_domain,
-                               log_t, log_pos, log_dir)
-    log = MergeLog(log_t[:n_log].copy(), log_pos[:n_log].copy(), log_dir[:n_log].copy())
-    return alive, log, float(t_last)
+    for k in np.argsort(times, kind="stable"):
+        a, b = idx[k], (idx[k] + 1) % n_points  # a periodic last domain ends at point 0
+        if alive[a] and alive[b]:
+            alive[a if erase_left[k] else b] = False
+    return alive
 
 
 def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
@@ -346,11 +322,10 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
         n0 = window.n_intervals
     else:
         n0 = _pilot_initial_count_loop(spec, schedule, n_epochs, window, rng)
-    config, marked_idx = sample_spec_config(spec, n0, rng)
-    periodic = config.boundary is Boundary.PERIODIC
-    circumference = config.circumference if periodic else None
-    shift = config.first_point
-    points = config.relative_points()
+    shift, lengths, boundary, marked_idx = sample_spec_config(spec, n0, rng)
+    periodic = boundary is Boundary.PERIODIC
+    circumference = lengths.sum() if periodic else None
+    points = relative_points(lengths, boundary)
     first_rel = points[0]
     marked_rel = points[marked_idx]
 
@@ -369,7 +344,7 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
             core = np.ones(gaps.size, dtype=bool)
         else:
             gaps = np.diff(points)
-            lo = points[0] if config.boundary is Boundary.LEFT_BOUNDED \
+            lo = points[0] if boundary is Boundary.LEFT_BOUNDED \
                 else points[0] + buffer_len
             hi = points[-1] - buffer_len
             core = (points[:-1] >= lo) & (points[1:] <= hi)
@@ -396,9 +371,9 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
         ))
         if n < n_epochs:
             rates = schedule.rates_for(n)
-            alive, log, _ = simulate_points_loop(points, periodic, circumference, rates, rng)
+            alive = simulate_points_loop(points, periodic, circumference, rates, rng)
             points = points[alive]
-            merges_prior = log.n_merges
+            merges_prior = int(np.count_nonzero(~alive))
     return summaries
 
 

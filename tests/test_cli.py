@@ -462,10 +462,14 @@ class TestConfigInputs:
         ({"window.n_intervals": 10**11}, (), "window.n_intervals"),
         ({"window": {"target_core": 10**12}}, (), "window.target_core"),
         ({"schedule.rates": "linear", "schedule.right": math.inf}, (), "schedule.right"),
+        # no exponential kind: it has mass below every d(1) > 0
+        ({"initial_law": {"kind": "exponential"}, "epochs": 1}, (), "initial_law.kind"),
         # initial lengths below d(1) = 1, even when no epoch runs
-        ({"initial_law": {"kind": "exponential"}, "epochs": 1}, (), "initial_law"),
         ({"initial_law": {"kind": "dirac", "value": 0.5}}, (), "initial_law"),
         ({"process": {"variant": "exchangeable", "components": [[1.0, {"kind": "exponential"}]]}},
+         (), "process.components[0].kind"),
+        ({"process": {"variant": "exchangeable",
+                      "components": [[1.0, {"kind": "dirac", "value": 0.5}]]}, "epochs": 1},
          (), "process.components"),
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):

@@ -7,17 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcplab.config import Boundary, IntervalConfiguration
-from hcplab.epoch import StateSpaceError, _simulate_points, run_epoch, segment_gaps
-from hcplab.measures import dirac, epoch_pushforward
+from hcplab.config import Boundary
+from hcplab.epoch import StateSpaceError, _simulate_points, segment_gaps
+from hcplab.hcp import WindowPolicy, run_hcp
+from hcplab.laws import AtomicLaw
+from hcplab.measures import AtomicMeasure, dirac, epoch_pushforward
 from hcplab.rates import RateFamily, RateValidityError
-from hcplab.sampling import replica_rng
+from hcplab.sampling import LeftBounded, replica_rng
+from hcplab.schedule import east_schedule
 from hcplab.stats import ks_test_discrete, ks_two_sample
-from oracles import simulate_points_loop
+from oracles import relative_points, simulate_points_loop
 
 EAST = RateFamily(1.0, 2.0, 0.0, 1.0)
 WEST = RateFamily(1.0, 2.0, 1.0, 0.0)
 PASTE_ALL = RateFamily(1.0, 2.0, 1.0, 1.0)
+
+
+def run_one(lengths, rates, rng, boundary=Boundary.LEFT_BOUNDED):
+    """The points left after one epoch on one segment: 0 and the points
+    ``lengths`` apart after it, through ``segment_gaps`` and the resolver."""
+    lengths = np.asarray(lengths, dtype=float)
+    rel = relative_points(lengths, boundary)
+    starts = np.zeros(1, dtype=np.intp)
+    circumference = lengths.sum() if boundary is Boundary.PERIODIC else None
+    gaps = segment_gaps(rel, starts, boundary, circumference)[0]
+    return rel[_simulate_points(gaps, starts, rates, [rng])]
+
+
+def periodic_lengths(points, circumference):
+    """The interval lengths of ``points`` on a circle of ``circumference``."""
+    return np.diff(points, append=points[0] + circumference)
 
 
 class TestValidateRates:
@@ -70,17 +89,13 @@ class TestValidateRates:
 
 
 class TestRunEpoch:
+    """One epoch on one segment, run through ``run_one``."""
+
     def test_blocked_configuration_is_frozen(self, rng):
-        cfg = IntervalConfiguration(0.0, np.array([5.0, 5.0, 5.0]), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, EAST, rng)
-        assert res.log.n_merges == 0
-        assert np.array_equal(res.final.lengths, cfg.lengths)
+        assert np.array_equal(run_one([5.0, 5.0, 5.0], EAST, rng), [0.0, 5.0, 10.0, 15.0])
 
     def test_single_active_merges_once(self, rng):
-        cfg = IntervalConfiguration(0.0, np.array([5.0, 1.5, 5.0]), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, PASTE_ALL, rng)
-        assert res.log.n_merges == 1
-        assert res.final.n_intervals == 2
+        assert run_one([5.0, 1.5, 5.0], PASTE_ALL, rng).size == 3
 
     def test_two_interval_race_probabilities(self):
         # east rates on (1,1): both domains ring erase-left; the order decides
@@ -88,9 +103,7 @@ class TestRunEpoch:
         kept = 0
         trials = 30_000
         for r in range(trials):
-            cfg = IntervalConfiguration(0.0, np.array([1.0, 1.0]), Boundary.LEFT_BOUNDED)
-            res = run_epoch(cfg, EAST, replica_rng(17, r))
-            pts = res.surviving_points
+            pts = run_one([1.0, 1.0], EAST, replica_rng(17, r))
             if pts.size == 2:
                 assert np.array_equal(pts, [0.0, 2.0])
                 kept += 1
@@ -99,70 +112,69 @@ class TestRunEpoch:
         assert abs(kept / trials - 0.5) < 3 * math.sqrt(0.25 / trials)
 
     def test_periodic_final_pmf(self):
-        cfg = IntervalConfiguration(0.0, np.ones(30_000), Boundary.PERIODIC)
-        res = run_epoch(cfg, RateFamily(1.0, 2.0, 0.5, 0.5), replica_rng(23))
+        pts = run_one(np.ones(30_000), RateFamily(1.0, 2.0, 0.5, 0.5), replica_rng(23),
+                      Boundary.PERIODIC)
         oracle = epoch_pushforward(dirac(1.0, 64.0), 1.0, 2.0)
-        ks = ks_test_discrete(res.final.lengths, oracle, n_bootstrap=100, seed=3)
+        ks = ks_test_discrete(periodic_lengths(pts, 30_000.0), oracle, n_bootstrap=100,
+                              seed=3)
         assert ks.p_value > 0.01
 
     def test_state_space_rejection(self, rng):
-        cfg = IntervalConfiguration(0.0, np.array([0.5, 1.5]), Boundary.LEFT_BOUNDED)
         with pytest.raises(StateSpaceError):
-            run_epoch(cfg, EAST, rng)
+            run_one([0.5, 1.5], EAST, rng)
 
     def test_fractional_first_point_only_shifts(self):
         # dyadic lengths add up exactly from 0, not from a fractional first
-        # point, whose rounding once put unit lengths below d_min
+        # point, whose rounding once put unit lengths below d_min: the engine
+        # keeps coordinates relative to the first point
+        law = AtomicLaw(AtomicMeasure(1.0 + np.arange(16) / 8.0, np.full(16, 1 / 16), 3.0))
         for r in range(300):
-            rng = np.random.default_rng([72, r])
-            lengths = 1.0 + rng.integers(0, 16, size=int(rng.integers(2, 40))) / 8.0
-            first = float(rng.normal())
-            res = run_epoch(IntervalConfiguration(first, lengths), EAST,
-                            replica_rng(72, r))
-            ref = run_epoch(IntervalConfiguration(0.0, lengths), EAST,
-                            replica_rng(72, r))
-            assert res.final.first_point == first + ref.final.first_point
-            assert np.array_equal(res.final.lengths, ref.final.lengths)
-            assert np.array_equal(res.log.times, ref.log.times)
-            assert np.array_equal(res.log.positions, first + ref.log.positions)
-            assert np.array_equal(res.surviving_points, first + ref.surviving_points)
+            gen = np.random.default_rng([72, r])
+            # at least 8 intervals: leaving one point, which ends a left-bounded
+            # window, takes 8 rings in one order out of 8!
+            n, first = int(gen.integers(8, 40)), float(gen.normal())
+            window = WindowPolicy(n_intervals=n)
+            res = run_hcp(LeftBounded(law, first), east_schedule(2.0), 2, window,
+                          replica_rng(72, r))[1]
+            ref = run_hcp(LeftBounded(law), east_schedule(2.0), 2, window,
+                          replica_rng(72, r))[1]
+            assert res.first_point[0] == first + ref.first_point[0]
+            assert np.array_equal(res.z_samples, ref.z_samples)
+            assert np.array_equal(res.first_point_survived, ref.first_point_survived)
 
-    def test_point_set_shrinks_and_log_is_ordered(self, rng):
-        cfg = IntervalConfiguration(0.0, np.ones(500), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, PASTE_ALL, rng)
-        initial_points = set(cfg.first_point + cfg.relative_points())
-        assert set(res.surviving_points) <= initial_points
-        assert set(res.log.positions) <= initial_points
-        assert np.all(np.diff(res.log.times) >= 0)
-        assert res.clock == (res.log.times[-1] if res.log.n_merges else 0.0)
+    def test_point_set_shrinks(self, rng):
+        pts = run_one(np.ones(500), PASTE_ALL, rng)
+        assert 0 < pts.size < 501
+        assert set(pts) <= set(np.arange(501.0))
 
     def test_final_lengths_reach_d_max(self, rng):
-        cfg = IntervalConfiguration(0.0, 1.0 + rng.random(2000) * 0.9,
-                                    Boundary.WINDOW)
-        res = run_epoch(cfg, RateFamily(1.0, 2.0, 0.5, 1.0, linear=True), rng)
-        assert res.final.lengths.min() >= 2.0 * (1 - 1e-9)
+        pts = run_one(1.0 + rng.random(2000) * 0.9, RateFamily(1.0, 2.0, 0.5, 1.0, linear=True),
+                      rng, Boundary.WINDOW)
+        assert np.diff(pts).min() >= 2.0 * (1 - 1e-9)
 
     def test_length_conservation(self, rng):
         lengths = 1.0 + rng.random(1000)
-        cfg = IntervalConfiguration(0.0, lengths.copy(), Boundary.PERIODIC)
-        res = run_epoch(cfg, PASTE_ALL, rng)
-        assert res.final.lengths.sum() == pytest.approx(lengths.sum(), rel=1e-12)
+        pts = run_one(lengths, PASTE_ALL, rng, Boundary.PERIODIC)
+        final = periodic_lengths(pts, lengths.sum())
+        assert final.min() >= 2.0 * (1 - 1e-9)
+        assert final.sum() == pytest.approx(lengths.sum(), rel=1e-12)
 
     def test_first_point_immobile_without_right_rate(self):
         for r in range(300):
-            cfg = IntervalConfiguration(0.0, np.ones(40), Boundary.LEFT_BOUNDED)
-            res = run_epoch(cfg, WEST, replica_rng(29, r))
-            assert res.final.first_point == 0.0
+            assert run_one(np.ones(40), WEST, replica_rng(29, r))[0] == 0.0
 
     def test_rate_scaling_only_changes_clock(self):
-        cfg = IntervalConfiguration(0.0, np.ones(5000), Boundary.PERIODIC)
-        res_a = run_epoch(cfg, RateFamily(1.0, 2.0, 0.4, 0.6), replica_rng(37))
-        res_b = run_epoch(cfg, RateFamily(1.0, 2.0, 2.0, 3.0), replica_rng(37))
-        assert np.array_equal(res_a.final.lengths, res_b.final.lengths)
-        assert res_a.clock == pytest.approx(5.0 * res_b.clock, rel=1e-12)
+        # scaling both rates by 5 rescales every clock by 1/5: same merges
+        pts_a = run_one(np.ones(5000), RateFamily(1.0, 2.0, 0.4, 0.6), replica_rng(37),
+                        Boundary.PERIODIC)
+        pts_b = run_one(np.ones(5000), RateFamily(1.0, 2.0, 2.0, 3.0), replica_rng(37),
+                        Boundary.PERIODIC)
+        assert np.array_equal(pts_a, pts_b)
         # and across seeds the law itself is unchanged
-        res_c = run_epoch(cfg, RateFamily(1.0, 2.0, 2.0, 3.0), replica_rng(38))
-        assert ks_two_sample(res_a.final.lengths, res_c.final.lengths).p_value > 0.01
+        pts_c = run_one(np.ones(5000), RateFamily(1.0, 2.0, 2.0, 3.0), replica_rng(38),
+                        Boundary.PERIODIC)
+        assert ks_two_sample(periodic_lengths(pts_a, 5000.0),
+                             periodic_lengths(pts_c, 5000.0)).p_value > 0.01
 
 
 class TestThresholdTolerance:
@@ -177,17 +189,11 @@ class TestThresholdTolerance:
     @pytest.mark.parametrize("rates", RATES)
     def test_just_below_d_min_rings(self, rates):
         for r in range(20):
-            cfg = IntervalConfiguration(0.0, np.array([3.0, self.BELOW_MIN, 3.0]))
-            res = run_epoch(cfg, rates, replica_rng(81, r))
-            assert res.log.n_merges == 1
-            assert res.final.n_intervals == 2
+            assert run_one([3.0, self.BELOW_MIN, 3.0], rates, replica_rng(81, r)).size == 3
 
     @pytest.mark.parametrize("rates", RATES)
     def test_just_below_d_max_is_absorbed(self, rates):
-        cfg = IntervalConfiguration(0.0, np.array([3.0, self.BELOW_MAX, 3.0]))
-        res = run_epoch(cfg, rates, replica_rng(82))
-        assert res.log.n_merges == 0
-        assert np.array_equal(res.final.lengths, cfg.lengths)
+        assert run_one([3.0, self.BELOW_MAX, 3.0], rates, replica_rng(82)).size == 4
 
     @pytest.mark.parametrize("periodic", [False, True])
     def test_segments_match_event_loop(self, periodic):
@@ -196,18 +202,16 @@ class TestThresholdTolerance:
         boundary = Boundary.PERIODIC if periodic else Boundary.LEFT_BOUNDED
         gen = np.random.default_rng(83)
         near = np.array([1.0, 2.0, 3.0]) + np.arange(-6, 7)[:, None] * 2.0**-52
-        configs = [IntervalConfiguration(0.0, gen.choice(near.ravel(), size=40), boundary)
-                   for _ in range(6)]
-        points = np.concatenate([c.relative_points() for c in configs])
-        starts = np.cumsum([0] + [c.relative_points().size for c in configs[:-1]])
-        circ = np.array([c.circumference for c in configs]) if periodic else None
-        gaps = segment_gaps(points, starts, boundary, circ)[0]
+        segments = [gen.choice(near.ravel(), size=40) for _ in range(6)]
+        rel = [relative_points(lengths, boundary) for lengths in segments]
+        starts = np.cumsum([0] + [p.size for p in rel[:-1]])
+        circ = [lengths.sum() if periodic else None for lengths in segments]
+        gaps = segment_gaps(np.concatenate(rel), starts, boundary,
+                            np.array(circ) if periodic else None)[0]
         rates = PASTE_ALL
-        alive = _simulate_points(gaps, starts, rates,
-                                 [replica_rng(84, r) for r in range(6)])[0]
-        ref = [simulate_points_loop(c.relative_points(), periodic,
-                                    c.circumference if periodic else None, rates,
-                                    replica_rng(84, r))[0] for r, c in enumerate(configs)]
+        alive = _simulate_points(gaps, starts, rates, [replica_rng(84, r) for r in range(6)])
+        ref = [simulate_points_loop(p, periodic, c, rates, replica_rng(84, r))
+               for r, (p, c) in enumerate(zip(rel, circ))]
         assert np.array_equal(alive, np.concatenate(ref))
         assert not alive.all()
 
@@ -265,8 +269,7 @@ def scripted_epochs(draw):
         k = int(np.count_nonzero(lengths < 2.0))
         clocks = gen.integers(0, top + 1, size=k).astype(float)
         coins = np.where(gen.random(k) < 0.5, 0.25, 0.75)
-        segments.append((IntervalConfiguration(0.0, lengths, Boundary.PERIODIC if periodic
-                                               else Boundary.LEFT_BOUNDED), clocks, coins))
+        segments.append((lengths, clocks, coins))
     return periodic, segments
 
 
@@ -280,29 +283,17 @@ class TestResolverOracle:
     @settings(max_examples=200, deadline=None)
     def test_matches_event_loop(self, rates, case):
         periodic, segments = case
-        points = np.concatenate([cfg.relative_points() for cfg, _, _ in segments])
-        counts = [cfg.relative_points().size for cfg, _, _ in segments]
-        starts = np.concatenate(([0], np.cumsum(counts[:-1]))).astype(np.intp)
-        circ = np.array([cfg.circumference for cfg, _, _ in segments]) if periodic else None
-        gaps = segment_gaps(points, starts, segments[0][0].boundary, circ)[0]
-        alive, times, victims, _ = _simulate_points(
-            gaps, starts, rates, [ScriptedRng(c, u) for _, c, u in segments])
-        ref_alive = []
-        ends = np.append(starts[1:], points.size)
-        for (cfg, clocks, coins), a, b in zip(segments, starts, ends):
-            ref = simulate_points_loop(cfg.relative_points(), periodic,
-                                       cfg.circumference if periodic else None,
-                                       rates, ScriptedRng(clocks, coins))
-            ref_alive.append(ref[0])
-            own = (victims >= a) & (victims < b)
-            assert int(own.sum()) == ref[1].n_merges
-            assert float(times[own].max(initial=0.0)) == ref[2]
-            res = run_epoch(cfg, rates, ScriptedRng(clocks, coins))
-            assert np.array_equal(res.log.times, ref[1].times)
-            assert np.array_equal(res.log.positions, ref[1].positions)
-            assert np.array_equal(res.log.directions, ref[1].directions)
-            assert res.clock == ref[2]
-        assert np.array_equal(alive, np.concatenate(ref_alive))
+        boundary = Boundary.PERIODIC if periodic else Boundary.LEFT_BOUNDED
+        rel = [relative_points(lengths, boundary) for lengths, _, _ in segments]
+        circ = [lengths.sum() if periodic else None for lengths, _, _ in segments]
+        starts = np.cumsum([0] + [p.size for p in rel[:-1]]).astype(np.intp)
+        gaps = segment_gaps(np.concatenate(rel), starts, boundary,
+                            np.array(circ) if periodic else None)[0]
+        alive = _simulate_points(gaps, starts, rates,
+                                 [ScriptedRng(c, u) for _, c, u in segments])
+        ref = [simulate_points_loop(p, periodic, c, rates, ScriptedRng(clocks, coins))
+               for p, c, (_, clocks, coins) in zip(rel, circ, segments)]
+        assert np.array_equal(alive, np.concatenate(ref))
 
 
 class TestResolverMemory:
@@ -316,7 +307,7 @@ class TestResolverMemory:
         rngs = [replica_rng(53, r) for r in range(n_segments)]
         tracemalloc.start()
         try:
-            alive = _simulate_points(gaps, starts, PASTE_ALL, rngs)[0]
+            alive = _simulate_points(gaps, starts, PASTE_ALL, rngs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,16 +320,11 @@ class TestEpochObservables:
     displacement and the survival of the point at the origin."""
 
     def test_identity_epoch(self, rng):
-        cfg = IntervalConfiguration(0.0, np.array([5.0, 6.0]), Boundary.LEFT_BOUNDED)
-        res = run_epoch(cfg, EAST, rng)
-        assert res.final.first_point - cfg.first_point == 0.0
-        assert 0.0 in res.surviving_points
+        assert np.array_equal(run_one([5.0, 6.0], EAST, rng), [0.0, 5.0, 11.0])
 
     def test_race_survival_frequency(self):
         survived = 0
         trials = 20_000
         for r in range(trials):
-            cfg = IntervalConfiguration(0.0, np.array([1.0, 1.0]), Boundary.LEFT_BOUNDED)
-            res = run_epoch(cfg, EAST, replica_rng(43, r))
-            survived += 0.0 in res.surviving_points
+            survived += 0.0 in run_one([1.0, 1.0], EAST, replica_rng(43, r))
         assert abs(survived / trials - 0.5) < 3 * math.sqrt(0.25 / trials)

@@ -18,7 +18,7 @@ from hcplab.schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresh
                              GeometricThresholds, ScheduleError, east_schedule)
 from hcplab.schema import ConfigError, build_schedule
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
-from oracles import (_pilot_initial_count_loop, replicate_loop, run_hcp_loop,
+from oracles import (_pilot_initial_count_loop, relative_points, replicate_loop, run_hcp_loop,
                      sample_spec_config, seed_sequence_rng, thinned_z)
 
 
@@ -105,9 +105,7 @@ class TestRunHcp:
 
     def test_origin_tracking_with_continuous_law(self):
         # marked-point identity must survive float arithmetic on irrational sums
-        from hcplab.laws import ExponentialLaw
-
-        class ShiftedExp(ExponentialLaw):
+        class ShiftedExp:
             def sample(self, rng, size):
                 return 1.0 + rng.exponential(scale=0.5, size=size)
 
@@ -270,15 +268,17 @@ class TestEngineOracle:
                          hcp._run(SPECS[name], east_schedule(2.0), 4, window, streams))
 
     def test_run_hcp_integer_seed(self):
+        # the stream of integer seed 17 is numpy's own SeedSequence stream
         window = WindowPolicy(n_intervals=500, buffer_factor=2.0)
-        got = run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, 17)
-        for rng in (replica_rng(17), seed_sequence_rng(17)):
-            self.assert_same(got, run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, rng))
+        self.assert_same(
+            run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, replica_rng(17)),
+            run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, seed_sequence_rng(17)))
 
     def test_run_hcp_integer_seed_replica(self):
-        # an integer rng is a base seed, and the run draws replica 3's stream
+        # replica 3's stream of integer seed 5, labelled replica 3, is
+        # replica 3 of the pooled run
         spec, window = SPECS["periodic"], WindowPolicy(n_intervals=200)
-        got = run_hcp(spec, east_schedule(2.0), 3, window, 5, replica=3)
+        got = run_hcp(spec, east_schedule(2.0), 3, window, replica_rng(5, 3), replica=3)
         pooled = replicate(spec, east_schedule(2.0), 3, 4, 5, window)
         for a, b in zip(got, pooled):
             assert np.array_equal(a.replica, [3])
@@ -327,7 +327,7 @@ class TestWindowBudget:
         monkeypatch.setattr(hcp, "_pilot_initial_count", lambda *args: hcp._MAX_INTERVALS + 1)
         with pytest.raises(WindowTooLargeError):
             run_hcp(SPECS["left_bounded"], east_schedule(2.0), 2,
-                    WindowPolicy(target_core=10**12), 0)
+                    WindowPolicy(target_core=10**12), replica_rng(0))
 
 
 class TestBatchDraws:
@@ -353,11 +353,11 @@ class TestBatchDraws:
             assert len(replicas) == 1 or rows.size <= hcp._BATCH_POINTS
             assert (circumference is not None) == periodic
             for i, (r, rng) in enumerate(zip(replicas, rngs)):
-                want, want_idx, want_rng = self.oracle(spec, window, r)
-                assert firsts[i] == want.first_point
-                assert np.array_equal(rows[i], want.relative_points())
+                first, lengths, boundary, want_idx, want_rng = self.oracle(spec, window, r)
+                assert firsts[i] == first
+                assert np.array_equal(rows[i], relative_points(lengths, boundary))
                 if periodic:
-                    assert circumference[i] == want.circumference
+                    assert circumference[i] == lengths.sum()
                 assert marked[i] == want_idx
                 assert rng.bit_generator.state == want_rng.bit_generator.state
                 seen.append(r)
@@ -390,10 +390,9 @@ class TestBatchDraws:
             for r in range(5):
                 rng, ref_rng = replica_rng(7, r), replica_rng(7, r)
                 first, lengths, idx = draw_spec(spec, 50, rng)
-                want, want_idx = sample_spec_config(spec, 50, ref_rng)
-                assert (spec.boundary, first, idx) == \
-                    (want.boundary, want.first_point, want_idx), name
-                assert np.array_equal(check_lengths(spec, lengths), want.lengths), name
+                want_first, want, boundary, want_idx = sample_spec_config(spec, 50, ref_rng)
+                assert (spec.boundary, first, idx) == (boundary, want_first, want_idx), name
+                assert np.array_equal(check_lengths(spec, lengths), want), name
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, name
 
     class BadLaw:

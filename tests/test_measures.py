@@ -176,6 +176,17 @@ class TestEpochPushforward:
         with pytest.raises(MeasureError):
             epoch_pushforward(dirac(0.5, 10.0), 1.0, 2.0)
 
+    def test_series_atom_budget(self, monkeypatch):
+        # dirac(1) on [1, 2) holds 1 atom, and each of its 20 terms (the
+        # last with 1/20! < 1e-18) adds 2: 41 atoms fit a budget of 41
+        monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", 41)
+        assert epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0).n_atoms == 20
+        monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", 40)
+        with pytest.raises(MeasureError, match=r"holds 41 atoms after 20 terms, above the "
+                           r"budget of 40; lower l_max \(analytic\.l_max in a config\), "
+                           r"now 40\.0, or epochs$"):
+            epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0)
+
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
     def test_conservation_random_lattice(self, seed):

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcplab import sampling
-from hcplab.config import Boundary, IntervalConfiguration
-from hcplab.laws import (DiracLaw, ExponentialLaw, GeometricLaw, ParetoHalfLaw,
-                         SamplingContractError, two_point_law)
+from hcplab.config import Boundary
+from hcplab.laws import (DiracLaw, GeometricLaw, ParetoHalfLaw, SamplingContractError,
+                         two_point_law)
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary, check_lengths,
                              draw_spec, replica_rng, replica_rngs)
@@ -19,13 +19,27 @@ from oracles import seed_sequence_rng
 
 
 def realize(spec, n_intervals, rng):
-    """(configuration, marked index) of one checked draw of ``spec``."""
+    """(first point, lengths, marked index) of one checked draw of ``spec``."""
     first, lengths, marked = draw_spec(spec, n_intervals, rng)
-    return IntervalConfiguration(first, check_lengths(spec, lengths), spec.boundary), marked
+    return first, check_lengths(spec, lengths), marked
 
 
 def draw(spec, n_intervals, rng):
-    return realize(spec, n_intervals, rng)[0]
+    """(first point, lengths) of one checked draw of ``spec``."""
+    return realize(spec, n_intervals, rng)[:2]
+
+
+class Exponential:
+    """Exponential lengths of mean 1: a continuous law for the samplers."""
+
+    mean = 1.0
+
+    def sample(self, rng, size):
+        return rng.exponential(scale=1.0, size=size)
+
+    def sample_size_biased(self, rng, size):
+        # the length-biased exponential is Gamma(2, 1)
+        return rng.gamma(2.0, scale=1.0, size=size)
 
 
 SEEDS = st.integers(0, 2**140 - 1)  # one to five entropy words
@@ -106,28 +120,27 @@ class TestReplicaStreams:
 
 class TestLeftBounded:
     def test_deterministic_laws(self, rng):
-        cfg = draw(LeftBounded(DiracLaw(1.0), 0.0), 3, rng)
-        assert cfg.boundary is Boundary.LEFT_BOUNDED
-        assert cfg.first_point == 0.0
-        assert np.allclose(cfg.lengths, [1.0, 1.0, 1.0])
+        first, lengths = draw(LeftBounded(DiracLaw(1.0), 0.0), 3, rng)
+        assert LeftBounded.boundary is Boundary.LEFT_BOUNDED
+        assert first == 0.0
+        assert np.allclose(lengths, [1.0, 1.0, 1.0])
 
     def test_geometric_mean(self, rng):
         n = 100_000
-        cfg = draw(LeftBounded(GeometricLaw(0.5)), n, rng)
-        mean = cfg.lengths.mean()
-        se = cfg.lengths.std() / math.sqrt(n)
+        lengths = draw(LeftBounded(GeometricLaw(0.5)), n, rng)[1]
+        mean = lengths.mean()
+        se = lengths.std() / math.sqrt(n)
         assert abs(mean - 2.0) < 3 * se
 
     def test_single_interval(self, rng):
-        cfg = draw(LeftBounded(ExponentialLaw()), 1, rng)
-        assert cfg.n_intervals == 1
+        assert draw(LeftBounded(Exponential()), 1, rng)[1].size == 1
 
     def test_consecutive_intervals_independent(self):
         d1, d2 = [], []
         for r in range(4000):
-            cfg = draw(LeftBounded(GeometricLaw(0.4)), 2, replica_rng(13, r))
-            d1.append(cfg.lengths[0])
-            d2.append(cfg.lengths[1])
+            lengths = draw(LeftBounded(GeometricLaw(0.4)), 2, replica_rng(13, r))[1]
+            d1.append(lengths[0])
+            d2.append(lengths[1])
         res = independence_test(np.array(d1), np.array(d2), bins=3)
         assert res.p_value > 0.01
 
@@ -144,18 +157,17 @@ class TestStationary:
     def test_point_mass_straddle(self):
         offs = []
         for r in range(3000):
-            cfg = draw(Stationary(DiracLaw(2.0)), 1, replica_rng(5, r))
-            assert cfg.lengths[0] == 2.0
-            assert -2.0 < cfg.first_point <= 0.0
-            offs.append(-cfg.first_point)
+            first, lengths = draw(Stationary(DiracLaw(2.0)), 1, replica_rng(5, r))
+            assert lengths[0] == 2.0
+            assert -2.0 < first <= 0.0
+            offs.append(-first)
         # origin offset uniform on (0, 2]
         offs = np.array(offs)
         u = ks_two_sample(offs, 2.0 * replica_rng(6).random(3000))
         assert u.p_value > 0.01
 
     def test_exponential_straddle_is_gamma2(self):
-        vals = np.array([draw(Stationary(ExponentialLaw(1.0)), 1,
-                              replica_rng(8, r)).lengths[0]
+        vals = np.array([draw(Stationary(Exponential()), 1, replica_rng(8, r))[1][0]
                          for r in range(20_000)])
         se = vals.std() / math.sqrt(vals.size)
         assert abs(vals.mean() - 2.0) < 3 * se
@@ -174,25 +186,23 @@ class TestStationary:
             Stationary(ParetoHalfLaw())
 
     def test_periodic_mode(self, rng):
-        cfg = draw(PeriodicRenewal(ExponentialLaw()), 50, rng)
-        assert cfg.boundary is Boundary.PERIODIC
-        assert cfg.n_intervals == 50
+        assert PeriodicRenewal.boundary is Boundary.PERIODIC
+        assert draw(PeriodicRenewal(Exponential()), 50, rng)[1].size == 50
 
 
 class TestLatticeStationary:
     def test_unit_law_occupies_everything(self, rng):
-        cfg = draw(LatticeStationary(DiracLaw(1.0)), 10, rng)
-        assert np.allclose(cfg.lengths, 1.0)
-        assert cfg.first_point == 0.0  # straddle 1 forces offset 0
+        first, lengths = draw(LatticeStationary(DiracLaw(1.0)), 10, rng)
+        assert np.allclose(lengths, 1.0)
+        assert first == 0.0  # straddle 1 forces offset 0
 
     def test_geometric_density(self):
         p = 0.3
         occupied = total = 0
         for r in range(300):
-            cfg = draw(LatticeStationary(GeometricLaw(p)), 200, replica_rng(21, r))
-            pts = cfg.relative_points()
-            window = pts[-1] - pts[0]
-            occupied += pts.size
+            lengths = draw(LatticeStationary(GeometricLaw(p)), 200, replica_rng(21, r))[1]
+            window = lengths.sum()
+            occupied += lengths.size + 1
             total += window + 1
         density = occupied / total
         se = math.sqrt(p * (1 - p) / total)
@@ -202,35 +212,35 @@ class TestLatticeStationary:
         at_zero = 0
         n = 4000
         for r in range(n):
-            cfg = draw(LatticeStationary(DiracLaw(2.0)), 3, replica_rng(31, r))
-            assert cfg.first_point in (0.0, -1.0)  # random parity
-            at_zero += cfg.first_point == 0.0
+            first = draw(LatticeStationary(DiracLaw(2.0)), 3, replica_rng(31, r))[0]
+            assert first in (0.0, -1.0)  # random parity
+            at_zero += first == 0.0
         se = math.sqrt(0.25 / n)
         assert abs(at_zero / n - 0.5) < 3 * se
 
 
 class TestExchangeable:
     def test_single_component_matches_left_bounded(self, rng):
-        cfg = draw(ExchangeableMixture(((1.0, DiracLaw(3.0)),)), 5, rng)
-        assert cfg.first_point == 0.0
-        assert np.allclose(cfg.lengths, 3.0)
+        first, lengths = draw(ExchangeableMixture(((1.0, DiracLaw(3.0)),)), 5, rng)
+        assert first == 0.0
+        assert np.allclose(lengths, 3.0)
 
     def test_two_point_mixture(self):
         all_equal = True
         ones = 0
         n = 2000
         for r in range(n):
-            cfg = draw(ExchangeableMixture(((0.5, DiracLaw(1.0)), (0.5, DiracLaw(2.0)))),
-                       4, replica_rng(41, r))
-            vals = set(cfg.lengths)
-            all_equal &= len(vals) == 1
-            ones += cfg.lengths[0] == 1.0
+            lengths = draw(ExchangeableMixture(((0.5, DiracLaw(1.0)), (0.5, DiracLaw(2.0)))),
+                           4, replica_rng(41, r))[1]
+            all_equal &= len(set(lengths)) == 1
+            ones += lengths[0] == 1.0
         assert all_equal
         assert abs(ones / n - 0.5) < 3 * math.sqrt(0.25 / n)
 
     def test_degenerate_weights(self, rng):
-        cfg = draw(ExchangeableMixture(((1.0, DiracLaw(1.0)), (0.0, DiracLaw(9.0)))), 6, rng)
-        assert np.allclose(cfg.lengths, 1.0)
+        lengths = draw(ExchangeableMixture(((1.0, DiracLaw(1.0)), (0.0, DiracLaw(9.0)))), 6,
+                       rng)[1]
+        assert np.allclose(lengths, 1.0)
 
     def test_empty_mixture_rejected(self):
         with pytest.raises(SamplingContractError):
@@ -240,7 +250,7 @@ class TestExchangeable:
         # coordinates of (d1, d2, d3) keep their joint law under permutation
         trips = np.array([
             draw(ExchangeableMixture(((0.5, GeometricLaw(0.8)), (0.5, GeometricLaw(0.25)))),
-                 3, replica_rng(51, r)).lengths
+                 3, replica_rng(51, r))[1]
             for r in range(5000)])
         stat = ks_two_sample(trips[:, 0], trips[:, 2])
         assert stat.p_value > 0.01
@@ -252,18 +262,18 @@ class TestExchangeable:
 
 class TestSampleSpec:
     def test_contains_origin_marks_origin(self, rng):
-        cfg, marked = realize(ContainsOrigin(GeometricLaw(0.5)), 9, rng)
-        assert cfg.boundary is Boundary.WINDOW
-        assert (cfg.first_point + cfg.relative_points())[marked] == 0.0
+        first, lengths, marked = realize(ContainsOrigin(GeometricLaw(0.5)), 9, rng)
+        assert ContainsOrigin.boundary is Boundary.WINDOW
+        assert first + lengths[:marked].sum() == 0.0
 
     def test_periodic_variant(self, rng):
-        cfg, marked = realize(PeriodicRenewal(DiracLaw(1.0)), 11, rng)
-        assert cfg.boundary is Boundary.PERIODIC
+        first, lengths, marked = realize(PeriodicRenewal(DiracLaw(1.0)), 11, rng)
+        assert lengths.size == 11
         assert marked == 0
 
     def test_left_bounded_variant(self, rng):
-        cfg, marked = realize(LeftBounded(DiracLaw(2.0)), 4, rng)
-        assert cfg.first_point == 0.0 and marked == 0
+        first, _, marked = realize(LeftBounded(DiracLaw(2.0)), 4, rng)
+        assert first == 0.0 and marked == 0
 
     def test_mixture_spec_validation(self):
         with pytest.raises(SamplingContractError):
