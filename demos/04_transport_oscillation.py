@@ -7,7 +7,7 @@ finite-mean member settles at 1 while the infinite-mean members oscillate
 log-periodically forever: the sequence of laws has no limit.
 """
 
-from hcplab import exp_geometric_law, u1_on_lattice, un_transport
+from hcplab import ExpGeometricLaw, u1_on_lattice, un_transport
 
 HORIZON, X = 14, 10.0
 j_max = 2.0 ** (HORIZON - 1) * (1 + X) + 2
@@ -15,7 +15,7 @@ j_max = 2.0 ** (HORIZON - 1) * (1 + X) + 2
 print("U_n(10)/10 with thresholds 2^(n-1); q is the geometric tail weight")
 print("  n      q=0.1     q=0.5     q=0.8")
 QS = (0.1, 0.5, 0.8)
-laws = [exp_geometric_law(p=1 - q, n_atoms=14, l_max=float("inf")) for q in QS]
+laws = [ExpGeometricLaw(p=1 - q).atomic(n_atoms=14, l_max=float("inf")) for q in QS]
 columns = {q: [un_transport(u1, 2.0 ** (n - 1), X) / X for n in range(1, HORIZON + 1)]
            for q, u1 in zip(QS, u1_on_lattice(laws, spacing=1.0 / 16.0, j_max=j_max))}
 for n in range(1, HORIZON + 1):

@@ -7,16 +7,16 @@ exist at all: the estimator reports the tail ratio and flags oscillation.
 
 import math
 
-from hcplab import (GeometricLaw, ParetoHalfLaw, c0_estimate, default_c0_grid,
-                    dirac, exp_geometric_law)
+from hcplab import (ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, c0_estimate,
+                    default_c0_grid, dirac)
 
 grid = default_c0_grid()
 cases = [
     ("point mass at 1        ", dirac(1.0, 8.0)),
     ("geometric, mean 10     ", GeometricLaw(0.1).atomic(512.0)),
     ("tail x^(-1/2)          ", ParetoHalfLaw()),
-    ("exp(geometric), q=0.61 ", exp_geometric_law(1 - math.exp(-0.5), 120,
-                                                  l_max=float("inf"))),
+    ("exp(geometric), q=0.61 ", ExpGeometricLaw(1 - math.exp(-0.5)).atomic(
+        120, l_max=float("inf"))),
 ]
 
 print("law                       estimate   converged")

@@ -22,14 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hcp import WindowPolicy, replicate, run_hcp
-from .laws import DiracLaw, GeometricLaw, ParetoHalfLaw, two_point_law
+from .laws import DiracLaw, ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, two_point_law
 from .limits import EULER_GAMMA, first_point_limit_transform, limit_moment, z_cdf
-from .measures import (oscillating_tail_law, dirac, epoch_pushforward,
-                       iterate_hcp_measures, survival_probability_exact)
+from .measures import (dirac, epoch_pushforward, iterate_hcp_measures,
+                       survival_probability_exact)
 from .sampling import LeftBounded, PeriodicRenewal, replica_rng
 from .schedule import EpochSchedule, GeometricThresholds, east_schedule
 from .stats import exchangeable_identity_check, ks_test, ks_test_discrete, ks_two_sample
-from .transport import (deconvolve_m, reassemble_z_law, u1_from_m, un_transport,
+from .transport import (deconvolve_m, figb_ratios, reassemble_z_law, u1_from_m, un_transport,
                         c0_estimate, default_c0_grid)
 
 # Frozen regression constants (first oracle run of this implementation).
@@ -174,7 +174,6 @@ def criterion_moment_convergence(scale: float, seed: int):
 
 
 def criterion_figb(scale: float, seed: int):
-    from .cli import figb_ratios
     ratios_01, *oscillating = figb_ratios((0.1, 0.5, 0.8), 14, 10.0, 1.0 / 16.0,
                                           lambda n: 2.0 ** (n - 1))
     tail = ratios_01[-5:]
@@ -201,9 +200,9 @@ def criterion_c0_classification(scale: float, seed: int):
     ok &= est.converged and abs(est.estimate - 0.5) <= 0.02
     parts.append(f"pareto {est.estimate:.5f}+-0.02 conv={est.converged}")
     lam = 0.5
-    law = oscillating_tail_law(1.0 - math.exp(-lam), 120, l_max=float("inf"))
-    est = c0_estimate(law, grid)
-    ok &= not est.converged
+    law = ExpGeometricLaw(1.0 - math.exp(-lam))
+    est = c0_estimate(law.atomic(120, l_max=float("inf")), grid)
+    ok &= law.mean == math.inf and not est.converged
     parts.append(f"oscillating law conv={est.converged} (want False)")
     return ok, ", ".join(parts)
 

@@ -18,16 +18,15 @@ import numpy as np
 
 from . import __version__
 from .epoch import StateSpaceError
-from .laws import ExpGeometricLaw
+from .laws import ExpGeometricLaw, SamplingContractError
 from .limits import first_point_limit_transform, g_infinity, z_cdf
-from .measures import (DeficitError, MeasureError, exp_geometric_law, iterate_hcp_measures,
-                       survival_probability_exact)
+from .measures import MeasureError, iterate_hcp_measures, survival_probability_exact
 from .schema import (NUMBER, ConfigError, build_analytic, build_law, build_schedule,
                      build_spec, build_window, epoch_count, field, numbers, positive)
 from .hcp import WindowExhaustedError, WindowTooLargeError, replicate
 from .sampling import ExchangeableMixture
 from .schedule import ExplicitThresholds, ScheduleError
-from .transport import c0_estimate, default_c0_grid, u1_on_lattice, un_transport
+from .transport import c0_estimate, default_c0_grid, figb_ratios, un_transport
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +70,15 @@ def _seed(cfg: dict) -> int:
     return field(cfg, "seed", int, lambda n: n >= 0, "an integer >= 0 (or --seed)", 0)
 
 
+def _write_law(path: str, mu) -> None:
+    """One interval law as its truncation header and (position, mass) rows."""
+    with open(path, "w") as fh:
+        fh.write(f"# l_max={mu.l_max!r} deficit={mu.deficit!r}\n")
+        fh.write("position,mass\n")
+        fh.write("".join(f"{p!r},{w!r}\n" for p, w in
+                         zip(mu.positions.tolist(), mu.masses.tolist())))
+
+
 def _below_d1(knob: str, detail: str, schedule) -> ConfigError:
     """An initial length below d(1): the law at ``knob`` or d(1) must change."""
     explicit = isinstance(schedule.thresholds, ExplicitThresholds)
@@ -90,14 +98,18 @@ def cmd_simulate(cfg: dict, out: str) -> int:
     n_replicas = field(cfg, "replicas", int, lambda n: 1 <= n <= 1 << 32,
                        "from 1 to 2^32 (or --replicas)", 1)
     cap = field(cfg, "samples_per_epoch", int, lambda n: n >= 0, "an integer >= 0", 50_000)
+    knob = "process.components" if isinstance(spec, ExchangeableMixture) else "initial_law"
     try:
         pooled = replicate(spec, schedule, n_epochs, n_replicas, _seed(cfg), window,
                            z_per_epoch=cap)
     except WindowExhaustedError as exc:
         raise ConfigError(f"{exc} (window.n_intervals or window.target_core)") from None
     except StateSpaceError as exc:
-        knob = "process.components" if isinstance(spec, ExchangeableMixture) else "initial_law"
         raise _below_d1(knob, str(exc), schedule) from None
+    except SamplingContractError as exc:  # e.g. a lattice variant's non-integer gap
+        variant = field(cfg, "process.variant", str, default="periodic")
+        raise ConfigError(f"config field '{knob}': {exc} under process.variant "
+                          f"{variant!r}") from None
     except WindowTooLargeError as exc:
         knob = "n_intervals" if window.n_intervals is not None else "target_core"
         raise ConfigError(f"config field 'window.{knob}': need a window within the budget, "
@@ -155,11 +167,18 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     if np.any(mu1.positions[:1] < schedule.d(1) * (1 - 1e-12)):
         raise _below_d1("initial_law", f"initial law has an atom at {float(mu1.positions[0])!r} "
                         f"below d(1) = {schedule.d(1)!r}", schedule)
-    laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs,
-                                   deficit_bound=deficit_bound, strict=strict)
+    laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs)
+    for n, mu in enumerate(laws, start=1):
+        if mu.deficit > deficit_bound:
+            msg = (f"truncation deficit {mu.deficit:.3e} at epoch {n} exceeds "
+                   f"analytic.deficit_bound = {deficit_bound!r}; raise analytic.l_max, "
+                   f"now {l_max!r}")
+            if strict:
+                raise MeasureError(msg + ", or analytic.deficit_bound")
+            print(f"warning: {msg}", file=sys.stderr)
     header = _provenance_header(cfg)
     for n, mu in enumerate(laws, start=1):
-        mu.to_csv(os.path.join(out, f"interval_law_epoch{n:02d}.csv"))
+        _write_law(os.path.join(out, f"interval_law_epoch{n:02d}.csv"), mu)
     with open(os.path.join(out, "active_mass.csv"), "w") as fh:
         fh.write(header)
         fh.write("epoch,d_n,active_mass\n")
@@ -216,41 +235,6 @@ def cmd_limits(cfg: dict, out: str) -> int:
     return 0
 
 
-# Lattice sites times laws in one u1_on_lattice call, whose result holds 8
-# bytes per site and law, its whole cost: figb's default three laws on 1.44 M
-# sites (33 MiB) share one sweep, and a long q list runs in groups instead of
-# growing memory.
-_FIGB_SWEEP_SITES = 1 << 23
-# Lattice sites of one law (1 GiB at 8 bytes a site).  The README config
-# uses 1.44 M; each step of figb.horizon doubles the count, so an oversized
-# request fails here with the knobs named instead of in the allocator.
-_FIGB_MAX_SITES = 1 << 27
-
-
-def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[float]]:
-    """u_n(x) / x for n = 1..horizon, one list per q: the law exp_geometric
-    with p = 1 - q, transported along the thresholds d_of(n) on the lattice of
-    ``spacing``.  Shared by ``reproduce-figb`` and acceptance criterion 7."""
-    try:
-        j_max = d_of(horizon) * (1 + x) + 2
-    except OverflowError:  # 2^(horizon - 1) beyond the float range
-        j_max = math.inf
-    if j_max / spacing >= _FIGB_MAX_SITES:
-        raise MeasureError(
-            f"the transport lattice needs {j_max / spacing + 1:.3g} sites per law, above "
-            f"the budget of {_FIGB_MAX_SITES}; lower figb.horizon or figb.x, or coarsen "
-            f"figb.lattice")
-    n_atoms = max(1, int(math.log(j_max)) + 1)
-    per_sweep = max(1, _FIGB_SWEEP_SITES // (int(j_max / spacing) + 1))
-    ratios = []
-    for g in range(0, len(qs), per_sweep):  # a group's step functions die with it
-        laws = [exp_geometric_law(1.0 - float(q), n_atoms, l_max=float("inf"))
-                for q in qs[g:g + per_sweep]]
-        ratios += [[un_transport(u1, d_of(n), x) / x for n in range(1, horizon + 1)]
-                   for u1 in u1_on_lattice(laws, spacing, j_max)]
-    return ratios
-
-
 def cmd_reproduce_figb(cfg: dict, out: str) -> int:
     qs = numbers(cfg, "figb.q", lambda q: 0 < q < 1, "a number in (0, 1), the law being "
                  "exp_geometric with p = 1 - q", [0.1, 0.5, 0.8])
@@ -292,7 +276,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="hcplab_out", help="output directory")
     parser.add_argument("--replicas", type=int, help="override replica count")
     parser.add_argument("--strict", action="store_true",
-                        help="escalate truncation warnings to errors")
+                        help="exit 2, instead of warning, when a law's truncation "
+                             "deficit exceeds analytic.deficit_bound")
     parser.add_argument("--overwrite", action="store_true",
                         help="allow writing into a nonempty output directory")
     args = parser.parse_args(argv)
@@ -317,8 +302,6 @@ def main(argv=None) -> int:
     except (ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DeficitError:
-        raise  # --strict asks for the exception itself
     except MeasureError as exc:
         print(f"measure error: {exc}", file=sys.stderr)
         return 2

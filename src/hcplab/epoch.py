@@ -27,6 +27,13 @@ class StateSpaceError(ValueError):
     """Configuration outside the state space of the epoch (length < d_min)."""
 
 
+def gap_floor(d: float) -> float:
+    """The least gap that counts as at least ``d``: a gap taken from point
+    differences can sit a few ulps off its true value, so one within a
+    relative 1e-9 of a threshold counts as at it."""
+    return d * (1 - 1e-9) - 1e-12
+
+
 def segment_gaps(points: np.ndarray, starts: np.ndarray, boundary: Boundary,
                  circumference=None, buffer_length: float = 0.0):
     """Gap and core mask per slot: slot k is the interval from point k to the
@@ -55,9 +62,7 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     exponentials, then k uniforms, from ``rngs[r]`` for its k active domains
     (the values and generator state of ``exponential(scale=1.0, size=k)``
     then ``random(k)``).  Returns the alive mask of the points."""
-    # a gap taken from point differences can sit a few ulps off its true
-    # value, so one within a relative 1e-9 of a threshold counts as at it
-    d_min = rates.d_min * (1 - 1e-9) - 1e-12
+    d_min = gap_floor(rates.d_min)
     if gaps.min() < d_min:
         raise StateSpaceError(
             f"interval of length {gaps.min()} below d_min={rates.d_min}")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .config import Boundary
-from .epoch import StateSpaceError, _simulate_points, segment_gaps
+from .epoch import StateSpaceError, _simulate_points, gap_floor, segment_gaps
 from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rngs
 from .schedule import EpochSchedule
 
@@ -225,7 +225,7 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
             raise WindowExhaustedError(n)
         gaps, core = segment_gaps(points, starts, boundary, circumference, buffer_len)
         shortest = float(gaps.min())
-        if shortest < d_n * (1 - 1e-9) - 1e-9:
+        if shortest < gap_floor(d_n):
             if n == 1:  # the initial law has mass below d(1)
                 raise StateSpaceError(f"initial interval {shortest!r} below d(1) = {d_n!r}")
             raise AssertionError(  # a later epoch starts from an absorbing state

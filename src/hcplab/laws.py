@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import AtomicMeasure, exp_geometric_law
+from .measures import AtomicMeasure
 
 
 # log(smallest positive float / 2); a positive value below that rounds to 0.0
@@ -185,5 +185,18 @@ class ExpGeometricLaw:
     def sample(self, rng, size: int) -> np.ndarray:
         return np.exp(rng.geometric(self.p, size=size).astype(np.float64))
 
+    def sample_size_biased(self, rng, size: int) -> np.ndarray:
+        # P*(k) proportional to e^k p (1-p)^(k-1), that is to ((1-p) e)^k: G
+        # size-biased is geometric with success probability 1 - (1-p) e
+        return np.exp(rng.geometric(1 - (1 - self.p) * math.e, size=size).astype(np.float64))
+
     def atomic(self, n_atoms: int = 120, l_max: float | None = None) -> AtomicMeasure:
-        return exp_geometric_law(self.p, n_atoms, l_max)
+        """Atoms at e^k with masses p (1-p)^(k-1) for k = 1..n_atoms; the rest,
+        (1-p)^n_atoms, is the deficit.  l_max defaults to the last atom."""
+        if n_atoms < 1:
+            raise SamplingContractError("need at least one atom")
+        k = np.arange(1, n_atoms + 1)
+        pos = np.exp(k.astype(float))
+        mas = self.p * (1 - self.p) ** (k - 1.0)
+        return AtomicMeasure(pos, mas, float(pos[-1]) if l_max is None else l_max,
+                             (1 - self.p) ** n_atoms)

@@ -11,7 +11,6 @@ the deficit so that totals are conserved.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,10 +46,6 @@ class MeasureError(ValueError):
 
 class NegativeMassError(MeasureError):
     """An operation produced an atom more negative than the mass clamp."""
-
-
-class DeficitError(MeasureError):
-    """Truncation deficit exceeded the configured bound in strict mode."""
 
 
 def _coalesce(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,15 +171,6 @@ class AtomicMeasure:
         idx = np.searchsorted(self.positions, x_arr * (1 + POSITION_RTOL), side="right")
         out = cum[idx]
         return out if np.ndim(x) else float(out[0])
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# l_max={self.l_max!r} deficit={self.deficit!r}\n")
-            fh.write("position,mass\n")
-            fh.write("".join(f"{p!r},{w!r}\n" for p, w in
-                             zip(self.positions.tolist(), self.masses.tolist())))
 
 
 def dirac(position: float, l_max: float, mass: float = 1.0) -> AtomicMeasure:
@@ -356,25 +342,20 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
     return AtomicMeasure(pos, mas, mu.l_max, deficit)
 
 
-def iterate_hcp_measures(mu1: AtomicMeasure, d, n_epochs: int,
-                         deficit_bound: float = 1e-6, strict: bool = False
+def iterate_hcp_measures(mu1: AtomicMeasure, d, n_epochs: int
                          ) -> tuple[list[AtomicMeasure], list[float]]:
     """Iterate the epoch pushforward along a threshold sequence.
 
     d : the thresholds, a callable n -> d(n) (1-based), increasing for n up
         to n_epochs + 1.
     Returns (laws, active_masses): laws[n-1] is the interval law at the start
-    of epoch n; active_masses[n-1] is its mass on [d(n), d(n+1)).
+    of epoch n; active_masses[n-1] is its mass on [d(n), d(n+1)).  Each law
+    carries its truncation ``deficit``, which the caller judges.
     """
     laws = [mu1]
     active = []
     for n in range(1, n_epochs + 1):
         mu = laws[-1]
-        if mu.deficit > deficit_bound:
-            msg = f"truncation deficit {mu.deficit:.3e} exceeds {deficit_bound:.1e} at epoch {n}"
-            if strict:
-                raise DeficitError(msg)
-            warnings.warn(msg, stacklevel=2)
         active.append(mu.mass_on(d(n), d(n + 1)))
         if n < n_epochs:
             laws.append(epoch_pushforward(mu, d(n), d(n + 1)))
@@ -394,37 +375,3 @@ def survival_probability_exact(h_masses, n: int, gamma: float) -> float:
     s = float(np.sum(np.asarray(h_masses, dtype=float)[:n]))
     return math.exp(-s / (1.0 + gamma))
 
-
-# ---------------------------------------------------------------------------
-# the geometric-exponent test law
-# ---------------------------------------------------------------------------
-
-def exp_geometric_law(p: float, n_atoms: int, l_max: float | None = None) -> AtomicMeasure:
-    """Law of exp(G) for G geometric on {1,2,...} with success probability p:
-    atoms at e^k with masses p*(1-p)^(k-1), truncated to n_atoms atoms."""
-    if not 0 < p < 1:
-        raise MeasureError("p must lie in (0, 1)")
-    if n_atoms < 1:
-        raise MeasureError("need at least one atom")
-    k = np.arange(1, n_atoms + 1)
-    pos = np.exp(k.astype(float))
-    mas = p * (1 - p) ** (k - 1.0)
-    deficit = (1 - p) ** n_atoms
-    if l_max is None:
-        l_max = float(pos[-1])
-    return AtomicMeasure(pos, mas, l_max, deficit)
-
-
-def oscillating_tail_law(p: float, n_atoms: int,
-                         l_max: float | None = None) -> AtomicMeasure:
-    """The infinite-mean regime of :func:`exp_geometric_law`.
-
-    Requires lambda = -log(1-p) in (0,1), i.e. (1-p)*e > 1, the regime in
-    which the interval-law tail ratio -s g'(s)/(1-g(s)) has no limit.
-    """
-    lam = -math.log1p(-p)
-    if not 0 < lam < 1:
-        raise MeasureError(
-            f"lambda=-log(1-p)={lam:.4f} outside (0,1): finite mean, not the "
-            "oscillating regime")
-    return exp_geometric_law(p, n_atoms, l_max)

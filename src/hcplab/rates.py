@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 # The presets' coefficients (left, right): east incorporates the left
 # neighbour only, west the right one only, paste_all both, at rate one;
 # 'constant' and 'linear' take schedule.left and schedule.right.
@@ -64,16 +62,3 @@ class RateFamily:
         if 2 * self.d_min < self.d_max * (1 - 1e-12):
             raise RateValidityError(
                 f"(A2) violated: 2*d_min = {2 * self.d_min} < d_max = {self.d_max}")
-
-    def _rate(self, coef: float, d):
-        # the resolver computes these values inline from the coefficients;
-        # this masked form is the reference the event-loop oracle evaluates
-        d = np.asarray(d, dtype=float)
-        base = coef * (d / self.d_min) if self.linear else coef
-        return np.where((d >= self.d_min) & (d < self.d_max), base, 0.0)
-
-    def lambda_left(self, d):
-        return self._rate(self.left, d)
-
-    def lambda_right(self, d):
-        return self._rate(self.right, d)

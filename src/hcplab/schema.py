@@ -9,7 +9,8 @@ from __future__ import annotations
 import math
 
 from .hcp import WindowPolicy
-from .laws import DiracLaw, ExpGeometricLaw, GeometricLaw, two_point_law
+from .laws import (DiracLaw, ExpGeometricLaw, GeometricLaw, SamplingContractError,
+                   two_point_law)
 from .rates import RATE_PRESETS
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, Stationary)
@@ -105,10 +106,14 @@ def build_spec(cfg: dict):
     law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
     variant = choice(cfg, "process.variant", _VARIANTS, "periodic")
     if variant == "left_bounded":
-        first = field(cfg, "process.first_point", default=None)
+        first = field(cfg, "process.first_point", NUMBER, math.isfinite, "a finite number", None)
         return LeftBounded(law, None if first is None else float(first))
     if variant != "exchangeable":
-        return _VARIANTS[variant](law)
+        try:
+            return _VARIANTS[variant](law)
+        except SamplingContractError as exc:  # a stationary variant of an infinite-mean law
+            raise ConfigError(f"config field 'initial_law': {exc} under process.variant "
+                              f"{variant!r}") from None
     comps = field(cfg, "process.components", list, need="a list of [weight, law] pairs")
     for i, comp in enumerate(comps):
         _check(f"process.components[{i}]", comp, list, _mixture_pair,

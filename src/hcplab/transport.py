@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .laws import ExpGeometricLaw
 from .measures import AtomicMeasure, MeasureError, _coalesce, convolve
 
 
@@ -272,6 +273,41 @@ def u1_on_lattice(laws, spacing: float, j_max: float) -> list[LatticeStepFunctio
     np.cumsum(c, axis=0, out=c)
     return [LatticeStepFunction(spacing, c[:, j], float(j_max - 1.0))
             for j in range(len(laws))]
+
+
+# Lattice sites times laws in one u1_on_lattice call, whose result holds 8
+# bytes per site and law, its whole cost: figb's default three laws on 1.44 M
+# sites (33 MiB) share one sweep, and a long q list runs in groups instead of
+# growing memory.
+_FIGB_SWEEP_SITES = 1 << 23
+# Lattice sites of one law (1 GiB at 8 bytes a site).  The README config
+# uses 1.44 M; each step of figb.horizon doubles the count, so an oversized
+# request fails here with the knobs named instead of in the allocator.
+_FIGB_MAX_SITES = 1 << 27
+
+
+def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[float]]:
+    """u_n(x) / x for n = 1..horizon, one list per q: the law exp_geometric
+    with p = 1 - q, transported along the thresholds d_of(n) on the lattice of
+    ``spacing``.  Shared by ``reproduce-figb`` and acceptance criterion 7."""
+    try:
+        j_max = d_of(horizon) * (1 + x) + 2
+    except OverflowError:  # 2^(horizon - 1) beyond the float range
+        j_max = math.inf
+    if j_max / spacing >= _FIGB_MAX_SITES:
+        raise MeasureError(
+            f"the transport lattice needs {j_max / spacing + 1:.3g} sites per law, above "
+            f"the budget of {_FIGB_MAX_SITES}; lower figb.horizon or figb.x, or coarsen "
+            f"figb.lattice")
+    n_atoms = max(1, int(math.log(j_max)) + 1)
+    per_sweep = max(1, _FIGB_SWEEP_SITES // (int(j_max / spacing) + 1))
+    ratios = []
+    for g in range(0, len(qs), per_sweep):  # a group's step functions die with it
+        laws = [ExpGeometricLaw(1.0 - float(q)).atomic(n_atoms, l_max=float("inf"))
+                for q in qs[g:g + per_sweep]]
+        ratios += [[un_transport(u1, d_of(n), x) / x for n in range(1, horizon + 1)]
+                   for u1 in u1_on_lattice(laws, spacing, j_max)]
+    return ratios
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,8 @@ blocks of the smallest tap, one slice-add per tap and block.
 ``geometric_atomic_full`` is ``GeometricLaw.atomic`` with every atom up to
 l_max, the far ones of mass 0.0 included.
 ``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
-invalidation, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
+invalidation, on the rates ``rate_values`` evaluates from a family's
+coefficients, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
 replica, each replica drawn by ``sample_spec_config`` into its own checked
 configuration: the simulator as it was before the epoch resolver, the
 segmented engine and the batch draws replaced it.  ``thinned_z`` applies the
@@ -252,6 +253,17 @@ def sample_spec_config(spec, n_intervals: int, rng) -> tuple[float, np.ndarray, 
     raise TypeError(f"unknown renewal specification {spec!r}")
 
 
+def rate_values(rates, d):
+    """(lambda_left(d), lambda_right(d)) of a RateFamily, in the masked form
+    its docstring states: each coefficient times s(d) on [d_min, d_max), 0
+    outside.  The resolver computes the same values inline."""
+    d = np.asarray(d, dtype=float)
+    scale = d / rates.d_min if rates.linear else 1.0
+    inside = (d >= rates.d_min) & (d < rates.d_max)
+    return (np.where(inside, rates.left * scale, 0.0),
+            np.where(inside, rates.right * scale, 0.0))
+
+
 def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: float | None,
                          rates, rng) -> np.ndarray:
     """Erase points of one epoch; returns the alive mask.
@@ -275,8 +287,7 @@ def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: floa
     active = (gaps >= d_min) & (gaps < rates.d_max * (1 - 1e-9))
     idx = np.flatnonzero(active)
     at = np.maximum(gaps[idx], rates.d_min)
-    lam_l = np.asarray(rates.lambda_left(at), dtype=float)
-    lam_r = np.asarray(rates.lambda_right(at), dtype=float)
+    lam_l, lam_r = rate_values(rates, at)
     lam = lam_l + lam_r
     if np.any(lam <= 0):
         raise RateValidityError("active domain with zero total rate")

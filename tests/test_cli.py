@@ -200,7 +200,7 @@ class TestAnalytic:
         assert report["converged"] is True
         assert abs(report["estimate"] - 1.0) < 1e-3
 
-    def test_c0_report_flags_oscillating_law(self, tmp_path):
+    def test_c0_report_flags_oscillating_law(self, tmp_path, capsys):
         p = 1.0 - math.exp(-0.5)
         cfg = write_config(tmp_path, {
             "initial_law": {"kind": "exp_geometric", "p": p},
@@ -208,22 +208,38 @@ class TestAnalytic:
             "analytic": {"l_max": 4e5, "j_max": 32.0}})
         out = str(tmp_path / "anc")
         # the heavy tail genuinely exceeds the deficit bound at this l_max;
-        # non-strict mode warns and carries on
-        with pytest.warns(UserWarning, match="truncation deficit"):
-            assert main(["analytic", "--config", cfg, "--out", out]) == 0
+        # without --strict each epoch's law over it gets one warning line
+        assert main(["analytic", "--config", cfg, "--out", out]) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" at epoch ")[1][:1] for line in lines] == ["1", "2"]
+        for line in lines:
+            assert line.startswith("warning: truncation deficit ")
+            assert "analytic.deficit_bound = 1e-06" in line and "analytic.l_max" in line
         report = json.load(open(os.path.join(out, "c0_report.json")))
         assert report["converged"] is False
 
-    def test_strict_mode_escalates_deficit(self, tmp_path):
+    def test_strict_mode_escalates_deficit(self, tmp_path, capsys):
         p = 1.0 - math.exp(-0.5)
         cfg = write_config(tmp_path, {
             "initial_law": {"kind": "exp_geometric", "p": p},
             "epochs": 2,
             "analytic": {"l_max": 4e5, "j_max": 32.0}})
-        from hcplab.measures import DeficitError
-        with pytest.raises(DeficitError):
-            main(["analytic", "--config", cfg, "--out", str(tmp_path / "ans"),
-                  "--strict"])
+        out = str(tmp_path / "ans")
+        assert main(["analytic", "--config", cfg, "--out", out, "--strict"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("measure error: truncation deficit ") and " at epoch 1 " in err
+        assert "analytic.l_max" in err and "analytic.deficit_bound" in err
+        assert "Traceback" not in err
+        assert os.listdir(out) == []  # judged before any file is written
+
+    def test_law_csv_round_trip(self, tmp_path):
+        m = AtomicMeasure(np.array([1.0, 2.5]), np.array([0.5, 0.25]), 30.0, 0.25)
+        path = tmp_path / "m.csv"
+        hcplab.cli._write_law(str(path), m)
+        header, columns, *rows = path.read_text().splitlines()
+        assert (header, columns) == ("# l_max=30.0 deficit=0.25", "position,mass")
+        back = np.array([[float(v) for v in row.split(",")] for row in rows])
+        assert np.array_equal(back, np.column_stack((m.positions, m.masses)))
 
     def test_atom_budget_names_l_max(self, tmp_path, capsys):
         # off-lattice atoms multiply epoch by epoch; at the default l_max the
@@ -296,7 +312,7 @@ class TestFigB:
         cfg = write_config(tmp_path, {"figb": {"horizon": 8, "q": [0.1, 0.5, 0.8]}})
         out_one, out_each = str(tmp_path / "one"), str(tmp_path / "each")
         assert main(["reproduce-figb", "--config", cfg, "--out", out_one]) == 0
-        monkeypatch.setattr(hcplab.cli, "_FIGB_SWEEP_SITES", 1)
+        monkeypatch.setattr(hcplab.transport, "_FIGB_SWEEP_SITES", 1)
         assert main(["reproduce-figb", "--config", cfg, "--out", out_each]) == 0
         for out in (out_one, out_each):
             assert open(os.path.join(out, "transport_ratio.csv")).read().count("\n") == 2 + 3 * 8
@@ -331,7 +347,7 @@ import json, sys
 import hcplab.cli
 budget, argv = json.loads(sys.argv[1])
 if budget is not None:
-    hcplab.cli._FIGB_MAX_SITES = budget
+    hcplab.transport._FIGB_MAX_SITES = budget
 sys.exit(hcplab.cli.main(argv))
 """
 
@@ -471,6 +487,8 @@ class TestConfigInputs:
         ({"process": {"variant": "exchangeable",
                       "components": [[1.0, {"kind": "dirac", "value": 0.5}]]}, "epochs": 1},
          (), "process.components"),
+        ({"process": {"variant": "left_bounded", "first_point": math.nan}}, (),
+         "process.first_point"),
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "simulate", overrides, *flags)
@@ -533,6 +551,50 @@ class TestConfigInputs:
     def test_exhausted_window_names_it(self, tmp_path):
         err = run_rejected(tmp_path, "simulate", {"window.n_intervals": 1})
         assert "window exhausted at epoch" in err and "window.n_intervals" in err
+
+
+class TestAcceptedInputs:
+    """Inputs that pass the field checks but that the run cannot honour exit 2
+    naming the knobs to change; no exception leaves ``main``."""
+
+    EXPLICIT = {"thresholds": "explicit", "values": [0.001, 0.002, 0.004], "rates": "east"}
+
+    @pytest.mark.parametrize("overrides, knobs", [
+        # a stationary variant needs a finite-mean law
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.5}, "process.variant": "stationary"},
+         ("initial_law", "process.variant")),
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.5},
+          "process.variant": "lattice_stationary"}, ("initial_law", "process.variant")),
+        # a lattice-stationary one integer lengths
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.9},
+          "process.variant": "lattice_stationary"}, ("initial_law", "process.variant")),
+        ({"initial_law": {"kind": "dirac", "value": 1.5},
+          "process.variant": "lattice_stationary"}, ("initial_law", "process.variant")),
+        ({"initial_law": {"kind": "two_point", "a": 1.0, "b": 1.5},
+          "process.variant": "lattice_stationary"}, ("initial_law", "process.variant")),
+        # e^G past the float range: G > 709 has probability 0.49 at p = 0.001
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.001}},
+         ("initial_law", "process.variant")),
+        ({"process": {"variant": "left_bounded", "first_point": math.inf}},
+         ("process.first_point",)),
+        # below d(1) by more than the gap floor, whether or not an epoch runs
+        ({"initial_law": {"kind": "dirac", "value": 0.0009999995}, "schedule": EXPLICIT,
+          "epochs": 1}, ("initial_law", "schedule.values")),
+        ({"initial_law": {"kind": "dirac", "value": 0.0009999995}, "schedule": EXPLICIT,
+          "epochs": 2}, ("initial_law", "schedule.values")),
+    ])
+    def test_simulate_names_knobs(self, tmp_path, capsys, overrides, knobs):
+        cfg = write_config(tmp_path, overrides)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        for knob in knobs:
+            assert knob in err
+
+    def test_stationary_finite_mean_exp_geometric(self, tmp_path):
+        cfg = write_config(tmp_path, {"initial_law": {"kind": "exp_geometric", "p": 0.9},
+                                      "process.variant": "stationary"})
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestOffLatticeSimulate:

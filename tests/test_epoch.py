@@ -16,7 +16,7 @@ from hcplab.rates import RateFamily, RateValidityError
 from hcplab.sampling import LeftBounded, replica_rng
 from hcplab.schedule import east_schedule
 from hcplab.stats import ks_test_discrete, ks_two_sample
-from oracles import relative_points, simulate_points_loop
+from oracles import rate_values, relative_points, simulate_points_loop
 
 EAST = RateFamily(1.0, 2.0, 0.0, 1.0)
 WEST = RateFamily(1.0, 2.0, 1.0, 0.0)
@@ -44,7 +44,7 @@ class TestValidateRates:
 
     def test_valid_family(self):
         rates = RateFamily(1.0, 2.0, 0.3, 0.7, linear=True)
-        assert np.array_equal(rates.lambda_right([1.0, 1.5]), [0.7, 0.7 * 1.5])
+        assert np.array_equal(rate_values(rates, [1.0, 1.5])[1], [0.7, 0.7 * 1.5])
 
     def test_a2_violation(self):
         with pytest.raises(RateValidityError, match=r"\(A2\) violated"):
@@ -58,7 +58,7 @@ class TestValidateRates:
         # the rates vanish outside [d_min, d_max) by construction
         d = np.array([0.5, 1.0, 2.0 - 1e-9, 2.0, 3.0])
         for rates in (EAST, WEST, PASTE_ALL, RateFamily(1.0, 2.0, 0.5, 1.0, linear=True)):
-            total = rates.lambda_left(d) + rates.lambda_right(d)
+            total = sum(rate_values(rates, d))
             assert np.array_equal(total > 0, [False, True, True, False, False])
 
     def test_a1_violation_nan_rate_inside(self):

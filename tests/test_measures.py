@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcplab.laws import GeometricLaw
-from hcplab.measures import (AtomicMeasure, DeficitError, MeasureError,
-                             NegativeMassError, oscillating_tail_law,
+from hcplab.laws import ExpGeometricLaw, GeometricLaw
+from hcplab.measures import (AtomicMeasure, MeasureError, NegativeMassError,
                              _convolve_outer, _dyadic_spacing, _fft_convolve,
-                             convolve, dirac, epoch_pushforward,
-                             exp_geometric_law, iterate_hcp_measures,
+                             convolve, dirac, epoch_pushforward, iterate_hcp_measures,
                              survival_probability_exact)
 from hcplab.transport import c0_estimate, default_c0_grid
 
@@ -46,15 +44,6 @@ class TestAtomicMeasure:
         s = 0.7
         expected = -(1.0 * 0.5 * math.exp(-s) + 3.0 * 0.5 * math.exp(-3 * s))
         assert m.transform_derivative(s) == pytest.approx(expected, rel=1e-14)
-
-    def test_csv_round_trip(self, tmp_path):
-        m = AtomicMeasure(np.array([1.0, 2.5]), np.array([0.5, 0.25]), 30.0, 0.25)
-        path = tmp_path / "m.csv"
-        m.to_csv(path)
-        header, columns, *rows = path.read_text().splitlines()
-        assert (header, columns) == ("# l_max=30.0 deficit=0.25", "position,mass")
-        back = np.array([[float(v) for v in row.split(",")] for row in rows])
-        assert np.array_equal(back, np.column_stack((m.positions, m.masses)))
 
 
 class TestConvolve:
@@ -220,9 +209,15 @@ class TestIteration:
         for mu in laws:
             assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_strict_deficit_raises(self):
-        with pytest.raises(DeficitError):
-            iterate_hcp_measures(dirac(1.0, 6.0), EAST, 3, strict=True)
+    def test_laws_carry_deficits(self):
+        # dirac(1) ends epoch 1 at length k >= 2 with probability (k-1)/k!, so
+        # l_max = 6 cuts off sum_{k>=7} (k-1)/k! = 1/6!
+        laws, _ = iterate_hcp_measures(dirac(1.0, 6.0), EAST, 3)
+        assert laws[0].deficit == 0.0
+        assert laws[1].deficit == pytest.approx(1.0 / 720.0, rel=1e-12)
+        assert laws[2].deficit > laws[1].deficit
+        for mu in laws:
+            assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
 
 
 class TestSurvival:
@@ -244,22 +239,24 @@ class TestSurvival:
 class TestExpGeometricLaw:
     def test_first_atom_matches_parameter(self):
         p = 1.0 - math.exp(-0.5)
-        law = oscillating_tail_law(p, 10)
+        law = ExpGeometricLaw(p).atomic(10)
         assert law.positions[0] == pytest.approx(math.e)
         assert law.masses[0] == pytest.approx(p)
 
     def test_single_atom_deficit(self):
-        law = exp_geometric_law(0.3, 1)
+        law = ExpGeometricLaw(0.3).atomic(1)
         assert law.n_atoms == 1
         assert law.deficit == pytest.approx(0.7)
 
     def test_mass_plus_deficit_is_one(self):
-        law = exp_geometric_law(0.42, 37, l_max=1e20)
+        law = ExpGeometricLaw(0.42).atomic(37, l_max=1e20)
         assert law.total_mass == pytest.approx(1.0, abs=1e-12)
 
-    def test_finite_mean_regime_rejected(self):
-        with pytest.raises(MeasureError):
-            oscillating_tail_law(0.9, 10)  # lambda = 2.3: finite mean
+    def test_mean_regimes(self):
+        # the mean is finite iff (1-p) e < 1; p = 1 - e^-1/2 is the oscillating
+        # regime of criterion 8, p = 0.9 (lambda = 2.3) a finite-mean law
+        assert ExpGeometricLaw(1.0 - math.exp(-0.5)).mean == math.inf
+        assert ExpGeometricLaw(0.9).mean == pytest.approx(0.9 * math.e / (1 - 0.1 * math.e))
 
 
 class TestGeometricAtomic:

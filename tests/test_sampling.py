@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from hcplab import sampling
 from hcplab.config import Boundary
-from hcplab.laws import (DiracLaw, GeometricLaw, ParetoHalfLaw, SamplingContractError,
-                         two_point_law)
+from hcplab.laws import (DiracLaw, ExpGeometricLaw, GeometricLaw, ParetoHalfLaw,
+                         SamplingContractError, two_point_law)
+from hcplab.measures import AtomicMeasure
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary, check_lengths,
                              draw_spec, replica_rng, replica_rngs)
-from hcplab.stats import independence_test, ks_two_sample
+from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
 from oracles import seed_sequence_rng
 
 
@@ -180,6 +181,17 @@ class TestStationary:
         hits = np.mean(draws == 2.0)
         se = math.sqrt((2 / 3) * (1 / 3) / n)
         assert abs(hits - 2.0 / 3.0) < 3 * se
+
+    def test_exp_geometric_size_bias(self):
+        # P*(G = k) is proportional to e^k p (1-p)^(k-1), normalized here
+        # over k <= 200 (the rest is below 1e-100)
+        p = 0.9
+        k = np.arange(1, 201, dtype=float)
+        w = np.exp(k) * p * (1 - p) ** (k - 1)
+        log_draws = np.log(ExpGeometricLaw(p).sample_size_biased(replica_rng(10), 20_000))
+        g = np.rint(log_draws)
+        assert np.allclose(log_draws, g, rtol=0.0, atol=1e-12)
+        assert ks_test_discrete(g, AtomicMeasure(k, w / w.sum(), 200.0)).p_value > 0.01
 
     def test_infinite_mean_rejected(self):
         with pytest.raises(SamplingContractError, match="infinite mean"):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import erfc
 
 import hcplab.transport
-from hcplab.laws import GeometricLaw, ParetoHalfLaw, two_point_law
+from hcplab.laws import ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, two_point_law
 from hcplab.measures import (AtomicMeasure, _coalesce, dirac, epoch_pushforward,
-                             exp_geometric_law, iterate_hcp_measures)
+                             iterate_hcp_measures)
 from hcplab.transport import (LatticeStepFunction, StepFunction, TransportRangeError,
                               _u1_lattice, c0_estimate, deconvolve_m, default_c0_grid,
                               reassemble_z_law, u1_from_m, u1_on_lattice, un_transport)
@@ -277,8 +277,8 @@ class TestLatticeRoute:
         # bytes per site and law, and the sweep adds little beyond it
         horizon, x = 14, 10.0
         j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-        laws = [exp_geometric_law(1.0 - q, int(math.log(j_max)) + 1, l_max=float("inf"))
-                for q in (0.1, 0.5, 0.8)]
+        laws = [ExpGeometricLaw(1.0 - q).atomic(int(math.log(j_max)) + 1,
+                                                l_max=float("inf")) for q in (0.1, 0.5, 0.8)]
         tracemalloc.start()
         try:
             u1s = u1_on_lattice(laws, 1 / 16, j_max)
@@ -293,7 +293,7 @@ class TestLatticeRoute:
         # infinite-mean parameters keep oscillating
         horizon, x = 12, 10.0
         j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-        laws = [exp_geometric_law(1 - q, 12, l_max=float("inf")) for q in (0.1, 0.8)]
+        laws = [ExpGeometricLaw(1 - q).atomic(12, l_max=float("inf")) for q in (0.1, 0.8)]
         ratios = {q: [un_transport(u1, 2.0 ** (n - 1), x) / x for n in range(1, horizon + 1)]
                   for q, u1 in zip((0.1, 0.8), u1_on_lattice(laws, 1 / 16, j_max))}
         assert all(abs(v - 1) < 0.02 for v in ratios[0.1][-4:])
@@ -325,7 +325,7 @@ class TestC0Estimate:
         assert r == pytest.approx(num / den, rel=1e-9)
 
     def test_oscillating_law_flagged(self):
-        law = exp_geometric_law(1.0 - math.exp(-0.5), 120, l_max=float("inf"))
+        law = ExpGeometricLaw(1.0 - math.exp(-0.5)).atomic(120, l_max=float("inf"))
         est = c0_estimate(law, default_c0_grid())
         assert not est.converged
 
@@ -344,6 +344,6 @@ class TestC0Estimate:
 
     def test_estimates_stay_in_unit_interval(self):
         for law in (dirac(1.0, 5.0), GeometricLaw(0.5).atomic(128.0),
-                    exp_geometric_law(0.5, 60, l_max=1e40)):
+                    ExpGeometricLaw(0.5).atomic(60, l_max=1e40)):
             est = c0_estimate(law, default_c0_grid())
             assert 0.0 <= est.estimate <= 1.0
