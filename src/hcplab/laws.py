@@ -183,12 +183,15 @@ class ExpGeometricLaw:
         return self.p * math.e / (1 - r)
 
     def sample(self, rng, size: int) -> np.ndarray:
-        return np.exp(rng.geometric(self.p, size=size).astype(np.float64))
+        # a draw past e^709 is inf, which sampling.check_lengths rejects
+        with np.errstate(over="ignore"):
+            return np.exp(rng.geometric(self.p, size=size).astype(np.float64))
 
     def sample_size_biased(self, rng, size: int) -> np.ndarray:
         # P*(k) proportional to e^k p (1-p)^(k-1), that is to ((1-p) e)^k: G
         # size-biased is geometric with success probability 1 - (1-p) e
-        return np.exp(rng.geometric(1 - (1 - self.p) * math.e, size=size).astype(np.float64))
+        with np.errstate(over="ignore"):
+            return np.exp(rng.geometric(1 - (1 - self.p) * math.e, size=size).astype(np.float64))
 
     def atomic(self, n_atoms: int = 120, l_max: float | None = None) -> AtomicMeasure:
         """Atoms at e^k with masses p (1-p)^(k-1) for k = 1..n_atoms; the rest,

@@ -28,15 +28,13 @@ _MAX_DENSE = 16_000_000
 _FFT_THRESHOLD = 4_000_000  # switch np.convolve -> _fft_convolve above this cost
 # Atom pairs the generic (off-lattice) convolution may form.  A call peaks
 # near 75 bytes per pair, so this caps it near 300 MiB; the tests, demos and
-# benchmark workloads form at most 566,016 pairs (`analytic` on two_point(1,
-# 1.1) at its default l_max).
+# benchmark workloads form at most 1,132,836 pairs (mu * E in `analytic` on
+# two_point(1, 1.1) at its default l_max).
 _MAX_OUTER_PAIRS = 1 << 22
-# Atoms one epoch pushforward may accumulate over its series terms before
-# they are coalesced: about 80 bytes per atom at the peak, 340 MiB at the
-# budget.  The tests, demos and benchmark workloads accumulate at most
-# 453,778 (the survival criterion's dirac(1) at l_max 65,536, epoch
-# [1024, 2048)); `analytic` at 40 epochs on the README law would accumulate
-# tens of millions.
+# Atoms one epoch pushforward may hold before its final coalesce (mu, the
+# terms of E and mu * E): about 80 bytes per atom at the peak, 340 MiB at the
+# budget.  The tests, demos and benchmark workloads hold at most 190,050 (the
+# survival criterion's dirac(1) at l_max 65,536, epoch [1024, 2048)).
 _MAX_SERIES_ATOMS = 1 << 22
 
 
@@ -276,14 +274,14 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
 def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMeasure:
     """Final interval law of one coalescence epoch with active range [d_min, d_max).
 
-    With h = mu restricted to the active range, the output is
+    With h = mu on the active range and ^ the Laplace transform, the
+    epoch's identity 1 - mu_out^ = (1 - mu^) exp(h^) reads
 
-        mu_inf = sum_{k>=0} (mu * h^{*k}) / k!  -  sum_{k>=1} h^{*k} / k!
+        mu_out = mu + (mu - delta_0) * E,   E = sum_{k>=1} h^{*k} / k!
 
-    a nonnegative measure supported on [d_max, inf).  The series is finite
-    under truncation because h^{*k} is supported on [k*d_min, inf).  The two
-    series are accumulated jointly as mu + sum_k ((mu - delta_0) * h^{*k})/k!
-    so the cancellation below d_max happens atom by atom.
+    a nonnegative measure on [d_max, inf).  The series is finite under
+    truncation, as h^{*k} lives on [k*d_min, inf).  Below d_max, E = h
+    cancels mu's active atoms atom by atom.
     """
     if 2 * d_min < d_max * (1 - 1e-12):
         raise MeasureError(f"active range violates 2*d_min >= d_max: [{d_min}, {d_max})")
@@ -297,34 +295,34 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
     if h.n_atoms == 0:
         return mu  # no active mass: the epoch is a no-op
 
-    acc_pos = [mu.positions]
-    acc_mas = [mu.masses]
-    n_acc = mu.n_atoms
-    hk = h
-    fact = 1.0
-    k = 1
-    while True:
-        fact *= k
-        # term ((mu * h^{*k}) - h^{*k}) / k!
-        conv = convolve(mu, hk)
-        acc_pos.append(conv.positions)
-        acc_mas.append(conv.masses / fact)
-        acc_pos.append(hk.positions)
-        acc_mas.append(-hk.masses / fact)
-        n_acc += conv.n_atoms + hk.n_atoms
-        if n_acc > _MAX_SERIES_ATOMS:
+    def check(n_held, k):
+        if n_held > _MAX_SERIES_ATOMS:
             raise MeasureError(
                 f"the pushforward series of the epoch on [{d_min!r}, {d_max!r}) holds "
-                f"{n_acc} atoms after {k} terms, above the budget of {_MAX_SERIES_ATOMS}; "
+                f"{n_held} atoms after {k} terms, above the budget of {_MAX_SERIES_ATOMS}; "
                 f"lower l_max (analytic.l_max in a config), now {mu.l_max!r}, or epochs")
-        k += 1
-        if (k * d_min > mu.l_max) or (hk.finite_mass / fact < 1e-18 * max(1.0, total_in)):
+
+    e_pos, e_mas = [h.positions], [h.masses]
+    n_held = mu.n_atoms + h.n_atoms
+    hk, fact, k = h, 1.0, 1
+    while True:
+        check(n_held, k)
+        if (k + 1) * d_min > mu.l_max or hk.finite_mass / fact < 1e-18 * max(1.0, total_in):
             break
         hk = convolve(hk, h)
         if hk.n_atoms == 0:
             break
+        k += 1
+        fact *= k
+        e_pos.append(hk.positions)
+        e_mas.append(hk.masses / fact)
+        n_held += hk.n_atoms
+    e = AtomicMeasure(np.concatenate(e_pos), np.concatenate(e_mas), mu.l_max)
+    mu_e = convolve(mu, e)
+    check(n_held + mu_e.n_atoms, k)
 
-    pos, mas = _coalesce(np.concatenate(acc_pos), np.concatenate(acc_mas))
+    pos, mas = _coalesce(np.concatenate((mu.positions, mu_e.positions, e.positions)),
+                         np.concatenate((mu.masses, mu_e.masses, -e.masses)))
 
     # Below d_max everything must cancel; clamp residues, flag real negatives.
     below = pos < d_max * (1 - 1e-12)

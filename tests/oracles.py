@@ -12,6 +12,10 @@ blocks of the smallest tap, one slice-add per tap and block.
 ``ein_series_scalar`` sums the small-s series of Ein one argument at a time.
 ``geometric_atomic_full`` is ``GeometricLaw.atomic`` with every atom up to
 l_max, the far ones of mass 0.0 included.
+``epoch_pushforward_series`` runs one epoch as two interleaved series,
+mu + sum_k ((mu - delta_0) * h^{*k}) / k!, one convolution with mu per term:
+the pushforward as it was before ``measures.epoch_pushforward`` summed
+E = exp(h) - delta_0 first and convolved mu with it once.
 ``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
 invalidation, on the rates ``rate_values`` evaluates from a family's
 coefficients, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
@@ -38,7 +42,8 @@ from hcplab.config import Boundary
 from hcplab.epoch import StateSpaceError
 from hcplab import hcp
 from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy
-from hcplab.measures import AtomicMeasure, MeasureError, _coalesce
+from hcplab.measures import (MASS_ATOL, AtomicMeasure, MeasureError, _coalesce,
+                             convolve)
 from hcplab.laws import SamplingContractError
 from hcplab.rates import RateValidityError
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
@@ -191,6 +196,41 @@ def geometric_atomic_full(q: float, l_max: float) -> AtomicMeasure:
     n = int(l_max)
     k = np.arange(1, n + 1, dtype=np.float64)
     return AtomicMeasure(k, q * (1 - q) ** (k - 1), l_max, deficit=(1 - q) ** n)
+
+
+def epoch_pushforward_series(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMeasure:
+    """The law after one epoch on [d_min, d_max), with h = mu on that range:
+
+        mu_inf = sum_{k>=0} (mu * h^{*k}) / k!  -  sum_{k>=1} h^{*k} / k!
+
+    accumulated term by term, on the stopping rule of ``epoch_pushforward``."""
+    h = mu.restricted(d_min, d_max)
+    total_in = mu.total_mass
+    if h.n_atoms == 0:
+        return mu
+    acc_pos = [mu.positions]
+    acc_mas = [mu.masses]
+    hk = h
+    fact = 1.0
+    k = 1
+    while True:
+        fact *= k
+        conv = convolve(mu, hk)
+        acc_pos += [conv.positions, hk.positions]
+        acc_mas += [conv.masses / fact, -hk.masses / fact]
+        k += 1
+        if (k * d_min > mu.l_max) or (hk.finite_mass / fact < 1e-18 * max(1.0, total_in)):
+            break
+        hk = convolve(hk, h)
+        if hk.n_atoms == 0:
+            break
+    pos, mas = _coalesce(np.concatenate(acc_pos), np.concatenate(acc_mas))
+    below = pos < d_max * (1 - 1e-12)
+    if np.any(below & (np.abs(mas) > MASS_ATOL)) or np.any(mas < -MASS_ATOL):
+        raise MeasureError("series left a negative or non-cancelled atom")
+    keep = (~below) & (mas > 0.0)
+    pos, mas = pos[keep], mas[keep]
+    return AtomicMeasure(pos, mas, mu.l_max, max(0.0, total_in - float(mas.sum())))
 
 
 def _checked(lengths: np.ndarray) -> np.ndarray:

@@ -587,7 +587,7 @@ class TestAcceptedInputs:
         cfg = write_config(tmp_path, overrides)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ")
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
         for knob in knobs:
             assert knob in err
 

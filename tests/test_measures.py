@@ -6,16 +6,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcplab.laws import ExpGeometricLaw, GeometricLaw
+from hcplab.laws import ExpGeometricLaw, GeometricLaw, two_point_law
 from hcplab.measures import (AtomicMeasure, MeasureError, NegativeMassError,
-                             _convolve_outer, _dyadic_spacing, _fft_convolve,
+                             _coalesce, _convolve_outer, _dyadic_spacing, _fft_convolve,
                              convolve, dirac, epoch_pushforward, iterate_hcp_measures,
                              survival_probability_exact)
 from hcplab.transport import c0_estimate, default_c0_grid
 
-from oracles import geometric_atomic_full
+from oracles import epoch_pushforward_series, geometric_atomic_full
 
 EAST = lambda n: 2.0 ** (n - 1)
+
+
+def assert_matches_series(mu, d_min, d_max):
+    """epoch_pushforward against the two-series oracle, atom by atom within
+    1e-12 relative plus 1e-15 (an atom one side drops counts as mass 0)."""
+    new = epoch_pushforward(mu, d_min, d_max)
+    old = epoch_pushforward_series(mu, d_min, d_max)
+    pos = np.concatenate((new.positions, old.positions))
+    _, diff = _coalesce(pos, np.concatenate((new.masses, -old.masses)))
+    _, both = _coalesce(pos, np.concatenate((new.masses, old.masses)))
+    assert np.all(np.abs(diff) <= 1e-12 * both / 2 + 1e-15)
+    assert new.total_mass == pytest.approx(old.total_mass, abs=1e-12)
+    assert new.deficit == pytest.approx(old.deficit, abs=1e-12)
+    return new
 
 
 class TestAtomicMeasure:
@@ -166,15 +180,50 @@ class TestEpochPushforward:
             epoch_pushforward(dirac(0.5, 10.0), 1.0, 2.0)
 
     def test_series_atom_budget(self, monkeypatch):
-        # dirac(1) on [1, 2) holds 1 atom, and each of its 20 terms (the
-        # last with 1/20! < 1e-18) adds 2: 41 atoms fit a budget of 41
+        # dirac(1) on [1, 2) holds mu (1 atom), one atom for each of the 20
+        # terms of E (the last with 1/20! < 1e-18) and mu * E (20 atoms): 41
+        # atoms fit a budget of 41; a budget of 20 stops the series itself
         monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", 41)
         assert epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0).n_atoms == 20
-        monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", 40)
-        with pytest.raises(MeasureError, match=r"holds 41 atoms after 20 terms, above the "
-                           r"budget of 40; lower l_max \(analytic\.l_max in a config\), "
-                           r"now 40\.0, or epochs$"):
-            epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0)
+        for budget, held in ((40, 41), (20, 21)):
+            monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", budget)
+            with pytest.raises(MeasureError, match=rf"holds {held} atoms after 20 terms, above "
+                               rf"the budget of {budget}; lower l_max \(analytic\.l_max in a "
+                               r"config\), now 40\.0, or epochs$"):
+                epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0)
+
+    def test_one_convolution_with_mu(self, monkeypatch):
+        # dirac(1) on [1, 2): the powers h^{*2}, ..., h^{*20}, then mu * E
+        calls = []
+
+        def counted(m1, m2):
+            calls.append(m1)
+            return convolve(m1, m2)
+
+        monkeypatch.setattr("hcplab.measures.convolve", counted)
+        mu = dirac(1.0, 40.0)
+        epoch_pushforward(mu, 1.0, 2.0)
+        assert len(calls) == 20
+        assert [m is mu for m in calls] == [False] * 19 + [True]
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_series_oracle_on_lattice(self, seed):
+        r = np.random.default_rng(seed)
+        spacing = 2.0 ** -int(r.integers(0, 4))
+        n = int(r.integers(1, 8))
+        pos = 1.0 + spacing * np.sort(r.choice(np.arange(int(7 / spacing)), n, replace=False))
+        mas = r.random(n)
+        mu = AtomicMeasure(pos, mas / mas.sum(), l_max=64.0)
+        for epoch in range(1, 4):
+            mu = assert_matches_series(mu, EAST(epoch), EAST(epoch + 1))
+
+    @given(b=st.sampled_from([math.sqrt(2.0), 1.1]), p_a=st.floats(0.05, 0.95))
+    @settings(max_examples=6, deadline=None)
+    def test_matches_series_oracle_off_lattice(self, b, p_a):
+        mu = two_point_law(1.0, b, p_a).atomic(24.0)
+        for epoch in range(1, 4):
+            mu = assert_matches_series(mu, EAST(epoch), EAST(epoch + 1))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
