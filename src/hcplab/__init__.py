@@ -14,8 +14,8 @@ __version__ = "0.1.0"
 from .config import Boundary
 from .laws import (AtomicLaw, DiracLaw, ExpGeometricLaw, GeometricLaw,
                    ParetoHalfLaw, SamplingContractError, two_point_law)
-from .measures import (AtomicMeasure, MeasureError, NegativeMassError, convolve,
-                       dirac, epoch_pushforward, iterate_hcp_measures,
+from .measures import (AtomicMeasure, MeasureError, convolve, dirac,
+                       epoch_pushforward, iterate_hcp_measures,
                        survival_probability_exact)
 from .transport import (C0Estimate, LatticeStepFunction, StepFunction,
                         TransportRangeError, c0_estimate, deconvolve_m,

@@ -24,7 +24,7 @@ import numpy as np
 from .hcp import WindowPolicy, replicate, run_hcp
 from .laws import DiracLaw, ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, two_point_law
 from .limits import EULER_GAMMA, first_point_limit_transform, limit_moment, z_cdf
-from .measures import (dirac, epoch_pushforward, iterate_hcp_measures,
+from .measures import (AtomicMeasure, dirac, epoch_pushforward, iterate_hcp_measures,
                        survival_probability_exact)
 from .sampling import LeftBounded, PeriodicRenewal, replica_rng
 from .schedule import EpochSchedule, GeometricThresholds, east_schedule
@@ -220,7 +220,6 @@ def criterion_property_suites(scale: float, seed: int):
         pos = d_min + spacing * rng.choice(np.arange(0, 40), size=n_atoms, replace=False)
         mas = rng.random(n_atoms)
         mas /= mas.sum()
-        from .measures import AtomicMeasure
         mu = AtomicMeasure(pos, mas, l_max=80.0 * d_min)
         out = epoch_pushforward(mu, d_min, d_max)
         worst_cons = max(worst_cons, abs(out.total_mass - 1.0))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # Atom coalescing tolerance (relative on positions) and the clamp below which
-# small negative masses from series cancellation are treated as zero.
+# a negative mass, FFT round-off in a convolution, is treated as zero.
 POSITION_RTOL = 1e-12
 MASS_ATOL = 1e-12
 
@@ -28,22 +28,18 @@ _MAX_DENSE = 16_000_000
 _FFT_THRESHOLD = 4_000_000  # switch np.convolve -> _fft_convolve above this cost
 # Atom pairs the generic (off-lattice) convolution may form.  A call peaks
 # near 75 bytes per pair, so this caps it near 300 MiB; the tests, demos and
-# benchmark workloads form at most 1,132,836 pairs (mu * E in `analytic` on
+# benchmark workloads form at most 1,080,703 pairs (mu_in * E in `analytic` on
 # two_point(1, 1.1) at its default l_max).
 _MAX_OUTER_PAIRS = 1 << 22
 # Atoms one epoch pushforward may hold before its final coalesce (mu, the
-# terms of E and mu * E): about 80 bytes per atom at the peak, 340 MiB at the
-# budget.  The tests, demos and benchmark workloads hold at most 190,050 (the
+# terms of E and mu_in * E): about 80 bytes per atom at the peak, 340 MiB at the
+# budget.  The tests, demos and benchmark workloads hold at most 194,078 (the
 # survival criterion's dirac(1) at l_max 65,536, epoch [1024, 2048)).
 _MAX_SERIES_ATOMS = 1 << 22
 
 
 class MeasureError(ValueError):
     """Invalid measure or measure operation."""
-
-
-class NegativeMassError(MeasureError):
-    """An operation produced an atom more negative than the mass clamp."""
 
 
 def _coalesce(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +84,7 @@ class AtomicMeasure:
             pos, mas = _coalesce(pos, mas)
         if mas.size and np.any(mas < -MASS_ATOL):
             worst = pos[int(np.argmin(mas))]
-            raise NegativeMassError(f"negative atom mass at position {float(worst)!r}")
+            raise MeasureError(f"negative atom mass at position {float(worst)!r}")
         mas = np.maximum(mas, 0.0)
         if self.deficit < -MASS_ATOL:
             raise MeasureError("deficit must be nonnegative")
@@ -274,14 +270,15 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
 def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMeasure:
     """Final interval law of one coalescence epoch with active range [d_min, d_max).
 
-    With h = mu on the active range and ^ the Laplace transform, the
-    epoch's identity 1 - mu_out^ = (1 - mu^) exp(h^) reads
+    With h = mu on the active range, mu_in = mu on [d_max, inf) (it carries
+    mu's deficit) and ^ the Laplace transform, the epoch's identity
+    1 - mu_out^ = (1 - mu^) exp(h^) reads
 
-        mu_out = mu + (mu - delta_0) * E,   E = sum_{k>=1} h^{*k} / k!
+        mu_out = mu_in * (delta_0 + E) + sum_{j>=2} (j - 1) h^{*j} / j!,
+        E = sum_{k>=1} h^{*k} / k!,
 
-    a nonnegative measure on [d_max, inf).  The series is finite under
-    truncation, as h^{*k} lives on [k*d_min, inf).  Below d_max, E = h
-    cancels mu's active atoms atom by atom.
+    a sum of nonnegative measures on [d_max, inf) by (A2).  The series is
+    finite under truncation, as h^{*k} lives on [k*d_min, inf).
     """
     if 2 * d_min < d_max * (1 - 1e-12):
         raise MeasureError(f"active range violates 2*d_min >= d_max: [{d_min}, {d_max})")
@@ -290,10 +287,12 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
     if d_max > mu.l_max:
         raise MeasureError("l_max must be at least d_max")
 
-    h = mu.restricted(d_min, d_max)
-    total_in = mu.total_mass
-    if h.n_atoms == 0:
+    cut = np.searchsorted(mu.positions, d_max - POSITION_RTOL * max(1.0, d_max))
+    if cut == 0:
         return mu  # no active mass: the epoch is a no-op
+    h = AtomicMeasure(mu.positions[:cut], mu.masses[:cut], mu.l_max)
+    mu_in = AtomicMeasure(mu.positions[cut:], mu.masses[cut:], mu.l_max, mu.deficit)
+    total_in = mu.total_mass
 
     def check(n_held, k):
         if n_held > _MAX_SERIES_ATOMS:
@@ -318,23 +317,14 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
         e_mas.append(hk.masses / fact)
         n_held += hk.n_atoms
     e = AtomicMeasure(np.concatenate(e_pos), np.concatenate(e_mas), mu.l_max)
-    mu_e = convolve(mu, e)
+    mu_e = convolve(mu_in, e)
     check(n_held + mu_e.n_atoms, k)
 
-    pos, mas = _coalesce(np.concatenate((mu.positions, mu_e.positions, e.positions)),
-                         np.concatenate((mu.masses, mu_e.masses, -e.masses)))
-
-    # Below d_max everything must cancel; clamp residues, flag real negatives.
-    below = pos < d_max * (1 - 1e-12)
-    bad = np.abs(mas) > MASS_ATOL
-    if np.any(below & bad):
-        where = pos[below & bad][0]
-        raise NegativeMassError(
-            f"pushforward left non-cancelled mass {mas[below & bad][0]:.3e} at {where}")
-    if np.any(mas < -MASS_ATOL):
-        where = pos[mas < -MASS_ATOL][0]
-        raise NegativeMassError(f"pushforward produced negative atom at {where}")
-    keep = (~below) & (mas > 0.0)
+    # sum_{j>=2} (j - 1) h^{*j} / j! reuses E's terms: e_mas[j - 1] is h^{*j} / j!
+    pos, mas = _coalesce(np.concatenate((mu_in.positions, mu_e.positions, *e_pos[1:])),
+                         np.concatenate((mu_in.masses, mu_e.masses,
+                                         *(m * i for i, m in enumerate(e_mas[1:], 1)))))
+    keep = mas > 0.0  # an input atom of mass 0 passes through mu_in; it carries nothing
     pos, mas = pos[keep], mas[keep]
     deficit = max(0.0, total_in - float(mas.sum()))
     return AtomicMeasure(pos, mas, mu.l_max, deficit)

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcplab.laws import ExpGeometricLaw, GeometricLaw, two_point_law
-from hcplab.measures import (AtomicMeasure, MeasureError, NegativeMassError,
-                             _coalesce, _convolve_outer, _dyadic_spacing, _fft_convolve,
-                             convolve, dirac, epoch_pushforward, iterate_hcp_measures,
+from hcplab.measures import (AtomicMeasure, MeasureError, _coalesce, _convolve_outer,
+                             _dyadic_spacing, _fft_convolve, convolve, dirac,
+                             epoch_pushforward, iterate_hcp_measures,
                              survival_probability_exact)
 from hcplab.transport import c0_estimate, default_c0_grid
 
@@ -38,13 +38,13 @@ class TestAtomicMeasure:
         assert m.finite_mass == 0.75
         with pytest.raises(MeasureError):
             AtomicMeasure([-1.0], [0.5], l_max=10.0)
-        with pytest.raises(NegativeMassError):
+        with pytest.raises(MeasureError, match="negative atom mass"):
             AtomicMeasure([1.0], [-0.5], l_max=10.0)
         with pytest.raises(MeasureError):
             AtomicMeasure([20.0], [0.5], l_max=10.0)
 
     def test_negative_mass_names_plain_position(self):
-        with pytest.raises(NegativeMassError) as err:
+        with pytest.raises(MeasureError) as err:
             AtomicMeasure([1.0, 2.0], [1.5, -0.5], l_max=10.0)
         assert str(err.value) == "negative atom mass at position 2.0"
 
@@ -180,20 +180,26 @@ class TestEpochPushforward:
             epoch_pushforward(dirac(0.5, 10.0), 1.0, 2.0)
 
     def test_series_atom_budget(self, monkeypatch):
-        # dirac(1) on [1, 2) holds mu (1 atom), one atom for each of the 20
-        # terms of E (the last with 1/20! < 1e-18) and mu * E (20 atoms): 41
-        # atoms fit a budget of 41; a budget of 20 stops the series itself
-        monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", 41)
-        assert epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0).n_atoms == 20
-        for budget, held in ((40, 41), (20, 21)):
-            monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", budget)
-            with pytest.raises(MeasureError, match=rf"holds {held} atoms after 20 terms, above "
-                               rf"the budget of {budget}; lower l_max \(analytic\.l_max in a "
-                               r"config\), now 40\.0, or epochs$"):
-                epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0)
+        # dirac(1) on [1, 2) holds mu (1 atom) and one atom for each of the 20
+        # terms of E (the last with 1/20! < 1e-18); mu_in is empty.  Half
+        # masses at 1 and 3 hold mu (2 atoms), 16 terms of E and mu_in * E
+        # (16 atoms), which the check after the series counts.
+        half = AtomicMeasure([1.0, 3.0], [0.5, 0.5], l_max=40.0)
+        for mu, fits, atoms_out, cases in (
+                (dirac(1.0, 40.0), 21, 19, ((20, 21, 20),)),
+                (half, 34, 18, ((33, 34, 16), (17, 18, 16)))):
+            monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", fits)
+            assert epoch_pushforward(mu, 1.0, 2.0).n_atoms == atoms_out
+            for budget, held, terms in cases:
+                monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", budget)
+                with pytest.raises(MeasureError, match=rf"holds {held} atoms after {terms} terms, "
+                                   rf"above the budget of {budget}; lower l_max \(analytic\.l_max "
+                                   r"in a config\), now 40\.0, or epochs$"):
+                    epoch_pushforward(mu, 1.0, 2.0)
 
     def test_one_convolution_with_mu(self, monkeypatch):
-        # dirac(1) on [1, 2): the powers h^{*2}, ..., h^{*20}, then mu * E
+        # the powers h^{*2}, h^{*3}, ..., then one convolution of mu on
+        # [d_max, inf), deficit included, with E
         calls = []
 
         def counted(m1, m2):
@@ -201,10 +207,15 @@ class TestEpochPushforward:
             return convolve(m1, m2)
 
         monkeypatch.setattr("hcplab.measures.convolve", counted)
-        mu = dirac(1.0, 40.0)
-        epoch_pushforward(mu, 1.0, 2.0)
+        epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0)
         assert len(calls) == 20
-        assert [m is mu for m in calls] == [False] * 19 + [True]
+        assert calls[-1].n_atoms == 0
+        calls.clear()
+        epoch_pushforward(AtomicMeasure([1.0, 3.0], [0.5, 0.4], 40.0, deficit=0.1), 1.0, 2.0)
+        assert len(calls) == 16
+        mu_in = calls[-1]
+        assert mu_in.positions.tolist() == [3.0] and mu_in.masses.tolist() == [0.4]
+        assert mu_in.deficit == 0.1
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
@@ -224,6 +235,13 @@ class TestEpochPushforward:
         mu = two_point_law(1.0, b, p_a).atomic(24.0)
         for epoch in range(1, 4):
             mu = assert_matches_series(mu, EAST(epoch), EAST(epoch + 1))
+
+    def test_deep_iteration_matches_series_oracle(self):
+        mu = dirac(1.0, 4096.0)
+        for epoch in range(1, 9):
+            mu = assert_matches_series(mu, EAST(epoch), EAST(epoch + 1))
+            assert np.all(mu.masses > 0)
+            assert mu.positions[0] >= EAST(epoch + 1) * (1 - 1e-12)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)
