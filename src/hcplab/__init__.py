@@ -11,7 +11,6 @@ other at every step.
 
 __version__ = "0.1.0"
 
-from .config import Boundary
 from .laws import (AtomicLaw, DiracLaw, ExpGeometricLaw, GeometricLaw,
                    ParetoHalfLaw, SamplingContractError, two_point_law)
 from .measures import (AtomicMeasure, MeasureError, convolve, dirac,
@@ -25,7 +24,7 @@ from .limits import (EULER_GAMMA, ein, exp_integral,
                      first_point_limit_transform, g_infinity, limit_moment,
                      z_cdf, z_density)
 from .rates import RateFamily, RateValidityError
-from .epoch import StateSpaceError
+from .epoch import Boundary, StateSpaceError
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, RenewalSpec, Stationary,
                        replica_rng)

@@ -128,10 +128,9 @@ def cmd_simulate(cfg: dict, out: str) -> int:
             held = -(-summary.core_sizes // summary.z_stride)
             z = summary.z_samples.tolist()
             stops = np.cumsum(held).tolist()
-            for r, y, f, o, lo, hi in zip(
-                    summary.replica.tolist(), summary.y.tolist(),
-                    summary.first_point_survived.tolist(), summary.origin_alive.tolist(),
-                    [0] + stops[:-1], stops):
+            for r, (y, f, o, lo, hi) in enumerate(zip(
+                    summary.y.tolist(), summary.first_point_survived.tolist(),
+                    summary.origin_alive.tolist(), [0] + stops[:-1], stops)):
                 if lo < hi:
                     head, tail = f"{r},{summary.epoch},", f",{y!r},{int(f)},{int(o)}\n"
                     fh.write(head + (tail + head).join(map(repr, z[lo:hi])) + tail)
@@ -142,10 +141,10 @@ def cmd_simulate(cfg: dict, out: str) -> int:
         for summary in pooled:
             epoch = f"{summary.epoch},{float(summary.d_n)!r}"
             ints = [c.astype(np.int64).tolist() for c in
-                    (summary.replica, summary.first_point_survived, summary.origin_alive,
+                    (summary.first_point_survived, summary.origin_alive,
                      summary.merges_prior, summary.n_intervals, summary.core_sizes)]
-            fh.write("".join(f"{r},{epoch},{y!r},{f},{o},{m},{n},{c}\n" for y, r, f, o, m, n, c
-                             in zip(summary.y.tolist(), *ints)))
+            fh.write("".join(f"{r},{epoch},{y!r},{f},{o},{m},{n},{c}\n" for r, (y, f, o, m, n, c)
+                             in enumerate(zip(summary.y.tolist(), *ints))))
     _write_manifest(out, "simulate", cfg)
     return 0
 
@@ -160,7 +159,11 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
         # the c0 estimator's tail ratio at small s reflects the true law only
         # if the truncation deficit is far below 1 - g(s_min), so it gets a
         # much deeper truncation than the epoch iteration needs
-        c0_view = law.atomic(n_atoms=max(60, int(3 * math.log(1.0 / s_min))), l_max=math.inf)
+        n_atoms = max(60, int(-3 * math.log(s_min)))
+        if n_atoms > math.log(sys.float_info.max):  # its last atom e^n_atoms is inf
+            raise ConfigError("config field 'analytic.c0_s_min': need a number above 1.6e-103, "
+                              f"as the c0 view holds e^k to k = 3 ln(1/c0_s_min), got {s_min!r}")
+        c0_view = law.atomic(n_atoms=n_atoms, l_max=math.inf)
     else:
         mu1 = law.atomic(l_max)
         c0_view = mu1.normalized()

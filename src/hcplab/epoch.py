@@ -17,10 +17,28 @@ no domain borders one of another segment.
 
 from __future__ import annotations
 
+import enum
+
 import numpy as np
 
-from .config import Boundary
 from .rates import RateFamily
+
+
+class Boundary(enum.Enum):
+    """How the finite representation relates to the underlying infinite process.
+
+    LEFT_BOUNDED : the process really has a leftmost point; the semi-infinite
+        domain to its left is never active.  The right end is an open window
+        (truncation artifact).
+    PERIODIC : intervals live on a circle whose circumference is the sum of
+        the lengths; the first point is a reference marker, there are no edges.
+    WINDOW : a two-sided cutout of an unbounded process; inactive sentinel
+        domains sit outside both ends, and both edges are artifacts.
+    """
+
+    LEFT_BOUNDED = "left_bounded"
+    PERIODIC = "periodic"
+    WINDOW = "window"
 
 
 class StateSpaceError(ValueError):

@@ -19,8 +19,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import Boundary
-from .epoch import StateSpaceError, _simulate_points, gap_floor, segment_gaps
+from .epoch import Boundary, StateSpaceError, _simulate_points, gap_floor, segment_gaps
 from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rngs
 from .schedule import EpochSchedule
 
@@ -48,11 +47,12 @@ class WindowExhaustedError(RuntimeError):
 
 
 class WindowTooLargeError(ValueError):
-    """A replica's initial window is above ``_MAX_INTERVALS`` intervals."""
+    """A replica's initial window is above ``_MAX_INTERVALS`` intervals, or
+    its lengths sum past the float range."""
 
-    def __init__(self, n_intervals: int):
-        super().__init__(f"{n_intervals} initial intervals per replica, above the budget of "
-                         f"{_MAX_INTERVALS} (2 GiB at 64 bytes per point)")
+    def __init__(self, n_intervals: int, why: str = f"above the budget of {_MAX_INTERVALS} "
+                                                    "(2 GiB at 64 bytes per point)"):
+        super().__init__(f"{n_intervals} initial intervals per replica, {why}")
         self.n_intervals = n_intervals
 
 
@@ -81,7 +81,8 @@ class WindowPolicy:
 class EpochSummary:
     """Observables at the start of one epoch, possibly pooled over replicas.
 
-    Arrays indexed by sample (z_samples) or by replica (everything else).
+    Arrays indexed by sample (z_samples) or by replica (everything else): row
+    r of a pooled summary is replica r.  The first point sits at y * d_n.
     z_stride says which core z-samples are held: 1 all of them, S > 1 those
     at in-replica core index i with i % S == 0 (replica by replica, in
     replica order), 0 none.
@@ -91,18 +92,12 @@ class EpochSummary:
     d_n: float
     z_stride: int
     z_samples: np.ndarray
-    first_point: np.ndarray
     y: np.ndarray
     first_point_survived: np.ndarray
     origin_alive: np.ndarray  # the marked point (origin of origin-containing specs)
     merges_prior: np.ndarray
     n_intervals: np.ndarray
     core_sizes: np.ndarray
-    replica: np.ndarray
-
-    @property
-    def core_size(self) -> int:
-        return int(self.core_sizes.sum())
 
 
 _ARRAY_FIELDS = [f.name for f in fields(EpochSummary)[3:]]
@@ -206,7 +201,7 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
                window: WindowPolicy) -> list[EpochSummary]:
     """Run the replicas of ``batch`` (see ``_stack``) as one segmented point
     array."""
-    replicas, rngs, shift, rows, circumference, marked_idx = batch
+    rngs, shift, rows, circumference, marked_idx = batch
     periodic = boundary is Boundary.PERIODIC
     n_replicas, width = rows.shape
     points = rows.reshape(-1)
@@ -230,20 +225,17 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
                 raise StateSpaceError(f"initial interval {shortest!r} below d(1) = {d_n!r}")
             raise AssertionError(  # a later epoch starts from an absorbing state
                 f"epoch {n} start has interval {shortest} below d({n})={d_n}")
-        x0 = points[starts] + shift
         summaries.append(EpochSummary(
             epoch=n,
             d_n=d_n,
             z_stride=1,
             z_samples=gaps[core] / d_n,
-            first_point=x0,
-            y=x0 / d_n,
+            y=(points[starts] + shift) / d_n,
             first_point_survived=points[starts] == 0.0,
             origin_alive=np.logical_or.reduceat(marked, starts),
             merges_prior=merges_prior,
             n_intervals=counts if periodic else counts - 1,
             core_sizes=np.add.reduceat(core, starts, dtype=np.int64),
-            replica=np.array(replicas),
         ))
         if n < n_epochs:
             alive = _simulate_points(gaps, starts, schedule.rates_for(n), rngs)
@@ -255,13 +247,12 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
 
 
 def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
-            window: WindowPolicy, rng: np.random.Generator,
-            replica: int = 0) -> list[EpochSummary]:
+            window: WindowPolicy, rng: np.random.Generator) -> list[EpochSummary]:
     """Run the hierarchical process for ``n_epochs`` on the stream ``rng`` and
     return the summary recorded at the start of each epoch (epoch n runs only
-    for n < n_epochs); ``replica`` labels the summaries.  One epoch run to
-    its absorbing state is ``n_epochs`` = 2, read at the second summary."""
-    return _run(spec, schedule, n_epochs, window, [(replica, rng)])
+    for n < n_epochs).  One epoch run to its absorbing state is ``n_epochs``
+    = 2, read at the second summary."""
+    return _run(spec, schedule, n_epochs, window, [rng])
 
 
 def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
@@ -288,7 +279,7 @@ def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
 
 def _run(spec, schedule, n_epochs, window, streams,
          z_per_epoch: int | None = None) -> list[EpochSummary]:
-    """Run the replicas (replica, rng) of ``streams`` in batches, folding each
+    """Run one replica per stream of ``streams``, in batches, folding each
     batch into the per-epoch summaries as it finishes; a window that runs out
     raises for the earliest epoch at which any replica runs out."""
     if n_epochs < 1:
@@ -317,7 +308,7 @@ def _batches(spec, schedule, n_epochs, window, streams):
     from the first replica's stream.  A count above ``_MAX_INTERVALS`` raises
     before anything is drawn."""
     draws, n0 = [], window.n_intervals
-    for replica, rng in streams:
+    for rng in streams:
         if n0 is None:
             n0 = _pilot_initial_count(spec, schedule, n_epochs, window, rng)
         if n0 > _MAX_INTERVALS:
@@ -326,17 +317,17 @@ def _batches(spec, schedule, n_epochs, window, streams):
         width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
         if draws and (len(draws) + 1) * width > _BATCH_POINTS:
             yield _stack(spec, draws)
-        draws.append((replica, rng, first, lengths, marked_idx))
+        draws.append((rng, first, lengths, marked_idx))
     yield _stack(spec, draws)
 
 
 def _stack(spec, draws: list):
-    """Empty ``draws``, a list of (replica, rng, first point, lengths, marked
-    index), into one batch: (replicas, rngs, first points, relative points,
-    circumferences or None, marked indices).  The lengths are checked at
-    once, and replica r's points relative to its first one are row r of a
-    (replicas x points) array."""
-    replicas, rngs, firsts, lengths, marked_idx = zip(*draws)
+    """Empty ``draws``, a list of (rng, first point, lengths, marked index),
+    into one batch: (rngs, first points, relative points, circumferences or
+    None, marked indices).  The lengths are checked at once, and replica r's
+    points relative to its first one are row r of a (replicas x points)
+    array, whose sums must stay within the float range."""
+    rngs, firsts, lengths, marked_idx = zip(*draws)
     draws.clear()  # the batch runs while the generator holds this list
     lengths = check_lengths(spec, np.array(lengths, dtype=float))
     periodic = spec.boundary is Boundary.PERIODIC
@@ -345,6 +336,10 @@ def _stack(spec, draws: list):
     # 0.0: lattice gaps stay exact and point identity is plain float equality.
     # The row-wise cumsum adds in the order of each row's own cumsum.
     rows = np.zeros((n_replicas, n_intervals if periodic else n_intervals + 1))
-    np.cumsum(lengths[:, :rows.shape[1] - 1], axis=1, out=rows[:, 1:])
-    return (replicas, rngs, np.array(firsts), rows,
-            lengths.sum(axis=1) if periodic else None, np.array(marked_idx))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        np.cumsum(lengths[:, :rows.shape[1] - 1], axis=1, out=rows[:, 1:])
+        circumference = lengths.sum(axis=1) if periodic else None
+    if not np.isfinite(rows[:, -1]).all() or periodic and not np.isfinite(circumference).all():
+        raise WindowTooLargeError(n_intervals, "whose initial_law lengths sum past the "
+                                               "float range")
+    return rngs, np.array(firsts), rows, circumference, np.array(marked_idx)

@@ -14,12 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-# The presets' coefficients (left, right): east incorporates the left
-# neighbour only, west the right one only, paste_all both, at rate one;
-# 'constant' and 'linear' take schedule.left and schedule.right.
-RATE_PRESETS = {"east": (0.0, 1.0), "west": (1.0, 0.0), "paste_all": (1.0, 1.0),
-                "constant": None, "linear": None}
-
 
 class RateValidityError(ValueError):
     """A rate family breaks its assumptions (A1) or (A2)."""

@@ -23,7 +23,7 @@ from functools import cache, lru_cache
 
 import numpy as np
 
-from .config import Boundary
+from .epoch import Boundary
 from .laws import SamplingContractError
 
 # SeedSequence's constants (numpy.random.bit_generator): every step is uint32
@@ -139,15 +139,15 @@ def replica_rng(base_seed: int, replica: int = 0) -> np.random.Generator:
 
 
 def replica_rngs(base_seed: int, n_replicas: int):
-    """(replica, stream) for replicas 0..n_replicas-1 in order: the streams
-    of ``replica_rng``, derived ``_BLOCK`` at a time as they are consumed."""
+    """The streams of replicas 0..n_replicas-1 in order: those of
+    ``replica_rng``, derived ``_BLOCK`` at a time as they are consumed."""
     if n_replicas > 1 << 32:
         raise ValueError(f"replica indices must be below 2^32, got {n_replicas} replicas")
     make = _stream_maker()
     for lo in range(0, n_replicas, _BLOCK):
         replicas = np.arange(lo, min(lo + _BLOCK, n_replicas), dtype=np.uint64)
         for r, words in enumerate(np.stack(_pcg_words(base_seed, replicas), axis=1), lo):
-            yield r, make(base_seed, r, words)
+            yield make(base_seed, r, words)
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +156,10 @@ def replica_rngs(base_seed: int, n_replicas: int):
 
 @dataclass(frozen=True)
 class LeftBounded:
-    """First point drawn from ``nu``, then i.i.d. gaps from ``mu``."""
+    """First point at ``first_point``, then i.i.d. gaps from ``mu``."""
 
     mu: object
-    nu: object | None = None  # None means the first point sits at 0
+    first_point: float = 0.0
     boundary = Boundary.LEFT_BOUNDED  # unannotated: a class attribute, not a field
 
 
@@ -242,13 +242,7 @@ def draw_spec(spec: RenewalSpec, n_intervals: int, rng) -> tuple[float, np.ndarr
     if n_intervals < 1:
         raise ValueError("need at least one interval")
     if isinstance(spec, LeftBounded):
-        if spec.nu is None:
-            first = 0.0
-        elif hasattr(spec.nu, "sample"):
-            first = float(spec.nu.sample(rng, 1)[0])
-        else:
-            first = float(spec.nu)
-        return first, spec.mu.sample(rng, n_intervals), 0
+        return spec.first_point, spec.mu.sample(rng, n_intervals), 0
     if isinstance(spec, ContainsOrigin):
         n_left = n_intervals // 2
         left = spec.mu.sample(rng, n_left) if n_left else np.empty(0)

@@ -11,7 +11,6 @@ import math
 from .hcp import WindowPolicy
 from .laws import (DiracLaw, ExpGeometricLaw, GeometricLaw, SamplingContractError,
                    two_point_law)
-from .rates import RATE_PRESETS
 from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, Stationary)
 from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
@@ -97,6 +96,13 @@ def _mixture_pair(comp) -> bool:
         and 0 <= comp[0] <= 1
 
 
+# The presets' coefficients (left, right): east incorporates the left
+# neighbour only, west the right one only, paste_all both, at rate one;
+# 'constant' and 'linear' take schedule.left and schedule.right.
+RATE_PRESETS = {"east": (0.0, 1.0), "west": (1.0, 0.0), "paste_all": (1.0, 1.0),
+                "constant": None, "linear": None}
+
+
 _VARIANTS = {"periodic": PeriodicRenewal, "left_bounded": LeftBounded,
              "contains_origin": ContainsOrigin, "stationary": Stationary,
              "lattice_stationary": LatticeStationary, "exchangeable": ExchangeableMixture}
@@ -106,8 +112,8 @@ def build_spec(cfg: dict):
     law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
     variant = choice(cfg, "process.variant", _VARIANTS, "periodic")
     if variant == "left_bounded":
-        first = field(cfg, "process.first_point", NUMBER, math.isfinite, "a finite number", None)
-        return LeftBounded(law, None if first is None else float(first))
+        return LeftBounded(law, float(field(cfg, "process.first_point", NUMBER, math.isfinite,
+                                            "a finite number", 0.0)))
     if variant != "exchangeable":
         try:
             return _VARIANTS[variant](law)
@@ -154,8 +160,16 @@ def build_schedule(cfg: dict) -> EpochSchedule:
     return schedule
 
 
+def _finite_threshold(schedule: EpochSchedule, n: int) -> bool:
+    try:
+        return math.isfinite(schedule.d(n))
+    except OverflowError:  # a^(n - 1) past the float range
+        return False
+
+
 def epoch_count(cfg: dict, schedule: EpochSchedule, default: int) -> int:
-    """The 'epochs' field: at least 1, and epochs + 1 explicit thresholds that keep (A2)."""
+    """The 'epochs' field: at least 1, epochs + 1 explicit thresholds that keep
+    (A2), and d(epochs + 1) a finite float."""
     n = field(cfg, "epochs", int, lambda n: n >= 1, "at least 1", default)
     if isinstance(schedule.thresholds, ExplicitThresholds):
         field(cfg, "schedule.values", list, lambda v: len(v) > n,
@@ -164,6 +178,8 @@ def epoch_count(cfg: dict, schedule: EpochSchedule, default: int) -> int:
             schedule.validate(n)
         except ScheduleError as exc:
             raise ConfigError(f"config field 'schedule.values': {exc}") from None
+    field(cfg, "epochs", int, lambda n: _finite_threshold(schedule, n + 1),
+          "a count whose d(epochs + 1) is a finite float (or a lower schedule.a)", default)
     return n
 
 

@@ -38,8 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hcplab.config import Boundary
-from hcplab.epoch import StateSpaceError
+from hcplab.epoch import Boundary, StateSpaceError
 from hcplab import hcp
 from hcplab.hcp import EpochSummary, WindowExhaustedError, WindowPolicy
 from hcplab.measures import (MASS_ATOL, AtomicMeasure, MeasureError, _coalesce,
@@ -254,14 +253,8 @@ def sample_spec_config(spec, n_intervals: int, rng) -> tuple[float, np.ndarray, 
     if n_intervals < 1:
         raise ValueError("need at least one interval")
     if isinstance(spec, LeftBounded):
-        if spec.nu is None:
-            first = 0.0
-        elif hasattr(spec.nu, "sample"):
-            first = float(spec.nu.sample(rng, 1)[0])
-        else:
-            first = float(spec.nu)
         lengths = _checked(spec.mu.sample(rng, n_intervals))
-        return first, lengths, Boundary.LEFT_BOUNDED, 0
+        return spec.first_point, lengths, Boundary.LEFT_BOUNDED, 0
     if isinstance(spec, ContainsOrigin):
         n_left = n_intervals // 2
         left = _checked(spec.mu.sample(rng, n_left)) if n_left else np.empty(0)
@@ -366,8 +359,8 @@ def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
     raise WindowExhaustedError(n_epochs)
 
 
-def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
-                 replica: int = 0) -> list[EpochSummary]:
+def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy,
+                 rng) -> list[EpochSummary]:
     """One replica, epoch by epoch, through ``simulate_points_loop``."""
     if window.n_intervals is not None:
         n0 = window.n_intervals
@@ -411,14 +404,12 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy, rng,
             d_n=d_n,
             z_stride=1,
             z_samples=z,
-            first_point=np.array([x0]),
             y=np.array([x0 / d_n]),
             first_point_survived=np.array([points[0] == first_rel]),
             origin_alive=np.array([marked_alive]),
             merges_prior=np.array([merges_prior]),
             n_intervals=np.array([gaps.size]),
             core_sizes=np.array([int(core.sum())]),
-            replica=np.array([replica]),
         ))
         if n < n_epochs:
             rates = schedule.rates_for(n)
@@ -442,8 +433,8 @@ def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: in
     if window.n_intervals is None:
         window = dataclasses.replace(window, n_intervals=_pilot_initial_count_loop(
             spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, 0)))
-    runs = [run_hcp_loop(spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, r),
-                         replica=r) for r in range(n_replicas)]
+    runs = [run_hcp_loop(spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, r))
+            for r in range(n_replicas)]
     return [hcp._concat(parts) for parts in zip(*runs)]
 
 

@@ -158,11 +158,11 @@ class TestSamplesCsv:
             at = rows[rows[:, 1] == summary.epoch]
             np.testing.assert_array_equal(at[:, 2], z)
             held = -(-summary.core_sizes // stride)
-            np.testing.assert_array_equal(at[:, 0], np.repeat(summary.replica, held))
+            np.testing.assert_array_equal(at[:, 0], np.repeat(np.arange(4), held))
             np.testing.assert_array_equal(at[:, 3], np.repeat(summary.y, held))
         # epoch 1 draws from every replica; epoch 10 keeps every core z
         assert strides[1] == 16 and set(rows[rows[:, 1] == 1, 0]) == {0, 1, 2, 3}
-        assert strides[10] == 1 and np.sum(rows[:, 1] == 10) == full[9].core_size == 8747
+        assert strides[10] == 1 and np.sum(rows[:, 1] == 10) == full[9].core_sizes.sum() == 8747
 
     def test_zero_keeps_no_rows(self, tmp_path):
         cfg = write_config(tmp_path, {"samples_per_epoch": 0})
@@ -582,10 +582,30 @@ class TestAcceptedInputs:
           "epochs": 1}, ("initial_law", "schedule.values")),
         ({"initial_law": {"kind": "dirac", "value": 0.0009999995}, "schedule": EXPLICIT,
           "epochs": 2}, ("initial_law", "schedule.values")),
+        # d(1025) = 2^1024 is past the float range
+        ({"epochs": 1024}, ("epochs", "schedule.a")),
+        # 100 lengths of 1e307 sum past it
+        ({"initial_law": {"kind": "dirac", "value": 1e307}, "window.n_intervals": 100},
+         ("initial_law", "window.n_intervals")),
     ])
     def test_simulate_names_knobs(self, tmp_path, capsys, overrides, knobs):
+        self.assert_names_knobs(tmp_path, capsys, "simulate", overrides, knobs)
+
+    @pytest.mark.parametrize("overrides, knobs", [
+        ({"epochs": 1024}, ("epochs", "schedule.a")),
+        # the c0 view's atoms e^k run to k = 3 ln(1/c0_s_min), inf above k = 709
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.5}, "analytic.c0_s_min": 1e-300},
+         ("analytic.c0_s_min",)),
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.5}, "analytic.c0_s_min": 5e-324},
+         ("analytic.c0_s_min",)),
+    ])
+    def test_analytic_names_knobs(self, tmp_path, capsys, overrides, knobs):
+        self.assert_names_knobs(tmp_path, capsys, "analytic", overrides, knobs)
+
+    @staticmethod
+    def assert_names_knobs(tmp_path, capsys, command, overrides, knobs):
         cfg = write_config(tmp_path, overrides)
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         for knob in knobs:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hcplab import hcp
-from hcplab.config import Boundary
+from hcplab.epoch import Boundary
 from hcplab.laws import DiracLaw, GeometricLaw, SamplingContractError, two_point_law
 from hcplab.measures import dirac, iterate_hcp_measures
 from hcplab.hcp import (WindowExhaustedError, WindowPolicy, WindowTooLargeError, replicate,
@@ -86,7 +86,7 @@ class TestRunHcp:
             out = run_hcp(LeftBounded(DiracLaw(1.0)), sched, 5,
                           WindowPolicy(n_intervals=256), replica_rng(7, r))
             assert all(bool(s.first_point_survived[0]) for s in out)
-            assert all(s.first_point[0] == 0.0 for s in out)
+            assert all(s.y[0] == 0.0 for s in out)
 
     def test_origin_survival_two_sided(self):
         # with left incorporation only, whether the origin of a two-sided
@@ -135,8 +135,10 @@ class TestRunHcp:
         laws, _ = iterate_hcp_measures(two_point_law(1.0, 2.0).atomic(96.0),
                                        lambda n: 2.0 ** (n - 1), 3)
         for e in (1, 2):  # epoch-start index e+1 needs the pushforward e times
-            d1 = np.array([r[e].z_samples[0] * r[e].d_n for r in runs if r[e].core_size >= 2])
-            d2 = np.array([r[e].z_samples[1] * r[e].d_n for r in runs if r[e].core_size >= 2])
+            d1 = np.array([r[e].z_samples[0] * r[e].d_n for r in runs
+                           if r[e].core_sizes.sum() >= 2])
+            d2 = np.array([r[e].z_samples[1] * r[e].d_n for r in runs
+                           if r[e].core_sizes.sum() >= 2])
             chi = independence_test(d1, d2, bins=3)
             assert chi.p_value > 0.01
             ks = ks_test_discrete(d1, laws[e], n_bootstrap=100, seed=e)
@@ -171,7 +173,7 @@ class TestReplicate:
         pooled = replicate(PeriodicRenewal(GeometricLaw(0.5)), east_schedule(2.0),
                            2, 4, 71, window)
         individual = [run_hcp(PeriodicRenewal(GeometricLaw(0.5)), east_schedule(2.0),
-                              2, window, replica_rng(71, r), replica=r)
+                              2, window, replica_rng(71, r))
                       for r in range(4)]
         manual = np.concatenate([run[1].z_samples for run in individual])
         assert np.array_equal(pooled[1].z_samples, manual)
@@ -196,7 +198,7 @@ class TestReplicate:
 
 SPECS = {
     "left_bounded": LeftBounded(DiracLaw(1.0)),
-    "left_bounded_nu": LeftBounded(GeometricLaw(0.5), nu=GeometricLaw(0.5)),
+    "left_bounded_nu": LeftBounded(GeometricLaw(0.5), 3.0),  # first-point law nu = delta_3
     "contains_origin": ContainsOrigin(two_point_law(1.0, 2.0)),
     "stationary": Stationary(GeometricLaw(0.4)),
     "lattice_stationary": LatticeStationary(GeometricLaw(0.4)),
@@ -253,9 +255,9 @@ class TestEngineOracle:
     def test_run_hcp_matches_loop(self):
         window = WindowPolicy(n_intervals=500, buffer_factor=2.0)
         self.assert_same(
-            run_hcp(SPECS["contains_origin"], east_schedule(2.0), 5, window, replica_rng(3, 2), 2),
+            run_hcp(SPECS["contains_origin"], east_schedule(2.0), 5, window, replica_rng(3, 2)),
             run_hcp_loop(SPECS["contains_origin"], east_schedule(2.0), 5, window,
-                         replica_rng(3, 2), 2))
+                         replica_rng(3, 2)))
 
     @pytest.mark.parametrize("name", ["left_bounded", "periodic"])
     def test_pilot_matches_seed_sequence_streams(self, name, monkeypatch):
@@ -263,7 +265,7 @@ class TestEngineOracle:
         # same engine on numpy's own SeedSequence streams
         monkeypatch.setattr(hcp, "_PILOT_INTERVALS", 512)
         window = WindowPolicy(target_core=100, buffer_factor=1.0)
-        streams = ((r, seed_sequence_rng(9, r)) for r in range(5))
+        streams = (seed_sequence_rng(9, r) for r in range(5))
         self.assert_same(replicate(SPECS[name], east_schedule(2.0), 4, 5, 9, window),
                          hcp._run(SPECS[name], east_schedule(2.0), 4, window, streams))
 
@@ -275,17 +277,16 @@ class TestEngineOracle:
             run_hcp(SPECS["periodic"], east_schedule(2.0), 3, window, seed_sequence_rng(17)))
 
     def test_run_hcp_integer_seed_replica(self):
-        # replica 3's stream of integer seed 5, labelled replica 3, is
-        # replica 3 of the pooled run
+        # replica r's stream of integer seed 5 is row r of the pooled run
         spec, window = SPECS["periodic"], WindowPolicy(n_intervals=200)
-        got = run_hcp(spec, east_schedule(2.0), 3, window, replica_rng(5, 3), replica=3)
         pooled = replicate(spec, east_schedule(2.0), 3, 4, 5, window)
-        for a, b in zip(got, pooled):
-            assert np.array_equal(a.replica, [3])
-            assert np.array_equal(a.z_samples, b.z_samples[b.core_sizes[:3].sum():])
-            for name in ("y", "n_intervals", "core_sizes", "merges_prior",
-                         "first_point_survived", "origin_alive"):
-                assert np.array_equal(getattr(a, name), getattr(b, name)[3:]), name
+        for r in range(4):
+            got = run_hcp(spec, east_schedule(2.0), 3, window, replica_rng(5, r))
+            for a, b in zip(got, pooled, strict=True):
+                lo = b.core_sizes[:r].sum()
+                assert np.array_equal(a.z_samples, b.z_samples[lo:lo + b.core_sizes[r]])
+                for name in hcp._ARRAY_FIELDS[1:]:  # the per-replica fields
+                    assert np.array_equal(getattr(a, name), getattr(b, name)[r:r + 1]), name
 
     @pytest.mark.parametrize("batch_points", [1, hcp._BATCH_POINTS])
     def test_exhaustion_reports_earliest_epoch(self, batch_points, monkeypatch):
@@ -296,7 +297,7 @@ class TestEngineOracle:
         alone = []
         for r in range(4):
             with pytest.raises(WindowExhaustedError) as err:
-                run_hcp_loop(spec, east_schedule(2.0), 12, window, replica_rng(4, r), r)
+                run_hcp_loop(spec, east_schedule(2.0), 12, window, replica_rng(4, r))
             alone.append(err.value.epoch)
         assert alone == [6, 6, 5, 5]
         with pytest.raises(WindowExhaustedError) as err:
@@ -344,15 +345,16 @@ class TestBatchDraws:
         return sample_spec_config(spec, n0, rng) + (rng,)
 
     def check(self, spec, window, n_replicas):
-        streams = [(r, replica_rng(6, r)) for r in range(n_replicas)]
+        streams = [replica_rng(6, r) for r in range(n_replicas)]
         batches = list(hcp._batches(spec, east_schedule(2.0), 4, window, streams))
-        seen = []
+        seen = []  # the streams, batch by batch
         periodic = spec.boundary is Boundary.PERIODIC
-        for replicas, rngs, firsts, rows, circumference, marked in batches:
-            assert rows.shape[0] == len(replicas)
-            assert len(replicas) == 1 or rows.size <= hcp._BATCH_POINTS
+        for rngs, firsts, rows, circumference, marked in batches:
+            assert rows.shape[0] == len(rngs)
+            assert len(rngs) == 1 or rows.size <= hcp._BATCH_POINTS
             assert (circumference is not None) == periodic
-            for i, (r, rng) in enumerate(zip(replicas, rngs)):
+            for i, rng in enumerate(rngs):
+                r = len(seen)
                 first, lengths, boundary, want_idx, want_rng = self.oracle(spec, window, r)
                 assert firsts[i] == first
                 assert np.array_equal(rows[i], relative_points(lengths, boundary))
@@ -360,8 +362,8 @@ class TestBatchDraws:
                     assert circumference[i] == lengths.sum()
                 assert marked[i] == want_idx
                 assert rng.bit_generator.state == want_rng.bit_generator.state
-                seen.append(r)
-        assert seen == list(range(n_replicas))
+                seen.append(rng)
+        assert seen == streams
         return batches
 
     # sums of irrational lengths depend on the order of the additions
@@ -459,7 +461,7 @@ class TestZThinning:
             stride, z = thinned_z(a, keep)
             assert b.z_stride == stride
             np.testing.assert_array_equal(b.z_samples, z)
-            assert b.core_size == a.core_size == a.z_samples.size
+            assert b.core_sizes.sum() == a.core_sizes.sum() == a.z_samples.size
             for field in dataclasses.fields(a):
                 if field.name not in ("z_stride", "z_samples"):
                     np.testing.assert_array_equal(getattr(b, field.name),
@@ -492,7 +494,7 @@ class TestWindowSizing:
     def test_pilot_reaches_target_core(self):
         pooled = replicate(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 4,
                            2, 61, WindowPolicy(target_core=500))
-        assert pooled[3].core_size >= 500
+        assert pooled[3].core_sizes.sum() >= 500
 
     def test_policy_requires_some_size(self):
         with pytest.raises(ValueError):
