@@ -15,9 +15,11 @@ j_max = 2.0 ** (HORIZON - 1) * (1 + X) + 2
 print("U_n(10)/10 with thresholds 2^(n-1); q is the geometric tail weight")
 print("  n      q=0.1     q=0.5     q=0.8")
 QS = (0.1, 0.5, 0.8)
-laws = [ExpGeometricLaw(p=1 - q).atomic(n_atoms=14, l_max=float("inf")) for q in QS]
-columns = {q: [un_transport(u1, 2.0 ** (n - 1), X) / X for n in range(1, HORIZON + 1)]
-           for q, u1 in zip(QS, u1_on_lattice(laws, spacing=1.0 / 16.0, j_max=j_max))}
+columns = {}
+for q in QS:  # one law's lattice (1.44 M sites) at a time
+    law = ExpGeometricLaw(p=1 - q).atomic(n_atoms=14, l_max=float("inf"))
+    u1 = u1_on_lattice(law, spacing=1.0 / 16.0, j_max=j_max)
+    columns[q] = [un_transport(u1, 2.0 ** (n - 1), X) / X for n in range(1, HORIZON + 1)]
 for n in range(1, HORIZON + 1):
     row = "  ".join(f"{columns[q][n - 1]:.4f}" for q in QS)
     print(f"  {n:>2}     {row}")

@@ -141,22 +141,25 @@ class AtomicMeasure:
 
     # -- transforms ---------------------------------------------------------
 
+    def _exp_outer(self, s, fn) -> np.ndarray:
+        """fn(-s x_i) on the (s, atoms) grid, built as one matrix and
+        transformed in place: -s * x is exactly -(s * x)."""
+        grid = np.outer(-np.atleast_1d(np.asarray(s, dtype=np.float64)), self.positions)
+        return fn(grid, out=grid)
+
     def transform(self, s) -> np.ndarray | float:
         """Laplace transform sum_i w_i exp(-s x_i) (deficit excluded)."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        out = np.exp(-np.outer(s_arr, self.positions)) @ self.masses
+        out = self._exp_outer(s, np.exp) @ self.masses
         return out if np.ndim(s) else float(out[0])
 
     def transform_derivative(self, s) -> np.ndarray | float:
         """d/ds of the transform: the position-weighted transform, exact."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        out = -(np.exp(-np.outer(s_arr, self.positions)) @ (self.positions * self.masses))
+        out = -(self._exp_outer(s, np.exp) @ (self.positions * self.masses))
         return out if np.ndim(s) else float(out[0])
 
     def one_minus_transform(self, s) -> np.ndarray | float:
         """1*total - transform, evaluated stably via expm1; includes deficit."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=np.float64))
-        out = -(np.expm1(-np.outer(s_arr, self.positions)) @ self.masses) + self.deficit
+        out = -(self._exp_outer(s, np.expm1) @ self.masses) + self.deficit
         return out if np.ndim(s) else float(out[0])
 
     def cdf(self, x) -> np.ndarray | float:

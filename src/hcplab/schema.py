@@ -202,9 +202,13 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     if isinstance(schedule.thresholds, ExplicitThresholds):
         field(cfg, "schedule.values", list, lambda v: v[0] >= 1, "a first threshold d(1) >= 1")
     d_last = schedule.d(n_epochs)
+    need = f"a number from d({n_epochs}) = {d_last!r} up"
+    default = 50.0 * schedule.d(n_epochs + 1)
+    if default == math.inf:
+        default = REQUIRED
+        need += " (the default, 50 * d(epochs + 1), is past the float range: set it or lower epochs)"
     l_max = float(field(cfg, "analytic.l_max", NUMBER, lambda v: d_last <= v < math.inf,
-                        f"a number from d({n_epochs}) = {d_last!r} up",
-                        50.0 * schedule.d(n_epochs + 1)))
+                        need, default))
     deficit_bound = float(field(cfg, "analytic.deficit_bound", NUMBER,
                                 lambda v: 0 <= v < math.inf, "a number >= 0", 1e-6))
     probe_x = numbers(cfg, "analytic.probe_x", math.isfinite, "a finite number",

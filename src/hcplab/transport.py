@@ -187,99 +187,70 @@ def un_transport(u1: StepFunction | LatticeStepFunction, d_n: float, x: float) -
 # large-scale lattice route
 # ---------------------------------------------------------------------------
 
-# Sites times laws per slice-add of the lattice sweep.  Short chunks are one
-# slice-add each; a longer chunk is split, which bounds each tap's tiled
-# weight vector, and the one product buffer every slice-add reuses, at
-# 128 KiB.  A fresh product per slice-add cost a heap allocation and its page
-# faults each time.
-_SWEEP_PIECE = 1 << 14
+# Sites per block of the lattice solve.  A block costs one slice-add per tap
+# and, when some tap lies below it, one FFT pair of length 2 * block.
+_LATTICE_BLOCK = 1 << 13
 
 
-def _u1_lattice(c: np.ndarray, atom_idx: np.ndarray, atom_mass: np.ndarray) -> None:
-    """Solve c[i] = base[i] + sum_j c[i - a_j] * w_j for taps a_1 < a_2 < ...
-    in place: the C-contiguous (n, k) array ``c`` holds k bases on entry and
-    the k solutions on return.  Row j of the (taps, k) ``atom_mass`` holds
-    every law's weight at tap a_j.
+def _lattice_solve(c: np.ndarray, taps: np.ndarray, weights: np.ndarray, block: int) -> None:
+    """Solve c[i] = base[i] + sum_j c[i - a_j] * w_j for the taps a_j >= 1 in
+    place: the 1-D ``c`` holds the base on entry and the solution on return.
 
-    Tap j is added once per chunk of length L_j, where L_1 = a_1 and L_j is
-    the largest multiple of L_{j-1} not above a_j.  The chunk [t, t + L_j)
-    reads c[t - a_j, t + L_j - a_j), which lies below t, and the chunks are
-    nested, so the chunks starting at t (tap 1 always among them) are added
-    once every site below t is final.  Rows of a chunk are contiguous, so
-    each slice-add runs on flat memory against the tap's weights tiled to
-    the slice.
+    The block [t, t + block) first receives, tap by tap, the terms whose
+    source lies below t: targets [max(t, a), min(t + block, t + a)), read
+    from final sites.  What remains is c = r + c * p on the block alone, with
+    p the taps below ``block``, and its solution is r * K for the resolvent
+    K = sum_k p^{*k} on [0, block).  K is this routine applied to delta_0 with
+    half the block, and the block is convolved with it by FFT; a block below
+    the smallest tap needs no K.
     """
-    if not c.flags.c_contiguous:
-        raise ValueError("the lattice sweep runs on a C-contiguous array")
-    n, k = c.shape
-    flat = c.reshape(-1)
-    piece = max(1, _SWEEP_PIECE // k)
-    taps = []
-    length = int(atom_idx[0])
-    for a, w in zip(atom_idx.tolist(), atom_mass):
-        length = a // length * length
-        taps.append((a, length, np.tile(w, min(length, piece))))
-    buf = np.empty(min(taps[-1][1], piece) * k)
-    for t in range(0, n, taps[0][1]):
-        for a, length, w in taps:
-            if t % length:
-                break
-            end = min(t + length, n)
-            for lo in range(max(t, a), end, piece):
-                hi = min(lo + piece, end)
-                prod = np.multiply(flat[(lo - a) * k:(hi - a) * k], w[:(hi - lo) * k],
-                                   out=buf[:(hi - lo) * k])
-                flat[lo * k:hi * k] += prod
+    near = taps < block
+    k_hat = None
+    if near.any():
+        k = np.zeros(block)
+        k[0] = 1.0
+        _lattice_solve(k, taps[near], weights[near], block // 2)
+        k_hat = np.fft.rfft(k, 2 * block)
+    pairs = list(zip(taps.tolist(), weights.tolist()))
+    for t in range(0, c.size, block):
+        end = min(t + block, c.size)
+        for a, w in pairs:
+            lo, hi = max(t, a), min(end, t + a)
+            if lo < hi:
+                c[lo:hi] += w * c[lo - a:hi - a]
+        if k_hat is not None:
+            c[t:end] = np.fft.irfft(np.fft.rfft(c[t:end], 2 * block) * k_hat,
+                                    2 * block)[:end - t]
 
 
-def u1_on_lattice(laws, spacing: float, j_max: float) -> list[LatticeStepFunction]:
-    """Large-scale route to U1 for laws snapped to a lattice, one per law.
+def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float) -> LatticeStepFunction:
+    """Large-scale route to U1 for a law snapped to a lattice.
 
     Uses the derivative form of the series inversion: with c(x) = x*m({x}),
 
         c = x*p + c * p   (convolution, lower positions first)
 
-    which recovers the same m as :func:`deconvolve_m` in one sweep and scales
+    which recovers the same m as :func:`deconvolve_m` in one solve and scales
     to lattices with millions of sites.  Positions of p are rounded to the
     lattice; the rounding is the declared discretization of the input law.
-
-    All laws share one sweep over the union of their taps, the sites above 0
-    where some law has mass (a law without a tap weighs it 0.0, which adds
-    exactly +0.0), so the per-slice overhead is paid once for all of them.
-    The result holds 8 bytes per site and law and nothing else: every site
-    is a jump of a :class:`LatticeStepFunction`, most of size 0.
+    The result holds 8 bytes per site and nothing else: every site is a jump
+    of a :class:`LatticeStepFunction`, most of size 0.
     """
-    if not laws:
-        return []
     n = int(math.floor(j_max / spacing)) + 1
-    sites = []
-    for p in laws:
-        if p.n_atoms == 0:
-            raise MeasureError("empty law")
-        idx = np.rint(p.positions / spacing).astype(np.int64)
-        keep = idx < n
-        sites.append((idx[keep], p.masses[keep]))
-    atom_idx = np.sort(np.concatenate([i[(i > 0) & (m != 0)] for i, m in sites]))
-    atom_idx = atom_idx[np.diff(atom_idx, prepend=0) > 0]  # np.unique loads numpy.ma
-    atom_mass = np.zeros((atom_idx.size, len(laws)))
-    for j, (i, m) in enumerate(sites):
-        tap = np.isin(i, atom_idx)
-        np.add.at(atom_mass[:, j], atom_idx.searchsorted(i[tap]), m[tap])
-    if not atom_mass.any(axis=0).all():
+    idx = np.rint(law.positions / spacing).astype(np.int64)
+    keep = (idx > 0) & (idx < n) & (law.masses != 0)
+    idx, mass = idx[keep], law.masses[keep]
+    if idx.size == 0:
         raise MeasureError("law has no mass below j_max")
-    c = np.zeros((n, len(laws)))
-    c[atom_idx] = atom_mass * (atom_idx * spacing)[:, None]  # the base x * p
-    _u1_lattice(c, atom_idx, atom_mass)
-    np.cumsum(c, axis=0, out=c)
-    return [LatticeStepFunction(spacing, c[:, j], float(j_max - 1.0))
-            for j in range(len(laws))]
+    starts = np.flatnonzero(np.diff(idx, prepend=0))  # positions that round to one site
+    taps, weights = idx[starts], np.add.reduceat(mass, starts)
+    c = np.zeros(n)
+    c[taps] = weights * (taps * spacing)  # the base x * p
+    _lattice_solve(c, taps, weights, _LATTICE_BLOCK)
+    np.cumsum(c, out=c)
+    return LatticeStepFunction(spacing, c, float(j_max - 1.0))
 
 
-# Lattice sites times laws in one u1_on_lattice call, whose result holds 8
-# bytes per site and law, its whole cost: figb's default three laws on 1.44 M
-# sites (33 MiB) share one sweep, and a long q list runs in groups instead of
-# growing memory.
-_FIGB_SWEEP_SITES = 1 << 23
 # Lattice sites of one law (1 GiB at 8 bytes a site).  The README config
 # uses 1.44 M; each step of figb.horizon doubles the count, so an oversized
 # request fails here with the knobs named instead of in the allocator.
@@ -289,7 +260,8 @@ _FIGB_MAX_SITES = 1 << 27
 def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[float]]:
     """u_n(x) / x for n = 1..horizon, one list per q: the law exp_geometric
     with p = 1 - q, transported along the thresholds d_of(n) on the lattice of
-    ``spacing``.  Shared by ``reproduce-figb`` and acceptance criterion 7."""
+    ``spacing``.  Shared by ``reproduce-figb`` and acceptance criterion 7.
+    One law's lattice is held at a time."""
     try:
         j_max = d_of(horizon) * (1 + x) + 2
     except OverflowError:  # 2^(horizon - 1) beyond the float range
@@ -300,13 +272,12 @@ def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[f
             f"the budget of {_FIGB_MAX_SITES}; lower figb.horizon or figb.x, or coarsen "
             f"figb.lattice")
     n_atoms = max(1, int(math.log(j_max)) + 1)
-    per_sweep = max(1, _FIGB_SWEEP_SITES // (int(j_max / spacing) + 1))
     ratios = []
-    for g in range(0, len(qs), per_sweep):  # a group's step functions die with it
-        laws = [ExpGeometricLaw(1.0 - float(q)).atomic(n_atoms, l_max=float("inf"))
-                for q in qs[g:g + per_sweep]]
-        ratios += [[un_transport(u1, d_of(n), x) / x for n in range(1, horizon + 1)]
-                   for u1 in u1_on_lattice(laws, spacing, j_max)]
+    for q in qs:
+        u1 = u1_on_lattice(ExpGeometricLaw(1.0 - float(q)).atomic(n_atoms, l_max=float("inf")),
+                           spacing, j_max)
+        ratios.append([un_transport(u1, d_of(n), x) / x for n in range(1, horizon + 1)])
+        del u1  # before the next law's lattice is allocated
     return ratios
 
 

@@ -308,16 +308,18 @@ class TestFigB:
         osc = [v for _, _, v in by_q[0.8][-6:]]
         assert max(osc) - min(osc) > 0.02
 
-    def test_one_law_per_sweep_writes_same_bytes(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path, {"figb": {"horizon": 8, "q": [0.1, 0.5, 0.8]}})
-        out_one, out_each = str(tmp_path / "one"), str(tmp_path / "each")
-        assert main(["reproduce-figb", "--config", cfg, "--out", out_one]) == 0
-        monkeypatch.setattr(hcplab.transport, "_FIGB_SWEEP_SITES", 1)
-        assert main(["reproduce-figb", "--config", cfg, "--out", out_each]) == 0
-        for out in (out_one, out_each):
-            assert open(os.path.join(out, "transport_ratio.csv")).read().count("\n") == 2 + 3 * 8
-        assert open(os.path.join(out_one, "transport_ratio.csv"), "rb").read() == \
-            open(os.path.join(out_each, "transport_ratio.csv"), "rb").read()
+    def test_one_law_per_sweep_writes_same_bytes(self, tmp_path):
+        # each law is solved on its own lattice: a list of three q writes the
+        # data rows of three runs with a single q each, byte for byte
+        def data_rows(name, qs):
+            cfg = write_config(tmp_path, {"figb": {"horizon": 8, "q": qs}}, name=f"{name}.json")
+            out = str(tmp_path / name)
+            assert main(["reproduce-figb", "--config", cfg, "--out", out]) == 0
+            return open(os.path.join(out, "transport_ratio.csv"), "rb").read().splitlines()[2:]
+
+        rows = data_rows("all", [0.1, 0.5, 0.8])
+        assert len(rows) == 3 * 8
+        assert rows == [row for q in (0.1, 0.5, 0.8) for row in data_rows(f"q{q}", [q])]
 
     def test_arithmetic_remap(self, tmp_path):
         cfg_g = write_config(tmp_path, {"figb": {"horizon": 5, "q": [0.5]}},
@@ -598,6 +600,9 @@ class TestAcceptedInputs:
          ("analytic.c0_s_min",)),
         ({"initial_law": {"kind": "exp_geometric", "p": 0.5}, "analytic.c0_s_min": 5e-324},
          ("analytic.c0_s_min",)),
+        # with no analytic section l_max defaults to 50 * d(epochs + 1) = 50 * 2^1019,
+        # past the float range
+        ({"epochs": 1019, "analytic": {}}, ("analytic.l_max", "epochs")),
     ])
     def test_analytic_names_knobs(self, tmp_path, capsys, overrides, knobs):
         self.assert_names_knobs(tmp_path, capsys, "analytic", overrides, knobs)

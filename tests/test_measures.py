@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -58,6 +59,30 @@ class TestAtomicMeasure:
         s = 0.7
         expected = -(1.0 * 0.5 * math.exp(-s) + 3.0 * 0.5 * math.exp(-3 * s))
         assert m.transform_derivative(s) == pytest.approx(expected, rel=1e-14)
+
+
+    @pytest.mark.parametrize("method", ["transform", "transform_derivative",
+                                        "one_minus_transform"])
+    def test_transform_holds_one_matrix(self, method):
+        # the README config's c0 view against the c0 grid: one (s, atoms)
+        # matrix at a time, with the values of the expressions that built a
+        # second one to negate it
+        m = GeometricLaw(0.1).atomic(51200.0).normalized()
+        s = default_c0_grid()
+        old = {"transform": lambda s: np.exp(-np.outer(s, m.positions)) @ m.masses,
+               "transform_derivative": lambda s: -(np.exp(-np.outer(s, m.positions))
+                                                   @ (m.positions * m.masses)),
+               "one_minus_transform": lambda s: -(np.expm1(-np.outer(s, m.positions))
+                                                  @ m.masses) + m.deficit}[method]
+        tracemalloc.start()
+        try:
+            out = getattr(m, method)(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * s.size * m.n_atoms * 8, peak / (s.size * m.n_atoms * 8)
+        assert out.tobytes() == old(s).tobytes()
+        assert getattr(m, method)(float(s[3])) == float(old(s[3])[0])
 
 
 class TestConvolve:

@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +12,9 @@ from hcplab.laws import ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, two_point_
 from hcplab.measures import (AtomicMeasure, _coalesce, dirac, epoch_pushforward,
                              iterate_hcp_measures)
 from hcplab.transport import (LatticeStepFunction, StepFunction, TransportRangeError,
-                              _u1_lattice, c0_estimate, deconvolve_m, default_c0_grid,
-                              reassemble_z_law, u1_from_m, u1_on_lattice, un_transport)
+                              _lattice_solve, c0_estimate, deconvolve_m, default_c0_grid,
+                              figb_ratios, reassemble_z_law, u1_from_m, u1_on_lattice,
+                              un_transport)
 
 from oracles import deconvolve_m_intervals, u1_lattice_blocks
 
@@ -202,46 +202,39 @@ class TestStepFunctionAndTransport:
 
 @st.composite
 def lattice_recurrences(draw):
-    # 1-4 laws, each with its own sparse taps anywhere in [1, 2n], so some
-    # lie beyond the lattice, most are not multiples of the smallest and
-    # the laws share only some of them; weights form a subprobability as
-    # the masses of a law do
+    # one law's sparse taps anywhere in [1, 2n], so some lie beyond the
+    # lattice and most are not multiples of the smallest; the weights form a
+    # subprobability as the masses of a law do
     n = draw(st.integers(1, 3000))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    laws = []
-    for _ in range(draw(st.integers(1, 4))):
-        taps = np.array(sorted(draw(st.lists(st.integers(1, 2 * n), min_size=1,
-                                             max_size=12, unique=True))))
-        weights = rng.random(taps.size) + 0.01
-        weights /= weights.sum() * draw(st.floats(1.0, 4.0))
-        base = rng.random(n) * (rng.random(n) < draw(st.floats(0.01, 1.0)))
-        laws.append((base, taps, weights))
-    return laws
+    taps = np.array(sorted(draw(st.lists(st.integers(1, 2 * n), min_size=1,
+                                         max_size=12, unique=True))))
+    weights = rng.random(taps.size) + 0.01
+    weights /= weights.sum() * draw(st.floats(1.0, 4.0))
+    base = rng.random(n) * (rng.random(n) < draw(st.floats(0.01, 1.0)))
+    return base, taps, weights
 
 
 class TestLatticeRoute:
-    @given(case=lattice_recurrences(), piece=st.sampled_from([None, 1, 7, 64]))
+    @given(case=lattice_recurrences(),
+           block=st.sampled_from([1, 7, 64, hcplab.transport._LATTICE_BLOCK]))
     @settings(max_examples=60, deadline=None)
-    def test_chunked_kernel_matches_blocks(self, case, piece):
-        # one sweep over the union of the taps, a law weighing 0.0 at the
-        # taps it lacks; a small _SWEEP_PIECE splits the chunks
-        taps = np.unique(np.concatenate([t for _, t, _ in case]))
-        weights = np.zeros((taps.size, len(case)))
-        for j, (_, t, w) in enumerate(case):
-            weights[np.searchsorted(taps, t), j] = w
-        c = np.stack([base for base, _, _ in case], axis=1)
-        with mock.patch.object(hcplab.transport, "_SWEEP_PIECE",
-                               piece or hcplab.transport._SWEEP_PIECE):
-            _u1_lattice(c, taps, weights)
-        for j, (base, t, w) in enumerate(case):
-            np.testing.assert_allclose(c[:, j], u1_lattice_blocks(base, t, w),
-                                       rtol=1e-12, atol=0.0)
+    def test_block_solve_matches_blocks(self, case, block):
+        # block 1 has no in-block solve, 7 and 64 recurse on the resolvent
+        # and cut the lattice at many block edges; the FFT's round-off is
+        # absolute at the scale of the block's values
+        base, taps, weights = case
+        c = base.copy()
+        _lattice_solve(c, taps, weights, block)
+        expect = u1_lattice_blocks(base, taps, weights)
+        np.testing.assert_allclose(c, expect, rtol=1e-12,
+                                   atol=1e-13 * np.abs(expect).max(initial=0.0))
 
     def test_agrees_with_interval_recursion(self):
-        # two laws with different taps share one sweep
         laws = [epoch_pushforward(dirac(1.0, 32.0), 1.0, 2.0).rescaled(0.5),
                 AtomicMeasure([1.0, 1.5, 3.5], [0.5, 0.3, 0.2], l_max=32.0)]
-        for p, u_lattice in zip(laws, u1_on_lattice(laws, 0.5, 16.0)):
+        for p in laws:
+            u_lattice = u1_on_lattice(p, 0.5, 16.0)
             u_atomic = u1_from_m(deconvolve_m(p, 16.0))
             for x in np.linspace(0.0, 14.0, 57):
                 assert u_lattice(x) == pytest.approx(u_atomic(x), abs=1e-12)
@@ -272,30 +265,30 @@ class TestLatticeRoute:
             assert lattice(x) == oracle(x)
             assert lattice.left_limit(x) == oracle.left_limit(x)
 
-    def test_peak_bytes_per_site_and_law(self):
-        # reproduce-figb's default laws at horizon 14: the result holds 8
-        # bytes per site and law, and the sweep adds little beyond it
-        horizon, x = 14, 10.0
-        j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-        laws = [ExpGeometricLaw(1.0 - q).atomic(int(math.log(j_max)) + 1,
-                                                l_max=float("inf")) for q in (0.1, 0.5, 0.8)]
+    def test_peak_bytes_per_site_of_one_law(self):
+        # reproduce-figb's default laws at horizon 14, one lattice at a time:
+        # a law's step function holds 8 bytes per site, and the solve adds
+        # little beyond it
+        horizon, x, spacing = 14, 10.0, 1 / 16
+        sites = int((2.0 ** (horizon - 1) * (1 + x) + 2) / spacing) + 1
         tracemalloc.start()
         try:
-            u1s = u1_on_lattice(laws, 1 / 16, j_max)
+            figb_ratios((0.1, 0.5, 0.8), horizon, x, spacing, EAST)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        per_site = peak / (u1s[0].cumulative.size * len(laws))
-        assert per_site <= 9, per_site
+        assert peak / sites <= 9, peak / sites
 
     def test_oscillating_law_ratio_sequence(self):
         # geometric-exponent law: finite-mean parameter converges to 1, the
         # infinite-mean parameters keep oscillating
         horizon, x = 12, 10.0
         j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-        laws = [ExpGeometricLaw(1 - q).atomic(12, l_max=float("inf")) for q in (0.1, 0.8)]
-        ratios = {q: [un_transport(u1, 2.0 ** (n - 1), x) / x for n in range(1, horizon + 1)]
-                  for q, u1 in zip((0.1, 0.8), u1_on_lattice(laws, 1 / 16, j_max))}
+        ratios = {}
+        for q in (0.1, 0.8):
+            u1 = u1_on_lattice(ExpGeometricLaw(1 - q).atomic(12, l_max=float("inf")),
+                               1 / 16, j_max)
+            ratios[q] = [un_transport(u1, EAST(n), x) / x for n in range(1, horizon + 1)]
         assert all(abs(v - 1) < 0.02 for v in ratios[0.1][-4:])
         window = ratios[0.8][-8:]
         assert max(window) - min(window) > 0.02
