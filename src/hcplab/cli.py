@@ -26,7 +26,8 @@ from .schema import (NUMBER, ConfigError, build_analytic, build_law, build_sched
 from .hcp import WindowExhaustedError, WindowTooLargeError, replicate
 from .sampling import ExchangeableMixture
 from .schedule import ExplicitThresholds, ScheduleError
-from .transport import c0_estimate, default_c0_grid, figb_ratios, un_transport
+from .transport import (c0_estimate, deconvolve_m, default_c0_grid, figb_ratios, u1_from_m,
+                        un_transport)
 
 
 # ---------------------------------------------------------------------------
@@ -34,9 +35,13 @@ from .transport import c0_estimate, default_c0_grid, figb_ratios, un_transport
 # ---------------------------------------------------------------------------
 
 def _prepare_out(out: str, overwrite: bool) -> str:
-    if os.path.exists(out) and os.listdir(out) and not overwrite:
+    try:
+        os.makedirs(out, exist_ok=True)
+        entries = os.listdir(out)
+    except OSError as exc:  # e.g. a file, or a path below one
+        raise ConfigError(f"--out names no usable directory: {exc}") from None
+    if entries and not overwrite:
         raise ConfigError(f"output directory {out!r} is not empty; pass --overwrite")
-    os.makedirs(out, exist_ok=True)
     return out
 
 
@@ -49,15 +54,17 @@ def _write_manifest(out: str, command: str, cfg: dict) -> None:
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
-    if "config" in cfg and "command" in cfg:  # a manifest: unwrap
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:  # RecursionError: too deep
+        raise ConfigError(f"--config names a file it cannot read: {exc}") from None
+    if isinstance(cfg, dict) and "config" in cfg and "command" in cfg:  # a manifest: unwrap
         cfg = cfg["config"]
     if not isinstance(cfg, dict):
-        raise ConfigError(f"{path}: top level must be an object")
+        raise ConfigError(f"--config {path}: top level must be an object")
     return cfg
 
 
@@ -138,11 +145,12 @@ def cmd_simulate(cfg: dict, out: str) -> int:
         fh.write(_provenance_header(cfg))
         fh.write("replica,epoch,d_n,y,first_point_survived,origin_alive,"
                  "merges_prior,n_intervals,core_size\n")
-        for summary in pooled:
+        for prior, summary in zip(pooled[:1] + pooled, pooled):  # prior: the epoch before
             epoch = f"{summary.epoch},{float(summary.d_n)!r}"
             ints = [c.astype(np.int64).tolist() for c in
                     (summary.first_point_survived, summary.origin_alive,
-                     summary.merges_prior, summary.n_intervals, summary.core_sizes)]
+                     prior.n_intervals - summary.n_intervals, summary.n_intervals,
+                     summary.core_sizes)]
             fh.write("".join(f"{r},{epoch},{y!r},{f},{o},{m},{n},{c}\n" for r, (y, f, o, m, n, c)
                              in enumerate(zip(summary.y.tolist(), *ints))))
     _write_manifest(out, "simulate", cfg)
@@ -198,7 +206,6 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
                 f"{n},{schedule.d(n + 1)!r},{survival_probability_exact(h, n, schedule.gamma)!r}\n"
                 for n in range(1, n_epochs + 1)))
     # transported primitive probes from the epoch-1 law
-    from .transport import deconvolve_m, u1_from_m
     z1 = laws[0].rescaled(1.0 / schedule.d(1))
     u1 = u1_from_m(deconvolve_m(z1, j_max))
     with open(os.path.join(out, "transported_primitive.csv"), "w") as fh:

@@ -3,17 +3,20 @@
 Observables are recorded at each epoch START (the state produced by the
 previous epoch), matching the interval laws computed by the measure
 analytics.  Point identity is preserved exactly: coordinates are carried
-through untouched, so "the first point never moved" is a float equality.
+through untouched and a replica's points strictly increase, so "the first
+point never moved" and "the origin is still there" are float equalities.
 
 One engine runs 1 or R replicas as one segmented point array: one gap pass
-and one resolver call per batch and epoch.  A batch is drawn straight into
-one (replicas x intervals) array of lengths, checked once, whose row-wise
-cumsum gives every replica's points.  Replica r draws from its own stream
-only, in the same order whatever batch it runs in.
+and one resolver call per batch and epoch.  A batch is a fixed number of
+replicas, drawn and run in one place: straight into one (replicas x
+intervals) array of lengths, checked once, whose row-wise cumsum gives every
+replica's points.  Replica r draws from its own stream only, in the same
+order whatever batch it runs in.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -23,12 +26,12 @@ from .epoch import Boundary, StateSpaceError, _simulate_points, gap_floor, segme
 from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rngs
 from .schedule import EpochSchedule
 
-# Replicas are batched while their initial point count stays under this.  A
-# batch peaks at about 65 traced bytes per point when every domain is active.
-# With batch draws, 2^17 was no faster than 2^16 for 64-interval replicas
-# (5,000 of them: 0.27 s either way) or 8192-interval ones (acceptance
-# criterion 5: 14.6 against 14.8 s), and 2^15 was slower on both (0.28 and
-# 17.2 s).
+# A batch holds as many replicas as fit in this many initial points (at
+# least one).  It peaks at about 65 traced bytes per point when every domain
+# is active.  With batch draws, 2^17 was no faster than 2^16 for 64-interval
+# replicas (5,000 of them: 0.27 s either way) or 8192-interval ones
+# (acceptance criterion 5: 14.6 against 14.8 s), and 2^15 was slower on both
+# (0.28 and 17.2 s).
 _BATCH_POINTS = 1 << 16
 # Initial intervals per replica: 2 GiB at the 64 bytes per point that the
 # resolver's memory test guards.  A larger window fails before it is drawn.
@@ -95,7 +98,6 @@ class EpochSummary:
     y: np.ndarray
     first_point_survived: np.ndarray
     origin_alive: np.ndarray  # the marked point (origin of origin-containing specs)
-    merges_prior: np.ndarray
     n_intervals: np.ndarray
     core_sizes: np.ndarray
 
@@ -197,28 +199,42 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
     raise WindowExhaustedError(n_epochs)
 
 
-def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int,
-               window: WindowPolicy) -> list[EpochSummary]:
-    """Run the replicas of ``batch`` (see ``_stack``) as one segmented point
-    array."""
-    rngs, shift, rows, circumference, marked_idx = batch
-    periodic = boundary is Boundary.PERIODIC
+def _draw(spec, n0: int, rngs):
+    """Draw ``n0`` intervals from each stream of ``rngs``, checked at once:
+    (first points, rows of the points relative to them, circumferences or
+    None, origin coordinates).  Sums past the float range are refused."""
+    firsts, lengths, marked_idx = zip(*(draw_spec(spec, n0, rng) for rng in rngs))
+    lengths = check_lengths(spec, np.array(lengths, dtype=float))
+    periodic = spec.boundary is Boundary.PERIODIC
+    # anchored at each first point, which is then exactly 0.0, so lattice gaps
+    # stay exact; the row-wise cumsum adds in the order of each row's own cumsum
+    rows = np.zeros((len(rngs), n0 if periodic else n0 + 1))
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        np.cumsum(lengths[:, :rows.shape[1] - 1], axis=1, out=rows[:, 1:])
+        circumference = lengths.sum(axis=1) if periodic else None
+    if not np.isfinite(rows[:, -1]).all() or periodic and not np.isfinite(circumference).all():
+        raise WindowTooLargeError(n0, "whose initial_law lengths sum past the float range")
+    return np.array(firsts), rows, circumference, rows[np.arange(len(rngs)), marked_idx]
+
+
+def _run_batch(spec, schedule: EpochSchedule, n_epochs: int, window: WindowPolicy,
+               n0: int, rngs) -> list[EpochSummary]:
+    """Draw one replica per stream of ``rngs`` and run them as one segmented array."""
+    shift, rows, circumference, origin = _draw(spec, n0, rngs)
+    periodic = spec.boundary is Boundary.PERIODIC
     n_replicas, width = rows.shape
     points = rows.reshape(-1)
     counts = np.full(n_replicas, width)
     starts = np.arange(0, points.size, width)
-    marked = np.zeros(points.size, dtype=bool)  # the origin for origin-containing specs
-    marked[starts + marked_idx] = True
 
     summaries = []
-    merges_prior = np.zeros(n_replicas, dtype=np.int64)
     buffer_len = 0.0
     for n in range(1, n_epochs + 1):
         d_n = schedule.d(n)
         buffer_len += window.buffer_factor * d_n
         if counts.min() < (1 if periodic else 2):
             raise WindowExhaustedError(n)
-        gaps, core = segment_gaps(points, starts, boundary, circumference, buffer_len)
+        gaps, core = segment_gaps(points, starts, spec.boundary, circumference, buffer_len)
         shortest = float(gaps.min())
         if shortest < gap_floor(d_n):
             if n == 1:  # the initial law has mass below d(1)
@@ -232,16 +248,14 @@ def _run_batch(batch, boundary: Boundary, schedule: EpochSchedule, n_epochs: int
             z_samples=gaps[core] / d_n,
             y=(points[starts] + shift) / d_n,
             first_point_survived=points[starts] == 0.0,
-            origin_alive=np.logical_or.reduceat(marked, starts),
-            merges_prior=merges_prior,
+            origin_alive=np.logical_or.reduceat(points == np.repeat(origin, counts), starts),
             n_intervals=counts if periodic else counts - 1,
             core_sizes=np.add.reduceat(core, starts, dtype=np.int64),
         ))
         if n < n_epochs:
             alive = _simulate_points(gaps, starts, schedule.rates_for(n), rngs)
-            points, marked = points[alive], marked[alive]
-            survivors = np.add.reduceat(alive, starts, dtype=np.int64)
-            merges_prior, counts = counts - survivors, survivors
+            points = points[alive]
+            counts = np.add.reduceat(alive, starts, dtype=np.int64)
             starts = np.concatenate(([0], np.cumsum(counts[:-1])))
     return summaries
 
@@ -279,18 +293,31 @@ def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
 
 def _run(spec, schedule, n_epochs, window, streams,
          z_per_epoch: int | None = None) -> list[EpochSummary]:
-    """Run one replica per stream of ``streams``, in batches, folding each
-    batch into the per-epoch summaries as it finishes; a window that runs out
-    raises for the earliest epoch at which any replica runs out."""
+    """Run one replica per stream of ``streams``, a fixed number of replicas
+    per batch, folding each batch into the per-epoch summaries as it
+    finishes; a window that runs out raises for the earliest epoch at which
+    any replica runs out.  Every replica has ``window.n_intervals`` intervals,
+    or else one pilot run's count, sized from the first stream; a count above
+    ``_MAX_INTERVALS`` raises before anything is drawn."""
     if n_epochs < 1:
         raise ValueError("need at least one epoch")
     schedule.validate(n_epochs)
+    streams = iter(streams)
+    first = next(streams)
+    n0 = window.n_intervals
+    if n0 is None:
+        n0 = _pilot_initial_count(spec, schedule, n_epochs, window, first)
+    if n0 > _MAX_INTERVALS:
+        raise WindowTooLargeError(n0)
+    width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
+    streams, size = itertools.chain([first], streams), max(1, _BATCH_POINTS // width)
     folds, exhausted = [_EpochFold(z_per_epoch) for _ in range(n_epochs)], None
-    for batch in _batches(spec, schedule, n_epochs, window, streams):
+    while rngs := list(itertools.islice(streams, size)):
         try:
             # after an exhaustion, later batches only look for an earlier one
-            summaries = _run_batch(batch, spec.boundary, schedule,
-                                   n_epochs if exhausted is None else exhausted - 1, window)
+            summaries = _run_batch(spec, schedule,
+                                   n_epochs if exhausted is None else exhausted - 1,
+                                   window, n0, rngs)
         except WindowExhaustedError as err:
             exhausted, folds = err.epoch, []
             continue
@@ -299,47 +326,3 @@ def _run(spec, schedule, n_epochs, window, streams,
     if exhausted is not None:
         raise WindowExhaustedError(exhausted)
     return [fold.pop() for fold in folds]
-
-
-def _batches(spec, schedule, n_epochs, window, streams):
-    """Draw the replicas in order into batches of fewer than ``_BATCH_POINTS``
-    initial points (a larger replica runs alone).  Every replica has the same
-    interval count: ``window.n_intervals``, or else one pilot run's, sized
-    from the first replica's stream.  A count above ``_MAX_INTERVALS`` raises
-    before anything is drawn."""
-    draws, n0 = [], window.n_intervals
-    for rng in streams:
-        if n0 is None:
-            n0 = _pilot_initial_count(spec, schedule, n_epochs, window, rng)
-        if n0 > _MAX_INTERVALS:
-            raise WindowTooLargeError(n0)
-        first, lengths, marked_idx = draw_spec(spec, n0, rng)
-        width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
-        if draws and (len(draws) + 1) * width > _BATCH_POINTS:
-            yield _stack(spec, draws)
-        draws.append((rng, first, lengths, marked_idx))
-    yield _stack(spec, draws)
-
-
-def _stack(spec, draws: list):
-    """Empty ``draws``, a list of (rng, first point, lengths, marked index),
-    into one batch: (rngs, first points, relative points, circumferences or
-    None, marked indices).  The lengths are checked at once, and replica r's
-    points relative to its first one are row r of a (replicas x points)
-    array, whose sums must stay within the float range."""
-    rngs, firsts, lengths, marked_idx = zip(*draws)
-    draws.clear()  # the batch runs while the generator holds this list
-    lengths = check_lengths(spec, np.array(lengths, dtype=float))
-    periodic = spec.boundary is Boundary.PERIODIC
-    n_replicas, n_intervals = lengths.shape
-    # coordinates anchored at each initial first point, which is then exactly
-    # 0.0: lattice gaps stay exact and point identity is plain float equality.
-    # The row-wise cumsum adds in the order of each row's own cumsum.
-    rows = np.zeros((n_replicas, n_intervals if periodic else n_intervals + 1))
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        np.cumsum(lengths[:, :rows.shape[1] - 1], axis=1, out=rows[:, 1:])
-        circumference = lengths.sum(axis=1) if periodic else None
-    if not np.isfinite(rows[:, -1]).all() or periodic and not np.isfinite(circumference).all():
-        raise WindowTooLargeError(n_intervals, "whose initial_law lengths sum past the "
-                                               "float range")
-    return rngs, np.array(firsts), rows, circumference, np.array(marked_idx)

@@ -289,8 +289,6 @@ def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[f
 class C0Estimate:
     estimate: float
     converged: bool
-    s_grid: np.ndarray
-    ratio: np.ndarray
 
 
 # Grid points per decade of s in the default c0 grid, and the largest
@@ -339,4 +337,4 @@ def c0_estimate(g, s_grid) -> C0Estimate:
     else:
         estimate = float((window.max() + window.min()) / 2.0)
     estimate = float(min(1.0, max(0.0, estimate)))
-    return C0Estimate(estimate, converged, s, ratio)
+    return C0Estimate(estimate, converged)

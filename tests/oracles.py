@@ -21,7 +21,9 @@ invalidation, on the rates ``rate_values`` evaluates from a family's
 coefficients, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
 replica, each replica drawn by ``sample_spec_config`` into its own checked
 configuration: the simulator as it was before the epoch resolver, the
-segmented engine and the batch draws replaced it.  ``thinned_z`` applies the
+segmented engine and the batch draws replaced it.  ``run_hcp_loop`` finds the
+marked point by binary search and returns, beside its summaries, the points
+each epoch erased, counted from the alive masks.  ``thinned_z`` applies the
 ``z_per_epoch`` rule of ``replicate`` to a summary that holds every core z,
 one replica at a time.
 ``seed_sequence_rng`` derives a replica stream by numpy's own route, one
@@ -339,10 +341,10 @@ def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
     pilot_n = hcp._PILOT_INTERVALS
     for _ in range(4):
         try:
-            summaries = run_hcp_loop(spec, schedule, n_epochs,
-                                     WindowPolicy(n_intervals=pilot_n,
-                                                  buffer_factor=policy.buffer_factor),
-                                     rng.spawn(1)[0])
+            summaries, _ = run_hcp_loop(spec, schedule, n_epochs,
+                                        WindowPolicy(n_intervals=pilot_n,
+                                                     buffer_factor=policy.buffer_factor),
+                                        rng.spawn(1)[0])
         except WindowExhaustedError:
             pilot_n *= 4
             continue
@@ -360,8 +362,10 @@ def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
 
 
 def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy,
-                 rng) -> list[EpochSummary]:
-    """One replica, epoch by epoch, through ``simulate_points_loop``."""
+                 rng) -> tuple[list[EpochSummary], list[int]]:
+    """One replica, epoch by epoch, through ``simulate_points_loop``: its
+    summaries, and the points erased in the epoch before each (0 at the
+    first)."""
     if window.n_intervals is not None:
         n0 = window.n_intervals
     else:
@@ -373,8 +377,7 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy,
     first_rel = points[0]
     marked_rel = points[marked_idx]
 
-    summaries = []
-    merges_prior = 0
+    summaries, erased = [], [0]
     buffer_len = 0.0
     for n in range(1, n_epochs + 1):
         d_n = schedule.d(n)
@@ -407,7 +410,6 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy,
             y=np.array([x0 / d_n]),
             first_point_survived=np.array([points[0] == first_rel]),
             origin_alive=np.array([marked_alive]),
-            merges_prior=np.array([merges_prior]),
             n_intervals=np.array([gaps.size]),
             core_sizes=np.array([int(core.sum())]),
         ))
@@ -415,8 +417,8 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy,
             rates = schedule.rates_for(n)
             alive = simulate_points_loop(points, periodic, circumference, rates, rng)
             points = points[alive]
-            merges_prior = int(np.count_nonzero(~alive))
-    return summaries
+            erased.append(int(np.count_nonzero(~alive)))
+    return summaries, erased
 
 
 def seed_sequence_rng(base_seed: int, replica: int = 0) -> np.random.Generator:
@@ -433,7 +435,7 @@ def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: in
     if window.n_intervals is None:
         window = dataclasses.replace(window, n_intervals=_pilot_initial_count_loop(
             spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, 0)))
-    runs = [run_hcp_loop(spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, r))
+    runs = [run_hcp_loop(spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, r))[0]
             for r in range(n_replicas)]
     return [hcp._concat(parts) for parts in zip(*runs)]
 

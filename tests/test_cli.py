@@ -12,7 +12,7 @@ import hcplab.cli
 from hcplab.cli import build_schedule, build_spec, build_window, main
 from hcplab.hcp import replicate
 from hcplab.measures import AtomicMeasure
-from oracles import thinned_z
+from oracles import run_hcp_loop, seed_sequence_rng, thinned_z
 
 
 BASE_CONFIG = {
@@ -170,6 +170,31 @@ class TestSamplesCsv:
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         strides, rows, _ = read_samples(os.path.join(out, "samples.csv"))
         assert strides == {1: 0, 2: 0} and rows.size == 0
+
+
+class TestReplicasCsv:
+    @pytest.mark.parametrize("variant", ["contains_origin", "periodic"])
+    def test_merges_prior_is_the_oracle_erasure_count(self, tmp_path, variant):
+        # the column is derived from consecutive summaries; the oracle counts
+        # the points each epoch's alive mask erased
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg.update({"epochs": 4, "replicas": 3, "process": {"variant": variant},
+                    "initial_law": {"kind": "geometric", "q": 0.5},
+                    "window": {"n_intervals": 300, "buffer_factor": 2.0}})
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        with open(out / "replicas.csv") as fh:
+            lines = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")]
+        column = lines[0].index("merges_prior")
+        got = {(int(row[0]), int(row[1])): int(row[column]) for row in lines[1:]}
+        want = {}
+        for r in range(3):
+            _, erased = run_hcp_loop(build_spec(cfg), build_schedule(cfg), 4, build_window(cfg),
+                                     seed_sequence_rng(cfg["seed"], r))
+            want.update({(r, n): count for n, count in enumerate(erased, start=1)})
+        assert got == want and len(want) == 12 and sum(want.values()) > 0
 
 
 class TestAnalytic:
@@ -553,6 +578,31 @@ class TestConfigInputs:
     def test_exhausted_window_names_it(self, tmp_path):
         err = run_rejected(tmp_path, "simulate", {"window.n_intervals": 1})
         assert "window exhausted at epoch" in err and "window.n_intervals" in err
+
+
+class TestFileInputs:
+    """A --config or --out the file system cannot serve exits 2 with one line
+    naming the flag, never a traceback."""
+
+    @pytest.mark.parametrize("config, out, flag", [
+        ("missing.json", "out", "--config"),
+        (".", "out", "--config"),  # a directory
+        ("string.json", "out", "--config"),  # top level "config command"
+        ("latin1.json", "out", "--config"),  # not UTF-8
+        ("deep.json", "out", "--config"),  # nested past the recursion limit
+        ("cfg.json", "cfg.json", "--out"),  # an existing file
+        ("cfg.json", "cfg.json/out", "--out"),  # a path below a file
+    ])
+    def test_names_flag(self, tmp_path, capsys, config, out, flag):
+        write_config(tmp_path)
+        (tmp_path / "string.json").write_text(json.dumps("config command"))
+        (tmp_path / "latin1.json").write_bytes(b'{"seed": "\xe9"}')
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        assert main(["limits", "--config", str(tmp_path / config),
+                     "--out", str(tmp_path / out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert flag in err and "Traceback" not in err
 
 
 class TestAcceptedInputs:

@@ -257,7 +257,7 @@ class TestEngineOracle:
         self.assert_same(
             run_hcp(SPECS["contains_origin"], east_schedule(2.0), 5, window, replica_rng(3, 2)),
             run_hcp_loop(SPECS["contains_origin"], east_schedule(2.0), 5, window,
-                         replica_rng(3, 2)))
+                         replica_rng(3, 2))[0])
 
     @pytest.mark.parametrize("name", ["left_bounded", "periodic"])
     def test_pilot_matches_seed_sequence_streams(self, name, monkeypatch):
@@ -332,38 +332,51 @@ class TestWindowBudget:
 
 
 class TestBatchDraws:
-    """The batch draws of ``_batches`` against the per-replica samplers they
-    replaced: the same configurations, marked indices and generator states."""
+    """The batch draws of ``_draw`` against the per-replica samplers they
+    replaced (the same configurations, origins and generator states), and the
+    batches a run makes: ``max(1, _BATCH_POINTS // width)`` replicas each, in
+    stream order."""
 
     @staticmethod
-    def oracle(spec, window, r):
-        rng = replica_rng(6, r)
-        n0 = window.n_intervals
-        if n0 is None:  # one pilot, on replica 0's stream, sizes every replica
-            n0 = _pilot_initial_count_loop(spec, east_schedule(2.0), 4, window,
-                                           replica_rng(6, 0))
-        return sample_spec_config(spec, n0, rng) + (rng,)
+    def initial_count(spec, window):
+        if window.n_intervals is not None:
+            return window.n_intervals
+        # one pilot, on replica 0's stream, sizes every replica
+        return _pilot_initial_count_loop(spec, east_schedule(2.0), 4, window, replica_rng(6, 0))
 
-    def check(self, spec, window, n_replicas):
+    def check(self, spec, window, n_replicas, monkeypatch):
         streams = [replica_rng(6, r) for r in range(n_replicas)]
-        batches = list(hcp._batches(spec, east_schedule(2.0), 4, window, streams))
-        seen = []  # the streams, batch by batch
+        batches, run_batch = [], hcp._run_batch  # (n0, streams) of each batch run
+
+        def spy(spec, schedule, n_epochs, window, n0, rngs):
+            if rngs[0] in streams:  # not the pilot's run
+                batches.append((n0, rngs))
+            return run_batch(spec, schedule, n_epochs, window, n0, rngs)
+
+        monkeypatch.setattr(hcp, "_run_batch", spy)
+        hcp._run(spec, east_schedule(2.0), 4, window, iter(streams))
+        n0 = self.initial_count(spec, window)
         periodic = spec.boundary is Boundary.PERIODIC
-        for rngs, firsts, rows, circumference, marked in batches:
-            assert rows.shape[0] == len(rngs)
-            assert len(rngs) == 1 or rows.size <= hcp._BATCH_POINTS
+        size = max(1, hcp._BATCH_POINTS // (n0 if periodic else n0 + 1))
+        assert [len(rngs) for _, rngs in batches] == \
+            [min(size, n_replicas - lo) for lo in range(0, n_replicas, size)]
+        assert [rng for _, rngs in batches for rng in rngs] == streams
+        assert {n for n, _ in batches} == {n0}
+        for lo in range(0, n_replicas, size):  # the same batches, drawn afresh
+            rngs = [replica_rng(6, r) for r in range(lo, min(lo + size, n_replicas))]
+            firsts, rows, circumference, origin = hcp._draw(spec, n0, rngs)
+            assert rows.shape == (len(rngs), n0 if periodic else n0 + 1)
             assert (circumference is not None) == periodic
             for i, rng in enumerate(rngs):
-                r = len(seen)
-                first, lengths, boundary, want_idx, want_rng = self.oracle(spec, window, r)
+                want_rng = replica_rng(6, lo + i)
+                first, lengths, boundary, idx = sample_spec_config(spec, n0, want_rng)
+                points = relative_points(lengths, boundary)
                 assert firsts[i] == first
-                assert np.array_equal(rows[i], relative_points(lengths, boundary))
+                assert np.array_equal(rows[i], points)
+                assert origin[i] == points[idx]
                 if periodic:
                     assert circumference[i] == lengths.sum()
-                assert marked[i] == want_idx
                 assert rng.bit_generator.state == want_rng.bit_generator.state
-                seen.append(rng)
-        assert seen == streams
         return batches
 
     # sums of irrational lengths depend on the order of the additions
@@ -375,7 +388,7 @@ class TestBatchDraws:
     def test_fixed_window(self, name, batch_points, monkeypatch):
         monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
         spec = SPECS[name] if name in SPECS else self.IRRATIONAL[name]
-        batches = self.check(spec, WindowPolicy(n_intervals=300), 7)
+        batches = self.check(spec, WindowPolicy(n_intervals=300), 7, monkeypatch)
         assert len(batches) == {1: 7, 700: 4}.get(batch_points, 1)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
@@ -384,7 +397,7 @@ class TestBatchDraws:
         monkeypatch.setattr(hcp, "_PILOT_INTERVALS", 256)
         pilots = count_pilots(monkeypatch)
         window = WindowPolicy(target_core=60, buffer_factor=1.0)
-        batches = self.check(SPECS[name], window, 4)
+        batches = self.check(SPECS[name], window, 4, monkeypatch)
         assert len(pilots) == 1 and len(batches) == 1
 
     def test_public_sampler_is_the_oracle(self):

@@ -379,4 +379,7 @@ class TestGeometricAtomic:
         grid = default_c0_grid()
         est, ref = c0_estimate(law, grid), c0_estimate(full, grid)
         assert (est.estimate, est.converged) == (ref.estimate, ref.converged)
-        np.testing.assert_allclose(est.ratio, ref.ratio, rtol=1e-13, atol=0.0)
+        # the tail ratio -s g'(s) / (1 - g(s)) that c0_estimate reads
+        ratios = [-grid * m.transform_derivative(grid) / m.one_minus_transform(grid)
+                  for m in (law, full)]
+        np.testing.assert_allclose(*ratios, rtol=1e-13, atol=0.0)
