@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -18,16 +17,15 @@ import numpy as np
 
 from . import __version__
 from .epoch import StateSpaceError
-from .laws import ExpGeometricLaw, SamplingContractError
+from .laws import SamplingContractError
 from .limits import first_point_limit_transform, g_infinity, z_cdf
 from .measures import MeasureError, iterate_hcp_measures, survival_probability_exact
-from .schema import (NUMBER, ConfigError, build_analytic, build_law, build_schedule,
-                     build_spec, build_window, epoch_count, field, numbers, positive)
-from .hcp import WindowExhaustedError, WindowTooLargeError, replicate
+from .schema import (NUMBER, ConfigError, build_analytic, build_schedule, build_spec,
+                     build_window, epoch_count, field, numbers, positive)
+from .hcp import _MAX_INTERVALS, WindowExhaustedError, WindowTooLargeError, replicate
 from .sampling import ExchangeableMixture
 from .schedule import ExplicitThresholds, ScheduleError
-from .transport import (c0_estimate, deconvolve_m, default_c0_grid, figb_ratios, u1_from_m,
-                        un_transport)
+from .transport import c0_estimate, deconvolve_m, figb_ratios, u1_from_m, un_transport
 
 
 # ---------------------------------------------------------------------------
@@ -160,21 +158,7 @@ def cmd_simulate(cfg: dict, out: str) -> int:
 def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     schedule = build_schedule(cfg)
     n_epochs = epoch_count(cfg, schedule, default=4)
-    l_max, deficit_bound, probe_x, j_max, s_min, s_max = build_analytic(cfg, schedule, n_epochs)
-    law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
-    if isinstance(law, ExpGeometricLaw):
-        mu1 = law.atomic(n_atoms=max(1, int(math.floor(math.log(l_max)))), l_max=l_max)
-        # the c0 estimator's tail ratio at small s reflects the true law only
-        # if the truncation deficit is far below 1 - g(s_min), so it gets a
-        # much deeper truncation than the epoch iteration needs
-        n_atoms = max(60, int(-3 * math.log(s_min)))
-        if n_atoms > math.log(sys.float_info.max):  # its last atom e^n_atoms is inf
-            raise ConfigError("config field 'analytic.c0_s_min': need a number above 1.6e-103, "
-                              f"as the c0 view holds e^k to k = 3 ln(1/c0_s_min), got {s_min!r}")
-        c0_view = law.atomic(n_atoms=n_atoms, l_max=math.inf)
-    else:
-        mu1 = law.atomic(l_max)
-        c0_view = mu1.normalized()
+    l_max, deficit_bound, probe_x, j_max, mu1, c0_law, grid = build_analytic(cfg, schedule, n_epochs)
     if np.any(mu1.positions[:1] < schedule.d(1) * (1 - 1e-12)):
         raise _below_d1("initial_law", f"initial law has an atom at {float(mu1.positions[0])!r} "
                         f"below d(1) = {schedule.d(1)!r}", schedule)
@@ -214,8 +198,7 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
         fh.write("".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
                          for n in range(1, n_epochs + 1) for x in probe_x
                          if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1))
-    grid = default_c0_grid(s_max, s_min)
-    est = c0_estimate(c0_view, grid)
+    est = c0_estimate(c0_law, grid)
     with open(os.path.join(out, "c0_report.json"), "w") as fh:
         json.dump({"estimate": est.estimate, "converged": est.converged,
                    "s_min": float(grid.min()), "s_max": float(grid.max())},
@@ -250,7 +233,9 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
                  "exp_geometric with p = 1 - q", [0.1, 0.5, 0.8])
     horizon = field(cfg, "figb.horizon", int, lambda n: n >= 1, "at least 1", 14)
     x = float(field(cfg, "figb.x", NUMBER, positive, "a positive number", 10.0))
-    spacing = float(field(cfg, "figb.lattice", NUMBER, positive, "a positive number", 1.0 / 16.0))
+    spacing = float(field(cfg, "figb.lattice", NUMBER, lambda v: 0 < v < 2 * np.e,
+                          "a positive number below 2e, so that the law's first atom e does not "
+                          "round to site 0", 1.0 / 16.0))
     arithmetic = field(cfg, "figb.arithmetic", bool, need="true or false", default=False)
     d_of = (lambda n: float(n)) if arithmetic else (lambda n: 2.0 ** (n - 1))
     ratios = figb_ratios(qs, horizon, x, spacing, d_of)
@@ -265,7 +250,9 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
 
 def cmd_validate(cfg: dict, out: str) -> int:
     from .acceptance import run_all
-    scale = float(field(cfg, "validate.scale", NUMBER, positive, "a positive number", 1.0))
+    scale = float(field(cfg, "validate.scale", NUMBER, lambda v: 0 < v <= _MAX_INTERVALS / 250_000,
+                        "a positive number that keeps 250,000 * scale intervals (criteria 3 "
+                        f"and 6) within the window budget of {_MAX_INTERVALS}", 1.0))
     results = run_all(scale=scale, seed=_seed(cfg), report=print)
     with open(os.path.join(out, "validation.json"), "w") as fh:
         json.dump([r.as_dict() for r in results], fh, indent=2, sort_keys=True)

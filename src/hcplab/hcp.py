@@ -11,7 +11,9 @@ and one resolver call per batch and epoch.  A batch is a fixed number of
 replicas, drawn and run in one place: straight into one (replicas x
 intervals) array of lengths, checked once, whose row-wise cumsum gives every
 replica's points.  Replica r draws from its own stream only, in the same
-order whatever batch it runs in.
+order whatever batch it runs in.  Each epoch's summary goes into that epoch's
+fold as soon as it is formed, at the z stride the fold sets first, so a
+batch forms only the z that are kept.
 """
 
 from __future__ import annotations
@@ -105,35 +107,20 @@ class EpochSummary:
 _ARRAY_FIELDS = [f.name for f in fields(EpochSummary)[3:]]
 
 
-def _concat(parts) -> EpochSummary:
-    strides = {p.z_stride for p in parts}
-    if len(strides) > 1:
-        raise ValueError(f"cannot pool z samples held at strides {sorted(strides)}")
-    return EpochSummary(parts[0].epoch, parts[0].d_n, strides.pop(),
-                        *(np.concatenate([getattr(p, name) for p in parts])
-                          for name in _ARRAY_FIELDS))
-
-
-def _held(core_sizes: np.ndarray, stride: int) -> int:
-    """How many core z the replicas keep at ``stride`` > 0."""
-    return int((-(-core_sizes // stride)).sum())
-
-
-def _restride(part: EpochSummary, stride: int) -> EpochSummary:
-    """``part`` with its z held at ``stride``, a multiple of its own stride
-    (or 0).  The kept values are copied, so the batch array is not pinned."""
-    if stride == part.z_stride:
-        return part
-    if stride == 0:
-        return replace(part, z_stride=0, z_samples=np.empty(0))
-    held = -(-part.core_sizes // part.z_stride)  # per replica
-    index = np.arange(part.z_samples.size) - np.repeat(np.cumsum(held) - held, held)
-    return replace(part, z_stride=stride,
-                   z_samples=part.z_samples[index % (stride // part.z_stride) == 0])
+def _thin(z: np.ndarray, core_sizes: np.ndarray, have: int, want: int) -> np.ndarray:
+    """``z``, the core z of replicas with ``core_sizes`` at stride ``have``, at
+    stride ``want``, a multiple of ``have`` or 0; kept values are copied."""
+    if want == have:
+        return z
+    if want == 0:
+        return np.empty(0)
+    held = -(-core_sizes // have)  # per replica
+    index = np.arange(z.size) - np.repeat(np.cumsum(held) - held, held)
+    return z[index % (want // have) == 0]
 
 
 class _EpochFold:
-    """One epoch's summary, folded in batch by batch.
+    """One epoch's summary, folded in batch by batch as each batch forms it.
 
     Per-replica fields are kept whole.  With ``keep`` = k, the core z of each
     replica is held at stride S, the smallest power of two with
@@ -149,28 +136,34 @@ class _EpochFold:
         self.held = 0
         self.nonempty = 0
 
-    def add(self, part: EpochSummary) -> None:
+    def admit(self, core_sizes: np.ndarray) -> int:
+        """Count in a batch's cores, thin the held parts if the stride grows,
+        and return the stride at which the batch forms its z."""
         if self.keep is None:
-            self.parts.append(part)
-            return
-        self.nonempty += int(np.count_nonzero(part.core_sizes))
+            return 1
+        self.nonempty += int(np.count_nonzero(core_sizes))
         stride = self.stride
         if self.keep < max(self.nonempty, 1):
             stride, self.held = 0, 0
         else:
-            self.held += _held(part.core_sizes, stride)
+            self.held += int((-(-core_sizes // stride)).sum())
             while self.held > self.keep:
                 stride *= 2
-                self.held = sum(_held(p.core_sizes, stride) for p in (*self.parts, part))
+                self.held = sum(int((-(-c // stride)).sum())
+                                for c in [p.core_sizes for p in self.parts] + [core_sizes])
         if stride != self.stride:
-            self.parts = [_restride(p, stride) for p in self.parts]
+            self.parts = [replace(p, z_stride=stride,
+                                  z_samples=_thin(p.z_samples, p.core_sizes, self.stride, stride))
+                          for p in self.parts]
             self.stride = stride
-        self.parts.append(_restride(part, stride))
+        return stride
 
     def pop(self) -> EpochSummary:
         """The pooled summary; the fold lets go of its parts."""
         parts, self.parts = self.parts, []
-        return _concat(parts)
+        return EpochSummary(parts[0].epoch, parts[0].d_n, self.stride,
+                            *(np.concatenate([getattr(p, name) for p in parts])
+                              for name in _ARRAY_FIELDS))
 
 
 def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
@@ -179,14 +172,12 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
     pilot_n = _PILOT_INTERVALS
     for _ in range(4):
         try:
-            summaries = run_hcp(spec, schedule, n_epochs,
-                                WindowPolicy(n_intervals=pilot_n,
-                                             buffer_factor=policy.buffer_factor),
-                                rng.spawn(1)[0])
+            final = _run(spec, schedule, n_epochs,
+                         WindowPolicy(n_intervals=pilot_n, buffer_factor=policy.buffer_factor),
+                         rng.spawn(1), 0)[-1]
         except WindowExhaustedError:
             pilot_n *= 4
             continue
-        final = summaries[-1]
         survivors = int(final.n_intervals.sum())
         if survivors < 8:
             pilot_n *= 4
@@ -217,9 +208,11 @@ def _draw(spec, n0: int, rngs):
     return np.array(firsts), rows, circumference, rows[np.arange(len(rngs)), marked_idx]
 
 
-def _run_batch(spec, schedule: EpochSchedule, n_epochs: int, window: WindowPolicy,
-               n0: int, rngs) -> list[EpochSummary]:
-    """Draw one replica per stream of ``rngs`` and run them as one segmented array."""
+def _run_batch(spec, schedule: EpochSchedule, window: WindowPolicy, n0: int, rngs,
+               folds: list[_EpochFold]) -> None:
+    """Draw one replica per stream of ``rngs``, run them as one segmented array
+    for ``len(folds)`` epochs, and fold each epoch's summary into its fold as
+    it is formed, with only the z that the fold keeps."""
     shift, rows, circumference, origin = _draw(spec, n0, rngs)
     periodic = spec.boundary is Boundary.PERIODIC
     n_replicas, width = rows.shape
@@ -227,9 +220,8 @@ def _run_batch(spec, schedule: EpochSchedule, n_epochs: int, window: WindowPolic
     counts = np.full(n_replicas, width)
     starts = np.arange(0, points.size, width)
 
-    summaries = []
     buffer_len = 0.0
-    for n in range(1, n_epochs + 1):
+    for n, fold in enumerate(folds, start=1):
         d_n = schedule.d(n)
         buffer_len += window.buffer_factor * d_n
         if counts.min() < (1 if periodic else 2):
@@ -241,23 +233,24 @@ def _run_batch(spec, schedule: EpochSchedule, n_epochs: int, window: WindowPolic
                 raise StateSpaceError(f"initial interval {shortest!r} below d(1) = {d_n!r}")
             raise AssertionError(  # a later epoch starts from an absorbing state
                 f"epoch {n} start has interval {shortest} below d({n})={d_n}")
-        summaries.append(EpochSummary(
+        core_sizes = np.add.reduceat(core, starts, dtype=np.int64)
+        stride = fold.admit(core_sizes)
+        fold.parts.append(EpochSummary(
             epoch=n,
             d_n=d_n,
-            z_stride=1,
-            z_samples=gaps[core] / d_n,
+            z_stride=stride,
+            z_samples=_thin(gaps[core], core_sizes, 1, stride) / d_n if stride else np.empty(0),
             y=(points[starts] + shift) / d_n,
             first_point_survived=points[starts] == 0.0,
             origin_alive=np.logical_or.reduceat(points == np.repeat(origin, counts), starts),
             n_intervals=counts if periodic else counts - 1,
-            core_sizes=np.add.reduceat(core, starts, dtype=np.int64),
+            core_sizes=core_sizes,
         ))
-        if n < n_epochs:
+        if n < len(folds):
             alive = _simulate_points(gaps, starts, schedule.rates_for(n), rngs)
             points = points[alive]
             counts = np.add.reduceat(alive, starts, dtype=np.int64)
             starts = np.concatenate(([0], np.cumsum(counts[:-1])))
-    return summaries
 
 
 def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
@@ -294,8 +287,8 @@ def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
 def _run(spec, schedule, n_epochs, window, streams,
          z_per_epoch: int | None = None) -> list[EpochSummary]:
     """Run one replica per stream of ``streams``, a fixed number of replicas
-    per batch, folding each batch into the per-epoch summaries as it
-    finishes; a window that runs out raises for the earliest epoch at which
+    per batch, each batch folding each epoch into the per-epoch summaries as
+    it forms it; a window that runs out raises for the earliest epoch at which
     any replica runs out.  Every replica has ``window.n_intervals`` intervals,
     or else one pilot run's count, sized from the first stream; a count above
     ``_MAX_INTERVALS`` raises before anything is drawn."""
@@ -314,15 +307,12 @@ def _run(spec, schedule, n_epochs, window, streams,
     folds, exhausted = [_EpochFold(z_per_epoch) for _ in range(n_epochs)], None
     while rngs := list(itertools.islice(streams, size)):
         try:
-            # after an exhaustion, later batches only look for an earlier one
-            summaries = _run_batch(spec, schedule,
-                                   n_epochs if exhausted is None else exhausted - 1,
-                                   window, n0, rngs)
+            # after an exhaustion, later batches only look for an earlier one,
+            # folding into throwaway folds that keep no z
+            _run_batch(spec, schedule, window, n0, rngs, folds if exhausted is None else
+                       [_EpochFold(0) for _ in range(exhausted - 1)])
         except WindowExhaustedError as err:
-            exhausted, folds = err.epoch, []
-            continue
-        for fold, summary in zip(folds, summaries):
-            fold.add(summary)
+            exhausted = err.epoch
     if exhausted is not None:
         raise WindowExhaustedError(exhausted)
     return [fold.pop() for fold in folds]

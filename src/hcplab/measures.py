@@ -205,21 +205,21 @@ def _dyadic_spacing(positions: np.ndarray) -> float:
 
 def _convolve_dense(m1: AtomicMeasure, m2: AtomicMeasure, delta: float,
                     l_max: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Lattice convolution on spacing delta, a power of two dividing every
-    position: positions / delta are exact integers, so distinct atoms fill
-    distinct cells, and idx * delta is the exact pairwise sum.  Returns
-    (positions, masses, overflow)."""
-    v1 = np.zeros(int(m1.positions[-1] / delta) + 1)
-    v2 = np.zeros(int(m2.positions[-1] / delta) + 1)
-    v1[(m1.positions / delta).astype(np.int64)] = m1.masses
-    v2[(m2.positions / delta).astype(np.int64)] = m2.masses
+    """Lattice convolution on the coarsest common lattice g * delta: delta is
+    a power of two dividing every position, g the gcd of the exact integers
+    positions / delta.  Distinct atoms fill distinct cells, and idx * g * delta
+    is the exact pairwise sum.  Returns (positions, masses, overflow)."""
+    i1, i2 = (m1.positions / delta).astype(np.int64), (m2.positions / delta).astype(np.int64)
+    g = max(int(np.gcd.reduce(np.concatenate((i1, i2)))), 1)  # 0 when every atom is at 0
+    v1, v2 = np.zeros(i1[-1] // g + 1), np.zeros(i2[-1] // g + 1)
+    v1[i1 // g], v2[i2 // g] = m1.masses, m2.masses
     if v1.size * v2.size > _FFT_THRESHOLD:
         out = _fft_convolve(v1, v2)
         out[np.abs(out) < 1e-16 * max(1.0, out.max(initial=0.0))] = 0.0
     else:
         out = np.convolve(v1, v2)
     idx = np.flatnonzero(out)
-    pos = idx * delta
+    pos = idx * (g * delta)
     mas = out[idx]
     keep = pos <= l_max * (1 + POSITION_RTOL)
     overflow = float(mas[~keep].sum())

@@ -7,6 +7,7 @@ program objects."""
 from __future__ import annotations
 
 import math
+import sys
 
 from .hcp import WindowPolicy
 from .laws import (DiracLaw, ExpGeometricLaw, GeometricLaw, SamplingContractError,
@@ -15,6 +16,7 @@ from .sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                        LeftBounded, PeriodicRenewal, Stationary)
 from .schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
                        GeometricThresholds, ScheduleError)
+from .transport import default_c0_grid
 
 
 class ConfigError(ValueError):
@@ -194,11 +196,12 @@ def build_window(cfg: dict) -> WindowPolicy:
 
 
 def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
-    """The 'analytic' section: (l_max, deficit_bound, probe_x, j_max, c0_s_min,
-    c0_s_max).  l_max must reach d(epochs), the last threshold the epoch
-    iteration pushes a law across, and j_max stay within l_max / d(1), the
-    truncation of the rescaled epoch-1 law that the transport deconvolves;
-    that transport needs d(1) >= 1."""
+    """The 'analytic' section and the initial law: (l_max, deficit_bound,
+    probe_x, j_max, mu1, the law's c0 view, the c0 grid).  l_max must reach
+    d(epochs), the last threshold the epoch iteration pushes a law across,
+    and j_max stay within l_max / d(1), the truncation of the rescaled
+    epoch-1 law that the transport deconvolves; that transport needs d(1) >=
+    1.  The grid keeps s_max / s_min and s_max times each view atom finite."""
     if isinstance(schedule.thresholds, ExplicitThresholds):
         field(cfg, "schedule.values", list, lambda v: v[0] >= 1, "a first threshold d(1) >= 1")
     d_last = schedule.d(n_epochs)
@@ -217,8 +220,27 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     j_max = float(field(cfg, "analytic.j_max", NUMBER, lambda v: 1 < v <= j_cap,
                         f"a number above 1 and at most analytic.l_max / d(1) = {j_cap!r}",
                         min(l_max, 256.0, j_cap)))
-    s_min = float(field(cfg, "analytic.c0_s_min", NUMBER, positive, "a positive number",
+    s_min = float(field(cfg, "analytic.c0_s_min", NUMBER,
+                        lambda v: sys.float_info.min <= v < math.inf,
+                        f"a number from the smallest normal float {sys.float_info.min!r} up",
                         1e-9))
-    s_max = float(field(cfg, "analytic.c0_s_max", NUMBER, lambda v: s_min < v < math.inf,
-                        f"a number above analytic.c0_s_min = {s_min!r}", 1e-2))
-    return l_max, deficit_bound, probe_x, j_max, s_min, s_max
+    law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
+    if isinstance(law, ExpGeometricLaw):
+        mu1 = law.atomic(n_atoms=max(1, int(math.floor(math.log(l_max)))), l_max=l_max)
+        # the c0 estimator's tail ratio at small s reflects the true law only
+        # if the truncation deficit is far below 1 - g(s_min), so it gets a
+        # much deeper truncation than the epoch iteration needs
+        n_atoms = max(60, int(-3 * math.log(s_min)))
+        if n_atoms > math.log(sys.float_info.max):  # its last atom e^n_atoms is inf
+            raise ConfigError("config field 'analytic.c0_s_min': need a number above 1.6e-103, "
+                              f"as the c0 view holds e^k to k = 3 ln(1/c0_s_min), got {s_min!r}")
+        c0_view = law.atomic(n_atoms=n_atoms, l_max=math.inf)
+    else:
+        mu1 = law.atomic(l_max)
+        c0_view = mu1.normalized()
+    top = float(c0_view.positions[-1])
+    s_max = float(field(cfg, "analytic.c0_s_max", NUMBER,
+                        lambda v: s_min < v and v / s_min < math.inf and v * top < math.inf,
+                        f"a number above analytic.c0_s_min = {s_min!r} whose ratio to it and "
+                        f"product with the c0 view's last atom {top!r} are finite", 1e-2))
+    return l_max, deficit_bound, probe_x, j_max, mu1, c0_view, default_c0_grid(s_max, s_min)

@@ -437,7 +437,10 @@ def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: in
             spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, 0)))
     runs = [run_hcp_loop(spec, schedule, n_epochs, window, seed_sequence_rng(base_seed, r))[0]
             for r in range(n_replicas)]
-    return [hcp._concat(parts) for parts in zip(*runs)]
+    names = [f.name for f in dataclasses.fields(EpochSummary)[3:]]  # the array fields
+    return [EpochSummary(parts[0].epoch, parts[0].d_n, 1,
+                         *(np.concatenate([getattr(p, name) for p in parts]) for name in names))
+            for parts in zip(*runs)]
 
 
 def thinned_z(summary: EpochSummary, k: int) -> tuple[int, np.ndarray]:

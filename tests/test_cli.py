@@ -401,6 +401,11 @@ class TestFigBInputs:
         ({"x": 0}, "figb.x"),
         ({"x": -3}, "figb.x"),
         ({"horizon": 0}, "figb.horizon"),
+        # at 2e and above the law's first atom e rounds to site 0 and is lost
+        ({"lattice": 2 * math.e}, "figb.lattice"),
+        ({"lattice": 5.5}, "figb.lattice"),
+        ({"lattice": 40}, "figb.lattice"),
+        ({"lattice": 1e300}, "figb.lattice"),
     ])
     def test_nonpositive_field_named(self, tmp_path, figb, field):
         assert f"config error: config field '{field}'" in self.run(tmp_path, figb)
@@ -562,6 +567,9 @@ class TestConfigInputs:
         ({}, ("--seed", "-2"), "seed"),
         ({"validate.scale": math.nan}, (), "validate.scale"),
         ({"validate.scale": 0}, (), "validate.scale"),
+        # criteria 3 and 6 scale a 250,000-interval window past _MAX_INTERVALS
+        ({"validate.scale": 135}, (), "validate.scale"),
+        ({"validate.scale": 1e300}, (), "validate.scale"),
     ])
     def test_validate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "validate", overrides, *flags)
@@ -653,6 +661,15 @@ class TestAcceptedInputs:
         # with no analytic section l_max defaults to 50 * d(epochs + 1) = 50 * 2^1019,
         # past the float range
         ({"epochs": 1019, "analytic": {}}, ("analytic.l_max", "epochs")),
+        # the c0 grid: a subnormal s_min, an s_max / s_min past the float range,
+        # and an s_max whose product with the view's last atom overflows
+        ({"analytic.c0_s_min": 5e-324}, ("analytic.c0_s_min",)),
+        ({"analytic.c0_s_max": 1e308}, ("analytic.c0_s_max",)),
+        ({"analytic.c0_s_min": 1e-300, "analytic.c0_s_max": 1e300}, ("analytic.c0_s_max",)),
+        ({"initial_law": {"kind": "geometric", "q": 0.1}, "analytic.c0_s_min": 1.0,
+          "analytic.c0_s_max": 1e307}, ("analytic.c0_s_max",)),
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.5}, "analytic.c0_s_min": 1.0,
+          "analytic.c0_s_max": 1e283}, ("analytic.c0_s_max",)),
     ])
     def test_analytic_names_knobs(self, tmp_path, capsys, overrides, knobs):
         self.assert_names_knobs(tmp_path, capsys, "analytic", overrides, knobs)
@@ -670,6 +687,17 @@ class TestAcceptedInputs:
         cfg = write_config(tmp_path, {"initial_law": {"kind": "exp_geometric", "p": 0.9},
                                       "process.variant": "stationary"})
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("s_min, s_max", [(sys.float_info.min, 1e-2), (1e-300, 1e8)])
+    def test_c0_grid_extremes_run(self, tmp_path, capsys, s_min, s_max):
+        # the smallest normal s_min, and a ratio s_max / s_min near the float
+        # range, still run: no warning (Tier-1 makes each an error), converged
+        cfg = write_config(tmp_path, {"analytic.c0_s_min": s_min, "analytic.c0_s_max": s_max})
+        assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        with open(tmp_path / "out" / "c0_report.json") as fh:
+            report = json.load(fh)
+        assert report["converged"] and report["s_min"] == s_min
 
 
 class TestOffLatticeSimulate:

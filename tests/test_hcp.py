@@ -348,10 +348,10 @@ class TestBatchDraws:
         streams = [replica_rng(6, r) for r in range(n_replicas)]
         batches, run_batch = [], hcp._run_batch  # (n0, streams) of each batch run
 
-        def spy(spec, schedule, n_epochs, window, n0, rngs):
+        def spy(spec, schedule, window, n0, rngs, folds):
             if rngs[0] in streams:  # not the pilot's run
                 batches.append((n0, rngs))
-            return run_batch(spec, schedule, n_epochs, window, n0, rngs)
+            return run_batch(spec, schedule, window, n0, rngs, folds)
 
         monkeypatch.setattr(hcp, "_run_batch", spy)
         hcp._run(spec, east_schedule(2.0), 4, window, iter(streams))
@@ -501,6 +501,19 @@ class TestZThinning:
 
         small, large = peak(100), peak(400)
         assert large < 1.1 * small, (small, large)
+
+    def test_no_z_formed_when_none_kept(self):
+        # each epoch is folded as it is formed and forms only the z it keeps:
+        # with none kept, 64 replicas of 8,192 intervals (batches of seven,
+        # 7 * 8,193 points) peak at the batch's working set, no core z array
+        tracemalloc.start()
+        try:
+            replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 10, 64, 50,
+                      WindowPolicy(n_intervals=8192), z_per_epoch=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (7 * 8193) <= 70, peak / (7 * 8193)
 
 
 class TestWindowSizing:

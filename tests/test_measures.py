@@ -143,6 +143,17 @@ class TestConvolve:
         np.testing.assert_allclose(out.masses, mas, rtol=1e-13)
         assert out.deficit == pytest.approx(overflow, rel=1e-13, abs=1e-300)
 
+    def test_dense_route_on_coarsest_lattice(self):
+        # {1.5, 3} has dyadic spacing 0.5, but the gcd of its indices 3 and 6
+        # puts it on spacing 1.5: three cells per operand, not seven
+        a = AtomicMeasure([1.5, 3.0], [0.25, 0.75], l_max=10.0)
+        with mock.patch("numpy.convolve", wraps=np.convolve) as spy:
+            out = convolve(a, a)
+        assert [v.size for v in spy.call_args.args] == [3, 3]
+        pos, mas, overflow = _convolve_outer(a, a, a.l_max)
+        assert np.array_equal(out.positions, pos) and overflow == out.deficit == 0.0
+        np.testing.assert_allclose(out.masses, mas, rtol=1e-15)
+
     @given(n1=st.integers(1, 5000), n2=st.integers(1, 5000),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
