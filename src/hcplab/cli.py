@@ -16,13 +16,14 @@ import sys
 import numpy as np
 
 from . import __version__
+from .budget import BudgetError
 from .epoch import StateSpaceError
 from .laws import SamplingContractError
 from .limits import first_point_limit_transform, g_infinity, z_cdf
 from .measures import MeasureError, iterate_hcp_measures, survival_probability_exact
 from .schema import (NUMBER, ConfigError, build_analytic, build_schedule, build_spec,
                      build_window, epoch_count, field, numbers, positive)
-from .hcp import _MAX_INTERVALS, WindowExhaustedError, WindowTooLargeError, replicate
+from .hcp import WindowExhaustedError, WindowTooLargeError, check_window, replicate
 from .sampling import ExchangeableMixture
 from .schedule import ExplicitThresholds, ScheduleError
 from .transport import c0_estimate, deconvolve_m, figb_ratios, u1_from_m, un_transport
@@ -117,8 +118,8 @@ def cmd_simulate(cfg: dict, out: str) -> int:
                           f"{variant!r}") from None
     except WindowTooLargeError as exc:
         knob = "n_intervals" if window.n_intervals is not None else "target_core"
-        raise ConfigError(f"config field 'window.{knob}': need a window within the budget, "
-                          f"got {getattr(window, knob)}: {exc}") from None
+        raise ConfigError(f"config field 'window.{knob}': need a window within the float "
+                          f"range, got {getattr(window, knob)}: {exc}") from None
     with open(os.path.join(out, "samples.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("# per epoch, every S-th core z of each replica (in-replica index i with "
@@ -162,6 +163,9 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     if np.any(mu1.positions[:1] < schedule.d(1) * (1 - 1e-12)):
         raise _below_d1("initial_law", f"initial law has an atom at {float(mu1.positions[0])!r} "
                         f"below d(1) = {schedule.d(1)!r}", schedule)
+    # before the iteration: a c0 refusal costs no work, and the grid is not
+    # allocated on top of the iteration's heap
+    est = c0_estimate(c0_law, grid)
     laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs)
     for n, mu in enumerate(laws, start=1):
         if mu.deficit > deficit_bound:
@@ -198,7 +202,6 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
         fh.write("".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
                          for n in range(1, n_epochs + 1) for x in probe_x
                          if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1))
-    est = c0_estimate(c0_law, grid)
     with open(os.path.join(out, "c0_report.json"), "w") as fh:
         json.dump({"estimate": est.estimate, "converged": est.converged,
                    "s_min": float(grid.min()), "s_max": float(grid.max())},
@@ -250,9 +253,8 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
 
 def cmd_validate(cfg: dict, out: str) -> int:
     from .acceptance import run_all
-    scale = float(field(cfg, "validate.scale", NUMBER, lambda v: 0 < v <= _MAX_INTERVALS / 250_000,
-                        "a positive number that keeps 250,000 * scale intervals (criteria 3 "
-                        f"and 6) within the window budget of {_MAX_INTERVALS}", 1.0))
+    scale = float(field(cfg, "validate.scale", NUMBER, positive, "a positive number", 1.0))
+    check_window(250_000 * scale, "validate.scale, which scales the window of criteria 3 and 6")
     results = run_all(scale=scale, seed=_seed(cfg), report=print)
     with open(os.path.join(out, "validation.json"), "w") as fh:
         json.dump([r.as_dict() for r in results], fh, indent=2, sort_keys=True)
@@ -286,22 +288,16 @@ def main(argv=None) -> int:
         if args.replicas is not None:
             cfg["replicas"] = args.replicas
         out = _prepare_out(args.out, args.overwrite)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out)
         if args.command == "analytic":
             return cmd_analytic(cfg, out, strict=args.strict)
-        if args.command == "limits":
-            return cmd_limits(cfg, out)
-        if args.command == "reproduce-figb":
-            return cmd_reproduce_figb(cfg, out)
-        if args.command == "validate":
-            return cmd_validate(cfg, out)
+        return {"simulate": cmd_simulate, "limits": cmd_limits, "validate": cmd_validate,
+                "reproduce-figb": cmd_reproduce_figb}[args.command](cfg, out)
     except (ConfigError, ScheduleError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except MeasureError as exc:
         print(f"measure error: {exc}", file=sys.stderr)
-        return 2
+    except BudgetError as exc:
+        print(f"budget error: {exc}", file=sys.stderr)
     return 2
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import budget
 from .epoch import Boundary, StateSpaceError, _simulate_points, gap_floor, segment_gaps
 from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rngs
 from .schedule import EpochSchedule
@@ -35,9 +36,6 @@ from .schedule import EpochSchedule
 # (acceptance criterion 5: 14.6 against 14.8 s), and 2^15 was slower on both
 # (0.28 and 17.2 s).
 _BATCH_POINTS = 1 << 16
-# Initial intervals per replica: 2 GiB at the 64 bytes per point that the
-# resolver's memory test guards.  A larger window fails before it is drawn.
-_MAX_INTERVALS = (2 << 30) // 64
 # A target_core window's pilot: its initial intervals, and the factor on its estimate.
 _PILOT_INTERVALS = 4096
 _PILOT_SAFETY = 1.6
@@ -52,13 +50,13 @@ class WindowExhaustedError(RuntimeError):
 
 
 class WindowTooLargeError(ValueError):
-    """A replica's initial window is above ``_MAX_INTERVALS`` intervals, or
-    its lengths sum past the float range."""
+    """A replica's initial lengths sum past the float range."""
 
-    def __init__(self, n_intervals: int, why: str = f"above the budget of {_MAX_INTERVALS} "
-                                                    "(2 GiB at 64 bytes per point)"):
-        super().__init__(f"{n_intervals} initial intervals per replica, {why}")
-        self.n_intervals = n_intervals
+
+def check_window(n_intervals: float, knobs: str) -> None:
+    """Refuse ``n_intervals`` initial intervals per replica past the memory
+    budget, before any is drawn: a one-replica batch peaks near 64 bytes a point."""
+    budget.need(n_intervals, 64, f"a window of {n_intervals} initial intervals per replica", knobs)
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,8 @@ def _draw(spec, n0: int, rngs):
         np.cumsum(lengths[:, :rows.shape[1] - 1], axis=1, out=rows[:, 1:])
         circumference = lengths.sum(axis=1) if periodic else None
     if not np.isfinite(rows[:, -1]).all() or periodic and not np.isfinite(circumference).all():
-        raise WindowTooLargeError(n0, "whose initial_law lengths sum past the float range")
+        raise WindowTooLargeError(f"{n0} initial intervals per replica, whose initial_law "
+                                  "lengths sum past the float range")
     return np.array(firsts), rows, circumference, rows[np.arange(len(rngs)), marked_idx]
 
 
@@ -290,8 +289,8 @@ def _run(spec, schedule, n_epochs, window, streams,
     per batch, each batch folding each epoch into the per-epoch summaries as
     it forms it; a window that runs out raises for the earliest epoch at which
     any replica runs out.  Every replica has ``window.n_intervals`` intervals,
-    or else one pilot run's count, sized from the first stream; a count above
-    ``_MAX_INTERVALS`` raises before anything is drawn."""
+    or else one pilot run's count, sized from the first stream; a count past
+    the memory budget raises before anything is drawn."""
     if n_epochs < 1:
         raise ValueError("need at least one epoch")
     schedule.validate(n_epochs)
@@ -300,8 +299,7 @@ def _run(spec, schedule, n_epochs, window, streams,
     n0 = window.n_intervals
     if n0 is None:
         n0 = _pilot_initial_count(spec, schedule, n_epochs, window, first)
-    if n0 > _MAX_INTERVALS:
-        raise WindowTooLargeError(n0)
+    check_window(n0, "window.target_core" if window.n_intervals is None else "window.n_intervals")
     width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
     streams, size = itertools.chain([first], streams), max(1, _BATCH_POINTS // width)
     folds, exhausted = [_EpochFold(z_per_epoch) for _ in range(n_epochs)], None

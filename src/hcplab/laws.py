@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
 from .measures import AtomicMeasure
 
 
@@ -83,7 +84,10 @@ class GeometricLaw:
             last = 1
         else:
             last = _LOG_HALF_SUBNORMAL / math.log1p(-self.q) + 2.0
-        k = np.arange(1, (n if last >= n else int(last)) + 1, dtype=np.float64)
+        count = n if last >= n else int(last)
+        budget.need(count, 43, f"the geometric law, with {count} atoms,",
+                    "analytic.l_max, or raise initial_law.q")
+        k = np.arange(1, count + 1, dtype=np.float64)
         masses = self.q * (1 - self.q) ** (k - 1)
         keep = masses > 0.0
         return AtomicMeasure(k[keep], masses[keep], l_max, deficit=(1 - self.q) ** n)

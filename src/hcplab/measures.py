@@ -5,7 +5,8 @@ An :class:`AtomicMeasure` is a finite nonnegative measure stored as sorted
 ``deficit``: mass known to lie beyond ``l_max``.  All analytic operations
 (convolution, the one-epoch pushforward, the multi-epoch iteration, survival
 probabilities) are exact for the stored atoms; truncated mass is carried in
-the deficit so that totals are conserved.
+the deficit so that totals are conserved.  Each sized step is checked against
+the memory budget (``budget``) before it allocates.
 """
 
 from __future__ import annotations
@@ -15,27 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
+
 # Atom coalescing tolerance (relative on positions) and the clamp below which
 # a negative mass, FFT round-off in a convolution, is treated as zero.
 POSITION_RTOL = 1e-12
 MASS_ATOL = 1e-12
 
-# Dense-vector convolution is used when the common dyadic lattice of both
-# operands (see _dyadic_spacing) implies a vector shorter than this; a finer
-# lattice, such as that of a non-dyadic spacing like 1/3, goes to the outer
-# product.
-_MAX_DENSE = 16_000_000
 _FFT_THRESHOLD = 4_000_000  # switch np.convolve -> _fft_convolve above this cost
-# Atom pairs the generic (off-lattice) convolution may form.  A call peaks
-# near 75 bytes per pair, so this caps it near 300 MiB; the tests, demos and
-# benchmark workloads form at most 1,080,703 pairs (mu_in * E in `analytic` on
-# two_point(1, 1.1) at its default l_max).
-_MAX_OUTER_PAIRS = 1 << 22
-# Atoms one epoch pushforward may hold before its final coalesce (mu, the
-# terms of E and mu_in * E): about 80 bytes per atom at the peak, 340 MiB at the
-# budget.  The tests, demos and benchmark workloads hold at most 194,078 (the
-# survival criterion's dirac(1) at l_max 65,536, epoch [1024, 2048)).
-_MAX_SERIES_ATOMS = 1 << 22
 
 
 class MeasureError(ValueError):
@@ -141,25 +129,34 @@ class AtomicMeasure:
 
     # -- transforms ---------------------------------------------------------
 
-    def _exp_outer(self, s, fn) -> np.ndarray:
-        """fn(-s x_i) on the (s, atoms) grid, built as one matrix and
-        transformed in place: -s * x is exactly -(s * x)."""
-        grid = np.outer(-np.atleast_1d(np.asarray(s, dtype=np.float64)), self.positions)
-        return fn(grid, out=grid)
+    def _grid_dot(self, s, fn, weights) -> np.ndarray:
+        """sum_i weights_i fn(-s x_i) for each s, on the (s, atoms) grid built
+        and transformed in place (-s * x is exactly -(s * x)) in as few row
+        blocks as the budget allows: blocked products differ in the last bits."""
+        s = -np.atleast_1d(np.asarray(s, dtype=np.float64))
+        n, cost = max(1, self.n_atoms), 9  # bytes per grid point and atom, s-vectors included
+        rows = max(1, min(s.size, budget.BUDGET_BYTES // (cost * n) - 1))
+        budget.need((rows + 1) * n, cost, f"a {rows} x {n} block of the transform grid (s by "
+                    "atoms) with its weights", "analytic.l_max, or raise analytic.c0_s_min")
+        out = np.empty(s.size)
+        for i in range(0, s.size, rows):
+            grid = np.outer(s[i:i + rows], self.positions)
+            out[i:i + rows] = fn(grid, out=grid) @ weights
+        return out
 
     def transform(self, s) -> np.ndarray | float:
         """Laplace transform sum_i w_i exp(-s x_i) (deficit excluded)."""
-        out = self._exp_outer(s, np.exp) @ self.masses
+        out = self._grid_dot(s, np.exp, self.masses)
         return out if np.ndim(s) else float(out[0])
 
     def transform_derivative(self, s) -> np.ndarray | float:
         """d/ds of the transform: the position-weighted transform, exact."""
-        out = -(self._exp_outer(s, np.exp) @ (self.positions * self.masses))
+        out = -self._grid_dot(s, np.exp, self.positions * self.masses)
         return out if np.ndim(s) else float(out[0])
 
     def one_minus_transform(self, s) -> np.ndarray | float:
         """1*total - transform, evaluated stably via expm1; includes deficit."""
-        out = -(self._exp_outer(s, np.expm1) @ self.masses) + self.deficit
+        out = -self._grid_dot(s, np.expm1, self.masses) + self.deficit
         return out if np.ndim(s) else float(out[0])
 
     def cdf(self, x) -> np.ndarray | float:
@@ -228,11 +225,8 @@ def _convolve_dense(m1: AtomicMeasure, m2: AtomicMeasure, delta: float,
 
 def _convolve_outer(m1: AtomicMeasure, m2: AtomicMeasure,
                     l_max: float) -> tuple[np.ndarray, np.ndarray, float]:
-    if m1.n_atoms * m2.n_atoms > _MAX_OUTER_PAIRS:
-        raise MeasureError(
-            f"off-lattice convolution of {m1.n_atoms} x {m2.n_atoms} atoms exceeds "
-            f"the budget of {_MAX_OUTER_PAIRS} atom pairs; lower l_max "
-            f"(analytic.l_max in a config), now {l_max!r}")
+    budget.need(m1.n_atoms * m2.n_atoms, 87, f"the off-lattice convolution of {m1.n_atoms} x "
+                f"{m2.n_atoms} atoms", f"analytic.l_max, now {l_max!r}")
     pos = np.add.outer(m1.positions, m2.positions).ravel()
     mas = np.multiply.outer(m1.masses, m2.masses).ravel()
     keep = pos <= l_max * (1 + POSITION_RTOL)
@@ -246,8 +240,9 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
 
     Mass landing beyond l_max (including anything involving an input deficit)
     is added to the output deficit.  On the common dyadic lattice of both
-    operands the sums are formed on dense vectors; past ``_MAX_DENSE`` cells
-    they are formed pair by pair and coalesced within the position tolerance.
+    operands the sums are formed on dense vectors while their cells fit the
+    memory budget; past it they are formed pair by pair and coalesced within
+    the position tolerance.
     """
     l_max = min(m1.l_max, m2.l_max)
     if m1.n_atoms == 0 or m2.n_atoms == 0:
@@ -256,10 +251,13 @@ def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
         mas = np.empty(0)
     else:
         delta = min(_dyadic_spacing(m1.positions), _dyadic_spacing(m2.positions))
-        if (m1.positions[-1] + m2.positions[-1]) / delta < _MAX_DENSE:
-            pos, mas, overflow = _convolve_dense(m1, m2, delta, l_max)
-        else:
+        try:
+            budget.need((m1.positions[-1] + m2.positions[-1]) / delta, 76,
+                        "the dense convolution's lattice", "analytic.l_max")
+        except budget.BudgetError:
             pos, mas, overflow = _convolve_outer(m1, m2, l_max)
+        else:
+            pos, mas, overflow = _convolve_dense(m1, m2, delta, l_max)
     deficit = (overflow
                + m1.deficit * m2.total_mass
                + m2.deficit * m1.finite_mass)
@@ -298,11 +296,9 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
     total_in = mu.total_mass
 
     def check(n_held, k):
-        if n_held > _MAX_SERIES_ATOMS:
-            raise MeasureError(
-                f"the pushforward series of the epoch on [{d_min!r}, {d_max!r}) holds "
-                f"{n_held} atoms after {k} terms, above the budget of {_MAX_SERIES_ATOMS}; "
-                f"lower l_max (analytic.l_max in a config), now {mu.l_max!r}, or epochs")
+        budget.need(n_held, 90, f"the pushforward series of the epoch on [{d_min!r}, "
+                    f"{d_max!r}), holding {n_held} atoms after {k} terms,",
+                    f"analytic.l_max, now {mu.l_max!r}, or epochs")
 
     e_pos, e_mas = [h.positions], [h.masses]
     n_held = mu.n_atoms + h.n_atoms

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import budget
 from .laws import ExpGeometricLaw
 from .measures import AtomicMeasure, MeasureError, _coalesce, convolve
 
@@ -65,26 +66,16 @@ def deconvolve_m(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
 
 def reassemble_z_law(m: AtomicMeasure, j_max: float) -> AtomicMeasure:
     """Round-trip oracle: evaluate sum_{k>=1} (-1)^(k+1) m^{*k}/k! below j_max."""
-    acc_pos = [m.positions]
-    acc_mas = [m.masses]
-    power = m
-    fact = 1.0
-    k = 1
-    while True:
-        k += 1
-        if k > j_max:
-            break
-        power = convolve(power, m)
-        if power.n_atoms == 0:
-            break
+    acc_pos, acc_mas = [m.positions], [m.masses]
+    power, fact, k = m, 1.0, 2
+    while k <= j_max and (power := convolve(power, m)).n_atoms:
         fact *= k
-        sign = 1.0 if k % 2 == 1 else -1.0
         acc_pos.append(power.positions)
-        acc_mas.append(sign * power.masses / fact)
+        acc_mas.append((1.0 if k % 2 else -1.0) * power.masses / fact)
+        k += 1
     pos, mas = _coalesce(np.concatenate(acc_pos), np.concatenate(acc_mas))
     keep = np.abs(mas) > 1e-13
-    return AtomicMeasure(pos[keep], np.maximum(mas[keep], 0.0),
-                         min(m.l_max, j_max))
+    return AtomicMeasure(pos[keep], np.maximum(mas[keep], 0.0), min(m.l_max, j_max))
 
 
 # ---------------------------------------------------------------------------
@@ -251,26 +242,19 @@ def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float) -> LatticeSt
     return LatticeStepFunction(spacing, c, float(j_max - 1.0))
 
 
-# Lattice sites of one law (1 GiB at 8 bytes a site).  The README config
-# uses 1.44 M; each step of figb.horizon doubles the count, so an oversized
-# request fails here with the knobs named instead of in the allocator.
-_FIGB_MAX_SITES = 1 << 27
-
-
 def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[float]]:
     """u_n(x) / x for n = 1..horizon, one list per q: the law exp_geometric
     with p = 1 - q, transported along the thresholds d_of(n) on the lattice of
     ``spacing``.  Shared by ``reproduce-figb`` and acceptance criterion 7.
-    One law's lattice is held at a time."""
+    One law's lattice is held at a time, and refused past the memory budget
+    before it is allocated: each step of the horizon doubles it."""
     try:
         j_max = d_of(horizon) * (1 + x) + 2
     except OverflowError:  # 2^(horizon - 1) beyond the float range
         j_max = math.inf
-    if j_max / spacing >= _FIGB_MAX_SITES:
-        raise MeasureError(
-            f"the transport lattice needs {j_max / spacing + 1:.3g} sites per law, above "
-            f"the budget of {_FIGB_MAX_SITES}; lower figb.horizon or figb.x, or coarsen "
-            f"figb.lattice")
+    sites = j_max / spacing + 1
+    budget.need(sites, 9, f"the transport lattice of {sites:.4g} sites per law",
+                "figb.horizon or figb.x, or coarsen figb.lattice")
     n_atoms = max(1, int(math.log(j_max)) + 1)
     ratios = []
     for q in qs:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -369,31 +370,11 @@ class TestFigB:
                 assert ari[d] == pytest.approx(v, rel=1e-12)
 
 
-_FIGB_RUN = """
-import json, sys
-import hcplab.cli
-budget, argv = json.loads(sys.argv[1])
-if budget is not None:
-    hcplab.transport._FIGB_MAX_SITES = budget
-sys.exit(hcplab.cli.main(argv))
-"""
-
-
 class TestFigBInputs:
     """Bad figb configs exit 2 with the field named, never a traceback."""
 
     def run(self, tmp_path, figb, budget=None):
-        argv = ["reproduce-figb", "--config", write_config(tmp_path, {"figb": figb}),
-                "--out", str(tmp_path / "out")]
-        src = os.path.dirname(os.path.dirname(hcplab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", _FIGB_RUN, json.dumps([budget, argv])],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert "Traceback" not in proc.stderr, proc.stderr
-        assert proc.returncode == 2, proc.stderr
-        return proc.stderr
+        return run_rejected(tmp_path, "reproduce-figb", {"figb": figb}, budget=budget)
 
     @pytest.mark.parametrize("figb, field", [
         ({"lattice": 0}, "figb.lattice"),
@@ -412,9 +393,9 @@ class TestFigBInputs:
 
     def test_site_budget_names_knobs(self, tmp_path):
         # horizon 4 needs 1,441 sites per law at the default x and lattice;
-        # a budget of 1,000 stands in for an oversized request
-        err = self.run(tmp_path, {"horizon": 4, "q": [0.5]}, budget=1000)
-        assert err.startswith("measure error:")
+        # a budget of 1,000 sites at 9 bytes each stands in for an oversized request
+        err = self.run(tmp_path, {"horizon": 4, "q": [0.5]}, budget=1000 * 9)
+        assert err.startswith("budget error: the transport lattice of 1441 sites per law ")
         for field in ("figb.horizon", "figb.x", "figb.lattice"):
             assert field in err
 
@@ -436,19 +417,40 @@ class TestFigBInputs:
         assert "p = 1 - q" in err
 
 
-def run_rejected(tmp_path, command, overrides, *flags):
-    """Run the CLI in a subprocess on BASE_CONFIG with overrides; it must exit
-    2 without a traceback.  Returns stderr."""
-    argv = [command, "--config", write_config(tmp_path, overrides),
-            "--out", str(tmp_path / "out"), *flags]
+_CHILD = """
+import json, sys
+import hcplab.budget, hcplab.cli
+budget, argv = json.loads(sys.argv[1])
+if budget is not None:
+    hcplab.budget.BUDGET_BYTES = budget
+sys.exit(hcplab.cli.main(argv))
+"""
+
+
+def run_child(tmp_path, argv, budget=None):
+    """Run ``hcplab.cli.main(argv)`` in a fresh interpreter whose memory budget
+    is ``budget`` bytes (None: unchanged)."""
     src = os.path.dirname(os.path.dirname(hcplab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-m", "hcplab.cli", *argv], cwd=tmp_path,
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, "-c", _CHILD, json.dumps([budget, argv])],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+
+
+def run_rejected(tmp_path, command, overrides, *flags, budget=None):
+    """Run the CLI in a child on BASE_CONFIG with overrides; it must exit 2
+    without a traceback.  Returns stderr."""
+    proc = run_child(tmp_path, [command, "--config", write_config(tmp_path, overrides),
+                                "--out", str(tmp_path / "out"), *flags], budget)
     assert "Traceback" not in proc.stderr, proc.stderr
     assert proc.returncode == 2, proc.stderr
     return proc.stderr
+
+
+def names_field(err, field):
+    """A field check names the field; a budget stop names it as a knob to lower."""
+    return (f"config error: config field '{field}'" in err
+            or err.startswith("budget error: ") and f"; lower {field}" in err)
 
 
 class TestConfigInputs:
@@ -506,7 +508,7 @@ class TestConfigInputs:
         ({"initial_law.kind": "poisson"}, (), "initial_law.kind"),
         ({"replicas": 2**32 + 1}, (), "replicas"),  # replica indices stay below 2^32
         ({}, ("--replicas", str(2**32 + 1)), "replicas"),
-        # above 2 GiB of points per replica, caught before drawing
+        # past the memory budget at 64 bytes per point, caught before drawing
         ({"window.n_intervals": 10**11}, (), "window.n_intervals"),
         ({"window": {"target_core": 10**12}}, (), "window.target_core"),
         ({"schedule.rates": "linear", "schedule.right": math.inf}, (), "schedule.right"),
@@ -524,7 +526,7 @@ class TestConfigInputs:
     ])
     def test_simulate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "simulate", overrides, *flags)
-        assert f"config error: config field '{field}'" in err
+        assert names_field(err, field), err
 
     @pytest.mark.parametrize("overrides, field", [
         ({"analytic.probe_x": ["a"]}, "analytic.probe_x[0]"),
@@ -567,13 +569,13 @@ class TestConfigInputs:
         ({}, ("--seed", "-2"), "seed"),
         ({"validate.scale": math.nan}, (), "validate.scale"),
         ({"validate.scale": 0}, (), "validate.scale"),
-        # criteria 3 and 6 scale a 250,000-interval window past _MAX_INTERVALS
+        # criteria 3 and 6 scale a 250,000-interval window past the memory budget
         ({"validate.scale": 135}, (), "validate.scale"),
         ({"validate.scale": 1e300}, (), "validate.scale"),
     ])
     def test_validate_fields(self, tmp_path, overrides, flags, field):
         err = run_rejected(tmp_path, "validate", overrides, *flags)
-        assert f"config error: config field '{field}'" in err
+        assert names_field(err, field), err
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
     def test_below_explicit_d1_names_both_fields(self, tmp_path, command):
@@ -674,12 +676,26 @@ class TestAcceptedInputs:
     def test_analytic_names_knobs(self, tmp_path, capsys, overrides, knobs):
         self.assert_names_knobs(tmp_path, capsys, "analytic", overrides, knobs)
 
+    @pytest.mark.parametrize("l_max", [1e11, 1e8])
+    def test_geometric_atoms_past_budget(self, tmp_path, capsys, l_max):
+        # q = 1e-9 keeps an atom at every integer up to l_max: 4.2 TB and
+        # 4.2 GB at 43 bytes each, refused before any of it is allocated
+        overrides = {"initial_law": {"kind": "geometric", "q": 1e-9}, "analytic.l_max": l_max}
+        tracemalloc.start()
+        try:
+            self.assert_names_knobs(tmp_path, capsys, "analytic", overrides,
+                                    ("analytic.l_max", "initial_law.q"), "budget error: ")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 24, peak
+
     @staticmethod
-    def assert_names_knobs(tmp_path, capsys, command, overrides, knobs):
+    def assert_names_knobs(tmp_path, capsys, command, overrides, knobs, prefix="config error: "):
         cfg = write_config(tmp_path, overrides)
         assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
         for knob in knobs:
             assert knob in err
 
@@ -699,6 +715,39 @@ class TestAcceptedInputs:
             report = json.load(fh)
         assert report["converged"] and report["s_min"] == s_min
 
+    EXP_GEOMETRIC = {"initial_law": {"kind": "exp_geometric", "p": 0.5},
+                     "analytic.deficit_bound": 1.0}
+
+    def test_c0_row_past_budget(self, tmp_path):
+        # the c0 view of exp_geometric holds e^k to k = 3 ln(1/c0_s_min): 690
+        # atoms at 1e-100, whose one grid row and weights take 12,420 bytes
+        # at 9 bytes each; at the default c0_s_min (62 atoms) the same budget runs
+        cfg = dict(self.EXP_GEOMETRIC, **{"analytic.c0_s_min": 1e-100})
+        err = run_rejected(tmp_path, "analytic", cfg, budget=12_000)
+        assert err.startswith("budget error: a 1 x 690 block of the transform grid ")
+        assert err.count("\n") == 1 and err.rstrip().endswith(
+            "; lower analytic.l_max, or raise analytic.c0_s_min"), err
+        argv = ["analytic", "--config", write_config(tmp_path, self.EXP_GEOMETRIC),
+                "--out", str(tmp_path / "ok")]
+        proc = run_child(tmp_path, argv, budget=12_000)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+    def test_c0_grid_in_row_blocks(self, tmp_path):
+        # a budget of 100,000 bytes evaluates the 141 x 300 grid of
+        # geometric(0.1) at l_max 300 in blocks of 36 rows; nothing else
+        # needs as much
+        cfg = write_config(tmp_path, {"initial_law": {"kind": "geometric", "q": 0.1}})
+        reports = []
+        for budget in (None, 100_000):
+            out = tmp_path / f"out{budget}"
+            proc = run_child(tmp_path, ["analytic", "--config", cfg, "--out", str(out)], budget)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            with open(out / "c0_report.json") as fh:
+                reports.append(json.load(fh))
+        whole, blocked = reports
+        assert blocked == dict(whole, estimate=pytest.approx(whole["estimate"], rel=1e-13))
+        assert whole["converged"]
+
 
 class TestOffLatticeSimulate:
     def test_irrational_lengths_run_to_the_end(self, tmp_path):
@@ -709,12 +758,7 @@ class TestOffLatticeSimulate:
             "initial_law": {"kind": "two_point", "a": 1.0, "b": math.sqrt(2.0)},
             "process": {"variant": "left_bounded"},
             "window": {"n_intervals": 20_000}})
-        src = os.path.dirname(os.path.dirname(hcplab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-m", "hcplab.cli", "simulate", "--config", cfg,
-                               "--out", str(tmp_path / "out")],
-                              cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+        proc = run_child(tmp_path, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert "Traceback" not in proc.stderr, proc.stderr
         assert proc.returncode == 0, proc.stderr
         with open(tmp_path / "out" / "replicas.csv") as fh:

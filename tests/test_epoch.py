@@ -1,6 +1,5 @@
 import math
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,25 +292,6 @@ class TestResolverOracle:
         ref = [simulate_points_loop(p, periodic, c, rates, ScriptedRng(clocks, coins))
                for p, c, (_, clocks, coins) in zip(rel, circ, segments)]
         assert np.array_equal(alive, np.concatenate(ref))
-
-
-class TestResolverMemory:
-    def test_peak_bytes_per_point(self):
-        # one call on 64 left-bounded segments of 1,024 unit domains, all
-        # active: the traced peak, result included, per point of the input
-        n_segments, n_domains = 64, 1024
-        points = np.tile(np.arange(n_domains + 1, dtype=float), n_segments)
-        starts = np.arange(n_segments) * (n_domains + 1)
-        gaps = segment_gaps(points, starts, Boundary.LEFT_BOUNDED)[0]
-        rngs = [replica_rng(53, r) for r in range(n_segments)]
-        tracemalloc.start()
-        try:
-            alive = _simulate_points(gaps, starts, PASTE_ALL, rngs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0 < np.count_nonzero(~alive) < n_segments * n_domains
-        assert peak / points.size <= 64, peak / points.size
 
 
 class TestEpochObservables:

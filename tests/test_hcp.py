@@ -5,12 +5,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hcplab import hcp
+from hcplab import budget, hcp
+from hcplab.budget import BudgetError
 from hcplab.epoch import Boundary
 from hcplab.laws import DiracLaw, GeometricLaw, SamplingContractError, two_point_law
 from hcplab.measures import dirac, iterate_hcp_measures
-from hcplab.hcp import (WindowExhaustedError, WindowPolicy, WindowTooLargeError, replicate,
-                        run_hcp)
+from hcplab.hcp import WindowExhaustedError, WindowPolicy, replicate, run_hcp
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary, check_lengths,
                              draw_spec, replica_rng)
@@ -306,27 +306,28 @@ class TestEngineOracle:
 
 
 class TestWindowBudget:
-    """A window above ``_MAX_INTERVALS`` initial intervals per replica fails
-    before anything is drawn."""
+    """A window past the memory budget, at 64 bytes per initial point of a
+    replica, fails before anything is drawn."""
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch):
         def draw_spec(*args):
             raise AssertionError("drawn")
         monkeypatch.setattr(hcp, "draw_spec", draw_spec)
+        # the budget in bytes: 2^25 intervals times 64 bytes a point
+        monkeypatch.setattr(budget, "BUDGET_BYTES", (1 << 25) * 64)
 
     def test_explicit_count(self):
         spec = SPECS["periodic"]
-        with pytest.raises(WindowTooLargeError) as err:
+        with pytest.raises(BudgetError, match=r"^a window of 100000000000 initial intervals per "
+                           r"replica needs .* lower window\.n_intervals$"):
             replicate(spec, east_schedule(2.0), 2, 2, 0, WindowPolicy(n_intervals=10**11))
-        assert err.value.n_intervals == 10**11
         with pytest.raises(AssertionError, match="drawn"):  # the budget itself is allowed
-            replicate(spec, east_schedule(2.0), 2, 2, 0,
-                      WindowPolicy(n_intervals=hcp._MAX_INTERVALS))
+            replicate(spec, east_schedule(2.0), 2, 2, 0, WindowPolicy(n_intervals=1 << 25))
 
     def test_pilot_sized_count(self, monkeypatch):
-        monkeypatch.setattr(hcp, "_pilot_initial_count", lambda *args: hcp._MAX_INTERVALS + 1)
-        with pytest.raises(WindowTooLargeError):
+        monkeypatch.setattr(hcp, "_pilot_initial_count", lambda *args: (1 << 25) + 1)
+        with pytest.raises(BudgetError, match="lower window\\.target_core$"):
             run_hcp(SPECS["left_bounded"], east_schedule(2.0), 2,
                     WindowPolicy(target_core=10**12), replica_rng(0))
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hcplab.budget import BudgetError
 from hcplab.laws import ExpGeometricLaw, GeometricLaw, two_point_law
 from hcplab.measures import (AtomicMeasure, MeasureError, _coalesce, _convolve_outer,
                              _dyadic_spacing, _fft_convolve, convolve, dirac,
@@ -83,6 +84,23 @@ class TestAtomicMeasure:
         assert peak <= 1.1 * s.size * m.n_atoms * 8, peak / (s.size * m.n_atoms * 8)
         assert out.tobytes() == old(s).tobytes()
         assert getattr(m, method)(float(s[3])) == float(old(s[3])[0])
+
+    @pytest.mark.parametrize("method", ["transform", "transform_derivative",
+                                        "one_minus_transform"])
+    def test_transform_grid_in_row_blocks(self, monkeypatch, method):
+        # a budget of a few rows splits the README c0 grid into blocks, whose
+        # products differ from the whole grid's in the last bits only: up to
+        # 12 ulp over 7,052 atoms at these block sizes
+        m = GeometricLaw(0.1).atomic(51200.0).normalized()
+        s = default_c0_grid()
+        whole = getattr(m, method)(s)
+        for rows in (1, 10, 100):
+            # 9 bytes per grid point and atom, for the block and one row of weights
+            monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", 9 * m.n_atoms * (rows + 1))
+            with mock.patch("numpy.outer", wraps=np.outer) as spy:
+                blocked = getattr(m, method)(s)
+            assert spy.call_count == -(-s.size // rows)
+            np.testing.assert_array_max_ulp(blocked, whole, maxulp=16)
 
 
 class TestConvolve:
@@ -224,13 +242,15 @@ class TestEpochPushforward:
         for mu, fits, atoms_out, cases in (
                 (dirac(1.0, 40.0), 21, 19, ((20, 21, 20),)),
                 (half, 34, 18, ((33, 34, 16), (17, 18, 16)))):
-            monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", fits)
+            # the budget in bytes: atoms times the 90 bytes per atom the series states
+            monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", fits * 90)
             assert epoch_pushforward(mu, 1.0, 2.0).n_atoms == atoms_out
-            for budget, held, terms in cases:
-                monkeypatch.setattr("hcplab.measures._MAX_SERIES_ATOMS", budget)
-                with pytest.raises(MeasureError, match=rf"holds {held} atoms after {terms} terms, "
-                                   rf"above the budget of {budget}; lower l_max \(analytic\.l_max "
-                                   r"in a config\), now 40\.0, or epochs$"):
+            for atoms, held, terms in cases:
+                monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", atoms * 90)
+                with pytest.raises(BudgetError, match=rf"holding {held} atoms after {terms} "
+                                   r"terms, needs [0-9.e-]+ MiB at 90 bytes each, above the "
+                                   r"memory budget of [0-9.e-]+ MiB; lower analytic\.l_max, "
+                                   r"now 40\.0, or epochs$"):
                     epoch_pushforward(mu, 1.0, 2.0)
 
     def test_one_convolution_with_mu(self, monkeypatch):
