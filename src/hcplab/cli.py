@@ -23,7 +23,8 @@ from .limits import first_point_limit_transform, g_infinity, z_cdf
 from .measures import MeasureError, iterate_hcp_measures, survival_probability_exact
 from .schema import (NUMBER, ConfigError, build_analytic, build_schedule, build_spec,
                      build_window, epoch_count, field, numbers, positive)
-from .hcp import WindowExhaustedError, WindowTooLargeError, check_window, replicate
+from .hcp import (WindowExhaustedError, WindowTooLargeError, check_window, float_reprs,
+                  replicate)
 from .sampling import ExchangeableMixture
 from .schedule import ExplicitThresholds, ScheduleError
 from .transport import c0_estimate, deconvolve_m, figb_ratios, u1_from_m, un_transport
@@ -132,14 +133,14 @@ def cmd_simulate(cfg: dict, out: str) -> int:
                 continue
             # a replica's rows are head + z + tail for each z it holds
             held = -(-summary.core_sizes // summary.z_stride)
-            z = summary.z_samples.tolist()
+            z = float_reprs(summary.z_samples)
             stops = np.cumsum(held).tolist()
             for r, (y, f, o, lo, hi) in enumerate(zip(
                     summary.y.tolist(), summary.first_point_survived.tolist(),
                     summary.origin_alive.tolist(), [0] + stops[:-1], stops)):
                 if lo < hi:
                     head, tail = f"{r},{summary.epoch},", f",{y!r},{int(f)},{int(o)}\n"
-                    fh.write(head + (tail + head).join(map(repr, z[lo:hi])) + tail)
+                    fh.write(head + (tail + head).join(z[lo:hi]) + tail)
     with open(os.path.join(out, "replicas.csv"), "w") as fh:
         fh.write(_provenance_header(cfg))
         fh.write("replica,epoch,d_n,y,first_point_survived,origin_alive,"

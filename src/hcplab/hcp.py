@@ -13,7 +13,7 @@ intervals) array of lengths, checked once, whose row-wise cumsum gives every
 replica's points.  Replica r draws from its own stream only, in the same
 order whatever batch it runs in.  Each epoch's summary goes into that epoch's
 fold as soon as it is formed, at the z stride the fold sets first, so a
-batch forms only the z that are kept.
+batch forms only the z that are kept, picked by index at a cost in kept z.
 """
 
 from __future__ import annotations
@@ -105,16 +105,29 @@ class EpochSummary:
 _ARRAY_FIELDS = [f.name for f in fields(EpochSummary)[3:]]
 
 
-def _thin(z: np.ndarray, core_sizes: np.ndarray, have: int, want: int) -> np.ndarray:
-    """``z``, the core z of replicas with ``core_sizes`` at stride ``have``, at
-    stride ``want``, a multiple of ``have`` or 0; kept values are copied."""
-    if want == have:
-        return z
+def _kept(core_sizes: np.ndarray, have: int, want: int) -> np.ndarray:
+    """Indices, into the core z of replicas with ``core_sizes`` held at stride
+    ``have``, of those held at stride ``want`` (a multiple of ``have``, or 0):
+    replica r, held from offset_r, keeps offset_r + (want / have) j for
+    j < ceil(core_r / want).  The cost is in the kept count alone."""
     if want == 0:
-        return np.empty(0)
-    held = -(-core_sizes // have)  # per replica
-    index = np.arange(z.size) - np.repeat(np.cumsum(held) - held, held)
-    return z[index % (want // have) == 0]
+        return np.empty(0, dtype=np.int64)
+    step, kept = want // have, -(-core_sizes // want)
+    held = -(-core_sizes // have)
+    base = np.cumsum(held) - held - step * (np.cumsum(kept) - kept)
+    return np.repeat(base, kept) + step * np.arange(int(kept.sum()))
+
+
+# For the samples.csv writer.  Not in cli: cli is compiled last in every
+# command, and there it raised perfbench exact's peak RSS by 0.03-0.05 MiB.
+def float_reprs(v: np.ndarray) -> list[str]:
+    """``list(map(repr, v.tolist()))`` for float64 ``v``, each distinct value
+    formatted once when at most half are distinct: kept z on a lattice hold
+    few.  Values are keyed on their bits, so -0.0 and 0.0 stay apart."""
+    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    if 2 * bits.size > v.size:  # sharing would cost more than it saves
+        return list(map(repr, v.tolist()))
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()
 
 
 class _EpochFold:
@@ -124,7 +137,8 @@ class _EpochFold:
     replica is held at stride S, the smallest power of two with
     sum_r ceil(core_r / S) <= k, or at 0 when k is 0 or below the number of
     replicas with a nonempty core.  S only grows as batches arrive, and the
-    powers of two nest, so the held values depend on the totals alone.
+    powers of two nest, so the held values depend on the totals alone.  Kept
+    z are picked by index (``_kept``), at a cost in kept z, not in core z.
     """
 
     def __init__(self, keep: int | None):
@@ -151,7 +165,7 @@ class _EpochFold:
                                 for c in [p.core_sizes for p in self.parts] + [core_sizes])
         if stride != self.stride:
             self.parts = [replace(p, z_stride=stride,
-                                  z_samples=_thin(p.z_samples, p.core_sizes, self.stride, stride))
+                                  z_samples=p.z_samples[_kept(p.core_sizes, self.stride, stride)])
                           for p in self.parts]
             self.stride = stride
         return stride
@@ -238,7 +252,8 @@ def _run_batch(spec, schedule: EpochSchedule, window: WindowPolicy, n0: int, rng
             epoch=n,
             d_n=d_n,
             z_stride=stride,
-            z_samples=_thin(gaps[core], core_sizes, 1, stride) / d_n if stride else np.empty(0),
+            z_samples=(gaps[np.flatnonzero(core)[_kept(core_sizes, 1, stride)]] / d_n
+                       if stride else np.empty(0)),
             y=(points[starts] + shift) / d_n,
             first_point_survived=points[starts] == 0.0,
             origin_alive=np.logical_or.reduceat(points == np.repeat(origin, counts), starts),

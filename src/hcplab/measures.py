@@ -37,13 +37,9 @@ def _coalesce(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     order = np.argsort(positions, kind="stable")
     pos = positions[order]
     mas = masses[order]
-    gaps = np.diff(pos)
-    tol = POSITION_RTOL * np.maximum(1.0, pos[1:])
-    new_group = np.concatenate(([True], gaps > tol))
-    starts = np.flatnonzero(new_group)
-    out_pos = pos[starts]
-    out_mas = np.add.reduceat(mas, starts)
-    return out_pos, out_mas
+    new_group = np.diff(pos) > POSITION_RTOL * np.maximum(1.0, pos[1:])
+    starts = np.flatnonzero(np.concatenate(([True], new_group)))
+    return pos[starts], np.add.reduceat(mas, starts)
 
 
 @dataclass(frozen=True)
@@ -177,12 +173,8 @@ def dirac(position: float, l_max: float, mass: float = 1.0) -> AtomicMeasure:
 # ---------------------------------------------------------------------------
 
 def _fft_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real vectors by FFT.
-
-    numpy runs the same pocketfft as ``scipy.signal.fftconvolve``, but
-    importing ``scipy.signal`` costs about 1.2 s and loads ``scipy.stats``,
-    more than most commands spend on their numerics.
-    """
+    """Full linear convolution of two real vectors by numpy's FFT, the
+    pocketfft of ``scipy.signal``, whose import costs about 1.2 s."""
     size = a.size + b.size - 1
     n_fft = 1 << (size - 1).bit_length()
     return np.fft.irfft(np.fft.rfft(a, n_fft) * np.fft.rfft(b, n_fft), n_fft)[:size]
@@ -223,10 +215,11 @@ def _convolve_dense(m1: AtomicMeasure, m2: AtomicMeasure, delta: float,
     return pos[keep], mas[keep], overflow
 
 
-def _convolve_outer(m1: AtomicMeasure, m2: AtomicMeasure,
-                    l_max: float) -> tuple[np.ndarray, np.ndarray, float]:
-    budget.need(m1.n_atoms * m2.n_atoms, 87, f"the off-lattice convolution of {m1.n_atoms} x "
-                f"{m2.n_atoms} atoms", f"analytic.l_max, now {l_max!r}")
+def _convolve_outer(m1: AtomicMeasure, m2: AtomicMeasure, l_max: float,
+                    held: float = 0.0) -> tuple[np.ndarray, np.ndarray, float]:
+    beside = f" beside {held / 2**20:.4g} MiB held" if held else ""
+    budget.need(m1.n_atoms * m2.n_atoms + held / 87, 87, f"the off-lattice convolution of "
+                f"{m1.n_atoms} x {m2.n_atoms} atoms{beside}", f"analytic.l_max, now {l_max!r}")
     pos = np.add.outer(m1.positions, m2.positions).ravel()
     mas = np.multiply.outer(m1.masses, m2.masses).ravel()
     keep = pos <= l_max * (1 + POSITION_RTOL)
@@ -235,32 +228,29 @@ def _convolve_outer(m1: AtomicMeasure, m2: AtomicMeasure,
     return p, w, overflow
 
 
-def convolve(m1: AtomicMeasure, m2: AtomicMeasure) -> AtomicMeasure:
+def convolve(m1: AtomicMeasure, m2: AtomicMeasure, held: float = 0.0) -> AtomicMeasure:
     """Convolution m1 * m2: atom at p1+p2 with mass w1*w2 for every atom pair.
 
     Mass landing beyond l_max (including anything involving an input deficit)
     is added to the output deficit.  On the common dyadic lattice of both
     operands the sums are formed on dense vectors while their cells fit the
     memory budget; past it they are formed pair by pair and coalesced within
-    the position tolerance.
+    the position tolerance.  Bytes ``held`` by the caller count into both
+    requests.
     """
     l_max = min(m1.l_max, m2.l_max)
     if m1.n_atoms == 0 or m2.n_atoms == 0:
-        overflow = 0.0
-        pos = np.empty(0)
-        mas = np.empty(0)
+        pos, mas, overflow = np.empty(0), np.empty(0), 0.0
     else:
         delta = min(_dyadic_spacing(m1.positions), _dyadic_spacing(m2.positions))
         try:
-            budget.need((m1.positions[-1] + m2.positions[-1]) / delta, 76,
+            budget.need((m1.positions[-1] + m2.positions[-1]) / delta + held / 76, 76,
                         "the dense convolution's lattice", "analytic.l_max")
         except budget.BudgetError:
-            pos, mas, overflow = _convolve_outer(m1, m2, l_max)
+            pos, mas, overflow = _convolve_outer(m1, m2, l_max, held)
         else:
             pos, mas, overflow = _convolve_dense(m1, m2, delta, l_max)
-    deficit = (overflow
-               + m1.deficit * m2.total_mass
-               + m2.deficit * m1.finite_mass)
+    deficit = overflow + m1.deficit * m2.total_mass + m2.deficit * m1.finite_mass
     return AtomicMeasure(pos, mas, l_max, deficit)
 
 
@@ -307,7 +297,7 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
         check(n_held, k)
         if (k + 1) * d_min > mu.l_max or hk.finite_mass / fact < 1e-18 * max(1.0, total_in):
             break
-        hk = convolve(hk, h)
+        hk = convolve(hk, h, 90 * n_held)
         if hk.n_atoms == 0:
             break
         k += 1
@@ -316,7 +306,7 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
         e_mas.append(hk.masses / fact)
         n_held += hk.n_atoms
     e = AtomicMeasure(np.concatenate(e_pos), np.concatenate(e_mas), mu.l_max)
-    mu_e = convolve(mu_in, e)
+    mu_e = convolve(mu_in, e, 90 * n_held)
     check(n_held + mu_e.n_atoms, k)
 
     # sum_{j>=2} (j - 1) h^{*j} / j! reuses E's terms: e_mas[j - 1] is h^{*j} / j!

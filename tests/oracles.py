@@ -25,7 +25,9 @@ segmented engine and the batch draws replaced it.  ``run_hcp_loop`` finds the
 marked point by binary search and returns, beside its summaries, the points
 each epoch erased, counted from the alive masks.  ``thinned_z`` applies the
 ``z_per_epoch`` rule of ``replicate`` to a summary that holds every core z,
-one replica at a time.
+one replica at a time.  ``thin_rank_modulo`` re-thins held z by each one's
+in-replica rank modulo the stride ratio, over every held z: the rule
+``hcp._kept`` replaced by indexing the kept z alone.
 ``seed_sequence_rng`` derives a replica stream by numpy's own route, one
 SeedSequence object per replica, which ``sampling.replica_rng`` and
 ``replica_rngs`` replaced by hashing the spawn-key word of a block of
@@ -441,6 +443,19 @@ def replicate_loop(spec, schedule, n_epochs: int, n_replicas: int, base_seed: in
     return [EpochSummary(parts[0].epoch, parts[0].d_n, 1,
                          *(np.concatenate([getattr(p, name) for p in parts]) for name in names))
             for parts in zip(*runs)]
+
+
+def thin_rank_modulo(z: np.ndarray, core_sizes: np.ndarray, have: int,
+                     want: int) -> np.ndarray:
+    """``z``, the core z of replicas with ``core_sizes`` at stride ``have``, at
+    stride ``want``, a multiple of ``have`` or 0; kept values are copied."""
+    if want == have:
+        return z
+    if want == 0:
+        return np.empty(0)
+    held = -(-core_sizes // have)  # per replica
+    index = np.arange(z.size) - np.repeat(np.cumsum(held) - held, held)
+    return z[index % (want // have) == 0]
 
 
 def thinned_z(summary: EpochSummary, k: int) -> tuple[int, np.ndarray]:

@@ -88,3 +88,33 @@ def test_peak_within_stated_cost(monkeypatch, site):
         tracemalloc.stop()
     units, stated = max(asked)
     assert peak / units <= stated, (peak / units, stated)
+
+
+class TestPushforwardAsAWhole:
+    """A convolution inside ``epoch_pushforward`` counts the series the
+    pushforward holds into its request, so the budget bounds the whole."""
+
+    # 64 atoms on [1, 2), off every coarse lattice, as the whole active range:
+    # one h * h of 64 x 64 pairs (under l_max 2.5 no third power is formed)
+    MU = AtomicMeasure(np.sort(np.random.default_rng(5).uniform(1.0, 2.0, 64)),
+                       np.full(64, 1 / 64), 2.5)
+    BUDGET = 360_000  # bytes: 87 x 64^2 = 356,352 fit, with the held 128 atoms they do not
+
+    def test_series_and_convolution_fit_alone_not_together(self, monkeypatch):
+        asked, check = [], budget.need
+
+        def spy(n_units, bytes_per_unit, what, knobs):
+            check(n_units, bytes_per_unit, what, knobs)
+            asked.append((what.split(" of ")[0], n_units * bytes_per_unit))
+
+        monkeypatch.setattr(budget, "need", spy)
+        epoch_pushforward(self.MU, 1.0, 2.0)
+        series = max(b for what, b in asked if what == "the pushforward series")
+        pairs = max(b for what, b in asked if what == "the off-lattice convolution")
+        assert series <= self.BUDGET and 87 * 64 * 64 <= self.BUDGET < pairs, (series, pairs)
+
+        monkeypatch.setattr(budget, "BUDGET_BYTES", self.BUDGET)
+        assert convolve(self.MU, self.MU).n_atoms > 64  # the convolution alone fits
+        with pytest.raises(BudgetError, match=r"^the off-lattice convolution of 64 x 64 atoms "
+                           r"beside 0\.01099 MiB held needs .* lower analytic\.l_max, now 2\.5$"):
+            epoch_pushforward(self.MU, 1.0, 2.0)

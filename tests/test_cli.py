@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -171,6 +172,36 @@ class TestSamplesCsv:
         assert main(["simulate", "--config", cfg, "--out", out]) == 0
         strides, rows, _ = read_samples(os.path.join(out, "samples.csv"))
         assert strides == {1: 0, 2: 0} and rows.size == 0
+
+
+class TestSimulateBytes:
+    """``simulate``'s files on dyadic configs, pinned by their sha256: the
+    bytes must not change with how z are picked or formatted, or batched."""
+
+    PINNED = {
+        "periodic": ("4efe2e1efdebbea179d64a85e83e42a6eae499665949f4de6819d1e6178f1349",
+                     "8acd65f3b2c751df15843cf8a8e2b793a407ca8a090e89f2552c3b554aa0dfd5"),
+        "left_bounded": ("3c4b1bf6003222875f2ddb630e9a5c441af63b5741ea1cd99d33e6e5a7d96d91",
+                         "5a3c02801d22abe8580880e24737fde0fb681985f3db6ecd42feac72c618614f"),
+    }
+
+    @pytest.mark.parametrize("batch_points", [hcplab.hcp._BATCH_POINTS, 1])
+    @pytest.mark.parametrize("variant", list(PINNED))
+    def test_files_pinned(self, tmp_path, monkeypatch, variant, batch_points):
+        # one replica per batch at 1 point, so the stride grows batch by batch
+        monkeypatch.setattr(hcplab.hcp, "_BATCH_POINTS", batch_points)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 11, "epochs": 8, "replicas": 3, "samples_per_epoch": 5000,
+            "initial_law": {"kind": "geometric", "q": 0.1}, "process": {"variant": variant},
+            "schedule": {"thresholds": "geometric", "a": 2.0, "rates": "east"},
+            "window": {"n_intervals": 20000}}))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        strides, _, _ = read_samples(out / "samples.csv")
+        assert list(strides.values()) == [16, 16, 16, 8, 4, 4, 2, 1]
+        assert tuple(hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in ("samples.csv", "replicas.csv")) == self.PINNED[variant]
 
 
 class TestReplicasCsv:

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcplab import budget, hcp
 from hcplab.budget import BudgetError
@@ -19,7 +21,7 @@ from hcplab.schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresh
 from hcplab.schema import ConfigError, build_schedule
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
 from oracles import (_pilot_initial_count_loop, relative_points, replicate_loop, run_hcp_loop,
-                     sample_spec_config, seed_sequence_rng, thinned_z)
+                     sample_spec_config, seed_sequence_rng, thin_rank_modulo, thinned_z)
 
 
 # arithmetic thresholds with symmetric incorporation at rate one (gamma = 1)
@@ -484,6 +486,17 @@ class TestZThinning:
         if keep == 40:
             assert len(set(strides)) > 2
 
+    @given(cores=st.lists(st.one_of(st.just(0), st.integers(1, 400)), min_size=1, max_size=50),
+           have=st.sampled_from([1, 2, 4, 8, 16, 64]), up=st.integers(-1, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_kept_indices_match_rank_modulo(self, cores, have, up):
+        # want = have * 2^up, or 0 for up = -1; each held z is its own position
+        core_sizes = np.array(cores, dtype=np.int64)
+        want = have << up if up >= 0 else 0
+        held = np.arange(int((-(-core_sizes // have)).sum()))
+        np.testing.assert_array_equal(held[hcp._kept(core_sizes, have, want)],
+                                      thin_rank_modulo(held, core_sizes, have, want))
+
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="z_per_epoch"):
             replicate(self.SPEC, east_schedule(2.0), 2, 2, 5, self.WINDOW, z_per_epoch=-1)
@@ -515,6 +528,27 @@ class TestZThinning:
         finally:
             tracemalloc.stop()
         assert peak / (7 * 8193) <= 70, peak / (7 * 8193)
+
+
+class TestFloatReprs:
+    @pytest.mark.parametrize("values", [
+        [], [0.0, -0.0, 0.0, -0.0], [math.nan, -math.nan, math.nan, 1.0, 1.0, math.nan, 1.0, 1.0],
+        [math.inf, -math.inf, math.inf, 5e-324, -5e-324, 1.7976931348623157e308,
+         -1.7976931348623157e308, 5e-324],
+        [0.5, 0.1, 0.5, 1 / 3, 0.1, 0.30000000000000004, 0.3, 2.0 ** -1074],
+    ])
+    def test_equals_repr(self, values):
+        v = np.array(values, dtype=float)
+        assert hcp.float_reprs(v) == list(map(repr, v.tolist()))
+
+    def test_equals_repr_on_random_floats(self):
+        # all distinct (formatted one by one), then a lattice with duplicates
+        # (each distinct value once), then 1,000 distinct among the lattice
+        rng = np.random.default_rng(3)
+        distinct = rng.uniform(0.0, 1e3, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
+        lattice = rng.integers(1, 200, 5000) / 2.0 ** 9
+        for v in (distinct, lattice, rng.permutation(np.concatenate((distinct[:1000], lattice)))):
+            assert hcp.float_reprs(v) == list(map(repr, v.tolist()))
 
 
 class TestWindowSizing:

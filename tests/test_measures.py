@@ -237,20 +237,30 @@ class TestEpochPushforward:
         # dirac(1) on [1, 2) holds mu (1 atom) and one atom for each of the 20
         # terms of E (the last with 1/20! < 1e-18); mu_in is empty.  Half
         # masses at 1 and 3 hold mu (2 atoms), 16 terms of E and mu_in * E
-        # (16 atoms), which the check after the series counts.
+        # (16 atoms), which the check after the series counts.  Each
+        # convolution counts the 90 bytes of every atom held so far into its
+        # request, here 87 bytes a pair on the outer route, so the series
+        # check refuses only within 3 bytes of each atom the convolution made.
         half = AtomicMeasure([1.0, 3.0], [0.5, 0.5], l_max=40.0)
+        series = (r"the pushforward series of the epoch on \[1\.0, 2\.0\), holding {} atoms "
+                  r"after {} terms, needs [0-9.e-]+ MiB at 90 bytes each, above the memory "
+                  r"budget of [0-9.e-]+ MiB; lower analytic\.l_max, now 40\.0, or epochs$")
+        pairs = (r"the off-lattice convolution of 1 x {} atoms beside {:.4g} MiB held needs "
+                 r"[0-9.e-]+ MiB at 87 bytes each, above the memory budget of [0-9.e-]+ MiB; "
+                 r"lower analytic\.l_max, now 40\.0$")
         for mu, fits, atoms_out, cases in (
-                (dirac(1.0, 40.0), 21, 19, ((20, 21, 20),)),
-                (half, 34, 18, ((33, 34, 16), (17, 18, 16)))):
+                (dirac(1.0, 40.0), 21, 19, ((1889, series.format(21, 20)),
+                                            (1886, pairs.format(1, 20 * 90 / 2**20)))),
+                (half, 34, 18, ((3059, series.format(34, 16)),
+                                (3011, pairs.format(16, 18 * 90 / 2**20)),
+                                (1619, series.format(18, 16)),
+                                (1616, pairs.format(1, 17 * 90 / 2**20))))):
             # the budget in bytes: atoms times the 90 bytes per atom the series states
             monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", fits * 90)
             assert epoch_pushforward(mu, 1.0, 2.0).n_atoms == atoms_out
-            for atoms, held, terms in cases:
-                monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", atoms * 90)
-                with pytest.raises(BudgetError, match=rf"holding {held} atoms after {terms} "
-                                   r"terms, needs [0-9.e-]+ MiB at 90 bytes each, above the "
-                                   r"memory budget of [0-9.e-]+ MiB; lower analytic\.l_max, "
-                                   r"now 40\.0, or epochs$"):
+            for budget_bytes, message in cases:
+                monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", budget_bytes)
+                with pytest.raises(BudgetError, match="^" + message):
                     epoch_pushforward(mu, 1.0, 2.0)
 
     def test_one_convolution_with_mu(self, monkeypatch):
@@ -258,9 +268,9 @@ class TestEpochPushforward:
         # [d_max, inf), deficit included, with E
         calls = []
 
-        def counted(m1, m2):
+        def counted(m1, m2, held):
             calls.append(m1)
-            return convolve(m1, m2)
+            return convolve(m1, m2, held)
 
         monkeypatch.setattr("hcplab.measures.convolve", counted)
         epoch_pushforward(dirac(1.0, 40.0), 1.0, 2.0)
