@@ -30,8 +30,8 @@ class Boundary(enum.Enum):
     LEFT_BOUNDED : the process really has a leftmost point; the semi-infinite
         domain to its left is never active.  The right end is an open window
         (truncation artifact).
-    PERIODIC : intervals live on a circle whose circumference is the sum of
-        the lengths; the first point is a reference marker, there are no edges.
+    PERIODIC : intervals live on a circle, the last ending at the first
+        point; the first point is a reference marker, there are no edges.
     WINDOW : a two-sided cutout of an unbounded process; inactive sentinel
         domains sit outside both ends, and both edges are artifacts.
     """
@@ -46,33 +46,35 @@ class StateSpaceError(ValueError):
 
 
 def gap_floor(d: float) -> float:
-    """The least gap that counts as at least ``d``: a gap taken from point
-    differences can sit a few ulps off its true value, so one within a
-    relative 1e-9 of a threshold counts as at it."""
+    """The least length that counts as at least ``d``: a merged length is a
+    sum, rounded once per addition, so one within a relative 1e-9 of a
+    threshold counts as at it."""
     return d * (1 - 1e-9) - 1e-12
 
 
-def segment_gaps(points: np.ndarray, starts: np.ndarray, boundary: Boundary,
-                 circumference=None, buffer_length: float = 0.0):
-    """Gap and core mask per slot: slot k is the interval from point k to the
-    next point of its segment (``points[starts[r]:starts[r+1]]``), and a
-    segment's last slot wraps around (periodic) or is +inf (no interval).
-    Core intervals lie ``buffer_length`` from every truncated edge: periodic
-    segments have none, left-bounded ones a right edge, windows both."""
-    ends = np.concatenate((starts[1:], [points.size])) - 1
-    gaps = np.empty(points.size)
-    np.subtract(points[1:], points[:-1], out=gaps[:-1])
+def core_ranges(lengths: np.ndarray, bounds: np.ndarray, boundary: Boundary,
+                buffer_length: float, shortest: float) -> tuple[np.ndarray, np.ndarray]:
+    """(first, size) of the core slots of each segment of a segmented length
+    array (segment r is ``lengths[bounds[r]:bounds[r+1]]``, slot k the
+    interval right of point k, a non-periodic segment's last slot +inf), no
+    length below ``shortest``: the slots at least ``buffer_length`` from
+    every truncated edge, which are consecutive.  Periodic segments have no
+    edge, left-bounded ones a right edge, windows both."""
     if boundary is Boundary.PERIODIC:
-        gaps[ends] = circumference - (points[ends] - points[starts])
-        return gaps, np.ones(points.size, dtype=bool)
-    gaps[ends] = np.inf
-    counts = ends - starts + 1
-    core = np.zeros(points.size, dtype=bool)
-    core[:-1] = points[1:] <= np.repeat(points[ends] - buffer_length, counts)[:-1]
-    if boundary is Boundary.WINDOW:
-        core[:-1] &= points[:-1] >= np.repeat(points[starts] + buffer_length, counts)[:-1]
-    core[ends] = False
-    return gaps, core
+        return bounds[:-1], np.diff(bounds)
+    first, last = bounds[:-1], bounds[1:] - 1  # the +inf slot is never core
+    # Only the m slots next to an edge can lie within buffer_length of it.
+    # Row i holds the i-th slot from each edge, on the array read as a circle
+    # (a negative index counts from its end), where the +inf slots stop every
+    # walk.
+    m = int(min(buffer_length / shortest + 1, np.diff(bounds).max()))
+    for edge, step in [(last - 1, -1)] + [(first - lengths.size, 1)] * (boundary is Boundary.WINDOW):
+        slot = edge + step * np.arange(m)[:, None]
+        dist = np.zeros(slot.shape)  # the lengths between each slot and the edge
+        np.cumsum(lengths[slot[:-1]], axis=0, out=dist[1:])
+        near = np.count_nonzero(dist < buffer_length, axis=0)
+        first, last = (first, last - near) if step < 0 else (first + near, last)
+    return first, np.maximum(last - first, 0)
 
 
 def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rngs):

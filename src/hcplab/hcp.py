@@ -2,18 +2,16 @@
 
 Observables are recorded at each epoch START (the state produced by the
 previous epoch), matching the interval laws computed by the measure
-analytics.  Point identity is preserved exactly: coordinates are carried
-through untouched and a replica's points strictly increase, so "the first
-point never moved" and "the origin is still there" are float equalities.
+analytics.  The state is the drawn interval lengths: a merge adds lengths,
+no coordinate is ever differenced, and points are known by index.
 
-One engine runs 1 or R replicas as one segmented point array: one gap pass
-and one resolver call per batch and epoch.  A batch is a fixed number of
-replicas, drawn and run in one place: straight into one (replicas x
-intervals) array of lengths, checked once, whose row-wise cumsum gives every
-replica's points.  Replica r draws from its own stream only, in the same
-order whatever batch it runs in.  Each epoch's summary goes into that epoch's
-fold as soon as it is formed, at the z stride the fold sets first, so a
-batch forms only the z that are kept, picked by index at a cost in kept z.
+One engine runs 1 or R replicas as one segmented length array: one resolver
+call and one merge per batch and epoch.  A batch is a fixed number of
+replicas, drawn straight into one checked array and run in one place.
+Replica r draws from its own stream only, in the same order whatever batch
+it runs in.  Each epoch's summary goes into that epoch's fold as soon as it
+is formed, at the z stride the fold sets first, so a batch forms only the z
+that are kept, picked by index at a cost in kept z.
 """
 
 from __future__ import annotations
@@ -25,16 +23,13 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import budget
-from .epoch import Boundary, StateSpaceError, _simulate_points, gap_floor, segment_gaps
+from .epoch import Boundary, StateSpaceError, _simulate_points, core_ranges, gap_floor
 from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rngs
 from .schedule import EpochSchedule
 
 # A batch holds as many replicas as fit in this many initial points (at
-# least one).  It peaks at about 65 traced bytes per point when every domain
-# is active.  With batch draws, 2^17 was no faster than 2^16 for 64-interval
-# replicas (5,000 of them: 0.27 s either way) or 8192-interval ones
-# (acceptance criterion 5: 14.6 against 14.8 s), and 2^15 was slower on both
-# (0.28 and 17.2 s).
+# least one).  2^17 was no faster for 5,000 64-interval replicas (0.27 s) or
+# criterion 5 (14.6 against 14.8 s), and 2^15 slower (0.28 and 17.2 s).
 _BATCH_POINTS = 1 << 16
 # A target_core window's pilot: its initial intervals, and the factor on its estimate.
 _PILOT_INTERVALS = 4096
@@ -55,7 +50,7 @@ class WindowTooLargeError(ValueError):
 
 def check_window(n_intervals: float, knobs: str) -> None:
     """Refuse ``n_intervals`` initial intervals per replica past the memory
-    budget, before any is drawn: a one-replica batch peaks near 64 bytes a point."""
+    budget, before any is drawn: a one-replica batch peaks below 64 bytes a point."""
     budget.need(n_intervals, 64, f"a window of {n_intervals} initial intervals per replica", knobs)
 
 
@@ -105,16 +100,18 @@ class EpochSummary:
 _ARRAY_FIELDS = [f.name for f in fields(EpochSummary)[3:]]
 
 
-def _kept(core_sizes: np.ndarray, have: int, want: int) -> np.ndarray:
+def _kept(core_sizes: np.ndarray, have: int, want: int, offsets=None) -> np.ndarray:
     """Indices, into the core z of replicas with ``core_sizes`` held at stride
     ``have``, of those held at stride ``want`` (a multiple of ``have``, or 0):
-    replica r, held from offset_r, keeps offset_r + (want / have) j for
-    j < ceil(core_r / want).  The cost is in the kept count alone."""
+    replica r, held from offset_r (``offsets[r]`` if given), keeps
+    offset_r + (want / have) j for j < ceil(core_r / want)."""
     if want == 0:
         return np.empty(0, dtype=np.int64)
     step, kept = want // have, -(-core_sizes // want)
-    held = -(-core_sizes // have)
-    base = np.cumsum(held) - held - step * (np.cumsum(kept) - kept)
+    if offsets is None:
+        held = -(-core_sizes // have)
+        offsets = np.cumsum(held) - held
+    base = offsets - step * (np.cumsum(kept) - kept)
     return np.repeat(base, kept) + step * np.arange(int(kept.sum()))
 
 
@@ -194,31 +191,24 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
         if survivors < 8:
             pilot_n *= 4
             continue
-        shrink = pilot_n / survivors
-        buffered = int(final.n_intervals.sum() - final.core_sizes.sum())
-        per_run_overhead = buffered + 4
-        need_final = policy.target_core + per_run_overhead
-        return int(math.ceil(need_final * shrink * _PILOT_SAFETY))
+        buffered = survivors - int(final.core_sizes.sum())
+        return math.ceil((policy.target_core + buffered + 4) * (pilot_n / survivors)
+                         * _PILOT_SAFETY)
     raise WindowExhaustedError(n_epochs)
 
 
 def _draw(spec, n0: int, rngs):
     """Draw ``n0`` intervals from each stream of ``rngs``, checked at once:
-    (first points, rows of the points relative to them, circumferences or
-    None, origin coordinates).  Sums past the float range are refused."""
-    firsts, lengths, marked_idx = zip(*(draw_spec(spec, n0, rng) for rng in rngs))
-    lengths = check_lengths(spec, np.array(lengths, dtype=float))
-    periodic = spec.boundary is Boundary.PERIODIC
-    # anchored at each first point, which is then exactly 0.0, so lattice gaps
-    # stay exact; the row-wise cumsum adds in the order of each row's own cumsum
-    rows = np.zeros((len(rngs), n0 if periodic else n0 + 1))
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        np.cumsum(lengths[:, :rows.shape[1] - 1], axis=1, out=rows[:, 1:])
-        circumference = lengths.sum(axis=1) if periodic else None
-    if not np.isfinite(rows[:, -1]).all() or periodic and not np.isfinite(circumference).all():
-        raise WindowTooLargeError(f"{n0} initial intervals per replica, whose initial_law "
-                                  "lengths sum past the float range")
-    return np.array(firsts), rows, circumference, rows[np.arange(len(rngs)), marked_idx]
+    (first points, rows of a slot per point, marked indices).  A row is the
+    lengths, then +inf unless periodic; a sum past the float range is refused."""
+    firsts, lengths, marked = zip(*(draw_spec(spec, n0, rng) for rng in rngs))
+    rows = np.full((len(rngs), n0 + (spec.boundary is not Boundary.PERIODIC)), np.inf)
+    rows[:, :n0] = check_lengths(spec, np.array(lengths, dtype=float))
+    with np.errstate(over="ignore"):  # an overflow is refused here
+        if not np.isfinite(rows[:, :n0].sum(axis=1)).all():
+            raise WindowTooLargeError(f"{n0} initial intervals per replica, whose initial_law "
+                                      "lengths sum past the float range")
+    return np.array(firsts), rows, np.array(marked)
 
 
 def _run_batch(spec, schedule: EpochSchedule, window: WindowPolicy, n0: int, rngs,
@@ -226,45 +216,59 @@ def _run_batch(spec, schedule: EpochSchedule, window: WindowPolicy, n0: int, rng
     """Draw one replica per stream of ``rngs``, run them as one segmented array
     for ``len(folds)`` epochs, and fold each epoch's summary into its fold as
     it is formed, with only the z that the fold keeps."""
-    shift, rows, circumference, origin = _draw(spec, n0, rngs)
+    shift, rows, marked = _draw(spec, n0, rngs)
     periodic = spec.boundary is Boundary.PERIODIC
     n_replicas, width = rows.shape
-    points = rows.reshape(-1)
-    counts = np.full(n_replicas, width)
-    starts = np.arange(0, points.size, width)
+    lengths = rows.reshape(-1)
+    bounds = np.arange(0, lengths.size + 1, width)  # replica r: bounds[r]:bounds[r+1]
+    marked = marked + bounds[:-1]  # the marked points, or -1 once erased
+    lead = np.zeros(n_replicas)  # the lengths merged into the left boundary
 
     buffer_len = 0.0
     for n, fold in enumerate(folds, start=1):
         d_n = schedule.d(n)
         buffer_len += window.buffer_factor * d_n
-        if counts.min() < (1 if periodic else 2):
-            raise WindowExhaustedError(n)
-        gaps, core = segment_gaps(points, starts, spec.boundary, circumference, buffer_len)
-        shortest = float(gaps.min())
+        shortest = float(lengths.min())
         if shortest < gap_floor(d_n):
             if n == 1:  # the initial law has mass below d(1)
                 raise StateSpaceError(f"initial interval {shortest!r} below d(1) = {d_n!r}")
             raise AssertionError(  # a later epoch starts from an absorbing state
                 f"epoch {n} start has interval {shortest} below d({n})={d_n}")
-        core_sizes = np.add.reduceat(core, starts, dtype=np.int64)
+        core, core_sizes = core_ranges(lengths, bounds, spec.boundary, buffer_len, shortest)
         stride = fold.admit(core_sizes)
         fold.parts.append(EpochSummary(
             epoch=n,
             d_n=d_n,
             z_stride=stride,
-            z_samples=(gaps[np.flatnonzero(core)[_kept(core_sizes, 1, stride)]] / d_n
+            z_samples=(lengths[_kept(core_sizes, 1, stride, core)] / d_n
                        if stride else np.empty(0)),
-            y=(points[starts] + shift) / d_n,
-            first_point_survived=points[starts] == 0.0,
-            origin_alive=np.logical_or.reduceat(points == np.repeat(origin, counts), starts),
-            n_intervals=counts if periodic else counts - 1,
+            y=(lead + shift) / d_n,
+            first_point_survived=lead == 0.0,
+            origin_alive=marked >= 0,
+            n_intervals=np.diff(bounds) - (not periodic),
             core_sizes=core_sizes,
         ))
-        if n < len(folds):
-            alive = _simulate_points(gaps, starts, schedule.rates_for(n), rngs)
-            points = points[alive]
-            counts = np.add.reduceat(alive, starts, dtype=np.int64)
-            starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+        if n == len(folds):
+            break
+        starts = bounds[:-1]
+        alive = _simulate_points(lengths, starts, schedule.rates_for(n), rngs)
+        keep, dead = np.flatnonzero(alive), np.flatnonzero(~alive)
+        bounds = keep.searchsorted(bounds)
+        if np.diff(bounds).min() < (1 if periodic else 2):
+            raise WindowExhaustedError(n + 1)
+        marked = np.where((marked >= 0) & alive[marked], keep.searchsorted(marked), -1)
+        # Dead lengths join, left to right, the interval of the alive point
+        # before them (index: alive points before, less one); segment r's
+        # leading run, dead[at[r]:at[r] + k[r]], joins slot K + r instead.
+        owner = dead - np.arange(1, dead.size + 1)
+        k = keep[bounds[:-1]] - starts
+        at = np.repeat(dead.searchsorted(starts) - np.cumsum(k) + k, k) + np.arange(k.sum())
+        owner[at] = keep.size + np.repeat(np.arange(n_replicas), k)
+        sums = np.concatenate((lengths[keep], np.zeros(n_replicas)))
+        np.add.at(sums, owner, lengths[dead])
+        lengths, run = sums[:keep.size], sums[keep.size:]
+        lengths[bounds[1:] - 1] += run  # a circle's last interval wraps round
+        lead += run  # y = (lead + shift) / d_n
 
 
 def run_hcp(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,

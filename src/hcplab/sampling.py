@@ -216,7 +216,7 @@ class ExchangeableMixture:
 @dataclass(frozen=True)
 class PeriodicRenewal:
     """i.i.d. gaps on a circle with a marker point: the opt-in boundary-free
-    stand-in for a stationary process, with bias O(1/circumference)."""
+    stand-in for a stationary process, with bias O(1 / the total length)."""
 
     mu: object
     boundary = Boundary.PERIODIC

@@ -18,12 +18,14 @@ the pushforward as it was before ``measures.epoch_pushforward`` summed
 E = exp(h) - delta_0 first and convolved mu with it once.
 ``simulate_points_loop`` runs one epoch as a time-sorted event loop with lazy
 invalidation, on the rates ``rate_values`` evaluates from a family's
-coefficients, and ``run_hcp_loop``/``replicate_loop`` chain it replica by
-replica, each replica drawn by ``sample_spec_config`` into its own checked
-configuration: the simulator as it was before the epoch resolver, the
-segmented engine and the batch draws replaced it.  ``run_hcp_loop`` finds the
-marked point by binary search and returns, beside its summaries, the points
-each epoch erased, counted from the alive masks.  ``thinned_z`` applies the
+coefficients, and merges a Python list of lengths itself, each merged
+interval summed left to right; ``run_hcp_loop``/``replicate_loop`` chain it
+replica by replica, each replica drawn by ``sample_spec_config`` into its own
+checked configuration: the simulator as it was before the epoch resolver, the
+segmented engine and the batch draws replaced it, fed the drawn lengths.
+``run_hcp_loop`` follows the marked point by counting the alive points before
+it and returns, beside its summaries, the points each epoch erased, counted
+from the alive masks.  ``thinned_z`` applies the
 ``z_per_epoch`` rule of ``replicate`` to a summary that holds every core z,
 one replica at a time.  ``thin_rank_modulo`` re-thins held z by each one's
 in-replica rank modulo the stride ratio, over every held z: the rule
@@ -301,20 +303,18 @@ def rate_values(rates, d):
             np.where(inside, rates.right * scale, 0.0))
 
 
-def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: float | None,
-                         rates, rng) -> np.ndarray:
-    """Erase points of one epoch; returns the alive mask.
+def simulate_points_loop(lengths: list, periodic: bool, rates, rng):
+    """Erase points of one epoch on the intervals ``lengths`` (point k is the
+    left end of interval k; on a circle the last interval ends at point 0,
+    otherwise one more point ends it).  Returns the alive mask, the lengths
+    between the points left (a circle's last one wraps round to its first
+    point), and the length merged into the left boundary.
 
     Rings are consumed in stable-argsort order of their times, so ties go to
     the lower domain index.
     """
-    n_points = points.size
-    if periodic:
-        gaps = np.empty(n_points)
-        gaps[:-1] = np.diff(points)
-        gaps[-1] = circumference - (points[-1] - points[0])
-    else:
-        gaps = np.diff(points)
+    n_points = len(lengths) + (not periodic)
+    gaps = np.array(lengths, dtype=float)
     # a gap within a relative 1e-9 of d_min or d_max counts as at it
     d_min = rates.d_min * (1 - 1e-9) - 1e-12
     if gaps.size and gaps.min() < d_min:
@@ -336,7 +336,24 @@ def simulate_points_loop(points: np.ndarray, periodic: bool, circumference: floa
         a, b = idx[k], (idx[k] + 1) % n_points  # a periodic last domain ends at point 0
         if alive[a] and alive[b]:
             alive[a if erase_left[k] else b] = False
-    return alive
+
+    # each interval runs from an alive point over the dead ones after it
+    runs, lead = [], []
+    slots = list(lengths) + ([] if periodic else [math.inf])  # the last point has no interval
+    for length, point_alive in zip(slots, alive):
+        if point_alive:
+            runs.append([length])
+        elif runs:
+            runs[-1].append(length)
+        else:
+            lead.append(length)
+    merged = [sum(run) for run in runs]  # left to right
+    lead_length = sum(lead, 0.0)
+    if periodic and runs:
+        merged[-1] += lead_length
+    elif runs:
+        merged.pop()  # the last alive point's, +inf
+    return alive, merged, lead_length
 
 
 def _pilot_initial_count_loop(spec, schedule, n_epochs, policy, rng) -> int:
@@ -372,53 +389,47 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy,
         n0 = window.n_intervals
     else:
         n0 = _pilot_initial_count_loop(spec, schedule, n_epochs, window, rng)
-    shift, lengths, boundary, marked_idx = sample_spec_config(spec, n0, rng)
+    shift, lengths, boundary, marked = sample_spec_config(spec, n0, rng)
     periodic = boundary is Boundary.PERIODIC
-    circumference = lengths.sum() if periodic else None
-    points = relative_points(lengths, boundary)
-    first_rel = points[0]
-    marked_rel = points[marked_idx]
+    lengths = lengths.tolist()
+    lead, first_alive, marked_alive = 0.0, True, True
 
     summaries, erased = [], [0]
     buffer_len = 0.0
     for n in range(1, n_epochs + 1):
         d_n = schedule.d(n)
         buffer_len += window.buffer_factor * d_n
-        if points.size < (1 if periodic else 2):
+        if len(lengths) < 1:
             raise WindowExhaustedError(n)
+        gaps = np.array(lengths)
         if periodic:
-            gaps = np.empty(points.size)
-            gaps[:-1] = np.diff(points)
-            gaps[-1] = circumference - (points[-1] - points[0])
             core = np.ones(gaps.size, dtype=bool)
         else:
-            gaps = np.diff(points)
-            lo = points[0] if boundary is Boundary.LEFT_BOUNDED \
-                else points[0] + buffer_len
-            hi = points[-1] - buffer_len
-            core = (points[:-1] >= lo) & (points[1:] <= hi)
-        if gaps.size and gaps.min() < d_n * (1 - 1e-9) - 1e-9:
+            points = relative_points(gaps, boundary)
+            lo = 0.0 if boundary is Boundary.LEFT_BOUNDED else buffer_len
+            core = (points[:-1] >= lo) & (points[1:] <= points[-1] - buffer_len)
+        if gaps.min() < d_n * (1 - 1e-9) - 1e-9:
             raise AssertionError(
                 f"epoch {n} start has interval {gaps.min()} below d({n})={d_n}")
-        z = gaps[core] / d_n
-        k = int(np.searchsorted(points, marked_rel))
-        marked_alive = bool(k < points.size and points[k] == marked_rel)
-        x0 = points[0] + shift
         summaries.append(EpochSummary(
             epoch=n,
             d_n=d_n,
             z_stride=1,
-            z_samples=z,
-            y=np.array([x0 / d_n]),
-            first_point_survived=np.array([points[0] == first_rel]),
+            z_samples=gaps[core] / d_n,
+            y=np.array([(lead + shift) / d_n]),
+            first_point_survived=np.array([first_alive]),
             origin_alive=np.array([marked_alive]),
             n_intervals=np.array([gaps.size]),
             core_sizes=np.array([int(core.sum())]),
         ))
         if n < n_epochs:
             rates = schedule.rates_for(n)
-            alive = simulate_points_loop(points, periodic, circumference, rates, rng)
-            points = points[alive]
+            alive, lengths, merged_left = simulate_points_loop(lengths, periodic, rates, rng)
+            lead += merged_left
+            first_alive = first_alive and bool(alive[0])
+            marked_alive = marked_alive and bool(alive[marked])
+            if marked_alive:
+                marked = int(np.count_nonzero(alive[:marked]))
             erased.append(int(np.count_nonzero(~alive)))
     return summaries, erased
 

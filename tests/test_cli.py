@@ -730,6 +730,15 @@ class TestAcceptedInputs:
         for knob in knobs:
             assert knob in err
 
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_heavy_exp_geometric_simulates(self, tmp_path, capsys, p):
+        # lengths up to ~e^100 on the default window: differences of their
+        # coordinates once read as negative intervals
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"initial_law": {"kind": "exp_geometric", "p": p}}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_stationary_finite_mean_exp_geometric(self, tmp_path):
         cfg = write_config(tmp_path, {"initial_law": {"kind": "exp_geometric", "p": 0.9},
                                       "process.variant": "stationary"})
@@ -781,13 +790,15 @@ class TestAcceptedInputs:
 
 
 class TestOffLatticeSimulate:
-    def test_irrational_lengths_run_to_the_end(self, tmp_path):
-        # gaps of sums of 1 and sqrt(2) come out a few ulps off; a true unit
-        # gap read below d(1) = 1 once never rang and stopped epoch 2
+    @pytest.mark.parametrize("variant", ["left_bounded", "periodic"])
+    def test_irrational_lengths_run_to_the_end(self, tmp_path, variant):
+        # gaps taken as differences of coordinates, sums of 1 and sqrt(2),
+        # came out a few ulps off: a true unit gap read below d(1) = 1 once
+        # never rang and stopped epoch 2, and a periodic one stopped epoch 1
         cfg = write_config(tmp_path, {
             "epochs": 3, "replicas": 1, "seed": 0,
             "initial_law": {"kind": "two_point", "a": 1.0, "b": math.sqrt(2.0)},
-            "process": {"variant": "left_bounded"},
+            "process": {"variant": variant},
             "window": {"n_intervals": 20_000}})
         proc = run_child(tmp_path, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
         assert "Traceback" not in proc.stderr, proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcplab.epoch import Boundary, StateSpaceError, _simulate_points, segment_gaps
+from hcplab.epoch import Boundary, StateSpaceError, _simulate_points, core_ranges
 from hcplab.hcp import WindowPolicy, run_hcp
 from hcplab.laws import AtomicLaw
 from hcplab.measures import AtomicMeasure, dirac, epoch_pushforward
@@ -21,15 +21,19 @@ WEST = RateFamily(1.0, 2.0, 1.0, 0.0)
 PASTE_ALL = RateFamily(1.0, 2.0, 1.0, 1.0)
 
 
+def slots(lengths, boundary):
+    """The resolver's gaps of one segment, one per point: ``lengths``, then
+    +inf for the last point unless periodic."""
+    return lengths if boundary is Boundary.PERIODIC else np.append(lengths, np.inf)
+
+
 def run_one(lengths, rates, rng, boundary=Boundary.LEFT_BOUNDED):
     """The points left after one epoch on one segment: 0 and the points
-    ``lengths`` apart after it, through ``segment_gaps`` and the resolver."""
+    ``lengths`` apart after it, through the resolver."""
     lengths = np.asarray(lengths, dtype=float)
-    rel = relative_points(lengths, boundary)
     starts = np.zeros(1, dtype=np.intp)
-    circumference = lengths.sum() if boundary is Boundary.PERIODIC else None
-    gaps = segment_gaps(rel, starts, boundary, circumference)[0]
-    return rel[_simulate_points(gaps, starts, rates, [rng])]
+    alive = _simulate_points(slots(lengths, boundary), starts, rates, [rng])
+    return relative_points(lengths, boundary)[alive]
 
 
 def periodic_lengths(points, circumference):
@@ -201,17 +205,43 @@ class TestThresholdTolerance:
         gen = np.random.default_rng(83)
         near = np.array([1.0, 2.0, 3.0]) + np.arange(-6, 7)[:, None] * 2.0**-52
         segments = [gen.choice(near.ravel(), size=40) for _ in range(6)]
-        rel = [relative_points(lengths, boundary) for lengths in segments]
-        starts = np.cumsum([0] + [p.size for p in rel[:-1]])
-        circ = [lengths.sum() if periodic else None for lengths in segments]
-        gaps = segment_gaps(np.concatenate(rel), starts, boundary,
-                            np.array(circ) if periodic else None)[0]
+        gaps = [slots(lengths, boundary) for lengths in segments]
+        starts = np.cumsum([0] + [g.size for g in gaps[:-1]])
         rates = PASTE_ALL
-        alive = _simulate_points(gaps, starts, rates, [replica_rng(84, r) for r in range(6)])
-        ref = [simulate_points_loop(p, periodic, c, rates, replica_rng(84, r))
-               for r, (p, c) in enumerate(zip(rel, circ))]
+        alive = _simulate_points(np.concatenate(gaps), starts, rates,
+                                 [replica_rng(84, r) for r in range(6)])
+        ref = [simulate_points_loop(lengths, periodic, rates, replica_rng(84, r))[0]
+               for r, lengths in enumerate(segments)]
         assert np.array_equal(alive, np.concatenate(ref))
         assert not alive.all()
+
+
+class TestCoreRanges:
+    """The core slots of a segmented length array against each segment's
+    coordinates, for segments shorter and longer than the buffer."""
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_coordinates(self, data):
+        boundary = data.draw(st.sampled_from([Boundary.LEFT_BOUNDED, Boundary.WINDOW]))
+        buffer_length = data.draw(st.sampled_from([0.0, 1.0, 2.5, 7.0, 30.0, 1e3]))
+        segments = data.draw(st.lists(st.lists(st.sampled_from([1.0, 1.5, 2.0, 3.25, 8.0]),
+                                               min_size=1, max_size=40), min_size=1, max_size=6))
+        lengths = np.concatenate([slots(np.array(s), boundary) for s in segments])
+        bounds = np.cumsum([0] + [len(s) + 1 for s in segments])
+        first, size = core_ranges(lengths, bounds, boundary, buffer_length, lengths.min())
+        for r, segment in enumerate(segments):
+            points = relative_points(np.array(segment), boundary)
+            core = points[1:] <= points[-1] - buffer_length
+            if boundary is Boundary.WINDOW:
+                core &= points[:-1] >= buffer_length
+            assert np.array_equal(np.arange(first[r], first[r] + size[r]) - bounds[r],
+                                  np.flatnonzero(core))
+
+    def test_periodic_is_all_core(self):
+        bounds = np.array([0, 3, 4, 9])
+        first, size = core_ranges(np.ones(9), bounds, Boundary.PERIODIC, 50.0, 1.0)
+        assert np.array_equal(first, [0, 3, 4]) and np.array_equal(size, [3, 1, 5])
 
 
 class ScriptedRng:
@@ -282,15 +312,12 @@ class TestResolverOracle:
     def test_matches_event_loop(self, rates, case):
         periodic, segments = case
         boundary = Boundary.PERIODIC if periodic else Boundary.LEFT_BOUNDED
-        rel = [relative_points(lengths, boundary) for lengths, _, _ in segments]
-        circ = [lengths.sum() if periodic else None for lengths, _, _ in segments]
-        starts = np.cumsum([0] + [p.size for p in rel[:-1]]).astype(np.intp)
-        gaps = segment_gaps(np.concatenate(rel), starts, boundary,
-                            np.array(circ) if periodic else None)[0]
-        alive = _simulate_points(gaps, starts, rates,
+        gaps = [slots(lengths, boundary) for lengths, _, _ in segments]
+        starts = np.cumsum([0] + [g.size for g in gaps[:-1]]).astype(np.intp)
+        alive = _simulate_points(np.concatenate(gaps), starts, rates,
                                  [ScriptedRng(c, u) for _, c, u in segments])
-        ref = [simulate_points_loop(p, periodic, c, rates, ScriptedRng(clocks, coins))
-               for p, c, (_, clocks, coins) in zip(rel, circ, segments)]
+        ref = [simulate_points_loop(lengths, periodic, rates, ScriptedRng(clocks, coins))[0]
+               for lengths, clocks, coins in segments]
         assert np.array_equal(alive, np.concatenate(ref))
 
 

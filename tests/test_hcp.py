@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from hcplab import budget, hcp
 from hcplab.budget import BudgetError
 from hcplab.epoch import Boundary
-from hcplab.laws import DiracLaw, GeometricLaw, SamplingContractError, two_point_law
+from hcplab.laws import (DiracLaw, ExpGeometricLaw, GeometricLaw, SamplingContractError,
+                         two_point_law)
 from hcplab.measures import dirac, iterate_hcp_measures
 from hcplab.hcp import WindowExhaustedError, WindowPolicy, replicate, run_hcp
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
@@ -20,7 +21,7 @@ from hcplab.schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresh
                              GeometricThresholds, ScheduleError, east_schedule)
 from hcplab.schema import ConfigError, build_schedule
 from hcplab.stats import independence_test, ks_test_discrete, ks_two_sample
-from oracles import (_pilot_initial_count_loop, relative_points, replicate_loop, run_hcp_loop,
+from oracles import (_pilot_initial_count_loop, replicate_loop, run_hcp_loop,
                      sample_spec_config, seed_sequence_rng, thin_rank_modulo, thinned_z)
 
 
@@ -307,6 +308,45 @@ class TestEngineOracle:
         assert err.value.epoch == 5
 
 
+class TestLengthsCarried:
+    """The engine carries the drawn lengths, so sums of off-lattice lengths
+    are rounded once per addition and never taken back as differences."""
+
+    LAWS = {"sqrt2": two_point_law(1.0, math.sqrt(2.0)), "exp_geometric": ExpGeometricLaw(0.4)}
+    KINDS = {"periodic": PeriodicRenewal, "left_bounded": LeftBounded,
+             "contains_origin": ContainsOrigin}
+
+    @pytest.mark.parametrize("batch_points", [700, hcp._BATCH_POINTS])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_replicate_matches_loop(self, law, kind, batch_points, monkeypatch):
+        # the event loop merges a list of lengths itself, each merged interval
+        # summed left to right; seven replicas run in four batches at 700 points
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
+        spec, window = self.KINDS[kind](self.LAWS[law]), WindowPolicy(n_intervals=300,
+                                                                       buffer_factor=2.0)
+        for sched in (east_schedule(2.0), PASTE_ALL):
+            got = replicate(spec, sched, 6, 7, 5, window)
+            TestEngineOracle.assert_same(got, replicate_loop(spec, sched, 6, 7, 5, window))
+            assert any(not s.first_point_survived.all() for s in got)
+            assert any(not s.origin_alive.all() for s in got)
+
+    def test_first_z_are_the_drawn_lengths(self):
+        # differences of coordinates used to leave most of these z off, by up
+        # to 1e-3 relative
+        spec = PeriodicRenewal(ExpGeometricLaw(0.4))
+        first = replicate(spec, east_schedule(2.0), 2, 4, 3, WindowPolicy(n_intervals=20_000))[0]
+        drawn = [draw_spec(spec, 20_000, replica_rng(3, r))[1] for r in range(4)]
+        assert np.array_equal(first.z_samples, np.concatenate(drawn) / first.d_n)
+
+    def test_huge_length_beside_unit_ones(self):
+        # coordinates past 2^53 used to round unit gaps to 0.0
+        out = run_hcp(LeftBounded(two_point_law(1.0, 2.0**52)), east_schedule(2.0), 6,
+                      WindowPolicy(n_intervals=2000), replica_rng(8))
+        assert out[0].z_samples.min() == 1.0 and out[0].z_samples.max() == 2.0**52
+        assert all(s.z_samples.min() >= 1 for s in out)
+
+
 class TestWindowBudget:
     """A window past the memory budget, at 64 bytes per initial point of a
     replica, fails before anything is drawn."""
@@ -336,9 +376,9 @@ class TestWindowBudget:
 
 class TestBatchDraws:
     """The batch draws of ``_draw`` against the per-replica samplers they
-    replaced (the same configurations, origins and generator states), and the
-    batches a run makes: ``max(1, _BATCH_POINTS // width)`` replicas each, in
-    stream order."""
+    replaced (the same lengths, first points, marked indices and generator
+    states), and the batches a run makes: ``max(1, _BATCH_POINTS // width)``
+    replicas each, in stream order."""
 
     @staticmethod
     def initial_count(spec, window):
@@ -367,18 +407,15 @@ class TestBatchDraws:
         assert {n for n, _ in batches} == {n0}
         for lo in range(0, n_replicas, size):  # the same batches, drawn afresh
             rngs = [replica_rng(6, r) for r in range(lo, min(lo + size, n_replicas))]
-            firsts, rows, circumference, origin = hcp._draw(spec, n0, rngs)
+            firsts, rows, marked = hcp._draw(spec, n0, rngs)
+            # one slot per point: the lengths, and +inf for the last point
             assert rows.shape == (len(rngs), n0 if periodic else n0 + 1)
-            assert (circumference is not None) == periodic
+            assert np.isinf(rows[:, n0:]).all()
             for i, rng in enumerate(rngs):
                 want_rng = replica_rng(6, lo + i)
                 first, lengths, boundary, idx = sample_spec_config(spec, n0, want_rng)
-                points = relative_points(lengths, boundary)
-                assert firsts[i] == first
-                assert np.array_equal(rows[i], points)
-                assert origin[i] == points[idx]
-                if periodic:
-                    assert circumference[i] == lengths.sum()
+                assert (firsts[i], marked[i]) == (first, idx)
+                assert np.array_equal(rows[i, :n0], lengths)
                 assert rng.bit_generator.state == want_rng.bit_generator.state
         return batches
 
