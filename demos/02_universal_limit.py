@@ -12,8 +12,8 @@ import math
 
 import numpy as np
 
-from hcplab import (EULER_GAMMA, GeometricLaw, PeriodicRenewal, WindowPolicy,
-                    east_schedule, iterate_hcp_measures, replicate, z_cdf)
+from hcplab import (EULER_GAMMA, GeometricLaw, GeometricThresholds, PeriodicRenewal,
+                    WindowPolicy, east_schedule, iterate_hcp_measures, replicate, z_cdf)
 
 N_EPOCHS = 10
 law = GeometricLaw(q=0.1)
@@ -24,9 +24,9 @@ pooled = replicate(PeriodicRenewal(law), east_schedule(a=2.0), N_EPOCHS,
 z = pooled[-1].z_samples
 print(f"epoch {N_EPOCHS}: {z.size} simulated domains")
 
-laws, _ = iterate_hcp_measures(law.atomic(51_200.0), lambda n: 2.0 ** (n - 1),
-                               N_EPOCHS)
-exact = laws[-1].rescaled(1.0 / 2.0 ** (N_EPOCHS - 1))
+d = GeometricThresholds(2.0)
+laws, _ = iterate_hcp_measures(law.atomic(51_200.0), d, N_EPOCHS)
+exact = laws[-1].rescaled(1.0 / d(N_EPOCHS))
 
 print("\n  x     MC cdf    exact cdf   limit cdf")
 for x in (1.25, 1.5, 2.0, 3.0, 5.0):

@@ -8,8 +8,8 @@ transform exp(-Ein(s)).  Both statements are checked against simulation.
 
 import numpy as np
 
-from hcplab import (DiracLaw, LeftBounded, WindowPolicy, dirac, east_schedule,
-                    first_point_limit_transform, iterate_hcp_measures,
+from hcplab import (DiracLaw, GeometricThresholds, LeftBounded, WindowPolicy, dirac,
+                    east_schedule, first_point_limit_transform, iterate_hcp_measures,
                     replicate, survival_probability_exact)
 
 N_REPLICAS = 20_000
@@ -17,8 +17,7 @@ pooled = replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 6,
                    n_replicas=N_REPLICAS, base_seed=3,
                    window=WindowPolicy(n_intervals=512), z_per_epoch=0)
 
-_, active_mass = iterate_hcp_measures(dirac(1.0, 4096.0),
-                                      lambda n: 2.0 ** (n - 1), 6)
+_, active_mass = iterate_hcp_measures(dirac(1.0, 4096.0), GeometricThresholds(2.0), 6)
 print("survival of the first point (start of epoch n):")
 print("  n   simulated   exact")
 for n in range(2, 7):

@@ -37,6 +37,10 @@ SECOND_MOMENT_LIMIT = 3.5621452        # limit_moment(c0=1, k=2); oracle: quadra
 FIGB_OSCILLATION_FLOOR = 0.02          # trailing max-min of the non-converging ratios
 KS_CRIT_001 = 1.628                    # sqrt(n)-scaled KS critical value at 0.01
 
+# Initial intervals per replica in criteria 3 and 6 at scale 1; validate checks
+# the scaled window against the memory budget before any criterion runs.
+WINDOW_INTERVALS = 250_000
+
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -104,7 +108,7 @@ def criterion_rate_universality(scale: float, seed: int):
 
 
 def criterion_universality_limit(scale: float, seed: int):
-    n_per = _scaled(250_000, scale, 25_000)
+    n_per = _scaled(WINDOW_INTERVALS, scale, 25_000)
     pooled = replicate(PeriodicRenewal(GeometricLaw(0.1)), east_schedule(2.0), 10,
                        n_replicas=8, base_seed=seed + 30,
                        window=WindowPolicy(n_intervals=n_per))
@@ -120,7 +124,7 @@ def criterion_survival(scale: float, seed: int):
     pooled = replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 4,
                        n_replicas=r, base_seed=seed + 40,
                        window=WindowPolicy(n_intervals=64), z_per_epoch=0)
-    _, h = iterate_hcp_measures(dirac(1.0, 65536.0), lambda n: 2.0 ** (n - 1), 12)
+    _, h = iterate_hcp_measures(dirac(1.0, 65536.0), GeometricThresholds(2.0), 12)
     parts, ok = [], True
     for n in (2, 3, 4):
         mc = float(pooled[n - 1].first_point_survived.mean())
@@ -158,7 +162,7 @@ def criterion_first_point(scale: float, seed: int):
 
 
 def criterion_moment_convergence(scale: float, seed: int):
-    n_per = _scaled(250_000, scale, 25_000)
+    n_per = _scaled(WINDOW_INTERVALS, scale, 25_000)
     pooled = replicate(PeriodicRenewal(GeometricLaw(0.1)), east_schedule(2.0), 10,
                        n_replicas=8, base_seed=seed + 60,
                        window=WindowPolicy(n_intervals=n_per))
@@ -175,7 +179,7 @@ def criterion_moment_convergence(scale: float, seed: int):
 
 def criterion_figb(scale: float, seed: int):
     ratios_01, *oscillating = figb_ratios((0.1, 0.5, 0.8), 14, 10.0, 1.0 / 16.0,
-                                          lambda n: 2.0 ** (n - 1))
+                                          GeometricThresholds(2.0))
     tail = ratios_01[-5:]
     ok = all(0.98 <= v <= 1.02 for v in tail)
     parts = [f"q=0.1 tail in [{min(tail):.4f},{max(tail):.4f}] within [0.98,1.02]"]
@@ -243,10 +247,11 @@ def criterion_property_suites(scale: float, seed: int):
     # two-route transport agreement
     mu1 = dirac(1.0, 64.0)
     u1 = u1_from_m(deconvolve_m(mu1, 64.0))
-    laws, _ = iterate_hcp_measures(mu1, lambda n: 2.0 ** (n - 1), 4)
+    d_of = GeometricThresholds(2.0)
+    laws, _ = iterate_hcp_measures(mu1, d_of, 4)
     worst_rt = 0.0
     for n in (2, 3, 4):
-        d = 2.0 ** (n - 1)
+        d = d_of(n)
         direct = u1_from_m(deconvolve_m(laws[n - 1].rescaled(1.0 / d), 64.0 / d))
         for x in (0.05, 0.3, 0.7, 1.2, 2.6, 4.9):
             worst_rt = max(worst_rt, abs(direct(x) - un_transport(u1, d, x)))

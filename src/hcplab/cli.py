@@ -3,7 +3,9 @@ schema is in ``schema``).
 
 Subcommands: simulate, analytic, limits, validate, reproduce-figb.
 Configs are JSON; every run emits a manifest.json that reproduces the run
-byte for byte when passed back through --config.
+byte for byte when passed back through --config.  Every file goes through
+``_write`` (a CSV: the provenance line, the file's own comment and column
+lines, its rows) or ``_write_json``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .limits import first_point_limit_transform, g_infinity, z_cdf
 from .measures import MeasureError, iterate_hcp_measures, survival_probability_exact
 from .schema import (NUMBER, ConfigError, build_analytic, build_schedule, build_spec,
                      build_window, epoch_count, field, numbers, positive)
-from .hcp import (WindowExhaustedError, WindowTooLargeError, check_window, float_reprs,
-                  replicate)
+from .hcp import WindowExhaustedError, WindowTooLargeError, check_window, replicate, z_held
 from .sampling import ExchangeableMixture
-from .schedule import ExplicitThresholds, ScheduleError
+from .schedule import (ArithmeticThresholds, ExplicitThresholds, GeometricThresholds,
+                       ScheduleError)
 from .transport import c0_estimate, deconvolve_m, figb_ratios, u1_from_m, un_transport
 
 
@@ -45,12 +47,28 @@ def _prepare_out(out: str, overwrite: bool) -> str:
     return out
 
 
+def _save(out: str, name: str, *parts) -> None:
+    """The one place a command opens a file for writing: the strings of each
+    iterable of ``parts`` in turn, as they come."""
+    with open(os.path.join(out, name), "w") as fh:
+        for part in parts:
+            fh.writelines(part)
+
+
+def _write(out: str, name: str, cfg: dict, head: str, chunks) -> None:
+    """A CSV: the provenance line, then ``head`` (the file's own comment and
+    column lines), then the row chunks."""
+    _save(out, name, (f"# hcplab {__version__} config={json.dumps(cfg, sort_keys=True)}\n",
+                      head), chunks)
+
+
+def _write_json(out: str, name: str, obj) -> None:
+    _save(out, name, (json.dumps(obj, indent=2, sort_keys=True), "\n"))
+
+
 def _write_manifest(out: str, command: str, cfg: dict) -> None:
-    manifest = {"command": command, "package": "hcplab", "version": __version__,
-                "config": cfg}
-    with open(os.path.join(out, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, "manifest.json", {"command": command, "package": "hcplab",
+                                       "version": __version__, "config": cfg})
 
 
 def _load_config(path: str) -> dict:
@@ -68,22 +86,18 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _provenance_header(cfg: dict) -> str:
-    blob = json.dumps(cfg, sort_keys=True)
-    return f"# hcplab {__version__} config={blob}\n"
-
-
 def _seed(cfg: dict) -> int:
     return field(cfg, "seed", int, lambda n: n >= 0, "an integer >= 0 (or --seed)", 0)
 
 
-def _write_law(path: str, mu) -> None:
-    """One interval law as its truncation header and (position, mass) rows."""
-    with open(path, "w") as fh:
-        fh.write(f"# l_max={mu.l_max!r} deficit={mu.deficit!r}\n")
-        fh.write("position,mass\n")
-        fh.write("".join(f"{p!r},{w!r}\n" for p, w in
-                         zip(mu.positions.tolist(), mu.masses.tolist())))
+def float_reprs(v: np.ndarray) -> list[str]:
+    """``list(map(repr, v.tolist()))`` for float64 ``v``, each distinct value
+    formatted once when at most half are distinct: kept z on a lattice hold
+    few.  Values are keyed on their bits, so -0.0 and 0.0 stay apart."""
+    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    if 2 * bits.size > v.size:  # sharing would cost more than it saves
+        return list(map(repr, v.tolist()))
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()
 
 
 def _below_d1(knob: str, detail: str, schedule) -> ConfigError:
@@ -121,38 +135,39 @@ def cmd_simulate(cfg: dict, out: str) -> int:
         knob = "n_intervals" if window.n_intervals is not None else "target_core"
         raise ConfigError(f"config field 'window.{knob}': need a window within the float "
                           f"range, got {getattr(window, knob)}: {exc}") from None
-    with open(os.path.join(out, "samples.csv"), "w") as fh:
-        fh.write(_provenance_header(cfg))
-        fh.write("# per epoch, every S-th core z of each replica (in-replica index i with "
-                 "i % S == 0), S the smallest power of two keeping at most samples_per_epoch "
-                 "values; S = 0 keeps none\n")
-        fh.write("replica,epoch,z,y,first_point_survived,origin_alive\n")
+
+    def samples():  # per epoch, its stride line, then one chunk per replica
         for summary in pooled:
-            fh.write(f"# epoch {summary.epoch} stride {summary.z_stride}\n")
+            yield f"# epoch {summary.epoch} stride {summary.z_stride}\n"
             if not summary.z_stride:
                 continue
             # a replica's rows are head + z + tail for each z it holds
-            held = -(-summary.core_sizes // summary.z_stride)
             z = float_reprs(summary.z_samples)
-            stops = np.cumsum(held).tolist()
+            stops = np.cumsum(z_held(summary.core_sizes, summary.z_stride)).tolist()
             for r, (y, f, o, lo, hi) in enumerate(zip(
                     summary.y.tolist(), summary.first_point_survived.tolist(),
                     summary.origin_alive.tolist(), [0] + stops[:-1], stops)):
                 if lo < hi:
                     head, tail = f"{r},{summary.epoch},", f",{y!r},{int(f)},{int(o)}\n"
-                    fh.write(head + (tail + head).join(z[lo:hi]) + tail)
-    with open(os.path.join(out, "replicas.csv"), "w") as fh:
-        fh.write(_provenance_header(cfg))
-        fh.write("replica,epoch,d_n,y,first_point_survived,origin_alive,"
-                 "merges_prior,n_intervals,core_size\n")
+                    yield head + (tail + head).join(z[lo:hi]) + tail
+
+    def replicas():  # one chunk per epoch
         for prior, summary in zip(pooled[:1] + pooled, pooled):  # prior: the epoch before
             epoch = f"{summary.epoch},{float(summary.d_n)!r}"
             ints = [c.astype(np.int64).tolist() for c in
                     (summary.first_point_survived, summary.origin_alive,
                      prior.n_intervals - summary.n_intervals, summary.n_intervals,
                      summary.core_sizes)]
-            fh.write("".join(f"{r},{epoch},{y!r},{f},{o},{m},{n},{c}\n" for r, (y, f, o, m, n, c)
-                             in enumerate(zip(summary.y.tolist(), *ints))))
+            yield "".join(f"{r},{epoch},{y!r},{f},{o},{m},{n},{c}\n" for r, (y, f, o, m, n, c)
+                          in enumerate(zip(summary.y.tolist(), *ints)))
+
+    _write(out, "samples.csv", cfg,
+           "# per epoch, every S-th core z of each replica (in-replica index i with "
+           "i % S == 0), S the smallest power of two keeping at most samples_per_epoch "
+           "values; S = 0 keeps none\nreplica,epoch,z,y,first_point_survived,origin_alive\n",
+           samples())
+    _write(out, "replicas.csv", cfg, "replica,epoch,d_n,y,first_point_survived,origin_alive,"
+           "merges_prior,n_intervals,core_size\n", replicas())
     _write_manifest(out, "simulate", cfg)
     return 0
 
@@ -176,38 +191,27 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
             if strict:
                 raise MeasureError(msg + ", or analytic.deficit_bound")
             print(f"warning: {msg}", file=sys.stderr)
-    header = _provenance_header(cfg)
     for n, mu in enumerate(laws, start=1):
-        _write_law(os.path.join(out, f"interval_law_epoch{n:02d}.csv"), mu)
-    with open(os.path.join(out, "active_mass.csv"), "w") as fh:
-        fh.write(header)
-        fh.write("epoch,d_n,active_mass\n")
-        fh.write("".join(f"{n},{schedule.d(n)!r},{mass!r}\n"
-                         for n, mass in enumerate(h, start=1)))
-    with open(os.path.join(out, "survival.csv"), "w") as fh:
-        fh.write(header)
-        fh.write("epochs_elapsed,d_next,survival_probability\n")
-        if schedule.gamma is None:
-            fh.write("# rates do not fix lambda_left = gamma * lambda_right: "
-                     "no survival formula applies\n")
-        else:
-            fh.write("".join(
+        _write(out, f"interval_law_epoch{n:02d}.csv", cfg,
+               f"# l_max={mu.l_max!r} deficit={mu.deficit!r}\nposition,mass\n",
+               ["".join(f"{p!r},{w!r}\n" for p, w in
+                        zip(mu.positions.tolist(), mu.masses.tolist()))])
+    _write(out, "active_mass.csv", cfg, "epoch,d_n,active_mass\n",
+           ["".join(f"{n},{schedule.d(n)!r},{mass!r}\n" for n, mass in enumerate(h, start=1))])
+    _write(out, "survival.csv", cfg, "epochs_elapsed,d_next,survival_probability\n",
+           ["# rates do not fix lambda_left = gamma * lambda_right: no survival formula "
+            "applies\n" if schedule.gamma is None else "".join(
                 f"{n},{schedule.d(n + 1)!r},{survival_probability_exact(h, n, schedule.gamma)!r}\n"
-                for n in range(1, n_epochs + 1)))
+                for n in range(1, n_epochs + 1))])
     # transported primitive probes from the epoch-1 law
     z1 = laws[0].rescaled(1.0 / schedule.d(1))
     u1 = u1_from_m(deconvolve_m(z1, j_max))
-    with open(os.path.join(out, "transported_primitive.csv"), "w") as fh:
-        fh.write(header)
-        fh.write("epoch,x,u_n\n")
-        fh.write("".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
-                         for n in range(1, n_epochs + 1) for x in probe_x
-                         if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1))
-    with open(os.path.join(out, "c0_report.json"), "w") as fh:
-        json.dump({"estimate": est.estimate, "converged": est.converged,
-                   "s_min": float(grid.min()), "s_max": float(grid.max())},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(out, "transported_primitive.csv", cfg, "epoch,x,u_n\n",
+           ["".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
+                    for n in range(1, n_epochs + 1) for x in probe_x
+                    if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1)])
+    _write_json(out, "c0_report.json", {"estimate": est.estimate, "converged": est.converged,
+                                        "s_min": float(grid.min()), "s_max": float(grid.max())})
     _write_manifest(out, "analytic", cfg)
     return 0
 
@@ -216,18 +220,13 @@ def cmd_limits(cfg: dict, out: str) -> int:
     c0 = float(field(cfg, "limits.c0", NUMBER, lambda v: 0 <= v <= 1, "a number in [0, 1]", 1.0))
     gamma = float(field(cfg, "limits.gamma", NUMBER, lambda v: v >= 0, "a number >= 0", 0.0))
     xs = np.arange(1.0, 16.0 + 1e-9, 1.0 / 32.0)
-    with open(os.path.join(out, "limit_cdf.csv"), "w") as fh:
-        fh.write(_provenance_header(cfg))
-        fh.write("x,z_cdf\n")
-        fh.write("".join(f"{x!r},{v!r}\n" for x, v in
-                         zip(xs.tolist(), z_cdf(c0, xs).tolist())))
+    _write(out, "limit_cdf.csv", cfg, "x,z_cdf\n",
+           ["".join(f"{x!r},{v!r}\n" for x, v in zip(xs.tolist(), z_cdf(c0, xs).tolist()))])
     ss = np.concatenate(([0.0], np.geomspace(1e-3, 10.0, 100)))
-    with open(os.path.join(out, "limit_transforms.csv"), "w") as fh:
-        fh.write(_provenance_header(cfg))
-        fh.write("s,interval_transform,first_point_transform\n")
-        fh.write("".join(f"{s!r},{g!r},{f!r}\n" for s, g, f in
-                         zip(ss.tolist(), g_infinity(c0, ss).tolist(),
-                             first_point_limit_transform(c0, gamma, ss).tolist())))
+    _write(out, "limit_transforms.csv", cfg, "s,interval_transform,first_point_transform\n",
+           ["".join(f"{s!r},{g!r},{f!r}\n" for s, g, f in
+                    zip(ss.tolist(), g_infinity(c0, ss).tolist(),
+                        first_point_limit_transform(c0, gamma, ss).tolist()))])
     _write_manifest(out, "limits", cfg)
     return 0
 
@@ -241,25 +240,22 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
                           "a positive number below 2e, so that the law's first atom e does not "
                           "round to site 0", 1.0 / 16.0))
     arithmetic = field(cfg, "figb.arithmetic", bool, need="true or false", default=False)
-    d_of = (lambda n: float(n)) if arithmetic else (lambda n: 2.0 ** (n - 1))
+    d_of = ArithmeticThresholds() if arithmetic else GeometricThresholds(2.0)
     ratios = figb_ratios(qs, horizon, x, spacing, d_of)
-    with open(os.path.join(out, "transport_ratio.csv"), "w") as fh:
-        fh.write(_provenance_header(cfg))
-        fh.write("q,n,d_n,ratio\n")
-        fh.write("".join(f"{q!r},{n},{d_of(n)!r},{r!r}\n" for q, row in zip(qs, ratios)
-                         for n, r in enumerate(row, start=1)))
+    _write(out, "transport_ratio.csv", cfg, "q,n,d_n,ratio\n",
+           ["".join(f"{q!r},{n},{d_of(n)!r},{r!r}\n" for q, row in zip(qs, ratios)
+                    for n, r in enumerate(row, start=1))])
     _write_manifest(out, "reproduce-figb", cfg)
     return 0
 
 
 def cmd_validate(cfg: dict, out: str) -> int:
-    from .acceptance import run_all
+    from .acceptance import WINDOW_INTERVALS, run_all
     scale = float(field(cfg, "validate.scale", NUMBER, positive, "a positive number", 1.0))
-    check_window(250_000 * scale, "validate.scale, which scales the window of criteria 3 and 6")
+    check_window(WINDOW_INTERVALS * scale,
+                 "validate.scale, which scales the window of criteria 3 and 6")
     results = run_all(scale=scale, seed=_seed(cfg), report=print)
-    with open(os.path.join(out, "validation.json"), "w") as fh:
-        json.dump([r.as_dict() for r in results], fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out, "validation.json", [r.as_dict() for r in results])
     _write_manifest(out, "validate", cfg)
     return 0 if all(r.passed for r in results) else 1
 

@@ -49,7 +49,7 @@ def gap_floor(d: float) -> float:
     """The least length that counts as at least ``d``: a merged length is a
     sum, rounded once per addition, so one within a relative 1e-9 of a
     threshold counts as at it."""
-    return d * (1 - 1e-9) - 1e-12
+    return d * (1 - 1e-9)
 
 
 def core_ranges(lengths: np.ndarray, bounds: np.ndarray, boundary: Boundary,

@@ -11,7 +11,8 @@ replicas, drawn straight into one checked array and run in one place.
 Replica r draws from its own stream only, in the same order whatever batch
 it runs in.  Each epoch's summary goes into that epoch's fold as soon as it
 is formed, at the z stride the fold sets first, so a batch forms only the z
-that are kept, picked by index at a cost in kept z.
+that are kept, picked by index at a cost in kept z.  How many z a replica
+holds at a stride is ``z_held``, for the fold and the samples.csv writer alike.
 """
 
 from __future__ import annotations
@@ -100,31 +101,24 @@ class EpochSummary:
 _ARRAY_FIELDS = [f.name for f in fields(EpochSummary)[3:]]
 
 
+def z_held(core_sizes: np.ndarray, stride: int) -> np.ndarray:
+    """How many core z each replica holds at a stride S > 0: ceil(core_r / S)."""
+    return -(-core_sizes // stride)
+
+
 def _kept(core_sizes: np.ndarray, have: int, want: int, offsets=None) -> np.ndarray:
     """Indices, into the core z of replicas with ``core_sizes`` held at stride
     ``have``, of those held at stride ``want`` (a multiple of ``have``, or 0):
     replica r, held from offset_r (``offsets[r]`` if given), keeps
-    offset_r + (want / have) j for j < ceil(core_r / want)."""
+    offset_r + (want / have) j for j < ``z_held`` at ``want``."""
     if want == 0:
         return np.empty(0, dtype=np.int64)
-    step, kept = want // have, -(-core_sizes // want)
+    step, kept = want // have, z_held(core_sizes, want)
     if offsets is None:
-        held = -(-core_sizes // have)
+        held = z_held(core_sizes, have)
         offsets = np.cumsum(held) - held
     base = offsets - step * (np.cumsum(kept) - kept)
     return np.repeat(base, kept) + step * np.arange(int(kept.sum()))
-
-
-# For the samples.csv writer.  Not in cli: cli is compiled last in every
-# command, and there it raised perfbench exact's peak RSS by 0.03-0.05 MiB.
-def float_reprs(v: np.ndarray) -> list[str]:
-    """``list(map(repr, v.tolist()))`` for float64 ``v``, each distinct value
-    formatted once when at most half are distinct: kept z on a lattice hold
-    few.  Values are keyed on their bits, so -0.0 and 0.0 stay apart."""
-    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
-    if 2 * bits.size > v.size:  # sharing would cost more than it saves
-        return list(map(repr, v.tolist()))
-    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()
 
 
 class _EpochFold:
@@ -155,10 +149,10 @@ class _EpochFold:
         if self.keep < max(self.nonempty, 1):
             stride, self.held = 0, 0
         else:
-            self.held += int((-(-core_sizes // stride)).sum())
+            self.held += int(z_held(core_sizes, stride).sum())
             while self.held > self.keep:
                 stride *= 2
-                self.held = sum(int((-(-c // stride)).sum())
+                self.held = sum(int(z_held(c, stride).sum())
                                 for c in [p.core_sizes for p in self.parts] + [core_sizes])
         if stride != self.stride:
             self.parts = [replace(p, z_stride=stride,

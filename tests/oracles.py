@@ -316,7 +316,7 @@ def simulate_points_loop(lengths: list, periodic: bool, rates, rng):
     n_points = len(lengths) + (not periodic)
     gaps = np.array(lengths, dtype=float)
     # a gap within a relative 1e-9 of d_min or d_max counts as at it
-    d_min = rates.d_min * (1 - 1e-9) - 1e-12
+    d_min = rates.d_min * (1 - 1e-9)
     if gaps.size and gaps.min() < d_min:
         raise StateSpaceError(
             f"interval of length {gaps.min()} below d_min={rates.d_min}")
@@ -408,7 +408,7 @@ def run_hcp_loop(spec, schedule, n_epochs: int, window: WindowPolicy,
             points = relative_points(gaps, boundary)
             lo = 0.0 if boundary is Boundary.LEFT_BOUNDED else buffer_len
             core = (points[:-1] >= lo) & (points[1:] <= points[-1] - buffer_len)
-        if gaps.min() < d_n * (1 - 1e-9) - 1e-9:
+        if gaps.min() < d_n * (1 - 1e-9):
             raise AssertionError(
                 f"epoch {n} start has interval {gaps.min()} below d({n})={d_n}")
         summaries.append(EpochSummary(

@@ -13,7 +13,9 @@ import hcplab
 import hcplab.cli
 from hcplab.cli import build_schedule, build_spec, build_window, main
 from hcplab.hcp import replicate
-from hcplab.measures import AtomicMeasure
+from hcplab.laws import GeometricLaw
+from hcplab.measures import AtomicMeasure, iterate_hcp_measures
+from hcplab.schedule import GeometricThresholds
 from oracles import run_hcp_loop, seed_sequence_rng, thinned_z
 
 
@@ -45,6 +47,7 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
 def read_law(path) -> AtomicMeasure:
     """The measure an ``interval_law_epochNN.csv`` of ``analytic`` holds."""
     with open(path) as fh:
+        next(fh)  # provenance
         meta = dict(tok.split("=") for tok in fh.readline()[1:].split())
         next(fh)  # column names
         pos, mas = np.array([[float(v) for v in line.split(",")] for line in fh]).T
@@ -290,13 +293,21 @@ class TestAnalytic:
         assert os.listdir(out) == []  # judged before any file is written
 
     def test_law_csv_round_trip(self, tmp_path):
-        m = AtomicMeasure(np.array([1.0, 2.5]), np.array([0.5, 0.25]), 30.0, 0.25)
-        path = tmp_path / "m.csv"
-        hcplab.cli._write_law(str(path), m)
-        header, columns, *rows = path.read_text().splitlines()
-        assert (header, columns) == ("# l_max=30.0 deficit=0.25", "position,mass")
-        back = np.array([[float(v) for v in row.split(",")] for row in rows])
-        assert np.array_equal(back, np.column_stack((m.positions, m.masses)))
+        # truncated laws (deficit > 0) read back are the laws the engine made
+        cfg = write_config(tmp_path, {"initial_law": {"kind": "geometric", "q": 0.1},
+                                      "epochs": 3, "analytic.l_max": 30.0,
+                                      "analytic.j_max": 16.0})
+        out = tmp_path / "rt"
+        assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
+        laws, _ = iterate_hcp_measures(GeometricLaw(0.1).atomic(30.0), GeometricThresholds(2.0), 3)
+        assert all(mu.deficit > 0 for mu in laws)
+        for n, mu in enumerate(laws, start=1):
+            lines = (out / f"interval_law_epoch{n:02d}.csv").read_text().splitlines()
+            assert lines[1:3] == [f"# l_max={mu.l_max!r} deficit={mu.deficit!r}",
+                                  "position,mass"]
+            back = read_law(out / f"interval_law_epoch{n:02d}.csv")
+            for name in ("positions", "masses", "l_max", "deficit"):
+                assert np.array_equal(getattr(back, name), getattr(mu, name)), name
 
     def test_atom_budget_names_l_max(self, tmp_path, capsys):
         # off-lattice atoms multiply epoch by epoch; at the default l_max the
@@ -456,6 +467,42 @@ if budget is not None:
     hcplab.budget.BUDGET_BYTES = budget
 sys.exit(hcplab.cli.main(argv))
 """
+
+
+class TestOutputFormat:
+    """Every file a command writes, as the one CSV writer and the one JSON
+    writer lay it out; a file added later joins its command's set here."""
+
+    FILES = {
+        "simulate": {"samples.csv", "replicas.csv"},
+        "analytic": {"interval_law_epoch01.csv", "interval_law_epoch02.csv", "active_mass.csv",
+                     "survival.csv", "transported_primitive.csv", "c0_report.json"},
+        "limits": {"limit_cdf.csv", "limit_transforms.csv"},
+        "reproduce-figb": {"transport_ratio.csv"},
+    }
+
+    @pytest.mark.parametrize("command", list(FILES))
+    def test_files(self, tmp_path, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        assert set(os.listdir(out)) == self.FILES[command] | {"manifest.json"}
+        provenance = (f"# hcplab {hcplab.__version__} "
+                      f"config={json.dumps(BASE_CONFIG, sort_keys=True)}\n")
+        for name in os.listdir(out):
+            text = (out / name).read_text()
+            if name.endswith(".json"):
+                json.loads(text)
+                assert text.endswith("\n"), name
+                continue
+            assert text.startswith(provenance), name
+            # one column line, then rows of numbers; comment lines anywhere
+            columns, *rows = [line for line in text.splitlines() if not line.startswith("#")]
+            names = columns.split(",")
+            assert all(n.isidentifier() for n in names), name
+            assert rows, name
+            for row in rows:
+                values = [float(v) for v in row.split(",")]
+                assert len(values) == len(names), (name, row)
 
 
 def run_child(tmp_path, argv, budget=None):
@@ -680,6 +727,14 @@ class TestAcceptedInputs:
         # 100 lengths of 1e307 sum past it
         ({"initial_law": {"kind": "dirac", "value": 1e307}, "window.n_intervals": 100},
          ("initial_law", "window.n_intervals")),
+        # half of d(1) where thresholds are far below 1: the gap floor is relative
+        ({"initial_law": {"kind": "dirac", "value": 5e-13}, "seed": 3,
+          "schedule": {"thresholds": "explicit", "values": [1e-12, 2e-12, 4e-12],
+                       "rates": "east"}, "window.n_intervals": 1000},
+         ("initial_law", "schedule.values")),
+        # every pilot, up to 262,144 intervals, runs out or keeps fewer than 8
+        ({"window": {"target_core": 100}, "epochs": 16},
+         ("window.n_intervals or window.target_core",)),
     ])
     def test_simulate_names_knobs(self, tmp_path, capsys, overrides, knobs):
         self.assert_names_knobs(tmp_path, capsys, "simulate", overrides, knobs)

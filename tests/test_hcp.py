@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hcplab import budget, hcp
 from hcplab.budget import BudgetError
+from hcplab.cli import float_reprs
 from hcplab.epoch import Boundary
 from hcplab.laws import (DiracLaw, ExpGeometricLaw, GeometricLaw, SamplingContractError,
                          two_point_law)
@@ -576,7 +577,7 @@ class TestFloatReprs:
     ])
     def test_equals_repr(self, values):
         v = np.array(values, dtype=float)
-        assert hcp.float_reprs(v) == list(map(repr, v.tolist()))
+        assert float_reprs(v) == list(map(repr, v.tolist()))
 
     def test_equals_repr_on_random_floats(self):
         # all distinct (formatted one by one), then a lattice with duplicates
@@ -585,7 +586,7 @@ class TestFloatReprs:
         distinct = rng.uniform(0.0, 1e3, 5000) * 10.0 ** rng.integers(-300, 300, 5000)
         lattice = rng.integers(1, 200, 5000) / 2.0 ** 9
         for v in (distinct, lattice, rng.permutation(np.concatenate((distinct[:1000], lattice)))):
-            assert hcp.float_reprs(v) == list(map(repr, v.tolist()))
+            assert float_reprs(v) == list(map(repr, v.tolist()))
 
 
 class TestWindowSizing:
@@ -593,6 +594,45 @@ class TestWindowSizing:
         pooled = replicate(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 4,
                            2, 61, WindowPolicy(target_core=500))
         assert pooled[3].core_sizes.sum() >= 500
+
+    @staticmethod
+    def record_pilots(monkeypatch) -> list:
+        """Record each pilot run as (initial intervals, survivors), survivors
+        None for a pilot whose window runs out."""
+        pilots, run = [], hcp._run
+
+        def recorded(spec, schedule, n_epochs, window, *args):
+            if window.target_core is not None:  # the run the pilot sizes
+                return run(spec, schedule, n_epochs, window, *args)
+            pilots.append((window.n_intervals, None))
+            summaries = run(spec, schedule, n_epochs, window, *args)
+            pilots[-1] = (window.n_intervals, int(summaries[-1].n_intervals.sum()))
+            return summaries
+
+        monkeypatch.setattr(hcp, "_run", recorded)
+        return pilots
+
+    def test_pilot_retries_with_few_survivors(self, monkeypatch):
+        # 10 epochs leave 4,096 intervals fewer than 8 survivors
+        pilots = self.record_pilots(monkeypatch)
+        pooled = replicate(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 10, 2, 5,
+                           WindowPolicy(target_core=100))
+        (n1, s1), (n2, s2) = pilots
+        assert (n1, n2) == (hcp._PILOT_INTERVALS, 4 * hcp._PILOT_INTERVALS)
+        assert s1 < 8 <= s2
+        assert pooled[9].core_sizes.min() >= 100
+
+    def test_pilot_retries_exhausted_then_raises(self, monkeypatch):
+        # at 16 epochs the first two pilots run out and the next two keep
+        # fewer than 8, so the run raises for the last epoch
+        pilots = self.record_pilots(monkeypatch)
+        with pytest.raises(WindowExhaustedError) as info:
+            replicate(PeriodicRenewal(DiracLaw(1.0)), east_schedule(2.0), 16, 2, 5,
+                      WindowPolicy(target_core=100))
+        assert info.value.epoch == 16
+        assert [n for n, _ in pilots] == [hcp._PILOT_INTERVALS * 4 ** k for k in range(4)]
+        assert [s for _, s in pilots[:2]] == [None, None]
+        assert all(s < 8 for _, s in pilots[2:])
 
     def test_policy_requires_some_size(self):
         with pytest.raises(ValueError):
