@@ -126,18 +126,16 @@ class AtomicMeasure:
     # -- transforms ---------------------------------------------------------
 
     def _grid_dot(self, s, fn, weights) -> np.ndarray:
-        """sum_i weights_i fn(-s x_i) for each s, on the (s, atoms) grid built
-        and transformed in place (-s * x is exactly -(s * x)) in as few row
-        blocks as the budget allows: blocked products differ in the last bits."""
+        """sum_i weights_i fn(-s x_i) for each s, one s row at a time, built
+        and transformed in place (-s * x is exactly -(s * x)): every row is
+        the same dot product, whatever the budget."""
         s = -np.atleast_1d(np.asarray(s, dtype=np.float64))
-        n, cost = max(1, self.n_atoms), 9  # bytes per grid point and atom, s-vectors included
-        rows = max(1, min(s.size, budget.BUDGET_BYTES // (cost * n) - 1))
-        budget.need((rows + 1) * n, cost, f"a {rows} x {n} block of the transform grid (s by "
-                    "atoms) with its weights", "analytic.l_max, or raise analytic.c0_s_min")
-        out = np.empty(s.size)
-        for i in range(0, s.size, rows):
-            grid = np.outer(s[i:i + rows], self.positions)
-            out[i:i + rows] = fn(grid, out=grid) @ weights
+        n = max(1, self.n_atoms)  # 9 bytes per atom for the row, and as many for the weights
+        budget.need(2 * n, 9, f"a 1 x {n} block of the transform grid (s by atoms) with its "
+                    "weights", "analytic.l_max, or raise analytic.c0_s_min")
+        row, out = np.empty(self.n_atoms), np.empty(s.size)
+        for i, si in enumerate(s.tolist()):
+            out[i] = fn(np.multiply(si, self.positions, out=row), out=row) @ weights
         return out
 
     def transform(self, s) -> np.ndarray | float:

@@ -82,18 +82,25 @@ def reassemble_z_law(m: AtomicMeasure, j_max: float) -> AtomicMeasure:
 # step functions and transport
 # ---------------------------------------------------------------------------
 
-class _Steps:
-    """Value lookup of a right-continuous nondecreasing step function, zero
-    left of the support: ``cumulative[k - 1]`` after k jumps.  Subclasses say
-    how many jumps lie at or below (``_count(v, "right")``) or strictly below
-    (``_count(v, "left")``) each argument."""
+def _nudged(x, side: str) -> np.ndarray:
+    """The arguments as a step function compares them with its jump
+    locations: raised by a relative 1e-15 for the value (``side`` "right"),
+    lowered by as much for the left limit ("left")."""
+    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return x_arr * (1 + 1e-15) + 1e-300 if side == "right" else x_arr * (1 - 1e-15)
+
+
+@dataclass(frozen=True)
+class StepFunction:
+    """Right-continuous nondecreasing step function, zero left of its first
+    jump: ``cumulative[k - 1]`` after k jumps."""
+
+    jump_at: np.ndarray     # strictly increasing jump locations (a jump may be 0)
+    cumulative: np.ndarray  # value at and right of each jump
+    domain_max: float       # arguments above this are outside the computed range
 
     def _lookup(self, x, side: str) -> np.ndarray | float:
-        x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        if side == "right":
-            idx = self._count(x_arr * (1 + 1e-15) + 1e-300, side)
-        else:
-            idx = self._count(x_arr * (1 - 1e-15), side)
+        idx = np.searchsorted(self.jump_at, _nudged(x, side), side=side)
         vals = np.zeros(idx.shape)
         hit = idx > 0
         vals[hit] = self.cumulative[idx[hit] - 1]
@@ -106,49 +113,6 @@ class _Steps:
         return self._lookup(x, "left")
 
 
-@dataclass(frozen=True)
-class StepFunction(_Steps):
-    """Step function with its jump locations listed."""
-
-    jump_at: np.ndarray     # strictly increasing jump locations (a jump may be 0)
-    cumulative: np.ndarray  # value at and right of each jump
-    domain_max: float       # arguments above this are outside the computed range
-
-    def _count(self, v: np.ndarray, side: str) -> np.ndarray:
-        return np.searchsorted(self.jump_at, v, side=side)
-
-
-@dataclass(frozen=True)
-class LatticeStepFunction(_Steps):
-    """Step function jumping at every lattice site i * spacing - 1.0,
-    i = 0 .. len(cumulative) - 1, as the float grid
-    ``np.arange(n) * spacing - 1.0`` rounds them; it equals
-    ``StepFunction(that grid, cumulative, domain_max)`` without storing the
-    grid."""
-
-    spacing: float
-    cumulative: np.ndarray
-    domain_max: float
-
-    def _site(self, i: np.ndarray) -> np.ndarray:
-        return i.astype(np.float64) * self.spacing - 1.0
-
-    def _count(self, v: np.ndarray, side: str) -> np.ndarray:
-        # Sites are nondecreasing in i, so the counted ones are a prefix.  Its
-        # last index k starts from the floor estimate, then steps down while
-        # site k lies beyond v and up while site k + 1 does not; like
-        # searchsorted, a NaN counts every site.
-        n = self.cumulative.size
-        counted, beyond = ((np.less_equal, np.greater) if side == "right"
-                           else (np.less, np.greater_equal))
-        k = np.fmax(np.fmin(np.floor((v + 1.0) / self.spacing), n - 1), -1).astype(np.int64)
-        while (down := (k >= 0) & beyond(self._site(k), v)).any():
-            k[down] -= 1
-        while (up := (k + 1 < n) & counted(self._site(k + 1), v)).any():
-            k[up] += 1
-        return k + 1
-
-
 def u1_from_m(m: AtomicMeasure) -> StepFunction:
     """Primitive U(x) = sum_{atoms y <= 1+x} y * m({y}), a step function
     jumping by y*m({y}) at x = y - 1."""
@@ -157,7 +121,7 @@ def u1_from_m(m: AtomicMeasure) -> StepFunction:
     return StepFunction(jumps, np.cumsum(sizes), float(m.l_max - 1.0))
 
 
-def un_transport(u1: StepFunction | LatticeStepFunction, d_n: float, x: float) -> float:
+def un_transport(u1: StepFunction, d_n: float, x: float) -> float:
     """Epoch-n primitive by affine transport of the first-epoch one:
 
         U_n(x) = (1/d_n) * [ U1(d_n*(1+x) - 1) - U1((d_n - 1)-) ]
@@ -183,39 +147,97 @@ def un_transport(u1: StepFunction | LatticeStepFunction, d_n: float, x: float) -
 _LATTICE_BLOCK = 1 << 13
 
 
-def _lattice_solve(c: np.ndarray, taps: np.ndarray, weights: np.ndarray, block: int) -> None:
-    """Solve c[i] = base[i] + sum_j c[i - a_j] * w_j for the taps a_j >= 1 in
-    place: the 1-D ``c`` holds the base on entry and the solution on return.
+def _lattice_count(x, side: str, spacing: float, n: int) -> np.ndarray:
+    """How many of the n lattice sites i * spacing - 1.0, as the float grid
+    ``np.arange(n) * spacing - 1.0`` rounds them, lie at or below (``side``
+    "right") or strictly below ("left") each argument, nudged as a
+    :class:`StepFunction` nudges it: the jumps a step function on the
+    lattice has made there."""
+    v = _nudged(x, side)
+    # Sites are nondecreasing in i, so the counted ones are a prefix.  Its
+    # last index k starts from the floor estimate, then steps down while
+    # site k lies beyond v and up while site k + 1 does not; like
+    # searchsorted, a NaN counts every site.
+    counted, beyond = ((np.less_equal, np.greater) if side == "right"
+                       else (np.less, np.greater_equal))
+    site = lambda i: i.astype(np.float64) * spacing - 1.0
+    k = np.fmax(np.fmin(np.floor((v + 1.0) / spacing), n - 1), -1).astype(np.int64)
+    while (down := (k >= 0) & beyond(site(k), v)).any():
+        k[down] -= 1
+    while (up := (k + 1 < n) & counted(site(k + 1), v)).any():
+        k[up] += 1
+    return k + 1
+
+
+def _ring_sites(n: int, taps: np.ndarray, block: int) -> int:
+    """Sites the solve of :func:`_lattice_blocks` holds: the largest tap and
+    one block, in whole blocks, or all n sites if fewer."""
+    return min(n, -(-(int(taps.max()) + block) // block) * block)
+
+
+def _lattice_blocks(n: int, taps: np.ndarray, weights: np.ndarray, base_at: np.ndarray,
+                    base: np.ndarray, block: int):
+    """Solve c[i] = b[i] + sum_j c[i - a_j] * w_j on sites 0 .. n - 1 for the
+    taps a_j >= 1 and the base b, zero but at the increasing sites
+    ``base_at``, yielding ``(t, c[t:t + block])`` as each block becomes
+    final.  The yielded block is a view the next step overwrites.
 
     The block [t, t + block) first receives, tap by tap, the terms whose
     source lies below t: targets [max(t, a), min(t + block, t + a)), read
     from final sites.  What remains is c = r + c * p on the block alone, with
     p the taps below ``block``, and its solution is r * K for the resolvent
-    K = sum_k p^{*k} on [0, block).  K is this routine applied to delta_0 with
+    K = sum_k p^{*k} on [0, block).  K is this solve applied to delta_0 with
     half the block, and the block is convolved with it by FFT; a block below
-    the smallest tap needs no K.
+    the smallest tap needs no K.  No source lies further back than the
+    largest tap, so site i is held at i mod R of a ring of R sites
+    (:func:`_ring_sites`), a whole number of blocks.
     """
     near = taps < block
     k_hat = None
     if near.any():
-        k = np.zeros(block)
-        k[0] = 1.0
-        _lattice_solve(k, taps[near], weights[near], block // 2)
+        k = np.concatenate([part.copy() for _, part in _lattice_blocks(
+            block, taps[near], weights[near], np.zeros(1, np.int64), np.ones(1), block // 2)])
         k_hat = np.fft.rfft(k, 2 * block)
+    ring = _ring_sites(n, taps, block)
+    c = np.zeros(ring)
     pairs = list(zip(taps.tolist(), weights.tolist()))
-    for t in range(0, c.size, block):
-        end = min(t + block, c.size)
+    for t in range(0, n, block):
+        end = min(t + block, n)
+        part = c[t % ring:t % ring + end - t]
+        part[:] = 0.0
+        first, last = np.searchsorted(base_at, (t, end))
+        part[base_at[first:last] - t] = base[first:last]
         for a, w in pairs:
             lo, hi = max(t, a), min(end, t + a)
             if lo < hi:
-                c[lo:hi] += w * c[lo - a:hi - a]
+                src = (lo - a) % ring
+                held = min(hi - lo, ring - src)  # sources before the ring wraps
+                part[lo - t:lo - t + held] += w * c[src:src + held]
+                if held < hi - lo:
+                    part[lo - t + held:hi - t] += w * c[:hi - lo - held]
         if k_hat is not None:
-            c[t:end] = np.fft.irfft(np.fft.rfft(c[t:end], 2 * block) * k_hat,
-                                    2 * block)[:end - t]
+            part[:] = np.fft.irfft(np.fft.rfft(part, 2 * block) * k_hat, 2 * block)[:end - t]
+        yield t, part
 
 
-def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float) -> LatticeStepFunction:
-    """Large-scale route to U1 for a law snapped to a lattice.
+def _lattice_taps(law: AtomicMeasure, spacing: float, j_max: float
+                  ) -> tuple[int, np.ndarray, np.ndarray]:
+    """The lattice's n sites and the law on it: the positions rounded to
+    sites 1 .. n - 1, masses of one site summed."""
+    n = int(math.floor(j_max / spacing)) + 1
+    idx = np.rint(law.positions / spacing).astype(np.int64)
+    keep = (idx > 0) & (idx < n) & (law.masses != 0)
+    idx, mass = idx[keep], law.masses[keep]
+    if idx.size == 0:
+        raise MeasureError("law has no mass below j_max")
+    starts = np.flatnonzero(np.diff(idx, prepend=0))  # positions that round to one site
+    return n, idx[starts], np.add.reduceat(mass, starts)
+
+
+def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float, right, left
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Large-scale route to U1 for a law snapped to a lattice: U1 at each
+    argument of ``right``, and its left limit at each of ``left``.
 
     Uses the derivative form of the series inversion: with c(x) = x*m({x}),
 
@@ -224,44 +246,55 @@ def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float) -> LatticeSt
     which recovers the same m as :func:`deconvolve_m` in one solve and scales
     to lattices with millions of sites.  Positions of p are rounded to the
     lattice; the rounding is the declared discretization of the input law.
-    The result holds 8 bytes per site and nothing else: every site is a jump
-    of a :class:`LatticeStepFunction`, most of size 0.
+    U1 jumps at every site i * spacing - 1.0 by c there, most jumps of size
+    0.  The solve holds 8 bytes per site of its ring (:func:`_ring_sites`)
+    and reads each argument's value off its block's running sum, which
+    continues the last block's total as one cumulative sum over the lattice
+    would.
     """
-    n = int(math.floor(j_max / spacing)) + 1
-    idx = np.rint(law.positions / spacing).astype(np.int64)
-    keep = (idx > 0) & (idx < n) & (law.masses != 0)
-    idx, mass = idx[keep], law.masses[keep]
-    if idx.size == 0:
-        raise MeasureError("law has no mass below j_max")
-    starts = np.flatnonzero(np.diff(idx, prepend=0))  # positions that round to one site
-    taps, weights = idx[starts], np.add.reduceat(mass, starts)
-    c = np.zeros(n)
-    c[taps] = weights * (taps * spacing)  # the base x * p
-    _lattice_solve(c, taps, weights, _LATTICE_BLOCK)
-    np.cumsum(c, out=c)
-    return LatticeStepFunction(spacing, c, float(j_max - 1.0))
+    n, taps, weights = _lattice_taps(law, spacing, j_max)
+    right_at = _lattice_count(right, "right", spacing, n)
+    # the site each value is read at, -1 before the first jump
+    at = np.concatenate((right_at, _lattice_count(left, "left", spacing, n))) - 1
+    values = np.zeros(at.size)
+    total = 0.0
+    for t, part in _lattice_blocks(n, taps, weights, taps, weights * (taps * spacing),
+                                   _LATTICE_BLOCK):
+        run = part.copy()
+        if t:
+            run[0] += total
+        np.cumsum(run, out=run)
+        hit = (at >= t) & (at < t + run.size)
+        values[hit] = run[at[hit] - t]
+        total = run[-1]
+    return values[:right_at.size], values[right_at.size:]
 
 
 def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[float]]:
     """u_n(x) / x for n = 1..horizon, one list per q: the law exp_geometric
     with p = 1 - q, transported along the thresholds d_of(n) on the lattice of
     ``spacing``.  Shared by ``reproduce-figb`` and acceptance criterion 7.
-    One law's lattice is held at a time, and refused past the memory budget
-    before it is allocated: each step of the horizon doubles it."""
+    One law's ring is held at a time, and refused past the memory budget
+    before it is allocated: it reaches back to the largest atom below j_max,
+    e times further with each atom the horizon brings below it."""
     try:
         j_max = d_of(horizon) * (1 + x) + 2
     except OverflowError:  # 2^(horizon - 1) beyond the float range
         j_max = math.inf
-    sites = j_max / spacing + 1
-    budget.need(sites, 9, f"the transport lattice of {sites:.4g} sites per law",
-                "figb.horizon or figb.x, or coarsen figb.lattice")
-    n_atoms = max(1, int(math.log(j_max)) + 1)
+    ring = sites = j_max / spacing + 1
+    laws = []  # past 2^53 sites, indices are not exact, and the lattice is past any budget
+    if sites < 2.0 ** 53:
+        n_atoms = int(math.log(j_max)) + 1
+        laws = [ExpGeometricLaw(1.0 - float(q)).atomic(n_atoms, l_max=math.inf) for q in qs]
+        ring = max(_ring_sites(*_lattice_taps(law, spacing, j_max)[:2], _LATTICE_BLOCK)
+                   for law in laws)
+    budget.need(ring, 9, f"the transport lattice of {ring:.4g} sites per law held, of "
+                f"{sites:.4g} in all", "figb.horizon or figb.x, or coarsen figb.lattice")
+    d = np.array([d_of(n) for n in range(1, horizon + 1)], dtype=np.float64)
     ratios = []
-    for q in qs:
-        u1 = u1_on_lattice(ExpGeometricLaw(1.0 - float(q)).atomic(n_atoms, l_max=float("inf")),
-                           spacing, j_max)
-        ratios.append([un_transport(u1, d_of(n), x) / x for n in range(1, horizon + 1)])
-        del u1  # before the next law's lattice is allocated
+    for law in laws:  # U_n(x) = (U1(d_n (1 + x) - 1) - U1((d_n - 1)-)) / d_n
+        u, u_left = u1_on_lattice(law, spacing, j_max, d * (1.0 + x) - 1.0, d - 1.0)
+        ratios.append(((u - u_left) / d / x).tolist())
     return ratios
 
 

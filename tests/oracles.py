@@ -9,6 +9,11 @@ the limit density z_c0 = sum_k (-1)^(k+1) c0^k rho_k / k! with one
 Richardson step: the series the delay equation of ``limits`` replaced.
 ``u1_lattice_blocks`` solves the lattice recurrence of ``u1_on_lattice`` in
 blocks of the smallest tap, one slice-add per tap and block.
+``u1_on_lattice_whole`` is the lattice route as it was before
+``transport.u1_on_lattice`` held a ring of sites: the block solve
+``lattice_solve_whole`` on every site at once, one cumulative sum over all
+of them, and the result a ``LatticeStepFunction`` that counts the sites
+below an argument by its own index arithmetic.
 ``ein_series_scalar`` sums the small-s series of Ein one argument at a time.
 ``geometric_atomic_full`` is ``GeometricLaw.atomic`` with every atom up to
 l_max, the far ones of mass 0.0 included.
@@ -179,6 +184,90 @@ def u1_lattice_blocks(base: np.ndarray, atom_idx: np.ndarray,
                 src_lo = 0
             c[src_lo + int(a):stop] += c[src_lo:src_hi] * w
     return c
+
+
+@dataclasses.dataclass(frozen=True)
+class LatticeStepFunction:
+    """Step function jumping at every lattice site i * spacing - 1.0,
+    i = 0 .. len(cumulative) - 1, as the float grid
+    ``np.arange(n) * spacing - 1.0`` rounds them, zero left of site 0:
+    ``cumulative[k - 1]`` after k jumps."""
+
+    spacing: float
+    cumulative: np.ndarray
+    domain_max: float
+
+    def _site(self, i: np.ndarray) -> np.ndarray:
+        return i.astype(np.float64) * self.spacing - 1.0
+
+    def _count(self, v: np.ndarray, side: str) -> np.ndarray:
+        n = self.cumulative.size
+        counted, beyond = ((np.less_equal, np.greater) if side == "right"
+                           else (np.less, np.greater_equal))
+        k = np.fmax(np.fmin(np.floor((v + 1.0) / self.spacing), n - 1), -1).astype(np.int64)
+        while (down := (k >= 0) & beyond(self._site(k), v)).any():
+            k[down] -= 1
+        while (up := (k + 1 < n) & counted(self._site(k + 1), v)).any():
+            k[up] += 1
+        return k + 1
+
+    def _lookup(self, x, side: str) -> np.ndarray | float:
+        x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        if side == "right":
+            idx = self._count(x_arr * (1 + 1e-15) + 1e-300, side)
+        else:
+            idx = self._count(x_arr * (1 - 1e-15), side)
+        vals = np.zeros(idx.shape)
+        hit = idx > 0
+        vals[hit] = self.cumulative[idx[hit] - 1]
+        return vals if np.ndim(x) else float(vals[0])
+
+    def __call__(self, x) -> np.ndarray | float:
+        return self._lookup(x, "right")
+
+    def left_limit(self, x) -> np.ndarray | float:
+        return self._lookup(x, "left")
+
+
+def lattice_solve_whole(c: np.ndarray, taps: np.ndarray, weights: np.ndarray,
+                        block: int) -> None:
+    # c[i] = base[i] + sum_j c[i - a_j] * w_j in place, block by block: the
+    # terms from below the block by slice-adds, the rest by FFT with the
+    # resolvent of the taps below the block, solved the same way
+    near = taps < block
+    k_hat = None
+    if near.any():
+        k = np.zeros(block)
+        k[0] = 1.0
+        lattice_solve_whole(k, taps[near], weights[near], block // 2)
+        k_hat = np.fft.rfft(k, 2 * block)
+    pairs = list(zip(taps.tolist(), weights.tolist()))
+    for t in range(0, c.size, block):
+        end = min(t + block, c.size)
+        for a, w in pairs:
+            lo, hi = max(t, a), min(end, t + a)
+            if lo < hi:
+                c[lo:hi] += w * c[lo - a:hi - a]
+        if k_hat is not None:
+            c[t:end] = np.fft.irfft(np.fft.rfft(c[t:end], 2 * block) * k_hat,
+                                    2 * block)[:end - t]
+
+
+def u1_on_lattice_whole(law: AtomicMeasure, spacing: float, j_max: float,
+                        block: int = 1 << 13) -> LatticeStepFunction:
+    n = int(math.floor(j_max / spacing)) + 1
+    idx = np.rint(law.positions / spacing).astype(np.int64)
+    keep = (idx > 0) & (idx < n) & (law.masses != 0)
+    idx, mass = idx[keep], law.masses[keep]
+    if idx.size == 0:
+        raise MeasureError("law has no mass below j_max")
+    starts = np.flatnonzero(np.diff(idx, prepend=0))
+    taps, weights = idx[starts], np.add.reduceat(mass, starts)
+    c = np.zeros(n)
+    c[taps] = weights * (taps * spacing)
+    lattice_solve_whole(c, taps, weights, block)
+    np.cumsum(c, out=c)
+    return LatticeStepFunction(spacing, c, float(j_max - 1.0))
 
 
 def ein_series_scalar(v: float) -> float:

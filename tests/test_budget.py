@@ -58,8 +58,10 @@ SITES = {
     "outer convolution": ("off-lattice", lambda: _irrational(512), lambda m: convolve(m, m)),
     "series": ("pushforward series", lambda: _readme_law_at(8),
                lambda mu: epoch_pushforward(mu, EAST(8), EAST(9))),
+    # one row of the grid at a time, per atom of the row and of the weights
     "c0 block": ("transform grid", lambda: GeometricLaw(1e-6).atomic(10_000.0).normalized(),
                  lambda m: m.transform_derivative(default_c0_grid())),
+    # per site of the ring the solve holds, not of the whole lattice
     "figb lattice": ("transport lattice", lambda: EAST,
                      lambda d: figb_ratios([0.5], 14, 10.0, 1 / 16, d)),
     "geometric atoms": ("geometric law", lambda: GeometricLaw(1e-6),
@@ -88,6 +90,37 @@ def test_peak_within_stated_cost(monkeypatch, site):
         tracemalloc.stop()
     units, stated = max(asked)
     assert peak / units <= stated, (peak / units, stated)
+
+
+class TestFigbRing:
+    """reproduce-figb asks for the ring its solve holds, sized before it is
+    allocated: at the default figb.x and figb.lattice, horizon 19's ring of
+    19.25 M sites (147 MiB at 8 bytes) fits, and horizon 20's does not."""
+
+    def test_horizon_19_passes_the_check(self, monkeypatch):
+        class Checked(Exception):
+            pass
+
+        def spy(n_units, bytes_per_unit, what, knobs):
+            need(n_units, bytes_per_unit, what, knobs)
+            raise Checked(n_units)  # before the ring is allocated
+
+        monkeypatch.setattr(budget, "need", spy)
+        with pytest.raises(Checked) as stop:
+            figb_ratios([0.1, 0.5, 0.8], 19, 10.0, 1 / 16, EAST)
+        assert stop.value.args == (19_251_200,)
+
+    def test_horizon_20_refused_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"^the transport lattice of 5\.231e\+07 sites "
+                               r"per law held, of 9\.227e\+07 in all needs .*; lower "
+                               r"figb\.horizon or figb\.x, or coarsen figb\.lattice$"):
+                figb_ratios([0.1, 0.5, 0.8], 20, 10.0, 1 / 16, EAST)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, peak
 
 
 class TestPushforwardAsAWhole:

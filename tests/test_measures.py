@@ -65,42 +65,59 @@ class TestAtomicMeasure:
     @pytest.mark.parametrize("method", ["transform", "transform_derivative",
                                         "one_minus_transform"])
     def test_transform_holds_one_matrix(self, method):
-        # the README config's c0 view against the c0 grid: one (s, atoms)
-        # matrix at a time, with the values of the expressions that built a
-        # second one to negate it
+        # the README config's c0 view against the c0 grid: one s row of the
+        # (s, atoms) grid at a time, with the values of the expressions that
+        # built a second row to negate it; the whole grid's matrix product
+        # sums each row in another order, a few ulp away
         m = GeometricLaw(0.1).atomic(51200.0).normalized()
         s = default_c0_grid()
-        old = {"transform": lambda s: np.exp(-np.outer(s, m.positions)) @ m.masses,
-               "transform_derivative": lambda s: -(np.exp(-np.outer(s, m.positions))
-                                                   @ (m.positions * m.masses)),
-               "one_minus_transform": lambda s: -(np.expm1(-np.outer(s, m.positions))
-                                                  @ m.masses) + m.deficit}[method]
+        fn, weights, sign, deficit = {
+            "transform": (np.exp, m.masses, 1.0, 0.0),
+            "transform_derivative": (np.exp, m.positions * m.masses, -1.0, 0.0),
+            "one_minus_transform": (np.expm1, m.masses, -1.0, m.deficit)}[method]
+        old = lambda s: sign * np.array([fn(-np.outer(v, m.positions))[0] @ weights
+                                         for v in np.atleast_1d(s)]) + deficit
         tracemalloc.start()
         try:
             out = getattr(m, method)(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * s.size * m.n_atoms * 8, peak / (s.size * m.n_atoms * 8)
+        assert peak <= 3 * m.n_atoms * 8, peak / (m.n_atoms * 8)
         assert out.tobytes() == old(s).tobytes()
         assert getattr(m, method)(float(s[3])) == float(old(s[3])[0])
+        whole = sign * (fn(-np.outer(s, m.positions)) @ weights) + deficit
+        np.testing.assert_array_max_ulp(out, whole, maxulp=16)
 
     @pytest.mark.parametrize("method", ["transform", "transform_derivative",
                                         "one_minus_transform"])
     def test_transform_grid_in_row_blocks(self, monkeypatch, method):
-        # a budget of a few rows splits the README c0 grid into blocks, whose
-        # products differ from the whole grid's in the last bits only: up to
-        # 12 ulp over 7,052 atoms at these block sizes
+        # the README c0 grid gives the same bits at the default budget and at
+        # budgets of one row and a few: each row is its own dot product
         m = GeometricLaw(0.1).atomic(51200.0).normalized()
         s = default_c0_grid()
-        whole = getattr(m, method)(s)
+        default = getattr(m, method)(s)
         for rows in (1, 10, 100):
             # 9 bytes per grid point and atom, for the block and one row of weights
             monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", 9 * m.n_atoms * (rows + 1))
-            with mock.patch("numpy.outer", wraps=np.outer) as spy:
-                blocked = getattr(m, method)(s)
-            assert spy.call_count == -(-s.size // rows)
-            np.testing.assert_array_max_ulp(blocked, whole, maxulp=16)
+            assert getattr(m, method)(s).tobytes() == default.tobytes()
+
+    def test_c0_estimate_independent_of_budget(self, monkeypatch):
+        # c0_estimate and the three transforms it reads, at the default
+        # budget and at a budget of one row; blocks of rows as many as fit
+        # once moved the transforms by up to 12 ulp
+        s = default_c0_grid()
+
+        def bits(law):
+            return ([f(s).tobytes() for f in (law.transform, law.transform_derivative,
+                                              law.one_minus_transform)], c0_estimate(law, s))
+
+        for law in (GeometricLaw(0.1).atomic(51200.0), GeometricLaw(0.01).atomic(3000.0),
+                    ExpGeometricLaw(0.5).atomic(60, l_max=1e40)):
+            default = bits(law)
+            monkeypatch.setattr("hcplab.budget.BUDGET_BYTES", 9 * law.n_atoms * 2)
+            assert bits(law) == default
+            monkeypatch.undo()
 
 
 class TestConvolve:

@@ -1,9 +1,10 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc
 
@@ -11,12 +12,13 @@ import hcplab.transport
 from hcplab.laws import ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, two_point_law
 from hcplab.measures import (AtomicMeasure, _coalesce, dirac, epoch_pushforward,
                              iterate_hcp_measures)
-from hcplab.transport import (LatticeStepFunction, StepFunction, TransportRangeError,
-                              _lattice_solve, c0_estimate, deconvolve_m, default_c0_grid,
-                              figb_ratios, reassemble_z_law, u1_from_m, u1_on_lattice,
-                              un_transport)
+from hcplab.schedule import ArithmeticThresholds
+from hcplab.transport import (StepFunction, TransportRangeError, _lattice_blocks,
+                              _lattice_count, _ring_sites, c0_estimate, deconvolve_m,
+                              default_c0_grid, figb_ratios, reassemble_z_law, u1_from_m,
+                              u1_on_lattice, un_transport)
 
-from oracles import deconvolve_m_intervals, u1_lattice_blocks
+from oracles import deconvolve_m_intervals, u1_lattice_blocks, u1_on_lattice_whole
 
 EAST = lambda n: 2.0 ** (n - 1)
 
@@ -221,11 +223,13 @@ class TestLatticeRoute:
     @settings(max_examples=60, deadline=None)
     def test_block_solve_matches_blocks(self, case, block):
         # block 1 has no in-block solve, 7 and 64 recurse on the resolvent
-        # and cut the lattice at many block edges; the FFT's round-off is
-        # absolute at the scale of the block's values
+        # and cut the lattice at many block edges, and the ring wraps when
+        # the largest tap and a block are well short of the lattice; the
+        # FFT's round-off is absolute at the scale of the block's values
         base, taps, weights = case
-        c = base.copy()
-        _lattice_solve(c, taps, weights, block)
+        at = np.flatnonzero(base)
+        c = np.concatenate([part.copy() for _, part in _lattice_blocks(
+            base.size, taps, weights, at, base[at], block)])
         expect = u1_lattice_blocks(base, taps, weights)
         np.testing.assert_allclose(c, expect, rtol=1e-12,
                                    atol=1e-13 * np.abs(expect).max(initial=0.0))
@@ -233,65 +237,134 @@ class TestLatticeRoute:
     def test_agrees_with_interval_recursion(self):
         laws = [epoch_pushforward(dirac(1.0, 32.0), 1.0, 2.0).rescaled(0.5),
                 AtomicMeasure([1.0, 1.5, 3.5], [0.5, 0.3, 0.2], l_max=32.0)]
+        xs = np.linspace(0.0, 14.0, 57)
         for p in laws:
-            u_lattice = u1_on_lattice(p, 0.5, 16.0)
+            u_lattice, left_lattice = u1_on_lattice(p, 0.5, 16.0, xs, xs)
             u_atomic = u1_from_m(deconvolve_m(p, 16.0))
-            for x in np.linspace(0.0, 14.0, 57):
-                assert u_lattice(x) == pytest.approx(u_atomic(x), abs=1e-12)
-                assert u_lattice.left_limit(x) == pytest.approx(u_atomic.left_limit(x),
-                                                                abs=1e-12)
+            for x, u, left in zip(xs, u_lattice, left_lattice):
+                assert u == pytest.approx(u_atomic(x), abs=1e-12)
+                assert left == pytest.approx(u_atomic.left_limit(x), abs=1e-12)
 
     @given(spacing=st.one_of(st.sampled_from([1 / 16, 0.1, 1 / 3]),
                              st.floats(1e-3, 10.0)),
            n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_lattice_steps_match_listed_jumps(self, spacing, n, seed):
-        # the jump count by index arithmetic against searchsorted over the
-        # grid u1_on_lattice once stored, compared with ==; x / (1 +- 1e-15)
+        # the jump count by index arithmetic against a step function that
+        # lists every site of the grid, compared with ==; x / (1 +- 1e-15)
         # puts the nudged argument on or next to a site
         rng = np.random.default_rng(seed)
         grid = np.arange(n) * spacing - 1.0
         cumulative = np.cumsum(rng.random(n) * (rng.random(n) < 0.3))
         oracle = StepFunction(grid, cumulative, float(grid[-1]))
-        lattice = LatticeStepFunction(spacing, cumulative, float(grid[-1]))
         sites = grid[rng.integers(0, n, 200)]
         xs = np.concatenate((sites, np.nextafter(sites, -np.inf), np.nextafter(sites, np.inf),
                              sites / (1 + 1e-15), sites / (1 - 1e-15),
                              -1.0 - rng.random(20) * 5, [-np.inf, np.inf],
                              grid[-1] + spacing * rng.random(20) * 3))
-        assert np.array_equal(lattice(xs), oracle(xs))
-        assert np.array_equal(lattice.left_limit(xs), oracle.left_limit(xs))
-        for x in xs[::37].tolist():
-            assert lattice(x) == oracle(x)
-            assert lattice.left_limit(x) == oracle.left_limit(x)
+        for side, lookup in (("right", oracle), ("left", oracle.left_limit)):
+            k = _lattice_count(xs, side, spacing, n)
+            assert np.array_equal(np.where(k > 0, cumulative[k - 1], 0.0), lookup(xs))
+            for x in xs[::37].tolist():
+                k = int(_lattice_count(x, side, spacing, n)[0])
+                assert (cumulative[k - 1] if k else 0.0) == lookup(x)
 
     def test_peak_bytes_per_site_of_one_law(self):
-        # reproduce-figb's default laws at horizon 14, one lattice at a time:
-        # a law's step function holds 8 bytes per site, and the solve adds
-        # little beyond it
+        # reproduce-figb's default laws at horizon 14, one ring at a time: a
+        # law's ring holds 8 bytes per site, and the solve adds little beyond
+        # it; the largest tap below the lattice is e^11 / spacing
         horizon, x, spacing = 14, 10.0, 1 / 16
-        sites = int((2.0 ** (horizon - 1) * (1 + x) + 2) / spacing) + 1
+        block = hcplab.transport._LATTICE_BLOCK
+        top = round(math.exp(11) / spacing)
+        ring = -(-(top + block) // block) * block
+        assert ring == 966_656 < (2.0 ** (horizon - 1) * (1 + x) + 2) / spacing
         tracemalloc.start()
         try:
             figb_ratios((0.1, 0.5, 0.8), horizon, x, spacing, EAST)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / sites <= 9, peak / sites
+        assert peak / ring <= 9, peak / ring
 
     def test_oscillating_law_ratio_sequence(self):
         # geometric-exponent law: finite-mean parameter converges to 1, the
         # infinite-mean parameters keep oscillating
-        horizon, x = 12, 10.0
-        j_max = 2.0 ** (horizon - 1) * (1 + x) + 2
-        ratios = {}
-        for q in (0.1, 0.8):
-            u1 = u1_on_lattice(ExpGeometricLaw(1 - q).atomic(12, l_max=float("inf")),
-                               1 / 16, j_max)
-            ratios[q] = [un_transport(u1, EAST(n), x) / x for n in range(1, horizon + 1)]
+        ratios = dict(zip((0.1, 0.8), figb_ratios((0.1, 0.8), 12, 10.0, 1 / 16, EAST)))
         assert all(abs(v - 1) < 0.02 for v in ratios[0.1][-4:])
         window = ratios[0.8][-8:]
         assert max(window) - min(window) > 0.02
+
+
+@st.composite
+def lattice_laws(draw):
+    """A law snapped to a lattice of n sites, solved in blocks of ``block``:
+    n below a block, n not a multiple of it, and lattices many blocks long
+    whose largest tap and a block are short of n, so that the ring wraps.
+    Atoms lie near sites 1 .. 2n, some at or beyond n, two sometimes at one
+    site, and some of mass 0."""
+    block = draw(st.sampled_from([1, 4, 16, 64, hcplab.transport._LATTICE_BLOCK]))
+    spacing = draw(st.sampled_from([1 / 16, 0.1, 1 / 3, 0.5]))
+    n = draw(st.integers(2, min(40 * block, 60_000)))
+    top = draw(st.integers(1, n - 1))  # the largest tap below n
+    idx = sorted(set(draw(st.lists(st.integers(1, 2 * n), max_size=8))) | {top})
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pos = (np.array(idx) + rng.uniform(-0.4, 0.4, len(idx))) * spacing
+    if draw(st.booleans()):  # a second atom rounding to the first one's site
+        pos = np.sort(np.append(pos, pos[0] + 0.01 * spacing))
+    mass = rng.random(pos.size) * (rng.random(pos.size) < 0.9)
+    mass[pos == pos.min()] = 0.1  # some mass at a site below n
+    mass *= 0.9 / mass.sum()
+    # j_max so that the lattice has n sites, i * spacing for i < n
+    j_max = (n - 1 + 0.5) * spacing
+    return AtomicMeasure(pos, mass, l_max=math.inf), spacing, j_max, block
+
+
+class TestStreamingRoute:
+    """The ring solve against the whole lattice it replaced, bit for bit."""
+
+    @staticmethod
+    def arguments(spacing, n, rng):
+        # on, just below and just above sites, negative, and the last
+        # argument j_max - 1 = domain_max
+        grid = np.arange(n) * spacing - 1.0
+        sites = grid[rng.integers(0, n, 40)]
+        return np.concatenate((sites, np.nextafter(sites, -np.inf), np.nextafter(sites, np.inf),
+                               sites / (1 + 1e-15), sites / (1 - 1e-15), -1.0 - rng.random(5),
+                               [-0.5, 0.0, grid[-1], (n - 0.5) * spacing - 1.0]))
+
+    @given(case=lattice_laws(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    @example(case=(AtomicMeasure([0.5, 2.55 * 16 * 0.5], [0.5, 0.4], l_max=math.inf),
+                   0.5, (160 - 0.5) * 0.5, 16), seed=0)
+    def test_values_equal_the_whole_lattice(self, case, seed):
+        law, spacing, j_max, block = case
+        oracle = u1_on_lattice_whole(law, spacing, j_max, block)
+        n = oracle.cumulative.size
+        xs = self.arguments(spacing, n, np.random.default_rng(seed))
+        with mock.patch.object(hcplab.transport, "_LATTICE_BLOCK", block):
+            u, left = u1_on_lattice(law, spacing, j_max, xs, xs[::-1])
+        assert np.array_equal(u, oracle(xs))
+        assert np.array_equal(left, oracle.left_limit(xs[::-1]))
+
+    def test_example_ring_wraps(self):
+        # the example above: 160 sites in blocks of 16, the largest tap 41,
+        # so a ring of 64 sites that the tap's sources cross
+        taps = np.array([1, 41])
+        assert _ring_sites(160, taps, 16) == 64
+
+    @pytest.mark.parametrize("d_of", [EAST, ArithmeticThresholds()], ids=["geometric",
+                                                                         "arithmetic"])
+    def test_figb_ratios_equal_transport_of_the_whole_lattice(self, d_of):
+        horizon, x, spacing = 9, 10.0, 1 / 16
+        j_max = d_of(horizon) * (1 + x) + 2
+        n_atoms = int(math.log(j_max)) + 1
+        qs = (0.1, 0.5, 0.8)
+        expect = []
+        for q in qs:
+            whole = u1_on_lattice_whole(
+                ExpGeometricLaw(1 - q).atomic(n_atoms, l_max=math.inf), spacing, j_max)
+            expect.append([un_transport(whole, d_of(n), x) / x for n in range(1, horizon + 1)])
+        assert figb_ratios(qs, horizon, x, spacing, d_of) == expect
 
 
 class TestC0Estimate:
