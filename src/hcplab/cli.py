@@ -181,7 +181,7 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
                         f"below d(1) = {schedule.d(1)!r}", schedule)
     # before the iteration: a c0 refusal costs no work, and the grid is not
     # allocated on top of the iteration's heap
-    est = c0_estimate(c0_law, grid)
+    est = c0_estimate(c0_law, grid / schedule.d(1))  # the grid is in units of 1 / d(1)
     laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs)
     for n, mu in enumerate(laws, start=1):
         if mu.deficit > deficit_bound:
@@ -203,13 +203,15 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
             "applies\n" if schedule.gamma is None else "".join(
                 f"{n},{schedule.d(n + 1)!r},{survival_probability_exact(h, n, schedule.gamma)!r}\n"
                 for n in range(1, n_epochs + 1))])
-    # transported primitive probes from the epoch-1 law
+    # transported primitive probes from the epoch-1 law, in units of d(1):
+    # there epoch n's threshold is d(n) / d(1)
     z1 = laws[0].rescaled(1.0 / schedule.d(1))
     u1 = u1_from_m(deconvolve_m(z1, j_max))
+    ratios = [schedule.d(n) / schedule.d(1) for n in range(1, n_epochs + 1)]
     _write(out, "transported_primitive.csv", cfg, "epoch,x,u_n\n",
-           ["".join(f"{n},{x!r},{un_transport(u1, schedule.d(n), float(x))!r}\n"
-                    for n in range(1, n_epochs + 1) for x in probe_x
-                    if schedule.d(n) * (1 + float(x)) - 1 <= j_max - 1)])
+           ["".join(f"{n},{x!r},{un_transport(u1, d, float(x))!r}\n"
+                    for n, d in enumerate(ratios, start=1) for x in probe_x
+                    if d * (1 + float(x)) - 1 <= j_max - 1)])
     _write_json(out, "c0_report.json", {"estimate": est.estimate, "converged": est.converged,
                                         "s_min": float(grid.min()), "s_max": float(grid.max())})
     _write_manifest(out, "analytic", cfg)

@@ -18,6 +18,7 @@ no domain borders one of another segment.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
@@ -81,7 +82,8 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     """Run one epoch on every segment: segment r draws k standard
     exponentials, then k uniforms, from ``rngs[r]`` for its k active domains
     (the values and generator state of ``exponential(scale=1.0, size=k)``
-    then ``random(k)``).  Returns the alive mask of the points."""
+    then ``random(k)``).  Every segment draws its exponentials before any
+    draws its uniforms, into one buffer.  Returns the alive mask of the points."""
     d_min = gap_floor(rates.d_min)
     if gaps.min() < d_min:
         raise StateSpaceError(
@@ -93,43 +95,51 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     # the rates' scale: a scalar for constant families, so that no per-ring
     # rate array exists, and d / d_min for linear ones (a gap just below d_min
     # rings at the rate of d_min).  Dividing by a scalar gives the same bits
-    # as dividing by an array holding it.
+    # as dividing by an array holding it.  Both coefficients are divided by
+    # 2^e, which puts the larger in [1/2, 1): no rate sum overflows, and
+    # wherever the unscaled rates and times were finite and normal, every
+    # time moves by 2^e exactly and every erase-left chance keeps its bits.
+    e = math.frexp(max(rates.left, rates.right))[1]
     s = np.maximum(gaps[slots], rates.d_min) / rates.d_min if rates.linear else 1.0
-    lam_r = rates.right * s
-    lam = rates.left * s + lam_r
+    lam_r = math.ldexp(rates.right, -e) * s
+    lam = math.ldexp(rates.left, -e) * s + lam_r
     del s
     bounds = slots.searchsorted(starts.astype(index)).tolist() + [n]  # segment r's rings
-    times, coins = np.empty(n), np.empty(n)
-    for rng, lo, hi in zip(rngs, bounds, bounds[1:]):
-        rng.standard_exponential(out=times[lo:hi])
-        rng.random(out=coins[lo:hi])
+    draws = np.empty(n)
+    segments = [draws[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    for rng, out in zip(rngs, segments):
+        rng.standard_exponential(out=out)
     # standard exponentials divided by the rates: scaling every rate by a
-    # common constant rescales the time axis without reordering any event
-    times /= lam
-    lam_r /= lam  # the chance that a ring erases its left point
-    erase_left = coins < lam_r
-    del lam, lam_r, coins
-
+    # common constant rescales the time axis without reordering any event.
+    # Only their order is kept, so the buffer then takes the uniforms.
+    draws /= lam
+    ahead = draws[:-1] <= draws[1:]     # ring i rings before ring i + 1 (ties: lower index)
     # Rings i and i + 1 share a point when their slots are adjacent, except
     # across a periodic segment's end: only such a segment rings on its last
     # slot, whose domain ends at the segment's first point.  That wrap ring
     # pairs with the segment's first ring, unless it is that ring.
+    wrap = active[np.append(starts[1:], gaps.size) - 1].nonzero()[0]
+    if wrap.size:
+        ring_bounds = np.array(bounds, dtype=index)
+        last, first = ring_bounds[wrap + 1] - 1, ring_bounds[wrap]
+        closed = (slots[first] == starts[wrap]) & (first != last)
+        wrap_ahead = draws[last[closed]] < draws[first[closed]]  # first < last wins a tie
+    for rng, out in zip(rngs, segments):
+        rng.random(out=out)
+    lam_r /= lam  # the chance that a ring erases its left point
+    erase_left = draws < lam_r
+    del lam, lam_r, draws, segments
+
     victims = slots + ~erase_left
     pair = slots[1:] == slots[:-1] + 1
-    wrap = active[np.append(starts[1:], gaps.size) - 1].nonzero()[0]
     src = dst = wrap        # wrap pairs in which ring src erases a point of ring dst first
     if wrap.size:
-        bounds = np.array(bounds, dtype=index)
-        last, first = bounds[wrap + 1] - 1, bounds[wrap]
         victims[last] = np.where(erase_left[last], slots[last], starts[wrap])
         pair[last[last < n - 1]] = False
-        closed = (slots[first] == starts[wrap]) & (first != last)
         last, first = last[closed], first[closed]
-        ahead = times[last] < times[first]             # first < last wins a tie
-        hit = np.where(ahead, ~erase_left[last], erase_left[first])
-        src = np.where(ahead, last, first)[hit]
-        dst = np.where(ahead, first, last)[hit]
-    ahead = times[:-1] <= times[1:]     # ring i rings before ring i + 1 (ties: lower index)
+        hit = np.where(wrap_ahead, ~erase_left[last], erase_left[first])
+        src = np.where(wrap_ahead, last, first)[hit]
+        dst = np.where(wrap_ahead, first, last)[hit]
     from_left = pair & ahead & ~erase_left[:-1]        # i erases i + 1's left end first
     from_right = pair & erase_left[1:] & ~ahead        # i + 1 erases i's right end first
     # A ring merges unless a ring that erases one of its points first merges.

@@ -28,10 +28,17 @@ from .epoch import Boundary, StateSpaceError, _simulate_points, core_ranges, gap
 from .sampling import RenewalSpec, check_lengths, draw_spec, replica_rngs
 from .schedule import EpochSchedule
 
-# A batch holds as many replicas as fit in this many initial points (at
-# least one).  2^17 was no faster for 5,000 64-interval replicas (0.27 s) or
-# criterion 5 (14.6 against 14.8 s), and 2^15 slower (0.28 and 17.2 s).
+# A batch holds as many replicas as fit in _BATCH_POINTS initial points, and
+# at most _BATCH_REPLICAS of them (at least one).  Narrow replicas spend their
+# time in per-replica stream calls, so a bigger batch of them buys little
+# speed with memory.  Left-bounded 64-interval replicas, in-process on a
+# 2-core Xeon, at 256 / 512 / 768 / 1,008 a batch: 5,000 took 75 / 71 / 69 /
+# 69 ms, and the process that simulates them peaked at 39.7 / 39.9 / 40.8 /
+# 42.0 MiB; 100,000 took 1.58 / 1.40 / 1.35 / 1.34 s.  Wide replicas keep
+# 2^16 points: 2,000 of criterion 5's 8,192 intervals took 1.68 / 1.20 /
+# 1.17 s at 2^15 / 2^16 / 2^17 points.
 _BATCH_POINTS = 1 << 16
+_BATCH_REPLICAS = 512
 # A target_core window's pilot: its initial intervals, and the factor on its estimate.
 _PILOT_INTERVALS = 4096
 _PILOT_SAFETY = 1.6
@@ -192,17 +199,23 @@ def _pilot_initial_count(spec, schedule, n_epochs, policy, rng) -> int:
 
 
 def _draw(spec, n0: int, rngs):
-    """Draw ``n0`` intervals from each stream of ``rngs``, checked at once:
-    (first points, rows of a slot per point, marked indices).  A row is the
-    lengths, then +inf unless periodic; a sum past the float range is refused."""
-    firsts, lengths, marked = zip(*(draw_spec(spec, n0, rng) for rng in rngs))
-    rows = np.full((len(rngs), n0 + (spec.boundary is not Boundary.PERIODIC)), np.inf)
-    rows[:, :n0] = check_lengths(spec, np.array(lengths, dtype=float))
+    """Draw ``n0`` intervals from each stream of ``rngs``, each straight into
+    its row, checked at once: (first points, rows of a slot per point, marked
+    indices).  A row is the lengths, then +inf unless periodic; a sum past
+    the float range is refused."""
+    n_replicas = len(rngs)
+    rows = np.ones((n_replicas, n0 + (spec.boundary is not Boundary.PERIODIC)))
+    firsts, marked = np.empty(n_replicas), np.empty(n_replicas, dtype=np.int64)
+    lengths = rows[:, :n0]
+    for i, rng in enumerate(rngs):
+        firsts[i], lengths[i], marked[i] = draw_spec(spec, n0, rng)
+    check_lengths(spec, rows)  # whole rows, so that no copy is made: the slots after are 1
+    rows[:, n0:] = np.inf
     with np.errstate(over="ignore"):  # an overflow is refused here
-        if not np.isfinite(rows[:, :n0].sum(axis=1)).all():
+        if not np.isfinite(lengths.sum(axis=1)).all():
             raise WindowTooLargeError(f"{n0} initial intervals per replica, whose initial_law "
                                       "lengths sum past the float range")
-    return np.array(firsts), rows, np.array(marked)
+    return firsts, rows, marked
 
 
 def _run_batch(spec, schedule: EpochSchedule, window: WindowPolicy, n0: int, rngs,
@@ -314,7 +327,8 @@ def _run(spec, schedule, n_epochs, window, streams,
         n0 = _pilot_initial_count(spec, schedule, n_epochs, window, first)
     check_window(n0, "window.target_core" if window.n_intervals is None else "window.n_intervals")
     width = n0 if spec.boundary is Boundary.PERIODIC else n0 + 1
-    streams, size = itertools.chain([first], streams), max(1, _BATCH_POINTS // width)
+    streams = itertools.chain([first], streams)
+    size = max(1, min(_BATCH_POINTS // width, _BATCH_REPLICAS))
     folds, exhausted = [_EpochFold(z_per_epoch) for _ in range(n_epochs)], None
     while rngs := list(itertools.islice(streams, size)):
         try:

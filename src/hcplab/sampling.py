@@ -10,7 +10,7 @@ Python int or on a block of replica indices at once, the words of s hashed
 once per seed.  Spawning goes through a real SeedSequence, built at the
 first spawn.
 
-``draw_spec`` is the one draw implementation: the simulator stacks a batch
+``draw_spec`` is the one draw implementation: the simulator writes a batch
 of draws into one array and ``check_lengths`` checks it at once.
 """
 
@@ -273,7 +273,7 @@ def draw_spec(spec: RenewalSpec, n_intervals: int, rng) -> tuple[float, np.ndarr
 def check_lengths(spec: RenewalSpec, lengths: np.ndarray) -> np.ndarray:
     """``lengths`` (one draw or a replicas x intervals batch of them) if each
     is positive and finite, and an integer for a lattice-stationary spec."""
-    if not ((lengths > 0) & (lengths < np.inf)).all():  # a NaN fails both
+    if not (lengths.min() > 0 and lengths.max() < np.inf):  # a NaN fails both
         raise SamplingContractError("law produced a nonpositive or non-finite length")
     if isinstance(spec, LatticeStationary) and np.any(np.rint(lengths) != lengths):
         raise SamplingContractError("lattice law produced a non-integer gap")

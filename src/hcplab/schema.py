@@ -200,10 +200,9 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     probe_x, j_max, mu1, the law's c0 view, the c0 grid).  l_max must reach
     d(epochs), the last threshold the epoch iteration pushes a law across,
     and j_max stay within l_max / d(1), the truncation of the rescaled
-    epoch-1 law that the transport deconvolves; that transport needs d(1) >=
-    1.  The grid keeps s_max / s_min and s_max times each view atom finite."""
-    if isinstance(schedule.thresholds, ExplicitThresholds):
-        field(cfg, "schedule.values", list, lambda v: v[0] >= 1, "a first threshold d(1) >= 1")
+    epoch-1 law that the transport deconvolves.  Like j_max, the c0 grid is
+    in units of d(1) (of 1 / d(1)), and keeps s_max / s_min and s_max times
+    each view atom over d(1) finite."""
     d_last = schedule.d(n_epochs)
     need = f"a number from d({n_epochs}) = {d_last!r} up"
     default = 50.0 * schedule.d(n_epochs + 1)
@@ -219,7 +218,7 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     j_cap = l_max / schedule.d(1)
     j_max = float(field(cfg, "analytic.j_max", NUMBER, lambda v: 1 < v <= j_cap,
                         f"a number above 1 and at most analytic.l_max / d(1) = {j_cap!r}",
-                        min(l_max, 256.0, j_cap)))
+                        min(256.0, j_cap)))
     s_min = float(field(cfg, "analytic.c0_s_min", NUMBER,
                         lambda v: sys.float_info.min <= v < math.inf,
                         f"a number from the smallest normal float {sys.float_info.min!r} up",
@@ -238,9 +237,10 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     else:
         mu1 = law.atomic(l_max)
         c0_view = mu1.normalized()
-    top = float(c0_view.positions[-1])
+    top = float(c0_view.positions[-1]) / schedule.d(1)
     s_max = float(field(cfg, "analytic.c0_s_max", NUMBER,
                         lambda v: s_min < v and v / s_min < math.inf and v * top < math.inf,
                         f"a number above analytic.c0_s_min = {s_min!r} whose ratio to it and "
-                        f"product with the c0 view's last atom {top!r} are finite", 1e-2))
+                        f"product with the c0 view's last atom over d(1), {top!r}, are finite",
+                        1e-2))
     return l_max, deficit_bound, probe_x, j_max, mu1, c0_view, default_c0_grid(s_max, s_min)

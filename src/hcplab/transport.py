@@ -286,8 +286,8 @@ def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[f
     if sites < 2.0 ** 53:
         n_atoms = int(math.log(j_max)) + 1
         laws = [ExpGeometricLaw(1.0 - float(q)).atomic(n_atoms, l_max=math.inf) for q in qs]
-        ring = max(_ring_sites(*_lattice_taps(law, spacing, j_max)[:2], _LATTICE_BLOCK)
-                   for law in laws)
+        ring = max((_ring_sites(*_lattice_taps(law, spacing, j_max)[:2], _LATTICE_BLOCK)
+                    for law in laws), default=0)
     budget.need(ring, 9, f"the transport lattice of {ring:.4g} sites per law held, of "
                 f"{sites:.4g} in all", "figb.horizon or figb.x, or coarsen figb.lattice")
     d = np.array([d_of(n) for n in range(1, horizon + 1)], dtype=np.float64)

@@ -243,7 +243,7 @@ class TestAnalytic:
         assert float(rows[1][2]) == pytest.approx(math.exp(-11.0 / 6.0), rel=1e-12)
 
     def test_explicit_schedule_from_one(self, tmp_path):
-        # d(1) = 1, the smallest first threshold the transported primitive takes
+        # explicit thresholds from d(1) = 1
         cfg = write_config(tmp_path, {"schedule.thresholds": "explicit",
                                       "schedule.values": [1, 2, 4]})
         out = str(tmp_path / "and")
@@ -441,6 +441,14 @@ class TestFigBInputs:
         for field in ("figb.horizon", "figb.x", "figb.lattice"):
             assert field in err
 
+    def test_empty_q_writes_header_only(self, tmp_path, capsys):
+        # no law, so no ring to size: the file has its two lines and no row
+        out = tmp_path / "out"
+        assert main(["reproduce-figb", "--config", write_config(tmp_path, {"figb.q": []}),
+                     "--out", str(out)]) == 0
+        assert (out / "transport_ratio.csv").read_text().splitlines()[1:] == ["q,n,d_n,ratio"]
+        assert capsys.readouterr().err == ""
+
     def test_horizon_beyond_float_range(self, tmp_path):
         err = self.run(tmp_path, {"horizon": 2000, "q": [0.5]})
         assert "figb.horizon" in err
@@ -624,8 +632,8 @@ class TestConfigInputs:
         ({"initial_law": {"kind": "exponential"}}, "initial_law.kind"),
         ({"analytic.probe_x": [math.nan, -1, 1]}, "analytic.probe_x[0]"),
         ({"analytic.probe_x": [1, math.inf]}, "analytic.probe_x[1]"),
-        # the transported primitive needs d(1) >= 1
-        ({"schedule.thresholds": "explicit", "schedule.values": [0.5, 1, 2]},
+        # a first threshold below 1 is fine, thresholds that fall are not
+        ({"schedule.thresholds": "explicit", "schedule.values": [0.5, 0.25, 2]},
          "schedule.values"),
         # the rates are checked for every command, not only simulate
         ({"schedule.rates": "constant", "schedule.left": -1}, "schedule.left"),

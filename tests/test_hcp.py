@@ -17,7 +17,7 @@ from hcplab.measures import dirac, iterate_hcp_measures
 from hcplab.hcp import WindowExhaustedError, WindowPolicy, replicate, run_hcp
 from hcplab.sampling import (ContainsOrigin, ExchangeableMixture, LatticeStationary,
                              LeftBounded, PeriodicRenewal, Stationary, check_lengths,
-                             draw_spec, replica_rng)
+                             draw_spec, replica_rng, replica_rngs)
 from hcplab.schedule import (ArithmeticThresholds, EpochSchedule, ExplicitThresholds,
                              GeometricThresholds, ScheduleError, east_schedule)
 from hcplab.schema import ConfigError, build_schedule
@@ -378,8 +378,8 @@ class TestWindowBudget:
 class TestBatchDraws:
     """The batch draws of ``_draw`` against the per-replica samplers they
     replaced (the same lengths, first points, marked indices and generator
-    states), and the batches a run makes: ``max(1, _BATCH_POINTS // width)``
-    replicas each, in stream order."""
+    states), and the batches a run makes: ``max(1, min(_BATCH_POINTS // width,
+    _BATCH_REPLICAS))`` replicas each, in stream order."""
 
     @staticmethod
     def initial_count(spec, window):
@@ -401,7 +401,8 @@ class TestBatchDraws:
         hcp._run(spec, east_schedule(2.0), 4, window, iter(streams))
         n0 = self.initial_count(spec, window)
         periodic = spec.boundary is Boundary.PERIODIC
-        size = max(1, hcp._BATCH_POINTS // (n0 if periodic else n0 + 1))
+        size = max(1, min(hcp._BATCH_POINTS // (n0 if periodic else n0 + 1),
+                          hcp._BATCH_REPLICAS))
         assert [len(rngs) for _, rngs in batches] == \
             [min(size, n_replicas - lo) for lo in range(0, n_replicas, size)]
         assert [rng for _, rngs in batches for rng in rngs] == streams
@@ -431,6 +432,32 @@ class TestBatchDraws:
         spec = SPECS[name] if name in SPECS else self.IRRATIONAL[name]
         batches = self.check(spec, WindowPolicy(n_intervals=300), 7, monkeypatch)
         assert len(batches) == {1: 7, 700: 4}.get(batch_points, 1)
+
+    @pytest.mark.parametrize("batch_points, sizes", [
+        (hcp._BATCH_POINTS, [3, 3, 1]),  # 217 replicas of 301 points fit: the cap binds
+        (700, [2, 2, 2, 1]),  # 2 fit, below the cap
+    ])
+    @pytest.mark.parametrize("name", ["left_bounded", "periodic"])
+    def test_replica_cap(self, name, batch_points, sizes, monkeypatch):
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", batch_points)
+        monkeypatch.setattr(hcp, "_BATCH_REPLICAS", 3)
+        batches = self.check(SPECS[name], WindowPolicy(n_intervals=300), 7, monkeypatch)
+        assert [len(rngs) for _, rngs in batches] == sizes
+
+    def test_draw_writes_into_rows(self):
+        # each replica's draw goes straight into its row: beyond what it
+        # returns and the row sums, one float a replica, the peak holds one draw
+        spec, rngs = LeftBounded(DiracLaw(1.0)), list(replica_rngs(3, 1008))
+        tracemalloc.start()
+        try:
+            firsts, rows, marked = hcp._draw(spec, 64, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.shape == (1008, 65)
+        one_draw = draw_spec(spec, 64, replica_rng(3, 0))[1].nbytes
+        held = rows.nbytes + firsts.nbytes + marked.nbytes + 8 * len(rngs)
+        assert peak < held + one_draw + 4096, (peak, held)
 
     @pytest.mark.parametrize("name", sorted(SPECS))
     def test_pilot_window(self, name, monkeypatch):
@@ -493,6 +520,30 @@ class TestBatchDraws:
                     lambda: sample_spec_config(spec, 10, replica_rng(8))):
             with pytest.raises(SamplingContractError, match="non-integer gap"):
                 run()
+
+
+class TestReplicaCap:
+    """The pooled summaries do not depend on how many replicas a batch holds,
+    where the replica cap sets it and where the points do."""
+
+    @pytest.mark.parametrize("n_intervals, n_replicas, binds", [
+        (64, 600, True),  # 1,008 replicas of 65 points fit: batches of the cap
+        (300, 250, False),  # 217 replicas of 301 points fit, below the cap
+    ])
+    def test_pooled_output_does_not_depend_on_batches(self, n_intervals, n_replicas, binds,
+                                                      monkeypatch):
+        spec = LeftBounded(GeometricLaw(0.5))
+        window = WindowPolicy(n_intervals=n_intervals, buffer_factor=2.0)
+        fit = hcp._BATCH_POINTS // (n_intervals + 1)
+        assert (hcp._BATCH_REPLICAS < fit) == binds and n_replicas > min(fit, hcp._BATCH_REPLICAS)
+
+        def run():  # z thinned as batches arrive, so the stride grows batch by batch
+            return replicate(spec, east_schedule(2.0), 4, n_replicas, 9, window,
+                             z_per_epoch=2000)
+
+        batched = run()
+        monkeypatch.setattr(hcp, "_BATCH_POINTS", 1)  # one replica a batch
+        TestEngineOracle.assert_same(batched, run())
 
 
 class TestZThinning:
