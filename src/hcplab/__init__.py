@@ -16,10 +16,10 @@ from .laws import (AtomicLaw, DiracLaw, ExpGeometricLaw, GeometricLaw,
 from .measures import (AtomicMeasure, MeasureError, convolve, dirac,
                        epoch_pushforward, iterate_hcp_measures,
                        survival_probability_exact)
-from .transport import (C0Estimate, StepFunction, TransportRangeError,
-                        c0_estimate, deconvolve_m, default_c0_grid,
-                        figb_ratios, reassemble_z_law, u1_from_m,
-                        u1_on_lattice, un_transport)
+from .transport import (C0Estimate, TransportRangeError, c0_estimate,
+                        deconvolve_m, default_c0_grid, figb_ratios,
+                        reassemble_z_law, u1_on_lattice, u1_reader,
+                        un_transport)
 from .limits import (EULER_GAMMA, ein, exp_integral,
                      first_point_limit_transform, g_infinity, limit_moment,
                      z_cdf, z_density)

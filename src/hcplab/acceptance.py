@@ -29,7 +29,7 @@ from .measures import (AtomicMeasure, dirac, epoch_pushforward, iterate_hcp_meas
 from .sampling import LeftBounded, PeriodicRenewal, replica_rng
 from .schedule import EpochSchedule, GeometricThresholds, east_schedule
 from .stats import exchangeable_identity_check, ks_test, ks_test_discrete, ks_two_sample
-from .transport import (deconvolve_m, figb_ratios, reassemble_z_law, u1_from_m, un_transport,
+from .transport import (deconvolve_m, figb_ratios, reassemble_z_law, u1_reader, un_transport,
                         c0_estimate, default_c0_grid)
 
 # Frozen regression constants (first oracle run of this implementation).
@@ -246,15 +246,16 @@ def criterion_property_suites(scale: float, seed: int):
     parts.append(f"deconvolve round-trip {rt:.1e}<=1e-10")
     # two-route transport agreement
     mu1 = dirac(1.0, 64.0)
-    u1 = u1_from_m(deconvolve_m(mu1, 64.0))
+    u1 = u1_reader(deconvolve_m(mu1, 64.0))
     d_of = GeometricThresholds(2.0)
     laws, _ = iterate_hcp_measures(mu1, d_of, 4)
+    xs = np.array([0.05, 0.3, 0.7, 1.2, 2.6, 4.9])
     worst_rt = 0.0
-    for n in (2, 3, 4):
+    for n in (2, 3, 4):  # epoch n's own U1 against epoch 1's transported
         d = d_of(n)
-        direct = u1_from_m(deconvolve_m(laws[n - 1].rescaled(1.0 / d), 64.0 / d))
-        for x in (0.05, 0.3, 0.7, 1.2, 2.6, 4.9):
-            worst_rt = max(worst_rt, abs(direct(x) - un_transport(u1, d, x)))
+        direct = u1_reader(deconvolve_m(laws[n - 1].rescaled(1.0 / d), 64.0 / d))
+        worst_rt = max(worst_rt, float(np.max(np.abs(un_transport(direct, 1.0, xs)
+                                                      - un_transport(u1, d, xs)))))
     ok &= worst_rt <= 1e-8
     parts.append(f"two-route transport {worst_rt:.1e}<=1e-8")
     # exchangeable permutation identities

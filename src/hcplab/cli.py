@@ -29,7 +29,7 @@ from .hcp import WindowExhaustedError, WindowTooLargeError, check_window, replic
 from .sampling import ExchangeableMixture
 from .schedule import (ArithmeticThresholds, ExplicitThresholds, GeometricThresholds,
                        ScheduleError)
-from .transport import c0_estimate, deconvolve_m, figb_ratios, u1_from_m, un_transport
+from .transport import c0_estimate, figb_ratios, u1_reader, un_transport
 
 
 # ---------------------------------------------------------------------------
@@ -203,15 +203,18 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
             "applies\n" if schedule.gamma is None else "".join(
                 f"{n},{schedule.d(n + 1)!r},{survival_probability_exact(h, n, schedule.gamma)!r}\n"
                 for n in range(1, n_epochs + 1))])
-    # transported primitive probes from the epoch-1 law, in units of d(1):
-    # there epoch n's threshold is d(n) / d(1)
-    z1 = laws[0].rescaled(1.0 / schedule.d(1))
-    u1 = u1_from_m(deconvolve_m(z1, j_max))
-    ratios = [schedule.d(n) / schedule.d(1) for n in range(1, n_epochs + 1)]
-    _write(out, "transported_primitive.csv", cfg, "epoch,x,u_n\n",
-           ["".join(f"{n},{x!r},{un_transport(u1, d, float(x))!r}\n"
-                    for n, d in enumerate(ratios, start=1) for x in probe_x
-                    if d * (1 + float(x)) - 1 <= j_max - 1)])
+    # transported primitive probes from the epoch-1 law, in units of d(1), where
+    # epoch n's threshold is d(n) / d(1); deconvolve_m is looked up in transport
+    # at call time, where perfbench's tracer wraps it
+    from .transport import deconvolve_m
+    u1 = u1_reader(deconvolve_m(laws[0].rescaled(1.0 / schedule.d(1)), j_max))
+    d = np.array([schedule.d(n) for n in range(1, n_epochs + 1)]) / schedule.d(1)
+    xs = np.array(probe_x, dtype=np.float64)
+    n, k = np.nonzero(d[:, None] * (1 + xs) - 1 <= j_max - 1)  # epoch by epoch, probes in order
+    _write(out, "transported_primitive.csv", cfg, "# a row for each epoch n and probe x with "
+           "(d(n)/d(1))*(1 + x) - 1 <= analytic.j_max - 1; m is inverted no further\n"
+           "epoch,x,u_n\n", ["".join(f"{i + 1},{probe_x[j]!r},{v!r}\n" for i, j, v in zip(
+               n.tolist(), k.tolist(), un_transport(u1, d[n], xs[k]).tolist()))])
     _write_json(out, "c0_report.json", {"estimate": est.estimate, "converged": est.converged,
                                         "s_min": float(grid.min()), "s_max": float(grid.max())})
     _write_manifest(out, "analytic", cfg)

@@ -5,28 +5,35 @@ measure m on [1, inf) through
 
     p = sum_{k>=1} (-1)^(k+1) m^{*k} / k!,   that is   delta_0 - p = exp(-m)
 
-``deconvolve_m`` inverts this with the logarithm series
+``deconvolve_m`` inverts this.  On the dyadic lattice of p's positions, while
+its cells fit the memory budget as ``measures.convolve`` asks before a dense
+convolution, it solves c = x*p + c * p, with c = x*m, through a ring of sites
+(``_lattice_blocks``, the solve of ``reproduce-figb``), its FFT round-off
+zeroed block by block below 2e-15 of the largest c.  Elsewhere it sums the
+logarithm series, whose terms are all nonnegative, so nothing cancels:
 
     m = -log(delta_0 - p) = sum_{k>=1} p^{*k} / k
 
-whose terms are all nonnegative, so nothing cancels.  The step function
-U(x) = sum_{atoms y <= 1+x} y * m({y}) is the primitive of the measure in the
-complete-monotone representation of the Laplace transform of Z, and it is
-transported across epochs by an affine change of variable (``un_transport``).
+The step function U(x) = sum_{atoms y <= 1+x} y * m({y}) is the primitive of
+the measure in the complete-monotone representation of the Laplace transform
+of Z.  One running sum reads it (``_read``), and one formula transports it
+across epochs by an affine change of variable (``un_transport``).
 ``c0_estimate`` extracts the small-s limit of -s g'(s)/(1-g(s)), the single
 constant the universal limit law remembers from the initial condition.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import budget
 from .laws import ExpGeometricLaw
-from .measures import AtomicMeasure, MeasureError, _coalesce, convolve
+from .measures import AtomicMeasure, MeasureError, _coalesce, _dyadic_spacing, convolve
 
 
 class TransportRangeError(ValueError):
@@ -34,20 +41,51 @@ class TransportRangeError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# series deconvolution
+# series inversion
 # ---------------------------------------------------------------------------
 
 def deconvolve_m(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
     """Recover m on [1, j_max) from the law p of Z >= 1.
 
-    Sums the logarithm series m = sum_{k>=1} p^{*k} / k on [1, j_max) with
-    one running convolution power.  p^{*k} lies on [k, inf), so the sum is
-    finite: it stops at k >= j_max or at the first power with no atoms below
-    j_max, after at most ceil(j_max) - 2 convolutions.  Every term is
-    nonnegative, so the recovered masses carry no cancellation error.
+    When the j_max / delta cells of p's dyadic lattice delta pass the budget
+    test of a dense convolution (76 bytes each), m = c / x off the ring solve
+    on the coarsest lattice g * delta, as ``measures._convolve_dense`` forms
+    it.  The FFT's round-off reached 8.7e-16 of the largest c so far at sites
+    no sum reaches, past the 1e-16 of the largest mass below which a dense
+    convolution zeroes; so each block is zeroed below 2e-15 of that largest
+    c, in the ring, where no later block inherits it, and no negative mass
+    is kept.  Elsewhere (irrational positions, or a lattice of 2^-20) the
+    logarithm series runs.  Either way m is cut to [1, j_max) as
+    :meth:`AtomicMeasure.restricted` cuts.
     """
     if p.n_atoms and p.positions[0] < 1 - 1e-12:
         raise MeasureError("law of Z must be supported on [1, inf)")
+    seg = p.restricted(1.0, j_max)
+    if seg.masses.any():
+        delta = _dyadic_spacing(seg.positions)
+        try:
+            budget.need(j_max / delta, 76, f"the inversion lattice of {j_max / delta:.4g} cells",
+                        "analytic.j_max")
+        except budget.BudgetError:
+            pass
+        else:
+            spacing = delta * int(np.gcd.reduce((seg.positions / delta).astype(np.int64)))
+            _, taps, blocks = _lattice_c(seg, spacing, j_max)
+            parts, top = [], 0.0
+            for _, part in blocks:
+                top = max(top, part.max())
+                part[part < 2e-15 * top] = 0.0
+                parts.append(part.copy())
+            c = np.concatenate(parts)
+            i = np.flatnonzero(c)
+            i = i[i >= taps[0]]  # below the smallest tap, only round-off
+            return AtomicMeasure(i * spacing, c[i] / (i * spacing), j_max).restricted(1.0, j_max)
+    return _deconvolve_series(p, j_max)
+
+
+def _deconvolve_series(p: AtomicMeasure, j_max: float) -> AtomicMeasure:
+    """m = sum_{k>=1} p^{*k} / k on [1, j_max), one convolution per power:
+    p^{*k} lies on [k, inf), so at most ceil(j_max) - 2 of them."""
     seg = p.restricted(1.0, j_max)
     base = AtomicMeasure(seg.positions, seg.masses, j_max)
     pos_parts = [base.positions]
@@ -79,94 +117,12 @@ def reassemble_z_law(m: AtomicMeasure, j_max: float) -> AtomicMeasure:
 
 
 # ---------------------------------------------------------------------------
-# step functions and transport
-# ---------------------------------------------------------------------------
-
-def _nudged(x, side: str) -> np.ndarray:
-    """The arguments as a step function compares them with its jump
-    locations: raised by a relative 1e-15 for the value (``side`` "right"),
-    lowered by as much for the left limit ("left")."""
-    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return x_arr * (1 + 1e-15) + 1e-300 if side == "right" else x_arr * (1 - 1e-15)
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous nondecreasing step function, zero left of its first
-    jump: ``cumulative[k - 1]`` after k jumps."""
-
-    jump_at: np.ndarray     # strictly increasing jump locations (a jump may be 0)
-    cumulative: np.ndarray  # value at and right of each jump
-    domain_max: float       # arguments above this are outside the computed range
-
-    def _lookup(self, x, side: str) -> np.ndarray | float:
-        idx = np.searchsorted(self.jump_at, _nudged(x, side), side=side)
-        vals = np.zeros(idx.shape)
-        hit = idx > 0
-        vals[hit] = self.cumulative[idx[hit] - 1]
-        return vals if np.ndim(x) else float(vals[0])
-
-    def __call__(self, x) -> np.ndarray | float:
-        return self._lookup(x, "right")
-
-    def left_limit(self, x) -> np.ndarray | float:
-        return self._lookup(x, "left")
-
-
-def u1_from_m(m: AtomicMeasure) -> StepFunction:
-    """Primitive U(x) = sum_{atoms y <= 1+x} y * m({y}), a step function
-    jumping by y*m({y}) at x = y - 1."""
-    jumps = m.positions - 1.0
-    sizes = m.positions * m.masses
-    return StepFunction(jumps, np.cumsum(sizes), float(m.l_max - 1.0))
-
-
-def un_transport(u1: StepFunction, d_n: float, x: float) -> float:
-    """Epoch-n primitive by affine transport of the first-epoch one:
-
-        U_n(x) = (1/d_n) * [ U1(d_n*(1+x) - 1) - U1((d_n - 1)-) ]
-    """
-    if d_n < 1:
-        raise ValueError("d_n must be >= 1")
-    if x < 0:
-        return 0.0
-    arg = d_n * (1.0 + x) - 1.0
-    if arg > u1.domain_max * (1 + 1e-12):
-        raise TransportRangeError(
-            f"argument {arg:.6g} beyond computed range; deconvolve with "
-            f"j_max >= {arg + 1:.6g}")
-    return (u1(arg) - u1.left_limit(d_n - 1.0)) / d_n
-
-
-# ---------------------------------------------------------------------------
-# large-scale lattice route
+# the lattice solve
 # ---------------------------------------------------------------------------
 
 # Sites per block of the lattice solve.  A block costs one slice-add per tap
 # and, when some tap lies below it, one FFT pair of length 2 * block.
 _LATTICE_BLOCK = 1 << 13
-
-
-def _lattice_count(x, side: str, spacing: float, n: int) -> np.ndarray:
-    """How many of the n lattice sites i * spacing - 1.0, as the float grid
-    ``np.arange(n) * spacing - 1.0`` rounds them, lie at or below (``side``
-    "right") or strictly below ("left") each argument, nudged as a
-    :class:`StepFunction` nudges it: the jumps a step function on the
-    lattice has made there."""
-    v = _nudged(x, side)
-    # Sites are nondecreasing in i, so the counted ones are a prefix.  Its
-    # last index k starts from the floor estimate, then steps down while
-    # site k lies beyond v and up while site k + 1 does not; like
-    # searchsorted, a NaN counts every site.
-    counted, beyond = ((np.less_equal, np.greater) if side == "right"
-                       else (np.less, np.greater_equal))
-    site = lambda i: i.astype(np.float64) * spacing - 1.0
-    k = np.fmax(np.fmin(np.floor((v + 1.0) / spacing), n - 1), -1).astype(np.int64)
-    while (down := (k >= 0) & beyond(site(k), v)).any():
-        k[down] -= 1
-    while (up := (k + 1 < n) & counted(site(k + 1), v)).any():
-        k[up] += 1
-    return k + 1
 
 
 def _ring_sites(n: int, taps: np.ndarray, block: int) -> int:
@@ -180,7 +136,8 @@ def _lattice_blocks(n: int, taps: np.ndarray, weights: np.ndarray, base_at: np.n
     """Solve c[i] = b[i] + sum_j c[i - a_j] * w_j on sites 0 .. n - 1 for the
     taps a_j >= 1 and the base b, zero but at the increasing sites
     ``base_at``, yielding ``(t, c[t:t + block])`` as each block becomes
-    final.  The yielded block is a view the next step overwrites.
+    final.  The yielded block is a view the next step overwrites, and a
+    change made to it is what later blocks read.
 
     The block [t, t + block) first receives, tap by tap, the terms whose
     source lies below t: targets [max(t, a), min(t + block, t + a)), read
@@ -234,32 +191,32 @@ def _lattice_taps(law: AtomicMeasure, spacing: float, j_max: float
     return n, idx[starts], np.add.reduceat(mass, starts)
 
 
-def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float, right, left
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Large-scale route to U1 for a law snapped to a lattice: U1 at each
-    argument of ``right``, and its left limit at each of ``left``.
-
-    Uses the derivative form of the series inversion: with c(x) = x*m({x}),
-
-        c = x*p + c * p   (convolution, lower positions first)
-
-    which recovers the same m as :func:`deconvolve_m` in one solve and scales
-    to lattices with millions of sites.  Positions of p are rounded to the
-    lattice; the rounding is the declared discretization of the input law.
-    U1 jumps at every site i * spacing - 1.0 by c there, most jumps of size
-    0.  The solve holds 8 bytes per site of its ring (:func:`_ring_sites`)
-    and reads each argument's value off its block's running sum, which
-    continues the last block's total as one cumulative sum over the lattice
-    would.
-    """
+def _lattice_c(law: AtomicMeasure, spacing: float, j_max: float):
+    """The lattice's n sites, the law's taps, and the blocks of the solve of
+    c = x*p + c * p, c(x) = x * m({x}), for the law p snapped to the lattice."""
     n, taps, weights = _lattice_taps(law, spacing, j_max)
-    right_at = _lattice_count(right, "right", spacing, n)
-    # the site each value is read at, -1 before the first jump
-    at = np.concatenate((right_at, _lattice_count(left, "left", spacing, n))) - 1
+    return n, taps, _lattice_blocks(n, taps, weights, taps, weights * (taps * spacing),
+                                    _LATTICE_BLOCK)
+
+
+# ---------------------------------------------------------------------------
+# reading U1, and transport
+# ---------------------------------------------------------------------------
+
+def _read(n: int, jump, blocks, right, left) -> tuple[np.ndarray, np.ndarray]:
+    """A step function with n increasing jump locations ``jump(i)`` and jump
+    sizes arriving as ``(t, sizes[t:t + len])``: its value at each argument
+    of ``right``, raised by a relative 1e-15, and its left limit at each of
+    ``left``, lowered by as much.  Each block's running sum starts from the
+    last block's total, the additions of one cumulative sum over them all."""
+    right_v = np.atleast_1d(np.asarray(right, dtype=np.float64)) * (1 + 1e-15) + 1e-300
+    left_v = np.atleast_1d(np.asarray(left, dtype=np.float64)) * (1 - 1e-15)
+    at = np.array([bisect.bisect_right(range(n), v, key=jump) for v in right_v.tolist()]
+                  + [bisect.bisect_left(range(n), v, key=jump) for v in left_v.tolist()],
+                  dtype=np.int64) - 1  # the jump each value is read after, -1 before the first
     values = np.zeros(at.size)
     total = 0.0
-    for t, part in _lattice_blocks(n, taps, weights, taps, weights * (taps * spacing),
-                                   _LATTICE_BLOCK):
+    for t, part in blocks:
         run = part.copy()
         if t:
             run[0] += total
@@ -267,7 +224,48 @@ def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float, right, left
         hit = (at >= t) & (at < t + run.size)
         values[hit] = run[at[hit] - t]
         total = run[-1]
-    return values[:right_at.size], values[right_at.size:]
+    return values[:right_v.size], values[right_v.size:]
+
+
+def u1_reader(m: AtomicMeasure):
+    """The primitive U1(x) = sum_{atoms y <= 1+x} y * m({y}) as a reader for
+    :func:`un_transport`: U1 jumps by y * m({y}) at x = y - 1, read as one
+    block, and an argument past m's truncation, x > l_max - 1, is refused."""
+    def read(right, left):
+        if (past := right > (m.l_max - 1.0) * (1 + 1e-12)).any():
+            arg = float(right[past][0])
+            raise TransportRangeError(f"argument {arg:.6g} beyond computed range; deconvolve "
+                                      f"with j_max >= {arg + 1:.6g}")
+        return _read(m.n_atoms, (m.positions - 1.0).__getitem__,
+                     [(0, m.positions * m.masses)] if m.n_atoms else [], right, left)
+    return read
+
+
+def u1_on_lattice(law: AtomicMeasure, spacing: float, j_max: float, right, left
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The reader of U1 for a law snapped to a lattice: U1 at each argument
+    of ``right``, and its left limit at each of ``left``, read block by block
+    off :func:`deconvolve_m`'s ring solve, which scales to millions of sites
+    at 8 bytes per site of the ring.  Positions of p are rounded to the
+    lattice; the rounding is the declared discretization of the input law.
+    U1 jumps at every site i * spacing - 1.0 by c there, most jumps of size 0.
+    """
+    n, _, blocks = _lattice_c(law, spacing, j_max)
+    return _read(n, lambda i: i * spacing - 1.0, blocks, right, left)
+
+
+def un_transport(read, d, x) -> np.ndarray:
+    """Epoch-n primitive by affine transport of the first-epoch one, for
+    each pair of the arrays (or numbers) ``d`` = d_n and ``x``:
+
+        U_n(x) = (1/d_n) * [ U1(d_n*(1+x) - 1) - U1((d_n - 1)-) ],  0 for x < 0,
+
+    where ``read(right, left)`` gives U1 at each argument of ``right`` and its
+    left limit at each of ``left`` (:func:`u1_reader`, :func:`u1_on_lattice`).
+    """
+    d, x = np.broadcast_arrays(np.asarray(d, dtype=np.float64), np.asarray(x, dtype=np.float64))
+    u, u_left = read(np.where(x < 0, -1.0, d * (1.0 + x) - 1.0), d - 1.0)
+    return np.where(x < 0, 0.0, (u - u_left) / d)
 
 
 def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[float]]:
@@ -291,11 +289,8 @@ def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[f
     budget.need(ring, 9, f"the transport lattice of {ring:.4g} sites per law held, of "
                 f"{sites:.4g} in all", "figb.horizon or figb.x, or coarsen figb.lattice")
     d = np.array([d_of(n) for n in range(1, horizon + 1)], dtype=np.float64)
-    ratios = []
-    for law in laws:  # U_n(x) = (U1(d_n (1 + x) - 1) - U1((d_n - 1)-)) / d_n
-        u, u_left = u1_on_lattice(law, spacing, j_max, d * (1.0 + x) - 1.0, d - 1.0)
-        ratios.append(((u - u_left) / d / x).tolist())
-    return ratios
+    return [(un_transport(partial(u1_on_lattice, law, spacing, j_max), d, x) / x).tolist()
+            for law in laws]
 
 
 # ---------------------------------------------------------------------------

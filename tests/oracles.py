@@ -13,7 +13,11 @@ blocks of the smallest tap, one slice-add per tap and block.
 ``transport.u1_on_lattice`` held a ring of sites: the block solve
 ``lattice_solve_whole`` on every site at once, one cumulative sum over all
 of them, and the result a ``LatticeStepFunction`` that counts the sites
-below an argument by its own index arithmetic.
+below an argument by its own index arithmetic.  ``StepFunction`` lists its
+jumps and looks arguments up by ``np.searchsorted``; ``u1_step_function``
+builds U1 of an atomic m as one, and ``un_transport_step`` transports a
+step function one (d_n, x) at a time: the reader and the transport as they
+were before ``transport.u1_reader`` and the vectorized ``un_transport``.
 ``ein_series_scalar`` sums the small-s series of Ein one argument at a time.
 ``geometric_atomic_full`` is ``GeometricLaw.atomic`` with every atom up to
 l_max, the far ones of mass 0.0 included.
@@ -227,6 +231,52 @@ class LatticeStepFunction:
 
     def left_limit(self, x) -> np.ndarray | float:
         return self._lookup(x, "left")
+
+
+def _nudged(x, side: str) -> np.ndarray:
+    x_arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    return x_arr * (1 + 1e-15) + 1e-300 if side == "right" else x_arr * (1 - 1e-15)
+
+
+@dataclasses.dataclass(frozen=True)
+class StepFunction:
+    """Right-continuous nondecreasing step function, zero left of its first
+    jump: ``cumulative[k - 1]`` after k jumps."""
+
+    jump_at: np.ndarray     # strictly increasing jump locations (a jump may be 0)
+    cumulative: np.ndarray  # value at and right of each jump
+    domain_max: float       # arguments above this are outside the computed range
+
+    def _lookup(self, x, side: str) -> np.ndarray | float:
+        idx = np.searchsorted(self.jump_at, _nudged(x, side), side=side)
+        vals = np.zeros(idx.shape)
+        hit = idx > 0
+        vals[hit] = self.cumulative[idx[hit] - 1]
+        return vals if np.ndim(x) else float(vals[0])
+
+    def __call__(self, x) -> np.ndarray | float:
+        return self._lookup(x, "right")
+
+    def left_limit(self, x) -> np.ndarray | float:
+        return self._lookup(x, "left")
+
+    def read(self, right, left) -> tuple[np.ndarray, np.ndarray]:
+        """The reader ``transport.un_transport`` takes."""
+        return self(np.asarray(right)), self.left_limit(np.asarray(left))
+
+
+def u1_step_function(m: AtomicMeasure) -> StepFunction:
+    """U(x) = sum_{atoms y <= 1+x} y * m({y}), jumping by y*m({y}) at x = y - 1."""
+    return StepFunction(m.positions - 1.0, np.cumsum(m.positions * m.masses),
+                        float(m.l_max - 1.0))
+
+
+def un_transport_step(u1, d_n: float, x: float) -> float:
+    """U_n(x) = (1/d_n) [U1(d_n (1 + x) - 1) - U1((d_n - 1)-)], 0 for x < 0,
+    for one (d_n, x), with no range check."""
+    if x < 0:
+        return 0.0
+    return (u1(d_n * (1.0 + x) - 1.0) - u1.left_limit(d_n - 1.0)) / d_n
 
 
 def lattice_solve_whole(c: np.ndarray, taps: np.ndarray, weights: np.ndarray,

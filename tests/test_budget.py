@@ -14,7 +14,7 @@ from hcplab.laws import DiracLaw, GeometricLaw
 from hcplab.measures import AtomicMeasure, convolve, epoch_pushforward, iterate_hcp_measures
 from hcplab.sampling import LeftBounded
 from hcplab.schedule import EpochSchedule
-from hcplab.transport import default_c0_grid, figb_ratios
+from hcplab.transport import deconvolve_m, default_c0_grid, figb_ratios
 
 EAST = lambda n: 2.0 ** (n - 1)
 
@@ -66,6 +66,9 @@ SITES = {
                      lambda d: figb_ratios([0.5], 14, 10.0, 1 / 16, d)),
     "geometric atoms": ("geometric law", lambda: GeometricLaw(1e-6),
                         lambda law: law.atomic(100_000.0)),
+    # the README law inverted on its 51,200 cells through the ring, m included
+    "inversion lattice": ("inversion lattice", lambda: GeometricLaw(0.1).atomic(51200.0),
+                          lambda p: deconvolve_m(p, 51200.0)),
 }
 
 

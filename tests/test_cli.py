@@ -335,9 +335,23 @@ class TestAnalytic:
         cfg = write_config(tmp_path, {"analytic.probe_x": [1, 2.5]})
         out = tmp_path / "ane"
         assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
-        rows = (out / "transported_primitive.csv").read_text().splitlines()[2:]
+        rows = (out / "transported_primitive.csv").read_text().splitlines()[3:]
         assert [r.split(",")[:2] for r in rows] == [["1", "1"], ["1", "2.5"],
                                                      ["2", "1"], ["2", "2.5"]]
+
+    def test_primitive_rows_past_j_max_are_stated(self, tmp_path):
+        # the README config's thresholds, 10 epochs and j_max 256: (epoch, x)
+        # is written only where 2^(n-1) (1 + x) - 1 <= 255, and a comment
+        # line under the provenance line says so, naming analytic.j_max
+        cfg = write_config(tmp_path, {"epochs": 10, "analytic.l_max": 51200.0,
+                                      "analytic.j_max": 256.0})
+        out = tmp_path / "rows"
+        assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "transported_primitive.csv").read_text().splitlines()
+        assert lines[1].startswith("# ") and "analytic.j_max" in lines[1]
+        assert lines[2] == "epoch,x,u_n"
+        epochs = [int(row.split(",")[0]) for row in lines[3:]]
+        assert [epochs.count(n) for n in range(1, 11)] == [5, 5, 5, 5, 5, 4, 3, 2, 0, 0]
 
     def test_measure_csvs_written(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -13,12 +13,13 @@ from hcplab.laws import ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, two_point_
 from hcplab.measures import (AtomicMeasure, _coalesce, dirac, epoch_pushforward,
                              iterate_hcp_measures)
 from hcplab.schedule import ArithmeticThresholds
-from hcplab.transport import (StepFunction, TransportRangeError, _lattice_blocks,
-                              _lattice_count, _ring_sites, c0_estimate, deconvolve_m,
-                              default_c0_grid, figb_ratios, reassemble_z_law, u1_from_m,
-                              u1_on_lattice, un_transport)
+from hcplab.transport import (TransportRangeError, _deconvolve_series, _lattice_blocks,
+                              _read, _ring_sites, c0_estimate, deconvolve_m, default_c0_grid,
+                              figb_ratios, reassemble_z_law, u1_on_lattice, u1_reader,
+                              un_transport)
 
-from oracles import deconvolve_m_intervals, u1_lattice_blocks, u1_on_lattice_whole
+from oracles import (StepFunction, deconvolve_m_intervals, u1_lattice_blocks,
+                     u1_on_lattice_whole, u1_step_function, un_transport_step)
 
 EAST = lambda n: 2.0 ** (n - 1)
 
@@ -151,55 +152,153 @@ class TestDeconvolveOracle:
         assert m.n_atoms > 1000 and m.positions[-1] < 64.0
 
 
+def read_u1(m, x):
+    """U1 of m at one argument, through ``u1_reader``."""
+    return float(u1_reader(m)(np.array([x]), np.array([x]))[0][0])
+
+
+@st.composite
+def dyadic_laws(draw):
+    """A law on [1, j_max) on a dyadic lattice, its atoms on every stride-th
+    site only, so that a stride above 1 leaves sites no sum reaches; j_max
+    on a site or between sites, and a deficit or a total below 1."""
+    spacing = draw(st.sampled_from([1.0, 0.5, 0.25, 1 / 64]))
+    stride = draw(st.sampled_from([1, 2, 3, 5]))
+    j_max = draw(st.sampled_from([6.0, 8.0, 16.0, 40.0])) + draw(
+        st.sampled_from([0.0, spacing / 2]))
+    lo = int(math.ceil(1.0 / (spacing * stride)))
+    top = min(int(math.ceil(j_max / (spacing * stride))) - 1, 4 * lo + 8)
+    idx = draw(st.lists(st.integers(lo, top), min_size=1, max_size=8, unique=True))
+    positions = np.array(sorted(idx)) * (spacing * stride)
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=positions.size,
+                                     max_size=positions.size)))
+    total, deficit = draw(st.sampled_from([(1.0, 0.0), (0.7, 0.0), (0.7, 0.3)]))
+    law = AtomicMeasure(positions, total * weights / weights.sum(), l_max=j_max + 1.0,
+                        deficit=deficit)
+    return law, j_max
+
+
+class TestInversionRoute:
+    """deconvolve_m on a dyadic lattice solves on the ring; the private
+    series it replaced there is the reference."""
+
+    @given(case=dyadic_laws())
+    @settings(max_examples=60, deadline=None)
+    # one atom on a dyadic lattice of 12,801 sites, most of which no sum
+    # reaches, and two atoms whose sums leave gaps on their coarsest lattice
+    @example(case=(AtomicMeasure([105 / 64], [1.0], l_max=201.0), 200.0))
+    @example(case=(AtomicMeasure([6.5, 7.0], [0.5, 0.5], l_max=17.0), 16.0))
+    def test_ring_matches_series(self, case):
+        p, j_max = case
+        with mock.patch.object(hcplab.transport, "_deconvolve_series",
+                               side_effect=AssertionError("took the series")):
+            m = deconvolve_m(p, j_max)
+        series = _deconvolve_series(p, j_max)
+        _assert_same_atoms(m, series, rtol=1e-12, atol=1e-15)
+        # no atom where no sum of the law's positions lies, none at or past
+        # j_max, none of negative mass
+        assert np.isin(m.positions, series.positions).all()
+        assert m.positions[-1] < j_max and (m.masses > 0).all()
+
+    def test_dense_eligible_law_makes_no_convolution(self, monkeypatch):
+        calls = []
+        real = hcplab.transport.convolve
+        monkeypatch.setattr(hcplab.transport, "convolve",
+                            lambda *args: calls.append(args) or real(*args))
+        m = deconvolve_m(GeometricLaw(0.1).atomic(51200.0), 256.0)
+        assert calls == [] and m.n_atoms == 255
+
+    @pytest.mark.parametrize("b, j_max", [(math.sqrt(2.0), 12.0), (1.0 + 2.0 ** -20, 4.0)],
+                             ids=["irrational", "lattice-2^-20"])
+    def test_off_budget_laws_take_the_series(self, monkeypatch, b, j_max):
+        # sqrt(2) lies on no coarse lattice; 2^-20 does, but j_max / 2^-20
+        # cells at 76 bytes are past the budget.  Either way the series runs,
+        # bit for bit.
+        p = two_point_law(1.0, b).atomic(j_max)
+        monkeypatch.setattr(hcplab.transport, "_lattice_blocks", None)  # never called
+        m = deconvolve_m(p, j_max)
+        series = _deconvolve_series(p, j_max)
+        assert np.array_equal(m.positions, series.positions)
+        assert np.array_equal(m.masses, series.masses)
+
+    @pytest.mark.parametrize("law, closed", [
+        (dirac(1.0, 4096.0), lambda k: 1.0 / k),
+        (GeometricLaw(0.1).atomic(4096.0), lambda k: -np.expm1(k * math.log1p(-0.1)) / k),
+        (GeometricLaw(0.5).atomic(4096.0), lambda k: -np.expm1(k * math.log1p(-0.5)) / k)],
+        ids=["dirac", "geometric-0.1", "geometric-0.5"])
+    def test_closed_forms_at_depth(self, law, closed):
+        # m({k}) = sum_j P(S_j = k) / j: 1/k for the unit law, and
+        # (1 - (1-q)^k)/k for geometric(q)
+        m = deconvolve_m(law, 4096.0)
+        k = np.arange(1.0, 4096.0)
+        assert np.array_equal(m.positions, k)
+        np.testing.assert_allclose(m.masses, closed(k), rtol=1e-12, atol=0.0)
+
+
 class TestStepFunctionAndTransport:
+    # U1 through u1_reader, checked against the listed-jump step function of
+    # ``oracles`` with the same operators
     def test_unit_mass_step(self):
-        u = u1_from_m(dirac(1.0, 10.0))
-        assert u(-0.5) == 0.0
-        assert u(0.0) == 1.0
-        assert u(3.7) == 1.0
-        assert u1_from_m(AtomicMeasure([], [], l_max=10.0))(3.7) == 0.0
+        m = dirac(1.0, 10.0)
+        assert read_u1(m, -0.5) == 0.0 == u1_step_function(m)(-0.5)
+        assert read_u1(m, 0.0) == 1.0 == u1_step_function(m)(0.0)
+        assert read_u1(m, 3.7) == 1.0 == u1_step_function(m)(3.7)
+        empty = AtomicMeasure([], [], l_max=10.0)
+        assert read_u1(empty, 3.7) == 0.0 == u1_step_function(empty)(3.7)
 
     def test_jump_weighting(self):
-        u = u1_from_m(AtomicMeasure([2.0], [0.5], l_max=10.0))
-        assert u(0.999) == 0.0
-        assert u(1.0) == pytest.approx(1.0)  # weight y * mass = 2 * 0.5
+        m = AtomicMeasure([2.0], [0.5], l_max=10.0)
+        assert read_u1(m, 0.999) == 0.0 == u1_step_function(m)(0.999)
+        assert read_u1(m, 1.0) == pytest.approx(1.0)  # weight y * mass = 2 * 0.5
+        assert read_u1(m, 1.0) == u1_step_function(m)(1.0)
 
     def test_total_variation_is_first_moment(self):
         m = AtomicMeasure([1.0, 2.0, 3.5], [0.5, 0.25, 0.25], l_max=10.0)
-        u = u1_from_m(m)
-        assert u(10.0) == pytest.approx(float(m.positions @ m.masses))
+        assert read_u1(m, 9.0) == pytest.approx(float(m.positions @ m.masses))
+        assert read_u1(m, 9.0) == u1_step_function(m)(9.0)
 
     def test_linear_fixed_point(self):
         # a linear primitive is invariant under the epoch transport, up to
         # the staircase discretization bias O(step / d)
-        from hcplab.transport import StepFunction
         step = 1.0 / 1024.0
         xs = np.arange(0.0, 150.0, step)
         u_lin = StepFunction(xs, 0.7 * (xs + step), domain_max=150.0)
         for d in (1.0, 2.0, 8.0, 64.0):
-            val = un_transport(u_lin, d, 1.2)
+            val = un_transport(u_lin.read, d, 1.2)
             assert val == pytest.approx(0.7 * 1.2, abs=0.8 * step / d + 1e-12)
+            assert val == un_transport_step(u_lin, d, 1.2)
 
     def test_identity_at_unit_scale(self):
         m = deconvolve_m(dirac(1.0, 16.0), 16.0)
-        u = u1_from_m(m)
-        for x in (0.2, 1.7, 3.3):
-            assert un_transport(u, 1.0, x) == pytest.approx(u(x))
+        xs = np.array([0.2, 1.7, 3.3])
+        assert un_transport(u1_reader(m), 1.0, xs) == pytest.approx(u1_step_function(m)(xs))
 
     def test_out_of_range_names_required_extent(self):
-        u = u1_from_m(dirac(1.0, 10.0))
         with pytest.raises(TransportRangeError, match="j_max"):
-            un_transport(u, 8.0, 10.0)
+            un_transport(u1_reader(dirac(1.0, 10.0)), 8.0, 10.0)
 
     def test_two_route_agreement(self):
         mu1 = dirac(1.0, 64.0)
-        u1 = u1_from_m(deconvolve_m(mu1, 64.0))
+        u1 = u1_reader(deconvolve_m(mu1, 64.0))
         laws, _ = iterate_hcp_measures(mu1, EAST, 4)
+        xs = np.array([0.05, 0.3, 0.7, 1.2, 2.6])
         for n in (2, 3, 4):
             d = EAST(n)
-            direct = u1_from_m(deconvolve_m(laws[n - 1].rescaled(1.0 / d), 64.0 / d))
-            for x in (0.05, 0.3, 0.7, 1.2, 2.6):
-                assert abs(direct(x) - un_transport(u1, d, x)) < 1e-8
+            direct = u1_step_function(deconvolve_m(laws[n - 1].rescaled(1.0 / d), 64.0 / d))
+            assert np.all(np.abs(direct(xs) - un_transport(u1, d, xs)) < 1e-8)
+
+    @pytest.mark.parametrize("m", [GeometricLaw(0.1).atomic(64.0),
+                                   two_point_law(1.0, math.sqrt(2.0)).atomic(12.0)],
+                             ids=["lattice", "irrational"])
+    def test_vectorized_transport_equals_one_row_at_a_time(self, m):
+        # rows of the analytic command's shape: every d_n of an east
+        # schedule against every probe, negative ones included
+        d, x = np.meshgrid([1.0, 2.0, 4.0, 8.0], [-1.0, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5])
+        rows = d * (1 + x) - 1 <= m.l_max - 1
+        got = un_transport(u1_reader(m), d[rows], x[rows])
+        want = [un_transport_step(u1_step_function(m), dn, xn)
+                for dn, xn in zip(d[rows].tolist(), x[rows].tolist())]
+        assert got.tolist() == want
 
 
 @st.composite
@@ -240,7 +339,7 @@ class TestLatticeRoute:
         xs = np.linspace(0.0, 14.0, 57)
         for p in laws:
             u_lattice, left_lattice = u1_on_lattice(p, 0.5, 16.0, xs, xs)
-            u_atomic = u1_from_m(deconvolve_m(p, 16.0))
+            u_atomic = u1_step_function(deconvolve_m_intervals(p, 16.0))
             for x, u, left in zip(xs, u_lattice, left_lattice):
                 assert u == pytest.approx(u_atomic(x), abs=1e-12)
                 assert left == pytest.approx(u_atomic.left_limit(x), abs=1e-12)
@@ -250,24 +349,27 @@ class TestLatticeRoute:
            n=st.integers(1, 5000), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=200, deadline=None)
     def test_lattice_steps_match_listed_jumps(self, spacing, n, seed):
-        # the jump count by index arithmetic against a step function that
-        # lists every site of the grid, compared with ==; x / (1 +- 1e-15)
-        # puts the nudged argument on or next to a site
+        # the jump count by bisection over sites formed as they are read,
+        # against a step function that lists every site of the grid,
+        # compared with ==; x / (1 +- 1e-15) puts the nudged argument on or
+        # next to a site
         rng = np.random.default_rng(seed)
         grid = np.arange(n) * spacing - 1.0
-        cumulative = np.cumsum(rng.random(n) * (rng.random(n) < 0.3))
+        sizes = rng.random(n) * (rng.random(n) < 0.3)
+        cumulative = np.cumsum(sizes)
         oracle = StepFunction(grid, cumulative, float(grid[-1]))
+        site = lambda i: i * spacing - 1.0
         sites = grid[rng.integers(0, n, 200)]
         xs = np.concatenate((sites, np.nextafter(sites, -np.inf), np.nextafter(sites, np.inf),
                              sites / (1 + 1e-15), sites / (1 - 1e-15),
                              -1.0 - rng.random(20) * 5, [-np.inf, np.inf],
                              grid[-1] + spacing * rng.random(20) * 3))
-        for side, lookup in (("right", oracle), ("left", oracle.left_limit)):
-            k = _lattice_count(xs, side, spacing, n)
-            assert np.array_equal(np.where(k > 0, cumulative[k - 1], 0.0), lookup(xs))
-            for x in xs[::37].tolist():
-                k = int(_lattice_count(x, side, spacing, n)[0])
-                assert (cumulative[k - 1] if k else 0.0) == lookup(x)
+        u, left = _read(n, site, [(0, sizes)], xs, xs)
+        assert np.array_equal(u, oracle(xs))
+        assert np.array_equal(left, oracle.left_limit(xs))
+        for x in xs[::37].tolist():
+            u, left = _read(n, site, [(0, sizes)], x, x)
+            assert (u[0], left[0]) == (oracle(x), oracle.left_limit(x))
 
     def test_peak_bytes_per_site_of_one_law(self):
         # reproduce-figb's default laws at horizon 14, one ring at a time: a
@@ -363,7 +465,8 @@ class TestStreamingRoute:
         for q in qs:
             whole = u1_on_lattice_whole(
                 ExpGeometricLaw(1 - q).atomic(n_atoms, l_max=math.inf), spacing, j_max)
-            expect.append([un_transport(whole, d_of(n), x) / x for n in range(1, horizon + 1)])
+            expect.append([un_transport_step(whole, d_of(n), x) / x
+                           for n in range(1, horizon + 1)])
         assert figb_ratios(qs, horizon, x, spacing, d_of) == expect
 
 
