@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hcp import WindowPolicy, replicate, run_hcp
+from .hcp import WindowPolicy, check_record, check_window, replicate, run_hcp
 from .laws import DiracLaw, ExpGeometricLaw, GeometricLaw, ParetoHalfLaw, two_point_law
 from .limits import EULER_GAMMA, first_point_limit_transform, limit_moment, z_cdf
 from .measures import (AtomicMeasure, dirac, epoch_pushforward, iterate_hcp_measures,
@@ -37,9 +37,19 @@ SECOND_MOMENT_LIMIT = 3.5621452        # limit_moment(c0=1, k=2); oracle: quadra
 FIGB_OSCILLATION_FLOOR = 0.02          # trailing max-min of the non-converging ratios
 KS_CRIT_001 = 1.628                    # sqrt(n)-scaled KS critical value at 0.01
 
-# Initial intervals per replica in criteria 3 and 6 at scale 1; validate checks
-# the scaled window against the memory budget before any criterion runs.
+# Initial intervals per replica in criteria 3 and 6, and criterion 4's
+# replicas (the largest record), at scale 1.
 WINDOW_INTERVALS = 250_000
+SURVIVAL_REPLICAS = 100_000
+
+
+def check_scale(scale: float) -> None:
+    """Refuse, before any criterion runs, a scale whose window or record is
+    past the memory budget."""
+    check_window(WINDOW_INTERVALS * scale,
+                 "validate.scale, which scales the window of criteria 3 and 6")
+    check_record(SURVIVAL_REPLICAS * scale, 4, 0,
+                 "validate.scale, which scales the replicas of criterion 4")
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ def criterion_universality_limit(scale: float, seed: int):
 
 
 def criterion_survival(scale: float, seed: int):
-    r = _scaled(100_000, scale, 10_000)
+    r = _scaled(SURVIVAL_REPLICAS, scale, 10_000)
     pooled = replicate(LeftBounded(DiracLaw(1.0)), east_schedule(2.0), 4,
                        n_replicas=r, base_seed=seed + 40,
                        window=WindowPolicy(n_intervals=64), z_per_epoch=0)

@@ -25,7 +25,7 @@ from .limits import first_point_limit_transform, g_infinity, z_cdf
 from .measures import MeasureError, iterate_hcp_measures, survival_probability_exact
 from .schema import (NUMBER, ConfigError, build_analytic, build_schedule, build_spec,
                      build_window, epoch_count, field, numbers, positive)
-from .hcp import WindowExhaustedError, WindowTooLargeError, check_window, replicate, z_held
+from .hcp import WindowExhaustedError, WindowTooLargeError, float_reprs, replicate, z_held
 from .sampling import ExchangeableMixture
 from .schedule import (ArithmeticThresholds, ExplicitThresholds, GeometricThresholds,
                        ScheduleError)
@@ -35,6 +35,10 @@ from .transport import c0_estimate, figb_ratios, u1_reader, un_transport
 # ---------------------------------------------------------------------------
 # output helpers
 # ---------------------------------------------------------------------------
+
+# simulate formats its rows this many replicas at a time
+_CHUNK = 1024
+
 
 def _prepare_out(out: str, overwrite: bool) -> str:
     try:
@@ -49,10 +53,17 @@ def _prepare_out(out: str, overwrite: bool) -> str:
 
 def _save(out: str, name: str, *parts) -> None:
     """The one place a command opens a file for writing: the strings of each
-    iterable of ``parts`` in turn, as they come."""
-    with open(os.path.join(out, name), "w") as fh:
-        for part in parts:
-            fh.writelines(part)
+    iterable of ``parts`` in turn, as they come, under a temporary name that
+    replaces ``name`` once all are written, so no run leaves a partial file."""
+    path = os.path.join(out, name)
+    with open(path + ".part", "w") as fh:
+        try:
+            for part in parts:
+                fh.writelines(part)
+        except BaseException:
+            os.remove(path + ".part")
+            raise
+    os.replace(path + ".part", path)
 
 
 def _write(out: str, name: str, cfg: dict, head: str, chunks) -> None:
@@ -88,16 +99,6 @@ def _load_config(path: str) -> dict:
 
 def _seed(cfg: dict) -> int:
     return field(cfg, "seed", int, lambda n: n >= 0, "an integer >= 0 (or --seed)", 0)
-
-
-def float_reprs(v: np.ndarray) -> list[str]:
-    """``list(map(repr, v.tolist()))`` for float64 ``v``, each distinct value
-    formatted once when at most half are distinct: kept z on a lattice hold
-    few.  Values are keyed on their bits, so -0.0 and 0.0 stay apart."""
-    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
-    if 2 * bits.size > v.size:  # sharing would cost more than it saves
-        return list(map(repr, v.tolist()))
-    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()
 
 
 def _below_d1(knob: str, detail: str, schedule) -> ConfigError:
@@ -136,30 +137,31 @@ def cmd_simulate(cfg: dict, out: str) -> int:
         raise ConfigError(f"config field 'window.{knob}': need a window within the float "
                           f"range, got {getattr(window, knob)}: {exc}") from None
 
+    def columns(summary, lo, *more):  # one chunk's y, then its int columns, as lists
+        return [summary.y[lo:lo + _CHUNK].tolist()] + [
+            a[lo:lo + _CHUNK].astype(np.int64).tolist()
+            for a in (summary.first_point_survived, summary.origin_alive, *more)]
+
     def samples():  # per epoch, its stride line, then one chunk per replica
         for summary in pooled:
             yield f"# epoch {summary.epoch} stride {summary.z_stride}\n"
-            if not summary.z_stride:
-                continue
-            # a replica's rows are head + z + tail for each z it holds
-            z = float_reprs(summary.z_samples)
-            stops = np.cumsum(z_held(summary.core_sizes, summary.z_stride)).tolist()
-            for r, (y, f, o, lo, hi) in enumerate(zip(
-                    summary.y.tolist(), summary.first_point_survived.tolist(),
-                    summary.origin_alive.tolist(), [0] + stops[:-1], stops)):
-                if lo < hi:
-                    head, tail = f"{r},{summary.epoch},", f",{y!r},{int(f)},{int(o)}\n"
-                    yield head + (tail + head).join(z[lo:hi]) + tail
+            at = 0  # the chunk's first z
+            for lo in range(0, summary.y.size if summary.z_stride else 0, _CHUNK):
+                held = z_held(summary.core_sizes[lo:lo + _CHUNK], summary.z_stride)
+                z, i = float_reprs(summary.z_samples[at:(at := at + int(held.sum()))]), 0
+                for r, (y, f, o, k) in enumerate(zip(*columns(summary, lo), held.tolist()), lo):
+                    if k:  # a replica's rows: head + z + tail for each z it holds
+                        head, tail = f"{r},{summary.epoch},", f",{y!r},{f},{o}\n"
+                        yield head + (tail + head).join(z[i:(i := i + k)]) + tail
 
-    def replicas():  # one chunk per epoch
+    def replicas():  # one chunk per _CHUNK replicas
         for prior, summary in zip(pooled[:1] + pooled, pooled):  # prior: the epoch before
             epoch = f"{summary.epoch},{float(summary.d_n)!r}"
-            ints = [c.astype(np.int64).tolist() for c in
-                    (summary.first_point_survived, summary.origin_alive,
-                     prior.n_intervals - summary.n_intervals, summary.n_intervals,
-                     summary.core_sizes)]
-            yield "".join(f"{r},{epoch},{y!r},{f},{o},{m},{n},{c}\n" for r, (y, f, o, m, n, c)
-                          in enumerate(zip(summary.y.tolist(), *ints)))
+            for lo in range(0, summary.y.size, _CHUNK):
+                yield "".join(f"{r},{epoch},{y!r},{f},{o},{p - n},{n},{c}\n"
+                              for r, (y, f, o, p, n, c) in enumerate(zip(*columns(
+                                  summary, lo, prior.n_intervals, summary.n_intervals,
+                                  summary.core_sizes)), lo))
 
     _write(out, "samples.csv", cfg,
            "# per epoch, every S-th core z of each replica (in-replica index i with "
@@ -255,10 +257,9 @@ def cmd_reproduce_figb(cfg: dict, out: str) -> int:
 
 
 def cmd_validate(cfg: dict, out: str) -> int:
-    from .acceptance import WINDOW_INTERVALS, run_all
+    from .acceptance import check_scale, run_all
     scale = float(field(cfg, "validate.scale", NUMBER, positive, "a positive number", 1.0))
-    check_window(WINDOW_INTERVALS * scale,
-                 "validate.scale, which scales the window of criteria 3 and 6")
+    check_scale(scale)
     results = run_all(scale=scale, seed=_seed(cfg), report=print)
     _write_json(out, "validation.json", [r.as_dict() for r in results])
     _write_manifest(out, "validate", cfg)

@@ -83,14 +83,15 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     exponentials, then k uniforms, from ``rngs[r]`` for its k active domains
     (the values and generator state of ``exponential(scale=1.0, size=k)``
     then ``random(k)``).  Every segment draws its exponentials before any
-    draws its uniforms, into one buffer.  Returns the alive mask of the points."""
+    draws its uniforms, into one buffer.  Returns the alive mask of the points.
+    Indices are int32: a call holds one batch of at most 2^16 points or one
+    replica within ``hcp.check_window``, at most 4,915,201."""
     d_min = gap_floor(rates.d_min)
     if gaps.min() < d_min:
         raise StateSpaceError(
             f"interval of length {gaps.min()} below d_min={rates.d_min}")
-    index = np.int32 if gaps.size < 2**31 else np.intp
     active = (gaps >= d_min) & (gaps < rates.d_max * (1 - 1e-9))
-    slots = active.nonzero()[0].astype(index)          # the rings, in slot order
+    slots = active.nonzero()[0].astype(np.int32)       # the rings, in slot order
     n = slots.size
     # the rates' scale: a scalar for constant families, so that no per-ring
     # rate array exists, and d / d_min for linear ones (a gap just below d_min
@@ -104,7 +105,7 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     lam_r = math.ldexp(rates.right, -e) * s
     lam = math.ldexp(rates.left, -e) * s + lam_r
     del s
-    bounds = slots.searchsorted(starts.astype(index)).tolist() + [n]  # segment r's rings
+    bounds = slots.searchsorted(starts.astype(np.int32)).tolist() + [n]  # segment r's rings
     draws = np.empty(n)
     segments = [draws[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     for rng, out in zip(rngs, segments):
@@ -120,7 +121,7 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
     # pairs with the segment's first ring, unless it is that ring.
     wrap = active[np.append(starts[1:], gaps.size) - 1].nonzero()[0]
     if wrap.size:
-        ring_bounds = np.array(bounds, dtype=index)
+        ring_bounds = np.array(bounds, dtype=np.int32)
         last, first = ring_bounds[wrap + 1] - 1, ring_bounds[wrap]
         closed = (slots[first] == starts[wrap]) & (first != last)
         wrap_ahead = draws[last[closed]] < draws[first[closed]]  # first < last wins a tie

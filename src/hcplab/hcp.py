@@ -62,6 +62,16 @@ def check_window(n_intervals: float, knobs: str) -> None:
     budget.need(n_intervals, 64, f"a window of {n_intervals} initial intervals per replica", knobs)
 
 
+def check_record(n_replicas: float, n_epochs: int, z_kept: int, knobs: str) -> None:
+    """Refuse a record of ``n_replicas`` replicas and ``z_kept`` kept z per
+    epoch past the memory budget, before any is drawn.  Each epoch holds 26
+    bytes a replica (y, two flags, two counts) and 8 a kept z, and pooling
+    copies one epoch more; 32 bytes a unit leave room for one batch."""
+    budget.need((n_epochs + 1) * (n_replicas + z_kept), 32,
+                f"the record of {n_replicas} replicas and {z_kept} kept z per epoch over "
+                f"{n_epochs} epochs", knobs)
+
+
 @dataclass(frozen=True)
 class WindowPolicy:
     """How large the simulated window is and how edges are excluded.
@@ -111,6 +121,16 @@ _ARRAY_FIELDS = [f.name for f in fields(EpochSummary)[3:]]
 def z_held(core_sizes: np.ndarray, stride: int) -> np.ndarray:
     """How many core z each replica holds at a stride S > 0: ceil(core_r / S)."""
     return -(-core_sizes // stride)
+
+
+def float_reprs(v: np.ndarray) -> list[str]:
+    """``list(map(repr, v.tolist()))`` for float64 ``v``, each distinct value
+    formatted once when at most half are distinct: kept z on a lattice hold
+    few.  Values are keyed on their bits, so -0.0 and 0.0 stay apart."""
+    bits, inverse = np.unique(v.view(np.int64), return_inverse=True)
+    if 2 * bits.size > v.size:  # sharing would cost more than it saves
+        return list(map(repr, v.tolist()))
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), object)[inverse].tolist()
 
 
 def _kept(core_sizes: np.ndarray, have: int, want: int, offsets=None) -> np.ndarray:
@@ -259,21 +279,19 @@ def _run_batch(spec, schedule: EpochSchedule, window: WindowPolicy, n0: int, rng
             break
         starts = bounds[:-1]
         alive = _simulate_points(lengths, starts, schedule.rates_for(n), rngs)
-        keep, dead = np.flatnonzero(alive), np.flatnonzero(~alive)
-        bounds = keep.searchsorted(bounds)
+        # each survivor's new index, and for every slot the survivor at or before it
+        owner = np.cumsum(alive) - 1
+        bounds = np.append(0, owner[bounds[1:] - 1] + 1)
         if np.diff(bounds).min() < (1 if periodic else 2):
             raise WindowExhaustedError(n + 1)
-        marked = np.where((marked >= 0) & alive[marked], keep.searchsorted(marked), -1)
-        # Dead lengths join, left to right, the interval of the alive point
-        # before them (index: alive points before, less one); segment r's
-        # leading run, dead[at[r]:at[r] + k[r]], joins slot K + r instead.
-        owner = dead - np.arange(1, dead.size + 1)
-        k = keep[bounds[:-1]] - starts
-        at = np.repeat(dead.searchsorted(starts) - np.cumsum(k) + k, k) + np.arange(k.sum())
-        owner[at] = keep.size + np.repeat(np.arange(n_replicas), k)
-        sums = np.concatenate((lengths[keep], np.zeros(n_replicas)))
-        np.add.at(sums, owner, lengths[dead])
-        lengths, run = sums[:keep.size], sums[keep.size:]
+        marked = np.where((marked >= 0) & alive[marked], owner[marked], -1)
+        # Every length joins, left to right from 0, its owner's sum; segment
+        # r's leading run of dead slots, k[r] of them, joins slot K + r instead.
+        k = owner.searchsorted(bounds[:-1]) - starts
+        owner[np.repeat(starts - np.cumsum(k) + k, k) + np.arange(k.sum())] = (
+            bounds[-1] + np.repeat(np.arange(n_replicas), k))
+        sums = np.bincount(owner, weights=lengths, minlength=bounds[-1] + n_replicas)
+        lengths, run = sums[:bounds[-1]], sums[bounds[-1]:]
         lengths[bounds[1:] - 1] += run  # a circle's last interval wraps round
         lead += run  # y = (lead + shift) / d_n
 
@@ -299,12 +317,18 @@ def replicate(spec: RenewalSpec, schedule: EpochSchedule, n_epochs: int,
     ``z_per_epoch`` None keeps every core z-sample.  An integer k keeps, per
     epoch, every S-th core z of each replica, with S the smallest power of
     two that keeps at most k (see ``EpochSummary.z_stride``); 0 keeps none.
-    Per-replica fields are always kept whole.
+    Per-replica fields are always kept whole.  The record is checked against
+    the memory budget (``check_record``) before any replica is drawn.
     """
     if n_replicas < 1:
         raise ValueError("need at least one replica")
     if z_per_epoch is not None and z_per_epoch < 0:
         raise ValueError("z_per_epoch must be None or at least 0")
+    z_kept = z_per_epoch or 0  # None keeps every z, uncounted here
+    if window.n_intervals is not None:  # at most one z per initial interval
+        z_kept = min(z_kept, n_replicas * window.n_intervals)
+    check_record(n_replicas, n_epochs, z_kept,
+                 "replicas (or --replicas), epochs or samples_per_epoch")
     return _run(spec, schedule, n_epochs, window, replica_rngs(base_seed, n_replicas),
                 z_per_epoch)
 

@@ -125,6 +125,11 @@ def reassemble_z_law(m: AtomicMeasure, j_max: float) -> AtomicMeasure:
 _LATTICE_BLOCK = 1 << 13
 
 
+def _block(n: int) -> int:
+    """A block of the solve of n sites: n rounded up to a power of two, at most the block."""
+    return min(_LATTICE_BLOCK, 1 << (n - 1).bit_length())
+
+
 def _ring_sites(n: int, taps: np.ndarray, block: int) -> int:
     """Sites the solve of :func:`_lattice_blocks` holds: the largest tap and
     one block, in whole blocks, or all n sites if fewer."""
@@ -152,9 +157,9 @@ def _lattice_blocks(n: int, taps: np.ndarray, weights: np.ndarray, base_at: np.n
     near = taps < block
     k_hat = None
     if near.any():
-        k = np.concatenate([part.copy() for _, part in _lattice_blocks(
-            block, taps[near], weights[near], np.zeros(1, np.int64), np.ones(1), block // 2)])
-        k_hat = np.fft.rfft(k, 2 * block)
+        k_hat = np.fft.rfft(np.concatenate([part.copy() for _, part in _lattice_blocks(
+            block, taps[near], weights[near], np.zeros(1, np.int64), np.ones(1), block // 2)]),
+            2 * block)
     ring = _ring_sites(n, taps, block)
     c = np.zeros(ring)
     pairs = list(zip(taps.tolist(), weights.tolist()))
@@ -196,7 +201,7 @@ def _lattice_c(law: AtomicMeasure, spacing: float, j_max: float):
     c = x*p + c * p, c(x) = x * m({x}), for the law p snapped to the lattice."""
     n, taps, weights = _lattice_taps(law, spacing, j_max)
     return n, taps, _lattice_blocks(n, taps, weights, taps, weights * (taps * spacing),
-                                    _LATTICE_BLOCK)
+                                    _block(n))
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +289,8 @@ def figb_ratios(qs, horizon: int, x: float, spacing: float, d_of) -> list[list[f
     if sites < 2.0 ** 53:
         n_atoms = int(math.log(j_max)) + 1
         laws = [ExpGeometricLaw(1.0 - float(q)).atomic(n_atoms, l_max=math.inf) for q in qs]
-        ring = max((_ring_sites(*_lattice_taps(law, spacing, j_max)[:2], _LATTICE_BLOCK)
-                    for law in laws), default=0)
+        ring = max((_ring_sites(n, taps, _block(n)) for n, taps, _ in
+                    (_lattice_taps(law, spacing, j_max) for law in laws)), default=0)
     budget.need(ring, 9, f"the transport lattice of {ring:.4g} sites per law held, of "
                 f"{sites:.4g} in all", "figb.horizon or figb.x, or coarsen figb.lattice")
     d = np.array([d_of(n) for n in range(1, horizon + 1)], dtype=np.float64)

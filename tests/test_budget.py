@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from hcplab import budget
+from hcplab import acceptance, budget
 from hcplab.budget import BudgetError, need
 from hcplab.hcp import WindowPolicy, replicate
 from hcplab.laws import DiracLaw, GeometricLaw
@@ -53,6 +53,10 @@ def _readme_law_at(epoch):
 SITES = {
     "window": ("a window of", lambda: LeftBounded(DiracLaw(1.0)), lambda spec: replicate(
         spec, EpochSchedule(left=1.0), 4, 1, 3, WindowPolicy(n_intervals=1 << 17))),
+    # per replica and epoch, and one epoch more, of narrow replicas whose
+    # record outweighs a batch
+    "record": ("the record of", lambda: LeftBounded(DiracLaw(1.0)), lambda spec: replicate(
+        spec, EpochSchedule(), 2, 100_000, 3, WindowPolicy(n_intervals=16), z_per_epoch=0)),
     "dense convolution": ("dense convolution", lambda: _lattice(1 << 17),
                           lambda m: convolve(m, m)),
     "outer convolution": ("off-lattice", lambda: _irrational(512), lambda m: convolve(m, m)),
@@ -93,6 +97,46 @@ def test_peak_within_stated_cost(monkeypatch, site):
         tracemalloc.stop()
     units, stated = max(asked)
     assert peak / units <= stated, (peak / units, stated)
+
+
+class TestRecord:
+    """The per-replica record and its kept z are asked for before any
+    replica is drawn."""
+
+    def test_refused_before_any_draw(self, monkeypatch):
+        # 3 x 20,000 units at 32 bytes pass a budget of 1 MiB
+        monkeypatch.setattr(budget, "BUDGET_BYTES", 1 << 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match=r"^the record of 20000 replicas and 0 kept z "
+                               r"per epoch over 2 epochs needs 1\.831 MiB .*; lower replicas "):
+                replicate(LeftBounded(DiracLaw(1.0)), EpochSchedule(), 2, 20_000, 3,
+                          WindowPolicy(n_intervals=64), z_per_epoch=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
+
+    def test_kept_z_count_at_most_one_per_initial_interval(self, monkeypatch):
+        asked, check = [], budget.need
+
+        def spy(n_units, bytes_per_unit, what, knobs):
+            check(n_units, bytes_per_unit, what, knobs)
+            asked.append(what)
+
+        monkeypatch.setattr(budget, "need", spy)
+        replicate(LeftBounded(DiracLaw(1.0)), EpochSchedule(), 2, 3, 3,
+                  WindowPolicy(n_intervals=64), z_per_epoch=10**12)
+        assert asked[0] == "the record of 3 replicas and 192 kept z per epoch over 2 epochs"
+
+    def test_validate_scale_checks_criterion_4(self, monkeypatch):
+        # the window of criteria 3 and 6 is checked first; without it, the
+        # record of criterion 4's replicas names validate.scale
+        monkeypatch.setattr(acceptance, "check_window", lambda *args: None)
+        acceptance.check_scale(19.0)
+        with pytest.raises(BudgetError, match=r"^the record of 2500000\.0 replicas .*; lower "
+                           r"validate\.scale, which scales the replicas of criterion 4$"):
+            acceptance.check_scale(25.0)
 
 
 class TestFigbRing:

@@ -232,6 +232,40 @@ class TestReplicasCsv:
         assert got == want and len(want) == 12 and sum(want.values()) > 0
 
 
+class TestSimulateWriters:
+    """simulate formats its rows a bounded number of replicas at a time, and
+    a write that fails leaves no file."""
+
+    def test_writer_peak_does_not_grow_with_replicas(self, tmp_path, monkeypatch):
+        # the pooled summaries are built untraced, keeping 4 z per replica and
+        # epoch; the traced peak is what the writers hold
+        cfg = {"epochs": 3, "process": {"variant": "left_bounded"},
+               "initial_law": {"kind": "dirac", "value": 1.0}, "window": {"n_intervals": 64}}
+        peaks = {}
+        for n in (2048, 8192):
+            pooled = replicate(build_spec(cfg), build_schedule(cfg), 3, n, 5, build_window(cfg),
+                               z_per_epoch=4 * n)
+            assert pooled[-1].z_stride
+            monkeypatch.setattr(hcplab.cli, "replicate", lambda *args, **kw: pooled)
+            (tmp_path / str(n)).mkdir()
+            tracemalloc.start()
+            try:
+                assert hcplab.cli.cmd_simulate(dict(cfg, replicas=n), str(tmp_path / str(n))) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[8192] - peaks[2048]) < 4 << 10, peaks
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def rows():
+            yield "1,2\n"
+            raise MemoryError("formatting the next chunk")
+
+        with pytest.raises(MemoryError):
+            hcplab.cli._write(str(tmp_path), "rows.csv", {}, "a,b\n", rows())
+        assert os.listdir(tmp_path) == []
+
+
 class TestAnalytic:
     def test_survival_table_values(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -684,6 +718,16 @@ class TestConfigInputs:
             "schedule": {"thresholds": "explicit", "values": [2, 3, 4], "rates": "east"},
             "analytic": {"l_max": 300.0, "j_max": 48.0}})
         assert "config error: config field 'initial_law'" in err and "schedule.values" in err
+
+    @pytest.mark.parametrize("overrides, flags", [({"replicas": 300}, ()),
+                                                  ({}, ("--replicas", "300"))])
+    def test_record_past_budget_names_replicas(self, tmp_path, overrides, flags):
+        # 300 replicas and 50,000 kept z per epoch over 2 epochs: 3 x 50,300
+        # units at 32 bytes pass 1 MiB, which the window's 4,000 x 64 bytes fit
+        err = run_rejected(tmp_path, "simulate", overrides, *flags, budget=1 << 20)
+        assert err.startswith("budget error: the record of 300 replicas and 50000 kept z per "
+                              "epoch over 2 epochs needs 4.605 MiB at 32 bytes each"), err
+        assert names_field(err, "replicas") and err.count("\n") == 1
 
     def test_exhausted_window_names_it(self, tmp_path):
         err = run_rejected(tmp_path, "simulate", {"window.n_intervals": 1})

@@ -234,6 +234,18 @@ class TestInversionRoute:
         assert np.array_equal(m.positions, k)
         np.testing.assert_allclose(m.masses, closed(k), rtol=1e-12, atol=0.0)
 
+    def test_small_lattice_solves_in_a_small_block(self):
+        # 257 sites take a block of 512, not a fixed 8,192 whose resolvent
+        # and FFT would hold about 450 KB
+        law = dirac(1.0, 256.0)
+        tracemalloc.start()
+        try:
+            deconvolve_m(law, 256.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10, peak
+
 
 class TestStepFunctionAndTransport:
     # U1 through u1_reader, checked against the listed-jump step function of
@@ -439,9 +451,12 @@ class TestStreamingRoute:
     @example(case=(AtomicMeasure([0.5, 2.55 * 16 * 0.5], [0.5, 0.4], l_max=math.inf),
                    0.5, (160 - 0.5) * 0.5, 16), seed=0)
     def test_values_equal_the_whole_lattice(self, case, seed):
+        # a lattice narrower than the block is solved in blocks of its
+        # width rounded up to a power of two, and so is the oracle
         law, spacing, j_max, block = case
-        oracle = u1_on_lattice_whole(law, spacing, j_max, block)
-        n = oracle.cumulative.size
+        n = int(math.floor(j_max / spacing)) + 1
+        oracle = u1_on_lattice_whole(law, spacing, j_max, min(block, 1 << (n - 1).bit_length()))
+        assert oracle.cumulative.size == n
         xs = self.arguments(spacing, n, np.random.default_rng(seed))
         with mock.patch.object(hcplab.transport, "_LATTICE_BLOCK", block):
             u, left = u1_on_lattice(law, spacing, j_max, xs, xs[::-1])
@@ -461,10 +476,12 @@ class TestStreamingRoute:
         j_max = d_of(horizon) * (1 + x) + 2
         n_atoms = int(math.log(j_max)) + 1
         qs = (0.1, 0.5, 0.8)
+        n = int(math.floor(j_max / spacing)) + 1  # the arithmetic lattice is below a block
         expect = []
         for q in qs:
             whole = u1_on_lattice_whole(
-                ExpGeometricLaw(1 - q).atomic(n_atoms, l_max=math.inf), spacing, j_max)
+                ExpGeometricLaw(1 - q).atomic(n_atoms, l_max=math.inf), spacing, j_max,
+                min(1 << 13, 1 << (n - 1).bit_length()))
             expect.append([un_transport_step(whole, d_of(n), x) / x
                            for n in range(1, horizon + 1)])
         assert figb_ratios(qs, horizon, x, spacing, d_of) == expect
