@@ -26,7 +26,7 @@ print(f"epoch {N_EPOCHS}: {z.size} simulated domains")
 
 d = GeometricThresholds(2.0)
 laws, _ = iterate_hcp_measures(law.atomic(51_200.0), d, N_EPOCHS)
-exact = laws[-1].rescaled(1.0 / d(N_EPOCHS))
+exact = laws[-1].rescaled(d(N_EPOCHS))
 
 print("\n  x     MC cdf    exact cdf   limit cdf")
 for x in (1.25, 1.5, 2.0, 3.0, 5.0):

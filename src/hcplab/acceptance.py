@@ -247,7 +247,7 @@ def criterion_property_suites(scale: float, seed: int):
     parts.append(f"conservation {worst_cons:.1e}<=1e-12, transform identity "
                  f"{worst_ident:.1e}<=1e-10 (100 random lattice laws)")
     # deconvolution round trip
-    z1 = epoch_pushforward(dirac(1.0, 48.0), 1.0, 2.0).rescaled(0.5)
+    z1 = epoch_pushforward(dirac(1.0, 48.0), 1.0, 2.0).rescaled(2.0)
     m = deconvolve_m(z1, 24.0)
     back = reassemble_z_law(m, 24.0)
     grid = np.arange(1.0, 23.5, 0.25)
@@ -263,7 +263,7 @@ def criterion_property_suites(scale: float, seed: int):
     worst_rt = 0.0
     for n in (2, 3, 4):  # epoch n's own U1 against epoch 1's transported
         d = d_of(n)
-        direct = u1_reader(deconvolve_m(laws[n - 1].rescaled(1.0 / d), 64.0 / d))
+        direct = u1_reader(deconvolve_m(laws[n - 1].rescaled(d), 64.0 / d))
         worst_rt = max(worst_rt, float(np.max(np.abs(un_transport(direct, 1.0, xs)
                                                       - un_transport(u1, d, xs)))))
     ok &= worst_rt <= 1e-8

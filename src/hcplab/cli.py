@@ -178,12 +178,13 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     schedule = build_schedule(cfg)
     n_epochs = epoch_count(cfg, schedule, default=4)
     l_max, deficit_bound, probe_x, j_max, mu1, c0_law, grid = build_analytic(cfg, schedule, n_epochs)
-    if np.any(mu1.positions[:1] < schedule.d(1) * (1 - 1e-12)):
+    d1 = schedule.d(1)
+    if np.any(mu1.positions[:1] < d1 * (1 - 1e-12)):
         raise _below_d1("initial_law", f"initial law has an atom at {float(mu1.positions[0])!r} "
-                        f"below d(1) = {schedule.d(1)!r}", schedule)
+                        f"below d(1) = {d1!r}", schedule)
     # before the iteration: a c0 refusal costs no work, and the grid is not
     # allocated on top of the iteration's heap
-    est = c0_estimate(c0_law, grid / schedule.d(1))  # the grid is in units of 1 / d(1)
+    est = c0_estimate(c0_law.rescaled(d1), grid)
     laws, h = iterate_hcp_measures(mu1, schedule.d, n_epochs)
     for n, mu in enumerate(laws, start=1):
         if mu.deficit > deficit_bound:
@@ -209,8 +210,8 @@ def cmd_analytic(cfg: dict, out: str, strict: bool = False) -> int:
     # epoch n's threshold is d(n) / d(1); deconvolve_m is looked up in transport
     # at call time, where perfbench's tracer wraps it
     from .transport import deconvolve_m
-    u1 = u1_reader(deconvolve_m(laws[0].rescaled(1.0 / schedule.d(1)), j_max))
-    d = np.array([schedule.d(n) for n in range(1, n_epochs + 1)]) / schedule.d(1)
+    u1 = u1_reader(deconvolve_m(laws[0].rescaled(d1), j_max))
+    d = np.array([schedule.d(n) for n in range(1, n_epochs + 1)]) / d1
     xs = np.array(probe_x, dtype=np.float64)
     n, k = np.nonzero(d[:, None] * (1 + xs) - 1 <= j_max - 1)  # epoch by epoch, probes in order
     _write(out, "transported_primitive.csv", cfg, "# a row for each epoch n and probe x with "
@@ -239,8 +240,9 @@ def cmd_limits(cfg: dict, out: str) -> int:
 
 
 def cmd_reproduce_figb(cfg: dict, out: str) -> int:
-    qs = numbers(cfg, "figb.q", lambda q: 0 < q < 1, "a number in (0, 1), the law being "
-                 "exp_geometric with p = 1 - q", [0.1, 0.5, 0.8])
+    qs = numbers(cfg, "figb.q", lambda q: 0 < 1 - q < 1, "a number in (0, 1) whose 1 - q "
+                 "is below 1 in floats, the law being exp_geometric with p = 1 - q",
+                 [0.1, 0.5, 0.8])
     horizon = field(cfg, "figb.horizon", int, lambda n: n >= 1, "at least 1", 14)
     x = float(field(cfg, "figb.x", NUMBER, positive, "a positive number", 10.0))
     spacing = float(field(cfg, "figb.lattice", NUMBER, lambda v: 0 < v < 2 * np.e,

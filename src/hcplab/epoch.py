@@ -129,7 +129,7 @@ def _simulate_points(gaps: np.ndarray, starts: np.ndarray, rates: RateFamily, rn
         rng.random(out=out)
     lam_r /= lam  # the chance that a ring erases its left point
     erase_left = draws < lam_r
-    del lam, lam_r, draws, segments
+    del lam, lam_r, draws, segments, out
 
     victims = slots + ~erase_left
     pair = slots[1:] == slots[:-1] + 1

@@ -47,7 +47,8 @@ class DiracLaw:
         return self.sample(rng, size)
 
     def atomic(self, l_max: float) -> AtomicMeasure:
-        return AtomicMeasure(np.array([self.value]), np.array([1.0]), l_max)
+        """The point mass, in the deficit past ``l_max`` as for an AtomicLaw."""
+        return AtomicLaw(AtomicMeasure([self.value], [1.0], self.value)).atomic(l_max)
 
 
 @dataclass(frozen=True)
@@ -107,24 +108,21 @@ class AtomicLaw:
     def mean(self) -> float:
         return self.measure.mean()
 
-    def sample(self, rng, size: int) -> np.ndarray:
-        cum = np.cumsum(self.measure.masses)
+    def _draw(self, weights, rng, size: int) -> np.ndarray:
+        """``size`` atoms drawn in proportion to ``weights``."""
+        cum = np.cumsum(weights)
         cum /= cum[-1]
         idx = np.searchsorted(cum, rng.random(size), side="right")
         return self.measure.positions[np.minimum(idx, self.measure.n_atoms - 1)]
+
+    def sample(self, rng, size: int) -> np.ndarray:
+        return self._draw(self.measure.masses, rng, size)
 
     def sample_size_biased(self, rng, size: int) -> np.ndarray:
-        w = self.measure.positions * self.measure.masses
-        cum = np.cumsum(w)
-        cum /= cum[-1]
-        idx = np.searchsorted(cum, rng.random(size), side="right")
-        return self.measure.positions[np.minimum(idx, self.measure.n_atoms - 1)]
+        return self._draw(self.measure.positions * self.measure.masses, rng, size)
 
     def atomic(self, l_max: float) -> AtomicMeasure:
-        if l_max >= self.measure.l_max:
-            # widening the truncation bound is sound: nothing was dropped there
-            return AtomicMeasure(self.measure.positions, self.measure.masses,
-                                 l_max, self.measure.deficit)
+        """The law truncated at ``l_max``, the mass beyond it in the deficit."""
         keep = self.measure.positions <= l_max
         dropped = float(self.measure.masses[~keep].sum())
         return AtomicMeasure(self.measure.positions[keep], self.measure.masses[keep],
@@ -199,11 +197,12 @@ class ExpGeometricLaw:
 
     def atomic(self, n_atoms: int = 120, l_max: float | None = None) -> AtomicMeasure:
         """Atoms at e^k with masses p (1-p)^(k-1) for k = 1..n_atoms; the rest,
-        (1-p)^n_atoms, is the deficit.  l_max defaults to the last atom."""
-        if n_atoms < 1:
-            raise SamplingContractError("need at least one atom")
+        (1-p)^n_atoms, is the deficit.  l_max defaults to the last atom; given
+        one, n_atoms below 1 books all of the law in the deficit."""
+        if n_atoms < 1 and l_max is None:
+            raise SamplingContractError("need at least one atom, or an l_max")
         k = np.arange(1, n_atoms + 1)
         pos = np.exp(k.astype(float))
         mas = self.p * (1 - self.p) ** (k - 1.0)
         return AtomicMeasure(pos, mas, float(pos[-1]) if l_max is None else l_max,
-                             (1 - self.p) ** n_atoms)
+                             (1 - self.p) ** k.size)

@@ -30,6 +30,12 @@ class MeasureError(ValueError):
     """Invalid measure or measure operation."""
 
 
+def _at(x):
+    """The least position that counts as at ``x``: within a relative
+    POSITION_RTOL below it, however small ``x`` is."""
+    return x - POSITION_RTOL * x
+
+
 def _coalesce(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sort atoms and merge positions that agree within POSITION_RTOL."""
     if positions.size == 0:
@@ -37,7 +43,7 @@ def _coalesce(positions: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np
     order = np.argsort(positions, kind="stable")
     pos = positions[order]
     mas = masses[order]
-    new_group = np.diff(pos) > POSITION_RTOL * np.maximum(1.0, pos[1:])
+    new_group = pos[:-1] < _at(pos[1:])
     starts = np.flatnonzero(np.concatenate(([True], new_group)))
     return pos[starts], np.add.reduceat(mas, starts)
 
@@ -95,14 +101,12 @@ class AtomicMeasure:
 
     def mass_on(self, lo: float, hi: float) -> float:
         """Mass of atoms with position in [lo, hi)."""
-        i = np.searchsorted(self.positions, lo - POSITION_RTOL * max(1.0, lo))
-        j = np.searchsorted(self.positions, hi - POSITION_RTOL * max(1.0, hi))
+        i, j = np.searchsorted(self.positions, (_at(lo), _at(hi)))
         return float(self.masses[i:j].sum())
 
     def restricted(self, lo: float, hi: float) -> "AtomicMeasure":
         """Restriction to [lo, hi); deficit is dropped (it lies beyond l_max)."""
-        i = np.searchsorted(self.positions, lo - POSITION_RTOL * max(1.0, lo))
-        j = np.searchsorted(self.positions, hi - POSITION_RTOL * max(1.0, hi))
+        i, j = np.searchsorted(self.positions, (_at(lo), _at(hi)))
         return AtomicMeasure(self.positions[i:j], self.masses[i:j], self.l_max, 0.0)
 
     def mean(self) -> float:
@@ -110,12 +114,12 @@ class AtomicMeasure:
             return math.inf
         return float(self.positions @ self.masses)
 
-    def rescaled(self, factor: float) -> "AtomicMeasure":
-        """Pushforward under x -> factor * x."""
-        if factor <= 0:
-            raise MeasureError("rescale factor must be positive")
-        return AtomicMeasure(self.positions * factor, self.masses.copy(),
-                             self.l_max * factor, self.deficit)
+    def rescaled(self, unit: float) -> "AtomicMeasure":
+        """The measure in units of ``unit``: the pushforward under x -> x / unit."""
+        if unit <= 0:
+            raise MeasureError("rescale unit must be positive")
+        return AtomicMeasure(self.positions / unit, self.masses,
+                             self.l_max / unit, self.deficit)
 
     def normalized(self) -> "AtomicMeasure":
         t = self.total_mass
@@ -276,7 +280,7 @@ def epoch_pushforward(mu: AtomicMeasure, d_min: float, d_max: float) -> AtomicMe
     if d_max > mu.l_max:
         raise MeasureError("l_max must be at least d_max")
 
-    cut = np.searchsorted(mu.positions, d_max - POSITION_RTOL * max(1.0, d_max))
+    cut = np.searchsorted(mu.positions, _at(d_max))
     if cut == 0:
         return mu  # no active mass: the epoch is a no-op
     h = AtomicMeasure(mu.positions[:cut], mu.masses[:cut], mu.l_max)

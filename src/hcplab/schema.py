@@ -198,11 +198,8 @@ def build_window(cfg: dict) -> WindowPolicy:
 def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
     """The 'analytic' section and the initial law: (l_max, deficit_bound,
     probe_x, j_max, mu1, the law's c0 view, the c0 grid).  l_max must reach
-    d(epochs), the last threshold the epoch iteration pushes a law across,
-    and j_max stay within l_max / d(1), the truncation of the rescaled
-    epoch-1 law that the transport deconvolves.  Like j_max, the c0 grid is
-    in units of d(1) (of 1 / d(1)), and keeps s_max / s_min and s_max times
-    each view atom over d(1) finite."""
+    d(epochs), the last threshold the iteration pushes a law across, and the
+    law's first atom.  j_max and the grid apply to laws in units of d(1)."""
     d_last = schedule.d(n_epochs)
     need = f"a number from d({n_epochs}) = {d_last!r} up"
     default = 50.0 * schedule.d(n_epochs + 1)
@@ -225,7 +222,7 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
                         1e-9))
     law = build_law(field(cfg, "initial_law", dict, need="a law object"), "initial_law")
     if isinstance(law, ExpGeometricLaw):
-        mu1 = law.atomic(n_atoms=max(1, int(math.floor(math.log(l_max)))), l_max=l_max)
+        mu1 = law.atomic(math.floor(math.log(l_max)), l_max)
         # the c0 estimator's tail ratio at small s reflects the true law only
         # if the truncation deficit is far below 1 - g(s_min), so it gets a
         # much deeper truncation than the epoch iteration needs
@@ -233,10 +230,12 @@ def build_analytic(cfg: dict, schedule: EpochSchedule, n_epochs: int):
         if n_atoms > math.log(sys.float_info.max):  # its last atom e^n_atoms is inf
             raise ConfigError("config field 'analytic.c0_s_min': need a number above 1.6e-103, "
                               f"as the c0 view holds e^k to k = 3 ln(1/c0_s_min), got {s_min!r}")
-        c0_view = law.atomic(n_atoms=n_atoms, l_max=math.inf)
+        c0_view = law.atomic(n_atoms, math.inf)
     else:
         mu1 = law.atomic(l_max)
         c0_view = mu1.normalized()
+    if not mu1.n_atoms:  # each law books its mass past l_max in the deficit
+        raise ConfigError("config field 'analytic.l_max': initial_law has no atom up to it")
     top = float(c0_view.positions[-1]) / schedule.d(1)
     s_max = float(field(cfg, "analytic.c0_s_max", NUMBER,
                         lambda v: s_min < v and v / s_min < math.inf and v * top < math.inf,

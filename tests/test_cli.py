@@ -11,6 +11,7 @@ import pytest
 
 import hcplab
 import hcplab.cli
+from hcplab import budget
 from hcplab.cli import build_schedule, build_spec, build_window, main
 from hcplab.hcp import replicate
 from hcplab.laws import GeometricLaw
@@ -42,6 +43,24 @@ def write_config(tmp_path, overrides=None, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def run_rejected(tmp_path, capsys, command, overrides, *flags, prefix="", knobs=()):
+    """Run ``main`` on BASE_CONFIG with ``overrides`` and ``flags``: it must
+    exit 2, raising nothing, with one line on stderr that starts with
+    ``prefix`` and names each of ``knobs``.  Returns that line."""
+    assert main([command, "--config", write_config(tmp_path, overrides),
+                 "--out", str(tmp_path / "out"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+    assert all(knob in err for knob in knobs), err
+    return err
+
+
+def names_field(err, field):
+    """A field check names the field; a budget stop names it as a knob to lower."""
+    return (f"config error: config field '{field}'" in err
+            or err.startswith("budget error: ") and f"; lower {field}" in err)
 
 
 def read_law(path) -> AtomicMeasure:
@@ -88,28 +107,22 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", out, "--overwrite"]) == 0
 
     def test_invalid_schedule_names_epoch(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"schedule.thresholds": "explicit",
-                                      "schedule.values": [1.0, 2.0, 8.0],
-                                      "epochs": 2})
-        out = str(tmp_path / "f")
-        assert main(["simulate", "--config", cfg, "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: config field 'schedule.values'")
+        err = run_rejected(tmp_path, capsys, "simulate", {
+            "schedule.thresholds": "explicit", "schedule.values": [1.0, 2.0, 8.0], "epochs": 2},
+            prefix="config error: config field 'schedule.values'")
         assert "epoch 2: (A2) violated" in err
 
     @pytest.mark.parametrize("overrides, field", [
         ({"schedule.rates": "constant", "schedule.left": -1.0}, "schedule.left"),
         ({"schedule.gamma": 0.5}, "schedule.gamma"),
     ])
-    def test_invalid_rates_name_field(self, tmp_path, overrides, field):
-        err = run_rejected(tmp_path, "simulate", overrides)
+    def test_invalid_rates_name_field(self, tmp_path, capsys, overrides, field):
+        err = run_rejected(tmp_path, capsys, "simulate", overrides)
         assert err.startswith(f"config error: config field '{field}'")
         assert err.count("violated") <= 1  # the first violation only
 
     def test_invalid_geometric_ratio(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, {"schedule.a": 2.5})
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "g")]) == 2
-        assert "schedule.a" in capsys.readouterr().err
+        run_rejected(tmp_path, capsys, "simulate", {"schedule.a": 2.5}, knobs=("schedule.a",))
 
     def test_bad_json_reports_position(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -346,12 +359,9 @@ class TestAnalytic:
     def test_atom_budget_names_l_max(self, tmp_path, capsys):
         # off-lattice atoms multiply epoch by epoch; at the default l_max the
         # generic convolution would need gigabytes
-        cfg = write_config(tmp_path, {
+        run_rejected(tmp_path, capsys, "analytic", {
             "initial_law": {"kind": "two_point", "a": 1.0, "b": math.sqrt(2.0)},
-            "epochs": 4,
-            "analytic": {"j_max": 48.0}})
-        assert main(["analytic", "--config", cfg, "--out", str(tmp_path / "tp")]) == 2
-        assert "analytic.l_max" in capsys.readouterr().err
+            "epochs": 4, "analytic": {"j_max": 48.0}}, knobs=("analytic.l_max",))
 
     @pytest.mark.parametrize("b", [5.0 / 3.0, 1.1])
     def test_non_dyadic_two_point_law(self, tmp_path, b):
@@ -463,8 +473,8 @@ class TestFigB:
 class TestFigBInputs:
     """Bad figb configs exit 2 with the field named, never a traceback."""
 
-    def run(self, tmp_path, figb, budget=None):
-        return run_rejected(tmp_path, "reproduce-figb", {"figb": figb}, budget=budget)
+    def run(self, tmp_path, capsys, figb):
+        return run_rejected(tmp_path, capsys, "reproduce-figb", {"figb": figb})
 
     @pytest.mark.parametrize("figb, field", [
         ({"lattice": 0}, "figb.lattice"),
@@ -478,13 +488,14 @@ class TestFigBInputs:
         ({"lattice": 40}, "figb.lattice"),
         ({"lattice": 1e300}, "figb.lattice"),
     ])
-    def test_nonpositive_field_named(self, tmp_path, figb, field):
-        assert f"config error: config field '{field}'" in self.run(tmp_path, figb)
+    def test_nonpositive_field_named(self, tmp_path, capsys, figb, field):
+        assert f"config error: config field '{field}'" in self.run(tmp_path, capsys, figb)
 
-    def test_site_budget_names_knobs(self, tmp_path):
+    def test_site_budget_names_knobs(self, tmp_path, capsys, monkeypatch):
         # horizon 4 needs 1,441 sites per law at the default x and lattice;
         # a budget of 1,000 sites at 9 bytes each stands in for an oversized request
-        err = self.run(tmp_path, {"horizon": 4, "q": [0.5]}, budget=1000 * 9)
+        monkeypatch.setattr(budget, "BUDGET_BYTES", 1000 * 9)
+        err = self.run(tmp_path, capsys, {"horizon": 4, "q": [0.5]})
         assert err.startswith("budget error: the transport lattice of 1441 sites per law ")
         for field in ("figb.horizon", "figb.x", "figb.lattice"):
             assert field in err
@@ -497,8 +508,8 @@ class TestFigBInputs:
         assert (out / "transport_ratio.csv").read_text().splitlines()[1:] == ["q,n,d_n,ratio"]
         assert capsys.readouterr().err == ""
 
-    def test_horizon_beyond_float_range(self, tmp_path):
-        err = self.run(tmp_path, {"horizon": 2000, "q": [0.5]})
+    def test_horizon_beyond_float_range(self, tmp_path, capsys):
+        err = self.run(tmp_path, capsys, {"horizon": 2000, "q": [0.5]})
         assert "figb.horizon" in err
 
     @pytest.mark.parametrize("q, index", [
@@ -508,21 +519,12 @@ class TestFigBInputs:
         ([0.1, 0.5, 1.5], 2),
         ([True], 0),
         ([math.nan], 0),
+        ([1e-17], 0),  # 1 - q rounds to 1
     ])
-    def test_bad_q_entry_named(self, tmp_path, q, index):
-        err = self.run(tmp_path, {"horizon": 4, "q": q})
+    def test_bad_q_entry_named(self, tmp_path, capsys, q, index):
+        err = self.run(tmp_path, capsys, {"horizon": 4, "q": q})
         assert f"config error: config field 'figb.q[{index}]'" in err
         assert "p = 1 - q" in err
-
-
-_CHILD = """
-import json, sys
-import hcplab.budget, hcplab.cli
-budget, argv = json.loads(sys.argv[1])
-if budget is not None:
-    hcplab.budget.BUDGET_BYTES = budget
-sys.exit(hcplab.cli.main(argv))
-"""
 
 
 class TestOutputFormat:
@@ -561,32 +563,6 @@ class TestOutputFormat:
                 assert len(values) == len(names), (name, row)
 
 
-def run_child(tmp_path, argv, budget=None):
-    """Run ``hcplab.cli.main(argv)`` in a fresh interpreter whose memory budget
-    is ``budget`` bytes (None: unchanged)."""
-    src = os.path.dirname(os.path.dirname(hcplab.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    return subprocess.run([sys.executable, "-c", _CHILD, json.dumps([budget, argv])],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
-
-
-def run_rejected(tmp_path, command, overrides, *flags, budget=None):
-    """Run the CLI in a child on BASE_CONFIG with overrides; it must exit 2
-    without a traceback.  Returns stderr."""
-    proc = run_child(tmp_path, [command, "--config", write_config(tmp_path, overrides),
-                                "--out", str(tmp_path / "out"), *flags], budget)
-    assert "Traceback" not in proc.stderr, proc.stderr
-    assert proc.returncode == 2, proc.stderr
-    return proc.stderr
-
-
-def names_field(err, field):
-    """A field check names the field; a budget stop names it as a knob to lower."""
-    return (f"config error: config field '{field}'" in err
-            or err.startswith("budget error: ") and f"; lower {field}" in err)
-
-
 class TestConfigInputs:
     """Bad law, count, schedule, window, analytic and limits fields exit 2
     with the field named."""
@@ -597,8 +573,8 @@ class TestConfigInputs:
         (1.0, -1.0, "limits.gamma"),
         (1.0, math.nan, "limits.gamma"),
     ])
-    def test_limits_fields(self, tmp_path, c0, gamma, field):
-        err = run_rejected(tmp_path, "limits", {"limits": {"c0": c0, "gamma": gamma}})
+    def test_limits_fields(self, tmp_path, capsys, c0, gamma, field):
+        err = run_rejected(tmp_path, capsys, "limits", {"limits": {"c0": c0, "gamma": gamma}})
         assert f"config error: config field '{field}'" in err
 
     @pytest.mark.parametrize("command, law, field", [
@@ -609,14 +585,14 @@ class TestConfigInputs:
         ("simulate", {"kind": "exp_geometric", "p": "x"}, "initial_law.p"),
         ("simulate", {"kind": "dirac", "value": math.nan}, "initial_law.value"),
     ])
-    def test_initial_law_fields(self, tmp_path, command, law, field):
-        err = run_rejected(tmp_path, command, {"initial_law": law})
+    def test_initial_law_fields(self, tmp_path, capsys, command, law, field):
+        err = run_rejected(tmp_path, capsys, command, {"initial_law": law})
         assert f"config error: config field '{field}'" in err
 
-    def test_mixture_component_field(self, tmp_path):
+    def test_mixture_component_field(self, tmp_path, capsys):
         process = {"variant": "exchangeable", "components": [
             [0.5, {"kind": "dirac"}], [0.5, {"kind": "geometric", "q": 2}]]}
-        err = run_rejected(tmp_path, "simulate", {"process": process})
+        err = run_rejected(tmp_path, capsys, "simulate", {"process": process})
         assert "config error: config field 'process.components[1].q'" in err
 
     @pytest.mark.parametrize("overrides, flags, field", [
@@ -658,8 +634,8 @@ class TestConfigInputs:
         ({"process": {"variant": "left_bounded", "first_point": math.nan}}, (),
          "process.first_point"),
     ])
-    def test_simulate_fields(self, tmp_path, overrides, flags, field):
-        err = run_rejected(tmp_path, "simulate", overrides, *flags)
+    def test_simulate_fields(self, tmp_path, capsys, overrides, flags, field):
+        err = run_rejected(tmp_path, capsys, "simulate", overrides, *flags)
         assert names_field(err, field), err
 
     @pytest.mark.parametrize("overrides, field", [
@@ -694,8 +670,8 @@ class TestConfigInputs:
          "schedule.values"),
         ({"initial_law": {"kind": "dirac", "value": 0.5}}, "initial_law"),
     ])
-    def test_analytic_fields(self, tmp_path, overrides, field):
-        err = run_rejected(tmp_path, "analytic", overrides)
+    def test_analytic_fields(self, tmp_path, capsys, overrides, field):
+        err = run_rejected(tmp_path, capsys, "analytic", overrides)
         assert f"config error: config field '{field}'" in err
 
     @pytest.mark.parametrize("overrides, flags, field", [
@@ -707,13 +683,13 @@ class TestConfigInputs:
         ({"validate.scale": 135}, (), "validate.scale"),
         ({"validate.scale": 1e300}, (), "validate.scale"),
     ])
-    def test_validate_fields(self, tmp_path, overrides, flags, field):
-        err = run_rejected(tmp_path, "validate", overrides, *flags)
+    def test_validate_fields(self, tmp_path, capsys, overrides, flags, field):
+        err = run_rejected(tmp_path, capsys, "validate", overrides, *flags)
         assert names_field(err, field), err
 
     @pytest.mark.parametrize("command", ["simulate", "analytic"])
-    def test_below_explicit_d1_names_both_fields(self, tmp_path, command):
-        err = run_rejected(tmp_path, command, {
+    def test_below_explicit_d1_names_both_fields(self, tmp_path, capsys, command):
+        err = run_rejected(tmp_path, capsys, command, {
             "initial_law": {"kind": "geometric", "q": 0.5},
             "schedule": {"thresholds": "explicit", "values": [2, 3, 4], "rates": "east"},
             "analytic": {"l_max": 300.0, "j_max": 48.0}})
@@ -721,16 +697,18 @@ class TestConfigInputs:
 
     @pytest.mark.parametrize("overrides, flags", [({"replicas": 300}, ()),
                                                   ({}, ("--replicas", "300"))])
-    def test_record_past_budget_names_replicas(self, tmp_path, overrides, flags):
+    def test_record_past_budget_names_replicas(self, tmp_path, capsys, monkeypatch, overrides,
+                                               flags):
         # 300 replicas and 50,000 kept z per epoch over 2 epochs: 3 x 50,300
         # units at 32 bytes pass 1 MiB, which the window's 4,000 x 64 bytes fit
-        err = run_rejected(tmp_path, "simulate", overrides, *flags, budget=1 << 20)
-        assert err.startswith("budget error: the record of 300 replicas and 50000 kept z per "
-                              "epoch over 2 epochs needs 4.605 MiB at 32 bytes each"), err
-        assert names_field(err, "replicas") and err.count("\n") == 1
+        monkeypatch.setattr(budget, "BUDGET_BYTES", 1 << 20)
+        err = run_rejected(tmp_path, capsys, "simulate", overrides, *flags,
+                           prefix="budget error: the record of 300 replicas and 50000 kept z per "
+                           "epoch over 2 epochs needs 4.605 MiB at 32 bytes each")
+        assert names_field(err, "replicas")
 
-    def test_exhausted_window_names_it(self, tmp_path):
-        err = run_rejected(tmp_path, "simulate", {"window.n_intervals": 1})
+    def test_exhausted_window_names_it(self, tmp_path, capsys):
+        err = run_rejected(tmp_path, capsys, "simulate", {"window.n_intervals": 1})
         assert "window exhausted at epoch" in err and "window.n_intervals" in err
 
 
@@ -803,7 +781,8 @@ class TestAcceptedInputs:
          ("window.n_intervals or window.target_core",)),
     ])
     def test_simulate_names_knobs(self, tmp_path, capsys, overrides, knobs):
-        self.assert_names_knobs(tmp_path, capsys, "simulate", overrides, knobs)
+        run_rejected(tmp_path, capsys, "simulate", overrides, prefix="config error: ",
+                     knobs=knobs)
 
     @pytest.mark.parametrize("overrides, knobs", [
         ({"epochs": 1024}, ("epochs", "schedule.a")),
@@ -824,9 +803,19 @@ class TestAcceptedInputs:
           "analytic.c0_s_max": 1e307}, ("analytic.c0_s_max",)),
         ({"initial_law": {"kind": "exp_geometric", "p": 0.5}, "analytic.c0_s_min": 1.0,
           "analytic.c0_s_max": 1e283}, ("analytic.c0_s_max",)),
+        # no atom of the initial law at or below l_max = 300
+        ({"initial_law": {"kind": "two_point", "a": 1000.0, "b": 2000.0}},
+         ("analytic.l_max", "initial_law")),
+        ({"initial_law": {"kind": "dirac", "value": 1000.0}}, ("analytic.l_max", "initial_law")),
+        ({"initial_law": {"kind": "exp_geometric", "p": 0.5}, "analytic": {"l_max": 2.0}},
+         ("analytic.l_max", "initial_law")),
+        ({"initial_law": {"kind": "geometric", "q": 0.5}, "analytic": {"l_max": 0.5},
+          "schedule": {"thresholds": "explicit", "values": [0.25, 0.5, 0.75]}},
+         ("analytic.l_max", "initial_law")),
     ])
     def test_analytic_names_knobs(self, tmp_path, capsys, overrides, knobs):
-        self.assert_names_knobs(tmp_path, capsys, "analytic", overrides, knobs)
+        run_rejected(tmp_path, capsys, "analytic", overrides, prefix="config error: ",
+                     knobs=knobs)
 
     @pytest.mark.parametrize("l_max", [1e11, 1e8])
     def test_geometric_atoms_past_budget(self, tmp_path, capsys, l_max):
@@ -835,21 +824,12 @@ class TestAcceptedInputs:
         overrides = {"initial_law": {"kind": "geometric", "q": 1e-9}, "analytic.l_max": l_max}
         tracemalloc.start()
         try:
-            self.assert_names_knobs(tmp_path, capsys, "analytic", overrides,
-                                    ("analytic.l_max", "initial_law.q"), "budget error: ")
+            run_rejected(tmp_path, capsys, "analytic", overrides, prefix="budget error: ",
+                         knobs=("analytic.l_max", "initial_law.q"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 24, peak
-
-    @staticmethod
-    def assert_names_knobs(tmp_path, capsys, command, overrides, knobs, prefix="config error: "):
-        cfg = write_config(tmp_path, overrides)
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(prefix) and err.count("\n") == 1, err
-        for knob in knobs:
-            assert knob in err
 
     @pytest.mark.parametrize("p", [0.1, 0.3])
     def test_heavy_exp_geometric_simulates(self, tmp_path, capsys, p):
@@ -879,30 +859,30 @@ class TestAcceptedInputs:
     EXP_GEOMETRIC = {"initial_law": {"kind": "exp_geometric", "p": 0.5},
                      "analytic.deficit_bound": 1.0}
 
-    def test_c0_row_past_budget(self, tmp_path):
+    def test_c0_row_past_budget(self, tmp_path, capsys, monkeypatch):
         # the c0 view of exp_geometric holds e^k to k = 3 ln(1/c0_s_min): 690
         # atoms at 1e-100, whose one grid row and weights take 12,420 bytes
         # at 9 bytes each; at the default c0_s_min (62 atoms) the same budget runs
+        monkeypatch.setattr(budget, "BUDGET_BYTES", 12_000)
         cfg = dict(self.EXP_GEOMETRIC, **{"analytic.c0_s_min": 1e-100})
-        err = run_rejected(tmp_path, "analytic", cfg, budget=12_000)
-        assert err.startswith("budget error: a 1 x 690 block of the transform grid ")
-        assert err.count("\n") == 1 and err.rstrip().endswith(
-            "; lower analytic.l_max, or raise analytic.c0_s_min"), err
-        argv = ["analytic", "--config", write_config(tmp_path, self.EXP_GEOMETRIC),
-                "--out", str(tmp_path / "ok")]
-        proc = run_child(tmp_path, argv, budget=12_000)
-        assert (proc.returncode, proc.stderr) == (0, "")
+        err = run_rejected(tmp_path, capsys, "analytic", cfg,
+                           prefix="budget error: a 1 x 690 block of the transform grid ")
+        assert err.rstrip().endswith("; lower analytic.l_max, or raise analytic.c0_s_min"), err
+        assert main(["analytic", "--config", write_config(tmp_path, self.EXP_GEOMETRIC),
+                     "--out", str(tmp_path / "ok")]) == 0
+        assert capsys.readouterr().err == ""
 
-    def test_c0_grid_in_row_blocks(self, tmp_path):
+    def test_c0_grid_in_row_blocks(self, tmp_path, capsys, monkeypatch):
         # a budget of 100,000 bytes evaluates the 141 x 300 grid of
         # geometric(0.1) at l_max 300 in blocks of 36 rows; nothing else
         # needs as much
         cfg = write_config(tmp_path, {"initial_law": {"kind": "geometric", "q": 0.1}})
         reports = []
-        for budget in (None, 100_000):
-            out = tmp_path / f"out{budget}"
-            proc = run_child(tmp_path, ["analytic", "--config", cfg, "--out", str(out)], budget)
-            assert (proc.returncode, proc.stderr) == (0, "")
+        for budget_bytes in (budget.BUDGET_BYTES, 100_000):
+            monkeypatch.setattr(budget, "BUDGET_BYTES", budget_bytes)
+            out = tmp_path / f"out{budget_bytes}"
+            assert main(["analytic", "--config", cfg, "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
             with open(out / "c0_report.json") as fh:
                 reports.append(json.load(fh))
         whole, blocked = reports
@@ -921,9 +901,7 @@ class TestOffLatticeSimulate:
             "initial_law": {"kind": "two_point", "a": 1.0, "b": math.sqrt(2.0)},
             "process": {"variant": variant},
             "window": {"n_intervals": 20_000}})
-        proc = run_child(tmp_path, ["simulate", "--config", cfg, "--out", str(tmp_path / "out")])
-        assert "Traceback" not in proc.stderr, proc.stderr
-        assert proc.returncode == 0, proc.stderr
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
         with open(tmp_path / "out" / "replicas.csv") as fh:
             epochs = [line.split(",")[1] for line in fh if line[0].isdigit()]
         assert epochs == ["1", "2", "3"]
@@ -943,6 +921,18 @@ class TestColdStart:
     """No command but validate imports scipy, and importing the CLI leaves
     numpy.random unloaded."""
 
+    @staticmethod
+    def run_python(tmp_path, *args) -> str:
+        """The stdout of ``python -c *args`` in a fresh interpreter that finds
+        this hcplab; it must exit 0."""
+        src = os.path.dirname(os.path.dirname(hcplab.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", *args], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
     @pytest.mark.parametrize("command, overrides", [
         (None, {}),
         ("simulate", {"window": {"n_intervals": 200}}),
@@ -955,26 +945,13 @@ class TestColdStart:
         if command is not None:
             argv = [command, "--config", write_config(tmp_path, overrides),
                     "--out", str(tmp_path / "out")]
-        src = os.path.dirname(os.path.dirname(hcplab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
-
+        stdout = self.run_python(tmp_path, _SCIPY_PROBE, json.dumps(argv))
+        assert json.loads(stdout.splitlines()[-1]) == []
 
     def test_import_leaves_numpy_random_unloaded(self, tmp_path):
-        src = os.path.dirname(os.path.dirname(hcplab.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", "import sys, hcplab.cli; "
-                               "print('numpy.random' in sys.modules)"],
-                              cwd=tmp_path, env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        stdout = self.run_python(tmp_path, "import sys, hcplab.cli; "
+                                 "print('numpy.random' in sys.modules)")
+        assert stdout.strip() == "False"
 
 
 class TestValidateCommand:

@@ -266,7 +266,7 @@ class TestFixedPoint:
         mids = np.arange(1.0 + spacing / 2, 24.0, spacing)
         cdf = z_cdf(1.0, np.append(mids - spacing / 2, 24.0))
         law = AtomicMeasure(mids, np.diff(cdf), 24.0, 1.0 - cdf[-1])
-        out = epoch_pushforward(law.normalized(), 1.0, 2.0).rescaled(0.5)
+        out = epoch_pushforward(law.normalized(), 1.0, 2.0).rescaled(2.0)
         grid = np.arange(1.0, 11.0, 0.125)
         ks = np.max(np.abs(out.cdf(grid) - z_cdf(1.0, grid)))
         assert ks < 2.5 * spacing

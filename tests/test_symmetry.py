@@ -19,7 +19,7 @@ import pytest
 
 from hcplab.cli import main
 
-K = [-3, 1, 7]
+K = [-40, -3, 1, 7]
 RATES = ["constant", "linear"]
 
 
@@ -115,14 +115,14 @@ def unscaled(name: str, text: str, scale: float) -> str:
     return "\n".join(lines)
 
 
-@pytest.mark.parametrize("exponent", K)
+@pytest.mark.parametrize("exponent", K + [-1030])  # at -1030 d(1) is subnormal
 @pytest.mark.parametrize("rates", RATES)
 def test_length_scale_analytic(tmp_path, rates, exponent):
     scale = 2.0 ** exponent
     want = run(tmp_path, "analytic", length_config("periodic", rates, 1.0))
     got = run(tmp_path, "analytic", length_config("periodic", rates, scale))
     assert got.keys() == want.keys()
-    # c0 is estimated on the law in units of d(1), on a grid in units of 1 / d(1)
+    # c0 is estimated on the law in units of d(1), on the grid as given
     c0 = json.loads(got["c0_report.json"]), json.loads(want["c0_report.json"])
     got, want = below_provenance(got), below_provenance(want)
     for name in want:

@@ -45,7 +45,7 @@ class TestDeconvolve:
             assert math.exp(-m.transform(s)) == pytest.approx(-math.expm1(-s), rel=1e-10)
 
     def test_round_trip(self):
-        z1 = epoch_pushforward(dirac(1.0, 48.0), 1.0, 2.0).rescaled(0.5)
+        z1 = epoch_pushforward(dirac(1.0, 48.0), 1.0, 2.0).rescaled(2.0)
         m = deconvolve_m(z1, 24.0)
         back = reassemble_z_law(m, 24.0)
         grid = np.arange(1.0, 23.5, 0.25)
@@ -296,7 +296,7 @@ class TestStepFunctionAndTransport:
         xs = np.array([0.05, 0.3, 0.7, 1.2, 2.6])
         for n in (2, 3, 4):
             d = EAST(n)
-            direct = u1_step_function(deconvolve_m(laws[n - 1].rescaled(1.0 / d), 64.0 / d))
+            direct = u1_step_function(deconvolve_m(laws[n - 1].rescaled(d), 64.0 / d))
             assert np.all(np.abs(direct(xs) - un_transport(u1, d, xs)) < 1e-8)
 
     @pytest.mark.parametrize("m", [GeometricLaw(0.1).atomic(64.0),
@@ -346,7 +346,7 @@ class TestLatticeRoute:
                                    atol=1e-13 * np.abs(expect).max(initial=0.0))
 
     def test_agrees_with_interval_recursion(self):
-        laws = [epoch_pushforward(dirac(1.0, 32.0), 1.0, 2.0).rescaled(0.5),
+        laws = [epoch_pushforward(dirac(1.0, 32.0), 1.0, 2.0).rescaled(2.0),
                 AtomicMeasure([1.0, 1.5, 3.5], [0.5, 0.3, 0.2], l_max=32.0)]
         xs = np.linspace(0.0, 14.0, 57)
         for p in laws:
